@@ -41,7 +41,7 @@ let run_experiments ~quick ~jobs ~only =
 (* ------------------------------------------------------------------ *)
 
 let bench_platform workers =
-  let rng = Cluster.Prng.create ~seed:99 in
+  let rng = Numeric.Prng.create ~seed:99 in
   let f = Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers in
   Cluster.Gen.platform Cluster.Workload.gdsdmi ~n:120 f
 
@@ -183,11 +183,11 @@ let run_bechamel ~name tests ~quota_s =
    machine-readable JSON file so later PRs can regress against it. *)
 
 let solver_platform ~p ~regime ~z =
-  let rng = Cluster.Prng.create ~seed:(7901 + (97 * p) + regime) in
+  let rng = Numeric.Prng.create ~seed:(7901 + (97 * p) + regime) in
   let specs =
     List.init p (fun _ ->
-        let c = Q.of_ints (Cluster.Prng.int_range rng ~lo:2 ~hi:9) 4 in
-        let w = Q.of_ints (Cluster.Prng.int_range rng ~lo:4 ~hi:20) 2 in
+        let c = Q.of_ints (Numeric.Prng.int_range rng ~lo:2 ~hi:9) 4 in
+        let w = Q.of_ints (Numeric.Prng.int_range rng ~lo:4 ~hi:20) 2 in
         (c, w))
   in
   Dls.Platform.with_return_ratio ~z specs
@@ -825,13 +825,13 @@ type resolve_cell = {
    then has alternate optima, no basis certifies, and every warm repair
    falls back, so the bench would measure only the fallback path. *)
 let resolve_platform ~p ~regime ~z =
-  let rng = Cluster.Prng.create ~seed:(7901 + (97 * p) + regime) in
+  let rng = Numeric.Prng.create ~seed:(7901 + (97 * p) + regime) in
   let specs =
     List.init p (fun i ->
         let c =
-          Q.of_ints ((10 * Cluster.Prng.int_range rng ~lo:2 ~hi:9) + i) 40
+          Q.of_ints ((10 * Numeric.Prng.int_range rng ~lo:2 ~hi:9) + i) 40
         in
-        let w = Q.of_ints (Cluster.Prng.int_range rng ~lo:4 ~hi:20) 2 in
+        let w = Q.of_ints (Numeric.Prng.int_range rng ~lo:4 ~hi:20) 2 in
         (c, w))
   in
   Dls.Platform.with_return_ratio ~z specs
@@ -843,9 +843,9 @@ let resolve_stream ~p ~regime ~z ~n =
   in
   let variants =
     List.init n (fun i ->
-        let rng = Cluster.Prng.create ~seed:(3301 + (131 * i) + (17 * p) + regime) in
-        let worker = Cluster.Prng.int_range rng ~lo:0 ~hi:(p - 1) in
-        let factor = Q.of_ints (Cluster.Prng.int_range rng ~lo:8 ~hi:12) 10 in
+        let rng = Numeric.Prng.create ~seed:(3301 + (131 * i) + (17 * p) + regime) in
+        let worker = Numeric.Prng.int_range rng ~lo:0 ~hi:(p - 1) in
+        let factor = Q.of_ints (Numeric.Prng.int_range rng ~lo:8 ~hi:12) 10 in
         let change =
           if i mod 2 = 0 then Dls.Delta.Scale_comp { worker; factor }
           else Dls.Delta.Scale_comm { worker; factor }
@@ -979,27 +979,17 @@ let run_resolve_bench ~quick ~k ~warmup ~json_path ~gate =
 (* Part 8: pool scaling benchmark (BENCH_pool.json)                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Two halves, matching the two halves of the work-stealing change:
+(* Two checks on the work-stealing pool:
 
-   1. claim-path scaling — [Parallel.Pool] (Chase-Lev deques) against
-      [Parallel.Mutex_pool] (the PR-1 pool it replaced) on the same map
-      with chunk=1, so every task is a separate claim and the claim
-      path dominates.  Cells are jobs in {1,2,4,8} x {uniform, skewed}
-      per-task cost, and the ws result is checked bit-identical to the
-      sequential map before timing.
+   1. bit identity — [Parallel.Pool.map] with chunk=1 (every task a
+      separate claim, so stealing is exercised) must equal the
+      sequential map, for jobs in {1,2,4,8} x {uniform, skewed}
+      per-task cost.  A mismatch exits 3.
 
    2. dispatch scaling — the server with [dispatchers] 4 vs 1 on the
       skewed loadgen mix (the traffic shape sharding exists for), same
       stream, same pool size, artificial per-evaluation delay so round
       concurrency rather than LP time is what's measured. *)
-
-type pool_cell = {
-  pl_jobs : int;
-  pl_mix : string;
-  pl_tasks : int;
-  pl_ws_s : float;
-  pl_mutex_s : float;
-}
 
 (* Integer spin whose result feeds the output array: nothing for the
    compiler to hoist or dead-code away. *)
@@ -1011,63 +1001,25 @@ let pool_spin c x =
   !acc
 
 (* Uniform: every task costs the same.  Skewed: a hot head of heavy
-   tasks over a cheap tail (same total work order of magnitude), the
-   shape that strands a static partition and makes idle workers steal. *)
+   tasks over a cheap tail, the shape that strands a static partition
+   and makes idle workers steal. *)
 let pool_costs ~mix ~tasks =
   match mix with
   | "uniform" -> Array.make tasks 120
   | _ -> Array.init tasks (fun i -> if i mod 64 = 0 then 4_000 else 60)
 
-let pool_cell ~k ~warmup ~tasks ~mix jobs =
+let check_pool_identity ~tasks ~mix jobs =
   let costs = pool_costs ~mix ~tasks in
   let input = Array.init tasks (fun i -> i) in
   let f i = pool_spin costs.(i) i in
-  let expected = Array.map f input in
-  (* Individual maps are a couple of ms, so repetitions are cheap.  The
-     arms are interleaved rep by rep so a burst of scheduler noise lands
-     on both, and each arm reports its best rep: on a shared box the
-     minimum estimates intrinsic claim cost, which is what the two pools
-     differ in — medians still wobble when a noise burst outlasts the
-     whole cell. *)
-  let reps = max 16 (4 * k) and warmup = max 2 warmup in
-  let time_once map =
-    let t0 = Parallel.Clock.now () in
-    ignore (map f input);
-    Parallel.Clock.elapsed_s ~since:t0
+  let got =
+    Parallel.Pool.with_pool ~jobs (fun ws -> Parallel.Pool.map ~chunk:1 ws f input)
   in
-  let ws_s, mutex_s =
-    Parallel.Pool.with_pool ~jobs (fun ws ->
-        Parallel.Mutex_pool.with_pool ~jobs (fun mx ->
-            let ws_map f a = Parallel.Pool.map ~chunk:1 ws f a in
-            let mx_map f a = Parallel.Mutex_pool.map ~chunk:1 mx f a in
-            let got = ws_map f input in
-            if got <> expected then begin
-              Printf.eprintf
-                "bench: ws pool map differs from sequential (jobs=%d mix=%s)\n"
-                jobs mix;
-              exit 3
-            end;
-            for _ = 1 to warmup do
-              ignore (ws_map f input);
-              ignore (mx_map f input)
-            done;
-            let ws_t = Array.make reps 0. and mx_t = Array.make reps 0. in
-            for r = 0 to reps - 1 do
-              ws_t.(r) <- time_once ws_map;
-              mx_t.(r) <- time_once mx_map
-            done;
-            let best = Array.fold_left Float.min infinity in
-            (best ws_t, best mx_t)))
-  in
-  { pl_jobs = jobs; pl_mix = mix; pl_tasks = tasks; pl_ws_s = ws_s;
-    pl_mutex_s = mutex_s }
-
-let pool_cell_json c =
-  Printf.sprintf
-    "    { \"jobs\": %d, \"mix\": %S, \"tasks\": %d, \"ws_s\": %.6f, \
-     \"mutex_s\": %.6f, \"speedup\": %.2f }"
-    c.pl_jobs c.pl_mix c.pl_tasks c.pl_ws_s c.pl_mutex_s
-    (c.pl_mutex_s /. Float.max 1e-9 c.pl_ws_s)
+  if got <> Array.map f input then begin
+    Printf.eprintf "bench: ws pool map differs from sequential (jobs=%d mix=%s)\n"
+      jobs mix;
+    exit 3
+  end
 
 type dispatch_arm = {
   dp_dispatchers : int;
@@ -1140,33 +1092,22 @@ let dispatch_arm_json a =
      \"steals\": %d }"
     a.dp_dispatchers a.dp_rps a.dp_ok a.dp_steals
 
-let run_pool_bench ~quick ~k ~warmup ~json_path ~gate =
-  (* Both halves are cheap enough (a few seconds) to run at full size
-     even in quick mode — shrinking them just makes the best-of
-     estimators noisy and the gate flaky. *)
-  ignore quick;
+let run_pool_bench ~quick ~k ~json_path ~gate =
+  (* Cheap enough (a few seconds) to run at full size even in quick
+     mode — shrinking it just makes the best-of estimator noisy and the
+     gate flaky. *)
   let tasks = 8192 in
+  let jobs_cells = [ 1; 2; 4; 8 ] and mixes = [ "uniform"; "skewed" ] in
   let requests, connections = (240, 16) in
   Printf.printf
-    "=== pool scaling (work-stealing vs mutex pool, sharded dispatch) ===\n\
-     (%d tasks, chunk=1, best of %d interleaved reps; %d requests over %d \
-     connections, skew 1.5)\n\n%!"
-    tasks
-    (max 16 (4 * k))
-    requests connections;
-  let cells =
-    List.concat_map
-      (fun mix -> List.map (pool_cell ~k ~warmup ~tasks ~mix) [ 1; 2; 4; 8 ])
-      [ "uniform"; "skewed" ]
-  in
-  Printf.printf "  %-8s %-5s %12s %12s %9s\n%!" "mix" "jobs" "ws" "mutex"
-    "speedup";
+    "=== pool scaling (work-stealing bit identity, sharded dispatch) ===\n\
+     (%d tasks, chunk=1; %d requests over %d connections, skew 1.5)\n\n%!"
+    tasks requests connections;
   List.iter
-    (fun c ->
-      Printf.printf "  %-8s %-5d %9.2f ms %9.2f ms %8.2fx\n%!" c.pl_mix
-        c.pl_jobs (c.pl_ws_s *. 1e3) (c.pl_mutex_s *. 1e3)
-        (c.pl_mutex_s /. Float.max 1e-9 c.pl_ws_s))
-    cells;
+    (fun mix -> List.iter (check_pool_identity ~tasks ~mix) jobs_cells)
+    mixes;
+  Printf.printf "  ws pool map bit-identical to sequential on %d cells\n%!"
+    (List.length jobs_cells * List.length mixes);
   let dispatch_jobs = 8 in
   let single =
     run_dispatch_arm ~k ~jobs:dispatch_jobs ~dispatchers:1 ~requests
@@ -1184,13 +1125,11 @@ let run_pool_bench ~quick ~k ~warmup ~json_path ~gate =
   let json =
     Printf.sprintf
       "{\n\
-      \  \"schema\": \"dls-bench-pool/1\",\n\
+      \  \"schema\": \"dls-bench-pool/2\",\n\
       \  \"quick\": %b,\n\
       \  \"k\": %d,\n\
-      \  \"warmup\": %d,\n\
-      \  \"tasks\": %d,\n\
-      \  \"chunk\": 1,\n\
-      \  \"cells\": [\n%s\n  ],\n\
+      \  \"identity\": { \"tasks\": %d, \"chunk\": 1, \"jobs\": [%s], \
+       \"mixes\": [%s] },\n\
       \  \"dispatch\": {\n\
       \    \"jobs\": %d,\n\
       \    \"requests\": %d,\n\
@@ -1199,8 +1138,9 @@ let run_pool_bench ~quick ~k ~warmup ~json_path ~gate =
       \    \"arms\": [\n%s\n    ]\n\
       \  }\n\
        }\n"
-      quick k warmup tasks
-      (String.concat ",\n" (List.map pool_cell_json cells))
+      quick k tasks
+      (String.concat ", " (List.map string_of_int jobs_cells))
+      (String.concat ", " (List.map (Printf.sprintf "%S") mixes))
       dispatch_jobs requests connections
       (String.concat ",\n"
          (List.map (fun a -> "  " ^ dispatch_arm_json a) [ single; sharded ]))
@@ -1209,35 +1149,16 @@ let run_pool_bench ~quick ~k ~warmup ~json_path ~gate =
   output_string oc json;
   close_out oc;
   Printf.printf "  wrote %s\n\n%!" json_path;
-  (* Gate: the work-stealing pool must win (or tie, within a 5%
-     measurement tolerance) every cell where claim contention exists
-     (jobs >= 4), and the sharded dispatch path must at least match the
-     single dispatcher on the skewed mix. *)
-  let losing =
-    List.filter
-      (fun c -> c.pl_jobs >= 4 && c.pl_ws_s > c.pl_mutex_s *. 1.05)
-      cells
-  in
-  let dispatch_pass = sharded.dp_rps >= single.dp_rps in
-  let gate_pass = losing = [] && dispatch_pass in
-  if gate && not gate_pass then begin
-    List.iter
-      (fun c ->
-        Printf.eprintf
-          "GATE FAILED: ws pool slower than mutex pool (jobs=%d mix=%s: %.2f \
-           ms vs %.2f ms)\n"
-          c.pl_jobs c.pl_mix (c.pl_ws_s *. 1e3) (c.pl_mutex_s *. 1e3))
-      losing;
-    if not dispatch_pass then
-      Printf.eprintf
-        "GATE FAILED: 4 dispatchers slower than 1 on the skewed mix (%.1f \
-         req/s vs %.1f req/s)\n"
-        sharded.dp_rps single.dp_rps
-  end
+  (* Gate: the sharded dispatch path must at least match the single
+     dispatcher on the skewed mix. *)
+  let gate_pass = sharded.dp_rps >= single.dp_rps in
+  if gate && not gate_pass then
+    Printf.eprintf
+      "GATE FAILED: 4 dispatchers slower than 1 on the skewed mix (%.1f \
+       req/s vs %.1f req/s)\n"
+      sharded.dp_rps single.dp_rps
   else if gate then
-    Printf.printf
-      "  gate: ws >= mutex on all jobs>=4 cells; 4 dispatchers %.1f >= 1 \
-       dispatcher %.1f req/s\n%!"
+    Printf.printf "  gate: 4 dispatchers %.1f >= 1 dispatcher %.1f req/s\n%!"
       sharded.dp_rps single.dp_rps;
   (not gate) || gate_pass
 
@@ -1245,19 +1166,14 @@ let run_pool_bench ~quick ~k ~warmup ~json_path ~gate =
 (* Part 9: end-to-end resilience benchmark (BENCH_chaos.json)          *)
 (* ------------------------------------------------------------------ *)
 
-(* Two halves, matching the two halves of the resilience change:
-
-   1. goodput under chaos — the same seeded fault plan (Service.Chaos)
-      between the load generator and the server, two arms: the naive
-      single-attempt client (reconnects after a failure but never
-      retries the request) and the resilient retry/breaker client.
-      Goodput counts ok responses that landed within the caller's
-      deadline — an answer after the deadline is throughput, not
-      goodput.  The gate is that resilience buys goodput.
-
-   2. warm restart — the same daemon restarted on its response journal
-      against a cold restart; time to re-answer the working set.  The
-      gate is that journal replay beats recomputing. *)
+(* Goodput under chaos — the same seeded fault plan (Service.Chaos)
+   between the load generator and the server, two arms: the naive
+   single-attempt client (reconnects after a failure but never retries
+   the request) and the resilient retry/breaker client.  Goodput counts
+   ok responses that landed within the caller's deadline — an answer
+   after the deadline is throughput, not goodput.  The gate is that
+   resilience buys goodput.  (Warm restart from the durable store is
+   Part 10's restart arm.) *)
 
 type chaos_bench_arm = {
   ca_label : string;
@@ -1347,92 +1263,6 @@ let chaos_arm_json a =
     a.ca_label a.ca_ok a.ca_failed a.ca_goodput a.ca_retries a.ca_breaker_opens
     a.ca_p50_ms a.ca_p99_ms a.ca_wall_s
 
-(* Warm restart: serve a working set once (journaling it), restart on
-   the journal, serve it again.  [worker_delay] gives every cold
-   evaluation a deterministic floor, so the comparison measures the
-   thing the journal changes — recompute vs replay — rather than LP
-   noise. *)
-let run_chaos_restart ~distinct ~seed =
-  let journal = Filename.temp_file "dls-bench-chaos" ".journal" in
-  let regimes = [| Check.Fuzz.Small_z; Check.Fuzz.Unit_z; Check.Fuzz.Big_z |] in
-  let reqs =
-    List.init distinct (fun i ->
-        let rng = Random.State.make [| seed; i; 0xbe9c4 |] in
-        let p = Check.Fuzz.gen_platform rng regimes.(i mod 3) in
-        Service.Protocol.Solve
-          {
-            s_platform = p;
-            s_order = Service.Protocol.Fifo;
-            s_model = Dls.Lp_model.One_port;
-            s_fast = true;
-            s_load = Some (Q.of_int 1000);
-          })
-  in
-  let serve_once label =
-    Dls.Lp_model.reset_cache ();
-    let spath = Filename.temp_file "dls-bench-chaos" ".sock" in
-    Sys.remove spath;
-    let cfg =
-      {
-        (Service.Server.default_config (Service.Server.Unix_socket spath)) with
-        Service.Server.jobs = 2;
-        worker_delay = 0.02;
-        journal = Some journal;
-      }
-    in
-    let server =
-      match Service.Server.start cfg with
-      | Ok s -> s
-      | Error e ->
-        Printf.eprintf "bench: restart arm %s failed: %s\n" label
-          (Dls.Errors.to_string e);
-        exit 2
-    in
-    let t0 = Parallel.Clock.now () in
-    (match
-       Service.Client.with_client (Service.Server.address server) (fun cl ->
-           List.iter
-             (fun r ->
-               match Service.Client.request cl r with
-               | Ok resp when Service.Protocol.is_ok resp -> ()
-               | Ok resp ->
-                 Printf.eprintf "bench: restart arm %s: %s\n" label
-                   (Service.Protocol.response_to_string resp);
-                 exit 2
-               | Error e ->
-                 Printf.eprintf "bench: restart arm %s: %s\n" label
-                   (Dls.Errors.to_string e);
-                 exit 2)
-             reqs)
-     with
-    | Ok () -> ()
-    | Error e ->
-      Printf.eprintf "bench: restart arm %s: %s\n" label (Dls.Errors.to_string e);
-      exit 2);
-    let wall = Parallel.Clock.elapsed_s ~since:t0 in
-    let stats = Service.Server.stats server in
-    Service.Server.stop server;
-    (wall, stats)
-  in
-  let cold_s, cold_stats = serve_once "cold" in
-  if cold_stats.Service.Protocol.journal_appended <> distinct then begin
-    Printf.eprintf "bench: cold run journaled %d/%d records\n"
-      cold_stats.Service.Protocol.journal_appended distinct;
-    exit 2
-  end;
-  let warm_s, warm_stats = serve_once "warm" in
-  if
-    warm_stats.Service.Protocol.journal_replayed <> distinct
-    || warm_stats.Service.Protocol.warm_hits <> distinct
-  then begin
-    Printf.eprintf "bench: warm run replayed %d, hit %d of %d records\n"
-      warm_stats.Service.Protocol.journal_replayed
-      warm_stats.Service.Protocol.warm_hits distinct;
-    exit 2
-  end;
-  Sys.remove journal;
-  (cold_s, warm_s)
-
 let run_chaos_bench ~quick ~json_path ~gate =
   let requests, connections, distinct =
     if quick then (120, 8, 5) else (320, 16, 6)
@@ -1444,7 +1274,7 @@ let run_chaos_bench ~quick ~json_path ~gate =
   let seed = 2026 and severity = 1.0 in
   let plan = Service.Chaos.gen ~seed ~conns:4096 ~severity in
   Printf.printf
-    "=== end-to-end resilience (chaos proxy, retries, journal restart) ===\n\
+    "=== end-to-end resilience (chaos proxy, retries) ===\n\
      (%d requests, %d connections, severity %.2f, %d planned faults)\n\n%!"
     requests connections severity (List.length plan);
   let deadline_s = 0.25 in
@@ -1477,16 +1307,10 @@ let run_chaos_bench ~quick ~json_path ~gate =
         a.ca_label a.ca_ok a.ca_failed a.ca_goodput a.ca_retries
         a.ca_breaker_opens a.ca_p50_ms a.ca_p99_ms)
     [ naive; resilient ];
-  let cold_s, warm_s = run_chaos_restart ~distinct ~seed in
-  Printf.printf
-    "  restart: cold %.3fs -> journal-warm %.3fs (%.2fx) over %d records\n%!"
-    cold_s warm_s
-    (cold_s /. Float.max 1e-9 warm_s)
-    distinct;
   let json =
     Printf.sprintf
       "{\n\
-      \  \"schema\": \"dls-bench-chaos/1\",\n\
+      \  \"schema\": \"dls-bench-chaos/2\",\n\
       \  \"quick\": %b,\n\
       \  \"seed\": %d,\n\
       \  \"requests\": %d,\n\
@@ -1495,39 +1319,25 @@ let run_chaos_bench ~quick ~json_path ~gate =
       \  \"severity\": %.2f,\n\
       \  \"plan_faults\": %d,\n\
       \  \"deadline_s\": %.3f,\n\
-      \  \"arms\": [\n%s\n  ],\n\
-      \  \"restart\": { \"records\": %d, \"cold_s\": %.4f, \"warm_s\": %.4f, \
-       \"speedup\": %.2f }\n\
+      \  \"arms\": [\n%s\n  ]\n\
        }\n"
       quick seed requests connections distinct severity (List.length plan)
       deadline_s
       (String.concat ",\n" (List.map chaos_arm_json [ naive; resilient ]))
-      distinct cold_s warm_s
-      (cold_s /. Float.max 1e-9 warm_s)
   in
   let oc = open_out json_path in
   output_string oc json;
   close_out oc;
   Printf.printf "  wrote %s\n\n%!" json_path;
-  let goodput_pass = resilient.ca_goodput > naive.ca_goodput in
-  let restart_pass = warm_s < cold_s in
-  let gate_pass = goodput_pass && restart_pass in
-  if gate && not gate_pass then begin
-    if not goodput_pass then
-      Printf.eprintf
-        "GATE FAILED: resilient goodput %d <= naive goodput %d under the same \
-         chaos plan\n"
-        resilient.ca_goodput naive.ca_goodput;
-    if not restart_pass then
-      Printf.eprintf
-        "GATE FAILED: journal-warm restart %.3fs >= cold restart %.3fs\n" warm_s
-        cold_s
-  end
+  let gate_pass = resilient.ca_goodput > naive.ca_goodput in
+  if gate && not gate_pass then
+    Printf.eprintf
+      "GATE FAILED: resilient goodput %d <= naive goodput %d under the same \
+       chaos plan\n"
+      resilient.ca_goodput naive.ca_goodput
   else if gate then
-    Printf.printf
-      "  gate: resilient goodput %d > naive %d; warm restart %.3fs < cold \
-       %.3fs\n%!"
-      resilient.ca_goodput naive.ca_goodput warm_s cold_s;
+    Printf.printf "  gate: resilient goodput %d > naive %d\n%!"
+      resilient.ca_goodput naive.ca_goodput;
   (not gate) || gate_pass
 
 (* ------------------------------------------------------------------ *)
@@ -1932,7 +1742,7 @@ let main quick skip_micro only jobs solvers_only solvers_json bench_k warmup
   else if pool_only then begin
     if
       not
-        (run_pool_bench ~quick ~k:bench_k ~warmup ~json_path:pool_json
+        (run_pool_bench ~quick ~k:bench_k ~json_path:pool_json
            ~gate:pool_gate)
     then exit 1
   end
@@ -1969,7 +1779,7 @@ let main quick skip_micro only jobs solvers_only solvers_json bench_k warmup
         ~gate:resolve_gate
     in
     let pool_pass =
-      run_pool_bench ~quick ~k:bench_k ~warmup ~json_path:pool_json
+      run_pool_bench ~quick ~k:bench_k ~json_path:pool_json
         ~gate:pool_gate
     in
     let chaos_pass =
@@ -2148,9 +1958,8 @@ let () =
       value & flag
       & info [ "pool-gate" ]
           ~doc:
-            "Exit non-zero unless the work-stealing pool matches or beats the \
-             mutex pool on every jobs>=4 cell and 4 dispatchers match or beat \
-             1 on the skewed service mix.")
+            "Exit non-zero unless 4 dispatchers match or beat 1 on the skewed \
+             service mix.")
   in
   let chaos_only_arg =
     Arg.(
@@ -2171,8 +1980,7 @@ let () =
       & info [ "chaos-gate" ]
           ~doc:
             "Exit non-zero unless the resilient client's goodput beats the \
-             naive client under the same chaos plan and the journal-warm \
-             restart beats the cold restart.")
+             naive client under the same chaos plan.")
   in
   let scale_only_arg =
     Arg.(

@@ -518,7 +518,7 @@ let simulate_cmd =
       let plan = Sim.Star.plan_of_rounded sol ~total:items in
       let noise =
         if noisy then
-          Cluster.Noise.make (Cluster.Prng.create ~seed) ~n:100
+          Cluster.Noise.make (Numeric.Prng.create ~seed) ~n:100
         else Sim.Star.no_noise
       in
       let trace = Sim.Star.execute ~noise platform plan in
@@ -669,7 +669,7 @@ let platform_cmd =
   let n_arg = Arg.(value & opt int 100 & info [ "n" ] ~doc:"Matrix size.") in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
   let run scenario workers n seed =
-    let rng = Cluster.Prng.create ~seed in
+    let rng = Numeric.Prng.create ~seed in
     let f = Cluster.Gen.factors rng scenario ~workers in
     let p = Cluster.Gen.platform Cluster.Workload.gdsdmi ~n f in
     Format.printf "%a@." Dls.Platform.pp p;
@@ -1461,16 +1461,6 @@ let serve_cmd =
             "Artificial per-request work, for overload and timeout \
              experiments.")
   in
-  let journal_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:
-            "Crash-safe response journal: every fresh response is appended to \
-             $(docv) and replayed into a warm cache at boot, so a restarted \
-             daemon answers repeat requests at admission time.")
-  in
   let brownout_arg =
     Arg.(
       value & flag
@@ -1487,20 +1477,23 @@ let serve_cmd =
       & opt (some int) None
       & info [ "journal-max-bytes" ] ~docv:"BYTES"
           ~doc:
-            "Journal byte budget (with $(b,--journal)): past it, the journal \
-             is compacted down to the latest record of each key the warm \
-             cache still holds (counted in the $(b,compactions) stat).")
+            "Store byte budget (with $(b,--store)): past it, the store is \
+             compacted down to the latest record of each key this daemon's \
+             warm cache still holds (counted in the $(b,compactions) stat).")
   in
   let store_arg =
     Arg.(
       value
       & opt (some string) None
-      & info [ "store" ] ~docv:"FILE"
+      & info [ "store"; "journal" ] ~docv:"FILE"
           ~doc:
-            "Tier-2 shared solution store: on a warm-cache miss the daemon \
-             consults $(docv) before solving ($(b,store_hits) / \
-             $(b,store_misses) in the stats) and publishes every fresh \
-             solution to it.  Many shards may share one store file.")
+            "Crash-safe solution store, the daemon's only durable state: \
+             every fresh response is appended to $(docv), and on a \
+             warm-cache miss the daemon reads $(docv) before solving \
+             ($(b,store_hits) / $(b,store_misses) in the stats), so a \
+             restarted daemon answers repeat requests without solving.  \
+             Many shards may share one file.  $(b,--journal) is another \
+             name for this option.")
   in
   let stats_json_arg =
     Arg.(
@@ -1512,7 +1505,7 @@ let serve_cmd =
   in
   let die fmt = Format.kasprintf (fun s -> prerr_endline ("dls: " ^ s); exit 1) fmt in
   let run socket host port jobs dispatchers queue_cap max_batch timeout
-      no_dedup worker_delay journal journal_max_bytes store brownout stats_json =
+      no_dedup worker_delay store journal_max_bytes brownout stats_json =
     let address =
       match address_of socket host port with
       | Ok a -> a
@@ -1528,9 +1521,8 @@ let serve_cmd =
         timeout;
         dedup = not no_dedup;
         worker_delay;
-        journal;
-        journal_max_bytes;
         store;
+        journal_max_bytes;
         brownout;
       }
     in
@@ -1567,8 +1559,8 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ host_arg $ port_arg $ jobs_arg
       $ dispatchers_arg $ queue_cap_arg $ max_batch_arg $ timeout_arg
-      $ no_dedup_arg $ worker_delay_arg $ journal_arg $ journal_max_bytes_arg
-      $ store_arg $ brownout_arg $ stats_json_arg)
+      $ no_dedup_arg $ worker_delay_arg $ store_arg $ journal_max_bytes_arg
+      $ brownout_arg $ stats_json_arg)
 
 let client_cmd =
   let requests_arg =

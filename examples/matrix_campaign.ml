@@ -9,7 +9,7 @@ module Q = Numeric.Rational
 
 let () =
   let n = 120 (* matrix size *) and total = 1000 (* products *) in
-  let rng = Cluster.Prng.create ~seed:2005 in
+  let rng = Numeric.Prng.create ~seed:2005 in
 
   (* A random heterogeneous platform, speed-up factors 1-10 as in the
      paper's experiments. *)
@@ -28,7 +28,7 @@ let () =
     (fun h ->
       let m =
         Experiments.Campaign.measure_platform
-          ~rng:(Cluster.Prng.split rng) ~n ~total platform h
+          ~rng:(Numeric.Prng.split rng) ~n ~total platform h
       in
       Format.printf "%-8s %14.3f %14.3f %9.3f %10d@." (Dls.Heuristics.name h)
         m.Experiments.Campaign.lp_time m.Experiments.Campaign.real_time

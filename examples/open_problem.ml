@@ -23,7 +23,7 @@ let describe platform (sol : Dls.Lp_model.solved) =
     (order sol.Dls.Lp_model.scenario.Dls.Scenario.sigma2)
 
 let () =
-  let rng = Cluster.Prng.create ~seed:42 in
+  let rng = Numeric.Prng.create ~seed:42 in
   let trials = 20 in
   let fifo_optimal = ref 0 and lifo_optimal = ref 0 in
   let worst_gap = ref 1.0 in

@@ -6,7 +6,7 @@ let scenario_name = function
   | Hom_comm_het_comp -> "hom-comm/het-comp"
   | Heterogeneous -> "heterogeneous"
 
-let draw rng = Prng.int_range rng ~lo:1 ~hi:10
+let draw rng = Numeric.Prng.int_range rng ~lo:1 ~hi:10
 
 let factors rng scenario ~workers =
   if workers <= 0 then invalid_arg "Gen.factors: need at least one worker";

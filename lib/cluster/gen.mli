@@ -16,7 +16,7 @@ type factors = { comm : int array; comp : int array }
 val scenario_name : scenario -> string
 
 (** [factors rng scenario ~workers] draws the speed-up factors. *)
-val factors : Prng.t -> scenario -> workers:int -> factors
+val factors : Numeric.Prng.t -> scenario -> workers:int -> factors
 
 (** [scale ?comm_times ?comp_times f] multiplies all factors, for the
     Figure 13 "computation x10" / "communication x10" variants. *)

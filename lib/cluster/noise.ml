@@ -31,9 +31,9 @@ let make ?(params = default_params) rng ~n =
       (fun ~worker:_ nominal ->
         nominal
         *. (1.0 +. params.comm_overhead)
-        *. Prng.lognormal rng ~sigma:params.comm_jitter);
+        *. Numeric.Prng.lognormal rng ~sigma:params.comm_jitter);
     comp =
       (fun ~worker:_ nominal ->
         nominal *. (1.0 +. params.comp_overhead) *. cache
-        *. Prng.lognormal rng ~sigma:params.comp_jitter);
+        *. Numeric.Prng.lognormal rng ~sigma:params.comp_jitter);
   }

@@ -4,8 +4,8 @@
     same reasons the paper's MPI runs did: per-message protocol
     overheads, bandwidth and CPU jitter, and a computation cost that
     grows slightly super-linearly with matrix size once the working set
-    leaves cache.  All randomness is drawn from an explicit {!Prng}, so
-    runs are reproducible. *)
+    leaves cache.  All randomness is drawn from an explicit
+    {!Numeric.Prng}, so runs are reproducible. *)
 
 type params = {
   comm_jitter : float;  (** lognormal sigma on transfer durations *)
@@ -27,4 +27,4 @@ val none : params
 
 (** [make ?params rng ~n] builds the per-event noise hooks for a
     campaign at matrix size [n]. *)
-val make : ?params:params -> Prng.t -> n:int -> Sim.Star.noise
+val make : ?params:params -> Numeric.Prng.t -> n:int -> Sim.Star.noise

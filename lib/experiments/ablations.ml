@@ -9,7 +9,7 @@ let random_platform rng ~workers ~n =
 let one_port_cost ?(quick = false) ?(seed = 21) () =
   let reps = if quick then 5 else 30 in
   let sizes = if quick then [ 40; 120; 200 ] else [ 40; 80; 120; 160; 200; 400 ] in
-  let rng = Cluster.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed in
   let rows =
     List.map
       (fun n ->
@@ -39,7 +39,7 @@ let one_port_cost ?(quick = false) ?(seed = 21) () =
 
 let permutation_gap ?(quick = false) ?(seed = 22) ?jobs () =
   let reps = if quick then 4 else 25 in
-  let rng = Cluster.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed in
   let fifo_gaps = ref [] and lifo_gaps = ref [] and fifo_hits = ref 0 in
   for _ = 1 to reps do
     let p = random_platform rng ~workers:4 ~n:120 in
@@ -74,7 +74,7 @@ let permutation_gap ?(quick = false) ?(seed = 22) ?jobs () =
 
 let ordering ?(quick = false) ?(seed = 23) () =
   let reps = if quick then 8 else 40 in
-  let rng = Cluster.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed in
   let strategies =
     [
       ("INC_C (Theorem 1)", fun p -> Dls.Fifo.order p);
@@ -108,7 +108,7 @@ let ordering ?(quick = false) ?(seed = 23) () =
 
 let lifo_regime ?(quick = false) ?(seed = 25) () =
   let reps = if quick then 6 else 25 in
-  let rng = Cluster.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed in
   (* Scale w relative to c by a factor r; z stays at the workload's 1/2. *)
   let ratios = [ (1, 4); (1, 1); (2, 1); (4, 1); (8, 1); (16, 1); (32, 1) ] in
   let rows =
@@ -152,7 +152,7 @@ let lifo_regime ?(quick = false) ?(seed = 25) () =
 
 let affine_latency ?(quick = false) ?(seed = 26) () =
   let workers = if quick then 3 else 4 in
-  let rng = Cluster.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed in
   let f = Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers in
   let p = Cluster.Gen.platform machine ~n:100 f in
   let latencies = [ 0; 1; 2; 5; 10; 20 ] (* percent of the deadline *) in
@@ -186,7 +186,7 @@ let affine_latency ?(quick = false) ?(seed = 26) () =
 
 let multiround ?(quick = false) ?(seed = 27) () =
   let max_rounds = if quick then 6 else 8 in
-  let rng = Cluster.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed in
   let f = Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers:3 in
   let p = Cluster.Gen.platform machine ~n:100 f in
   let order = Dls.Fifo.order p in
@@ -233,7 +233,7 @@ let multiround ?(quick = false) ?(seed = 27) () =
 
 let protocol ?(quick = false) ?(seed = 28) () =
   let reps = if quick then 8 else 40 in
-  let rng = Cluster.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed in
   let rows =
     List.map
       (fun n ->
@@ -282,7 +282,7 @@ let protocol ?(quick = false) ?(seed = 28) () =
 
 let scaling ?(quick = false) ?(seed = 30) () =
   let sizes = if quick then [ 4; 8; 16 ] else [ 4; 8; 16; 24; 32 ] in
-  let rng = Cluster.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -325,7 +325,7 @@ let scaling ?(quick = false) ?(seed = 30) () =
 let sensitivity ?(quick = false) ?(seed = 29) () =
   let reps = if quick then 8 else 40 in
   let n = 120 and total = 1000 in
-  let rng = Cluster.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed in
   let factor_sets =
     List.init reps (fun _ ->
         Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers:11)
@@ -347,7 +347,7 @@ let sensitivity ?(quick = false) ?(seed = 29) () =
                (fun factors ->
                  let m =
                    Campaign.measure ~noise_params:params
-                     ~rng:(Cluster.Prng.split rng) ~machine ~n ~total factors
+                     ~rng:(Numeric.Prng.split rng) ~machine ~n ~total factors
                      heuristic
                  in
                  m.Campaign.real_time /. m.Campaign.lp_time)
@@ -371,7 +371,7 @@ let sensitivity ?(quick = false) ?(seed = 29) () =
     rows
 
 let theorem2_check ?(seed = 24) () =
-  let rng = Cluster.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed in
   let rows =
     List.init 6 (fun k ->
         let workers = 2 + k in

@@ -15,7 +15,7 @@ type measurement = {
     simulated cluster. *)
 val measure :
   ?noise_params:Cluster.Noise.params ->
-  rng:Cluster.Prng.t ->
+  rng:Numeric.Prng.t ->
   machine:Cluster.Workload.machine ->
   n:int ->
   total:int ->
@@ -28,7 +28,7 @@ val measure :
     noise model's cache term). *)
 val measure_platform :
   ?noise_params:Cluster.Noise.params ->
-  rng:Cluster.Prng.t ->
+  rng:Numeric.Prng.t ->
   n:int ->
   total:int ->
   Dls.Platform.t ->

@@ -11,7 +11,7 @@ let worker_table ~x =
 let run ?(seed = 14) ~x () =
   let n = 400 and total = 1000 in
   let machine = Cluster.Workload.gdsdmi in
-  let rng = Cluster.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed in
   let rows =
     List.map
       (fun available ->
@@ -22,7 +22,7 @@ let run ?(seed = 14) ~x () =
           }
         in
         let m =
-          Campaign.measure ~rng:(Cluster.Prng.split rng) ~machine ~n ~total
+          Campaign.measure ~rng:(Numeric.Prng.split rng) ~machine ~n ~total
             factors Dls.Heuristics.Inc_c
         in
         [

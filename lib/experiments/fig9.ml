@@ -15,7 +15,7 @@ let find_selective_platform ?(jobs = 1) ?(seed_limit = default_seed_limit)
   (* Pure in [seed]: each candidate builds its platform from a fresh
      PRNG, so seeds can be probed in any order or in parallel. *)
   let eval seed =
-    let rng = Cluster.Prng.create ~seed in
+    let rng = Numeric.Prng.create ~seed in
     let f = Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers in
     let p = Cluster.Gen.platform machine ~n f in
     let sol = Dls.Heuristics.solve Dls.Heuristics.Inc_c p in
@@ -57,7 +57,7 @@ let find_selective_platform ?(jobs = 1) ?(seed_limit = default_seed_limit)
 let run ?(width = 72) ?jobs () =
   let n = 300 and total = 200 and workers = 5 in
   let seed, f, platform, sol = find_selective_platform ?jobs ~workers ~wanted:3 ~n () in
-  let rng = Cluster.Prng.create ~seed:(seed + 77) in
+  let rng = Numeric.Prng.create ~seed:(seed + 77) in
   let plan = Sim.Star.plan_of_rounded sol ~total in
   let noise = Cluster.Noise.make rng ~n in
   let trace = Sim.Star.execute ~noise platform plan in

@@ -112,14 +112,14 @@ let run ?(quick = false) ?(jobs = 1) config =
     else config.sizes
   in
   let machine = Cluster.Workload.gdsdmi in
-  let root = Cluster.Prng.create ~seed:config.seed in
+  let root = Numeric.Prng.create ~seed:config.seed in
   let factor_sets =
     List.init platforms (fun _ ->
         Cluster.Gen.scale ~comm_times:config.comm_times
           ~comp_times:config.comp_times
           (Cluster.Gen.factors root config.scenario ~workers:config.workers))
   in
-  let sim_rng = Cluster.Prng.split root in
+  let sim_rng = Numeric.Prng.split root in
   (* Pre-split one PRNG per point in the exact order the sequential loop
      would, then measure the points (possibly in parallel: results are
      bit-identical because each point owns its stream and the reduction
@@ -128,7 +128,7 @@ let run ?(quick = false) ?(jobs = 1) config =
     Array.of_list
       (List.concat_map
          (fun n ->
-           List.map (fun factors -> (n, factors, Cluster.Prng.split sim_rng)) factor_sets)
+           List.map (fun factors -> (n, factors, Numeric.Prng.split sim_rng)) factor_sets)
          sizes)
   in
   let measure (n, factors, rng) = measure_point config machine n factors rng in

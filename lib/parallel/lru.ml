@@ -261,17 +261,6 @@ let find_nearest ?(limit = 32) t ~score =
       walk t.head 0;
       match !best with Some (_, k, v) -> Some (k, v) | None -> None)
 
-(* Tail-to-head walk: least-recently-used entries first, so replaying
-   the fold's output into a fresh LRU (journal-style) reproduces the
-   recency order.  Read-only — no counter or recency movement. *)
-let fold t ~init ~f =
-  with_lock t (fun () ->
-      let rec walk acc = function
-        | None -> acc
-        | Some node -> walk (f acc node.key node.value) node.prev
-      in
-      walk init t.tail)
-
 let mem t k = with_lock t (fun () -> Hashtbl.mem t.table k)
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
 let capacity t = t.cap

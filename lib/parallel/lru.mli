@@ -78,15 +78,6 @@ val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 val find_nearest :
   ?limit:int -> ('k, 'v) t -> score:('k -> int option) -> ('k * 'v) option
 
-(** [fold t ~init ~f] folds over every cached entry from the
-    least-recently-used end to the most-recently-used one, under the
-    cache lock ([f] must not re-enter the cache).  The ordering means
-    that replaying the visited pairs into a fresh cache with {!add}
-    reproduces this cache's recency order — the property the service's
-    crash-safe journal relies on.  Read-only: counters and recency are
-    untouched. *)
-val fold : ('k, 'v) t -> init:'a -> f:('a -> 'k -> 'v -> 'a) -> 'a
-
 val mem : ('k, 'v) t -> 'k -> bool
 val length : ('k, 'v) t -> int
 val capacity : ('k, 'v) t -> int

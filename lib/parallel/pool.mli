@@ -27,9 +27,8 @@
 
     {2 Concurrency contract}
 
-    Unlike its mutex-based predecessor (kept as {!Mutex_pool} for
-    benchmarking), a pool is safe for {e concurrent} and {e reentrant}
-    use:
+    Unlike the mutex-based pool it replaced, a pool is safe for {e
+    concurrent} and {e reentrant} use:
 
     - Any number of threads or domains may call {!map} on the same pool
       at the same time; their batches interleave over the shared workers

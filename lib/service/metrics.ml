@@ -19,12 +19,9 @@ type t = {
   brownout_active : bool Atomic.t;
   hangups : int Atomic.t;
   warm_hits : int Atomic.t;
-  journal_appended : int Atomic.t;
-  journal_replayed : int Atomic.t;
   store_hits : int Atomic.t;
   store_misses : int Atomic.t;
   store_demoted : int Atomic.t;
-  compactions : int Atomic.t;
   retries : int Atomic.t;
   breaker_opens : int Atomic.t;
   (* EWMA of per-request service time, stored as float bits so a CAS
@@ -54,12 +51,9 @@ let create () =
     brownout_active = Atomic.make false;
     hangups = Atomic.make 0;
     warm_hits = Atomic.make 0;
-    journal_appended = Atomic.make 0;
-    journal_replayed = Atomic.make 0;
     store_hits = Atomic.make 0;
     store_misses = Atomic.make 0;
     store_demoted = Atomic.make 0;
-    compactions = Atomic.make 0;
     retries = Atomic.make 0;
     breaker_opens = Atomic.make 0;
     service_ewma_bits = Atomic.make (Int64.to_int (Int64.bits_of_float 0.0));
@@ -80,16 +74,11 @@ let incr_steals t = Atomic.incr t.steals
 let incr_shed t = Atomic.incr t.shed
 let incr_hangups t = Atomic.incr t.hangups
 let incr_warm_hits t = Atomic.incr t.warm_hits
-let incr_journal_appended t = Atomic.incr t.journal_appended
 let incr_store_hits t = Atomic.incr t.store_hits
 let incr_store_misses t = Atomic.incr t.store_misses
 let incr_store_demoted t = Atomic.incr t.store_demoted
-let incr_compactions t = Atomic.incr t.compactions
 let incr_retries t = Atomic.incr t.retries
 let incr_breaker_opens t = Atomic.incr t.breaker_opens
-
-let add_journal_replayed t n =
-  ignore (Atomic.fetch_and_add t.journal_replayed n)
 
 let set_brownout t active =
   (* Count only the off->on edge so [brownouts] is "times we browned
@@ -114,7 +103,6 @@ let warm_hits t = Atomic.get t.warm_hits
 let store_hits t = Atomic.get t.store_hits
 let store_misses t = Atomic.get t.store_misses
 let store_demoted t = Atomic.get t.store_demoted
-let compactions t = Atomic.get t.compactions
 let retries t = Atomic.get t.retries
 let breaker_opens t = Atomic.get t.breaker_opens
 
@@ -180,11 +168,15 @@ let quantile counts total q =
     in
     go 0 0
 
-let snapshot ?(dispatchers = 1) t ~queue_depth : Protocol.stats_rep =
+let snapshot ?(dispatchers = 1) ?store t ~queue_depth : Protocol.stats_rep =
   let counts = Array.map Atomic.get t.histogram in
   let total = Array.fold_left ( + ) 0 counts in
   let cache = Dls.Lp_model.cache_stats () in
   let resolve = Dls.Lp_model.resolve_stats () in
+  let durable =
+    Option.value store
+      ~default:{ Store.hits = 0; misses = 0; appended = 0; compactions = 0 }
+  in
   {
     accepted = Atomic.get t.accepted;
     served = Atomic.get t.served;
@@ -206,12 +198,11 @@ let snapshot ?(dispatchers = 1) t ~queue_depth : Protocol.stats_rep =
     brownouts = Atomic.get t.brownouts;
     hangups = Atomic.get t.hangups;
     warm_hits = Atomic.get t.warm_hits;
-    journal_appended = Atomic.get t.journal_appended;
-    journal_replayed = Atomic.get t.journal_replayed;
+    journal_appended = durable.Store.appended;
     store_hits = Atomic.get t.store_hits;
     store_misses = Atomic.get t.store_misses;
     store_demoted = Atomic.get t.store_demoted;
-    compactions = Atomic.get t.compactions;
+    compactions = durable.Store.compactions;
     queue_depth;
     inflight = Atomic.get t.inflight;
     p50_us = quantile counts total 0.50;

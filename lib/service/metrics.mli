@@ -33,8 +33,7 @@ val incr_steals : t -> unit
 (** Resilience counters (PR 9).  Server side: [shed] requests turned
     away by deadline-aware admission, [hangups] connections lost
     mid-request or before their response was written, [warm_hits]
-    requests answered from the journal-backed response cache, and the
-    journal append/replay totals.  Client side ({!Resilient} keeps its
+    requests answered from the tier-1 response cache.  Client side ({!Resilient} keeps its
     own [t]): [retries] re-sent attempts and [breaker_opens] circuit
     trips — both are rendered into loadgen/bench reports rather than
     the server's wire stats line. *)
@@ -42,18 +41,14 @@ val incr_shed : t -> unit
 
 val incr_hangups : t -> unit
 val incr_warm_hits : t -> unit
-val incr_journal_appended : t -> unit
-val add_journal_replayed : t -> int -> unit
 
 (** Scale-out counters (PR 10): tier-2 store probes at admission
-    ([store_hits]/[store_misses]), tier-1 response-cache evictions
-    demoted to store-only residency ([store_demoted]), and journal
-    compactions triggered by the [--journal-max-bytes] bound. *)
+    ([store_hits]/[store_misses]) and tier-1 response-cache evictions
+    demoted to store-only residency ([store_demoted]). *)
 val incr_store_hits : t -> unit
 
 val incr_store_misses : t -> unit
 val incr_store_demoted : t -> unit
-val incr_compactions : t -> unit
 val incr_retries : t -> unit
 val incr_breaker_opens : t -> unit
 
@@ -87,7 +82,6 @@ val warm_hits : t -> int
 val store_hits : t -> int
 val store_misses : t -> int
 val store_demoted : t -> int
-val compactions : t -> int
 val retries : t -> int
 val breaker_opens : t -> int
 
@@ -104,5 +98,9 @@ val max_tracked_us : int
 (** [snapshot m ~queue_depth] assembles the wire-level stats record;
     LP-cache counters are read from {!Dls.Lp_model.cache_stats}.
     [dispatchers] (default 1) is configuration, not a counter — the
-    server passes its dispatcher-thread count through. *)
-val snapshot : ?dispatchers:int -> t -> queue_depth:int -> Protocol.stats_rep
+    server passes its dispatcher-thread count through.  [journal_appended]
+    and [compactions] are the store's own counters ({!Store.stats}),
+    0 without [store]. *)
+val snapshot :
+  ?dispatchers:int -> ?store:Store.stats -> t -> queue_depth:int ->
+  Protocol.stats_rep

@@ -101,7 +101,6 @@ type stats_rep = {
   hangups : int;
   warm_hits : int;
   journal_appended : int;
-  journal_replayed : int;
   store_hits : int;
   store_misses : int;
   store_demoted : int;
@@ -634,13 +633,13 @@ let response_to_string = function
        malformed=%d batches=%d max_batch=%d collapsed=%d cache_hits=%d \
        cache_misses=%d repair_probes=%d repair_wins=%d repair_pivots=%d \
        dispatchers=%d steals=%d shed=%d brownouts=%d hangups=%d warm_hits=%d \
-       journal_appended=%d journal_replayed=%d store_hits=%d store_misses=%d \
+       journal_appended=%d store_hits=%d store_misses=%d \
        store_demoted=%d compactions=%d queue_depth=%d inflight=%d \
        p50_us=%d p90_us=%d p99_us=%d max_us=%d uptime_s=%s"
       r.accepted r.served r.rejected r.timed_out r.failed r.malformed r.batches
       r.max_batch r.collapsed r.cache_hits r.cache_misses r.repair_probes
       r.repair_wins r.repair_pivots r.dispatchers r.steals r.shed r.brownouts
-      r.hangups r.warm_hits r.journal_appended r.journal_replayed r.store_hits
+      r.hangups r.warm_hits r.journal_appended r.store_hits
       r.store_misses r.store_demoted r.compactions r.queue_depth
       r.inflight r.p50_us r.p90_us r.p99_us r.max_us (float_str r.uptime_s)
   | Ok_health r ->
@@ -704,7 +703,6 @@ let stats_to_json (r : stats_rep) =
   int "hangups" r.hangups;
   int "warm_hits" r.warm_hits;
   int "journal_appended" r.journal_appended;
-  int "journal_replayed" r.journal_replayed;
   int "store_hits" r.store_hits;
   int "store_misses" r.store_misses;
   int "store_demoted" r.store_demoted;
@@ -750,7 +748,6 @@ let merge_stats (first : stats_rep) (rest : stats_rep list) =
         hangups = a.hangups + r.hangups;
         warm_hits = a.warm_hits + r.warm_hits;
         journal_appended = a.journal_appended + r.journal_appended;
-        journal_replayed = a.journal_replayed + r.journal_replayed;
         store_hits = a.store_hits + r.store_hits;
         store_misses = a.store_misses + r.store_misses;
         store_demoted = a.store_demoted + r.store_demoted;
@@ -1018,16 +1015,15 @@ let parse_response s =
       let* dispatchers = opt_int ~default:1 kvs "dispatchers" in
       let* steals = opt_int ~default:0 kvs "steals" in
       (* Pre-resilience servers never shed, browned out, counted lost
-         connections, or journaled, so every new counter defaults to 0
-         when absent on the wire. *)
+         connections, or appended to a store, so every new counter
+         defaults to 0 when absent on the wire. *)
       let* shed = opt_int ~default:0 kvs "shed" in
       let* brownouts = opt_int ~default:0 kvs "brownouts" in
       let* hangups = opt_int ~default:0 kvs "hangups" in
       let* warm_hits = opt_int ~default:0 kvs "warm_hits" in
       let* journal_appended = opt_int ~default:0 kvs "journal_appended" in
-      let* journal_replayed = opt_int ~default:0 kvs "journal_replayed" in
-      (* Pre-scale-out servers had no tier-2 store and never compacted
-         their journal; same default-0 back-compat story. *)
+      (* Pre-scale-out servers had no tier-2 store and never compacted;
+         same default-0 back-compat story. *)
       let* store_hits = opt_int ~default:0 kvs "store_hits" in
       let* store_misses = opt_int ~default:0 kvs "store_misses" in
       let* store_demoted = opt_int ~default:0 kvs "store_demoted" in
@@ -1063,7 +1059,6 @@ let parse_response s =
              hangups;
              warm_hits;
              journal_appended;
-             journal_replayed;
              store_hits;
              store_misses;
              store_demoted;

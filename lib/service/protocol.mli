@@ -189,12 +189,11 @@ type stats_rep = {
       (** connections that vanished mid-request or before their
           response could be written; 0 when absent on the wire *)
   warm_hits : int;
-      (** requests answered from the journal-backed response cache at
+      (** requests answered from the tier-1 response cache at
           admission, without touching the queue; 0 when absent *)
-  journal_appended : int;  (** records appended this process lifetime *)
-  journal_replayed : int;
-      (** records replayed into the response cache at boot; 0 when the
-          server runs without [--journal] or on old wire lines *)
+  journal_appended : int;
+      (** records this process appended to the store ({!Store.stats});
+          the name predates the store *)
   store_hits : int;
       (** tier-1 LRU misses answered from the shared tier-2 solution
           store at admission; 0 when absent on the wire (pre-scale-out
@@ -207,7 +206,7 @@ type stats_rep = {
           attached — those entries now live only in the store; 0 when
           absent *)
   compactions : int;
-      (** journal compactions triggered by [--journal-max-bytes]; 0
+      (** store compactions triggered by [--journal-max-bytes]; 0
           when absent *)
   queue_depth : int;
   inflight : int;  (** admitted but not yet answered *)

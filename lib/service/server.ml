@@ -14,9 +14,8 @@ type config = {
   dedup : bool;
   fast : bool;
   worker_delay : float;
-  journal : string option;
-  journal_max_bytes : int option;
   store : string option;
+  journal_max_bytes : int option;
   brownout : bool;
 }
 
@@ -31,15 +30,14 @@ let default_config address =
     dedup = true;
     fast = true;
     worker_delay = 0.;
-    journal = None;
-    journal_max_bytes = None;
     store = None;
+    journal_max_bytes = None;
     brownout = false;
   }
 
-(* Warm response cache, active when a journal is configured.  Holds
-   rendered-response entries keyed by canonical request key; sized well
-   past the admission bound so a restart can replay a useful history. *)
+(* Warm response cache (tier 1), active when a store is configured.
+   Holds response entries keyed by canonical request key; sized well
+   past the admission bound. *)
 let response_cache_capacity = 4096
 
 type job = {
@@ -58,9 +56,8 @@ type t = {
   metrics : Metrics.t;
   pool : Parallel.Pool.t;
   cache : (string, P.response) Parallel.Lru.t option;
-      (* tier-1 warm responses; [Some] iff [cfg.journal] or [cfg.store] *)
-  journal : Journal.t option;
-  store : Store.t option;  (* tier-2 shared solution store *)
+      (* tier-1 warm responses; [Some] iff [store] is *)
+  store : Store.t option;  (* tier-2 durable solution store *)
   (* Brownout hysteresis: consecutive dispatch rounds that ended with
      the queue above 3/4 (resp. at or below 1/4) of capacity.  Written
      by dispatcher threads; a lost update under contention only delays
@@ -304,12 +301,11 @@ let dispatch_round t ~src first =
   let responses =
     Parallel.Pool.map t.pool (fun cell -> eval_job t (List.hd (List.rev !cell))) uniques
   in
-  (* Successful evaluations feed the warm tiers — once per unique key,
+  (* Successful evaluations feed both tiers — once per unique key,
      before delivery, so a crash right after the reply is visible can
-     still replay (journal) or re-read (store) the record. *)
-  (match t.cache with
-  | None -> ()
-  | Some cache ->
+     still re-read the record. *)
+  (match (t.cache, t.store) with
+  | Some cache, Some store ->
     Array.iteri
       (fun i cell ->
         let resp = responses.(i) in
@@ -317,33 +313,20 @@ let dispatch_round t ~src first =
           let key = (List.hd (List.rev !cell)).key in
           if not (Parallel.Lru.mem cache key) then begin
             Parallel.Lru.add cache key resp;
-            let value = P.response_to_string resp in
-            (match t.journal with
-            | None -> ()
-            | Some j -> (
-              match Journal.append j ~key ~value with
-              | Ok () -> Metrics.incr_journal_appended t.metrics
-              | Error _ -> ()));
-            match t.store with
-            | None -> ()
-            | Some store ->
-              (* The store dedupes on key internally, so a record
-                 another shard already published is not re-written. *)
-              ignore (Store.add store ~key ~value)
+            (* The store dedupes on key internally, so a record another
+               shard already published is not re-written. *)
+            ignore (Store.add store ~key ~value:(P.response_to_string resp))
           end
         end)
-      uniques);
-  (* Bounded journal: past the byte budget, rewrite it down to the keys
-     the tier-1 cache still holds — evicted and superseded records are
-     exactly the ones a replay would no longer want.  Dispatchers race
-     here at worst into back-to-back compactions; the journal lock
-     serialises them and each is counted. *)
-  (match (t.journal, t.cfg.journal_max_bytes, t.cache) with
-  | Some j, Some max_bytes, Some cache when Journal.size_bytes j > max_bytes
-    -> (
-      match Journal.compact j ~live:(fun k -> Parallel.Lru.mem cache k) with
-      | Ok _ -> Metrics.incr_compactions t.metrics
-      | Error _ -> ())
+      uniques;
+    (* Byte budget: past it, rewrite the store down to the keys the
+       tier-1 cache still holds.  Dispatchers race here at worst into
+       back-to-back compactions; the store serialises them and counts
+       each. *)
+    (match t.cfg.journal_max_bytes with
+    | Some max_bytes when Store.size_bytes store > max_bytes ->
+      ignore (Store.compact store ~live:(Parallel.Lru.mem cache) ())
+    | _ -> ())
   | _ -> ());
   Array.iteri
     (fun i cell -> List.iter (fun j -> deliver t j responses.(i)) (List.rev !cell))
@@ -385,7 +368,8 @@ let dispatcher_loop t shard =
 (* Connection threads                                                  *)
 
 let snapshot t =
-  Metrics.snapshot ~dispatchers:t.cfg.dispatchers t.metrics
+  Metrics.snapshot ~dispatchers:t.cfg.dispatchers
+    ?store:(Option.map Store.stats t.store) t.metrics
     ~queue_depth:(Shards.length t.shards)
 
 let health_of t : P.health_rep =
@@ -640,62 +624,27 @@ let start cfg =
         (try Unix.close listen_fd with Unix.Unix_error _ -> ());
         Error e
       in
-      (* Open the journal and the tier-2 store before serving: a bad
-         path must fail the boot, and replayed responses must be warm
-         before the first connection is accepted. *)
-      let journal_setup =
-        match cfg.journal with
-        | None -> Ok (None, [])
-        | Some path -> (
-          match Journal.open_ path with
-          | Error e -> Error e
-          | Ok (j, records) -> Ok (Some j, records))
-      in
-      match journal_setup with
-      | Error e -> fail_boot e
-      | Ok (journal, records) -> (
+      (* Open the store before serving: a bad path must fail the boot.
+         Nothing is read up front; tier-1 misses probe it lazily. *)
       let store_setup =
         match cfg.store with
         | None -> Ok None
-        | Some path -> (
-          match Store.open_ path with
-          | Error e ->
-            Option.iter Journal.close journal;
-            Error e
-          | Ok s -> Ok (Some s))
+        | Some path -> Result.map Option.some (Store.open_ path)
       in
       match store_setup with
       | Error e -> fail_boot e
       | Ok store ->
-      (* The tier-1 cache exists whenever either durable tier does.
-         With a store attached, every capacity eviction is a demotion:
-         the record still lives in tier 2, and the counter says how
-         much of the working set no longer fits hot. *)
+      (* The tier-1 cache exists whenever the store does.  Every
+         capacity eviction is then a demotion: the record still lives
+         in the store, and the counter says how much of the working set
+         no longer fits hot. *)
       let cache =
-        if journal = None && store = None then None
-        else
-          let on_evict =
-            if store = None then None
-            else Some (fun _ _ -> Metrics.incr_store_demoted metrics)
-          in
-          Some
-            (Parallel.Lru.create ~capacity:response_cache_capacity ?on_evict
-               ())
-      in
-      (* Oldest record first, so the most recently journaled entries
-         end up most recently used. *)
-      let replayed =
-        match cache with
-        | None -> 0
-        | Some cache ->
-          List.fold_left
-            (fun n (key, value) ->
-              match P.parse_response value with
-              | Ok resp when P.is_ok resp ->
-                Parallel.Lru.add cache key resp;
-                n + 1
-              | Ok _ | Error _ -> n)
-            0 records
+        Option.map
+          (fun _ ->
+            Parallel.Lru.create ~capacity:response_cache_capacity
+              ~on_evict:(fun _ _ -> Metrics.incr_store_demoted metrics)
+              ())
+          store
       in
       let t =
         {
@@ -707,7 +656,6 @@ let start cfg =
           metrics;
           pool = Parallel.Pool.create ~jobs:cfg.jobs ();
           cache;
-          journal;
           store;
           high_rounds = Atomic.make 0;
           low_rounds = Atomic.make 0;
@@ -722,12 +670,11 @@ let start cfg =
           stopped = false;
         }
       in
-      Metrics.add_journal_replayed t.metrics replayed;
       t.dispatchers <-
         List.init cfg.dispatchers (fun i ->
             Thread.create (fun () -> dispatcher_loop t i) ());
       t.listener <- Some (Thread.create (fun () -> listener_loop t) ());
-      Ok t))
+      Ok t)
   end
 
 let address t = t.bound
@@ -761,20 +708,9 @@ let stop t =
         try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
       conns;
     List.iter (fun (_, thread) -> Thread.join thread) conns;
-    Option.iter Journal.close t.journal;
     Option.iter Store.close t.store;
     match t.bound with
     | Unix_socket path -> (
       try Unix.unlink path with Unix.Unix_error _ -> ())
     | Tcp _ -> ()
   end
-
-(* Test hook: the warm cache's contents in LRU-to-MRU order, rendered —
-   what a journal replay is checked against. *)
-let cache_dump t =
-  match t.cache with
-  | None -> []
-  | Some cache ->
-    List.rev
-      (Parallel.Lru.fold cache ~init:[] ~f:(fun acc key resp ->
-           (key, P.response_to_string resp) :: acc))

@@ -25,10 +25,11 @@
     dispatch rounds ending above 3/4 of queue capacity force every
     [solve] onto the certified fast pipeline (bit-identical answers,
     lower worst-case latency) until three rounds end at or below 1/4.
-    With [journal = Some path], successful responses are appended to a
-    checksummed crash-safe log and replayed into a warm response cache
-    at boot, so a restarted daemon answers repeat requests at admission
-    time ([warm_hits]).
+    With [store = Some path], successful responses are appended to a
+    checksummed crash-safe file ({!Store}) and kept in a warm response
+    cache; a restarted daemon reads them back on demand, so repeat
+    requests are answered at admission time ([store_hits], then
+    [warm_hits]).
 
     {!stop} drains gracefully: stop accepting, close admission, let
     every dispatcher finish everything already admitted, shut the pool
@@ -60,20 +61,17 @@ type config = {
   worker_delay : float;
       (** artificial seconds of work added to every evaluation — for
           deterministic overload and timeout experiments *)
-  journal : string option;
-      (** crash-safe response journal path; [Some] also enables the
-          warm response cache it replays into at boot *)
-  journal_max_bytes : int option;
-      (** journal byte budget: past it, a dispatcher compacts the
-          journal down to the keys the warm cache still holds
-          ({!Journal.compact}); [None] never compacts *)
   store : string option;
-      (** tier-2 shared solution store path ({!Store}).  [Some] also
-          enables the warm response cache (tier 1): an LRU miss
-          consults the store before solving ([store_hits] /
-          [store_misses] in the stats), fresh solutions are published
-          to it, and tier-1 evictions are counted as demotions.  Many
-          shards may share one store file *)
+      (** durable solution store path ({!Store}), the daemon's only
+          durable state.  [Some] also enables the warm response cache
+          (tier 1): an LRU miss consults the store before solving
+          ([store_hits] / [store_misses] in the stats), fresh solutions
+          are appended to it, and tier-1 evictions are counted as
+          demotions.  Many shards may share one store file *)
+  journal_max_bytes : int option;
+      (** store byte budget: past it, a dispatcher compacts the store
+          down to the keys the warm cache still holds
+          ({!Store.compact}); [None] never compacts *)
   brownout : bool;
       (** enable the sustained-overload `Exact→`Fast downgrade *)
 }
@@ -97,9 +95,3 @@ val address : t -> address
 
 val stats : t -> Protocol.stats_rep
 val health : t -> Protocol.health_rep
-
-(** [cache_dump t] is the warm response cache as [(key, rendered
-    response)] pairs in least-to-most-recently-used order — empty
-    without a journal.  Test hook: journal replay on a restarted server
-    must reproduce the pre-crash dump exactly. *)
-val cache_dump : t -> (string * string) list

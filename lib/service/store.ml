@@ -1,5 +1,6 @@
-(* Tier-2 solution store: Journal-format records + a byte-position
-   index + cross-handle refresh.  See store.mli for the contract.
+(* The durable key -> response file: CRC-checked records, a byte-position
+   index and cross-handle refresh.  See store.mli for the record format
+   and the contract.
 
    Locking story.  [t.lock] guards every field of one handle.  Writers
    (add/compact) additionally take [append_guard] — one mutex for the
@@ -13,7 +14,78 @@
 
 module E = Dls.Errors
 
-type entry = { voff : int; vlen : int; crc : int32 }
+(* Table-driven CRC-32, reflected polynomial 0xEDB88320 (the IEEE
+   variant used by gzip/zlib).  Good enough to catch torn writes and
+   bit rot; this is an integrity check, not an authenticity one. *)
+let crc_table =
+  lazy
+    (Array.init 256 (fun n ->
+         let c = ref n in
+         for _ = 0 to 7 do
+           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+         done;
+         !c))
+
+(* Fold [len] bytes of [s] from [off] into a running, pre-inverted CRC. *)
+let crc_update c s off len =
+  let table = Lazy.force crc_table in
+  let c = ref c in
+  for i = off to off + len - 1 do
+    let byte = Char.code (String.unsafe_get s i) in
+    c := table.((!c lxor byte) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c
+
+let crc_init = 0xFFFFFFFF
+let crc_finish c = c lxor 0xFFFFFFFF
+let crc32 s = crc_finish (crc_update crc_init s 0 (String.length s))
+
+(* CRC of the payload [key ^ "\n" ^ value], without building it. *)
+let payload_crc ~key ~value =
+  let c = crc_update crc_init key 0 (String.length key) in
+  crc_finish (crc_update (crc_update c "\n" 0 1) value 0 (String.length value))
+
+let render ~key ~value =
+  Printf.sprintf "rec %08x %d %d\n%s\n%s\n" (payload_crc ~key ~value)
+    (String.length key) (String.length value) key value
+
+type entry = { voff : int; vlen : int; crc : int }
+
+(* The record scanner.  Walks the valid record prefix of [s] — file bytes
+   starting at absolute offset [base] — and calls [f key entry] on each
+   record in order, with [entry.voff] absolute.  Each record's CRC is
+   computed once, straight over its [key \n value] slice.  Returns the
+   absolute offset just past the last good record.  Boundaries come from
+   each header's lengths, so the walk stops at the first bad record:
+   nothing after it is reachable. *)
+let scan ~base s f =
+  let len = String.length s in
+  let rec go pos =
+    match String.index_from_opt s pos '\n' with
+    | None -> pos
+    | Some eol -> (
+      match String.split_on_char ' ' (String.sub s pos (eol - pos)) with
+      | [ "rec"; crc_hex; klen_s; vlen_s ] -> (
+        match
+          ( int_of_string_opt ("0x" ^ crc_hex),
+            int_of_string_opt klen_s,
+            int_of_string_opt vlen_s )
+        with
+        | Some crc, Some klen, Some vlen
+          when klen >= 0 && vlen >= 0 && klen <= len && vlen <= len
+               && eol + klen + vlen + 3 <= len
+               && s.[eol + 1 + klen] = '\n'
+               && s.[eol + klen + vlen + 2] = '\n'
+               && crc
+                  = crc_finish (crc_update crc_init s (eol + 1) (klen + 1 + vlen))
+          ->
+          f (String.sub s (eol + 1) klen)
+            { voff = base + eol + klen + 2; vlen; crc };
+          go (eol + klen + vlen + 3)
+        | _ -> pos)
+      | _ -> pos)
+  in
+  base + go 0
 
 type t = {
   path : string;
@@ -62,33 +134,6 @@ let write_all fd s =
   in
   write 0
 
-(* Walk the records of [contents] exactly like [Journal.scan_string],
-   but report each value's absolute byte position ([base] + local
-   offset) so the index can seek straight to it.  Returns the entries
-   in order plus the byte offset just past the last good record. *)
-let scan_entries ~base contents =
-  let records, good = Journal.scan_string contents in
-  let entries = ref [] in
-  let pos = ref 0 in
-  List.iter
-    (fun (key, value) ->
-      let line = Journal.render_record ~key ~value in
-      let header_len =
-        String.length line - String.length key - String.length value - 2
-      in
-      let voff = base + !pos + header_len + String.length key + 1 in
-      entries :=
-        ( key,
-          {
-            voff;
-            vlen = String.length value;
-            crc = Journal.crc32 (key ^ "\n" ^ value);
-          } )
-        :: !entries;
-      pos := !pos + String.length line)
-    records;
-  (List.rev !entries, base + good)
-
 (* Absorb whatever the file has grown (or turned into) since the last
    look.  With [t.lock] held. *)
 let refresh_locked t =
@@ -106,9 +151,7 @@ let refresh_locked t =
       let size = (Unix.fstat t.fd).Unix.st_size in
       if size > t.scanned then begin
         let tail = read_exactly t.fd t.scanned (size - t.scanned) in
-        let entries, good = scan_entries ~base:t.scanned tail in
-        List.iter (fun (k, e) -> Hashtbl.replace t.index k e) entries;
-        t.scanned <- good
+        t.scanned <- scan ~base:t.scanned tail (Hashtbl.replace t.index)
       end
 
 let with_lock t f =
@@ -158,9 +201,7 @@ let find t key =
             None
         | Some e ->
             let value = read_exactly t.fd e.voff e.vlen in
-            if
-              String.length value = e.vlen
-              && Journal.crc32 (key ^ "\n" ^ value) = e.crc
+            if String.length value = e.vlen && payload_crc ~key ~value = e.crc
             then begin
               t.hits <- t.hits + 1;
               Some value
@@ -213,6 +254,18 @@ let rec with_file_lock ?(tries = 5) t f =
           (try flock_release t.fd with Unix.Unix_error _ -> ());
           raise e)
 
+(* Writer prologue shared by [add] and [compact]: the process guard,
+   then the file lock, with [t.lock] already held. *)
+let with_writer t ctx f =
+  Mutex.lock append_guard;
+  let result =
+    match with_file_lock t f with
+    | x -> Ok x
+    | exception Unix.Unix_error (e, _, _) -> Error (io_error ctx e)
+  in
+  Mutex.unlock append_guard;
+  result
+
 let add t ~key ~value =
   if String.contains key '\n' || String.contains value '\n' then
     Error (E.Io_error "store: record contains a newline")
@@ -222,104 +275,76 @@ let add t ~key ~value =
         else begin
           refresh_locked t;
           if Hashtbl.mem t.index key then Ok ()
-          else begin
-            Mutex.lock append_guard;
-            let result =
-              match
-                with_file_lock t (fun () ->
-                    (* Under the exclusive lock no writer is mid-append,
-                       so bytes past the scanned boundary are a torn
-                       record from a crashed writer.  Truncate them
-                       (Journal.open_'s policy), or the new record would
-                       land beyond the tear where no scanner reaches. *)
-                    refresh_locked t;
-                    let size = (Unix.fstat t.fd).Unix.st_size in
-                    if size > t.scanned then Unix.ftruncate t.fd t.scanned;
-                    let line = Journal.render_record ~key ~value in
-                    let at = Unix.lseek t.fd 0 Unix.SEEK_END in
-                    write_all t.fd line;
-                    if t.sync then Unix.fsync t.fd;
-                    let header_len =
-                      String.length line - String.length key
-                      - String.length value - 2
-                    in
-                    Hashtbl.replace t.index key
-                      {
-                        voff = at + header_len + String.length key + 1;
-                        vlen = String.length value;
-                        crc = Journal.crc32 (key ^ "\n" ^ value);
-                      };
-                    t.appended <- t.appended + 1)
-              with
-              | () -> Ok ()
-              | exception Unix.Unix_error (e, _, _) ->
-                  Error (io_error "append" e)
-            in
-            Mutex.unlock append_guard;
-            result
-          end
+          else
+            with_writer t "append" (fun () ->
+                (* The torn-tail repair.  Under the exclusive lock no
+                   writer is mid-append, so bytes past the scanned
+                   boundary are a torn record from a crashed writer:
+                   truncate them, or the new record would land beyond
+                   the tear where no scanner reaches. *)
+                refresh_locked t;
+                let size = (Unix.fstat t.fd).Unix.st_size in
+                if size > t.scanned then Unix.ftruncate t.fd t.scanned;
+                let line = render ~key ~value in
+                let at = Unix.lseek t.fd 0 Unix.SEEK_END in
+                write_all t.fd line;
+                if t.sync then Unix.fsync t.fd;
+                t.scanned <- at + String.length line;
+                Hashtbl.replace t.index key
+                  {
+                    voff = t.scanned - String.length value - 1;
+                    vlen = String.length value;
+                    crc = payload_crc ~key ~value;
+                  };
+                t.appended <- t.appended + 1)
         end)
 
+(* Rewrite the file keeping the indexed record of every key [live]
+   accepts, in file order.  The new contents go to a sibling temp file
+   renamed over the store, so a crash mid-compaction leaves either the
+   old file or the new one, both valid.  Superseded duplicates and any
+   torn tail are never indexed, so they are dropped too. *)
 let compact t ?(live = fun _ -> true) () =
   with_lock t (fun () ->
       if t.closed then Error (E.Io_error "store: closed")
-      else begin
-        Mutex.lock append_guard;
-        let result =
-          match
-            with_file_lock t (fun () ->
-                refresh_locked t;
-                let size = (Unix.fstat t.fd).Unix.st_size in
-                let contents = read_exactly t.fd 0 size in
-                let records, _ = Journal.scan_string contents in
-                let last = Hashtbl.create 64 in
-                List.iteri
-                  (fun i (k, v) -> Hashtbl.replace last k (i, v))
-                  records;
-                let kept =
-                  Hashtbl.fold
-                    (fun k (i, v) acc ->
-                      if live k then (i, k, v) :: acc else acc)
-                    last []
-                in
-                let kept =
-                  List.sort (fun (a, _, _) (b, _, _) -> compare a b) kept
-                in
-                let b = Buffer.create 4096 in
-                List.iter
-                  (fun (_, k, v) ->
-                    Buffer.add_string b (Journal.render_record ~key:k ~value:v))
-                  kept;
-                let tmp = t.path ^ ".compact" in
-                let tmp_fd =
-                  Unix.openfile tmp
-                    [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ]
-                    0o644
-                in
-                write_all tmp_fd (Buffer.contents b);
-                if t.sync then Unix.fsync tmp_fd;
-                Unix.rename tmp t.path;
-                (* The old fd still holds the file lock some waiter may
-                   be queued on; swap our handle to the new inode — the
-                   waiter will see the inode change and retry. *)
-                let old = t.fd in
-                t.fd <- tmp_fd;
-                t.ino <- (Unix.fstat tmp_fd).Unix.st_ino;
-                t.scanned <- 0;
-                Hashtbl.reset t.index;
-                refresh_locked t;
-                t.compactions <- t.compactions + 1;
-                (try flock_release old with Unix.Unix_error _ -> ());
-                (try Unix.close old with Unix.Unix_error _ -> ());
-                (size, Buffer.length b))
-            with
-            | sizes -> Ok sizes
-            | exception Unix.Unix_error (e, _, _) ->
-                Error (io_error "compact" e)
-          in
-          Mutex.unlock append_guard;
-          result
-      end)
+      else
+        with_writer t "compact" (fun () ->
+            refresh_locked t;
+            let size = (Unix.fstat t.fd).Unix.st_size in
+            let contents = read_exactly t.fd 0 size in
+            let kept =
+              Hashtbl.fold
+                (fun key e acc ->
+                  if live key then (e.voff, key, e) :: acc else acc)
+                t.index []
+            in
+            let b = Buffer.create 4096 in
+            List.iter
+              (fun (_, key, e) ->
+                let value = String.sub contents e.voff e.vlen in
+                if payload_crc ~key ~value = e.crc then
+                  Buffer.add_string b (render ~key ~value))
+              (List.sort compare kept);
+            let tmp = t.path ^ ".compact" in
+            let tmp_fd =
+              Unix.openfile tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+            in
+            write_all tmp_fd (Buffer.contents b);
+            if t.sync then Unix.fsync tmp_fd;
+            Unix.rename tmp t.path;
+            (* The old fd still holds the file lock some waiter may be
+               queued on; swap our handle to the new inode — the waiter
+               will see the inode change and retry. *)
+            let old = t.fd in
+            t.fd <- tmp_fd;
+            t.ino <- (Unix.fstat tmp_fd).Unix.st_ino;
+            t.scanned <- 0;
+            Hashtbl.reset t.index;
+            refresh_locked t;
+            t.compactions <- t.compactions + 1;
+            (try flock_release old with Unix.Unix_error _ -> ());
+            (try Unix.close old with Unix.Unix_error _ -> ());
+            (size, Buffer.length b)))
 
 let stats t =
   with_lock t (fun () ->

@@ -1,17 +1,28 @@
-(** Shared persistent solution store — cache tier 2.
+(** The durable solution store: one file of canonical request key →
+    rendered response records.
 
-    Tier 1 is each shard's in-memory response LRU; this module is the
-    tier below it: a single file of {!Journal}-format CRC-checked
-    records (canonical request key → rendered response line) that {e
-    every} shard of a fleet opens, consults on an LRU miss before
-    solving, and appends freshly computed solutions to.  Because keys
-    are canonical request lines and evaluations are pure, a record
-    written by one shard is the bit-identical answer any other shard
-    would have computed — so a solution computed once, anywhere, is a
-    disk read everywhere else, across shard restarts and ring reshapes.
+    Tier 1 is each daemon's in-memory response LRU; this module is the
+    tier below it, and the only durable one.  Every shard of a fleet
+    may open the same file, consult it on an LRU miss before solving,
+    and append freshly computed solutions to it.  Because keys are
+    canonical request lines and evaluations are pure, a record written
+    by one shard is the bit-identical answer any other shard would have
+    computed — so a solution computed once, anywhere, is a disk read
+    everywhere else, across restarts, crashes and ring reshapes.
 
-    Unlike the journal (a replay-once append log owned by one daemon),
-    the store is {b random access} and {b shared}:
+    {b Record format} (all byte counts exact; keys and values are the
+    protocol's canonical single-line renderings):
+
+    {v rec <crc32-hex> <klen> <vlen>
+<key bytes>
+<value bytes>
+v}
+
+    The CRC-32 covers [key ^ "\n" ^ value].  A record is accepted only
+    if the header parses, both payloads are present in full with their
+    terminators, and the checksum matches.
+
+    The store is {b random access} and {b shared}:
 
     - an in-memory index maps each key to its record's byte position;
       {!find} seeks and reads just that record, re-verifying its CRC;
@@ -29,13 +40,14 @@
       (optionally filtered by [live]), swapping it in by rename so a
       crash leaves a valid store.
 
-    A torn or corrupt record is never served: the scanner stops at the
-    first bad record exactly like the journal replay, and {!find}
-    re-checks the CRC on every read.  A torn tail is repaired at the
-    next {!add}: under the exclusive file lock the writer truncates the
-    file back to the last good record boundary before appending, so new
-    records never land beyond a tear where no scanner would reach
-    them. *)
+    {b Torn tails.}  A crash mid-append leaves a partial or corrupt
+    final record.  It is never served: the scanner stops at the first
+    bad record (everything after it is unreachable, since record
+    boundaries are length-derived), and {!find} re-checks the CRC on
+    every read.  The tear is repaired at the next {!add}: under the
+    exclusive file lock the writer truncates the file back to the last
+    good record boundary before appending, so new records never land
+    beyond a tear where no scanner would reach them. *)
 
 type t
 
@@ -78,3 +90,8 @@ val compact :
 
 val stats : t -> stats
 val close : t -> unit
+
+(** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a string, as the
+    record headers carry it — exposed for tests that corrupt records
+    deliberately. *)
+val crc32 : string -> int

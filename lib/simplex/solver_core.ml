@@ -250,8 +250,14 @@ module Make (F : Field.S) = struct
      pivots.  Rows whose initial basic column already belongs to the
      target keep it; every remaining target column is pivoted onto the
      first free row where its coefficient is nonzero.  Returns [false]
-     when the columns are linearly dependent (no such row exists). *)
-  let install_basis t target =
+     when the columns are linearly dependent (no such row exists), or
+     when an artificial ends up basic on a row that still has a
+     structural coefficient or a nonzero right-hand side.  Artificials
+     never belong to a feasible basis of the real problem, except on a
+     redundant equality ([0 x = 0], or a row dependent on others):
+     phase 1 finds no structural column to drive that artificial out,
+     so [solve] returns it basic at zero, and the basis must install. *)
+  let install_basis t ~structural target =
     let m = Array.length t.rows in
     let in_target = Array.make t.total false in
     Array.iter (fun c -> in_target.(c) <- true) target;
@@ -283,19 +289,27 @@ module Make (F : Field.S) = struct
             placed.(col) <- true
           end)
         target;
-      true
+      let redundant i =
+        let row = t.rows.(i) in
+        let rec zero j = j >= structural || (F.sign row.(j) = 0 && zero (j + 1)) in
+        F.sign row.(t.total) = 0 && zero 0
+      in
+      let ok = ref true in
+      Array.iteri
+        (fun i bv -> if bv >= structural && not (redundant i) then ok := false)
+        t.basis;
+      !ok
     with Not_found -> false
 
-  (* Shared candidate-basis validation: [m] distinct structural
-     (original or slack) columns — artificials never appear in a
-     feasible basis of the real problem. *)
-  let basis_shape_ok t ~structural ~m basis =
+  (* Shared candidate-basis validation: [m] distinct columns.  Which
+     artificials may stay basic is settled by [install_basis]. *)
+  let basis_shape_ok t ~m basis =
     Array.length basis = m
     &&
     let seen = Array.make t.total false in
     Array.for_all
       (fun c ->
-        c >= 0 && c < structural
+        c >= 0 && c < t.total
         &&
         if seen.(c) then false
         else begin
@@ -309,10 +323,10 @@ module Make (F : Field.S) = struct
     let t = pr.t in
     let m = Array.length t.rows in
     let structural = pr.n + pr.n_slack in
-    if not (basis_shape_ok t ~structural ~m basis) then Warm_rejected
+    if not (basis_shape_ok t ~m basis) then Warm_rejected
     else
       try
-        if not (install_basis t basis) then Warm_rejected
+        if not (install_basis t ~structural basis) then Warm_rejected
         else begin
           (* Exact primal feasibility of the candidate basis. *)
           let feasible = ref true in
@@ -371,10 +385,10 @@ module Make (F : Field.S) = struct
     let pr = prepare ~max_pivots:(max_pivots + m) p in
     let t = pr.t in
     let structural = pr.n + pr.n_slack in
-    if not (basis_shape_ok t ~structural ~m basis) then None
+    if not (basis_shape_ok t ~m basis) then None
     else
       try
-        if not (install_basis t basis) then None
+        if not (install_basis t ~structural basis) then None
         else begin
           for j = structural to t.total - 1 do
             t.allowed.(j) <- false

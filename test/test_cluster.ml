@@ -10,38 +10,38 @@ let rat = Alcotest.testable Q.pp Q.equal
 (* ------------------------------------------------------------------ *)
 
 let test_prng_deterministic () =
-  let a = Cluster.Prng.create ~seed:42 in
-  let b = Cluster.Prng.create ~seed:42 in
+  let a = Numeric.Prng.create ~seed:42 in
+  let b = Numeric.Prng.create ~seed:42 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Cluster.Prng.bits64 a)
-      (Cluster.Prng.bits64 b)
+    Alcotest.(check int64) "same stream" (Numeric.Prng.bits64 a)
+      (Numeric.Prng.bits64 b)
   done
 
 let test_prng_seed_sensitivity () =
-  let a = Cluster.Prng.create ~seed:1 in
-  let b = Cluster.Prng.create ~seed:2 in
+  let a = Numeric.Prng.create ~seed:1 in
+  let b = Numeric.Prng.create ~seed:2 in
   Alcotest.(check bool) "different streams" true
-    (Cluster.Prng.bits64 a <> Cluster.Prng.bits64 b)
+    (Numeric.Prng.bits64 a <> Numeric.Prng.bits64 b)
 
 let test_prng_split_independent () =
-  let a = Cluster.Prng.create ~seed:7 in
-  let b = Cluster.Prng.split a in
-  let c = Cluster.Prng.split a in
+  let a = Numeric.Prng.create ~seed:7 in
+  let b = Numeric.Prng.split a in
+  let c = Numeric.Prng.split a in
   Alcotest.(check bool) "splits differ" true
-    (Cluster.Prng.bits64 b <> Cluster.Prng.bits64 c)
+    (Numeric.Prng.bits64 b <> Numeric.Prng.bits64 c)
 
 let test_prng_float_range () =
-  let g = Cluster.Prng.create ~seed:5 in
+  let g = Numeric.Prng.create ~seed:5 in
   for _ = 1 to 10_000 do
-    let f = Cluster.Prng.float g in
+    let f = Numeric.Prng.float g in
     if f < 0.0 || f >= 1.0 then Alcotest.failf "float out of range: %f" f
   done
 
 let test_prng_int_range () =
-  let g = Cluster.Prng.create ~seed:5 in
+  let g = Numeric.Prng.create ~seed:5 in
   let counts = Array.make 10 0 in
   for _ = 1 to 10_000 do
-    let v = Cluster.Prng.int_range g ~lo:1 ~hi:10 in
+    let v = Numeric.Prng.int_range g ~lo:1 ~hi:10 in
     if v < 1 || v > 10 then Alcotest.failf "int out of range: %d" v;
     counts.(v - 1) <- counts.(v - 1) + 1
   done;
@@ -52,11 +52,11 @@ let test_prng_int_range () =
     counts
 
 let test_prng_gaussian_moments () =
-  let g = Cluster.Prng.create ~seed:11 in
+  let g = Numeric.Prng.create ~seed:11 in
   let n = 50_000 in
   let sum = ref 0.0 and sumsq = ref 0.0 in
   for _ = 1 to n do
-    let x = Cluster.Prng.gaussian g in
+    let x = Numeric.Prng.gaussian g in
     sum := !sum +. x;
     sumsq := !sumsq +. (x *. x)
   done;
@@ -66,9 +66,9 @@ let test_prng_gaussian_moments () =
   Alcotest.(check (float 0.05)) "var ~ 1" 1.0 var
 
 let test_prng_lognormal_positive () =
-  let g = Cluster.Prng.create ~seed:13 in
+  let g = Numeric.Prng.create ~seed:13 in
   for _ = 1 to 1000 do
-    if Cluster.Prng.lognormal g ~sigma:0.2 <= 0.0 then
+    if Numeric.Prng.lognormal g ~sigma:0.2 <= 0.0 then
       Alcotest.fail "lognormal must be positive"
   done
 
@@ -127,14 +127,14 @@ let test_workload_validation () =
 (* ------------------------------------------------------------------ *)
 
 let test_gen_homogeneous () =
-  let rng = Cluster.Prng.create ~seed:3 in
+  let rng = Numeric.Prng.create ~seed:3 in
   let f = Cluster.Gen.factors rng Cluster.Gen.Homogeneous ~workers:8 in
   let all_equal a = Array.for_all (fun x -> x = a.(0)) a in
   Alcotest.(check bool) "comm uniform" true (all_equal f.Cluster.Gen.comm);
   Alcotest.(check bool) "comp uniform" true (all_equal f.Cluster.Gen.comp)
 
 let test_gen_hom_comm () =
-  let rng = Cluster.Prng.create ~seed:3 in
+  let rng = Numeric.Prng.create ~seed:3 in
   let f = Cluster.Gen.factors rng Cluster.Gen.Hom_comm_het_comp ~workers:32 in
   let all_equal a = Array.for_all (fun x -> x = a.(0)) a in
   Alcotest.(check bool) "comm uniform" true (all_equal f.Cluster.Gen.comm);
@@ -142,7 +142,7 @@ let test_gen_hom_comm () =
   Alcotest.(check bool) "comp varies" false (all_equal f.Cluster.Gen.comp)
 
 let test_gen_factor_range () =
-  let rng = Cluster.Prng.create ~seed:9 in
+  let rng = Numeric.Prng.create ~seed:9 in
   for _ = 1 to 50 do
     let f = Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers:11 in
     Array.iter
@@ -157,7 +157,7 @@ let test_gen_scale () =
   Alcotest.(check (array int)) "comp x10" [| 30; 40 |] g.Cluster.Gen.comp
 
 let test_gen_platform_is_bus_when_hom_comm () =
-  let rng = Cluster.Prng.create ~seed:21 in
+  let rng = Numeric.Prng.create ~seed:21 in
   let f = Cluster.Gen.factors rng Cluster.Gen.Hom_comm_het_comp ~workers:6 in
   let p = Cluster.Gen.platform Cluster.Workload.gdsdmi ~n:80 f in
   Alcotest.(check bool) "bus" true (Dls.Platform.is_bus p)
@@ -167,13 +167,13 @@ let test_gen_platform_is_bus_when_hom_comm () =
 (* ------------------------------------------------------------------ *)
 
 let test_noise_none_is_identity () =
-  let rng = Cluster.Prng.create ~seed:1 in
+  let rng = Numeric.Prng.create ~seed:1 in
   let noise = Cluster.Noise.make ~params:Cluster.Noise.none rng ~n:200 in
   Alcotest.(check (float 1e-12)) "comm id" 3.5 (noise.Sim.Star.comm ~worker:0 3.5);
   Alcotest.(check (float 1e-12)) "comp id" 2.5 (noise.Sim.Star.comp ~worker:0 2.5)
 
 let test_noise_overheads_inflate () =
-  let rng = Cluster.Prng.create ~seed:1 in
+  let rng = Numeric.Prng.create ~seed:1 in
   let params =
     { Cluster.Noise.none with Cluster.Noise.comm_overhead = 0.10; comp_overhead = 0.25 }
   in
@@ -182,7 +182,7 @@ let test_noise_overheads_inflate () =
   Alcotest.(check (float 1e-12)) "comp +25%" 1.25 (noise.Sim.Star.comp ~worker:0 1.0)
 
 let test_noise_cache_pressure_grows_with_n () =
-  let rng = Cluster.Prng.create ~seed:1 in
+  let rng = Numeric.Prng.create ~seed:1 in
   let params = { Cluster.Noise.none with Cluster.Noise.cache_pressure = 0.2 } in
   let small = (Cluster.Noise.make ~params rng ~n:40).Sim.Star.comp ~worker:0 1.0 in
   let large = (Cluster.Noise.make ~params rng ~n:200).Sim.Star.comp ~worker:0 1.0 in

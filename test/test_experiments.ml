@@ -139,7 +139,7 @@ let test_plot_too_many_series () =
 (* ------------------------------------------------------------------ *)
 
 let test_campaign_sane () =
-  let rng = Cluster.Prng.create ~seed:3 in
+  let rng = Numeric.Prng.create ~seed:3 in
   let factors = Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers:6 in
   let m =
     Experiments.Campaign.measure ~rng ~machine:Cluster.Workload.gdsdmi ~n:100
@@ -152,7 +152,7 @@ let test_campaign_sane () =
     (m.Experiments.Campaign.workers_used >= 1 && m.Experiments.Campaign.workers_used <= 6)
 
 let test_campaign_noise_free_matches_lp () =
-  let rng = Cluster.Prng.create ~seed:4 in
+  let rng = Numeric.Prng.create ~seed:4 in
   let factors = Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers:5 in
   let m =
     Experiments.Campaign.measure ~noise_params:Cluster.Noise.none ~rng

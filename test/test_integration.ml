@@ -13,7 +13,7 @@ let gen_factors_platform =
   let* seed = int_range 0 100_000 in
   let* workers = int_range 2 8 in
   let* n = oneofl [ 40; 80; 120; 200; 400 ] in
-  let rng = Cluster.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed in
   let f = Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers in
   return (Cluster.Gen.platform Cluster.Workload.gdsdmi ~n f, seed, n)
 
@@ -42,7 +42,7 @@ let prop_noisy_execution_valid =
       let sol = Dls.Heuristics.solve Dls.Heuristics.Lifo platform in
       let total = 500 in
       let plan = Sim.Star.plan_of_rounded sol ~total in
-      let noise = Cluster.Noise.make (Cluster.Prng.create ~seed) ~n in
+      let noise = Cluster.Noise.make (Numeric.Prng.create ~seed) ~n in
       let trace = Sim.Star.execute ~noise platform plan in
       let bound = Q.to_float (Dls.Lp_model.time_for_load sol ~load:(Q.of_int total)) in
       Sim.Trace.is_valid trace && trace.Sim.Trace.makespan >= bound *. 0.999)
@@ -55,7 +55,7 @@ let prop_bus_consistency_chain =
     (let open QCheck2.Gen in
      let* seed = int_range 0 100_000 in
      let* workers = int_range 1 7 in
-     let rng = Cluster.Prng.create ~seed in
+     let rng = Numeric.Prng.create ~seed in
      let f = Cluster.Gen.factors rng Cluster.Gen.Hom_comm_het_comp ~workers in
      return (Cluster.Gen.platform Cluster.Workload.gdsdmi ~n:100 f))
     (fun platform ->
@@ -78,11 +78,11 @@ let prop_mirror_end_to_end =
     (let open QCheck2.Gen in
      let* seed = int_range 0 100_000 in
      let* workers = int_range 1 5 in
-     let rng = Cluster.Prng.create ~seed in
+     let rng = Numeric.Prng.create ~seed in
      let specs =
        List.init workers (fun _ ->
-           ( Q.of_ints (Cluster.Prng.int_range rng ~lo:1 ~hi:10) 10,
-             Q.of_ints (Cluster.Prng.int_range rng ~lo:1 ~hi:10) 5 ))
+           ( Q.of_ints (Numeric.Prng.int_range rng ~lo:1 ~hi:10) 10,
+             Q.of_ints (Numeric.Prng.int_range rng ~lo:1 ~hi:10) 5 ))
      in
      return (Dls.Platform.with_return_ratio ~z:(Q.of_int 3) specs))
     (fun platform ->
@@ -100,11 +100,11 @@ let prop_sim_respects_orders =
   prop "simulator respects sigma1 and sigma2" gen_factors_platform
     (fun (platform, seed, _) ->
       let nworkers = Dls.Platform.size platform in
-      let rng = Cluster.Prng.create ~seed:(seed + 1) in
+      let rng = Numeric.Prng.create ~seed:(seed + 1) in
       let shuffle () =
         let a = Array.init nworkers Fun.id in
         for i = nworkers - 1 downto 1 do
-          let j = Cluster.Prng.int_range rng ~lo:0 ~hi:i in
+          let j = Numeric.Prng.int_range rng ~lo:0 ~hi:i in
           let t = a.(i) in
           a.(i) <- a.(j);
           a.(j) <- t
@@ -134,7 +134,7 @@ let prop_heuristic_hierarchy =
   prop ~count:20 "heuristic hierarchy holds end-to-end"
     (let open QCheck2.Gen in
      let* seed = int_range 0 100_000 in
-     let rng = Cluster.Prng.create ~seed in
+     let rng = Numeric.Prng.create ~seed in
      let f = Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers:4 in
      return (Cluster.Gen.platform Cluster.Workload.gdsdmi ~n:120 f))
     (fun platform ->
@@ -153,7 +153,7 @@ let prop_multiround_simulation_matches_lp =
      let* workers = int_range 1 4 in
      let* rounds = int_range 1 3 in
      let* with_returns = bool in
-     let rng = Cluster.Prng.create ~seed in
+     let rng = Numeric.Prng.create ~seed in
      let f = Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers in
      return (Cluster.Gen.platform Cluster.Workload.gdsdmi ~n:100 f, rounds, with_returns))
     (fun (platform, rounds, with_returns) ->

@@ -1,10 +1,12 @@
 (* Horizontal scale-out: the consistent-hash ring (balance, minimal
    remap, cross-process determinism via pinned hashes), the tier-2
-   shared solution store, journal compaction, the open-loop Poisson
-   load generator, and the front router end to end — bit-identity
-   through the router, shard affinity, failover past a dead shard and
-   the merged control plane.  Servers and routers bind throwaway Unix
-   sockets under the temp dir; everything runs in-process. *)
+   shared solution store and its compaction, the [--journal] alias of
+   [dls serve --store], the open-loop Poisson load generator, and the
+   front router end to end — bit-identity through the router, shard
+   affinity, failover past a dead shard and the merged control plane.
+   Servers and routers bind throwaway Unix sockets under the temp dir;
+   everything runs in-process except the CLI check, which drives the
+   real [dls] binary. *)
 
 module Q = Numeric.Rational
 module P = Service.Protocol
@@ -34,11 +36,10 @@ let tmp_socket () =
 
 let tmp_file suffix = Filename.temp_file "dls-scale" suffix
 
-let server_cfg ?(jobs = 2) ?journal ?journal_max_bytes ?store path =
+let server_cfg ?(jobs = 2) ?journal_max_bytes ?store path =
   {
     (Service.Server.default_config (Service.Server.Unix_socket path)) with
     Service.Server.jobs;
-    journal;
     journal_max_bytes;
     store;
   }
@@ -317,54 +318,51 @@ let test_store_torn_tail () =
 (* Journal compaction                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* One record exactly as the store writes it. *)
+let record key value =
+  Printf.sprintf "rec %08x %d %d\n%s\n%s\n"
+    (Service.Store.crc32 (key ^ "\n" ^ value))
+    (String.length key) (String.length value) key value
+
+(* Compaction keeps the latest record of every live key, in the order
+   of each key's last record.  The store never re-adds a key itself, so
+   the superseded duplicate here stands for two shards racing on it. *)
 let test_journal_compact () =
   let path = tmp_file ".journal" in
-  let j =
-    match Service.Journal.open_ path with
-    | Ok (j, []) -> j
-    | Ok _ -> Alcotest.fail "fresh journal not empty"
-    | Error e -> Alcotest.failf "journal open: %s" (Dls.Errors.to_string e)
-  in
-  let append k v =
-    match Service.Journal.append j ~key:k ~value:v with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "append: %s" (Dls.Errors.to_string e)
-  in
-  append "k1" "old";
-  append "k2" "gone";
-  append "k3" "kept";
-  append "k1" "new";
-  let before = Service.Journal.size_bytes j in
-  (match
-     Service.Journal.compact j ~live:(fun k -> k = "k1" || k = "k3")
-   with
+  let oc = open_out_bin path in
+  List.iter
+    (fun (k, v) -> output_string oc (record k v))
+    [ ("k1", "old"); ("k2", "gone"); ("k3", "kept"); ("k1", "new") ];
+  close_out oc;
+  let s = open_store_exn path in
+  check "last record wins" true (Service.Store.find s "k1" = Some "new");
+  let before = Service.Store.size_bytes s in
+  (match Service.Store.compact s ~live:(fun k -> k = "k1" || k = "k3") () with
   | Ok (b, a) ->
     check_int "before bytes" before b;
     check "compaction shrinks" true (a < b);
-    check_int "size_bytes agrees" a (Service.Journal.size_bytes j)
+    check_int "size_bytes agrees" a (Service.Store.size_bytes s)
   | Error e -> Alcotest.failf "compact: %s" (Dls.Errors.to_string e));
-  check_int "compactions counted" 1 (Service.Journal.compactions j);
-  (* the journal stays appendable after the fd swap *)
-  append "k4" "post";
-  Service.Journal.close j;
-  match Service.Journal.open_ path with
-  | Ok (j2, replay) ->
-    Service.Journal.close j2;
-    (* latest record per live key, in last-append order, then the
-       post-compaction append *)
-    Alcotest.(check (list (pair string string)))
-      "replay after compaction"
-      [ ("k3", "kept"); ("k1", "new"); ("k4", "post") ]
-      replay
-  | Error e -> Alcotest.failf "reopen: %s" (Dls.Errors.to_string e)
+  check_int "compactions counted" 1
+    (Service.Store.stats s).Service.Store.compactions;
+  (* the store stays appendable after the fd swap *)
+  add_exn s ~key:"k4" ~value:"post";
+  Service.Store.close s;
+  let ic = open_in_bin path in
+  let contents = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  check_str "latest live records in last-append order, then the append"
+    (record "k3" "kept" ^ record "k1" "new" ^ record "k4" "post")
+    contents;
+  Sys.remove path
 
-(* End to end: a bounded journal compacts itself while serving, and
-   the count lands in the wire stats. *)
+(* End to end: a byte budget compacts the store while serving, and the
+   count lands in the wire stats. *)
 let test_server_journal_budget () =
   let jpath = tmp_file ".journal" in
   let server =
     start_server_exn
-      (server_cfg ~journal:jpath ~journal_max_bytes:128 (tmp_socket ()))
+      (server_cfg ~store:jpath ~journal_max_bytes:128 (tmp_socket ()))
   in
   let address = Service.Server.address server in
   (* several distinct solves: every fresh response is appended, and
@@ -376,8 +374,79 @@ let test_server_journal_budget () =
   Service.Server.stop server;
   check "compactions surfaced in stats" true
     (stats.P.compactions >= 1);
-  check "journal survives compaction" true (Sys.file_exists jpath);
+  check "store survives compaction" true (Sys.file_exists jpath);
   Sys.remove jpath
+
+(* ------------------------------------------------------------------ *)
+(* CLI: --journal is another name for --store                          *)
+(* ------------------------------------------------------------------ *)
+
+let dls_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/dls_cli.exe"
+
+(* Run [dls serve] with [args], send [req] once it listens, SIGTERM it,
+   and return the reply plus the daemon's final stats line. *)
+let serve_cli args req =
+  let sock = tmp_socket () and out = tmp_file ".out" in
+  let out_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let argv =
+    Array.of_list ([ dls_exe; "serve"; "--socket"; sock; "--jobs"; "1" ] @ args)
+  in
+  let pid = Unix.create_process dls_exe argv Unix.stdin out_fd null in
+  Unix.close out_fd;
+  Unix.close null;
+  (* The socket file appears at bind, a moment before listen: retry. *)
+  let rec ask tries =
+    match
+      Service.Client.with_client (Service.Server.Unix_socket sock) (fun cl ->
+          Service.Client.request cl req)
+    with
+    | Ok (Ok resp) -> P.response_to_string resp
+    | (Ok (Error _) | Error _) when tries > 0 ->
+      Unix.sleepf 0.05;
+      ask (tries - 1)
+    | Ok (Error e) | Error e ->
+      Unix.kill pid Sys.sigkill;
+      Alcotest.failf "dls serve: %s" (Dls.Errors.to_string e)
+  in
+  let reply = ask 200 in
+  Unix.kill pid Sys.sigterm;
+  let _, status = Unix.waitpid [] pid in
+  check "clean drain" true (status = Unix.WEXITED 0);
+  let ic = open_in out in
+  let rec last acc =
+    match input_line ic with line -> last line | exception End_of_file -> acc
+  in
+  let final = last "" in
+  close_in ic;
+  Sys.remove out;
+  match P.parse_response final with
+  | Ok (P.Ok_stats st) -> (reply, st)
+  | _ -> Alcotest.failf "no final stats line: %S" final
+
+let test_cli_journal_alias () =
+  let file = tmp_file ".journal" in
+  let req = solve_req (p2 ()) in
+  let first, s1 = serve_cli [ "--journal"; file ] req in
+  check_int "--journal appends to the file" 1 s1.P.journal_appended;
+  check_int "--journal probes it first" 1 s1.P.store_misses;
+  let again, s2 = serve_cli [ "--store"; file ] req in
+  check_str "--store serves what --journal wrote" first again;
+  check_int "a store hit" 1 s2.P.store_hits;
+  check_int "nothing re-appended" 0 s2.P.journal_appended;
+  (* one option under two names: giving both is a usage error *)
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process dls_exe
+      [| dls_exe; "serve"; "--socket"; tmp_socket (); "--store"; file;
+         "--journal"; file |]
+      Unix.stdin null null
+  in
+  Unix.close null;
+  let _, status = Unix.waitpid [] pid in
+  check "--store with --journal rejected" true (status = Unix.WEXITED 124);
+  Sys.remove file
 
 (* ------------------------------------------------------------------ *)
 (* Server + tier-2 store                                               *)
@@ -636,7 +705,6 @@ let sample_stats () =
     hangups = 3;
     warm_hits = 5;
     journal_appended = 9;
-    journal_replayed = 4;
     store_hits = 6;
     store_misses = 3;
     store_demoted = 2;
@@ -743,6 +811,8 @@ let () =
             test_journal_compact;
           Alcotest.test_case "server compacts on byte budget" `Quick
             test_server_journal_budget;
+          Alcotest.test_case "cli --journal names the store" `Quick
+            test_cli_journal_alias;
         ] );
       ( "tiering",
         [

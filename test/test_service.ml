@@ -165,7 +165,6 @@ let sample_responses () =
         hangups = 3;
         warm_hits = 5;
         journal_appended = 9;
-        journal_replayed = 4;
         store_hits = 6;
         store_misses = 3;
         store_demoted = 2;
@@ -987,10 +986,10 @@ let test_server_kill_mid_line () =
       | Error e -> Alcotest.failf "client: %s" (Dls.Errors.to_string e))
 
 (* ------------------------------------------------------------------ *)
-(* Journal                                                             *)
+(* Journal: the store's record file                                    *)
 (* ------------------------------------------------------------------ *)
 
-module J = Service.Journal
+module St = Service.Store
 
 let tmp_journal () = Filename.temp_file "dls-journal" ".log"
 
@@ -1014,22 +1013,32 @@ let find_sub haystack needle =
   in
   go 0
 
-let journal_open path =
-  match J.open_ path with
-  | Ok (j, replayed) -> (j, replayed)
-  | Error e -> Alcotest.failf "journal open: %s" (Dls.Errors.to_string e)
+let store_open path =
+  match St.open_ path with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "store open: %s" (Dls.Errors.to_string e)
 
-let journal_append j ~key ~value =
-  match J.append j ~key ~value with
+let store_add s ~key ~value =
+  match St.add s ~key ~value with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "journal append: %s" (Dls.Errors.to_string e)
+  | Error e -> Alcotest.failf "store add: %s" (Dls.Errors.to_string e)
 
 let seed_journal path records =
-  let j, replayed = journal_open path in
-  check_int "fresh journal replays nothing" 0 (List.length replayed);
-  List.iter (fun (key, value) -> journal_append j ~key ~value) records;
-  check_int "appends counted" (List.length records) (J.appended j);
-  J.close j
+  let s = store_open path in
+  check_int "fresh store is empty" 0 (St.length s);
+  List.iter (fun (key, value) -> store_add s ~key ~value) records;
+  check_int "appends counted" (List.length records) (St.stats s).St.appended;
+  St.close s
+
+(* [records] are exactly the records a fresh handle on [path] serves. *)
+let check_served name path records =
+  let s = store_open path in
+  check_int (name ^ ": record count") (List.length records) (St.length s);
+  List.iter
+    (fun (key, value) ->
+      check (name ^ ": " ^ key) true (St.find s key = Some value))
+    records;
+  St.close s
 
 let sample_records =
   [
@@ -1041,14 +1050,17 @@ let sample_records =
 let test_journal_roundtrip () =
   let path = tmp_journal () in
   seed_journal path sample_records;
-  let j, replayed = journal_open path in
-  check "replay is oldest-first append order" true (replayed = sample_records);
+  check_served "reopened" path sample_records;
+  let s = store_open path in
   (* payloads must stay single-line: the record framing depends on it *)
-  (match J.append j ~key:"bad\nkey" ~value:"v" with
+  (match St.add s ~key:"bad\nkey" ~value:"v" with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "newline-bearing key accepted");
-  check_int "rejected append not counted" 0 (J.appended j);
-  J.close j;
+  (match St.add s ~key:"key" ~value:"bad\nvalue" with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "newline-bearing value accepted");
+  check_int "rejected adds not counted" 0 (St.stats s).St.appended;
+  St.close s;
   Sys.remove path
 
 let test_journal_truncated_tail () =
@@ -1056,19 +1068,19 @@ let test_journal_truncated_tail () =
   seed_journal path sample_records;
   (* crash mid-append: a torn record at the tail *)
   let good = read_file path in
-  write_file path (good ^ "rec deadbeef 17 42\nsolve 3:1:1,2:");
-  let j, replayed = journal_open path in
-  check "torn tail costs nothing before it" true (replayed = sample_records);
-  check_int "file truncated back to the last good boundary"
-    (String.length good)
-    (String.length (read_file path));
-  (* the journal is immediately appendable again *)
-  journal_append j ~key:"late" ~value:"ok late";
-  J.close j;
-  let j, replayed = journal_open path in
-  check "post-repair appends replay" true
-    (replayed = sample_records @ [ ("late", "ok late") ]);
-  J.close j;
+  let torn = good ^ "rec deadbeef 17 42\nsolve 3:1:1,2:" in
+  write_file path torn;
+  let s = store_open path in
+  check_int "torn tail costs nothing before it" 3 (St.length s);
+  check_str "opening leaves the file alone" torn (read_file path);
+  (* the next add truncates back to the last good boundary, then
+     appends where every scanner reaches *)
+  store_add s ~key:"late" ~value:"ok late";
+  St.close s;
+  let repaired = read_file path in
+  check_str "tear cut before the new record" good
+    (String.sub repaired 0 (String.length good));
+  check_served "post-repair" path (sample_records @ [ ("late", "ok late") ]);
   Sys.remove path
 
 let test_journal_crc_corruption () =
@@ -1081,16 +1093,18 @@ let test_journal_crc_corruption () =
   let corrupted = Bytes.of_string contents in
   Bytes.set corrupted i 'X';
   write_file path (Bytes.to_string corrupted);
-  let j, replayed = journal_open path in
-  check "replay stops at the first bad checksum" true
-    (replayed = [ List.hd sample_records ]);
-  J.close j;
+  check_served "scan stops at the first bad checksum" path
+    [ List.hd sample_records ];
+  let s = store_open path in
+  check "records past the bad one are unreachable" true
+    (St.find s (fst (List.nth sample_records 2)) = None);
+  St.close s;
   Sys.remove path
 
 let test_journal_crc32_vector () =
   (* IEEE 802.3 check value: crc32("123456789") = 0xCBF43926. *)
   check_str "crc32 known-answer" "cbf43926"
-    (Printf.sprintf "%08lx" (J.crc32 "123456789"))
+    (Printf.sprintf "%08x" (St.crc32 "123456789"))
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation: shed, brownout, warm restart                  *)
@@ -1209,9 +1223,9 @@ let test_server_journal_warm_restart () =
   Dls.Lp_model.reset_cache ();
   let journal = tmp_journal () in
   let reqs = [ solve_req (p2 ()); solve_req (p3 ()) ] in
-  let first_dump, first_replies =
+  let first_replies =
     with_server
-      (fun c -> { c with Service.Server.jobs = 2; journal = Some journal })
+      (fun c -> { c with Service.Server.jobs = 2; store = Some journal })
       (fun server ->
         let address = Service.Server.address server in
         let replies =
@@ -1225,37 +1239,40 @@ let test_server_journal_warm_restart () =
           | Error e -> Alcotest.failf "client: %s" (Dls.Errors.to_string e)
         in
         let s = Service.Server.stats server in
-        check_int "unique responses journaled" 2 s.P.journal_appended;
-        check_int "fresh journal replays nothing" 0 s.P.journal_replayed;
+        check_int "unique responses appended" 2 s.P.journal_appended;
+        check_int "fresh store has nothing to hit" 0 s.P.store_hits;
         check_int "no warm hits before a restart" 0 s.P.warm_hits;
-        (Service.Server.cache_dump server, replies))
+        replies)
   in
-  check_int "warm cache holds the unique responses" 2 (List.length first_dump);
-  (* restart on the same journal: the warm cache must reappear exactly *)
+  let appended_bytes = String.length (read_file journal) in
+  (* restart on the same file: the first repeat reads the store, the
+     second is a tier-1 hit, and neither writes anything *)
   Dls.Lp_model.reset_cache ();
   with_server
-    (fun c -> { c with Service.Server.jobs = 2; journal = Some journal })
+    (fun c -> { c with Service.Server.jobs = 2; store = Some journal })
     (fun server ->
       let address = Service.Server.address server in
-      let s0 = Service.Server.stats server in
-      check_int "journal replayed at boot" 2 s0.P.journal_replayed;
-      check "replayed cache equals the pre-crash cache" true
-        (Service.Server.cache_dump server = first_dump);
-      let reply =
+      let replies =
         match
           Service.Client.with_client address (fun cl ->
-              P.response_to_string (request_ok cl (List.hd reqs)))
+              List.init 2 (fun _ ->
+                  P.response_to_string (request_ok cl (List.hd reqs))))
         with
         | Ok r -> r
         | Error e -> Alcotest.failf "client: %s" (Dls.Errors.to_string e)
       in
-      check_str "warm reply bit-identical across the restart"
-        (List.hd first_replies) reply;
+      List.iter
+        (check_str "reply bit-identical across the restart"
+           (List.hd first_replies))
+        replies;
       let s = Service.Server.stats server in
-      check_int "repeat was a warm hit" 1 s.P.warm_hits;
-      check_int "warm hit served at admission" 1 s.P.served;
-      check_int "warm hit appends nothing new" 0 s.P.journal_appended;
+      check_int "first repeat was a store hit" 1 s.P.store_hits;
+      check_int "second repeat was a warm hit" 1 s.P.warm_hits;
+      check_int "both served at admission" 2 s.P.served;
+      check_int "nothing re-appended" 0 s.P.journal_appended;
       drain_invariant "warm restart" s);
+  check_int "file unchanged by the restart" appended_bytes
+    (String.length (read_file journal));
   Sys.remove journal
 
 (* ------------------------------------------------------------------ *)
@@ -1557,8 +1574,7 @@ let test_protocol_backcompat_lines () =
     check_int "brownouts defaults to 0" 0 s.P.brownouts;
     check_int "hangups defaults to 0" 0 s.P.hangups;
     check_int "warm_hits defaults to 0" 0 s.P.warm_hits;
-    check_int "journal_appended defaults to 0" 0 s.P.journal_appended;
-    check_int "journal_replayed defaults to 0" 0 s.P.journal_replayed
+    check_int "journal_appended defaults to 0" 0 s.P.journal_appended
   | Ok other ->
     Alcotest.failf "expected stats, got %s" (P.response_to_string other)
   | Error e -> Alcotest.failf "old stats line: %s" (Dls.Errors.to_string e));

@@ -451,6 +451,27 @@ let test_warm_start_recovers_from_suboptimal_basis () =
   | S.Warm_optimal (s', _) -> Alcotest.check rat "value" (qq 11 5) s'.S.value
   | _ -> Alcotest.fail "expected warm optimal"
 
+let test_warm_start_redundant_zero_row () =
+  (* [0 x0 = 0] leaves its phase-1 artificial basic at zero: no
+     structural column can drive it out.  The same happens to a row
+     that phase 1 reduces to zero ([x0 = 0] after [-x0 = 0]).  The
+     solver's own terminal basis must still install and reproduce the
+     cold optimum. *)
+  List.iter
+    (fun p ->
+      let s = S.solve_exn p in
+      match S.solve_with_basis p ~basis:s.S.basis with
+      | S.Warm_optimal (s', _) ->
+        Alcotest.check rat "value" s.S.value s'.S.value;
+        Alcotest.(check bool) "point" true
+          (Array.for_all2 Q.equal s.S.point s'.S.point)
+      | _ -> Alcotest.fail "own basis with a redundant artificial rejected")
+    [
+      lp P.Maximize [| -3 |]
+        [ ([| -4 |], P.Le, 8); ([| 0 |], P.Eq, 0); ([| 3 |], P.Le, 10) ];
+      lp P.Maximize [| 0 |] [ ([| -1 |], P.Eq, 0); ([| 1 |], P.Eq, 0) ];
+    ]
+
 let test_float_stall_cap () =
   (* A one-pivot cap stalls the float solver on a problem needing more;
      the fast pipeline turns this into an exact fallback. *)
@@ -652,6 +673,8 @@ let () =
           Alcotest.test_case "float stall cap" `Quick test_float_stall_cap;
           prop_lifted_basis_certifies;
           prop_warm_start_any_valid_basis;
+          Alcotest.test_case "redundant zero row" `Quick
+            test_warm_start_redundant_zero_row;
         ] );
       ( "certify_basis",
         [
