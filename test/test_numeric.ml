@@ -443,6 +443,301 @@ let edge_cases =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Native-int boundary                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A signed reference built on [Natural] alone: [(sign, magnitude)]
+   with sign in {-1, 0, 1} and sign 0 exactly for a zero magnitude.
+   Generators draw reference values and build [Integer]s from them with
+   [Z.make], so every result below is checked against arithmetic that
+   never runs through [Integer]. *)
+module R = struct
+  let make sign mag = if N.is_zero mag then (0, N.zero) else (sign, mag)
+  let to_z (s, m) = Z.make s m
+  let two62 = N.shift_left N.one 62
+
+  let of_int n =
+    if n = min_int then (-1, two62) else make (compare n 0) (N.of_int (abs n))
+  let neg (s, m) = (-s, m)
+
+  let add (sa, ma) (sb, mb) =
+    if sa = 0 then (sb, mb)
+    else if sb = 0 then (sa, ma)
+    else if sa = sb then (sa, N.add ma mb)
+    else
+      let c = N.compare ma mb in
+      if c = 0 then (0, N.zero)
+      else if c > 0 then (sa, N.sub ma mb)
+      else (sb, N.sub mb ma)
+
+  let sub a b = add a (neg b)
+  let mul (sa, ma) (sb, mb) = make (sa * sb) (N.mul_schoolbook ma mb)
+
+  let divmod (sa, ma) (sb, mb) =
+    let q, r = N.divmod ma mb in
+    (make (sa * sb) q, make sa r)
+
+  let compare (sa, ma) (sb, mb) =
+    if sa <> sb then Stdlib.compare sa sb else sa * N.compare ma mb
+
+  let to_int_opt (s, m) =
+    match N.to_int_opt m with
+    | Some v -> Some (s * v)
+    | None -> if s < 0 && N.equal m two62 then Some min_int else None
+
+  let to_string (s, m) = (if s < 0 then "-" else "") ^ N.to_string m
+end
+
+(* [z] is in canonical form: when it fits a native int it is
+   indistinguishable from [Z.of_int] of that int. *)
+let canonical z =
+  match Z.to_int_opt z with
+  | None -> true
+  | Some v ->
+    let n = Z.of_int v in
+    Z.equal z n && Z.compare z n = 0 && Z.compare n z = 0
+    && Z.to_string z = string_of_int v
+    && z = n
+
+(* [z] is the reference value [r], in canonical form. *)
+let agrees z r =
+  Z.sign z = fst r
+  && N.equal (Z.magnitude z) (snd r)
+  && Z.to_string z = R.to_string r
+  && Z.to_int_opt z = R.to_int_opt r
+  && canonical z
+
+(* Magnitudes concentrated on the native boundary: 2^e + k around the
+   30-bit limb, the 31-bit square root of the int range and 2^62
+   (so max_int, |min_int| and products just under and over 62 bits),
+   plus uniform draws of every width up to 62 bits and a few wider. *)
+let gen_boundary_mag =
+  let open QCheck2.Gen in
+  let near_pow2 =
+    let* e = oneofl [ 0; 1; 2; 30; 31; 32; 61; 62; 63; 64; 93; 124; 125 ] in
+    let* k = int_range (-3) 3 in
+    let p = N.shift_left N.one e in
+    return
+      (if k >= 0 then N.add p (N.of_int k)
+       else if N.compare p (N.of_int (-k)) >= 0 then N.sub p (N.of_int (-k))
+       else N.zero)
+  in
+  let native_width =
+    let* bits = int_range 0 62 in
+    let* v = int in
+    return (N.of_int ((v land max_int) lsr (62 - bits)))
+  in
+  let wide =
+    let* extra = int_range 1 140 in
+    let* hi = int in
+    let* lo = int in
+    let top = N.of_int ((hi land max_int) lor (1 lsl 61)) in
+    return (N.add (N.shift_left top extra) (N.of_int (lo land max_int)))
+  in
+  frequency
+    [
+      (4, near_pow2);
+      (4, native_width);
+      (2, map N.of_int (int_range 0 100));
+      (1, wide);
+    ]
+
+let gen_boundary =
+  let open QCheck2.Gen in
+  let* negative = bool in
+  let* m = gen_boundary_mag in
+  return (R.make (if negative then -1 else 1) m)
+
+let boundary_values =
+  [
+    0; 1; -1; 1 lsl 30; -(1 lsl 30); 1 lsl 31; -(1 lsl 31); max_int; -max_int;
+    min_int; max_int - 1; min_int + 1; (1 lsl 31) - 1; 3037000499;
+  ]
+
+let test_int_boundary_overflow () =
+  (* Adds, subs and muls whose true result leaves the native range by
+     one, or lands exactly on min_int. *)
+  let cases =
+    [
+      (max_int, 1); (max_int, max_int); (min_int, -1); (min_int, min_int);
+      (-max_int, -1); (min_int, 1); (max_int, -max_int); (1 lsl 31, 1 lsl 31);
+      ((1 lsl 31) - 1, (1 lsl 31) + 1); (-(1 lsl 31), 1 lsl 31);
+      (3037000499, 3037000499); (max_int, 0); (min_int, 0);
+    ]
+  in
+  List.iter
+    (fun (x, y) ->
+      let rx = R.of_int x and ry = R.of_int y in
+      let zx = Z.of_int x and zy = Z.of_int y in
+      let name op = Printf.sprintf "%d %s %d" x op y in
+      Alcotest.(check bool) (name "+") true (agrees (Z.add zx zy) (R.add rx ry));
+      Alcotest.(check bool) (name "-") true (agrees (Z.sub zx zy) (R.sub rx ry));
+      Alcotest.(check bool) (name "*") true (agrees (Z.mul zx zy) (R.mul rx ry)))
+    cases;
+  Alcotest.(check (option int)) "max_int + 1 leaves int" None
+    (Z.to_int_opt (Z.add (Z.of_int max_int) Z.one));
+  Alcotest.(check (option int)) "-max_int - 1 = min_int" (Some min_int)
+    (Z.to_int_opt (Z.sub (Z.of_int (-max_int)) Z.one));
+  Alcotest.(check (option int)) "2^62 - 2^62 = 0" (Some 0)
+    (Z.to_int_opt (Z.sub (Z.neg (Z.of_int min_int)) (Z.neg (Z.of_int min_int))));
+  let q, r = Z.divmod (Z.of_int min_int) Z.minus_one in
+  Alcotest.(check bool) "min_int / -1 = 2^62" true
+    (agrees q (1, R.two62) && agrees r (0, N.zero))
+
+(* [op] on native ints wraps modulo 2^63, so it equals the true result
+   whenever the reference says the true result fits. *)
+let native_agrees r z native =
+  match R.to_int_opt r with
+  | Some v -> Z.to_int_opt z = Some v && v = native ()
+  | None -> Z.to_int_opt z = None
+
+let boundary_props =
+  let g = gen_boundary in
+  let g2 = QCheck2.Gen.pair g g in
+  let count = 2000 in
+  let binop name zop rop nop =
+    prop ~count ("int boundary: " ^ name) g2 (fun (a, b) ->
+        let z = zop (R.to_z a) (R.to_z b) and r = rop a b in
+        agrees z r
+        &&
+        match (R.to_int_opt a, R.to_int_opt b) with
+        | Some x, Some y -> native_agrees r z (fun () -> nop x y)
+        | _ -> true)
+  in
+  let gen_karatsuba =
+    (* Limb counts on both sides of the 512-limb threshold. *)
+    let open QCheck2.Gen in
+    let* limbs = oneofl [ 500; 511; 512; 513; 530 ] in
+    let* neg = bool in
+    let* seed = int in
+    let rng = Numeric.Prng.create ~seed in
+    let m =
+      List.fold_left
+        (fun acc _ -> N.add (N.shift_left acc 30) (N.of_int (Numeric.Prng.int_range rng ~lo:0 ~hi:((1 lsl 30) - 1))))
+        N.one (List.init limbs Fun.id)
+    in
+    return (R.make (if neg then -1 else 1) m)
+  in
+  [
+    binop "add" Z.add R.add ( + );
+    binop "sub" Z.sub R.sub ( - );
+    binop "mul" Z.mul R.mul ( * );
+    prop ~count "int boundary: divmod identity" g2 (fun (a, b) ->
+        let b = if fst b = 0 then (1, N.one) else b in
+        let za = R.to_z a and zb = R.to_z b in
+        let q, r = Z.divmod za zb in
+        let rq, rr = R.divmod a b in
+        agrees q rq && agrees r rr
+        && Z.equal za (Z.add (Z.mul q zb) r)
+        && N.compare (Z.magnitude r) (Z.magnitude zb) < 0
+        && (Z.is_zero r || Z.sign r = Z.sign za)
+        &&
+        match (R.to_int_opt a, R.to_int_opt b) with
+        | Some x, Some y ->
+          native_agrees rq q (fun () -> x / y) && native_agrees rr r (fun () -> x mod y)
+        | _ -> true);
+    prop ~count "int boundary: compare, equal" g2 (fun (a, b) ->
+        let za = R.to_z a and zb = R.to_z b in
+        let c = R.compare a b in
+        Stdlib.compare (Z.compare za zb) 0 = Stdlib.compare c 0
+        && Z.equal za zb = (c = 0)
+        && (c <> 0 || za = zb));
+    prop ~count "int boundary: neg, abs, sign" g (fun a ->
+        let z = R.to_z a in
+        agrees z a && agrees (Z.neg z) (R.neg a)
+        && agrees (Z.abs z) (R.make 1 (snd a)));
+    prop ~count "int boundary: gcd" g2 (fun (a, b) ->
+        N.equal (Z.gcd (R.to_z a) (R.to_z b)) (N.gcd (snd a) (snd b)));
+    prop ~count "int boundary: string roundtrip" g (fun a ->
+        let z = R.to_z a in
+        agrees (Z.of_string (Z.to_string z)) a);
+    prop ~count "int boundary: native of_int roundtrip"
+      (QCheck2.Gen.oneof [ QCheck2.Gen.int; QCheck2.Gen.oneofl boundary_values ])
+      (fun n -> agrees (Z.of_int n) (R.of_int n) && Z.to_int_opt (Z.of_int n) = Some n);
+    prop ~count:6 "int boundary: mul across the Karatsuba threshold"
+      (QCheck2.Gen.pair gen_karatsuba gen_karatsuba) (fun (a, b) ->
+        agrees (Z.mul (R.to_z a) (R.to_z b)) (R.mul a b));
+  ]
+
+(* Rationals with a shared denominator factor [g], so both sides of
+   every reduced-form branch of add and mul are drawn often. *)
+let gen_rat_boundary =
+  let open QCheck2.Gen in
+  let* g = oneofl [ 1; 2; 6; 30; 1 lsl 31; 3486784401; max_int ] in
+  let* n1 = gen_boundary in
+  let* n2 = gen_boundary in
+  let* d1 = gen_boundary_mag in
+  let* d2 = gen_boundary_mag in
+  let den d = R.mul (R.of_int g) (R.make 1 (N.add d N.one)) in
+  let q n d = Q.make (R.to_z n) (R.to_z (den d)) in
+  return (q n1 d1, q n2 d2)
+
+let r_of_z z = R.make (Z.sign z) (Z.magnitude z)
+
+let normalised q =
+  let n = Q.num q and d = Q.den q in
+  Z.sign d > 0 && canonical n && canonical d
+  && (if Z.is_zero n then Z.equal d Z.one
+      else N.equal (N.gcd (Z.magnitude n) (Z.magnitude d)) N.one)
+
+(* [r] is [num / den] given as references: r.num * den = num * r.den. *)
+let rat_is r num den =
+  normalised r
+  && R.compare (R.mul (r_of_z (Q.num r)) den) (R.mul num (r_of_z (Q.den r))) = 0
+
+let rat_boundary_props =
+  let count = 2000 in
+  let parts q = (r_of_z (Q.num q), r_of_z (Q.den q)) in
+  [
+    prop ~count "rat boundary: add normalised and exact" gen_rat_boundary
+      (fun (a, b) ->
+        let (an, ad), (bn, bd) = (parts a, parts b) in
+        rat_is (Q.add a b) (R.add (R.mul an bd) (R.mul bn ad)) (R.mul ad bd)
+        && rat_is (Q.sub a b) (R.sub (R.mul an bd) (R.mul bn ad)) (R.mul ad bd)
+        && Q.is_zero (Q.add a (Q.neg a)) && normalised (Q.add a (Q.neg a)));
+    prop ~count "rat boundary: mul, div normalised and exact" gen_rat_boundary
+      (fun (a, b) ->
+        let (an, ad), (bn, bd) = (parts a, parts b) in
+        rat_is (Q.mul a b) (R.mul an bn) (R.mul ad bd)
+        && (Q.is_zero b || rat_is (Q.div a b) (R.mul an bd) (R.mul ad bn)));
+    prop ~count "rat boundary: compare" gen_rat_boundary (fun (a, b) ->
+        let (an, ad), (bn, bd) = (parts a, parts b) in
+        Stdlib.compare (Q.compare a b) 0
+        = Stdlib.compare (R.compare (R.mul an bd) (R.mul bn ad)) 0);
+    prop ~count "rat boundary: string roundtrip" gen_rat_boundary (fun (a, _) ->
+        let a' = Q.of_string (Q.to_string a) in
+        Q.equal a a' && normalised a' && a = a');
+  ]
+
+let test_rat_reduced_branches () =
+  let check name expected got =
+    Alcotest.check rat name expected got;
+    Alcotest.(check bool) (name ^ " normalised") true (normalised got)
+  in
+  (* add: gcd(b, d) = 1; > 1 without and with a further cancellation;
+     a zero sum over a shared denominator. *)
+  check "1/2 + 1/3" (Q.of_ints 5 6) (Q.add (Q.of_ints 1 2) (Q.of_ints 1 3));
+  check "1/6 + 1/15" (Q.of_ints 7 30) (Q.add (Q.of_ints 1 6) (Q.of_ints 1 15));
+  check "1/6 + 1/10" (Q.of_ints 4 15) (Q.add (Q.of_ints 1 6) (Q.of_ints 1 10));
+  check "1/6 - 1/6" Q.zero (Q.add (Q.of_ints 1 6) (Q.of_ints (-1) 6));
+  check "5/6 + 1/6" Q.one (Q.add (Q.of_ints 5 6) (Q.of_ints 1 6));
+  check "3 + 4" (Q.of_int 7) (Q.add (Q.of_int 3) (Q.of_int 4));
+  check "max_int + 1" (Q.of_integer (Z.add (Z.of_int max_int) Z.one))
+    (Q.add (Q.of_int max_int) Q.one);
+  check "1/max_int + 1/max_int" (Q.of_ints 2 max_int)
+    (Q.add (Q.of_ints 1 max_int) (Q.of_ints 1 max_int));
+  (* mul: no cross cancellation, both cross gcds, a zero factor. *)
+  check "2/3 * 5/7" (Q.of_ints 10 21) (Q.mul (Q.of_ints 2 3) (Q.of_ints 5 7));
+  check "2/3 * 9/4" (Q.of_ints 3 2) (Q.mul (Q.of_ints 2 3) (Q.of_ints 9 4));
+  check "0 * 9/4" Q.zero (Q.mul Q.zero (Q.of_ints 9 4));
+  check "-9/4 * 0" Q.zero (Q.mul (Q.of_ints (-9) 4) Q.zero);
+  check "max_int/2 * 2/max_int" Q.one
+    (Q.mul (Q.of_ints max_int 2) (Q.of_ints 2 max_int));
+  check "(2^31/3)^2" (Q.make (R.to_z (1, R.two62)) (Z.of_int 9))
+    (Q.mul (Q.of_ints (1 lsl 31) 3) (Q.of_ints (1 lsl 31) 3));
+  check "-1/2 / -1/4" Q.two (Q.div (Q.of_ints (-1) 2) (Q.of_ints (-1) 4))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "numeric"
@@ -493,4 +788,10 @@ let () =
         ] );
       ("rational.props", rat_props);
       ("edge_cases", edge_cases);
+      ( "boundary",
+        [
+          Alcotest.test_case "int overflow edges" `Quick test_int_boundary_overflow;
+          Alcotest.test_case "rat reduced-form branches" `Quick test_rat_reduced_branches;
+        ] );
+      ("boundary.props", boundary_props @ rat_boundary_props);
     ]
