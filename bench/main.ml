@@ -60,9 +60,23 @@ let micro_tests ~jobs =
   let plan = Sim.Star.plan_of_rounded sol11 ~total:1000 in
   let sched = Dls.Schedule.of_solved sol11 in
   let ws = Array.init 11 (fun i -> Q.of_ints (i + 1) 7) in
+  (* Operands the solver actually meets: two link costs of the p=11
+     platform, and native-int products on either side of 2^62. *)
+  let c0 = (Dls.Platform.get p11 0).Dls.Platform.c in
+  let c1 = (Dls.Platform.get p11 1).Dls.Platform.c in
+  let z31m = Numeric.Integer.of_int ((1 lsl 31) - 1) in
+  let z31p = Numeric.Integer.of_int ((1 lsl 31) + 1) in
   [
     Test.make ~name:"rational add" (Staged.stage (fun () -> Q.add big_a big_b));
     Test.make ~name:"rational mul" (Staged.stage (fun () -> Q.mul big_a big_b));
+    Test.make ~name:"rational add, p=11 costs" (Staged.stage (fun () -> Q.add c0 c1));
+    Test.make ~name:"rational mul, p=11 costs" (Staged.stage (fun () -> Q.mul c0 c1));
+    Test.make ~name:"rational compare, p=11 costs"
+      (Staged.stage (fun () -> Q.compare c0 c1));
+    Test.make ~name:"integer mul (2^31-1)^2, fits 62 bits"
+      (Staged.stage (fun () -> Numeric.Integer.mul z31m z31m));
+    Test.make ~name:"integer mul (2^31+1)^2, exceeds 62 bits"
+      (Staged.stage (fun () -> Numeric.Integer.mul z31p z31p));
     Test.make ~name:"natural mul 120x60 digits"
       (Staged.stage (fun () -> Numeric.Natural.mul nat_a nat_b));
     Test.make ~name:"natural divmod 120/60 digits"
@@ -1754,13 +1768,18 @@ let main quick skip_micro only jobs solvers_only solvers_json bench_k warmup
     if not (run_scale_bench ~quick ~json_path:scale_json ~gate:scale_gate) then
       exit 1
   end
+  else if solvers_only then begin
+    if
+      not
+        (run_solver_bench ~quick ~k:bench_k ~warmup ~json_path:solvers_json
+           ~gate:solvers_gate)
+    then exit 1
+  end
   else begin
-    if not solvers_only then begin
-      run_experiments ~quick ~jobs ~only;
-      if not skip_micro then begin
-        run_bechamel ~name:"components" (micro_tests ~jobs) ~quota_s:0.5;
-        run_bechamel ~name:"figures" (figure_tests ~jobs) ~quota_s:1.0
-      end
+    run_experiments ~quick ~jobs ~only;
+    if not skip_micro then begin
+      run_bechamel ~name:"components" (micro_tests ~jobs) ~quota_s:0.5;
+      run_bechamel ~name:"figures" (figure_tests ~jobs) ~quota_s:1.0
     end;
     let gate_pass =
       run_solver_bench ~quick ~k:bench_k ~warmup ~json_path:solvers_json

@@ -25,12 +25,12 @@ let tokens line =
   List.rev !toks
 
 let rational ~line (tok : token) =
-  (* [Q.of_string] can raise [Failure], [Invalid_argument] or
-     [Division_by_zero] ("1/0") depending on how the input is malformed;
-     normalize all of them into a positioned parse error. *)
+  (* [Q.of_string] raises [Invalid_argument] on a malformed numeral or
+     a decimal exponent beyond +-1000, and [Division_by_zero] on "1/0";
+     normalize both into a positioned parse error. *)
   match Numeric.Rational.of_string tok.text with
   | q -> Ok q
-  | exception (Failure _ | Invalid_argument _ | Division_by_zero) ->
+  | exception (Invalid_argument _ | Division_by_zero) ->
     Errors.parse_error ~line ~col:tok.col "not a rational: %S" tok.text
 
 let int ~line (tok : token) =

@@ -1,4 +1,14 @@
-(** Arbitrary-precision signed integers, built on {!Natural}. *)
+(** Arbitrary-precision signed integers, built on {!Natural}.
+
+    Values in the native range are native: every [v] with
+    [|v| <= max_int] is held as an OCaml [int], and only larger
+    magnitudes (and [min_int], whose negation overflows) as a sign and a
+    {!Natural.t}.  The form is canonical, so equal values are also
+    structurally equal.  Arithmetic on native values is overflow-checked
+    and falls back to {!Natural} only when a result does not fit; a
+    result that fits again comes back native.  The exact LP solver's
+    operands are mostly a few dozen bits, so most operations never
+    touch a limb array. *)
 
 type t
 
@@ -54,6 +64,10 @@ val divmod : t -> t -> t * t
 
 (** [gcd a b] is the non-negative greatest common divisor of [|a|], [|b|]. *)
 val gcd : t -> t -> Natural.t
+
+(** [gcd_integer a b] is [gcd a b] as an integer, without leaving the
+    native range when both operands are in it. *)
+val gcd_integer : t -> t -> t
 
 val pow : t -> int -> t
 

@@ -18,12 +18,13 @@ let normalize a =
   done;
   if !n = Array.length a then a else Array.sub a 0 !n
 
+(* A non-negative int has at most three limbs. *)
 let of_int n =
   if n < 0 then invalid_arg "Natural.of_int: negative argument";
-  let rec limbs acc n =
-    if n = 0 then List.rev acc else limbs ((n land mask) :: acc) (n lsr base_bits)
-  in
-  Array.of_list (limbs [] n)
+  if n = 0 then zero
+  else if n < base then [| n |]
+  else if n lsr base_bits < base then [| n land mask; n lsr base_bits |]
+  else [| n land mask; (n lsr base_bits) land mask; n lsr (2 * base_bits) |]
 
 let one = of_int 1
 let two = of_int 2

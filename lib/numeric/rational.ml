@@ -1,16 +1,17 @@
 type t = { num : Integer.t; den : Integer.t }
 (* Invariant: den > 0, gcd(|num|, den) = 1, zero is 0/1. *)
 
+(* [a / b] where [b] is known to divide [a]. *)
+let exact_div a b = if Integer.equal b Integer.one then a else fst (Integer.divmod a b)
+
 let make num den =
   if Integer.is_zero den then raise Division_by_zero;
   if Integer.is_zero num then { num = Integer.zero; den = Integer.one }
   else begin
     let num = if Integer.sign den < 0 then Integer.neg num else num in
     let den = Integer.abs den in
-    let g = Integer.of_natural (Integer.gcd num den) in
-    let num, _ = Integer.divmod num g in
-    let den, _ = Integer.divmod den g in
-    { num; den }
+    let g = Integer.gcd_integer num den in
+    { num = exact_div num g; den = exact_div den g }
   end
 
 let of_integer n = { num = n; den = Integer.one }
@@ -29,18 +30,53 @@ let is_integer a = Integer.equal a.den Integer.one
 let neg a = { a with num = Integer.neg a.num }
 let abs a = { a with num = Integer.abs a.num }
 
+(* Henrici's reduced forms (Knuth, TAOCP vol. 2, 4.5.1): with both
+   operands normalised, cancelling the small gcds first leaves the
+   result normalised without a gcd of the full products. *)
 let add a b =
-  make
-    (Integer.add (Integer.mul a.num b.den) (Integer.mul b.num a.den))
-    (Integer.mul a.den b.den)
+  let g = Integer.gcd_integer a.den b.den in
+  if Integer.equal g Integer.one then
+    (* gcd(ad + bc, bd) = 1 when gcd(b, d) = 1. *)
+    {
+      num = Integer.add (Integer.mul a.num b.den) (Integer.mul b.num a.den);
+      den = Integer.mul a.den b.den;
+    }
+  else begin
+    let bg = exact_div a.den g in
+    let t = Integer.add (Integer.mul a.num (exact_div b.den g)) (Integer.mul b.num bg) in
+    if Integer.is_zero t then zero
+    else begin
+      (* Only a factor of g can divide both t and the denominator. *)
+      let g2 = Integer.gcd_integer t g in
+      { num = exact_div t g2; den = Integer.mul bg (exact_div b.den g2) }
+    end
+  end
 
 let sub a b = add a (neg b)
-let mul a b = make (Integer.mul a.num b.num) (Integer.mul a.den b.den)
-let div a b = make (Integer.mul a.num b.den) (Integer.mul a.den b.num)
-let inv a = div one a
+
+let mul a b =
+  if is_zero a || is_zero b then zero
+  else begin
+    let g1 = Integer.gcd_integer a.num b.den in
+    let g2 = Integer.gcd_integer b.num a.den in
+    {
+      num = Integer.mul (exact_div a.num g1) (exact_div b.num g2);
+      den = Integer.mul (exact_div a.den g2) (exact_div b.den g1);
+    }
+  end
+
+let inv a =
+  if is_zero a then raise Division_by_zero
+  else if Integer.sign a.num < 0 then { num = Integer.neg a.den; den = Integer.neg a.num }
+  else { num = a.den; den = a.num }
+
+let div a b = mul a (inv b)
 
 let compare a b =
-  Integer.compare (Integer.mul a.num b.den) (Integer.mul b.num a.den)
+  let sa = sign a and sb = sign b in
+  if sa <> sb then Int.compare sa sb
+  else if Integer.equal a.den b.den then Integer.compare a.num b.num
+  else Integer.compare (Integer.mul a.num b.den) (Integer.mul b.num a.den)
 
 let equal a b = Integer.equal a.num b.num && Integer.equal a.den b.den
 let min a b = if compare a b <= 0 then a else b
@@ -88,6 +124,27 @@ let to_string a =
 
 let pp fmt a = Format.pp_print_string fmt (to_string a)
 
+(* A short numeral must not ask for an arbitrarily large power of ten:
+   "1e2000000" is nine bytes and a 6.6-million-bit numerator. *)
+let max_decimal_exponent = 1000
+
+(* [sign] [digits], at most [max_decimal_exponent] in magnitude. *)
+let exponent_of_string e =
+  let len = String.length e in
+  let sgn, pos =
+    if len > 0 && e.[0] = '-' then (-1, 1) else if len > 0 && e.[0] = '+' then (1, 1) else (1, 0)
+  in
+  if pos = len then invalid_arg "Rational.of_string: exponent without digits";
+  let v = ref 0 in
+  for i = pos to len - 1 do
+    if e.[i] < '0' || e.[i] > '9' then invalid_arg "Rational.of_string: bad exponent";
+    v := (!v * 10) + Char.code e.[i] - Char.code '0';
+    if !v > max_decimal_exponent then
+      invalid_arg
+        (Printf.sprintf "Rational.of_string: exponent beyond +-%d" max_decimal_exponent)
+  done;
+  sgn * !v
+
 let of_string_decimal s =
   (* [sign] [digits] [. digits] [e|E [sign] digits] *)
   let len = String.length s in
@@ -101,7 +158,7 @@ let of_string_decimal s =
   let mantissa = String.sub s pos (mantissa_end - pos) in
   let exponent =
     if mantissa_end = len then 0
-    else int_of_string (String.sub s (mantissa_end + 1) (len - mantissa_end - 1))
+    else exponent_of_string (String.sub s (mantissa_end + 1) (len - mantissa_end - 1))
   in
   let int_part, frac_part =
     match String.index_opt mantissa '.' with

@@ -3,7 +3,13 @@
     Values are kept normalized: the denominator is strictly positive and
     coprime with the numerator; zero is represented as [0/1].  This is
     the scalar type of the whole scheduling library — platform
-    parameters, linear programs and schedules are all exact. *)
+    parameters, linear programs and schedules are all exact.
+
+    {!add} and {!mul} keep operands small with Henrici's reduced forms
+    (Knuth, TAOCP vol. 2, 4.5.1): [a/b + c/d] first cancels
+    [g = gcd(b, d)] and then only [gcd(t, g)] from the numerator [t];
+    [a/b * c/d] cancels [gcd(a, d)] and [gcd(c, b)] before multiplying.
+    Neither takes the gcd of a full cross product. *)
 
 type t
 
@@ -37,7 +43,11 @@ val of_float : float -> t
 val to_float : t -> float
 
 (** [of_string s] parses ["p/q"], a plain integer, or a decimal numeral
-    with optional fraction and exponent (e.g. ["-1.25e-3"]). *)
+    with optional fraction and exponent (e.g. ["-1.25e-3"]).  The
+    exponent is at most 1000 in magnitude, so a short numeral cannot
+    demand a huge power of ten.
+    @raise Invalid_argument on malformed input or a larger exponent.
+    @raise Division_by_zero on ["p/0"]. *)
 val of_string : string -> t
 
 (** [to_string a] prints ["p/q"], or ["p"] when the denominator is 1. *)

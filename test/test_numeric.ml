@@ -427,8 +427,28 @@ let test_rat_of_string_errors () =
       try
         ignore (Q.of_string s);
         Alcotest.failf "accepted %S" s
-      with Invalid_argument _ | Failure _ | Division_by_zero -> ())
-    [ ""; "abc"; "1/"; "/2"; "1/0"; "--3"; "1.2.3" ]
+      with Invalid_argument _ | Division_by_zero -> ())
+    [
+      ""; "abc"; "1/"; "/2"; "1/0"; "--3"; "1.2.3"; "1e"; "1e-"; "1e+"; "1E";
+      "1e--2"; "1e2.5"; "1e0x10"; "1e1_0"; "e5"; "1e99999999999999999999";
+      "1e-99999999999999999999"; "1e1001"; "1e-1001";
+    ]
+
+(* The exponent is bounded before any power of ten is built. *)
+let test_rat_of_string_exponent_bound () =
+  let t0 = Sys.time () in
+  List.iter
+    (fun s ->
+      match Q.of_string s with
+      | _ -> Alcotest.failf "accepted %S" s
+      | exception Invalid_argument _ -> ())
+    [ "1e2000000"; "1e-2000000"; "7.5e123456789"; "1E4611686018427387904" ];
+  Alcotest.(check bool) "rejected in well under a second" true (Sys.time () -. t0 < 0.5);
+  let ten = Z.of_int 10 in
+  Alcotest.check rat "1e1000" (Q.of_integer (Z.pow ten 1000)) (Q.of_string "1e1000");
+  Alcotest.check rat "1e-1000" (Q.make Z.one (Z.pow ten 1000)) (Q.of_string "1e-1000");
+  Alcotest.check rat "2.5e+3" (Q.of_int 2500) (Q.of_string "2.5e+3");
+  Alcotest.check rat "1.5e-0" (Q.of_ints 3 2) (Q.of_string "1.5e-0")
 
 let edge_cases =
   [
@@ -440,6 +460,8 @@ let edge_cases =
     Alcotest.test_case "rat floor_int overflow" `Quick test_rat_floor_int_overflow;
     Alcotest.test_case "rat infix" `Quick test_rat_infix_coverage;
     Alcotest.test_case "rat of_string errors" `Quick test_rat_of_string_errors;
+    Alcotest.test_case "rat of_string exponent bound" `Quick
+      test_rat_of_string_exponent_bound;
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -244,6 +244,14 @@ let test_request_error_positions () =
   expect_parse_error ~col:7 "stats now";
   expect_parse_error ~col:1 ""
 
+(* A decimal exponent is bounded before any power of ten is built: this
+   26-byte line once spent seconds computing 10^2000000. *)
+let test_huge_exponent_rejected () =
+  let t0 = Unix.gettimeofday () in
+  expect_parse_error ~col:9 "solve 1:1e2000000:1,2:3:4";
+  expect_parse_error ~col:13 "solve 1:1:1 load=1e-99999999999999999999";
+  check "rejected in well under a second" true (Unix.gettimeofday () -. t0 < 0.5)
+
 let test_parser_garbage_never_raises () =
   let rng = Random.State.make [| 2026; 8; 6; 5 |] in
   let alphabet =
@@ -1605,6 +1613,7 @@ let () =
           Alcotest.test_case "request round trip" `Quick test_request_roundtrip;
           Alcotest.test_case "response round trip" `Quick test_response_roundtrip;
           Alcotest.test_case "error positions" `Quick test_request_error_positions;
+          Alcotest.test_case "huge decimal exponent" `Quick test_huge_exponent_rejected;
           Alcotest.test_case "garbage never raises" `Quick
             test_parser_garbage_never_raises;
           Alcotest.test_case "non-finite floats" `Quick test_float_nonfinite;
