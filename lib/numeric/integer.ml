@@ -28,7 +28,7 @@ let of_natural mag = of_sign_mag 1 mag
 let of_int n = if n = min_int then Big { sign = -1; mag = two62 } else Small n
 
 let sign = function Small v -> Int.compare v 0 | Big b -> b.sign
-let magnitude = function Small v -> Natural.of_int (abs v) | Big b -> b.mag
+let magnitude = function Small v -> Natural.of_int (Stdlib.abs v) | Big b -> b.mag
 let is_zero = function Small v -> v = 0 | Big _ -> false
 
 let neg = function
