@@ -781,6 +781,228 @@ let test_stats_backcompat () =
     Alcotest.failf "expected stats, got %s" (P.response_to_string other)
   | Error e -> Alcotest.failf "parse: %s" (Dls.Errors.to_string e)
 
+(* The wire renderings pinned byte for byte: field names, order and
+   number formatting are a contract with operators and perfbench. *)
+let sample_line =
+  "ok stats accepted=10 served=7 rejected=2 timed_out=1 failed=2 \
+   malformed=1 batches=4 max_batch=5 collapsed=3 cache_hits=6 \
+   cache_misses=4 repair_probes=3 repair_wins=2 repair_pivots=5 \
+   dispatchers=4 steals=6 shed=2 brownouts=1 hangups=3 warm_hits=5 \
+   journal_appended=9 store_hits=6 store_misses=3 store_demoted=2 \
+   compactions=1 queue_depth=0 inflight=0 p50_us=256 p90_us=1024 \
+   p99_us=2048 max_us=1843 uptime_s=12.5"
+
+let test_stats_bytes () =
+  check_str "ok stats line" sample_line
+    (P.response_to_string (P.Ok_stats (sample_stats ())));
+  check_str "stats JSON"
+    "{\"accepted\":10,\"served\":7,\"rejected\":2,\"timed_out\":1,\
+     \"failed\":2,\"malformed\":1,\"batches\":4,\"max_batch\":5,\
+     \"collapsed\":3,\"cache_hits\":6,\"cache_misses\":4,\
+     \"repair_probes\":3,\"repair_wins\":2,\"repair_pivots\":5,\
+     \"dispatchers\":4,\"steals\":6,\"shed\":2,\"brownouts\":1,\
+     \"hangups\":3,\"warm_hits\":5,\"journal_appended\":9,\
+     \"store_hits\":6,\"store_misses\":3,\"store_demoted\":2,\
+     \"compactions\":1,\"queue_depth\":0,\"inflight\":0,\"p50_us\":256,\
+     \"p90_us\":1024,\"p99_us\":2048,\"max_us\":1843,\"uptime_s\":12.5}"
+    (P.stats_to_json (sample_stats ()))
+
+let gen_stats_of n =
+  let open QCheck2.Gen in
+  let* a = array_size (return 31) n in
+  let* uptime_s = float_bound_inclusive 1e9 in
+  return
+    {
+      P.accepted = a.(0);
+      served = a.(1);
+      rejected = a.(2);
+      timed_out = a.(3);
+      failed = a.(4);
+      malformed = a.(5);
+      batches = a.(6);
+      max_batch = a.(7);
+      collapsed = a.(8);
+      cache_hits = a.(9);
+      cache_misses = a.(10);
+      repair_probes = a.(11);
+      repair_wins = a.(12);
+      repair_pivots = a.(13);
+      dispatchers = a.(14);
+      steals = a.(15);
+      shed = a.(16);
+      brownouts = a.(17);
+      hangups = a.(18);
+      warm_hits = a.(19);
+      journal_appended = a.(20);
+      store_hits = a.(21);
+      store_misses = a.(22);
+      store_demoted = a.(23);
+      compactions = a.(24);
+      queue_depth = a.(25);
+      inflight = a.(26);
+      p50_us = a.(27);
+      p90_us = a.(28);
+      p99_us = a.(29);
+      max_us = a.(30);
+      uptime_s;
+    }
+
+let gen_stats = QCheck2.Gen.(gen_stats_of (oneof [ small_nat; int ]))
+let print_stats s = P.response_to_string (P.Ok_stats s)
+
+(* [(key, value)] pairs of the [ok stats ...] line, in order. *)
+let line_pairs line =
+  match String.split_on_char ' ' line with
+  | "ok" :: "stats" :: kvs ->
+    List.map
+      (fun kv ->
+        match String.index_opt kv '=' with
+        | Some i ->
+          (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1))
+        | None -> Alcotest.failf "not key=value: %S" kv)
+      kvs
+  | _ -> Alcotest.failf "not a stats line: %S" line
+
+(* [(key, value)] pairs of the flat JSON object, in order; values are
+   bare numbers, so splitting on commas is exact. *)
+let json_pairs json =
+  let n = String.length json in
+  if n < 2 || json.[0] <> '{' || json.[n - 1] <> '}' then
+    Alcotest.failf "not one JSON object: %S" json;
+  List.map
+    (fun kv ->
+      match String.index_opt kv ':' with
+      | Some i when i >= 2 && kv.[0] = '"' && kv.[i - 1] = '"' ->
+        (String.sub kv 1 (i - 2), String.sub kv (i + 1) (String.length kv - i - 1))
+      | _ -> Alcotest.failf "not \"key\":value: %S" kv)
+    (String.split_on_char ',' (String.sub json 1 (n - 2)))
+
+let stats_field_count = 32
+
+let prop_stats_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"qcheck stats round trip"
+       ~print:print_stats gen_stats (fun s ->
+         let line = print_stats s in
+         let line_keys = List.map fst (line_pairs line) in
+         let json_keys = List.map fst (json_pairs (P.stats_to_json s)) in
+         if List.length line_keys <> stats_field_count then
+           QCheck2.Test.fail_reportf "%d keys on the line"
+             (List.length line_keys)
+         else if json_keys <> line_keys then
+           QCheck2.Test.fail_reportf "JSON keys %s differ from line keys"
+             (String.concat "," json_keys)
+         else
+           match P.parse_response line with
+           | Ok (P.Ok_stats s') -> s' = s
+           | Ok other ->
+             QCheck2.Test.fail_reportf "parsed as %s" (P.response_to_string other)
+           | Error e -> QCheck2.Test.fail_report (Dls.Errors.to_string e)))
+
+(* Every field's merge rule, read off the JSON of the inputs and of
+   the merge: the round/latency maxima and the uptime take the maximum,
+   every other field (dispatchers included) adds up. *)
+let max_keys = [ "max_batch"; "p50_us"; "p90_us"; "p99_us"; "max_us"; "uptime_s" ]
+
+let prop_merge_rules =
+  (* small enough that the sums cannot overflow *)
+  let shard = gen_stats_of (QCheck2.Gen.int_range 0 1_000_000) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"qcheck merge rule per field"
+       ~print:(fun l -> String.concat "\n" (List.map print_stats l))
+       QCheck2.Gen.(list_size (int_range 1 4) shard)
+       (fun shards ->
+         let merged = P.merge_stats (List.hd shards) (List.tl shards) in
+         let inputs = List.map (fun s -> json_pairs (P.stats_to_json s)) shards in
+         let out = json_pairs (P.stats_to_json merged) in
+         List.length out = stats_field_count
+         && List.for_all
+              (fun (k, v) ->
+                let vs = List.map (List.assoc k) inputs in
+                if k = "uptime_s" then
+                  float_of_string v
+                  = List.fold_left Float.max neg_infinity
+                      (List.map float_of_string vs)
+                else
+                  let vs = List.map int_of_string vs in
+                  int_of_string v
+                  = (if List.mem k max_keys then List.fold_left max min_int vs
+                     else List.fold_left ( + ) 0 vs))
+              out))
+
+let required_keys =
+  [
+    "accepted"; "served"; "rejected"; "timed_out"; "failed"; "malformed";
+    "batches"; "max_batch"; "collapsed"; "cache_hits"; "cache_misses";
+    "queue_depth"; "inflight"; "p50_us"; "p90_us"; "p99_us"; "max_us";
+    "uptime_s";
+  ]
+
+let without key =
+  "ok stats "
+  ^ String.concat " "
+      (List.filter_map
+         (fun (k, v) -> if k = key then None else Some (k ^ "=" ^ v))
+         (line_pairs sample_line))
+
+(* The oldest lines carry only the 18 required fields: [dispatchers]
+   defaults to 1 (one dispatcher before sharding) and every other
+   optional counter to 0. *)
+let test_stats_required_only () =
+  let line =
+    "ok stats "
+    ^ String.concat " "
+        (List.filter_map
+           (fun (k, v) -> if List.mem k required_keys then Some (k ^ "=" ^ v) else None)
+           (line_pairs sample_line))
+  in
+  let s = sample_stats () in
+  let expected =
+    {
+      s with
+      P.repair_probes = 0;
+      repair_wins = 0;
+      repair_pivots = 0;
+      dispatchers = 1;
+      steals = 0;
+      shed = 0;
+      brownouts = 0;
+      hangups = 0;
+      warm_hits = 0;
+      journal_appended = 0;
+      store_hits = 0;
+      store_misses = 0;
+      store_demoted = 0;
+      compactions = 0;
+    }
+  in
+  (match P.parse_response line with
+  | Ok (P.Ok_stats got) ->
+    check_str "required-only line" (print_stats expected) (print_stats got)
+  | Ok other -> Alcotest.failf "expected stats, got %s" (P.response_to_string other)
+  | Error e -> Alcotest.failf "parse: %s" (Dls.Errors.to_string e));
+  (* dropping one optional field alone takes the same default *)
+  List.iter
+    (fun (k, _) ->
+      if not (List.mem k required_keys) then
+        match P.parse_response (without k) with
+        | Ok (P.Ok_stats got) ->
+          check_str ("default for " ^ k)
+            (List.assoc k (json_pairs (P.stats_to_json expected)))
+            (List.assoc k (json_pairs (P.stats_to_json got)))
+        | _ -> Alcotest.failf "line without %s did not parse" k)
+    (line_pairs sample_line)
+
+let test_stats_required_missing () =
+  List.iter
+    (fun k ->
+      match P.parse_response (without k) with
+      | Error (Dls.Errors.Parse_error { msg; _ }) ->
+        check ("error names " ^ k) true (contains msg (Printf.sprintf "%S" k))
+      | Error e -> Alcotest.failf "untyped error without %s: %s" k (Dls.Errors.to_string e)
+      | Ok r -> Alcotest.failf "line without %s parsed: %s" k (P.response_to_string r))
+    required_keys
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -843,5 +1065,13 @@ let () =
           Alcotest.test_case "merge across shards" `Quick test_merge_stats;
           Alcotest.test_case "old stats lines still parse" `Quick
             test_stats_backcompat;
+          Alcotest.test_case "stats line and JSON byte for byte" `Quick
+            test_stats_bytes;
+          prop_stats_roundtrip;
+          prop_merge_rules;
+          Alcotest.test_case "required-only stats line defaults" `Quick
+            test_stats_required_only;
+          Alcotest.test_case "missing required stats field" `Quick
+            test_stats_required_missing;
         ] );
     ]
