@@ -2,28 +2,57 @@
    ~2^40 us ≈ 12.7 days, far past any request budget. *)
 let buckets = 40
 
+type counter =
+  | Accepted
+  | Served
+  | Rejected
+  | Timed_out
+  | Failed
+  | Malformed
+  | Batches
+  | Max_batch
+  | Collapsed
+  | Steals
+  | Shed
+  | Brownouts
+  | Hangups
+  | Warm_hits
+  | Store_hits
+  | Store_misses
+  | Store_demoted
+  | Inflight
+
+(* The counter declaration: each counter beside the stats field it
+   reports as.  A counter's slot in [counts] is its index here. *)
+let counters =
+  [|
+    (Accepted, "accepted");
+    (Served, "served");
+    (Rejected, "rejected");
+    (Timed_out, "timed_out");
+    (Failed, "failed");
+    (Malformed, "malformed");
+    (Batches, "batches");
+    (Max_batch, "max_batch");
+    (Collapsed, "collapsed");
+    (Steals, "steals");
+    (Shed, "shed");
+    (Brownouts, "brownouts");
+    (Hangups, "hangups");
+    (Warm_hits, "warm_hits");
+    (Store_hits, "store_hits");
+    (Store_misses, "store_misses");
+    (Store_demoted, "store_demoted");
+    (Inflight, "inflight");
+  |]
+
+let slot c =
+  let rec find i = if fst counters.(i) = c then i else find (i + 1) in
+  find 0
+
 type t = {
-  accepted : int Atomic.t;
-  served : int Atomic.t;
-  rejected : int Atomic.t;
-  timed_out : int Atomic.t;
-  failed : int Atomic.t;
-  malformed : int Atomic.t;
-  batches : int Atomic.t;
-  max_batch : int Atomic.t;
-  collapsed : int Atomic.t;
-  inflight : int Atomic.t;
-  steals : int Atomic.t;
-  shed : int Atomic.t;
-  brownouts : int Atomic.t;
+  counts : int Atomic.t array;
   brownout_active : bool Atomic.t;
-  hangups : int Atomic.t;
-  warm_hits : int Atomic.t;
-  store_hits : int Atomic.t;
-  store_misses : int Atomic.t;
-  store_demoted : int Atomic.t;
-  retries : int Atomic.t;
-  breaker_opens : int Atomic.t;
   (* EWMA of per-request service time, stored as float bits so a CAS
      loop can update it without a lock.  Admission divides this by the
      worker count to predict queue wait. *)
@@ -35,76 +64,26 @@ type t = {
 
 let create () =
   {
-    accepted = Atomic.make 0;
-    served = Atomic.make 0;
-    rejected = Atomic.make 0;
-    timed_out = Atomic.make 0;
-    failed = Atomic.make 0;
-    malformed = Atomic.make 0;
-    batches = Atomic.make 0;
-    max_batch = Atomic.make 0;
-    collapsed = Atomic.make 0;
-    inflight = Atomic.make 0;
-    steals = Atomic.make 0;
-    shed = Atomic.make 0;
-    brownouts = Atomic.make 0;
+    counts = Array.map (fun _ -> Atomic.make 0) counters;
     brownout_active = Atomic.make false;
-    hangups = Atomic.make 0;
-    warm_hits = Atomic.make 0;
-    store_hits = Atomic.make 0;
-    store_misses = Atomic.make 0;
-    store_demoted = Atomic.make 0;
-    retries = Atomic.make 0;
-    breaker_opens = Atomic.make 0;
     service_ewma_bits = Atomic.make (Int64.to_int (Int64.bits_of_float 0.0));
     histogram = Array.init buckets (fun _ -> Atomic.make 0);
     max_us = Atomic.make 0;
     started = Parallel.Clock.now ();
   }
 
-let incr_accepted t = Atomic.incr t.accepted
-let incr_served t = Atomic.incr t.served
-let incr_rejected t = Atomic.incr t.rejected
-let incr_timed_out t = Atomic.incr t.timed_out
-let incr_failed t = Atomic.incr t.failed
-let incr_malformed t = Atomic.incr t.malformed
-let incr_inflight t = Atomic.incr t.inflight
-let decr_inflight t = Atomic.decr t.inflight
-let incr_steals t = Atomic.incr t.steals
-let incr_shed t = Atomic.incr t.shed
-let incr_hangups t = Atomic.incr t.hangups
-let incr_warm_hits t = Atomic.incr t.warm_hits
-let incr_store_hits t = Atomic.incr t.store_hits
-let incr_store_misses t = Atomic.incr t.store_misses
-let incr_store_demoted t = Atomic.incr t.store_demoted
-let incr_retries t = Atomic.incr t.retries
-let incr_breaker_opens t = Atomic.incr t.breaker_opens
+let cell t c = t.counts.(slot c)
+let incr t c = Atomic.incr (cell t c)
+let decr t c = Atomic.decr (cell t c)
 
 let set_brownout t active =
   (* Count only the off->on edge so [brownouts] is "times we browned
      out", not "rounds spent browned out". *)
   if active && not (Atomic.exchange t.brownout_active true) then
-    Atomic.incr t.brownouts
+    incr t Brownouts
   else if not active then Atomic.set t.brownout_active false
 
 let brownout_active t = Atomic.get t.brownout_active
-let steals t = Atomic.get t.steals
-let inflight t = Atomic.get t.inflight
-let accepted t = Atomic.get t.accepted
-let served t = Atomic.get t.served
-let timed_out t = Atomic.get t.timed_out
-let failed t = Atomic.get t.failed
-let rejected t = Atomic.get t.rejected
-let collapsed t = Atomic.get t.collapsed
-let shed t = Atomic.get t.shed
-let brownouts t = Atomic.get t.brownouts
-let hangups t = Atomic.get t.hangups
-let warm_hits t = Atomic.get t.warm_hits
-let store_hits t = Atomic.get t.store_hits
-let store_misses t = Atomic.get t.store_misses
-let store_demoted t = Atomic.get t.store_demoted
-let retries t = Atomic.get t.retries
-let breaker_opens t = Atomic.get t.breaker_opens
 
 let rec atomic_max cell v =
   let cur = Atomic.get cell in
@@ -113,10 +92,10 @@ let rec atomic_max cell v =
   else atomic_max cell v
 
 let note_batch t ~size ~unique =
-  Atomic.incr t.batches;
-  atomic_max t.max_batch size;
+  incr t Batches;
+  atomic_max (cell t Max_batch) size;
   if size > unique then
-    ignore (Atomic.fetch_and_add t.collapsed (size - unique))
+    ignore (Atomic.fetch_and_add (cell t Collapsed) (size - unique))
 
 let bucket_of_us us =
   let rec go i bound = if us < bound || i = buckets - 1 then i else go (i + 1) (bound * 2) in
@@ -168,7 +147,7 @@ let quantile counts total q =
     in
     go 0 0
 
-let snapshot ?(dispatchers = 1) ?store t ~queue_depth : Protocol.stats_rep =
+let snapshot ?(dispatchers = 1) ?store t ~queue_depth =
   let counts = Array.map Atomic.get t.histogram in
   let total = Array.fold_left ( + ) 0 counts in
   let cache = Dls.Lp_model.cache_stats () in
@@ -177,37 +156,32 @@ let snapshot ?(dispatchers = 1) ?store t ~queue_depth : Protocol.stats_rep =
     Option.value store
       ~default:{ Store.hits = 0; misses = 0; appended = 0; compactions = 0 }
   in
-  {
-    accepted = Atomic.get t.accepted;
-    served = Atomic.get t.served;
-    rejected = Atomic.get t.rejected;
-    timed_out = Atomic.get t.timed_out;
-    failed = Atomic.get t.failed;
-    malformed = Atomic.get t.malformed;
-    batches = Atomic.get t.batches;
-    max_batch = Atomic.get t.max_batch;
-    collapsed = Atomic.get t.collapsed;
-    cache_hits = cache.Parallel.Lru.hits;
-    cache_misses = cache.Parallel.Lru.misses;
-    repair_probes = resolve.Dls.Lp_model.probes;
-    repair_wins = resolve.Dls.Lp_model.repair_wins;
-    repair_pivots = resolve.Dls.Lp_model.repair_pivots;
-    dispatchers;
-    steals = Atomic.get t.steals;
-    shed = Atomic.get t.shed;
-    brownouts = Atomic.get t.brownouts;
-    hangups = Atomic.get t.hangups;
-    warm_hits = Atomic.get t.warm_hits;
-    journal_appended = durable.Store.appended;
-    store_hits = Atomic.get t.store_hits;
-    store_misses = Atomic.get t.store_misses;
-    store_demoted = Atomic.get t.store_demoted;
-    compactions = durable.Store.compactions;
-    queue_depth;
-    inflight = Atomic.get t.inflight;
-    p50_us = quantile counts total 0.50;
-    p90_us = quantile counts total 0.90;
-    p99_us = quantile counts total 0.99;
-    max_us = Atomic.get t.max_us;
-    uptime_s = Parallel.Clock.elapsed_s ~since:t.started;
-  }
+  (* The stats fields kept outside [counts]: process-wide LP-cache and
+     repair counters, the store's own counters, the caller's
+     configuration and the latency histogram. *)
+  let sampled =
+    [
+      ("cache_hits", cache.Parallel.Lru.hits);
+      ("cache_misses", cache.Parallel.Lru.misses);
+      ("repair_probes", resolve.Dls.Lp_model.probes);
+      ("repair_wins", resolve.Dls.Lp_model.repair_wins);
+      ("repair_pivots", resolve.Dls.Lp_model.repair_pivots);
+      ("dispatchers", dispatchers);
+      ("journal_appended", durable.Store.appended);
+      ("compactions", durable.Store.compactions);
+      ("queue_depth", queue_depth);
+      ("p50_us", quantile counts total 0.50);
+      ("p90_us", quantile counts total 0.90);
+      ("p99_us", quantile counts total 0.99);
+      ("max_us", Atomic.get t.max_us);
+    ]
+  in
+  let readings =
+    Array.to_list
+      (Array.mapi (fun i (_, name) -> (name, Atomic.get t.counts.(i))) counters)
+    @ sampled
+  in
+  let uptime_s = Parallel.Clock.elapsed_s ~since:t.started in
+  Protocol.stats_of
+    ~count:(fun name -> List.assoc name readings)
+    ~seconds:(fun name -> List.assoc name [ ("uptime_s", uptime_s) ])

@@ -6,51 +6,54 @@
     aggregation that never blocks a writer.  Latencies go into
     power-of-two microsecond buckets — quantiles are read as the upper
     bound of the covering bucket, which over-reports by at most 2x and
-    costs one atomic increment per observation. *)
+    costs one atomic increment per observation.
+
+    The counters live in one atomic array keyed by {!counter}; the
+    implementation declares each counter once, beside the stats field
+    it reports as, and {!snapshot} fills the record from those slots
+    and a short list of values sampled elsewhere (LP cache, repair,
+    store, histogram, configuration) through {!Protocol.stats_of}, a
+    loop over the stats field table.  Adding a server counter takes a
+    field of {!Protocol.stats_rep} (both copies), a row of the stats
+    table and a line of its zero seed in [protocol.ml], a constructor
+    of {!counter} (both copies) and its line in the declaration — then
+    [incr m New_counter] where the event happens. *)
 
 type t
 
+(** The server-side counters.  Each reports as the {!Protocol.stats_rep}
+    field of the same name in lower case.  [Batches], [Max_batch] and
+    [Collapsed] are written by {!note_batch}, [Brownouts] by
+    {!set_brownout}; [Inflight] is a gauge, raised at admission and
+    lowered by {!decr} once the response is out. *)
+type counter =
+  | Accepted
+  | Served
+  | Rejected
+  | Timed_out
+  | Failed
+  | Malformed
+  | Batches
+  | Max_batch
+  | Collapsed
+  | Steals
+  | Shed
+  | Brownouts
+  | Hangups
+  | Warm_hits
+  | Store_hits
+  | Store_misses
+  | Store_demoted
+  | Inflight
+
 val create : unit -> t
 
-val incr_accepted : t -> unit
-val incr_served : t -> unit
-val incr_rejected : t -> unit
-val incr_timed_out : t -> unit
-val incr_failed : t -> unit
-val incr_malformed : t -> unit
+val incr : t -> counter -> unit
+val decr : t -> counter -> unit
 
 (** [note_batch m ~size ~unique] records one dispatcher round over
     [size] admitted requests collapsed onto [unique] evaluations. *)
 val note_batch : t -> size:int -> unique:int -> unit
-
-val incr_inflight : t -> unit
-val decr_inflight : t -> unit
-
-(** [incr_steals m] records one dispatch round whose first job was
-    stolen from another dispatcher's shard. *)
-val incr_steals : t -> unit
-
-(** Resilience counters (PR 9).  Server side: [shed] requests turned
-    away by deadline-aware admission, [hangups] connections lost
-    mid-request or before their response was written, [warm_hits]
-    requests answered from the tier-1 response cache.  Client side ({!Resilient} keeps its
-    own [t]): [retries] re-sent attempts and [breaker_opens] circuit
-    trips — both are rendered into loadgen/bench reports rather than
-    the server's wire stats line. *)
-val incr_shed : t -> unit
-
-val incr_hangups : t -> unit
-val incr_warm_hits : t -> unit
-
-(** Scale-out counters (PR 10): tier-2 store probes at admission
-    ([store_hits]/[store_misses]) and tier-1 response-cache evictions
-    demoted to store-only residency ([store_demoted]). *)
-val incr_store_hits : t -> unit
-
-val incr_store_misses : t -> unit
-val incr_store_demoted : t -> unit
-val incr_retries : t -> unit
-val incr_breaker_opens : t -> unit
 
 (** [set_brownout m active] flips the brownout gauge; only the
     off→on edge increments the [brownouts] counter, so it counts
@@ -66,24 +69,6 @@ val observe_service : t -> float -> unit
 
 (** Current EWMA in seconds; 0.0 until the first observation. *)
 val service_ewma : t -> float
-
-val steals : t -> int
-val inflight : t -> int
-val accepted : t -> int
-val served : t -> int
-val timed_out : t -> int
-val failed : t -> int
-val rejected : t -> int
-val collapsed : t -> int
-val shed : t -> int
-val brownouts : t -> int
-val hangups : t -> int
-val warm_hits : t -> int
-val store_hits : t -> int
-val store_misses : t -> int
-val store_demoted : t -> int
-val retries : t -> int
-val breaker_opens : t -> int
 
 (** [observe_latency m seconds] files one admission-to-response
     latency. *)

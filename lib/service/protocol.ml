@@ -573,6 +573,196 @@ let request_to_string = function
 let request_key = request_to_string
 
 (* ------------------------------------------------------------------ *)
+(* Stats fields                                                        *)
+
+(* The one description of the stats record: a row per field, in wire
+   order, with its name, value kind, merge rule across shards and
+   default when absent from the wire.  The [ok stats] line, its JSON,
+   [merge_stats], the parser and [stats_of] (hence [Metrics.snapshot])
+   are loops over it. *)
+
+type _ kind = Count : int kind | Seconds : float kind
+type merge = Sum | Max
+type 'a absent = Required | Default of 'a
+
+type stats_field =
+  | Field : {
+      name : string;
+      kind : 'a kind;
+      merge : merge;
+      absent : 'a absent;
+      get : stats_rep -> 'a;
+      set : stats_rep -> 'a -> stats_rep;
+    }
+      -> stats_field
+
+(* Merge: counters add up across shards; the round/latency maxima stay
+   maxima (a merged quantile of power-of-two bucket bounds is not
+   reconstructible, so the conservative upper envelope is reported);
+   [dispatchers] adds up because it counts serving threads behind the
+   merged endpoint; [uptime_s] is the oldest shard's — the merged
+   endpoint has been serving at least that long.
+
+   Absent: the [Default] fields arrived with later servers (repair,
+   sharding, resilience, scale-out), which were the first to do what
+   they count, so an older line without them means 0 — and one
+   dispatcher, the only layout before sharding. *)
+let stats_fields =
+  let count name merge absent get set =
+    Field { name; kind = Count; merge; absent; get; set }
+  in
+  [
+    count "accepted" Sum Required
+      (fun r -> r.accepted) (fun r v -> { r with accepted = v });
+    count "served" Sum Required
+      (fun r -> r.served) (fun r v -> { r with served = v });
+    count "rejected" Sum Required
+      (fun r -> r.rejected) (fun r v -> { r with rejected = v });
+    count "timed_out" Sum Required
+      (fun r -> r.timed_out) (fun r v -> { r with timed_out = v });
+    count "failed" Sum Required
+      (fun r -> r.failed) (fun r v -> { r with failed = v });
+    count "malformed" Sum Required
+      (fun r -> r.malformed) (fun r v -> { r with malformed = v });
+    count "batches" Sum Required
+      (fun r -> r.batches) (fun r v -> { r with batches = v });
+    count "max_batch" Max Required
+      (fun r -> r.max_batch) (fun r v -> { r with max_batch = v });
+    count "collapsed" Sum Required
+      (fun r -> r.collapsed) (fun r v -> { r with collapsed = v });
+    count "cache_hits" Sum Required
+      (fun r -> r.cache_hits) (fun r v -> { r with cache_hits = v });
+    count "cache_misses" Sum Required
+      (fun r -> r.cache_misses) (fun r v -> { r with cache_misses = v });
+    count "repair_probes" Sum (Default 0)
+      (fun r -> r.repair_probes) (fun r v -> { r with repair_probes = v });
+    count "repair_wins" Sum (Default 0)
+      (fun r -> r.repair_wins) (fun r v -> { r with repair_wins = v });
+    count "repair_pivots" Sum (Default 0)
+      (fun r -> r.repair_pivots) (fun r v -> { r with repair_pivots = v });
+    count "dispatchers" Sum (Default 1)
+      (fun r -> r.dispatchers) (fun r v -> { r with dispatchers = v });
+    count "steals" Sum (Default 0)
+      (fun r -> r.steals) (fun r v -> { r with steals = v });
+    count "shed" Sum (Default 0)
+      (fun r -> r.shed) (fun r v -> { r with shed = v });
+    count "brownouts" Sum (Default 0)
+      (fun r -> r.brownouts) (fun r v -> { r with brownouts = v });
+    count "hangups" Sum (Default 0)
+      (fun r -> r.hangups) (fun r v -> { r with hangups = v });
+    count "warm_hits" Sum (Default 0)
+      (fun r -> r.warm_hits) (fun r v -> { r with warm_hits = v });
+    count "journal_appended" Sum (Default 0)
+      (fun r -> r.journal_appended) (fun r v -> { r with journal_appended = v });
+    count "store_hits" Sum (Default 0)
+      (fun r -> r.store_hits) (fun r v -> { r with store_hits = v });
+    count "store_misses" Sum (Default 0)
+      (fun r -> r.store_misses) (fun r v -> { r with store_misses = v });
+    count "store_demoted" Sum (Default 0)
+      (fun r -> r.store_demoted) (fun r v -> { r with store_demoted = v });
+    count "compactions" Sum (Default 0)
+      (fun r -> r.compactions) (fun r v -> { r with compactions = v });
+    count "queue_depth" Sum Required
+      (fun r -> r.queue_depth) (fun r v -> { r with queue_depth = v });
+    count "inflight" Sum Required
+      (fun r -> r.inflight) (fun r v -> { r with inflight = v });
+    count "p50_us" Max Required
+      (fun r -> r.p50_us) (fun r v -> { r with p50_us = v });
+    count "p90_us" Max Required
+      (fun r -> r.p90_us) (fun r v -> { r with p90_us = v });
+    count "p99_us" Max Required
+      (fun r -> r.p99_us) (fun r v -> { r with p99_us = v });
+    count "max_us" Max Required
+      (fun r -> r.max_us) (fun r v -> { r with max_us = v });
+    Field
+      {
+        name = "uptime_s";
+        kind = Seconds;
+        merge = Max;
+        absent = Required;
+        get = (fun r -> r.uptime_s);
+        set = (fun r v -> { r with uptime_s = v });
+      };
+  ]
+
+(* The seed every field-by-field build starts from. *)
+let stats_zero =
+  {
+    accepted = 0;
+    served = 0;
+    rejected = 0;
+    timed_out = 0;
+    failed = 0;
+    malformed = 0;
+    batches = 0;
+    max_batch = 0;
+    collapsed = 0;
+    cache_hits = 0;
+    cache_misses = 0;
+    repair_probes = 0;
+    repair_wins = 0;
+    repair_pivots = 0;
+    dispatchers = 0;
+    steals = 0;
+    shed = 0;
+    brownouts = 0;
+    hangups = 0;
+    warm_hits = 0;
+    journal_appended = 0;
+    store_hits = 0;
+    store_misses = 0;
+    store_demoted = 0;
+    compactions = 0;
+    queue_depth = 0;
+    inflight = 0;
+    p50_us = 0;
+    p90_us = 0;
+    p99_us = 0;
+    max_us = 0;
+    uptime_s = 0.;
+  }
+
+let stats_of ~(count : string -> int) ~(seconds : string -> float) =
+  List.fold_left
+    (fun r (Field f) ->
+      match f.kind with
+      | Count -> f.set r (count f.name)
+      | Seconds -> f.set r (seconds f.name))
+    stats_zero stats_fields
+
+let stat_to_string : type a. a kind -> a -> string =
+ fun kind v -> match kind with Count -> string_of_int v | Seconds -> float_str v
+
+(* [(name, rendered value)] per field, in wire order. *)
+let stats_pairs r =
+  List.map
+    (fun (Field f) -> (f.name, stat_to_string f.kind (f.get r)))
+    stats_fields
+
+let stats_to_json r =
+  "{"
+  ^ String.concat ","
+      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) (stats_pairs r))
+  ^ "}"
+
+let merge_stat : type a. a kind -> merge -> a -> a -> a =
+ fun kind merge a b ->
+  match (kind, merge) with
+  | Count, Sum -> a + b
+  | Count, Max -> max a b
+  | Seconds, Sum -> a +. b
+  | Seconds, Max -> Float.max a b
+
+let merge_stats (first : stats_rep) (rest : stats_rep list) =
+  List.fold_left
+    (fun a r ->
+      List.fold_left
+        (fun m (Field f) ->
+          f.set m (merge_stat f.kind f.merge (f.get a) (f.get r)))
+        a stats_fields)
+    first rest
+
+(* ------------------------------------------------------------------ *)
 (* Response rendering                                                  *)
 
 let one_line s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
@@ -628,20 +818,8 @@ let response_to_string = function
     Printf.sprintf "ok check valid=%s violations=%d" (bool_str r.check_ok)
       r.violations
   | Ok_stats r ->
-    Printf.sprintf
-      "ok stats accepted=%d served=%d rejected=%d timed_out=%d failed=%d \
-       malformed=%d batches=%d max_batch=%d collapsed=%d cache_hits=%d \
-       cache_misses=%d repair_probes=%d repair_wins=%d repair_pivots=%d \
-       dispatchers=%d steals=%d shed=%d brownouts=%d hangups=%d warm_hits=%d \
-       journal_appended=%d store_hits=%d store_misses=%d \
-       store_demoted=%d compactions=%d queue_depth=%d inflight=%d \
-       p50_us=%d p90_us=%d p99_us=%d max_us=%d uptime_s=%s"
-      r.accepted r.served r.rejected r.timed_out r.failed r.malformed r.batches
-      r.max_batch r.collapsed r.cache_hits r.cache_misses r.repair_probes
-      r.repair_wins r.repair_pivots r.dispatchers r.steals r.shed r.brownouts
-      r.hangups r.warm_hits r.journal_appended r.store_hits
-      r.store_misses r.store_demoted r.compactions r.queue_depth
-      r.inflight r.p50_us r.p90_us r.p99_us r.max_us (float_str r.uptime_s)
+    String.concat " "
+      ("ok stats" :: List.map (fun (k, v) -> k ^ "=" ^ v) (stats_pairs r))
   | Ok_health r ->
     Printf.sprintf
       "ok health healthy=%s draining=%s mode=%s uptime_s=%s queue=%d \
@@ -669,99 +847,6 @@ let is_ok = function
     true
   | Overloaded _ | Timed_out _ | Shed _ | Unsupported _ | Failed _ -> false
 
-(* Same fields, same names, same order as the [ok stats ...] line — a
-   machine-readable rendering for CI assertions and dashboards, so
-   nothing has to scrape the ad-hoc text format. *)
-let stats_to_json (r : stats_rep) =
-  let b = Buffer.create 512 in
-  Buffer.add_char b '{';
-  let first = ref true in
-  let field k v =
-    if not !first then Buffer.add_char b ',';
-    first := false;
-    Buffer.add_string b (Printf.sprintf "\"%s\":%s" k v)
-  in
-  let int k v = field k (string_of_int v) in
-  int "accepted" r.accepted;
-  int "served" r.served;
-  int "rejected" r.rejected;
-  int "timed_out" r.timed_out;
-  int "failed" r.failed;
-  int "malformed" r.malformed;
-  int "batches" r.batches;
-  int "max_batch" r.max_batch;
-  int "collapsed" r.collapsed;
-  int "cache_hits" r.cache_hits;
-  int "cache_misses" r.cache_misses;
-  int "repair_probes" r.repair_probes;
-  int "repair_wins" r.repair_wins;
-  int "repair_pivots" r.repair_pivots;
-  int "dispatchers" r.dispatchers;
-  int "steals" r.steals;
-  int "shed" r.shed;
-  int "brownouts" r.brownouts;
-  int "hangups" r.hangups;
-  int "warm_hits" r.warm_hits;
-  int "journal_appended" r.journal_appended;
-  int "store_hits" r.store_hits;
-  int "store_misses" r.store_misses;
-  int "store_demoted" r.store_demoted;
-  int "compactions" r.compactions;
-  int "queue_depth" r.queue_depth;
-  int "inflight" r.inflight;
-  int "p50_us" r.p50_us;
-  int "p90_us" r.p90_us;
-  int "p99_us" r.p99_us;
-  int "max_us" r.max_us;
-  field "uptime_s" (float_str r.uptime_s);
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-(* Fan-out merge for the router: counters add up across shards; the
-   round/latency maxima stay maxima (a merged quantile of power-of-two
-   bucket bounds is not reconstructible, so the conservative upper
-   envelope is reported); [dispatchers] adds up because it counts
-   serving threads behind the merged endpoint; [uptime_s] is the oldest
-   shard — the merged endpoint has been serving at least that long. *)
-let merge_stats (first : stats_rep) (rest : stats_rep list) =
-  List.fold_left
-    (fun a r ->
-      {
-        accepted = a.accepted + r.accepted;
-        served = a.served + r.served;
-        rejected = a.rejected + r.rejected;
-        timed_out = a.timed_out + r.timed_out;
-        failed = a.failed + r.failed;
-        malformed = a.malformed + r.malformed;
-        batches = a.batches + r.batches;
-        max_batch = max a.max_batch r.max_batch;
-        collapsed = a.collapsed + r.collapsed;
-        cache_hits = a.cache_hits + r.cache_hits;
-        cache_misses = a.cache_misses + r.cache_misses;
-        repair_probes = a.repair_probes + r.repair_probes;
-        repair_wins = a.repair_wins + r.repair_wins;
-        repair_pivots = a.repair_pivots + r.repair_pivots;
-        dispatchers = a.dispatchers + r.dispatchers;
-        steals = a.steals + r.steals;
-        shed = a.shed + r.shed;
-        brownouts = a.brownouts + r.brownouts;
-        hangups = a.hangups + r.hangups;
-        warm_hits = a.warm_hits + r.warm_hits;
-        journal_appended = a.journal_appended + r.journal_appended;
-        store_hits = a.store_hits + r.store_hits;
-        store_misses = a.store_misses + r.store_misses;
-        store_demoted = a.store_demoted + r.store_demoted;
-        compactions = a.compactions + r.compactions;
-        queue_depth = a.queue_depth + r.queue_depth;
-        inflight = a.inflight + r.inflight;
-        p50_us = max a.p50_us r.p50_us;
-        p90_us = max a.p90_us r.p90_us;
-        p99_us = max a.p99_us r.p99_us;
-        max_us = max a.max_us r.max_us;
-        uptime_s = Float.max a.uptime_s r.uptime_s;
-      })
-    first rest
-
 (* ------------------------------------------------------------------ *)
 (* Response parsing                                                    *)
 
@@ -786,11 +871,6 @@ let opt_field kvs k = Option.map snd (List.assoc_opt k kvs)
 let need_int kvs k =
   let* tok, v = need kvs k in
   parse_int ~line:1 tok v
-
-let opt_int ~default kvs k =
-  match List.assoc_opt k kvs with
-  | None -> Ok default
-  | Some (tok, v) -> parse_int ~line:1 tok v
 
 (* [float_of_string_opt] happily accepts "nan"/"inf"; protocol floats
    are measurements (makespans, budgets, uptimes) for which a
@@ -851,6 +931,12 @@ let opt_float kvs k =
   | Some (tok, v) ->
     let* f = finite_float ~col:tok.T.col v in
     Ok (Some f)
+
+let parse_stat : type a. a kind -> T.token -> string -> (a, E.t) result =
+ fun kind tok v ->
+  match kind with
+  | Count -> parse_int ~line:1 tok v
+  | Seconds -> finite_float ~col:tok.T.col v
 
 (* [error ...] / [ok simulate replan=...] carry a free-text tail; the
    tokens after a fixed prefix are rejoined from their recorded columns
@@ -993,84 +1079,19 @@ let parse_response s =
       Ok (Ok_check { check_ok; violations })
     | "stats" ->
       let* kvs = kv_map rest in
-      let* accepted = need_int kvs "accepted" in
-      let* served = need_int kvs "served" in
-      let* rejected = need_int kvs "rejected" in
-      let* timed_out = need_int kvs "timed_out" in
-      let* failed = need_int kvs "failed" in
-      let* malformed = need_int kvs "malformed" in
-      let* batches = need_int kvs "batches" in
-      let* max_batch = need_int kvs "max_batch" in
-      let* collapsed = need_int kvs "collapsed" in
-      let* cache_hits = need_int kvs "cache_hits" in
-      let* cache_misses = need_int kvs "cache_misses" in
-      (* Absent on pre-repair servers; default 0 so new clients keep
-         parsing old stats lines (kv_map already ignores unknown keys in
-         the other direction). *)
-      let* repair_probes = opt_int ~default:0 kvs "repair_probes" in
-      let* repair_wins = opt_int ~default:0 kvs "repair_wins" in
-      let* repair_pivots = opt_int ~default:0 kvs "repair_pivots" in
-      (* Pre-sharding servers ran exactly one dispatcher and could not
-         steal, so those are the wire defaults. *)
-      let* dispatchers = opt_int ~default:1 kvs "dispatchers" in
-      let* steals = opt_int ~default:0 kvs "steals" in
-      (* Pre-resilience servers never shed, browned out, counted lost
-         connections, or appended to a store, so every new counter
-         defaults to 0 when absent on the wire. *)
-      let* shed = opt_int ~default:0 kvs "shed" in
-      let* brownouts = opt_int ~default:0 kvs "brownouts" in
-      let* hangups = opt_int ~default:0 kvs "hangups" in
-      let* warm_hits = opt_int ~default:0 kvs "warm_hits" in
-      let* journal_appended = opt_int ~default:0 kvs "journal_appended" in
-      (* Pre-scale-out servers had no tier-2 store and never compacted;
-         same default-0 back-compat story. *)
-      let* store_hits = opt_int ~default:0 kvs "store_hits" in
-      let* store_misses = opt_int ~default:0 kvs "store_misses" in
-      let* store_demoted = opt_int ~default:0 kvs "store_demoted" in
-      let* compactions = opt_int ~default:0 kvs "compactions" in
-      let* queue_depth = need_int kvs "queue_depth" in
-      let* inflight = need_int kvs "inflight" in
-      let* p50_us = need_int kvs "p50_us" in
-      let* p90_us = need_int kvs "p90_us" in
-      let* p99_us = need_int kvs "p99_us" in
-      let* max_us = need_int kvs "max_us" in
-      let* uptime_s = need_float kvs "uptime_s" in
-      Ok
-        (Ok_stats
-           {
-             accepted;
-             served;
-             rejected;
-             timed_out;
-             failed;
-             malformed;
-             batches;
-             max_batch;
-             collapsed;
-             cache_hits;
-             cache_misses;
-             repair_probes;
-             repair_wins;
-             repair_pivots;
-             dispatchers;
-             steals;
-             shed;
-             brownouts;
-             hangups;
-             warm_hits;
-             journal_appended;
-             store_hits;
-             store_misses;
-             store_demoted;
-             compactions;
-             queue_depth;
-             inflight;
-             p50_us;
-             p90_us;
-             p99_us;
-             max_us;
-             uptime_s;
-           })
+      let field r (Field f) =
+        let* r = r in
+        let* v =
+          match (List.assoc_opt f.name kvs, f.absent) with
+          | None, Default d -> Ok d
+          | _ ->
+            let* tok, v = need kvs f.name in
+            parse_stat f.kind tok v
+        in
+        Ok (f.set r v)
+      in
+      let* r = List.fold_left field (Ok stats_zero) stats_fields in
+      Ok (Ok_stats r)
     | "health" ->
       let* kvs = kv_map rest in
       let* healthy = need_bool kvs "healthy" in

@@ -152,7 +152,13 @@ type hello_rep = {
 }
 
 (** Serving counters; the invariant after a drain (no requests in
-    flight) is [accepted = served + timed_out + failed + shed]. *)
+    flight) is [accepted = served + timed_out + failed + shed].
+
+    One table in the implementation gives every field's wire name,
+    value kind, merge rule and wire default; the [ok stats] line,
+    {!stats_to_json}, {!merge_stats}, the parser and {!stats_of} are
+    loops over it.  A new field is a field here and in the
+    implementation, a row of the table and a line of its zero seed. *)
 type stats_rep = {
   accepted : int;  (** admitted to the request queue *)
   served : int;  (** answered with an [ok] response *)
@@ -305,7 +311,12 @@ val stats_to_json : stats_rep -> string
     every reachable shard. *)
 val merge_stats : stats_rep -> stats_rep list -> stats_rep
 
-val order_to_string : order -> string
+(** [stats_of ~count ~seconds] builds a stats record from each field's
+    wire name: [count name] for the integer fields, [seconds name] for
+    [uptime_s].  {!Metrics.snapshot} builds its record this way. *)
+val stats_of :
+  count:(string -> int) -> seconds:(string -> float) -> stats_rep
+
 val platform_to_spec : Dls.Platform.t -> string
 
 (** [platform_of_spec ~line ~col s] parses the compact [c:w:d,...] form;

@@ -70,8 +70,3 @@ let length t =
 
 let capacity t = t.cap
 
-let is_closed t =
-  Mutex.lock t.m;
-  let c = t.closed in
-  Mutex.unlock t.m;
-  c

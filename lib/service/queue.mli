@@ -34,4 +34,3 @@ val close : 'a t -> unit
 
 val length : 'a t -> int
 val capacity : 'a t -> int
-val is_closed : 'a t -> bool

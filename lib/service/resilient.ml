@@ -41,7 +41,6 @@ type stats = {
 
 type t = {
   cfg : config;
-  metrics : Metrics.t option;
   mutable conn : Client.t option;
   mutable state : breaker_state;
   mutable open_until : float;  (* monotonic; meaningful when Breaker_open *)
@@ -54,10 +53,9 @@ type t = {
   mutable s_fast_fails : int;
 }
 
-let create ?metrics cfg =
+let create cfg =
   {
     cfg;
-    metrics;
     conn = None;
     state = Breaker_closed;
     open_until = 0.;
@@ -101,8 +99,7 @@ let looks_corrupt line =
 let trip_open t =
   t.state <- Breaker_open;
   t.open_until <- Clock.now () +. t.cfg.breaker_cooldown;
-  t.s_breaker_opens <- t.s_breaker_opens + 1;
-  Option.iter Metrics.incr_breaker_opens t.metrics
+  t.s_breaker_opens <- t.s_breaker_opens + 1
 
 (* A transport/corruption failure: drop the connection, advance the
    breaker.  A failed half-open probe re-opens immediately; in closed
@@ -191,7 +188,6 @@ let request t req =
         if state = Breaker_open then t.state <- Breaker_half_open;
         if attempt_idx > 0 then begin
           t.s_retries <- t.s_retries + 1;
-          Option.iter Metrics.incr_retries t.metrics;
           Unix.sleepf (backoff_s t ~key:line ~attempt:(attempt_idx - 1))
         end;
         (match attempt t line with

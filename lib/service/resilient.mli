@@ -29,9 +29,7 @@
     while open, requests fail immediately without touching the network
     until [breaker_cooldown] elapses, then one half-open probe is let
     through — success recloses the breaker, failure re-opens it for
-    another cooldown.  Trips are counted in {!stats} and, when a
-    {!Metrics.t} is attached, in its [breaker_opens]/[retries]
-    counters. *)
+    another cooldown.  Trips are counted in {!stats}. *)
 
 type config = {
   address : Server.address;
@@ -64,10 +62,9 @@ type stats = {
   fast_fails : int;  (** requests refused locally by an open breaker *)
 }
 
-(** [create ?metrics config] makes a client; no connection is opened
-    until the first request.  [metrics] (optional) receives
-    retry/breaker increments alongside the local {!stats}. *)
-val create : ?metrics:Metrics.t -> config -> t
+(** [create config] makes a client; no connection is opened until the
+    first request. *)
+val create : config -> t
 
 (** [request t req] runs the retry loop for [req].  [Error] only when
     every attempt failed or the breaker is open. *)

@@ -251,17 +251,17 @@ let deliver t job resp =
   (match resp with
   | P.Ok_solve _ | P.Ok_multi _ | P.Ok_simulate _ | P.Ok_check _ | P.Ok_stats _
   | P.Ok_health _ | P.Ok_hello _ ->
-    Metrics.incr_served t.metrics
-  | P.Timed_out _ -> Metrics.incr_timed_out t.metrics
+    Metrics.incr t.metrics Served
+  | P.Timed_out _ -> Metrics.incr t.metrics Timed_out
   | P.Shed _ ->
     (* Sheds are answered at admission, never delivered from a
        dispatcher; counted defensively should that ever change. *)
-    Metrics.incr_shed t.metrics
+    Metrics.incr t.metrics Shed
   | P.Overloaded _ | P.Unsupported _ | P.Failed _ ->
-    Metrics.incr_failed t.metrics);
+    Metrics.incr t.metrics Failed);
   Metrics.observe_latency t.metrics
     (Parallel.Clock.elapsed_s ~since:job.admitted);
-  Metrics.decr_inflight t.metrics;
+  Metrics.decr t.metrics Inflight;
   Mutex.lock job.jm;
   job.reply <- Some resp;
   Condition.signal job.jc;
@@ -358,7 +358,7 @@ let dispatcher_loop t shard =
     match Shards.pop t.shards ~shard with
     | None -> ()
     | Some (job, src) ->
-      if src <> shard then Metrics.incr_steals t.metrics;
+      if src <> shard then Metrics.incr t.metrics Steals;
       dispatch_round t ~src job;
       loop ()
   in
@@ -407,12 +407,12 @@ let handle_line t line =
   else
     match P.parse_request_v ~line:1 trimmed with
     | `Malformed e ->
-      Metrics.incr_malformed t.metrics;
+      Metrics.incr t.metrics Malformed;
       Some (P.Failed e)
     | `Unknown_verb verb ->
       (* Version skew is not an error: tell the client which verb we
          refused and which protocol we speak, and keep the session up. *)
-      Metrics.incr_malformed t.metrics;
+      Metrics.incr t.metrics Malformed;
       Some (P.Unsupported { verb; server_version = P.version })
     | `Request ((P.Stats | P.Health | P.Hello) as r) ->
       (* Control-plane requests bypass the queue: they must answer even
@@ -437,9 +437,9 @@ let handle_line t line =
         Option.bind t.cache (fun cache -> Parallel.Lru.find cache key)
       with
       | Some resp ->
-        Metrics.incr_accepted t.metrics;
-        Metrics.incr_warm_hits t.metrics;
-        Metrics.incr_served t.metrics;
+        Metrics.incr t.metrics Accepted;
+        Metrics.incr t.metrics Warm_hits;
+        Metrics.incr t.metrics Served;
         Metrics.observe_latency t.metrics 0.;
         Some resp
       | None ->
@@ -453,7 +453,7 @@ let handle_line t line =
         | Some store -> (
           match Store.find store key with
           | None ->
-            Metrics.incr_store_misses t.metrics;
+            Metrics.incr t.metrics Store_misses;
             None
           | Some value -> (
             match P.parse_response value with
@@ -461,9 +461,9 @@ let handle_line t line =
             | Ok _ | Error _ -> None))
       with
       | Some resp ->
-        Metrics.incr_accepted t.metrics;
-        Metrics.incr_store_hits t.metrics;
-        Metrics.incr_served t.metrics;
+        Metrics.incr t.metrics Accepted;
+        Metrics.incr t.metrics Store_hits;
+        Metrics.incr t.metrics Served;
         Metrics.observe_latency t.metrics 0.;
         Option.iter (fun cache -> Parallel.Lru.add cache key resp) t.cache;
         Some resp
@@ -489,8 +489,8 @@ let handle_line t line =
       in
       match doomed with
       | Some (wait, budget) ->
-        Metrics.incr_accepted t.metrics;
-        Metrics.incr_shed t.metrics;
+        Metrics.incr t.metrics Accepted;
+        Metrics.incr t.metrics Shed;
         Some (P.Shed { wait; budget })
       | None ->
       let job =
@@ -506,18 +506,18 @@ let handle_line t line =
       Some
         (match Shards.try_push t.shards ~key:job.key job with
         | Queue.Enqueued ->
-          Metrics.incr_accepted t.metrics;
-          Metrics.incr_inflight t.metrics;
+          Metrics.incr t.metrics Accepted;
+          Metrics.incr t.metrics Inflight;
           wait_reply job
         | Queue.Overloaded ->
-          Metrics.incr_rejected t.metrics;
+          Metrics.incr t.metrics Rejected;
           P.Overloaded
             {
               depth = Shards.length t.shards;
               capacity = Shards.capacity t.shards;
             }
         | Queue.Closed ->
-          Metrics.incr_rejected t.metrics;
+          Metrics.incr t.metrics Rejected;
           P.Failed (E.Io_error "server is draining")))
 
 let connection_loop t id fd =
@@ -534,9 +534,9 @@ let connection_loop t id fd =
       | Some resp -> (
         match Wire.write_line fd (P.response_to_string resp) with
         | Ok () -> loop ()
-        | Error `Closed -> Metrics.incr_hangups t.metrics))
+        | Error `Closed -> Metrics.incr t.metrics Hangups))
     | Wire.Eof -> ()
-    | Wire.Eof_mid_line -> Metrics.incr_hangups t.metrics
+    | Wire.Eof_mid_line -> Metrics.incr t.metrics Hangups
     | Wire.Deadline -> loop ()
   in
   loop ();
@@ -642,7 +642,7 @@ let start cfg =
         Option.map
           (fun _ ->
             Parallel.Lru.create ~capacity:response_cache_capacity
-              ~on_evict:(fun _ _ -> Metrics.incr_store_demoted metrics)
+              ~on_evict:(fun _ _ -> Metrics.incr metrics Store_demoted)
               ())
           store
       in

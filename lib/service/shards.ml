@@ -25,7 +25,6 @@ let create ~shards ~capacity =
     closed = false;
   }
 
-let shard_count t = Array.length t.queues
 let shard_of_key t key = Hashtbl.hash key mod Array.length t.queues
 let shard_length t i = Queue.length t.queues.(i)
 let length t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues

@@ -26,8 +26,6 @@ type 'a t
     @raise Invalid_argument when [shards < 1] or [capacity < 1]. *)
 val create : shards:int -> capacity:int -> 'a t
 
-val shard_count : 'a t -> int
-
 (** [shard_of_key t key] is the shard this key hashes to — stable for
     the lifetime of [t]. *)
 val shard_of_key : 'a t -> string -> int

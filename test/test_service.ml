@@ -1293,9 +1293,8 @@ let test_resilient_breaker_lifecycle () =
   Dls.Lp_model.reset_cache ();
   let path = tmp_socket () in
   let address = Service.Server.Unix_socket path in
-  let metrics = Service.Metrics.create () in
   let client =
-    R.create ~metrics
+    R.create
       {
         (R.default_config address) with
         R.attempts = 2;
@@ -1315,9 +1314,7 @@ let test_resilient_breaker_lifecycle () =
   check "breaker tripped open" true (R.breaker client = R.Breaker_open);
   let st = R.stats client in
   check_int "one trip counted" 1 st.R.breaker_opens;
-  check_int "metrics saw the trip" 1 (Service.Metrics.breaker_opens metrics);
-  check "a retry was counted" true
-    (st.R.retries >= 1 && Service.Metrics.retries metrics >= 1);
+  check "a retry was counted" true (st.R.retries >= 1);
   (* while open: refused locally, without touching the network *)
   (match R.request client P.Health with
   | Error _ -> ()
