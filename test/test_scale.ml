@@ -576,8 +576,45 @@ let with_fleet ?(shards = 2) f =
       List.iter Service.Server.stop servers)
     (fun () -> f router servers)
 
-(* Responses through the router are byte-identical to a plain daemon's
-   (which test_service pins against the direct exact solve). *)
+(* The direct exact answer a served [solve] must reproduce. *)
+let direct_exact (r : P.solve_req) =
+  let p = r.P.s_platform in
+  let scenario =
+    match r.P.s_order with
+    | P.Fifo -> Dls.Scenario.fifo_exn p (Dls.Fifo.order p)
+    | P.Lifo -> Dls.Scenario.lifo_exn p (Dls.Lifo.order p)
+  in
+  Dls.Solve.solve_exn ~mode:`Exact ~model:r.P.s_model scenario
+
+let check_q_array label expected got =
+  check_int (label ^ " length") (Array.length expected) (Array.length got);
+  Array.iteri
+    (fun i e ->
+      check_str
+        (Printf.sprintf "%s.(%d)" label i)
+        (Q.to_string e) (Q.to_string got.(i)))
+    expected
+
+(* Every distinct [solve] among the first [8 * distinct] requests of the
+   seeded load-generator stream. *)
+let stream_solves ~seed ~distinct =
+  let seen = Hashtbl.create 16 in
+  List.filter_map
+    (fun i ->
+      match Service.Loadgen.request ~seed ~distinct i with
+      | P.Solve r as req ->
+        let key = P.request_key req in
+        if Hashtbl.mem seen key then None
+        else begin
+          Hashtbl.add seen key ();
+          Some r
+        end
+      | _ -> None)
+    (List.init (8 * distinct) Fun.id)
+
+(* Responses through the router are byte-identical to a plain daemon's,
+   and every solve of the seeded stream comes back with the direct
+   exact rho, alpha and idle. *)
 let test_router_bit_identity () =
   let reference = start_server_exn (server_cfg (tmp_socket ())) in
   Fun.protect
@@ -596,7 +633,92 @@ let test_router_bit_identity () =
                   (request_via (Service.Router.address router) req)
               in
               check_str "routed = direct" direct routed)
-            [ p2 (); p3 () ]))
+            [ p2 (); p3 () ];
+          let solves = stream_solves ~seed:2026 ~distinct:6 in
+          check "stream carries solves" true (solves <> []);
+          List.iteri
+            (fun n r ->
+              let label = Printf.sprintf "stream solve %d" n in
+              let direct = direct_exact r in
+              match request_via (Service.Router.address router) (P.Solve r) with
+              | P.Ok_solve s ->
+                check_str (label ^ " rho")
+                  (Q.to_string direct.Dls.Lp_model.rho)
+                  (Q.to_string s.P.rho);
+                check_q_array (label ^ " alpha") direct.Dls.Lp_model.alpha
+                  s.P.alpha;
+                check_q_array (label ^ " idle") direct.Dls.Lp_model.idle
+                  s.P.idle
+              | other ->
+                Alcotest.failf "%s: expected ok solve, got %s" label
+                  (P.response_to_string other))
+            solves))
+
+(* Sharding doubles capacity when evaluation is the bottleneck.  Each
+   daemon has one worker and a 20 ms [worker_delay] per evaluation, and
+   the stream's keys are pairwise distinct, so neither single-flight
+   collapse nor a cache can shorten the work: one daemon serialises
+   every request, two shards split them.  The expected wall-time ratio
+   is about 1/2; the test asks only for routed < single. *)
+let test_router_beats_single () =
+  let requests = 40 and seed = 2026 and distinct = 100_000 in
+  let keys =
+    List.init requests (fun i ->
+        P.request_key (Service.Loadgen.request ~seed ~distinct i))
+  in
+  check_int "stream keys pairwise distinct" requests
+    (List.length (List.sort_uniq compare keys));
+  let sleepy () =
+    { (server_cfg ~jobs:1 (tmp_socket ())) with
+      Service.Server.worker_delay = 0.02 }
+  in
+  let drive address =
+    match
+      Service.Loadgen.run address ~connections:8 ~requests ~seed ~distinct ()
+    with
+    | Ok o ->
+      check_int "every request ok" requests o.Service.Loadgen.ok;
+      o.Service.Loadgen.wall_s
+    | Error e -> Alcotest.failf "loadgen: %s" (Dls.Errors.to_string e)
+  in
+  Dls.Lp_model.reset_cache ();
+  let single = start_server_exn (sleepy ()) in
+  let single_s =
+    Fun.protect
+      ~finally:(fun () -> Service.Server.stop single)
+      (fun () -> drive (Service.Server.address single))
+  in
+  Dls.Lp_model.reset_cache ();
+  let shards = List.init 2 (fun _ -> start_server_exn (sleepy ())) in
+  let router =
+    start_router_exn
+      {
+        (Service.Router.default_config
+           (Service.Server.Unix_socket (tmp_socket ()))
+           ~shard_addresses:(List.map Service.Server.address shards))
+        with
+        Service.Router.attempt_timeout = None;
+      }
+  in
+  let routed_s, routed =
+    Fun.protect
+      ~finally:(fun () ->
+        Service.Router.stop router;
+        List.iter Service.Server.stop shards)
+      (fun () ->
+        let wall = drive (Service.Router.address router) in
+        (wall, (Service.Router.stats router).Service.Router.r_routed))
+  in
+  Printf.printf "single %.3fs, routed %.3fs, split [%s]\n" single_s routed_s
+    (String.concat "; " (Array.to_list (Array.map string_of_int routed)));
+  Array.iteri
+    (fun i n -> check (Printf.sprintf "shard %d routed some" i) true (n > 0))
+    routed;
+  check_int "shards split the stream" requests
+    (Array.fold_left ( + ) 0 routed);
+  if not (routed_s < single_s) then
+    Alcotest.failf "router over two shards %.3fs >= single daemon %.3fs"
+      routed_s single_s
 
 (* Equal requests land on one shard, and that shard is the ring
    owner. *)
@@ -1054,6 +1176,8 @@ let () =
           Alcotest.test_case "bit-identity through the router" `Quick
             test_router_bit_identity;
           Alcotest.test_case "shard affinity" `Quick test_router_affinity;
+          Alcotest.test_case "two shards beat one on a sleep-bound stream"
+            `Quick test_router_beats_single;
           Alcotest.test_case "failover past a dead shard" `Quick
             test_router_failover;
           Alcotest.test_case "merged control plane" `Quick

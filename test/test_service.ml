@@ -611,6 +611,15 @@ let test_server_solve_bit_identical () =
               (Q.to_string direct.Dls.Lp_model.alpha.(i))
               (Q.to_string a))
           r.P.alpha;
+        check_int "idle length" (Array.length direct.Dls.Lp_model.idle)
+          (Array.length r.P.idle);
+        Array.iteri
+          (fun i x ->
+            check_str
+              (Printf.sprintf "idle.(%d) bit-identical" i)
+              (Q.to_string direct.Dls.Lp_model.idle.(i))
+              (Q.to_string x))
+          r.P.idle;
         check_str "makespan = time_for_load"
           (Q.to_string (Dls.Lp_model.time_for_load direct ~load:(q "1000")))
           (Q.to_string (Option.get r.P.makespan))
@@ -1549,6 +1558,15 @@ let test_loadgen_chaos_resilient_beats_naive () =
         }
       in
       let resil = run_arm ~resilient:rcfg () in
+      (* Full accounting: every request ends in exactly one outcome, in
+         both arms — a fault may fail a request, never lose it. *)
+      List.iter
+        (fun (label, o) ->
+          check_int (label ^ ": every request accounted for") 16
+            (o.Service.Loadgen.ok + o.Service.Loadgen.overloaded
+            + o.Service.Loadgen.timeouts + o.Service.Loadgen.shed
+            + o.Service.Loadgen.failed))
+        [ ("naive", naive); ("resilient", resil) ];
       check_int "naive loses every dropped request" 4
         naive.Service.Loadgen.failed;
       check_int "naive throughput" 12 naive.Service.Loadgen.ok;
