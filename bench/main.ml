@@ -469,224 +469,6 @@ let run_robustness_bench ~quick ~cases ~seed ~json_path =
   Printf.printf "  wrote %s\n\n%!" json_path
 
 (* ------------------------------------------------------------------ *)
-(* Part 5: service throughput benchmark (BENCH_service.json)           *)
-(* ------------------------------------------------------------------ *)
-
-(* Two arms over the same deterministic duplicate-heavy request stream
-   (Service.Loadgen, small [distinct]):
-
-     baseline  dedup=false — every request evaluated independently,
-               no single-flight batching, no LP cache;
-     dedup     dedup=true  — the production configuration.
-
-   The acceptance criterion is that the dedup arm's served-request
-   throughput beats the baseline, and that served solve responses stay
-   bit-identical to a direct Lp_model.solve on the same scenario. *)
-
-type service_arm = {
-  v_label : string;
-  v_rps : float;
-  v_wall_s : float;
-  v_ok : int;
-  v_served : int;
-  v_collapsed : int;
-  v_cache_hits : int;
-  v_cache_misses : int;
-  v_p50_us : int;
-  v_p99_us : int;
-}
-
-let run_service_arm ~label ~dedup ~jobs ~requests ~connections ~distinct ~seed =
-  Dls.Lp_model.reset_cache ();
-  let path = Filename.temp_file "dls-bench-service" ".sock" in
-  Sys.remove path;
-  let cfg =
-    {
-      (Service.Server.default_config (Service.Server.Unix_socket path)) with
-      Service.Server.jobs;
-      queue_capacity = max 64 connections;
-      max_batch = 32;
-      dedup;
-    }
-  in
-  let server =
-    match Service.Server.start cfg with
-    | Ok s -> s
-    | Error e ->
-      Printf.eprintf "bench: service start failed: %s\n" (Dls.Errors.to_string e);
-      exit 2
-  in
-  let outcome =
-    match
-      Service.Loadgen.run (Service.Server.address server) ~connections ~requests
-        ~seed ~distinct ()
-    with
-    | Ok o -> o
-    | Error e ->
-      Printf.eprintf "bench: loadgen failed: %s\n" (Dls.Errors.to_string e);
-      exit 2
-  in
-  let stats = Service.Server.stats server in
-  Service.Server.stop server;
-  if outcome.Service.Loadgen.ok <> requests then begin
-    Printf.eprintf
-      "bench: service arm %s dropped requests (ok=%d/%d overloaded=%d \
-       timeouts=%d failed=%d)\n"
-      label outcome.Service.Loadgen.ok requests
-      outcome.Service.Loadgen.overloaded outcome.Service.Loadgen.timeouts
-      outcome.Service.Loadgen.failed;
-    exit 2
-  end;
-  {
-    v_label = label;
-    v_rps = outcome.Service.Loadgen.rps;
-    v_wall_s = outcome.Service.Loadgen.wall_s;
-    v_ok = outcome.Service.Loadgen.ok;
-    v_served = stats.Service.Protocol.served;
-    v_collapsed = stats.Service.Protocol.collapsed;
-    v_cache_hits = stats.Service.Protocol.cache_hits;
-    v_cache_misses = stats.Service.Protocol.cache_misses;
-    v_p50_us = stats.Service.Protocol.p50_us;
-    v_p99_us = stats.Service.Protocol.p99_us;
-  }
-
-(* A served solve must be byte-for-byte the direct solver answer. *)
-let check_service_bit_identity ~jobs ~seed ~distinct =
-  Dls.Lp_model.reset_cache ();
-  let path = Filename.temp_file "dls-bench-service" ".sock" in
-  Sys.remove path;
-  let cfg =
-    {
-      (Service.Server.default_config (Service.Server.Unix_socket path)) with
-      Service.Server.jobs;
-    }
-  in
-  let server =
-    match Service.Server.start cfg with
-    | Ok s -> s
-    | Error e ->
-      Printf.eprintf "bench: service start failed: %s\n" (Dls.Errors.to_string e);
-      exit 2
-  in
-  let rec first_solve i =
-    if i >= 1000 then begin
-      Printf.eprintf "bench: no solve request in the stream\n";
-      exit 2
-    end
-    else
-      match Service.Loadgen.request ~seed ~distinct i with
-      | Service.Protocol.Solve r -> r
-      | _ -> first_solve (i + 1)
-  in
-  let r = first_solve 0 in
-  let reply =
-    match
-      Service.Client.with_client (Service.Server.address server) (fun cl ->
-          Service.Client.request cl (Service.Protocol.Solve r))
-    with
-    | Ok (Ok resp) -> resp
-    | Ok (Error e) | Error e ->
-      Printf.eprintf "bench: client failed: %s\n" (Dls.Errors.to_string e);
-      exit 2
-  in
-  Service.Server.stop server;
-  let p = r.Service.Protocol.s_platform in
-  let scenario =
-    match r.Service.Protocol.s_order with
-    | Service.Protocol.Fifo -> Dls.Scenario.fifo_exn p (Dls.Fifo.order p)
-    | Service.Protocol.Lifo -> Dls.Scenario.lifo_exn p (Dls.Lifo.order p)
-  in
-  let direct =
-    Dls.Solve.solve_exn ~mode:`Exact ~model:r.Service.Protocol.s_model scenario
-  in
-  match reply with
-  | Service.Protocol.Ok_solve s ->
-    let q_eq a b = Q.to_string a = Q.to_string b in
-    let identical =
-      q_eq s.Service.Protocol.rho direct.Dls.Lp_model.rho
-      && Array.length s.Service.Protocol.alpha
-         = Array.length direct.Dls.Lp_model.alpha
-      && Array.for_all2 q_eq s.Service.Protocol.alpha direct.Dls.Lp_model.alpha
-      && Array.for_all2 q_eq s.Service.Protocol.idle direct.Dls.Lp_model.idle
-    in
-    if not identical then begin
-      Printf.eprintf "bench: service response differs from direct solve\n";
-      exit 3
-    end
-  | other ->
-    Printf.eprintf "bench: expected ok solve, got %s\n"
-      (Service.Protocol.response_to_string other);
-    exit 3
-
-let service_arm_json a =
-  Printf.sprintf
-    "    { \"label\": %S, \"throughput_rps\": %.1f, \"wall_s\": %.4f, \"ok\": \
-     %d, \"served\": %d, \"collapsed\": %d, \"cache_hits\": %d, \
-     \"cache_misses\": %d, \"p50_us\": %d, \"p99_us\": %d }"
-    a.v_label a.v_rps a.v_wall_s a.v_ok a.v_served a.v_collapsed a.v_cache_hits
-    a.v_cache_misses a.v_p50_us a.v_p99_us
-
-let run_service_bench ~quick ~jobs ~json_path ~gate =
-  let requests, connections, distinct =
-    if quick then (160, 4, 5) else (600, 8, 6)
-  in
-  let seed = 2026 in
-  Printf.printf
-    "=== service throughput (single-flight batching + LP cache) ===\n\
-     (%d requests, %d connections, %d distinct scenarios, jobs=%d)\n\n%!"
-    requests connections distinct jobs;
-  check_service_bit_identity ~jobs ~seed ~distinct;
-  Printf.printf "  bit-identity vs direct solve: ok\n%!";
-  let baseline =
-    run_service_arm ~label:"no-dedup baseline" ~dedup:false ~jobs ~requests
-      ~connections ~distinct ~seed
-  in
-  let dedup =
-    run_service_arm ~label:"dedup" ~dedup:true ~jobs ~requests ~connections
-      ~distinct ~seed
-  in
-  let speedup = dedup.v_rps /. Float.max 1e-9 baseline.v_rps in
-  List.iter
-    (fun a ->
-      Printf.printf
-        "  %-18s  %8.1f req/s  wall %.3fs  collapsed %d  cache %d/%d  p50 \
-         %dus  p99 %dus\n%!"
-        a.v_label a.v_rps a.v_wall_s a.v_collapsed a.v_cache_hits
-        a.v_cache_misses a.v_p50_us a.v_p99_us)
-    [ baseline; dedup ];
-  Printf.printf "  dedup speedup: %.2fx\n%!" speedup;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"dls-bench-service/1\",\n\
-      \  \"quick\": %b,\n\
-      \  \"seed\": %d,\n\
-      \  \"requests\": %d,\n\
-      \  \"connections\": %d,\n\
-      \  \"distinct\": %d,\n\
-      \  \"jobs\": %d,\n\
-      \  \"bit_identical\": true,\n\
-      \  \"speedup\": %.2f,\n\
-      \  \"arms\": [\n%s\n  ]\n\
-       }\n"
-      quick seed requests connections distinct jobs speedup
-      (String.concat ",\n" (List.map service_arm_json [ baseline; dedup ]))
-  in
-  let oc = open_out json_path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "  wrote %s\n\n%!" json_path;
-  let gate_pass = dedup.v_rps > baseline.v_rps in
-  if gate && not gate_pass then
-    Printf.printf
-      "  gate: FAIL - dedup %.1f req/s <= baseline %.1f req/s\n%!" dedup.v_rps
-      baseline.v_rps
-  else if gate then
-    Printf.printf "  gate: dedup %.1f req/s > baseline %.1f req/s\n%!"
-      dedup.v_rps baseline.v_rps;
-  (not gate) || gate_pass
-
-(* ------------------------------------------------------------------ *)
 (* Part 6: multi-load steady state vs back-to-back (BENCH_multiload.json) *)
 (* ------------------------------------------------------------------ *)
 
@@ -1177,557 +959,13 @@ let run_pool_bench ~quick ~k ~json_path ~gate =
   (not gate) || gate_pass
 
 (* ------------------------------------------------------------------ *)
-(* Part 9: end-to-end resilience benchmark (BENCH_chaos.json)          *)
-(* ------------------------------------------------------------------ *)
-
-(* Goodput under chaos — the same seeded fault plan (Service.Chaos)
-   between the load generator and the server, two arms: the naive
-   single-attempt client (reconnects after a failure but never retries
-   the request) and the resilient retry/breaker client.  Goodput counts
-   ok responses that landed within the caller's deadline — an answer
-   after the deadline is throughput, not goodput.  The gate is that
-   resilience buys goodput.  (Warm restart from the durable store is
-   Part 10's restart arm.) *)
-
-type chaos_bench_arm = {
-  ca_label : string;
-  ca_ok : int;
-  ca_failed : int;
-  ca_goodput : int;
-  ca_retries : int;
-  ca_breaker_opens : int;
-  ca_p50_ms : float;
-  ca_p99_ms : float;
-  ca_wall_s : float;
-}
-
-let run_chaos_arm ~label ~resilient ~plan ~requests ~connections ~seed ~distinct
-    ~deadline_s =
-  Dls.Lp_model.reset_cache ();
-  let spath = Filename.temp_file "dls-bench-chaos" ".sock" in
-  Sys.remove spath;
-  let cfg =
-    {
-      (Service.Server.default_config (Service.Server.Unix_socket spath)) with
-      Service.Server.jobs = 4;
-      queue_capacity = max 64 connections;
-      max_batch = 16;
-    }
-  in
-  let server =
-    match Service.Server.start cfg with
-    | Ok s -> s
-    | Error e ->
-      Printf.eprintf "bench: service start failed: %s\n" (Dls.Errors.to_string e);
-      exit 2
-  in
-  let ppath = Filename.temp_file "dls-bench-chaos" ".proxy" in
-  Sys.remove ppath;
-  let proxy =
-    match
-      Service.Chaos.start
-        ~listen:(Service.Server.Unix_socket ppath)
-        ~upstream:(Service.Server.address server)
-        plan
-    with
-    | Ok p -> p
-    | Error e ->
-      Printf.eprintf "bench: chaos proxy failed: %s\n" (Dls.Errors.to_string e);
-      exit 2
-  in
-  let outcome =
-    match
-      Service.Loadgen.run ?resilient ~deadline_s (Service.Chaos.address proxy)
-        ~connections ~requests ~seed ~distinct ()
-    with
-    | Ok o -> o
-    | Error e ->
-      Printf.eprintf "bench: loadgen failed: %s\n" (Dls.Errors.to_string e);
-      exit 2
-  in
-  Service.Chaos.stop proxy;
-  Service.Server.stop server;
-  let answered =
-    outcome.Service.Loadgen.ok + outcome.Service.Loadgen.overloaded
-    + outcome.Service.Loadgen.timeouts + outcome.Service.Loadgen.shed
-    + outcome.Service.Loadgen.failed
-  in
-  if answered <> requests then begin
-    Printf.eprintf "bench: chaos arm %s lost requests (%d/%d accounted)\n" label
-      answered requests;
-    exit 2
-  end;
-  {
-    ca_label = label;
-    ca_ok = outcome.Service.Loadgen.ok;
-    ca_failed = outcome.Service.Loadgen.failed;
-    ca_goodput = outcome.Service.Loadgen.goodput;
-    ca_retries = outcome.Service.Loadgen.retries;
-    ca_breaker_opens = outcome.Service.Loadgen.breaker_opens;
-    ca_p50_ms = outcome.Service.Loadgen.p50_ms;
-    ca_p99_ms = outcome.Service.Loadgen.p99_ms;
-    ca_wall_s = outcome.Service.Loadgen.wall_s;
-  }
-
-let chaos_arm_json a =
-  Printf.sprintf
-    "    { \"label\": %S, \"ok\": %d, \"failed\": %d, \"goodput\": %d, \
-     \"retries\": %d, \"breaker_opens\": %d, \"p50_ms\": %.3f, \"p99_ms\": \
-     %.3f, \"wall_s\": %.4f }"
-    a.ca_label a.ca_ok a.ca_failed a.ca_goodput a.ca_retries a.ca_breaker_opens
-    a.ca_p50_ms a.ca_p99_ms a.ca_wall_s
-
-let run_chaos_bench ~quick ~json_path ~gate =
-  let requests, connections, distinct =
-    if quick then (120, 8, 5) else (320, 16, 6)
-  in
-  (* Severity 1: every connection except each guaranteed-clean fourth
-     carries a fault on one of its first three requests — the regime
-     where the two clients actually part ways.  (At low severities the
-     handful of loadgen connections can dodge the plan entirely.) *)
-  let seed = 2026 and severity = 1.0 in
-  let plan = Service.Chaos.gen ~seed ~conns:4096 ~severity in
-  Printf.printf
-    "=== end-to-end resilience (chaos proxy, retries) ===\n\
-     (%d requests, %d connections, severity %.2f, %d planned faults)\n\n%!"
-    requests connections severity (List.length plan);
-  let deadline_s = 0.25 in
-  let naive =
-    run_chaos_arm ~label:"naive client" ~resilient:None ~plan ~requests
-      ~connections ~seed ~distinct ~deadline_s
-  in
-  let rcfg address =
-    {
-      (Service.Resilient.default_config address) with
-      Service.Resilient.attempts = 4;
-      attempt_timeout = Some 0.1;
-      backoff_base = 0.002;
-      backoff_max = 0.02;
-      breaker_cooldown = 0.3;
-      jitter_seed = seed;
-    }
-  in
-  let resilient =
-    run_chaos_arm ~label:"resilient client"
-      ~resilient:
-        (Some (rcfg (Service.Server.Unix_socket "/nonexistent(overridden)")))
-      ~plan ~requests ~connections ~seed ~distinct ~deadline_s
-  in
-  List.iter
-    (fun a ->
-      Printf.printf
-        "  %-18s  ok %4d  failed %4d  goodput %4d  retries %4d  breaker %d  \
-         p50 %.1fms  p99 %.1fms\n%!"
-        a.ca_label a.ca_ok a.ca_failed a.ca_goodput a.ca_retries
-        a.ca_breaker_opens a.ca_p50_ms a.ca_p99_ms)
-    [ naive; resilient ];
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"dls-bench-chaos/2\",\n\
-      \  \"quick\": %b,\n\
-      \  \"seed\": %d,\n\
-      \  \"requests\": %d,\n\
-      \  \"connections\": %d,\n\
-      \  \"distinct\": %d,\n\
-      \  \"severity\": %.2f,\n\
-      \  \"plan_faults\": %d,\n\
-      \  \"deadline_s\": %.3f,\n\
-      \  \"arms\": [\n%s\n  ]\n\
-       }\n"
-      quick seed requests connections distinct severity (List.length plan)
-      deadline_s
-      (String.concat ",\n" (List.map chaos_arm_json [ naive; resilient ]))
-  in
-  let oc = open_out json_path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "  wrote %s\n\n%!" json_path;
-  let gate_pass = resilient.ca_goodput > naive.ca_goodput in
-  if gate && not gate_pass then
-    Printf.eprintf
-      "GATE FAILED: resilient goodput %d <= naive goodput %d under the same \
-       chaos plan\n"
-      resilient.ca_goodput naive.ca_goodput
-  else if gate then
-    Printf.printf "  gate: resilient goodput %d > naive %d\n%!"
-      resilient.ca_goodput naive.ca_goodput;
-  (not gate) || gate_pass
-
-(* ------------------------------------------------------------------ *)
-(* Part 10: horizontal scale-out benchmark (BENCH_scale.json)          *)
-(* ------------------------------------------------------------------ *)
-
-(* Two arms over the same open-loop Poisson stream (Loadgen.run_open)
-   at ten times the Part-5 request volume:
-
-     single   one daemon, the whole stream straight at it;
-     router   the same stream at a consistent-hash front router over
-              two daemon shards (Service.Router).
-
-   Every daemon runs evaluation-bound (dedup off, a small artificial
-   worker delay), so per-shard capacity is jobs/delay and the offered
-   rate is pitched between one shard's capacity and two shards': the
-   single arm saturates (the arrival-lag signal grows without bound),
-   the routed fleet keeps up.  The gate asks for routed throughput at
-   least the single daemon's on the same stream, responses through the
-   router bit-identical to the direct exact solve, and the tier-2
-   store turning a restarted shard's cold misses into admission-time
-   hits (warm restart faster than cold). *)
-
-type scale_arm = {
-  sc_label : string;
-  sc_target_rps : float;
-  sc_offered_rps : float;
-  sc_achieved_rps : float;
-  sc_ok : int;
-  sc_p50_ms : float;
-  sc_p99_ms : float;
-  sc_max_lag_ms : float;
-  sc_wall_s : float;
-}
-
-(* Fixed socket paths, not temp names: shard addresses are the ring
-   identities, so random paths would reshuffle key placement — and the
-   measured shard split — on every run.  The server unlinks stale
-   sockets at bind. *)
-let scale_sock role =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    ("dls-bench-scale-" ^ role ^ ".sock")
-
-let scale_server_cfg ?(jobs = 2) ?(dedup = false) ?(worker_delay = 0.004)
-    ?store ~path () =
-  {
-    (Service.Server.default_config (Service.Server.Unix_socket path)) with
-    Service.Server.jobs;
-    queue_capacity = 256;
-    max_batch = 32;
-    dedup;
-    worker_delay;
-    store;
-  }
-
-let scale_start_server cfg =
-  match Service.Server.start cfg with
-  | Ok s -> s
-  | Error e ->
-    Printf.eprintf "bench: scale server start failed: %s\n"
-      (Dls.Errors.to_string e);
-    exit 2
-
-let run_scale_arm ~label address ~processes ~requests ~rps ~seed ~distinct =
-  match
-    Service.Loadgen.run_open address ~processes ~requests ~rps ~seed ~distinct
-      ()
-  with
-  | Error e ->
-    Printf.eprintf "bench: open-loop loadgen failed: %s\n"
-      (Dls.Errors.to_string e);
-    exit 2
-  | Ok oo ->
-    let o = oo.Service.Loadgen.closed in
-    if o.Service.Loadgen.ok <> requests then begin
-      Printf.eprintf
-        "bench: scale arm %s dropped requests (ok=%d/%d overloaded=%d \
-         timeouts=%d failed=%d)\n"
-        label o.Service.Loadgen.ok requests o.Service.Loadgen.overloaded
-        o.Service.Loadgen.timeouts o.Service.Loadgen.failed;
-      exit 2
-    end;
-    {
-      sc_label = label;
-      sc_target_rps = oo.Service.Loadgen.target_rps;
-      sc_offered_rps = oo.Service.Loadgen.offered_rps;
-      sc_achieved_rps = o.Service.Loadgen.rps;
-      sc_ok = o.Service.Loadgen.ok;
-      sc_p50_ms = o.Service.Loadgen.p50_ms;
-      sc_p99_ms = o.Service.Loadgen.p99_ms;
-      sc_max_lag_ms = oo.Service.Loadgen.max_lag_ms;
-      sc_wall_s = o.Service.Loadgen.wall_s;
-    }
-
-(* Every distinct solve scenario of the stream, sent through the
-   router, must come back byte-for-byte the direct exact answer. *)
-let check_scale_bit_identity router_address ~seed ~distinct =
-  let seen = Hashtbl.create 16 in
-  let outcome =
-    Service.Client.with_client router_address (fun cl ->
-        let rec go i =
-          if i >= 8 * distinct then Ok ()
-          else
-            match Service.Loadgen.request ~seed ~distinct i with
-            | Service.Protocol.Solve r as req ->
-              let key = Service.Protocol.request_key req in
-              if Hashtbl.mem seen key then go (i + 1)
-              else begin
-                Hashtbl.add seen key ();
-                match Service.Client.request cl req with
-                | Error e -> Error e
-                | Ok reply -> (
-                  let p = r.Service.Protocol.s_platform in
-                  let scenario =
-                    match r.Service.Protocol.s_order with
-                    | Service.Protocol.Fifo ->
-                      Dls.Scenario.fifo_exn p (Dls.Fifo.order p)
-                    | Service.Protocol.Lifo ->
-                      Dls.Scenario.lifo_exn p (Dls.Lifo.order p)
-                  in
-                  let direct =
-                    Dls.Solve.solve_exn ~mode:`Exact
-                      ~model:r.Service.Protocol.s_model scenario
-                  in
-                  match reply with
-                  | Service.Protocol.Ok_solve s ->
-                    let q_eq a b = Q.to_string a = Q.to_string b in
-                    let identical =
-                      q_eq s.Service.Protocol.rho direct.Dls.Lp_model.rho
-                      && Array.length s.Service.Protocol.alpha
-                         = Array.length direct.Dls.Lp_model.alpha
-                      && Array.for_all2 q_eq s.Service.Protocol.alpha
-                           direct.Dls.Lp_model.alpha
-                      && Array.for_all2 q_eq s.Service.Protocol.idle
-                           direct.Dls.Lp_model.idle
-                    in
-                    if identical then go (i + 1)
-                    else begin
-                      Printf.eprintf
-                        "bench: routed response differs from direct solve \
-                         (stream index %d)\n"
-                        i;
-                      exit 3
-                    end
-                  | other ->
-                    Printf.eprintf "bench: expected ok solve, got %s\n"
-                      (Service.Protocol.response_to_string other);
-                    exit 3)
-              end
-            | _ -> go (i + 1)
-        in
-        go 0)
-  in
-  match outcome with
-  | Ok (Ok ()) -> Hashtbl.length seen
-  | Ok (Error e) | Error e ->
-    Printf.eprintf "bench: bit-identity probe failed: %s\n"
-      (Dls.Errors.to_string e);
-    exit 2
-
-(* Tier-2 restart experiment.  Cold: run the stream, restart a fresh
-   daemon, run it again — the restarted daemon re-evaluates everything.
-   Warm: same, but both daemons share one store file — the restarted
-   daemon starts with an empty tier-1 cache yet answers the repeats at
-   admission time from the store.  The LP cache is reset around every
-   run so only the store can carry answers across the restart. *)
-let run_scale_restart ~seed ~distinct =
-  let requests = 48 and connections = 4 in
-  let run_once cfg =
-    Dls.Lp_model.reset_cache ();
-    let server = scale_start_server cfg in
-    let t0 = Unix.gettimeofday () in
-    (match
-       Service.Loadgen.run
-         (Service.Server.address server)
-         ~connections ~requests ~seed ~distinct ()
-     with
-    | Ok o when o.Service.Loadgen.ok = requests -> ()
-    | Ok o ->
-      Printf.eprintf "bench: restart stream dropped requests (ok=%d/%d)\n"
-        o.Service.Loadgen.ok requests;
-      exit 2
-    | Error e ->
-      Printf.eprintf "bench: restart loadgen failed: %s\n"
-        (Dls.Errors.to_string e);
-      exit 2);
-    let wall = Unix.gettimeofday () -. t0 in
-    let stats = Service.Server.stats server in
-    Service.Server.stop server;
-    (wall, stats)
-  in
-  let cold_cfg () =
-    scale_server_cfg ~dedup:true ~worker_delay:0.02
-      ~path:(scale_sock "restart") ()
-  in
-  let _ = run_once (cold_cfg ()) in
-  let cold_s, _ = run_once (cold_cfg ()) in
-  let store = Filename.temp_file "dls-bench-scale" ".store" in
-  let warm_cfg () =
-    scale_server_cfg ~dedup:true ~worker_delay:0.02 ~store
-      ~path:(scale_sock "restart") ()
-  in
-  let _ = run_once (warm_cfg ()) in
-  let warm_s, warm_stats = run_once (warm_cfg ()) in
-  (try Sys.remove store with Sys_error _ -> ());
-  (cold_s, warm_s, warm_stats.Service.Protocol.store_hits)
-
-let scale_arm_json a =
-  Printf.sprintf
-    "    { \"label\": %S, \"target_rps\": %.1f, \"offered_rps\": %.1f, \
-     \"achieved_rps\": %.1f, \"ok\": %d, \"p50_ms\": %.3f, \"p99_ms\": %.3f, \
-     \"max_lag_ms\": %.3f, \"wall_s\": %.4f }"
-    a.sc_label a.sc_target_rps a.sc_offered_rps a.sc_achieved_rps a.sc_ok
-    a.sc_p50_ms a.sc_p99_ms a.sc_max_lag_ms a.sc_wall_s
-
-let run_scale_bench ~quick ~json_path ~gate =
-  let requests = if quick then 1600 else 6000 in
-  let rps = 750. in
-  let processes = 16 in
-  let seed = 2026 and distinct = 6 in
-  let jobs = 2 and worker_delay = 0.004 in
-  let vnodes = 128 in
-  Printf.printf
-    "=== horizontal scale-out (consistent-hash router, 2 shards) ===\n\
-     (%d open-loop requests at %.0f rps target, %d driving processes, %d \
-     jobs x %.0fms work per shard)\n\n\
-     %!"
-    requests rps processes jobs (worker_delay *. 1000.);
-  (* Arm 1: the whole stream straight at one daemon. *)
-  Dls.Lp_model.reset_cache ();
-  let s1 =
-    scale_start_server
-      (scale_server_cfg ~jobs ~worker_delay ~path:(scale_sock "single") ())
-  in
-  let single =
-    run_scale_arm ~label:"single daemon"
-      (Service.Server.address s1)
-      ~processes ~requests ~rps ~seed ~distinct
-  in
-  Service.Server.stop s1;
-  (* Arm 2: the same stream at a router over two shards. *)
-  Dls.Lp_model.reset_cache ();
-  let sh1 =
-    scale_start_server
-      (scale_server_cfg ~jobs ~worker_delay ~path:(scale_sock "shard-a") ())
-  in
-  let sh2 =
-    scale_start_server
-      (scale_server_cfg ~jobs ~worker_delay ~path:(scale_sock "shard-b") ())
-  in
-  let router =
-    let cfg =
-      {
-        (Service.Router.default_config
-           (Service.Server.Unix_socket (scale_sock "router"))
-           ~shard_addresses:
-             [ Service.Server.address sh1; Service.Server.address sh2 ])
-        with
-        Service.Router.vnodes;
-        attempt_timeout = None;
-      }
-    in
-    match Service.Router.start cfg with
-    | Ok r -> r
-    | Error e ->
-      Printf.eprintf "bench: router start failed: %s\n"
-        (Dls.Errors.to_string e);
-      exit 2
-  in
-  let scenarios =
-    check_scale_bit_identity (Service.Router.address router) ~seed ~distinct
-  in
-  Printf.printf
-    "  bit-identity through the router vs direct exact solve: ok (%d \
-     scenarios)\n\
-     %!"
-    scenarios;
-  let routed =
-    run_scale_arm ~label:"router + 2 shards"
-      (Service.Router.address router)
-      ~processes ~requests ~rps ~seed ~distinct
-  in
-  let rstats = Service.Router.stats router in
-  Service.Router.stop router;
-  Service.Server.stop sh1;
-  Service.Server.stop sh2;
-  (* Tier-2 store across a restart. *)
-  let cold_s, warm_s, warm_store_hits = run_scale_restart ~seed ~distinct in
-  List.iter
-    (fun a ->
-      Printf.printf
-        "  %-18s  %8.1f req/s achieved (offered %.1f)  p50 %.1fms  p99 \
-         %.1fms  max lag %.1fms  wall %.3fs\n\
-         %!"
-        a.sc_label a.sc_achieved_rps a.sc_offered_rps a.sc_p50_ms a.sc_p99_ms
-        a.sc_max_lag_ms a.sc_wall_s)
-    [ single; routed ];
-  Printf.printf
-    "  routed per shard: [%s]  failovers: %d\n\
-    \  store restart: cold %.3fs, warm %.3fs (%d admission-time store hits)\n\
-     %!"
-    (String.concat "; "
-       (Array.to_list
-          (Array.map string_of_int rstats.Service.Router.r_routed)))
-    rstats.Service.Router.r_failovers cold_s warm_s warm_store_hits;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"dls-bench-scale/1\",\n\
-      \  \"quick\": %b,\n\
-      \  \"seed\": %d,\n\
-      \  \"requests\": %d,\n\
-      \  \"target_rps\": %.1f,\n\
-      \  \"processes\": %d,\n\
-      \  \"distinct\": %d,\n\
-      \  \"shards\": 2,\n\
-      \  \"vnodes\": %d,\n\
-      \  \"jobs_per_shard\": %d,\n\
-      \  \"worker_delay_ms\": %.1f,\n\
-      \  \"bit_identical\": true,\n\
-      \  \"scenarios_checked\": %d,\n\
-      \  \"routed_per_shard\": [%s],\n\
-      \  \"failovers\": %d,\n\
-      \  \"store_cold_s\": %.4f,\n\
-      \  \"store_warm_s\": %.4f,\n\
-      \  \"store_warm_hits\": %d,\n\
-      \  \"arms\": [\n\
-       %s\n\
-      \  ]\n\
-       }\n"
-      quick seed requests rps processes distinct vnodes jobs
-      (worker_delay *. 1000.)
-      scenarios
-      (String.concat ", "
-         (Array.to_list
-            (Array.map string_of_int rstats.Service.Router.r_routed)))
-      rstats.Service.Router.r_failovers cold_s warm_s warm_store_hits
-      (String.concat ",\n" (List.map scale_arm_json [ single; routed ]))
-  in
-  let oc = open_out json_path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "  wrote %s\n\n%!" json_path;
-  let throughput_pass = routed.sc_achieved_rps >= single.sc_achieved_rps in
-  let restart_pass = warm_s < cold_s && warm_store_hits > 0 in
-  let gate_pass = throughput_pass && restart_pass in
-  if gate && not gate_pass then begin
-    if not throughput_pass then
-      Printf.eprintf
-        "GATE FAILED: router+2 shards %.1f req/s < single daemon %.1f req/s \
-         on the same open-loop stream\n"
-        routed.sc_achieved_rps single.sc_achieved_rps;
-    if not restart_pass then
-      Printf.eprintf
-        "GATE FAILED: store-warm restart %.3fs (hits %d) not faster than \
-         cold restart %.3fs\n"
-        warm_s warm_store_hits cold_s
-  end
-  else if gate then
-    Printf.printf
-      "  gate: routed %.1f >= single %.1f req/s; warm restart %.3fs < cold \
-       %.3fs\n\
-       %!"
-      routed.sc_achieved_rps single.sc_achieved_rps warm_s cold_s;
-  (not gate) || gate_pass
-
-(* ------------------------------------------------------------------ *)
 (* Command line                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let main quick skip_micro only jobs solvers_only solvers_json bench_k warmup
-    solvers_gate robustness_only robustness_json robustness_cases service_only
-    service_json service_gate multiload_only multiload_json multiload_gate
-    resolve_only resolve_json resolve_gate pool_only pool_json pool_gate
-    chaos_only chaos_json chaos_gate scale_only scale_json scale_gate =
+    solvers_gate robustness_only robustness_json robustness_cases
+    multiload_only multiload_json multiload_gate resolve_only resolve_json
+    resolve_gate pool_only pool_json pool_gate =
   Printf.printf
     "One-port FIFO divisible-load scheduling - reproduction harness\n\
      (Beaumont, Marchal, Rehn, Robert, RR-5738, 2005)%s\n\n%!"
@@ -1735,13 +973,6 @@ let main quick skip_micro only jobs solvers_only solvers_json bench_k warmup
   if robustness_only then
     run_robustness_bench ~quick ~cases:robustness_cases ~seed:2026
       ~json_path:robustness_json
-  else if service_only then begin
-    if
-      not
-        (run_service_bench ~quick ~jobs ~json_path:service_json
-           ~gate:service_gate)
-    then exit 1
-  end
   else if multiload_only then begin
     if not (run_multiload_bench ~quick ~json_path:multiload_json ~gate:multiload_gate)
     then exit 1
@@ -1759,14 +990,6 @@ let main quick skip_micro only jobs solvers_only solvers_json bench_k warmup
         (run_pool_bench ~quick ~k:bench_k ~json_path:pool_json
            ~gate:pool_gate)
     then exit 1
-  end
-  else if chaos_only then begin
-    if not (run_chaos_bench ~quick ~json_path:chaos_json ~gate:chaos_gate) then
-      exit 1
-  end
-  else if scale_only then begin
-    if not (run_scale_bench ~quick ~json_path:scale_json ~gate:scale_gate) then
-      exit 1
   end
   else if solvers_only then begin
     if
@@ -1787,9 +1010,6 @@ let main quick skip_micro only jobs solvers_only solvers_json bench_k warmup
     in
     run_robustness_bench ~quick ~cases:robustness_cases ~seed:2026
       ~json_path:robustness_json;
-    let service_pass =
-      run_service_bench ~quick ~jobs ~json_path:service_json ~gate:service_gate
-    in
     let multiload_pass =
       run_multiload_bench ~quick ~json_path:multiload_json ~gate:multiload_gate
     in
@@ -1801,17 +1021,8 @@ let main quick skip_micro only jobs solvers_only solvers_json bench_k warmup
       run_pool_bench ~quick ~k:bench_k ~json_path:pool_json
         ~gate:pool_gate
     in
-    let chaos_pass =
-      run_chaos_bench ~quick ~json_path:chaos_json ~gate:chaos_gate
-    in
-    let scale_pass =
-      run_scale_bench ~quick ~json_path:scale_json ~gate:scale_gate
-    in
-    if
-      not
-        (gate_pass && service_pass && multiload_pass && resolve_pass
-       && pool_pass && chaos_pass && scale_pass)
-    then exit 1
+    if not (gate_pass && multiload_pass && resolve_pass && pool_pass) then
+      exit 1
   end
 
 let () =
@@ -1896,27 +1107,6 @@ let () =
             "Seeded fault cases per severity x regime cell of the robustness \
              benchmark.")
   in
-  let service_only_arg =
-    Arg.(
-      value & flag
-      & info [ "service-only" ]
-          ~doc:"Run only the service throughput benchmark (Part 5).")
-  in
-  let service_json_arg =
-    Arg.(
-      value
-      & opt string "BENCH_service.json"
-      & info [ "service-json" ] ~docv:"FILE"
-          ~doc:"Where to write the service benchmark JSON.")
-  in
-  let service_gate_arg =
-    Arg.(
-      value & flag
-      & info [ "service-gate" ]
-          ~doc:
-            "Exit non-zero unless single-flight batching beats the no-dedup \
-             baseline on served-request throughput.")
-  in
   let multiload_only_arg =
     Arg.(
       value & flag
@@ -1980,49 +1170,6 @@ let () =
             "Exit non-zero unless 4 dispatchers match or beat 1 on the skewed \
              service mix.")
   in
-  let chaos_only_arg =
-    Arg.(
-      value & flag
-      & info [ "chaos-only" ]
-          ~doc:"Run only the end-to-end resilience benchmark (Part 9).")
-  in
-  let chaos_json_arg =
-    Arg.(
-      value
-      & opt string "BENCH_chaos.json"
-      & info [ "chaos-json" ] ~docv:"FILE"
-          ~doc:"Where to write the resilience benchmark JSON.")
-  in
-  let chaos_gate_arg =
-    Arg.(
-      value & flag
-      & info [ "chaos-gate" ]
-          ~doc:
-            "Exit non-zero unless the resilient client's goodput beats the \
-             naive client under the same chaos plan.")
-  in
-  let scale_only_arg =
-    Arg.(
-      value & flag
-      & info [ "scale-only" ]
-          ~doc:"Run only the horizontal scale-out benchmark (Part 10).")
-  in
-  let scale_json_arg =
-    Arg.(
-      value
-      & opt string "BENCH_scale.json"
-      & info [ "scale-json" ] ~docv:"FILE"
-          ~doc:"Where to write the scale-out benchmark JSON.")
-  in
-  let scale_gate_arg =
-    Arg.(
-      value & flag
-      & info [ "scale-gate" ]
-          ~doc:
-            "Exit non-zero unless the router over two shards matches or \
-             beats the single daemon on the same open-loop stream and the \
-             tier-2 store makes the warm restart faster than the cold one.")
-  in
   let doc = "reproduce the paper's figures and benchmark the library" in
   let cmd =
     Cmd.v
@@ -2031,11 +1178,8 @@ let () =
         const main $ quick_arg $ skip_micro_arg $ only_arg $ jobs_arg
         $ solvers_only_arg $ solvers_json_arg $ bench_k_arg $ warmup_arg
         $ solvers_gate_arg $ robustness_only_arg $ robustness_json_arg
-        $ robustness_cases_arg $ service_only_arg $ service_json_arg
-        $ service_gate_arg $ multiload_only_arg $ multiload_json_arg
+        $ robustness_cases_arg $ multiload_only_arg $ multiload_json_arg
         $ multiload_gate_arg $ resolve_only_arg $ resolve_json_arg
-        $ resolve_gate_arg $ pool_only_arg $ pool_json_arg $ pool_gate_arg
-        $ chaos_only_arg $ chaos_json_arg $ chaos_gate_arg $ scale_only_arg
-        $ scale_json_arg $ scale_gate_arg)
+        $ resolve_gate_arg $ pool_only_arg $ pool_json_arg $ pool_gate_arg)
   in
   exit (Cmd.eval cmd)

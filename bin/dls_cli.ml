@@ -1445,22 +1445,6 @@ let serve_cmd =
       & info [ "timeout" ] ~docv:"SECONDS"
           ~doc:"Per-request budget (cooperative); overruns answer $(b,timeout).")
   in
-  let no_dedup_arg =
-    Arg.(
-      value & flag
-      & info [ "no-dedup" ]
-          ~doc:
-            "Disable single-flight batching and the LP cache: every request \
-             is evaluated independently (the bench baseline).")
-  in
-  let worker_delay_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "worker-delay" ] ~docv:"SECONDS"
-          ~doc:
-            "Artificial per-request work, for overload and timeout \
-             experiments.")
-  in
   let brownout_arg =
     Arg.(
       value & flag
@@ -1504,8 +1488,8 @@ let serve_cmd =
              as the line format).")
   in
   let die fmt = Format.kasprintf (fun s -> prerr_endline ("dls: " ^ s); exit 1) fmt in
-  let run socket host port jobs dispatchers queue_cap max_batch timeout
-      no_dedup worker_delay store journal_max_bytes brownout stats_json =
+  let run socket host port jobs dispatchers queue_cap max_batch timeout store
+      journal_max_bytes brownout stats_json =
     let address =
       match address_of socket host port with
       | Ok a -> a
@@ -1519,8 +1503,6 @@ let serve_cmd =
         queue_capacity = queue_cap;
         max_batch;
         timeout;
-        dedup = not no_dedup;
-        worker_delay;
         store;
         journal_max_bytes;
         brownout;
@@ -1534,13 +1516,10 @@ let serve_cmd =
       Sys.set_signal Sys.sigterm on_signal;
       Sys.set_signal Sys.sigint on_signal;
       Printf.printf
-        "dls: serving on %s (jobs=%d dispatchers=%d queue=%d batch=%d \
-         dedup=%b)\n\
-         %!"
+        "dls: serving on %s (jobs=%d dispatchers=%d queue=%d batch=%d)\n%!"
         (address_to_string (Service.Server.address server))
         cfg.Service.Server.jobs cfg.Service.Server.dispatchers
-        cfg.Service.Server.queue_capacity cfg.Service.Server.max_batch
-        cfg.Service.Server.dedup;
+        cfg.Service.Server.queue_capacity cfg.Service.Server.max_batch;
       while not (Atomic.get stop_flag) do
         (try Unix.sleepf 0.1 with Unix.Unix_error (Unix.EINTR, _, _) -> ())
       done;
@@ -1559,8 +1538,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ host_arg $ port_arg $ jobs_arg
       $ dispatchers_arg $ queue_cap_arg $ max_batch_arg $ timeout_arg
-      $ no_dedup_arg $ worker_delay_arg $ store_arg $ journal_max_bytes_arg
-      $ brownout_arg $ stats_json_arg)
+      $ store_arg $ journal_max_bytes_arg $ brownout_arg $ stats_json_arg)
 
 let client_cmd =
   let requests_arg =

@@ -11,8 +11,8 @@
     what exercises the server's single-flight batching and the shared
     LP cache.
 
-    Used by the service bench (Part 5), the CI smoke job and
-    [dls loadgen]: all three see the same traffic by construction. *)
+    Used by the service tests, the pool bench, the CI smoke jobs and
+    [dls loadgen]: all of them see the same traffic by construction. *)
 
 type outcome = {
   sent : int;

@@ -282,7 +282,7 @@ val parse_request_v :
     {!request_key}. *)
 val request_to_string : request -> string
 
-(** [request_key r] is the dedup fingerprint used by the server's
+(** [request_key r] is the request fingerprint used by the server's
     single-flight batching: requests with equal keys receive the same
     response and may be served by one evaluation.  Currently the
     canonical request line. *)

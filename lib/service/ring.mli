@@ -8,7 +8,7 @@
     properties the scale-out design leans on:
 
     - {b affinity}: equal keys always land on the same shard, so the
-      shard-local single-flight dedup and LRU keep full effect
+      shard-local single-flight collapse and LRU keep full effect
       behind the router — duplicates meet in one process;
     - {b minimal remap}: removing a shard moves {e only} the keys that
       shard owned (its arcs fall to their clockwise successors); every

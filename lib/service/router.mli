@@ -5,7 +5,7 @@
     each request to a backend daemon shard chosen by consistent-hashing
     the request's canonical key ({!Protocol.request_key}) onto a
     {!Ring} — so equal requests always reach the same shard, and the
-    shard-local single-flight dedup and response LRU keep
+    shard-local single-flight collapse and response LRU keep
     their full effect behind the router for free.
 
     Per backend the router keeps a pool of {!Resilient} clients:

@@ -11,8 +11,6 @@ type config = {
   queue_capacity : int;
   max_batch : int;
   timeout : float option;
-  dedup : bool;
-  fast : bool;
   worker_delay : float;
   store : string option;
   journal_max_bytes : int option;
@@ -27,8 +25,6 @@ let default_config address =
     queue_capacity = 64;
     max_batch = 32;
     timeout = None;
-    dedup = true;
-    fast = true;
     worker_delay = 0.;
     store = None;
     journal_max_bytes = None;
@@ -78,7 +74,7 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Request evaluation (dispatcher side, runs on pool workers)          *)
 
-let eval_solve ~brownout cfg (r : P.solve_req) =
+let eval_solve ~brownout (r : P.solve_req) =
   let p = r.P.s_platform in
   let scenario =
     match r.P.s_order with
@@ -89,10 +85,7 @@ let eval_solve ~brownout cfg (r : P.solve_req) =
      response stays bit-identical: the fast path certifies its answer
      against the exact optimum and falls back on any mismatch, so the
      downgrade trades worst-case latency, never correctness. *)
-  let fast = (cfg.fast && r.P.s_fast) || brownout in
-  let mode =
-    if cfg.dedup && fast then `Cached else if fast then `Fast else `Exact
-  in
+  let mode = if r.P.s_fast || brownout then `Cached else `Exact in
   let sol = Dls.Solve.solve_exn ~mode ~model:r.P.s_model scenario in
   P.Ok_solve
     {
@@ -210,8 +203,8 @@ let eval_check p =
   in
   P.Ok_check { check_ok = violations = 0; violations }
 
-let eval_request ~brownout cfg = function
-  | P.Solve r -> eval_solve ~brownout cfg r
+let eval_request ~brownout = function
+  | P.Solve r -> eval_solve ~brownout r
   | P.Solve_multi r -> eval_multi r
   | P.Simulate r -> eval_simulate r
   | P.Check p -> eval_check p
@@ -230,7 +223,7 @@ let eval_job t job =
       Parallel.Pool.timed ?timeout:t.cfg.timeout ~index:0
         (fun () ->
           if t.cfg.worker_delay > 0. then Unix.sleepf t.cfg.worker_delay;
-          eval_request ~brownout t.cfg job.request)
+          eval_request ~brownout job.request)
         ()
     with
     | resp -> resp
@@ -282,18 +275,16 @@ let dispatch_round t ~src first =
     | None -> continue := false
   done;
   let batch = List.rev !batch in
-  (* Group by request key, first-seen order.  With dedup off every job
-     is its own group. *)
+  (* Group by request key, first-seen order. *)
   let groups : (string, job list ref) Hashtbl.t = Hashtbl.create 16 in
   let order = ref [] in
   List.iter
     (fun j ->
-      let key = if t.cfg.dedup then j.key else string_of_int (Hashtbl.length groups) in
-      match Hashtbl.find_opt groups key with
+      match Hashtbl.find_opt groups j.key with
       | Some cell -> cell := j :: !cell
       | None ->
         let cell = ref [ j ] in
-        Hashtbl.add groups key cell;
+        Hashtbl.add groups j.key cell;
         order := cell :: !order)
     batch;
   let uniques = Array.of_list (List.rev !order) in
@@ -313,8 +304,8 @@ let dispatch_round t ~src first =
           let key = (List.hd (List.rev !cell)).key in
           if not (Parallel.Lru.mem cache key) then begin
             Parallel.Lru.add cache key resp;
-            (* The store dedupes on key internally, so a record another
-               shard already published is not re-written. *)
+            (* The store skips a key it already holds, so a record
+               another shard already published is not re-written. *)
             ignore (Store.add store ~key ~value:(P.response_to_string resp))
           end
         end)
@@ -609,6 +600,10 @@ let start cfg =
     E.invalid
       "Server.start: jobs, dispatchers, queue_capacity and max_batch must be \
        >= 1"
+  else if cfg.journal_max_bytes <> None && cfg.store = None then
+    E.invalid "Server.start: journal_max_bytes needs a store"
+  else if (match cfg.journal_max_bytes with Some n -> n < 1 | None -> false)
+  then E.invalid "Server.start: journal_max_bytes must be >= 1"
   else begin
     (* A client vanishing mid-response must not kill the daemon. *)
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());

@@ -16,7 +16,9 @@
     rounds interleave), and hands every job its reply.  A dispatcher
     whose shard runs dry steals a round from the longest other shard,
     so skewed traffic cannot idle dispatchers (counted in the [steals]
-    stat).
+    stat).  A [solve] evaluates through [Dls.Solve ~mode:`Cached]
+    ([`Exact] when the request says [fast=false] and brownout is off);
+    collapse and the LP cache are always on.
 
     Graceful degradation (PR 9): with a [timeout] configured, admission
     is deadline-aware — when the service-time EWMA predicts a queue
@@ -53,14 +55,15 @@ type config = {
           shard's share, [overloaded] *)
   max_batch : int;  (** dispatcher round size *)
   timeout : float option;  (** per-request budget, seconds (cooperative) *)
-  dedup : bool;
-      (** collapse equal requests onto one evaluation and use the LP
-          cache; [false] evaluates every request independently and
-          uncached (the bench baseline) *)
-  fast : bool;  (** serve [solve] with the certified fast pipeline *)
   worker_delay : float;
-      (** artificial seconds of work added to every evaluation — for
-          deterministic overload and timeout experiments *)
+      (** artificial seconds of work added to every evaluation (default
+          0).  A test fake, kept in the config rather than on the
+          command line: it makes overload, timeout, shed and
+          shard-capacity scenarios deterministic, because evaluation
+          time is then a known sleep instead of solver time that varies
+          with the host.  The tests of [test_service] and [test_scale]
+          and the pool bench's dispatcher arm set it; nothing in
+          production does *)
   store : string option;
       (** durable solution store path ({!Store}), the daemon's only
           durable state.  [Some] also enables the warm response cache
@@ -71,7 +74,8 @@ type config = {
   journal_max_bytes : int option;
       (** store byte budget: past it, a dispatcher compacts the store
           down to the keys the warm cache still holds
-          ({!Store.compact}); [None] never compacts *)
+          ({!Store.compact}); [None] never compacts.  [Some n] needs a
+          [store] and [n >= 1] *)
   brownout : bool;
       (** enable the sustained-overload `Exact→`Fast downgrade *)
 }
@@ -81,7 +85,10 @@ val default_config : address -> config
 type t
 
 (** [start config] binds the socket and spawns the listener, dispatcher
-    and pool.  [Error (Io_error _)] when the address cannot be bound. *)
+    and pool.  [Error (Invalid_scenario _)] for a config that cannot
+    work (a bound below 1, or a [journal_max_bytes] without a store or
+    below 1); [Error (Io_error _)] when the address cannot be bound or
+    the store cannot be opened. *)
 val start : config -> (t, Dls.Errors.t) result
 
 (** [stop t] drains and shuts everything down; idempotent, returns only

@@ -3,7 +3,7 @@
 
     Each request key is hashed onto a fixed shard ({!shard_of_key}), so
     all duplicates of a request land in the {e same} dispatcher's
-    rounds — single-flight dedup and result-cache affinity stay
+    rounds — single-flight collapse and result-cache affinity stay
     shard-local without any cross-dispatcher coordination.  A dispatcher
     whose own shard runs dry steals from the currently longest other
     shard instead of sleeping, so a skewed key distribution cannot

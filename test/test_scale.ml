@@ -1,9 +1,12 @@
 (* Horizontal scale-out: the consistent-hash ring (balance, minimal
    remap, cross-process determinism via pinned hashes), the tier-2
-   shared solution store and its compaction, the [--journal] alias of
+   shared solution store and its compaction (and the boot error for a
+   byte budget that cannot work), the [--journal] alias of
    [dls serve --store], the open-loop Poisson load generator, and the
-   front router end to end — bit-identity through the router, shard
-   affinity, failover past a dead shard and the merged control plane.
+   front router end to end — bit-identity through the router against
+   the direct exact solve, two shards out-serving one on a sleep-bound
+   stream, shard affinity, failover past a dead shard and the merged
+   control plane.
    Servers and routers bind throwaway Unix sockets under the temp dir;
    everything runs in-process except the CLI check, which drives the
    real [dls] binary. *)
@@ -377,6 +380,33 @@ let test_server_journal_budget () =
   check "store survives compaction" true (Sys.file_exists jpath);
   Sys.remove jpath
 
+(* A byte budget that cannot work is a typed boot error, not a silent
+   no-op (no store to compact) or a compaction on every round (a budget
+   below one byte). *)
+let expect_invalid_start label cfg =
+  match Service.Server.start cfg with
+  | Error (Dls.Errors.Invalid_scenario _) -> ()
+  | Error e ->
+    Alcotest.failf "%s: expected an invalid-config error, got %s" label
+      (Dls.Errors.to_string e)
+  | Ok server ->
+    Service.Server.stop server;
+    Alcotest.failf "%s: server started" label
+
+let test_budget_without_store () =
+  expect_invalid_start "budget without a store"
+    (server_cfg ~journal_max_bytes:1000 (tmp_socket ()))
+
+let test_budget_non_positive () =
+  let jpath = tmp_file ".journal" in
+  List.iter
+    (fun n ->
+      expect_invalid_start
+        (Printf.sprintf "budget %d" n)
+        (server_cfg ~store:jpath ~journal_max_bytes:n (tmp_socket ())))
+    [ 0; -1 ];
+  Sys.remove jpath
+
 (* ------------------------------------------------------------------ *)
 (* CLI: --journal is another name for --store                          *)
 (* ------------------------------------------------------------------ *)
@@ -447,6 +477,21 @@ let test_cli_journal_alias () =
   let _, status = Unix.waitpid [] pid in
   check "--store with --journal rejected" true (status = Unix.WEXITED 124);
   Sys.remove file
+
+(* The CLI surfaces the boot error: a budget with no store exits
+   non-zero instead of serving. *)
+let test_cli_budget_without_store () =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process dls_exe
+      [| dls_exe; "serve"; "--socket"; tmp_socket (); "--journal-max-bytes";
+         "1000" |]
+      Unix.stdin null null
+  in
+  Unix.close null;
+  let _, status = Unix.waitpid [] pid in
+  check "--journal-max-bytes without --store fails" true
+    (status <> Unix.WEXITED 0)
 
 (* ------------------------------------------------------------------ *)
 (* Server + tier-2 store                                               *)
@@ -1157,6 +1202,12 @@ let () =
             test_server_journal_budget;
           Alcotest.test_case "cli --journal names the store" `Quick
             test_cli_journal_alias;
+          Alcotest.test_case "byte budget without a store rejected" `Quick
+            test_budget_without_store;
+          Alcotest.test_case "byte budget below one byte rejected" `Quick
+            test_budget_non_positive;
+          Alcotest.test_case "cli budget without --store exits non-zero"
+            `Quick test_cli_budget_without_store;
         ] );
       ( "tiering",
         [

@@ -748,7 +748,7 @@ let test_server_drain_under_load () =
       let clients = 8 in
       let answered = Atomic.make 0 in
       let worker i () =
-        (* distinct platforms defeat dedup, keeping the queue busy *)
+        (* distinct platforms defeat collapse, keeping the queue busy *)
         let p =
           platform
             [ ("1", "1", "1/2"); (Printf.sprintf "%d/7" (i + 1), "2", "1/2") ]
