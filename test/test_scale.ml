@@ -383,28 +383,26 @@ let test_server_journal_budget () =
 (* A byte budget that cannot work is a typed boot error, not a silent
    no-op (no store to compact) or a compaction on every round (a budget
    below one byte). *)
-let expect_invalid_start label cfg =
-  match Service.Server.start cfg with
-  | Error (Dls.Errors.Invalid_scenario _) -> ()
-  | Error e ->
-    Alcotest.failf "%s: expected an invalid-config error, got %s" label
-      (Dls.Errors.to_string e)
-  | Ok server ->
-    Service.Server.stop server;
-    Alcotest.failf "%s: server started" label
-
-let test_budget_without_store () =
-  expect_invalid_start "budget without a store"
-    (server_cfg ~journal_max_bytes:1000 (tmp_socket ()))
-
-let test_budget_non_positive () =
+let test_budget_rejected () =
   let jpath = tmp_file ".journal" in
   List.iter
-    (fun n ->
-      expect_invalid_start
-        (Printf.sprintf "budget %d" n)
-        (server_cfg ~store:jpath ~journal_max_bytes:n (tmp_socket ())))
-    [ 0; -1 ];
+    (fun (label, store, budget) ->
+      match
+        Service.Server.start
+          (server_cfg ?store ~journal_max_bytes:budget (tmp_socket ()))
+      with
+      | Error (Dls.Errors.Invalid_scenario _) -> ()
+      | Error e ->
+        Alcotest.failf "%s: expected an invalid-config error, got %s" label
+          (Dls.Errors.to_string e)
+      | Ok server ->
+        Service.Server.stop server;
+        Alcotest.failf "%s: server started" label)
+    [
+      ("budget without a store", None, 1000);
+      ("zero budget", Some jpath, 0);
+      ("negative budget", Some jpath, -1);
+    ];
   Sys.remove jpath
 
 (* ------------------------------------------------------------------ *)
@@ -489,9 +487,21 @@ let test_cli_budget_without_store () =
       Unix.stdin null null
   in
   Unix.close null;
-  let _, status = Unix.waitpid [] pid in
+  (* Bounded wait: a daemon that starts serving instead would otherwise
+     hang the suite. *)
+  let rec wait tries =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when tries > 0 ->
+      Unix.sleepf 0.05;
+      wait (tries - 1)
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      Alcotest.fail "dls serve kept running"
+    | _, status -> status
+  in
   check "--journal-max-bytes without --store fails" true
-    (status <> Unix.WEXITED 0)
+    (wait 200 <> Unix.WEXITED 0)
 
 (* ------------------------------------------------------------------ *)
 (* Server + tier-2 store                                               *)
@@ -1202,10 +1212,8 @@ let () =
             test_server_journal_budget;
           Alcotest.test_case "cli --journal names the store" `Quick
             test_cli_journal_alias;
-          Alcotest.test_case "byte budget without a store rejected" `Quick
-            test_budget_without_store;
-          Alcotest.test_case "byte budget below one byte rejected" `Quick
-            test_budget_non_positive;
+          Alcotest.test_case "unworkable byte budget rejected" `Quick
+            test_budget_rejected;
           Alcotest.test_case "cli budget without --store exits non-zero"
             `Quick test_cli_budget_without_store;
         ] );
