@@ -1056,7 +1056,9 @@ let check_cmd =
       & info [ "fuzz" ] ~docv:"N"
           ~doc:
             "Differentially fuzz $(docv) random platforms per regime: all \
-             solver paths must agree and every schedule must validate.")
+             solver paths must agree, every schedule must validate, and \
+             the certified fast pipeline must match the exact solver on \
+             every FIFO and LIFO order under both port models.")
   in
   let fuzz_faults_arg =
     Arg.(
@@ -1169,7 +1171,7 @@ let check_cmd =
     in
     List.for_all
       (fun r ->
-        let failures = Check.Fuzz.run_matrix ~jobs ~count r in
+        let failures = Check.Fuzz.run_matrix ~jobs ~fast:true ~count r in
         let label =
           Printf.sprintf "fuzz %s (%d platforms)" (Check.Fuzz.regime_to_string r)
             count

@@ -150,37 +150,44 @@ let check_platform ?(fast = false) platform =
         (Q.to_string closed2) (Q.to_string (rho two_port))
   end;
   (* Certified fast pipeline: bit-identical to the exact solver on every
-     FIFO order, with the previous optimal basis threaded through as a
-     warm start (exactly the way [Brute] uses it), and each fast answer
-     passed through the independent certificate again. *)
+     FIFO and every LIFO order, under both port models, with the
+     previous optimal basis threaded through as a warm start (exactly
+     the way [Brute] uses it), and each fast answer passed through the
+     independent certificate again.  These are all the shapes the
+     structured FIFO/LIFO certificate covers. *)
   if fast then begin
-    let warm = ref None in
+    let arrays_equal a b =
+      Array.length a = Array.length b && Array.for_all2 Q.equal a b
+    in
     List.iter
-      (fun order ->
-        let s = Dls.Scenario.fifo_exn platform order in
-        let cold = Dls.Solve.solve_exn ~mode:`Exact s in
-        let quick = Dls.Solve.solve_exn ~mode:`Fast ?warm:!warm s in
-        warm := Some quick.Dls.Lp_model.basis;
-        let order_str =
-          String.concat ";" (List.map string_of_int (Array.to_list order))
-        in
-        let arrays_equal a b =
-          Array.length a = Array.length b && Array.for_all2 Q.equal a b
-        in
-        if rho quick <>/ rho cold then
-          add "fast pipeline rho %s differs from exact %s on order [%s]"
-            (Q.to_string (rho quick)) (Q.to_string (rho cold)) order_str;
-        if not (arrays_equal quick.Dls.Lp_model.alpha cold.Dls.Lp_model.alpha)
-        then add "fast pipeline loads differ from exact on order [%s]" order_str;
-        if not (arrays_equal quick.Dls.Lp_model.idle cold.Dls.Lp_model.idle)
-        then
-          add "fast pipeline idle times differ from exact on order [%s]"
-            order_str;
-        match Certificate.check quick with
-        | Ok () -> ()
-        | Error msgs ->
-          List.iter (fun m -> add "fast [%s]: certificate: %s" order_str m) msgs)
-      (Dls.Brute.permutations (Dls.Platform.size platform))
+      (fun (model, model_name) ->
+        List.iter
+          (fun (kind, scenario) ->
+            let warm = ref None in
+            List.iter
+              (fun order ->
+                let s = scenario platform order in
+                let cold = Dls.Solve.solve_exn ~mode:`Exact ~model s in
+                let quick = Dls.Solve.solve_exn ~mode:`Fast ~model ?warm:!warm s in
+                warm := Some quick.Dls.Lp_model.basis;
+                let where =
+                  Printf.sprintf "%s %s order [%s]" model_name kind
+                    (String.concat ";" (List.map string_of_int (Array.to_list order)))
+                in
+                if rho quick <>/ rho cold then
+                  add "fast pipeline rho %s differs from exact %s on %s"
+                    (Q.to_string (rho quick)) (Q.to_string (rho cold)) where;
+                if not (arrays_equal quick.Dls.Lp_model.alpha cold.Dls.Lp_model.alpha)
+                then add "fast pipeline loads differ from exact on %s" where;
+                if not (arrays_equal quick.Dls.Lp_model.idle cold.Dls.Lp_model.idle)
+                then add "fast pipeline idle times differ from exact on %s" where;
+                match Certificate.check quick with
+                | Ok () -> ()
+                | Error msgs ->
+                  List.iter (fun m -> add "fast [%s]: certificate: %s" where m) msgs)
+              (Dls.Brute.permutations (Dls.Platform.size platform)))
+          [ ("fifo", Dls.Scenario.fifo_exn); ("lifo", Dls.Scenario.lifo_exn) ])
+      [ (Dls.Lp_model.One_port, "one-port"); (Dls.Lp_model.Two_port, "two-port") ]
   end;
   List.rev !errs
 

@@ -45,11 +45,12 @@ val gen_platform : Random.State.t -> regime -> Dls.Platform.t
 (** [check_platform ?fast platform] runs every consistency relation
     above; returns the list of discrepancies (empty = all solver paths
     agree and every schedule validates exactly).  With [~fast:true] it
-    additionally solves {e every} FIFO order of the platform through
-    both pipelines — [Dls.Solve.solve ~mode:`Exact] and the certified
-    [~mode:`Fast], warm bases threaded as [Dls.Brute] does —
-    and demands bit-identical [rho]/[alpha]/[idle] plus a passing
-    {!Certificate} on each fast answer. *)
+    additionally solves {e every} FIFO and every LIFO order of the
+    platform, under both port models, through both pipelines —
+    [Dls.Solve.solve ~mode:`Exact] and the certified [~mode:`Fast],
+    warm bases threaded as [Dls.Brute] does — and demands bit-identical
+    [rho]/[alpha]/[idle] plus a passing {!Certificate} on each fast
+    answer. *)
 val check_platform : ?fast:bool -> Dls.Platform.t -> string list
 
 (** One fuzzed platform that failed: its index in the run, the platform

@@ -106,84 +106,100 @@ let problem model (s : Scenario.t) =
   in
   Simplex.Problem.make ~names Simplex.Problem.Maximize objective constraints
 
-(* Certify [sol] independently and repackage it as a [solved] record. *)
-let accept model (s : Scenario.t) p (sol : Simplex.Solver.solution) =
-  match Simplex.Certify.check p sol with
-  | Error msgs ->
-    (* Unreachable unless the solver itself is wrong; surfaced as a
-       typed error rather than an assertion so callers can log it. *)
-    Errors.invalid "LP certification failed: %s" (String.concat "; " msgs)
-  | Ok () ->
-    let n = Platform.size s.Scenario.platform in
-    let alpha = Array.make n Q.zero in
-    Array.iteri
-      (fun k i -> alpha.(i) <- sol.Simplex.Solver.point.(k))
-      s.Scenario.sigma1;
-    (* [idle] is canonical, not read off the simplex point: it is the gap
-       between the worker's compute finish and its return start in the
-       canonical packed timeline (sends packed from 0, returns packed
-       against the horizon — exactly [Schedule.of_solved]'s layout).  The
-       LP's own idle variable duplicates its row's slack column, so the
-       split between them depends on the pivot path; the gap depends only
-       on [alpha], which keeps the two solver pipelines bit-identical. *)
-    let idle = Array.make n Q.zero in
-    let ret_pos =
-      Array.map (fun i -> Scenario.return_position s i) s.Scenario.sigma1
-    in
-    Array.iteri
-      (fun k i ->
-        if Q.sign alpha.(i) > 0 then begin
-          let gap = ref Q.one in
-          Array.iteri
-            (fun j ij ->
-              let w = Platform.get s.Scenario.platform ij in
-              if j <= k then gap := Q.sub !gap (Q.mul alpha.(ij) w.Platform.c);
-              if ret_pos.(j) >= ret_pos.(k) then
-                gap := Q.sub !gap (Q.mul alpha.(ij) w.Platform.d))
-            s.Scenario.sigma1;
-          let w = Platform.get s.Scenario.platform i in
-          idle.(i) <- Q.sub !gap (Q.mul alpha.(i) w.Platform.w)
-        end)
-      s.Scenario.sigma1;
-    Ok
-      {
-        scenario = s;
-        model;
-        rho = sol.Simplex.Solver.value;
-        alpha;
-        idle;
-        pivots = sol.Simplex.Solver.pivots;
-        basis = sol.Simplex.Solver.basis;
-      }
+(* Repackage an optimal LP point as a [solved] record. *)
+let package model (s : Scenario.t) (sol : Simplex.Solver.solution) =
+  let platform = s.Scenario.platform in
+  let n = Platform.size platform in
+  let alpha = Array.make n Q.zero in
+  Array.iteri
+    (fun k i -> alpha.(i) <- sol.Simplex.Solver.point.(k))
+    s.Scenario.sigma1;
+  (* [idle] is canonical, not read off the simplex point: it is the gap
+     between the worker's compute finish and its return start in the
+     canonical packed timeline (sends packed from 0, returns packed
+     against the horizon — exactly [Schedule.of_solved]'s layout).  The
+     LP's own idle variable duplicates its row's slack column, so the
+     split between them depends on the pivot path; the gap depends only
+     on [alpha], which keeps the two solver pipelines bit-identical.
+     The gap is 1 minus the prefix of [alpha c] in sigma1 order, the
+     worker's own [alpha w], and the suffix of [alpha d] in sigma2
+     order. *)
+  let gap = Array.make n Q.zero in
+  let sent = ref Q.zero in
+  Array.iter
+    (fun i ->
+      let wk = Platform.get platform i in
+      sent := Q.add !sent (Q.mul alpha.(i) wk.Platform.c);
+      gap.(i) <- Q.sub Q.one (Q.add !sent (Q.mul alpha.(i) wk.Platform.w)))
+    s.Scenario.sigma1;
+  let returned = ref Q.zero in
+  for r = Array.length s.Scenario.sigma2 - 1 downto 0 do
+    let i = s.Scenario.sigma2.(r) in
+    returned :=
+      Q.add !returned (Q.mul alpha.(i) (Platform.get platform i).Platform.d);
+    gap.(i) <- Q.sub gap.(i) !returned
+  done;
+  let idle = Array.mapi (fun i g -> if Q.sign alpha.(i) > 0 then g else Q.zero) gap in
+  {
+    scenario = s;
+    model;
+    rho = sol.Simplex.Solver.value;
+    alpha;
+    idle;
+    pivots = sol.Simplex.Solver.pivots;
+    basis = sol.Simplex.Solver.basis;
+  }
 
-let solve ?(model = One_port) (s : Scenario.t) =
-  let p = problem model s in
+(* The exact simplex, on the scenario's LP [p] (built at most once per
+   solve, and only when a rung needs it).  Its answer is verified
+   independently before it is packaged; answers proved by a basis
+   certificate skip this, since each certificate has already checked
+   every row in exact arithmetic. *)
+let solve_lp model s p =
+  let p = Lazy.force p in
   match Simplex.Solver.solve_result p with
   | Error e -> Error (Errors.of_solver e)
-  | Ok sol ->
+  | Ok sol -> (
     bump exact_pivots sol.Simplex.Solver.pivots;
-    accept model s p sol
+    match Simplex.Certify.check p sol with
+    | Error msgs ->
+      (* Unreachable unless the solver itself is wrong; surfaced as a
+         typed error rather than an assertion so callers can log it. *)
+      Errors.invalid "LP certification failed: %s" (String.concat "; " msgs)
+    | Ok () -> Ok (package model s sol))
+
+let solve ?(model = One_port) (s : Scenario.t) =
+  solve_lp model s (lazy (problem model s))
 
 let solve_exn ?model s = Errors.get_exn (solve ?model s)
 
+(* One candidate basis up the certification ladder: the structured
+   FIFO/LIFO certificate (O(p)) first, and [certify_basis]'s restricted
+   exact factorization only for a basis whose shape it cannot read.  A
+   structured rejection is final: on a chain-shaped basis the generic
+   certificate tests the same primal and dual signs. *)
+let certify model s p basis =
+  match Structured_cert.certify ~one_port:(model = One_port) s ~basis with
+  | Structured_cert.Certified sol -> Some sol
+  | Structured_cert.Rejected -> None
+  | Structured_cert.Shape -> Simplex.Solver.certify_basis (Lazy.force p) ~basis
+
+let default_max_float_pivots = 100_000
+
 (* The certified fast pipeline.  A candidate basis (the caller's warm
-   start, else the float solver's terminal basis) is handed to
-   {!Simplex.Solver.certify_basis}, which runs one exact factorization
-   restricted to the basis columns and accepts only when every
-   non-basic reduced cost is strictly negative — proving the optimal
-   point unique, and therefore equal to the cold solve's.  Anything
-   else (defective basis, float stall, alternate optima, integer
-   overflow in the certificate) falls back to the canonical exact
-   solve, so the result is bit-identical to {!solve} by
-   construction. *)
-let solve_fast ?(model = One_port) ?warm ?(max_float_pivots = 100_000)
-    (s : Scenario.t) =
-  let p = problem model s in
+   start, else the float solver's terminal basis) goes up the
+   certification ladder, which accepts only a basis whose non-basic
+   reduced costs are all strictly negative — proving the optimal point
+   unique, and therefore equal to the cold solve's.  Anything else
+   (defective basis, float stall, alternate optima, integer overflow in
+   the certificate) falls back to the canonical exact solve, so the
+   result is bit-identical to {!solve} by construction. *)
+let fast_pipeline model ?warm ~max_float_pivots s p =
   let certified =
     match warm with
     | None -> None
     | Some basis -> (
-      match Simplex.Solver.certify_basis p ~basis with
+      match certify model s p basis with
       | Some sol ->
         bump warm_wins 1;
         Some sol
@@ -193,7 +209,9 @@ let solve_fast ?(model = One_port) ?warm ?(max_float_pivots = 100_000)
     match certified with
     | Some _ -> certified
     | None -> (
-      match Simplex.Float_solver.solve ~max_pivots:max_float_pivots p with
+      match
+        Simplex.Float_solver.solve ~max_pivots:max_float_pivots (Lazy.force p)
+      with
       | Simplex.Float_solver.Optimal fsol -> (
         bump float_pivots fsol.Simplex.Float_solver.pivots;
         (* The certificate is deterministic in (problem, basis): when the
@@ -202,7 +220,7 @@ let solve_fast ?(model = One_port) ?warm ?(max_float_pivots = 100_000)
         let fbasis = fsol.Simplex.Float_solver.basis in
         if warm = Some fbasis then None
         else
-          match Simplex.Solver.certify_basis p ~basis:fbasis with
+          match certify model s p fbasis with
           | Some sol ->
             bump float_wins 1;
             Some sol
@@ -212,12 +230,14 @@ let solve_fast ?(model = One_port) ?warm ?(max_float_pivots = 100_000)
         None)
   in
   match certified with
-  | Some sol ->
-    bump exact_pivots sol.Simplex.Solver.pivots;
-    accept model s p sol
+  | Some sol -> Ok (package model s sol)
   | None ->
     bump exact_fallbacks 1;
-    solve ~model s
+    solve_lp model s p
+
+let solve_fast ?(model = One_port) ?warm
+    ?(max_float_pivots = default_max_float_pivots) (s : Scenario.t) =
+  fast_pipeline model ?warm ~max_float_pivots s (lazy (problem model s))
 
 let solve_fast_exn ?model ?warm ?max_float_pivots s =
   Errors.get_exn (solve_fast ?model ?warm ?max_float_pivots s)
@@ -319,34 +339,33 @@ let pp_resolve_stats fmt s =
 
 (* Warm repair from a neighbouring scenario's optimal basis.  The
    cheapest possibility first: for a small parameter nudge the old
-   basis is very often still optimal, and [certify_basis] proves it in
-   one restricted exact factorization (zero pivots).  Otherwise a
-   bounded float dual-simplex repair walks from the old basis to a new
-   terminal basis, which must then pass the same exact certification.
+   basis is very often still optimal, and the certification ladder
+   proves it without pivoting.  Otherwise a bounded float dual-simplex
+   repair walks from the old basis to a new terminal basis, which must
+   then pass the same exact certification.
    [None] means "no certified answer this way" — never a wrong one —
    and the caller falls back to the ordinary pipeline, which keeps
    every cached answer bit-identical to [solve]'s by construction. *)
-let solve_from_neighbor model s (near : solved) =
+let neighbor_repair model s p (near : solved) =
   bump neighbor_probes 1;
-  let p = problem model s in
   let certified ~pivots basis =
-    match Simplex.Solver.certify_basis p ~basis with
+    match certify model s p basis with
     | None -> None
-    | Some sol -> (
-      match accept model s p sol with
-      | Ok solved ->
-        bump repair_wins 1;
-        bump repair_pivot_count pivots;
-        Some solved
-      | Error _ -> None)
+    | Some sol ->
+      bump repair_wins 1;
+      bump repair_pivot_count pivots;
+      Some (package model s sol)
   in
   match certified ~pivots:0 near.basis with
   | Some _ as hit -> hit
   | None -> (
-    match Simplex.Float_solver.repair p ~basis:near.basis with
+    match Simplex.Float_solver.repair (Lazy.force p) ~basis:near.basis with
     | None -> None
     | Some (basis, pivots) ->
       if basis = near.basis then None else certified ~pivots basis)
+
+let solve_from_neighbor model s near =
+  neighbor_repair model s (lazy (problem model s)) near
 
 let default_cache_capacity = 4096
 let cache : (string, solved) Parallel.Lru.t ref =
@@ -365,13 +384,18 @@ let cache : (string, solved) Parallel.Lru.t ref =
    differing worker fields — and tries to repair that scenario's
    optimal basis into this one's (certify-first, then bounded dual
    simplex + certification).  Certification failure of any kind falls
-   back to the ordinary [fast] pipeline. *)
-let solve_cached ?model ?(fast = true) ?warm s =
-  let model_v = Option.value model ~default:One_port in
-  let key = scenario_key model_v s in
+   back to the ordinary [fast] pipeline.  Both rungs share one lazily
+   built LP. *)
+let solve_cached ?(model = One_port) ?(fast = true) ?warm s =
+  let key = scenario_key model s in
   Parallel.Lru.find_or_compute !cache key (fun () ->
+      let p = lazy (problem model s) in
       let full () =
-        if fast then solve_fast_exn ?model ?warm s else solve_exn ?model s
+        Errors.get_exn
+          (if fast then
+             fast_pipeline model ?warm
+               ~max_float_pivots:default_max_float_pivots s p
+           else solve_lp model s p)
       in
       if not fast then full ()
       else
@@ -380,7 +404,7 @@ let solve_cached ?model ?(fast = true) ?warm s =
         with
         | None -> full ()
         | Some (_, near) -> (
-          match solve_from_neighbor model_v s near with
+          match neighbor_repair model s p near with
           | Some solved -> solved
           | None ->
             bump repair_fallbacks 1;

@@ -62,25 +62,32 @@ val solve_exn : ?model:model -> Scenario.t -> solved
 [@@ocaml.deprecated "use Solve.solve_exn ~mode:`Exact"]
 
 (** [solve_fast ?model ?warm ?max_float_pivots scenario] is the certified
-    fast pipeline, {e bit-identical} to {!solve} by construction:
+    fast pipeline, {e bit-identical} to {!solve} by construction.  A
+    candidate basis — [warm] (the optimal basis of a neighbouring
+    scenario) when given, else the float simplex's terminal basis —
+    climbs a certification ladder:
 
-    + if [warm] (the optimal basis of a neighbouring scenario) is given,
-      it is factorized exactly and re-optimized with Bland's rule;
-    + else the float simplex runs first and its terminal basis is lifted
-      into a single exact factorization;
-    + a lifted/warmed answer is {e accepted} only when the exact re-solve
-      shows strictly negative reduced costs on every non-basic column —
-      that proves the optimum unique, hence equal to the cold solve's
-      point — and it is then certified with {!Simplex.Certify} exactly
-      like {!solve}'s answer;
-    + every other case (rejected basis, float stall after
-      [max_float_pivots], alternate optima) falls back to the full exact
-      {!solve}.
+    + the structured certificate ({!Structured_cert}), for FIFO and LIFO
+      scenarios: O(p) exact operations along Theorem 1's chain of
+      binding rows;
+    + {!Simplex.Solver.certify_basis}, one restricted exact
+      factorization, only for a basis the structured certificate cannot
+      read (another permutation pair, another basis layout);
+    + the full exact {!solve} for everything else (rejected basis, float
+      stall after [max_float_pivots], alternate optima).
+
+    Either certificate accepts only when every non-basic reduced cost is
+    strictly negative — that proves the optimum unique, hence equal to
+    the cold solve's point — and has then checked every row in exact
+    arithmetic, so a certified answer is not re-checked; the exact
+    simplex's answer is verified with {!Simplex.Certify} like
+    {!solve}'s.
 
     Correctness therefore never depends on float tolerances; the floats
     only pick which exact computation runs.  The [pivots] field of the
     result reflects the work of whichever path produced it.  Counter
-    movements are visible in {!pipeline_stats}. *)
+    movements are visible in {!pipeline_stats} ([float_wins] and
+    [warm_wins] count wins of either certificate). *)
 val solve_fast :
   ?model:model ->
   ?warm:int array ->
@@ -97,7 +104,10 @@ val solve_fast_exn :
 
 (** [solve_cached ?model ?fast ?warm scenario] is {!solve_fast_exn}
     (default) or {!solve_exn} (when [fast] is [false]) memoized through a
-    process-wide, size-bounded LRU cache keyed by {!scenario_key}.
+    process-wide, size-bounded LRU cache keyed by {!scenario_key}.  A
+    miss builds the LP at most once, shared by the neighbour repair and
+    the full pipeline, and not at all when the neighbour's basis passes
+    the structured certificate.
     Because both pipelines return bit-identical records, the key does not
     encode the pipeline and a hit may serve either caller.  [warm] is a
     performance hint only.  Safe to call from several domains
@@ -128,11 +138,11 @@ val scenario_key_distance : string -> string -> int option
     solution of [scenario] built from it, or [None].
 
     Two rungs, cheapest first: (1) [near.basis] is certified directly
-    against [scenario]'s LP ({!Simplex.Solver.certify_basis}; for small
-    nudges the optimal basis rarely moves, and this is one restricted
-    exact factorization, zero pivots); (2) a bounded float dual-simplex
-    {e repair} ({!Simplex.Float_solver.repair}) pivots the stale basis
-    back to optimality, and the terminal basis must pass the same exact
+    against [scenario]'s LP (for small nudges the optimal basis rarely
+    moves; zero pivots, and the same certification ladder as
+    {!solve_fast}); (2) a bounded float dual-simplex {e repair}
+    ({!Simplex.Float_solver.repair}) pivots the stale basis back to
+    optimality, and the terminal basis must pass the same exact
     certification.  A [Some] answer is therefore bit-identical to
     {!solve}'s in [rho]/[alpha]/[idle]; [None] means "no certified
     shortcut" — fall back to a full pipeline — never "no optimum".

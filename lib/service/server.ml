@@ -74,13 +74,20 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* Request evaluation (dispatcher side, runs on pool workers)          *)
 
+let scenario order p =
+  match order with
+  | P.Fifo -> Dls.Scenario.fifo_exn p (Dls.Fifo.order p)
+  | P.Lifo -> Dls.Scenario.lifo_exn p (Dls.Lifo.order p)
+
+(* [simulate] and [check] need the one-port optimum of the Theorem 1
+   order ([Fifo.optimal] / [Lifo.optimal]).  They take it through the
+   same [`Cached] front door as [solve]: the answer is bit-identical to
+   the exact solve, and it shares the LP cache with solves of the same
+   platform. *)
+let optimal order p = Dls.Solve.solve_exn ~mode:`Cached (scenario order p)
+
 let eval_solve ~brownout (r : P.solve_req) =
-  let p = r.P.s_platform in
-  let scenario =
-    match r.P.s_order with
-    | P.Fifo -> Dls.Scenario.fifo_exn p (Dls.Fifo.order p)
-    | P.Lifo -> Dls.Scenario.lifo_exn p (Dls.Lifo.order p)
-  in
+  let scenario = scenario r.P.s_order r.P.s_platform in
   (* Brownout downgrades `Exact to the certified fast pipeline.  The
      response stays bit-identical: the fast path certifies its answer
      against the exact optimum and falls back on any mismatch, so the
@@ -130,11 +137,7 @@ let eval_multi (r : P.multi_req) =
 
 let eval_simulate (r : P.simulate_req) =
   let p = r.P.m_platform in
-  let sol =
-    match r.P.m_order with
-    | P.Fifo -> Dls.Fifo.optimal p
-    | P.Lifo -> Dls.Lifo.optimal p
-  in
+  let sol = optimal r.P.m_order p in
   let load = Q.of_int r.P.m_items in
   let lp_makespan = Q.to_float (Dls.Lp_model.time_for_load sol ~load) in
   match r.P.m_faults with
@@ -199,7 +202,7 @@ let eval_check p =
     acc + schedule + certificate
   in
   let violations =
-    count "fifo" (Dls.Fifo.optimal p) 0 |> count "lifo" (Dls.Lifo.optimal p)
+    count "fifo" (optimal P.Fifo p) 0 |> count "lifo" (optimal P.Lifo p)
   in
   P.Ok_check { check_ok = violations = 0; violations }
 

@@ -270,9 +270,10 @@ let matrix_case regime =
   in
   Alcotest.test_case name `Slow run
 
-(* The full fuzz corpus through both LP pipelines: every FIFO order of
-   every platform must solve bit-identically fast and exact, with each
-   fast answer re-certified (see [Fuzz.check_platform ~fast:true]). *)
+(* The full fuzz corpus through both LP pipelines: every FIFO and LIFO
+   order of every platform, under both port models, must solve
+   bit-identically fast and exact, with each fast answer re-certified
+   (see [Fuzz.check_platform ~fast:true]). *)
 let fast_matrix_case regime =
   let name =
     Printf.sprintf "fast-pipeline matrix %s (60 platforms)"

@@ -1377,6 +1377,217 @@ let test_multiround_latency_finite_optimum () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Structured FIFO/LIFO certificate                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Cert = Dls.Structured_cert
+
+(* The experiment families at p = 2..11 and z in {1/2, 1, 3/2}, plain
+   and with communication or computation x10.  Homogeneous and
+   hom-comm draws tie every [c]; heterogeneous draws of integer factors
+   in 1..10 tie some. *)
+let family_platforms () =
+  let rng = Numeric.Prng.create ~seed:18 in
+  List.concat_map
+    (fun z ->
+      List.concat_map
+        (fun workers ->
+          List.concat_map
+            (fun sc ->
+              List.map
+                (fun (comm_times, comp_times) ->
+                  let f =
+                    Cluster.Gen.scale ~comm_times ~comp_times
+                      (Cluster.Gen.factors rng sc ~workers)
+                  in
+                  let base = Cluster.Gen.platform Cluster.Workload.gdsdmi ~n:60 f in
+                  Dls.Platform.with_return_ratio ~z
+                    (List.init workers (fun k ->
+                         let wk = Dls.Platform.get base k in
+                         (wk.Dls.Platform.c, wk.Dls.Platform.w))))
+                [ (1, 1); (10, 1); (1, 10) ])
+            Cluster.Gen.[ Homogeneous; Hom_comm_het_comp; Heterogeneous ])
+        (List.init 10 (fun i -> i + 2)))
+    [ qq 1 2; Q.one; qq 3 2 ]
+
+let models = Dls.Lp_model.[ One_port; Two_port ]
+
+let scenarios p =
+  [
+    ("fifo", Dls.Scenario.fifo_exn p (Dls.Fifo.order p));
+    ("lifo", Dls.Scenario.lifo_exn p (Dls.Lifo.order p));
+  ]
+
+let float_basis model s =
+  match Simplex.Float_solver.solve (Dls.Lp_model.problem model s) with
+  | Simplex.Float_solver.Optimal f -> Some f.Simplex.Float_solver.basis
+  | _ -> None
+
+let certify model s basis =
+  Cert.certify ~one_port:(model = Dls.Lp_model.One_port) s ~basis
+
+let outcome_name = function
+  | Cert.Certified _ -> "certified"
+  | Cert.Rejected -> "rejected"
+  | Cert.Shape -> "shape"
+
+let check_same_answer label (a : Dls.Lp_model.solved) (b : Dls.Lp_model.solved) =
+  Alcotest.check rat (label ^ ": rho") a.Dls.Lp_model.rho b.Dls.Lp_model.rho;
+  Alcotest.(check (array rat)) (label ^ ": alpha") a.Dls.Lp_model.alpha b.Dls.Lp_model.alpha;
+  Alcotest.(check (array rat)) (label ^ ": idle") a.Dls.Lp_model.idle b.Dls.Lp_model.idle
+
+(* Every accepted basis gives the exact simplex's answer: directly (the
+   certified point), through the fast pipeline that takes this rung, and
+   under the independent re-substitution certificate.  On a bus, FIFO
+   answers also match Theorem 2 (and its two-port companion). *)
+let test_structured_matches_exact () =
+  let accepted = Hashtbl.create 4 in
+  List.iteri
+    (fun ip p ->
+      List.iter
+        (fun model ->
+          List.iter
+            (fun (kind, s) ->
+              let label =
+                Printf.sprintf "platform %d %s %s" ip kind
+                  (if model = Dls.Lp_model.One_port then "1p" else "2p")
+              in
+              let exact = Dls.Solve.solve_exn ~mode:`Exact ~model s in
+              let bases =
+                exact.Dls.Lp_model.basis :: Option.to_list (float_basis model s)
+              in
+              List.iter
+                (fun basis ->
+                  match certify model s basis with
+                  | Cert.Rejected | Cert.Shape -> ()
+                  | Cert.Certified sol ->
+                    let key = (kind, model) in
+                    Hashtbl.replace accepted key
+                      (1 + Option.value ~default:0 (Hashtbl.find_opt accepted key));
+                    Alcotest.check rat (label ^ ": value") exact.Dls.Lp_model.rho
+                      sol.Simplex.Solver.value;
+                    Array.iteri
+                      (fun k i ->
+                        Alcotest.check rat (label ^ ": point") exact.Dls.Lp_model.alpha.(i)
+                          sol.Simplex.Solver.point.(k))
+                      s.Dls.Scenario.sigma1;
+                    (match Simplex.Certify.check (Dls.Lp_model.problem model s) sol with
+                    | Ok () -> ()
+                    | Error m -> Alcotest.failf "%s: %s" label (String.concat "; " m));
+                    let fast = Dls.Solve.solve_exn ~mode:`Fast ~model s in
+                    check_same_answer label exact fast;
+                    (match Check.Certificate.check fast with
+                    | Ok () -> ()
+                    | Error m -> Alcotest.failf "%s: %s" label (String.concat "; " m));
+                    if kind = "fifo" && Dls.Platform.is_bus p then
+                      let wk = Dls.Platform.get p 0 in
+                      let ws =
+                        Array.map (fun i -> (Dls.Platform.get p i).Dls.Platform.w)
+                          s.Dls.Scenario.sigma1
+                      in
+                      let c = wk.Dls.Platform.c and d = wk.Dls.Platform.d in
+                      Alcotest.check rat (label ^ ": Theorem 2")
+                        (if model = Dls.Lp_model.One_port then
+                           Dls.Closed_form.fifo_throughput ~c ~d ws
+                         else Dls.Closed_form.two_port_throughput ~c ~d ws)
+                        sol.Simplex.Solver.value)
+                bases)
+            (scenarios p))
+        models)
+    (family_platforms ());
+  (* the rung must actually fire on every shape it covers *)
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun model ->
+          let n = Option.value ~default:0 (Hashtbl.find_opt accepted (kind, model)) in
+          if n = 0 then Alcotest.failf "no %s basis certified" kind)
+        models)
+    [ "fifo"; "lifo" ]
+
+(* A homogeneous bus past Theorem 2's saturation point ([rho] =
+   1/(c+d)) has alternate optima: no basis is the unique optimum. *)
+let test_structured_rejects_alternate_optima () =
+  let p = Dls.Platform.make_exn (List.init 6 (fun _ -> worker (1, 1) (1, 1) (1, 1))) in
+  let s = Dls.Scenario.fifo_exn p (Dls.Fifo.order p) in
+  let exact = Dls.Solve.solve_exn ~mode:`Exact s in
+  Alcotest.check rat "saturated" Q.half exact.Dls.Lp_model.rho;
+  List.iter
+    (fun basis ->
+      match certify Dls.Lp_model.One_port s basis with
+      | Cert.Certified _ -> Alcotest.fail "alternate optima certified"
+      | Cert.Rejected | Cert.Shape -> ())
+    (exact.Dls.Lp_model.basis :: Option.to_list (float_basis Dls.Lp_model.One_port s));
+  check_same_answer "fast" exact (Dls.Solve.solve_exn ~mode:`Fast s);
+  (* FIFO with d2 = c1 + w1 + d1: rho is optimal on a whole edge, under
+     both models.  Leaving P2 out (alpha_1 and row 2's slack basic),
+     P2's reduced cost is exactly zero; enrolling both, row 2's dual is
+     exactly zero, and so is the one-port row's when it is made to
+     bind (row 2's slack basic instead of the port slack).  With these
+     values each zero rounds to a small nonzero double, so the float
+     screen passes the basis and the exact test must reject it. *)
+  List.iter
+    (fun (what, c2, model, basis) ->
+      let p =
+        Dls.Platform.make_exn [ worker (1, 2) (1, 3) (1, 5); worker c2 (1, 1) (31, 30) ]
+      in
+      match certify model (Dls.Scenario.fifo_exn p [| 0; 1 |]) basis with
+      | Cert.Rejected -> ()
+      | o -> Alcotest.failf "%s: %s" what (outcome_name o))
+    Dls.Lp_model.
+      [
+        ("zero reduced cost", (5, 3), Two_port, [| 0; 5 |]);
+        ("zero dual", (1, 3), Two_port, [| 0; 1 |]);
+        ("zero one-port dual", (5, 3), One_port, [| 0; 1; 5 |]);
+      ]
+
+(* Perturbing an accepted basis — dropping an enrolled worker for its
+   row's slack, or flipping the one-port slack in or out — keeps the
+   chain shape but loses optimality: the rung must reject it. *)
+let test_structured_rejects_perturbed () =
+  let dropped = ref 0 and flipped = ref 0 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun model ->
+          List.iter
+            (fun (_, s) ->
+              let q = Dls.Scenario.num_enrolled s in
+              match float_basis model s with
+              | None -> ()
+              | Some basis -> (
+                match certify model s basis with
+                | Cert.Rejected | Cert.Shape -> ()
+                | Cert.Certified _ ->
+                  let enrolled = List.filter (fun j -> j < q) (Array.to_list basis) in
+                  let expect_rejected what b =
+                    match certify model s b with
+                    | Cert.Rejected -> ()
+                    | o -> Alcotest.failf "%s: %s" what (outcome_name o)
+                  in
+                  (* the first enrolled worker is never the one whose row
+                     may be slack, so the shape stays a chain *)
+                  if List.length enrolled >= 2 then begin
+                    let k = List.fold_left min q enrolled in
+                    incr dropped;
+                    expect_rejected "dropped worker"
+                      (Array.map (fun j -> if j = k then (2 * q) + k else j) basis)
+                  end;
+                  if model = Dls.Lp_model.One_port then begin
+                    let last = List.fold_left max 0 enrolled in
+                    let twin j = j = q + last || j = (2 * q) + last in
+                    incr flipped;
+                    expect_rejected "flipped one-port slack"
+                      (if Array.mem (3 * q) basis then
+                         Array.map (fun j -> if j = 3 * q then (2 * q) + last else j) basis
+                       else Array.map (fun j -> if twin j then 3 * q else j) basis)
+                  end))
+            (scenarios p))
+        models)
+    (family_platforms ());
+  if !dropped = 0 || !flipped = 0 then Alcotest.fail "no perturbation exercised"
+
 let () =
   Alcotest.run "dls"
     [
@@ -1426,6 +1637,14 @@ let () =
           prop_theorem2_order_invariant;
         ] );
       ("lifo", [ prop_lifo_order_optimal; prop_lifo_oneport_equals_twoport ]);
+      ( "structured certificate",
+        [
+          Alcotest.test_case "accepted = exact" `Quick test_structured_matches_exact;
+          Alcotest.test_case "alternate optima rejected" `Quick
+            test_structured_rejects_alternate_optima;
+          Alcotest.test_case "perturbed basis rejected" `Quick
+            test_structured_rejects_perturbed;
+        ] );
       ( "heuristics",
         [
           prop_inc_c_beats_inc_w;

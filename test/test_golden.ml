@@ -132,6 +132,45 @@ let test_replies () =
           (replies r))
     (read_fixture ())
 
+(* The structured FIFO/LIFO certificate never loses a win of the
+   generic one: every float basis [certify_basis] accepts on these
+   platforms is certified by the structured rung, or read as a shape it
+   does not cover and handed on to [certify_basis]. *)
+let test_structured_keeps_generic_wins () =
+  let generic = ref 0 and structured = ref 0 in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun model ->
+          List.iter
+            (fun s ->
+              let lp = Dls.Lp_model.problem model s in
+              match Simplex.Float_solver.solve lp with
+              | Simplex.Float_solver.Optimal f -> (
+                let basis = f.Simplex.Float_solver.basis in
+                let one_port = model = Dls.Lp_model.One_port in
+                match
+                  ( Simplex.Solver.certify_basis lp ~basis,
+                    Dls.Structured_cert.certify ~one_port s ~basis )
+                with
+                | None, _ -> ()
+                | Some _, Dls.Structured_cert.Certified _ ->
+                  incr generic;
+                  incr structured
+                | Some _, Dls.Structured_cert.Shape -> incr generic
+                | Some _, Dls.Structured_cert.Rejected ->
+                  Alcotest.failf "structured rung rejects a certified basis of %s"
+                    (Dls.Platform_io.to_string p))
+              | _ -> ())
+            [
+              Dls.Scenario.fifo_exn p (Dls.Fifo.order p);
+              Dls.Scenario.lifo_exn p (Dls.Lifo.order p);
+            ])
+        Dls.Lp_model.[ One_port; Two_port ])
+    (platforms ());
+  if !structured = 0 || !generic = 0 then
+    Alcotest.failf "vacuous: %d generic wins, %d structured" !generic !structured
+
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--print" then
     List.iter (fun (req, rep) -> Printf.printf "%s\t%s\n" req rep) (lines ())
@@ -142,5 +181,7 @@ let () =
           [
             Alcotest.test_case "requests" `Quick test_requests;
             Alcotest.test_case "replies, every solve mode" `Quick test_replies;
+            Alcotest.test_case "structured rung keeps generic wins" `Quick
+              test_structured_keeps_generic_wins;
           ] );
       ]
