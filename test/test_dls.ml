@@ -1637,7 +1637,7 @@ let () =
           prop_theorem2_order_invariant;
         ] );
       ("lifo", [ prop_lifo_order_optimal; prop_lifo_oneport_equals_twoport ]);
-      ( "structured certificate",
+      ( "structured",
         [
           Alcotest.test_case "accepted = exact" `Quick test_structured_matches_exact;
           Alcotest.test_case "alternate optima rejected" `Quick
