@@ -590,188 +590,6 @@ let run_multiload_bench ~quick ~json_path ~gate =
   (not gate) || gate_pass
 
 (* ------------------------------------------------------------------ *)
-(* Part 7: incremental re-solve benchmark (BENCH_resolve.json)         *)
-(* ------------------------------------------------------------------ *)
-
-(* A stream of near-duplicate requests: one base platform per
-   (p, regime) cell, then [n] single-worker nudges of it.  The cold arm
-   answers every request with the certified fast pipeline from scratch;
-   the warm arm routes the same stream through the solve cache, so each
-   nudge can be repaired from the nearest already-solved neighbour's
-   optimal basis (certify-first, then bounded dual simplex — see
-   [Dls.Lp_model.solve_from_neighbor]).  Answers are bit-identical by
-   construction and re-checked here; the interesting outputs are the
-   stream times, the repair hit rate and the pivots per repair. *)
-
-type resolve_cell = {
-  rs_p : int;
-  rs_z : string;
-  rs_n : int;  (* nudged requests after the base *)
-  rs_cold_s : float;  (* median stream time, fast pipeline from scratch *)
-  rs_warm_s : float;  (* median stream time, cached + warm repair *)
-  rs_probes : int;
-  rs_wins : int;
-  rs_fallbacks : int;
-  rs_pivots : int;
-}
-
-(* Generic-position variant of [solver_platform]: link speeds get an
-   index-dependent offset making them pairwise distinct.  Two workers
-   with equal [c] (hence equal bus cost [c + d]) tie exactly — the LP
-   then has alternate optima, no basis certifies, and every warm repair
-   falls back, so the bench would measure only the fallback path. *)
-let resolve_platform ~p ~regime ~z =
-  let rng = Numeric.Prng.create ~seed:(7901 + (97 * p) + regime) in
-  let specs =
-    List.init p (fun i ->
-        let c =
-          Q.of_ints ((10 * Numeric.Prng.int_range rng ~lo:2 ~hi:9) + i) 40
-        in
-        let w = Q.of_ints (Numeric.Prng.int_range rng ~lo:4 ~hi:20) 2 in
-        (c, w))
-  in
-  Dls.Platform.with_return_ratio ~z specs
-
-let resolve_stream ~p ~regime ~z ~n =
-  let platform = resolve_platform ~p ~regime ~z in
-  let base =
-    Dls.Scenario.fifo_exn platform (Dls.Fifo.order platform)
-  in
-  let variants =
-    List.init n (fun i ->
-        let rng = Numeric.Prng.create ~seed:(3301 + (131 * i) + (17 * p) + regime) in
-        let worker = Numeric.Prng.int_range rng ~lo:0 ~hi:(p - 1) in
-        let factor = Q.of_ints (Numeric.Prng.int_range rng ~lo:8 ~hi:12) 10 in
-        let change =
-          if i mod 2 = 0 then Dls.Delta.Scale_comp { worker; factor }
-          else Dls.Delta.Scale_comm { worker; factor }
-        in
-        Dls.Delta.apply_scenario_exn base [ change ])
-  in
-  base :: variants
-
-let resolve_cell ~k ~warmup ~n p (rs_z, z) ~regime =
-  let stream = resolve_stream ~p ~regime ~z ~n in
-  let cold_once () =
-    List.map (fun s -> Dls.Solve.solve_exn ~mode:`Fast s) stream
-  in
-  let warm_once () =
-    Dls.Lp_model.reset_cache ();
-    List.map (fun s -> Dls.Solve.solve_exn ~mode:`Cached s) stream
-  in
-  let time once =
-    for _ = 1 to warmup do
-      ignore (once ())
-    done;
-    median
-      (Array.init k (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           ignore (once ());
-           Unix.gettimeofday () -. t0))
-  in
-  let cold_s = time cold_once in
-  let warm_s = time warm_once in
-  (* One instrumented pass for the repair counters and the bit-identity
-     check (both arms are deterministic, so it repeats the timed work). *)
-  Dls.Lp_model.reset_resolve_stats ();
-  let warm_sols = warm_once () in
-  let rs = Dls.Lp_model.resolve_stats () in
-  List.iter2
-    (fun (a : Dls.Lp_model.solved) (b : Dls.Lp_model.solved) ->
-      if
-        (not (Q.equal a.Dls.Lp_model.rho b.Dls.Lp_model.rho))
-        || not (Array.for_all2 Q.equal a.Dls.Lp_model.alpha b.Dls.Lp_model.alpha)
-      then begin
-        Printf.eprintf
-          "FATAL: warm-repair answer diverged from the fast pipeline (p=%d, %s)\n"
-          p rs_z;
-        exit 3
-      end)
-    (cold_once ()) warm_sols;
-  {
-    rs_p = p;
-    rs_z;
-    rs_n = n;
-    rs_cold_s = cold_s;
-    rs_warm_s = warm_s;
-    rs_probes = rs.Dls.Lp_model.probes;
-    rs_wins = rs.Dls.Lp_model.repair_wins;
-    rs_fallbacks = rs.Dls.Lp_model.repair_fallbacks;
-    rs_pivots = rs.Dls.Lp_model.repair_pivots;
-  }
-
-let resolve_cell_json c =
-  Printf.sprintf
-    "    { \"p\": %d, \"z\": %S, \"n\": %d, \"cold_s\": %.6f, \"warm_s\": %.6f, \
-     \"speedup\": %.3f, \"probes\": %d, \"repair_wins\": %d, \
-     \"repair_fallbacks\": %d, \"repair_pivots\": %d, \"hit_rate\": %.3f, \
-     \"pivots_per_win\": %.2f }"
-    c.rs_p c.rs_z c.rs_n c.rs_cold_s c.rs_warm_s
-    (c.rs_cold_s /. Float.max 1e-9 c.rs_warm_s)
-    c.rs_probes c.rs_wins c.rs_fallbacks c.rs_pivots
-    (float c.rs_wins /. float (max 1 c.rs_n))
-    (float c.rs_pivots /. float (max 1 c.rs_wins))
-
-let run_resolve_bench ~quick ~k ~warmup ~json_path ~gate =
-  let ps = if quick then [ 5 ] else [ 6; 10 ] in
-  let n = if quick then 20 else 40 in
-  let regimes = [ ("z<1", Q.of_ints 1 2); ("z=1", Q.one); ("z>1", Q.of_int 2) ] in
-  Printf.printf
-    "== incremental re-solve: cached warm repair vs fast-from-scratch ==\n";
-  Printf.printf
-    "  (base + %d nudged requests per cell; median of %d after %d warmup)\n" n k
-    warmup;
-  Printf.printf "  %-4s %-4s %12s %12s %9s %9s %9s %9s\n" "p" "z" "cold" "warm"
-    "speedup" "hit%" "pivots" "fallback";
-  let cells =
-    List.concat_map
-      (fun p ->
-        List.mapi
-          (fun regime rz -> resolve_cell ~k ~warmup ~n p rz ~regime)
-          regimes)
-      ps
-  in
-  List.iter
-    (fun c ->
-      Printf.printf "  %-4d %-4s %9.1f ms %9.1f ms %8.2fx %8.1f%% %9d %9d\n%!"
-        c.rs_p c.rs_z (c.rs_cold_s *. 1e3) (c.rs_warm_s *. 1e3)
-        (c.rs_cold_s /. Float.max 1e-9 c.rs_warm_s)
-        (100.0 *. float c.rs_wins /. float (max 1 c.rs_n))
-        c.rs_pivots c.rs_fallbacks)
-    cells;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"schema\": \"dls-bench-resolve/1\",\n\
-      \  \"k\": %d,\n\
-      \  \"warmup\": %d,\n\
-      \  \"quick\": %b,\n\
-      \  \"cells\": [\n%s\n  ]\n\
-       }\n"
-      k warmup quick
-      (String.concat ",\n" (List.map resolve_cell_json cells))
-  in
-  let oc = open_out json_path in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "  wrote %s\n\n%!" json_path;
-  (* Gate: across the whole benchmark the warm-repair stream must not be
-     slower than answering every request from scratch (per-cell numbers
-     are too noisy on shared CI hardware; the aggregate is stable). *)
-  let cold_total = List.fold_left (fun a c -> a +. c.rs_cold_s) 0. cells in
-  let warm_total = List.fold_left (fun a c -> a +. c.rs_warm_s) 0. cells in
-  let gate_pass = warm_total <= cold_total in
-  if gate && not gate_pass then
-    Printf.eprintf
-      "GATE FAILED: warm repair slower than from-scratch overall (%.1f ms vs \
-       %.1f ms)\n"
-      (warm_total *. 1e3) (cold_total *. 1e3)
-  else if gate then
-    Printf.printf "  gate: warm %.1f ms <= cold %.1f ms overall\n%!"
-      (warm_total *. 1e3) (cold_total *. 1e3);
-  (not gate) || gate_pass
-
-(* ------------------------------------------------------------------ *)
 (* Part 8: pool scaling benchmark (BENCH_pool.json)                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -964,8 +782,7 @@ let run_pool_bench ~quick ~k ~json_path ~gate =
 
 let main quick skip_micro only jobs solvers_only solvers_json bench_k warmup
     solvers_gate robustness_only robustness_json robustness_cases
-    multiload_only multiload_json multiload_gate resolve_only resolve_json
-    resolve_gate pool_only pool_json pool_gate =
+    multiload_only multiload_json multiload_gate pool_only pool_json pool_gate =
   Printf.printf
     "One-port FIFO divisible-load scheduling - reproduction harness\n\
      (Beaumont, Marchal, Rehn, Robert, RR-5738, 2005)%s\n\n%!"
@@ -975,13 +792,6 @@ let main quick skip_micro only jobs solvers_only solvers_json bench_k warmup
       ~json_path:robustness_json
   else if multiload_only then begin
     if not (run_multiload_bench ~quick ~json_path:multiload_json ~gate:multiload_gate)
-    then exit 1
-  end
-  else if resolve_only then begin
-    if
-      not
-        (run_resolve_bench ~quick ~k:bench_k ~warmup ~json_path:resolve_json
-           ~gate:resolve_gate)
     then exit 1
   end
   else if pool_only then begin
@@ -1013,15 +823,11 @@ let main quick skip_micro only jobs solvers_only solvers_json bench_k warmup
     let multiload_pass =
       run_multiload_bench ~quick ~json_path:multiload_json ~gate:multiload_gate
     in
-    let resolve_pass =
-      run_resolve_bench ~quick ~k:bench_k ~warmup ~json_path:resolve_json
-        ~gate:resolve_gate
-    in
     let pool_pass =
       run_pool_bench ~quick ~k:bench_k ~json_path:pool_json
         ~gate:pool_gate
     in
-    if not (gate_pass && multiload_pass && resolve_pass && pool_pass) then
+    if not (gate_pass && multiload_pass && pool_pass) then
       exit 1
   end
 
@@ -1128,27 +934,6 @@ let () =
             "Exit non-zero unless the steady-state period beats the \
              back-to-back baseline on at least one regime.")
   in
-  let resolve_only_arg =
-    Arg.(
-      value & flag
-      & info [ "resolve-only" ]
-          ~doc:"Run only the incremental re-solve benchmark (Part 7).")
-  in
-  let resolve_json_arg =
-    Arg.(
-      value
-      & opt string "BENCH_resolve.json"
-      & info [ "resolve-json" ] ~docv:"FILE"
-          ~doc:"Where to write the incremental re-solve benchmark JSON.")
-  in
-  let resolve_gate_arg =
-    Arg.(
-      value & flag
-      & info [ "resolve-gate" ]
-          ~doc:
-            "Exit non-zero if the warm-repair stream is slower overall than \
-             answering every request from scratch.")
-  in
   let pool_only_arg =
     Arg.(
       value & flag
@@ -1179,7 +964,6 @@ let () =
         $ solvers_only_arg $ solvers_json_arg $ bench_k_arg $ warmup_arg
         $ solvers_gate_arg $ robustness_only_arg $ robustness_json_arg
         $ robustness_cases_arg $ multiload_only_arg $ multiload_json_arg
-        $ multiload_gate_arg $ resolve_only_arg $ resolve_json_arg
-        $ resolve_gate_arg $ pool_only_arg $ pool_json_arg $ pool_gate_arg)
+        $ multiload_gate_arg $ pool_only_arg $ pool_json_arg $ pool_gate_arg)
   in
   exit (Cmd.eval cmd)

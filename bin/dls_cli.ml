@@ -151,9 +151,8 @@ let solve_cmd =
       | Some d ->
         (* Incremental what-if: solve the base through the cache, apply
            the delta to its scenario (sending order kept when the worker
-           count is unchanged), and re-solve through the cache so the
-           warm-repair path can start from the base's optimal basis. *)
-        Dls.Lp_model.reset_resolve_stats ();
+           count is unchanged), and re-solve with the base's optimal
+           basis as the warm start, which is certified first. *)
         let base = Dls.Solve.solve_exn ~mode:`Cached ~model (scenario_of platform) in
         Format.printf "base rho = %s (~%.6g)@." (Q.to_string base.Dls.Lp_model.rho)
           (Q.to_float base.Dls.Lp_model.rho);
@@ -163,7 +162,17 @@ let solve_cmd =
           | Ok s -> s
           | Error e -> raise (Dls.Errors.Error e)
         in
-        Dls.Solve.solve_exn ~mode:`Cached ~model scenario'
+        let before = Dls.Lp_model.pipeline_stats () in
+        let sol =
+          Dls.Solve.solve_exn ~mode:`Cached ~model
+            ~warm:base.Dls.Lp_model.basis scenario'
+        in
+        let after = Dls.Lp_model.pipeline_stats () in
+        Format.printf "re-solve: %d warm-start wins, %d exact fallbacks@."
+          (after.Dls.Lp_model.warm_wins - before.Dls.Lp_model.warm_wins)
+          (after.Dls.Lp_model.exact_fallbacks
+          - before.Dls.Lp_model.exact_fallbacks);
+        sol
       | None ->
         if fast then Dls.Solve.solve_exn ~mode:`Fast ~model (scenario_of platform)
         else (
@@ -172,9 +181,6 @@ let solve_cmd =
           | `Lifo -> Dls.Lifo.optimal ~model platform)
     in
     print_solution ?load sol;
-    if delta <> None then
-      Format.printf "resolve:@.%a@." Dls.Lp_model.pp_resolve_stats
-        (Dls.Lp_model.resolve_stats ());
     if stats then begin
       Format.printf "pipeline:@.%a@." Dls.Lp_model.pp_pipeline_stats
         (Dls.Lp_model.pipeline_stats ());
@@ -234,9 +240,9 @@ let solve_cmd =
              changes applied: $(b,comm:I:F) / $(b,comp:I:F) scale worker \
              $(i,I)'s link or compute speed by rational $(i,F), $(b,z:Q) \
              sets the return ratio, $(b,add:C:W:D) appends a worker, \
-             $(b,drop:I) removes one (1-based indices).  The re-solve goes \
-             through the incremental warm-repair pipeline and reports its \
-             counters.")
+             $(b,drop:I) removes one (1-based indices).  The re-solve starts \
+             from the base's optimal basis, which is certified first, and \
+             reports its warm-start wins and exact fallbacks.")
   in
   let doc = "compute the optimal FIFO or LIFO schedule (Theorem 1)" in
   Cmd.v
@@ -1095,10 +1101,11 @@ let check_cmd =
       & info [ "fuzz-resolve" ] ~docv:"N"
           ~doc:
             "Fuzz $(docv) random platform deltas per regime through the \
-             incremental warm-repair pipeline: every repaired basis must be \
-             bit-identical to a cold exact solve (or decline and fall back \
-             to the equally exact fast pipeline), and shape-changing deltas \
-             must be refused.  Prints the repair counters.")
+             re-solve from a neighbour: every answer certified from the \
+             base's basis must be bit-identical to a cold exact solve (or \
+             decline and fall back to the equally exact fast pipeline), and \
+             shape-changing deltas must be refused.  Prints the neighbour \
+             counters.")
   in
   let regime_arg =
     let regime =
@@ -1882,14 +1889,6 @@ let route_cmd =
              Unix-socket path when it contains a '/', $(b,HOST:PORT) when it \
              contains a ':', else a bare TCP port on 127.0.0.1.")
   in
-  let vnodes_arg =
-    Arg.(
-      value & opt int 128
-      & info [ "vnodes" ] ~docv:"N"
-          ~doc:
-            "Ring points per shard; more points, smoother key balance and \
-             finer-grained remapping.")
-  in
   let retries_arg =
     Arg.(
       value & opt int 1
@@ -1923,7 +1922,7 @@ let route_cmd =
         | Some p -> Service.Server.Tcp ("127.0.0.1", p)
         | None -> die "bad shard address %S (want PATH, HOST:PORT or PORT)" s)
   in
-  let run socket host port shards vnodes retries attempt_timeout =
+  let run socket host port shards retries attempt_timeout =
     let address =
       match address_of socket host port with
       | Ok a -> a
@@ -1935,8 +1934,7 @@ let route_cmd =
     let cfg =
       {
         (Service.Router.default_config address ~shard_addresses) with
-        Service.Router.vnodes;
-        attempts = retries + 1;
+        Service.Router.attempts = retries + 1;
         attempt_timeout =
           (if attempt_timeout > 0. then Some attempt_timeout else None);
       }
@@ -1948,10 +1946,9 @@ let route_cmd =
       let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stop_flag true) in
       Sys.set_signal Sys.sigterm on_signal;
       Sys.set_signal Sys.sigint on_signal;
-      Printf.printf "dls: routing %s over %d shards (vnodes=%d)\n%!"
+      Printf.printf "dls: routing %s over %d shards\n%!"
         (address_to_string (Service.Router.address router))
-        (List.length shard_addresses)
-        vnodes;
+        (List.length shard_addresses);
       while not (Atomic.get stop_flag) do
         (try Unix.sleepf 0.1 with Unix.Unix_error (Unix.EINTR, _, _) -> ())
       done;
@@ -1975,8 +1972,8 @@ let route_cmd =
   Cmd.v
     (Cmd.info "route" ~doc)
     Term.(
-      const run $ socket_arg $ host_arg $ port_arg $ shard_arg $ vnodes_arg
-      $ retries_arg $ attempt_timeout_arg)
+      const run $ socket_arg $ host_arg $ port_arg $ shard_arg $ retries_arg
+      $ attempt_timeout_arg)
 
 let chaos_cmd =
   let listen_socket_arg =

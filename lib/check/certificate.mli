@@ -1,6 +1,6 @@
 (** Independent LP-certificate checking of solved scenarios.
 
-    {!Dls.Lp_model.solve} already certifies its output against the LP it
+    {!Dls.Solve.solve} already certifies its output against the LP it
     built ({!Simplex.Certify}) — but that check shares the constraint
     {e construction} with the solver, so a bug in the LP builder passes
     through it undetected.  This module re-substitutes a solution into

@@ -473,7 +473,7 @@ let run_fault_matrix ?jobs ?(count = 200) ?(seed = 11) ?(severity = 0.6) regime 
   List.filter_map Fun.id (Array.to_list results)
 
 (* ------------------------------------------------------------------ *)
-(* Warm-repair differential matrix                                     *)
+(* Re-solve differential matrix                                        *)
 (* ------------------------------------------------------------------ *)
 
 type resolve_failure = {
@@ -485,9 +485,9 @@ type resolve_failure = {
 
 let gen_delta rng regime platform =
   let n = Dls.Platform.size platform in
-  (* Factors clustered around 1 (1/2 .. 2): the near-duplicate regime
-     the repair path is built for.  Larger kicks still certify or fall
-     back; small ones are where the pivot counts should stay tiny. *)
+  (* Factors clustered around 1 (1/4 .. 4): the near-duplicate regime,
+     where the base's basis most often still certifies.  Larger kicks
+     certify or fall back. *)
   let nudge () =
     Q.of_ints (1 + Random.State.int rng 4) (1 + Random.State.int rng 4)
   in
@@ -503,8 +503,8 @@ let gen_delta rng regime platform =
   in
   match Random.State.int rng 8 with
   | 0 ->
-    (* Shape change: the repair path must refuse (the cached basis has
-       the wrong dimension) and the fallback must still agree. *)
+    (* Shape change: the neighbour path must refuse (the base's basis
+       has the wrong dimension) and the fallback must still agree. *)
     if n > 1 && Random.State.bool rng then
       [ Dls.Delta.Remove_worker (Random.State.int rng n) ]
     else
@@ -549,8 +549,8 @@ let check_resolve platform delta =
       | Ok () -> ()
       | Error msgs -> List.iter (fun m -> add "repaired: certificate: %s" m) msgs)
     | None -> (
-      (* Repair declined — the fallback the cache takes must agree with
-         the exact answer (it is the certified fast pipeline). *)
+      (* Declined — the fallback must agree with the exact answer (it is
+         the certified fast pipeline). *)
       let fast = Dls.Solve.solve_exn ~mode:`Fast scenario' in
       if rho fast <>/ rho exact then
         add "fallback rho %s differs from exact %s after declined repair"

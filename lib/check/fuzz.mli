@@ -156,23 +156,23 @@ val run_fault_matrix :
   regime ->
   fault_failure list
 
-(** {1 Warm-repair differential matrix}
+(** {1 Re-solve differential matrix}
 
     The incremental-resolve analogue of {!run_matrix}: a random base
     platform solved cold ({!Dls.Fifo.optimal}), then a random
     {!Dls.Delta} applied to its scenario — mostly small [c]/[w] nudges
-    and [z] sweeps (the near-duplicate traffic the repair path is built
-    for), occasionally a worker add/drop to exercise the rejection rung
-    — and the perturbed scenario pushed through
-    {!Dls.Lp_model.solve_from_neighbor} against the base:
+    and [z] sweeps (near-duplicate traffic), occasionally a worker
+    add/drop to exercise the rejection — and the perturbed scenario
+    pushed through {!Dls.Lp_model.solve_from_neighbor} against the base:
 
-    - when the repair {e certifies}, its [rho]/[alpha]/[idle] must be
-      bit-identical to a cold [`Exact] solve of the perturbed scenario
-      and pass the independent {!Certificate};
-    - when it declines ([None]), the fallback the cache would take
-      ([`Fast]) must still agree bit-exactly with [`Exact];
-    - a shape-changing delta must never be accepted by the repair path
-      (the cached basis has the wrong dimension). *)
+    - when the base's basis {e certifies}, the answer's
+      [rho]/[alpha]/[idle] must be bit-identical to a cold [`Exact]
+      solve of the perturbed scenario and pass the independent
+      {!Certificate};
+    - when it declines ([None]), the fallback ([`Fast]) must still agree
+      bit-exactly with [`Exact];
+    - a shape-changing delta must never be accepted (the base's basis
+      has the wrong dimension). *)
 
 type resolve_failure = {
   r_index : int;

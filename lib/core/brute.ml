@@ -28,9 +28,13 @@ let factorial n =
 
 (* Solve one candidate, threading the previous optimal basis through as a
    warm start (a hint only — never changes the answer) and keeping the
-   first maximizer under strict [>]. *)
+   first maximizer under strict [>].  [fast = false] is the exact
+   baseline: no floats, no cache. *)
 let consider ~model ~fast ~best ~warm s =
-  let sol = Lp_model.solve_cached ~model ~fast ?warm:!warm s in
+  let sol =
+    if fast then Solve.solve_exn ~mode:`Cached ~model ?warm:!warm s
+    else Solve.solve_exn ~mode:`Exact ~model s
+  in
   if fast then warm := Some sol.Lp_model.basis;
   (match !best with
   | Some b when Q.compare sol.Lp_model.rho b.Lp_model.rho <= 0 -> ()

@@ -13,12 +13,12 @@
     of {!Bounds.scenario_bound} (for [best_general], whole [sigma1]
     blocks are measured with {!Bounds.prefix_bound}), LPs that cannot
     win are skipped, and the surviving solves run through the certified
-    fast pipeline ({!Lp_model.solve_cached} with [fast], threading the
-    previous optimal basis as a warm start).  Pruning is non-strict
-    against the sequential incumbent and strict against the shared
-    parallel incumbent, so the returned optimum stays {e bit-identical}
-    to the unpruned exhaustive scan — and identical for every [jobs]
-    value.  [~fast:false ~prune:false] restores the plain exact scan
+    fast pipeline ([Solve.solve ~mode:`Cached] when [fast], threading
+    the previous optimal basis as a warm start; [`Exact] otherwise).
+    Pruning is non-strict against the sequential incumbent and strict
+    against the shared parallel incumbent, so the returned optimum stays
+    {e bit-identical} to the unpruned exhaustive scan — and identical
+    for every [jobs] value.  [~fast:false ~prune:false] restores the plain exact scan
     (benchmark baseline).
 
     All entry points accept [?jobs] (default 1): the independent LPs are

@@ -7,10 +7,10 @@
     line of work).  This module gives those edits a first-class,
     composable representation so callers can say "the base scenario,
     plus these changes" instead of rebuilding platforms by hand — and so
-    the cached solver ({!Solve.solve}[ ~mode:`Cached]) can recognise the
-    resulting scenarios as neighbours of an already solved one and
-    {e repair} the cached optimal basis instead of solving from scratch
-    (see {!Lp_model.resolve_stats}).
+    a caller can re-solve the result with the base's optimal basis as
+    the warm start ({!Solve.solve}[ ~mode:`Cached ~warm:base.basis]): for
+    a small nudge that basis usually still certifies, with no pivots
+    (see also {!Lp_model.solve_from_neighbor}).
 
     {!Sensitivity}'s [Comm]/[Comp] perturbations are the two
     single-change special cases ({!Sensitivity.to_delta}). *)
@@ -37,8 +37,8 @@ type t = change list
 
 (** [preserves_shape d] holds when [d] keeps the worker count (no
     {!Add_worker}/{!Remove_worker}): exactly the deltas whose perturbed
-    LP has the same dimensions as the base, so the cached basis-repair
-    path can apply. *)
+    LP has the same dimensions as the base, so the base's optimal basis
+    can certify it. *)
 val preserves_shape : t -> bool
 
 (** [apply platform d] applies every change in order.  Out-of-range

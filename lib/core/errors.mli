@@ -1,7 +1,7 @@
 (** The one error type shared by every scheduling entry point.
 
     Fallible operations come in pairs: a [result]-returning base
-    function ([Scenario.make], [Lp_model.solve], ...) and a thin [_exn]
+    function ([Scenario.make], [Solve.solve], ...) and a thin [_exn]
     wrapper that raises {!Error}.  Nothing in the public API signals
     errors through [Failure] or [Invalid_argument] anymore; match on
     {!t} (or catch {!Error}) instead of parsing exception strings. *)

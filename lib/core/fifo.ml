@@ -11,7 +11,7 @@ let order platform =
   | Some _ | None -> ascending
 
 let solve_order ?model platform ord =
-  Lp_model.solve_exn ?model (Scenario.fifo_exn platform ord)
+  Solve.solve_exn ~mode:`Exact ?model (Scenario.fifo_exn platform ord)
 
 let optimal ?model platform = solve_order ?model platform (order platform)
 

@@ -8,6 +8,6 @@ let order platform =
   Platform.sorted_indices_by platform (fun wk -> wk.Platform.c)
 
 let solve_order ?model platform ord =
-  Lp_model.solve_exn ?model (Scenario.lifo_exn platform ord)
+  Solve.solve_exn ~mode:`Exact ?model (Scenario.lifo_exn platform ord)
 
 let optimal ?model platform = solve_order ?model platform (order platform)

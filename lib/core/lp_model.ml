@@ -168,11 +168,6 @@ let solve_lp model s p =
       Errors.invalid "LP certification failed: %s" (String.concat "; " msgs)
     | Ok () -> Ok (package model s sol))
 
-let solve ?(model = One_port) (s : Scenario.t) =
-  solve_lp model s (lazy (problem model s))
-
-let solve_exn ?model s = Errors.get_exn (solve ?model s)
-
 (* One candidate basis up the certification ladder: the structured
    FIFO/LIFO certificate (O(p)) first, and [certify_basis]'s restricted
    exact factorization only for a basis whose shape it cannot read.  A
@@ -193,7 +188,7 @@ let default_max_float_pivots = 100_000
    unique, and therefore equal to the cold solve's.  Anything else
    (defective basis, float stall, alternate optima, integer overflow in
    the certificate) falls back to the canonical exact solve, so the
-   result is bit-identical to {!solve} by construction. *)
+   result is bit-identical to the exact solve by construction. *)
 let fast_pipeline model ?warm ~max_float_pivots s p =
   let certified =
     match warm with
@@ -235,13 +230,6 @@ let fast_pipeline model ?warm ~max_float_pivots s p =
     bump exact_fallbacks 1;
     solve_lp model s p
 
-let solve_fast ?(model = One_port) ?warm
-    ?(max_float_pivots = default_max_float_pivots) (s : Scenario.t) =
-  fast_pipeline model ?warm ~max_float_pivots s (lazy (problem model s))
-
-let solve_fast_exn ?model ?warm ?max_float_pivots s =
-  Errors.get_exn (solve_fast ?model ?warm ?max_float_pivots s)
-
 (* ------------------------------------------------------------------ *)
 (* LRU-memoized solving.                                              *)
 
@@ -277,14 +265,13 @@ let scenario_key model (s : Scenario.t) =
     s.Scenario.sigma2;
   Buffer.contents buf
 
-(* Distance between two scenario fingerprints, for the nearest-neighbor
-   warm-repair probe: the number of differing worker [name:c:w:d]
-   fields, provided the keys describe the same model, the same worker
-   count and the same permutation pair — otherwise [None]
-   (incomparable: the LPs have different shapes or different row
-   semantics, so a cached basis cannot even be installed).  Purely
-   syntactic on the canonical key, so it never needs the scenarios
-   themselves. *)
+(* Distance between two scenario fingerprints: the number of differing
+   worker [name:c:w:d] fields, provided the keys describe the same
+   model, the same worker count and the same permutation pair —
+   otherwise [None] (incomparable: the LPs have different shapes or
+   different row semantics, so one's basis cannot even be installed in
+   the other).  Purely syntactic on the canonical key, so it never
+   needs the scenarios themselves. *)
 let scenario_key_distance a b =
   let split4 k =
     match String.split_on_char '|' k with
@@ -302,113 +289,69 @@ let scenario_key_distance a b =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Incremental re-solve counters (same discipline as the pipeline
-   stats above: process-wide relaxed atomics, diagnostics only). *)
+(* Re-solve from a neighbour (same discipline as the pipeline stats
+   above: process-wide relaxed atomics, diagnostics only). *)
 
-type resolve_stats = {
-  probes : int;
-  repair_wins : int;
-  repair_fallbacks : int;
-  repair_pivots : int;
-}
+type resolve_stats = { probes : int; repair_wins : int; repair_pivots : int }
 
 let neighbor_probes = Atomic.make 0
 let repair_wins = Atomic.make 0
-let repair_fallbacks = Atomic.make 0
-let repair_pivot_count = Atomic.make 0
 
+(* Certifying a basis pivots nothing, so [repair_pivots] is always 0. *)
 let resolve_stats () =
   {
     probes = Atomic.get neighbor_probes;
     repair_wins = Atomic.get repair_wins;
-    repair_fallbacks = Atomic.get repair_fallbacks;
-    repair_pivots = Atomic.get repair_pivot_count;
+    repair_pivots = 0;
   }
 
 let reset_resolve_stats () =
   Atomic.set neighbor_probes 0;
-  Atomic.set repair_wins 0;
-  Atomic.set repair_fallbacks 0;
-  Atomic.set repair_pivot_count 0
+  Atomic.set repair_wins 0
 
 let pp_resolve_stats fmt s =
-  Format.fprintf fmt
-    "@[<v>neighbor probes:  %d@,repair wins:      %d@,repair fallbacks: %d@,\
-     repair pivots:    %d@]"
-    s.probes s.repair_wins s.repair_fallbacks s.repair_pivots
+  Format.fprintf fmt "@[<v>neighbor probes:  %d@,neighbor wins:    %d@]"
+    s.probes s.repair_wins
 
-(* Warm repair from a neighbouring scenario's optimal basis.  The
-   cheapest possibility first: for a small parameter nudge the old
-   basis is very often still optimal, and the certification ladder
-   proves it without pivoting.  Otherwise a bounded float dual-simplex
-   repair walks from the old basis to a new terminal basis, which must
-   then pass the same exact certification.
-   [None] means "no certified answer this way" — never a wrong one —
-   and the caller falls back to the ordinary pipeline, which keeps
-   every cached answer bit-identical to [solve]'s by construction. *)
-let neighbor_repair model s p (near : solved) =
+(* For a small parameter nudge the old optimal basis is very often still
+   optimal, and the certification ladder proves it without pivoting.
+   [None] means "no certified answer this way" — never a wrong one. *)
+let solve_from_neighbor model s (near : solved) =
   bump neighbor_probes 1;
-  let certified ~pivots basis =
-    match certify model s p basis with
-    | None -> None
-    | Some sol ->
-      bump repair_wins 1;
-      bump repair_pivot_count pivots;
-      Some (package model s sol)
-  in
-  match certified ~pivots:0 near.basis with
-  | Some _ as hit -> hit
-  | None -> (
-    match Simplex.Float_solver.repair (Lazy.force p) ~basis:near.basis with
-    | None -> None
-    | Some (basis, pivots) ->
-      if basis = near.basis then None else certified ~pivots basis)
+  match certify model s (lazy (problem model s)) near.basis with
+  | None -> None
+  | Some sol ->
+    bump repair_wins 1;
+    Some (package model s sol)
 
-let solve_from_neighbor model s near =
-  neighbor_repair model s (lazy (problem model s)) near
+(* ------------------------------------------------------------------ *)
+(* The three modes behind [Solve.solve].                              *)
+
+type mode = [ `Exact | `Fast | `Cached ]
 
 let default_cache_capacity = 4096
 let cache : (string, solved) Parallel.Lru.t ref =
   ref (Parallel.Lru.create ~capacity:default_cache_capacity ())
 
-(* Every branch produces the same record bit-for-bit (see [solve_fast]
-   and [solve_from_neighbor]), so the cache key does not need to
-   distinguish them and a hit may have been computed by any pipeline.
-   [warm] is a hint, not an input: it never changes the answer, only
-   the pivot count.  Single-flight: concurrent misses on one scenario
-   (server workers fielding identical requests, enumeration domains
-   meeting on a shared prefix) run one solve; the others join it.
-
-   A miss first probes the cache for the nearest already solved
-   neighbor — same model, same permutations, same worker count, fewest
-   differing worker fields — and tries to repair that scenario's
-   optimal basis into this one's (certify-first, then bounded dual
-   simplex + certification).  Certification failure of any kind falls
-   back to the ordinary [fast] pipeline.  Both rungs share one lazily
-   built LP. *)
-let solve_cached ?(model = One_port) ?(fast = true) ?warm s =
-  let key = scenario_key model s in
-  Parallel.Lru.find_or_compute !cache key (fun () ->
-      let p = lazy (problem model s) in
-      let full () =
-        Errors.get_exn
-          (if fast then
-             fast_pipeline model ?warm
-               ~max_float_pivots:default_max_float_pivots s p
-           else solve_lp model s p)
-      in
-      if not fast then full ()
-      else
-        match
-          Parallel.Lru.find_nearest !cache ~score:(scenario_key_distance key)
-        with
-        | None -> full ()
-        | Some (_, near) -> (
-          match neighbor_repair model s p near with
-          | Some solved -> solved
-          | None ->
-            bump repair_fallbacks 1;
-            full ()))
+(* [`Cached] memoizes the fast pipeline: both return bit-identical
+   records, so a hit is the answer either would give.  [warm] is a hint,
+   not an input: it never changes the answer, only the pivot count.
+   Single-flight: concurrent misses on one scenario (server workers
+   fielding identical requests, enumeration domains meeting on a shared
+   prefix) run one solve; the others join it. *)
+let run (mode : mode) ?(model = One_port) ?warm
+    ?(max_float_pivots = default_max_float_pivots) s =
+  let p = lazy (problem model s) in
+  match mode with
+  | `Exact -> solve_lp model s p
+  | `Fast -> fast_pipeline model ?warm ~max_float_pivots s p
+  | `Cached -> (
+    match
+      Parallel.Lru.find_or_compute !cache (scenario_key model s) (fun () ->
+          Errors.get_exn (fast_pipeline model ?warm ~max_float_pivots s p))
+    with
+    | solved -> Ok solved
+    | exception Errors.Error e -> Error e)
 
 let cache_stats () = Parallel.Lru.stats !cache
 

@@ -42,79 +42,58 @@ type solved = private {
   pivots : int;  (** simplex pivots, for diagnostics *)
   basis : int array;
       (** terminal simplex basis — diagnostics, and the warm-start seed
-          threaded through enumeration (see {!solve_fast}) *)
+          threaded through enumeration (see {!run}) *)
 }
 
 (** [problem model scenario] builds the LP. Variables are laid out as
     [α] in [sigma1] order followed by [x] in [sigma1] order. *)
 val problem : model -> Scenario.t -> Simplex.Problem.t
 
-(** [solve ?model scenario] solves the LP exactly (default [One_port]).
-    The solution is validated with {!Simplex.Certify} before being
-    returned.  [Error Unbounded]/[Error Infeasible] are impossible for a
-    well-formed platform but reported faithfully when they occur. *)
-val solve : ?model:model -> Scenario.t -> (solved, Errors.t) result
-[@@ocaml.deprecated "use Solve.solve ~mode:`Exact"]
+(** How {!run} solves; see {!Solve.mode}. *)
+type mode = [ `Exact | `Fast | `Cached ]
 
-(** [solve_exn ?model scenario] is {!solve}.
-    @raise Errors.Error on a degenerate LP. *)
-val solve_exn : ?model:model -> Scenario.t -> solved
-[@@ocaml.deprecated "use Solve.solve_exn ~mode:`Exact"]
+(** [run mode ?model ?warm ?max_float_pivots scenario] is the
+    implementation behind {!Solve.solve}, the front door every caller
+    uses (default model [One_port]).
 
-(** [solve_fast ?model ?warm ?max_float_pivots scenario] is the certified
-    fast pipeline, {e bit-identical} to {!solve} by construction.  A
-    candidate basis — [warm] (the optimal basis of a neighbouring
-    scenario) when given, else the float simplex's terminal basis —
-    climbs a certification ladder:
+    - [`Exact] runs the exact simplex and verifies its answer with
+      {!Simplex.Certify}.  [Error Unbounded]/[Error Infeasible] are
+      impossible for a well-formed platform but reported faithfully
+      when they occur.
+    - [`Fast] is the certified fast pipeline, {e bit-identical} to
+      [`Exact] by construction.  A candidate basis — [warm] (the
+      optimal basis of a neighbouring scenario) when given, else the
+      float simplex's terminal basis — climbs a certification ladder:
+      + the structured certificate ({!Structured_cert}), for FIFO and
+        LIFO scenarios: O(p) exact operations along Theorem 1's chain
+        of binding rows;
+      + {!Simplex.Solver.certify_basis}, one restricted exact
+        factorization, only for a basis the structured certificate
+        cannot read (another permutation pair, another basis layout);
+      + the full exact solve for everything else (rejected basis, float
+        stall after [max_float_pivots], alternate optima).
 
-    + the structured certificate ({!Structured_cert}), for FIFO and LIFO
-      scenarios: O(p) exact operations along Theorem 1's chain of
-      binding rows;
-    + {!Simplex.Solver.certify_basis}, one restricted exact
-      factorization, only for a basis the structured certificate cannot
-      read (another permutation pair, another basis layout);
-    + the full exact {!solve} for everything else (rejected basis, float
-      stall after [max_float_pivots], alternate optima).
-
-    Either certificate accepts only when every non-basic reduced cost is
-    strictly negative — that proves the optimum unique, hence equal to
-    the cold solve's point — and has then checked every row in exact
-    arithmetic, so a certified answer is not re-checked; the exact
-    simplex's answer is verified with {!Simplex.Certify} like
-    {!solve}'s.
-
-    Correctness therefore never depends on float tolerances; the floats
-    only pick which exact computation runs.  The [pivots] field of the
-    result reflects the work of whichever path produced it.  Counter
-    movements are visible in {!pipeline_stats} ([float_wins] and
-    [warm_wins] count wins of either certificate). *)
-val solve_fast :
+      Either certificate accepts only when every non-basic reduced cost
+      is strictly negative — that proves the optimum unique, hence
+      equal to the exact solve's point — and has then checked every row
+      in exact arithmetic, so a certified answer is not re-checked.
+      Correctness therefore never depends on float tolerances; the
+      floats only pick which exact computation runs.  The [pivots]
+      field reflects the work of whichever path produced the answer.
+      Counter movements are visible in {!pipeline_stats} ([float_wins]
+      and [warm_wins] count wins of either certificate).
+    - [`Cached] is [`Fast] memoized through a process-wide, size-bounded
+      LRU cache keyed by {!scenario_key}.  A miss runs [`Fast] with the
+      caller's [warm] hint and builds the LP at most once; concurrent
+      misses on one key run one solve.  [warm] is a performance hint
+      only.  Safe to call from several domains concurrently. *)
+val run :
+  mode ->
   ?model:model ->
   ?warm:int array ->
   ?max_float_pivots:int ->
   Scenario.t ->
   (solved, Errors.t) result
-[@@ocaml.deprecated "use Solve.solve ~mode:`Fast"]
-
-(** [solve_fast_exn] is {!solve_fast}.
-    @raise Errors.Error on a degenerate LP. *)
-val solve_fast_exn :
-  ?model:model -> ?warm:int array -> ?max_float_pivots:int -> Scenario.t -> solved
-[@@ocaml.deprecated "use Solve.solve_exn ~mode:`Fast"]
-
-(** [solve_cached ?model ?fast ?warm scenario] is {!solve_fast_exn}
-    (default) or {!solve_exn} (when [fast] is [false]) memoized through a
-    process-wide, size-bounded LRU cache keyed by {!scenario_key}.  A
-    miss builds the LP at most once, shared by the neighbour repair and
-    the full pipeline, and not at all when the neighbour's basis passes
-    the structured certificate.
-    Because both pipelines return bit-identical records, the key does not
-    encode the pipeline and a hit may serve either caller.  [warm] is a
-    performance hint only.  Safe to call from several domains
-    concurrently. *)
-val solve_cached :
-  ?model:model -> ?fast:bool -> ?warm:int array -> Scenario.t -> solved
-[@@ocaml.deprecated "use Solve.solve ~mode:`Cached"]
 
 (** [scenario_key model scenario] is the canonical cache fingerprint:
     model tag, every worker's [name:c:w:d] (rationals in lowest terms),
@@ -123,29 +102,24 @@ val solve_cached :
 val scenario_key : model -> Scenario.t -> string
 
 (** [scenario_key_distance a b] is the distance between two canonical
-    fingerprints for the nearest-neighbor warm-repair probe: the number
-    of differing worker [name:c:w:d] fields, when the two keys agree on
-    the model, the worker count and both permutations — [None]
-    otherwise (incomparable: the LPs differ in shape or row semantics,
-    so a cached basis cannot be installed).  [Some 0] iff [a = b].
-    Purely syntactic; never inspects the scenarios themselves. *)
+    fingerprints: the number of differing worker [name:c:w:d] fields,
+    when the two keys agree on the model, the worker count and both
+    permutations — [None] otherwise (incomparable: the LPs differ in
+    shape or row semantics, so one's basis cannot be installed in the
+    other).  [Some 0] iff [a = b].  Purely syntactic; never inspects the
+    scenarios themselves.  It picks a [near] for
+    {!solve_from_neighbor}. *)
 val scenario_key_distance : string -> string -> int option
 
-(** [solve_from_neighbor model scenario near] attempts the incremental
-    re-solve primitive: treat [near] — a solved neighbouring scenario,
-    typically differing from [scenario] in a few worker fields (a
-    {!Delta} application) — as a warm start, and return a {e certified}
-    solution of [scenario] built from it, or [None].
-
-    Two rungs, cheapest first: (1) [near.basis] is certified directly
-    against [scenario]'s LP (for small nudges the optimal basis rarely
-    moves; zero pivots, and the same certification ladder as
-    {!solve_fast}); (2) a bounded float dual-simplex {e repair}
-    ({!Simplex.Float_solver.repair}) pivots the stale basis back to
-    optimality, and the terminal basis must pass the same exact
-    certification.  A [Some] answer is therefore bit-identical to
-    {!solve}'s in [rho]/[alpha]/[idle]; [None] means "no certified
-    shortcut" — fall back to a full pipeline — never "no optimum".
+(** [solve_from_neighbor model scenario near] tries [near] — a solved
+    neighbouring scenario, typically differing from [scenario] in a few
+    worker fields (a {!Delta} application) — as a shortcut: [near.basis]
+    goes up [`Fast]'s certification ladder against [scenario]'s LP (for
+    small nudges the optimal basis rarely moves; zero pivots).  A [Some]
+    answer is therefore bit-identical to [`Exact]'s in
+    [rho]/[alpha]/[idle]; [None] means "the neighbour's basis does not
+    certify" — solve in full — never "no optimum".  No solve mode calls
+    this: [`Cached ~warm:near.basis] runs the same certificate first.
     Counter movements land in {!resolve_stats}. *)
 val solve_from_neighbor : model -> Scenario.t -> solved -> solved option
 
@@ -177,24 +151,17 @@ val note_pruned : int -> unit
 
 val pp_pipeline_stats : Format.formatter -> pipeline_stats -> unit
 
-(** Process-wide counters of the incremental re-solve (warm-repair)
-    path taken by {!solve_cached} misses; atomic like
+(** Process-wide counters of {!solve_from_neighbor}; atomic like
     {!pipeline_stats}. *)
 type resolve_stats = {
-  probes : int;
-      (** warm-repair attempts: {!solve_from_neighbor} calls, whether
-          from a cache miss that found a comparable neighbor or direct *)
-  repair_wins : int;
-      (** probes whose repaired (or directly re-certified) basis was
-          certified — the full solve was skipped *)
-  repair_fallbacks : int;
-      (** probes that did not certify and fell back to a full solve *)
+  probes : int;  (** {!solve_from_neighbor} calls *)
+  repair_wins : int;  (** calls whose neighbour basis certified *)
   repair_pivots : int;
-      (** cumulative dual/primal repair pivots across wins (0-pivot wins
-          are direct re-certifications of the neighbour's basis) *)
+      (** always 0: certifying a basis pivots nothing (the field stays
+          for readers of the older dual-simplex repair's counters) *)
 }
 
-(** [resolve_stats ()] is a snapshot of the warm-repair counters. *)
+(** [resolve_stats ()] is a snapshot of the re-solve counters. *)
 val resolve_stats : unit -> resolve_stats
 
 (** [reset_resolve_stats ()] zeroes them (benchmark bookkeeping). *)

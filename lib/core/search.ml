@@ -128,7 +128,7 @@ let search ?(jobs = 1) discipline model platform =
   in
   (* Incumbent: the Theorem 1 heuristic order (also the optimal LIFO
      order under uniform z, per the companion paper). *)
-  let heuristic = Lp_model.solve_cached ~model (scenario_of (Fifo.order platform)) in
+  let heuristic = Solve.solve_exn ~mode:`Cached ~model (scenario_of (Fifo.order platform)) in
   (* Branch in ascending-c order, which tends to find improvements
      early. *)
   let candidates = Fifo.order platform in
@@ -139,7 +139,7 @@ let search ?(jobs = 1) discipline model platform =
     let warm = ref None in
     let solve_order order =
       incr lps;
-      let sol = Lp_model.solve_cached ~model ?warm:!warm (scenario_of order) in
+      let sol = Solve.solve_exn ~mode:`Cached ~model ?warm:!warm (scenario_of order) in
       warm := Some sol.Lp_model.basis;
       sol
     in
@@ -193,7 +193,7 @@ let search ?(jobs = 1) discipline model platform =
         let warm = ref None in
         let solve_order order =
           incr lps;
-          let sol = Lp_model.solve_cached ~model ?warm:!warm (scenario_of order) in
+          let sol = Solve.solve_exn ~mode:`Cached ~model ?warm:!warm (scenario_of order) in
           warm := Some sol.Lp_model.basis;
           sol
         in

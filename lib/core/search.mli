@@ -23,7 +23,7 @@
     a floating-point simplex, then an exact confirmation only when
     pruning looks possible — so no subtree is ever cut on floating-point
     evidence, but most nodes skip the exact LP.  Leaf solves run through
-    the certified fast pipeline ({!Lp_model.solve_cached}), threading
+    the certified fast pipeline ([Solve.solve ~mode:`Cached]), threading
     the previous optimal basis as a warm start.
 
     With [?jobs > 1] the root subtrees are searched by a domain pool.

@@ -1,13 +1,7 @@
-type mode = [ `Exact | `Fast | `Cached ]
+type mode = Lp_model.mode
 
 let solve ?(mode = `Fast) ?model ?warm ?max_float_pivots scenario =
-  match mode with
-  | `Exact -> Lp_model.solve ?model scenario
-  | `Fast -> Lp_model.solve_fast ?model ?warm ?max_float_pivots scenario
-  | `Cached -> (
-    match Lp_model.solve_cached ?model ?warm scenario with
-    | solved -> Ok solved
-    | exception Errors.Error e -> Error e)
+  Lp_model.run mode ?model ?warm ?max_float_pivots scenario
 
 let solve_exn ?mode ?model ?warm ?max_float_pivots scenario =
   Errors.get_exn (solve ?mode ?model ?warm ?max_float_pivots scenario)

@@ -1,31 +1,21 @@
 (** The one solver front door.
 
-    Historically the library grew three entry points for the same LP —
-    {!Lp_model.solve} (cold exact), {!Lp_model.solve_fast} (certified
-    float-first, PR 3) and {!Lp_model.solve_cached} (LRU-memoized,
-    PR 5) — and every caller picked one by name.  This module folds the
-    choice into a [mode] argument so call sites say {e what} guarantee
-    they need, not {e which} pipeline to run; the old names survive as
-    deprecated aliases in {!Lp_model}.
-
-    All three modes return bit-identical {!Lp_model.solved} records by
-    construction (the fast pipeline certifies or falls back; the cache
-    stores the same records), so [mode] is purely a performance
-    knob. *)
+    Call sites say {e what} guarantee they need through [mode], not
+    {e which} pipeline to run.  All three modes return bit-identical
+    {!Lp_model.solved} records by construction (the fast pipeline
+    certifies or falls back; the cache stores the same records), so
+    [mode] is purely a performance knob.  {!Lp_model.run} documents the
+    pipelines. *)
 
 (** How to run the solve:
     - [`Exact]: the cold exact simplex, no floats anywhere — the
       reference path;
     - [`Fast]: certified float-first pipeline, bit-identical to
       [`Exact] (default);
-    - [`Cached]: [`Fast] memoized through the process-wide LRU; a miss
-      additionally probes the cache for the nearest already solved
-      neighbour (same shape, few differing worker fields — e.g. a
-      {!Delta} nudge) and warm-{e repairs} its optimal basis instead of
-      solving from scratch when the repair certifies
-      ({!Lp_model.solve_from_neighbor}; counters in
-      {!Lp_model.resolve_stats}).  Still bit-identical: certification
-      failure falls back to the full pipeline. *)
+    - [`Cached]: [`Fast] memoized through the process-wide LRU.  A miss
+      runs [`Fast] with the caller's [warm] hint: pass a solved
+      neighbour's basis (e.g. the base of a {!Delta} nudge) and it is
+      certified first, with no pivots, when it is still optimal. *)
 type mode = [ `Exact | `Fast | `Cached ]
 
 (** [solve ?mode ?model ?warm ?max_float_pivots scenario] solves the

@@ -236,31 +236,6 @@ let find_or_compute t k compute =
   Mutex.lock t.m;
   classify ()
 
-(* Nearest-key probe for warm starts: walk the recency list from the
-   most-recently-used end scoring each key, and return the best-scoring
-   entry.  [score k'] is a distance ([None] = incomparable); ties keep
-   the more recently used entry.  The walk is bounded by [limit] nodes
-   because it runs under the cache lock; counters and recency are left
-   untouched — this is a read-only probe, not a lookup. *)
-let find_nearest ?(limit = 32) t ~score =
-  with_lock t (fun () ->
-      let best = ref None in
-      let rec walk n visited =
-        match n with
-        | None -> ()
-        | Some _ when visited >= limit -> ()
-        | Some node -> (
-            match score node.key with
-            | Some d
-              when match !best with Some (bd, _, _) -> d < bd | None -> true
-              ->
-                best := Some (d, node.key, node.value);
-                if d > 0 then walk node.next (visited + 1)
-            | _ -> walk node.next (visited + 1))
-      in
-      walk t.head 0;
-      match !best with Some (_, k, v) -> Some (k, v) | None -> None)
-
 let mem t k = with_lock t (fun () -> Hashtbl.mem t.table k)
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
 let capacity t = t.cap

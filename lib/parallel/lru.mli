@@ -67,17 +67,6 @@ val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     sequentially — is identical to {!find_or_add}. *)
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 
-(** [find_nearest ?limit t ~score] walks the recency list from the
-    most-recently-used end, scoring every key with [score] ([None] =
-    incomparable), and returns the best-scoring (smallest-distance)
-    entry, ties resolved toward more recent use.  At most [limit]
-    (default 32) entries are examined — the walk holds the cache lock —
-    and a distance of [0] short-circuits.  Counters and recency are not
-    touched: this is a read-only probe for warm-start candidates, not a
-    lookup. *)
-val find_nearest :
-  ?limit:int -> ('k, 'v) t -> score:('k -> int option) -> ('k * 'v) option
-
 val mem : ('k, 'v) t -> 'k -> bool
 val length : ('k, 'v) t -> int
 val capacity : ('k, 'v) t -> int

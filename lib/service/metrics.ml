@@ -151,21 +151,22 @@ let snapshot ?(dispatchers = 1) ?store t ~queue_depth =
   let counts = Array.map Atomic.get t.histogram in
   let total = Array.fold_left ( + ) 0 counts in
   let cache = Dls.Lp_model.cache_stats () in
-  let resolve = Dls.Lp_model.resolve_stats () in
   let durable =
     Option.value store
       ~default:{ Store.hits = 0; misses = 0; appended = 0; compactions = 0 }
   in
-  (* The stats fields kept outside [counts]: process-wide LP-cache and
-     repair counters, the store's own counters, the caller's
-     configuration and the latency histogram. *)
+  (* The stats fields kept outside [counts]: process-wide LP-cache
+     counters, the store's own counters, the caller's configuration and
+     the latency histogram.  No serving path re-solves from a cached
+     neighbour any more, so the three repair fields are always 0; they
+     stay on the wire so the stats line keeps its 32 fields. *)
   let sampled =
     [
       ("cache_hits", cache.Parallel.Lru.hits);
       ("cache_misses", cache.Parallel.Lru.misses);
-      ("repair_probes", resolve.Dls.Lp_model.probes);
-      ("repair_wins", resolve.Dls.Lp_model.repair_wins);
-      ("repair_pivots", resolve.Dls.Lp_model.repair_pivots);
+      ("repair_probes", 0);
+      ("repair_wins", 0);
+      ("repair_pivots", 0);
       ("dispatchers", dispatchers);
       ("journal_appended", durable.Store.appended);
       ("compactions", durable.Store.compactions);

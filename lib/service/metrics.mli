@@ -11,13 +11,14 @@
     The counters live in one atomic array keyed by {!counter}; the
     implementation declares each counter once, beside the stats field
     it reports as, and {!snapshot} fills the record from those slots
-    and a short list of values sampled elsewhere (LP cache, repair,
-    store, histogram, configuration) through {!Protocol.stats_of}, a
-    loop over the stats field table.  Adding a server counter takes a
-    field of {!Protocol.stats_rep} (both copies), a row of the stats
-    table and a line of its zero seed in [protocol.ml], a constructor
-    of {!counter} (both copies) and its line in the declaration — then
-    [incr m New_counter] where the event happens. *)
+    and a short list of values sampled elsewhere (LP cache, store,
+    histogram, configuration; the retired repair fields read 0) through
+    {!Protocol.stats_of}, a loop over the stats field table.  Adding a
+    server counter takes a field of {!Protocol.stats_rep} (both
+    copies), a row of the stats table and a line of its zero seed in
+    [protocol.ml], a constructor of {!counter} (both copies) and its
+    line in the declaration — then [incr m New_counter] where the event
+    happens. *)
 
 type t
 

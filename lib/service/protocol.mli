@@ -113,7 +113,7 @@ type request =
 
 (** Exact solver answer; [alpha]/[idle] are platform-indexed, [sigma1]
     is the sending order — together with [rho] this is bit-comparable
-    to a direct {!Dls.Lp_model.solve} on the same scenario. *)
+    to a direct {!Dls.Solve.solve} on the same scenario. *)
 type solve_rep = {
   rho : Q.t;
   sigma1 : int array;
@@ -172,11 +172,11 @@ type stats_rep = {
   cache_hits : int;  (** LP-cache hits across the whole process *)
   cache_misses : int;
   repair_probes : int;
-      (** cache misses that found a repairable neighbour
-          ({!Dls.Lp_model.resolve_stats}); 0 when absent on the wire
-          (pre-repair servers) *)
-  repair_wins : int;  (** probes whose repaired basis certified *)
-  repair_pivots : int;  (** cumulative repair pivots across wins *)
+      (** always 0 from this daemon: a cache miss no longer probes for a
+          neighbour to repair (the three [repair_*] fields stay so the
+          stats line keeps its 32 fields); 0 when absent on the wire *)
+  repair_wins : int;  (** always 0 from this daemon *)
+  repair_pivots : int;  (** always 0 from this daemon *)
   dispatchers : int;
       (** dispatcher threads serving the sharded queue; 1 when absent
           on the wire (pre-sharding servers) *)

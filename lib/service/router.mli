@@ -28,16 +28,16 @@
 type config = {
   address : Server.address;  (** front address clients connect to *)
   shard_addresses : Server.address list;  (** the backend daemons *)
-  vnodes : int;  (** ring points per shard (default 128) *)
   attempts : int;  (** resilient attempts per shard before failover *)
   attempt_timeout : float option;  (** per-attempt deadline, seconds *)
 }
 
-(** vnodes 128, attempts 2, attempt_timeout 1s — failover to the next
-    shard is the router's retry budget, so per-shard attempts stay
-    small.  128 points per shard keeps the key balance within about
-    20% of even across realistic fleet sizes; fewer points make the
-    arc-length variance (~1/sqrt vnodes) dominate. *)
+(** attempts 2, attempt_timeout 1s — failover to the next shard is the
+    router's retry budget, so per-shard attempts stay small.  Every
+    router puts 128 points per shard on its ring, which keeps the key
+    balance within about 20% of even across realistic fleet sizes;
+    fewer points make the arc-length variance (~1/sqrt vnodes)
+    dominate. *)
 val default_config :
   Server.address -> shard_addresses:Server.address list -> config
 

@@ -17,8 +17,10 @@
     whose shard runs dry steals a round from the longest other shard,
     so skewed traffic cannot idle dispatchers (counted in the [steals]
     stat).  A [solve] evaluates through [Dls.Solve ~mode:`Cached]
-    ([`Exact] when the request says [fast=false] and brownout is off);
-    collapse and the LP cache are always on.
+    ([`Exact] when the request says [fast=false] and brownout is off):
+    an LP-cache miss runs the certified fast pipeline from scratch, with
+    no neighbour probe, so the [repair_*] stats read 0.  Collapse and
+    the LP cache are always on.
 
     Graceful degradation (PR 9): with a [timeout] configured, admission
     is deadline-aware — when the service-time EWMA predicts a queue

@@ -16,5 +16,3 @@ let solve ?max_pivots p =
   | Fast.Unbounded -> Unbounded
   | Fast.Infeasible -> Infeasible
   | Fast.Stalled -> Stalled
-
-let repair ?max_pivots p ~basis = Fast.repair ?max_pivots p ~basis

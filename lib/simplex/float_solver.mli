@@ -5,7 +5,7 @@
     pivoting: use it for large-scale throughput {e estimation}
     (dashboards, sweeps), or as the scout of the certified fast path —
     its terminal {!solution.basis} is lifted into the exact solver by
-    [Lp_model.solve_fast], which accepts the answer only after an exact
+    the [`Fast] solve mode, which accepts the answer only after an exact
     re-derivation.  Keep the exact solver for anything a schedule is
     built from.  Degenerate problems may [Stalled] out of the pivot cap
     instead of terminating. *)
@@ -24,14 +24,3 @@ type outcome = Optimal of solution | Unbounded | Infeasible | Stalled
 (** [solve ?max_pivots p] solves with float arithmetic (the problem
     statement itself stays exact). *)
 val solve : ?max_pivots:int -> Problem.t -> outcome
-
-(** [repair ?max_pivots p ~basis] is {!Solver_core.Make.repair} over
-    floats: dual-simplex pivots restore primal feasibility of a
-    neighbouring problem's optimal basis, a primal Bland pass finishes,
-    and the terminal basis comes back with the repair pivot count.  The
-    basis is a candidate only — certify it exactly
-    ({!Solver.certify_basis}) before trusting it; [None] (unusable
-    basis, pivot budget exhausted, infeasible/unbounded) means "fall
-    back to a full solve", never "no optimum". *)
-val repair :
-  ?max_pivots:int -> Problem.t -> basis:int array -> (int array * int) option

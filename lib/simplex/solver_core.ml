@@ -360,82 +360,4 @@ module Make (F : Field.S) = struct
           end
         end
       with Pivot_cap -> Warm_stalled
-
-  (* Warm *repair*.  Unlike [solve_with_basis], a primally infeasible
-     installed basis is not grounds for rejection: that is exactly the
-     state a neighbouring problem's optimal basis lands in after the
-     right-hand side or a constraint row moved.  Dual-simplex pivots
-     drive the negative right-hand sides out first (leaving row by
-     Bland's smallest-basic-index among negative rows; entering column
-     by the dual ratio test on [a_rj < 0], smallest index on ties), and
-     the ordinary primal Bland pass then clears any remaining positive
-     reduced costs.  The dual ratio test is only a heuristic here —
-     nothing downstream trusts the terminal basis without certifying
-     it, so a "wrong" pivot choice costs a fallback, never a wrong
-     answer.
-
-     Returns the terminal basis plus the number of repair pivots (dual
-     and primal, excluding the ones spent installing the candidate), or
-     [None] when the candidate is unusable, the pivot budget runs out,
-     or the program is infeasible or unbounded from here. *)
-  let repair ?(max_pivots = 200) (p : Problem.t) ~basis =
-    let m = Problem.num_constraints p in
-    (* Installing the candidate costs up to [m] Gauss-Jordan pivots on
-       top of the repair budget proper. *)
-    let pr = prepare ~max_pivots:(max_pivots + m) p in
-    let t = pr.t in
-    let structural = pr.n + pr.n_slack in
-    if not (basis_shape_ok t ~m basis) then None
-    else
-      try
-        if not (install_basis t ~structural basis) then None
-        else begin
-          for j = structural to t.total - 1 do
-            t.allowed.(j) <- false
-          done;
-          install_objective t (phase2_objective pr p);
-          let installed = t.pivots in
-          let basic = Array.make t.total false in
-          let rec dual () =
-            let row = ref (-1) in
-            for i = 0 to m - 1 do
-              if
-                F.sign t.rows.(i).(t.total) < 0
-                && (!row < 0 || t.basis.(i) < t.basis.(!row))
-              then row := i
-            done;
-            if !row < 0 then `Feasible
-            else begin
-              let r = !row in
-              Array.fill basic 0 t.total false;
-              Array.iter (fun bv -> basic.(bv) <- true) t.basis;
-              let col = ref (-1) in
-              let best = ref F.zero in
-              for j = 0 to t.total - 1 do
-                if t.allowed.(j) && not basic.(j) then begin
-                  let a = t.rows.(r).(j) in
-                  if F.sign a < 0 then begin
-                    let ratio = F.div t.obj.(j) a in
-                    if !col < 0 || F.compare ratio !best < 0 then begin
-                      col := j;
-                      best := ratio
-                    end
-                  end
-                end
-              done;
-              if !col < 0 then `Stuck
-              else begin
-                pivot t ~row:r ~col:!col;
-                dual ()
-              end
-            end
-          in
-          match dual () with
-          | `Stuck -> None
-          | `Feasible -> (
-            match optimize t with
-            | `Unbounded -> None
-            | `Optimal -> Some (Array.copy t.basis, t.pivots - installed))
-        end
-      with Pivot_cap -> None
 end

@@ -68,23 +68,4 @@ module Make (F : Field.S) : sig
       wrong answer — and the caller falls back to {!solve}. *)
   val solve_with_basis :
     ?max_pivots:int -> Problem.t -> basis:int array -> warm_outcome
-
-  (** [repair ?max_pivots p ~basis] warm-{e repairs} a candidate basis
-      that need not be primally feasible for [p] — the typical state of
-      a neighbouring problem's optimal basis after a small parameter
-      change.  The basis is installed like {!solve_with_basis}; dual
-      simplex pivots then drive any negative right-hand sides out
-      (leaving row by smallest basic index, entering column by the dual
-      ratio test), and a final primal Bland pass clears remaining
-      positive reduced costs.  Returns the terminal basis and the
-      number of repair pivots spent (installation excluded), or [None]
-      when the candidate is unusable, the budget (default 200 pivots)
-      runs out, or the program is infeasible or unbounded from here.
-
-      The result is a {e candidate} optimal basis, nothing more: with
-      inexact arithmetic the terminal basis can be wrong, so callers
-      must pass it through an exact certification
-      ({!Solver.certify_basis}) before trusting it. *)
-  val repair :
-    ?max_pivots:int -> Problem.t -> basis:int array -> (int array * int) option
 end

@@ -407,26 +407,86 @@ let test_repair_refuses_shape_change () =
   | Some _ -> Alcotest.fail "repair accepted a basis of the wrong dimension"
 
 (* End-to-end through the cache: a cold solve followed by a nudged
-   scenario must probe the neighbour, and the cached answer must equal
-   the exact one bit-for-bit whether repair won or fell back. *)
+   scenario, re-solved with the base's basis as the warm start, must be
+   won by that basis (no exact fallback) and equal the exact answer
+   bit-for-bit. *)
 let test_cached_delta_probes_neighbor () =
   let p = two_worker_platform () in
   Dls.Lp_model.reset_cache ();
-  Dls.Lp_model.reset_resolve_stats ();
   let s = Dls.Scenario.fifo_exn p [| 0; 1 |] in
-  let _base = Dls.Solve.solve_exn ~mode:`Cached s in
+  let base = Dls.Solve.solve_exn ~mode:`Cached s in
   let p' =
     Dls.Delta.apply_exn p [ Dls.Delta.Scale_comm { worker = 1; factor = Q.of_ints 9 8 } ]
   in
   let s' = Dls.Scenario.fifo_exn p' [| 0; 1 |] in
-  let cached = Dls.Solve.solve_exn ~mode:`Cached s' in
+  let before = Dls.Lp_model.pipeline_stats () in
+  let cached =
+    Dls.Solve.solve_exn ~mode:`Cached ~warm:base.Dls.Lp_model.basis s'
+  in
+  let after = Dls.Lp_model.pipeline_stats () in
   let exact = Dls.Solve.solve_exn ~mode:`Exact s' in
   Alcotest.(check bool) "identical rho" true
     (Q.equal cached.Dls.Lp_model.rho exact.Dls.Lp_model.rho);
   Alcotest.(check bool) "identical loads" true
     (Array.for_all2 Q.equal cached.Dls.Lp_model.alpha exact.Dls.Lp_model.alpha);
-  let st = Dls.Lp_model.resolve_stats () in
-  Alcotest.(check bool) "neighbour probed" true (st.Dls.Lp_model.probes >= 1)
+  Alcotest.(check bool) "identical idle times" true
+    (Array.for_all2 Q.equal cached.Dls.Lp_model.idle exact.Dls.Lp_model.idle);
+  Alcotest.(check int) "a warm-start win" 1
+    (after.Dls.Lp_model.warm_wins - before.Dls.Lp_model.warm_wins);
+  Alcotest.(check int) "no exact fallback" 0
+    (after.Dls.Lp_model.exact_fallbacks - before.Dls.Lp_model.exact_fallbacks)
+
+(* A seeded near-duplicate stream: one generic-position p=5 base
+   platform per z-regime (pairwise distinct link speeds, so the optimum
+   is unique), then 20 single-worker nudges of it, alternately scaling a
+   compute and a link speed by 8/10 .. 12/10.  Sent through [`Cached]
+   in order, as the daemon does, every answer must be bit-identical to
+   [`Exact]. *)
+let nudge_stream ~regime ~z =
+  let p = 5 in
+  let rng = Numeric.Prng.create ~seed:(7901 + (97 * p) + regime) in
+  let specs =
+    List.init p (fun i ->
+        let c =
+          Q.of_ints ((10 * Numeric.Prng.int_range rng ~lo:2 ~hi:9) + i) 40
+        in
+        (c, Q.of_ints (Numeric.Prng.int_range rng ~lo:4 ~hi:20) 2))
+  in
+  let platform = Dls.Platform.with_return_ratio ~z specs in
+  let base = Dls.Scenario.fifo_exn platform (Dls.Fifo.order platform) in
+  base
+  :: List.init 20 (fun i ->
+         let rng =
+           Numeric.Prng.create ~seed:(3301 + (131 * i) + (17 * p) + regime)
+         in
+         let worker = Numeric.Prng.int_range rng ~lo:0 ~hi:(p - 1) in
+         let factor = Q.of_ints (Numeric.Prng.int_range rng ~lo:8 ~hi:12) 10 in
+         Dls.Delta.apply_scenario_exn base
+           [
+             (if i mod 2 = 0 then Dls.Delta.Scale_comp { worker; factor }
+              else Dls.Delta.Scale_comm { worker; factor });
+           ])
+
+let nudge_stream_case regime (label, z) =
+  let run () =
+    Dls.Lp_model.reset_cache ();
+    List.iteri
+      (fun i s ->
+        let cached = Dls.Solve.solve_exn ~mode:`Cached s in
+        let exact = Dls.Solve.solve_exn ~mode:`Exact s in
+        let same what a b =
+          if not (Array.for_all2 Q.equal a b) then
+            Alcotest.failf "request %d: %s differ from exact" i what
+        in
+        if not (Q.equal cached.Dls.Lp_model.rho exact.Dls.Lp_model.rho) then
+          Alcotest.failf "request %d: rho %s, exact %s" i
+            (Q.to_string cached.Dls.Lp_model.rho)
+            (Q.to_string exact.Dls.Lp_model.rho);
+        same "loads" cached.Dls.Lp_model.alpha exact.Dls.Lp_model.alpha;
+        same "idle times" cached.Dls.Lp_model.idle exact.Dls.Lp_model.idle)
+      (nudge_stream ~regime ~z)
+  in
+  Alcotest.test_case ("cached nudge stream " ^ label) `Quick run
 
 let test_lifo_z_gt_1_regression () =
   (* The exact platform on which the fuzzer first caught the reversed
@@ -503,5 +563,7 @@ let () =
             test_repair_refuses_shape_change;
           Alcotest.test_case "cached delta probes neighbour" `Quick
             test_cached_delta_probes_neighbor;
-        ] );
+        ]
+        @ List.mapi nudge_stream_case
+            [ ("z<1", Q.of_ints 1 2); ("z=1", Q.one); ("z>1", Q.of_int 2) ] );
     ]

@@ -447,38 +447,6 @@ let test_lru_eviction_pressure_hammer () =
   check_int "accounting: hits + misses + joins = ops" ops
     (s.Parallel.Lru.hits + s.Parallel.Lru.misses + s.Parallel.Lru.joins)
 
-let test_lru_find_nearest () =
-  let c = Parallel.Lru.create ~capacity:8 () in
-  Parallel.Lru.add c 10 "a";
-  Parallel.Lru.add c 20 "b";
-  Parallel.Lru.add c 30 "c";
-  (* best finite distance wins; incomparable keys are skipped *)
-  let score k = if k = 10 then None else Some (abs (k - 21)) in
-  (match Parallel.Lru.find_nearest c ~score with
-  | Some (20, "b") -> ()
-  | Some (k, v) -> Alcotest.failf "nearest: got (%d, %S)" k v
-  | None -> Alcotest.fail "nearest: no neighbour");
-  (* all incomparable: no neighbour *)
-  check "incomparable -> None" true
-    (Parallel.Lru.find_nearest c ~score:(fun _ -> None) = None);
-  (* ties keep the more recently used entry: touch 10, tie it with 30 *)
-  ignore (Parallel.Lru.find c 10);
-  (match
-     Parallel.Lru.find_nearest c ~score:(fun k ->
-         if k = 20 then None else Some 5)
-   with
-  | Some (10, "a") -> ()
-  | Some (k, v) -> Alcotest.failf "tie: got (%d, %S)" k v
-  | None -> Alcotest.fail "tie: no neighbour");
-  (* an exact match (distance 0) short-circuits the walk *)
-  (match Parallel.Lru.find_nearest c ~score:(fun k -> Some (abs (k - 30))) with
-  | Some (30, "c") -> ()
-  | Some (k, v) -> Alcotest.failf "exact: got (%d, %S)" k v
-  | None -> Alcotest.fail "exact: no neighbour");
-  (* the probe is read-only: counters did not move beyond the one find *)
-  let s = Parallel.Lru.stats c in
-  check_int "probe moved no counters" 1 (s.Parallel.Lru.hits + s.Parallel.Lru.misses)
-
 let test_lru_find_or_compute_disabled () =
   (* capacity 0: nothing is ever cached, joiners that find neither an
      entry nor a flight must become computers themselves — recomputes
@@ -734,7 +702,6 @@ let () =
             test_lru_single_flight_hammer;
           Alcotest.test_case "eviction-pressure hammer" `Quick
             test_lru_eviction_pressure_hammer;
-          Alcotest.test_case "find_nearest" `Quick test_lru_find_nearest;
           Alcotest.test_case "find_or_compute capacity 0" `Quick
             test_lru_find_or_compute_disabled;
         ] );
