@@ -545,6 +545,55 @@ let fast_prune_transparency ~z_gt_1 name =
       && Array.for_all2 Q.equal plain.Dls.Lp_model.idle
            accel.Dls.Lp_model.idle)
 
+(* A fixed grid, p in {4,5} and every return regime: on each platform
+   the accelerated FIFO scan returns the plain exact scan's answer bit
+   for bit and spends strictly fewer exact-simplex pivots doing it.  A
+   pivot count, read as a before/after delta of the global counters,
+   where a wall-time comparison would flake on a loaded host. *)
+let solver_platform ~p ~regime ~z =
+  let rng = Numeric.Prng.create ~seed:(7901 + (97 * p) + regime) in
+  let specs =
+    List.init p (fun _ ->
+        let c = Q.of_ints (Numeric.Prng.int_range rng ~lo:2 ~hi:9) 4 in
+        let w = Q.of_ints (Numeric.Prng.int_range rng ~lo:4 ~hi:20) 2 in
+        (c, w))
+  in
+  Dls.Platform.with_return_ratio ~z specs
+
+let test_fast_fewer_exact_pivots () =
+  let counted f =
+    Dls.Lp_model.reset_cache ();
+    let before = (Dls.Lp_model.pipeline_stats ()).Dls.Lp_model.exact_pivots in
+    let sol = f () in
+    (sol, (Dls.Lp_model.pipeline_stats ()).Dls.Lp_model.exact_pivots - before)
+  in
+  List.iter
+    (fun p ->
+      List.iteri
+        (fun regime z ->
+          let label = Printf.sprintf "p=%d z=%s" p (Q.to_string z) in
+          let platform = solver_platform ~p ~regime ~z in
+          let plain, plain_pivots =
+            counted (fun () ->
+                Dls.Brute.best_fifo ~fast:false ~prune:false platform)
+          in
+          let accel, accel_pivots =
+            counted (fun () -> Dls.Brute.best_fifo platform)
+          in
+          Printf.printf "%s: %d/%d exact pivots\n" label accel_pivots
+            plain_pivots;
+          ignore (same_solution label plain accel);
+          if
+            not
+              (Array.for_all2 Q.equal plain.Dls.Lp_model.idle
+                 accel.Dls.Lp_model.idle)
+          then Alcotest.failf "%s: idle differs" label;
+          if not (accel_pivots < plain_pivots) then
+            Alcotest.failf "%s: %d exact pivots, plain scan %d" label
+              accel_pivots plain_pivots)
+        [ Q.of_ints 1 2; Q.one; Q.of_int 2 ])
+    [ 4; 5 ]
+
 let search_determinism ~z_gt_1 name =
   QCheck2.Test.make ~count:10 ~name
     (gen_platform ~z_gt_1 ~max_workers:5)
@@ -718,6 +767,8 @@ let () =
         @ [
             Alcotest.test_case "brute general" `Quick test_brute_general_determinism;
             Alcotest.test_case "sweep report" `Quick test_sweep_determinism;
+            Alcotest.test_case "fast scan, fewer exact pivots" `Quick
+              test_fast_fewer_exact_pivots;
           ] );
       ( "cache",
         [

@@ -883,6 +883,51 @@ let test_server_multi_dispatcher () =
         check "steals counter non-negative" true (s.P.steals >= 0);
         drain_invariant "multi-dispatcher" s)
 
+let test_server_dispatchers_overlap () =
+  (* One-job rounds on a sleep-bound stream of distinct keys: a single
+     dispatcher runs the rounds one after another, four dispatchers keep
+     four in flight on the same pool, so the stream drains about four
+     times faster. *)
+  let requests = 40 and seed = 2026 and distinct = 100_000 in
+  let keys =
+    List.init requests (fun i ->
+        P.request_key (Service.Loadgen.request ~seed ~distinct i))
+  in
+  check_int "stream keys pairwise distinct" requests
+    (List.length (List.sort_uniq compare keys));
+  let arm dispatchers =
+    Dls.Lp_model.reset_cache ();
+    with_server
+      (fun c ->
+        {
+          c with
+          Service.Server.jobs = 4;
+          dispatchers;
+          max_batch = 1;
+          worker_delay = 0.02;
+        })
+      (fun server ->
+        match
+          Service.Loadgen.run (Service.Server.address server) ~connections:8
+            ~requests ~seed ~distinct ()
+        with
+        | Error e -> Alcotest.failf "loadgen: %s" (Dls.Errors.to_string e)
+        | Ok o ->
+          check_int
+            (Printf.sprintf "every request ok, %d dispatchers" dispatchers)
+            requests o.Service.Loadgen.ok;
+          o.Service.Loadgen.wall_s)
+  in
+  let single = arm 1 in
+  let four = arm 4 in
+  Printf.printf "1 dispatcher %.3fs, 4 dispatchers %.3fs\n" single four;
+  (* Half the single arm, not just below it: one dispatcher costs at
+     least 40 x 20 ms of sleep, so a server that ran one dispatcher
+     whatever the config would otherwise pass on timing noise. *)
+  if not (2. *. four < single) then
+    Alcotest.failf "4 dispatchers %.3fs, not under half of 1 dispatcher's %.3fs"
+      four single
+
 let test_loadgen_skew () =
   (* Same seed, same skewed stream — request by request. *)
   let stream skew =
@@ -1685,6 +1730,8 @@ let () =
             test_server_malformed_and_inline;
           Alcotest.test_case "multi-dispatcher drain" `Quick
             test_server_multi_dispatcher;
+          Alcotest.test_case "dispatchers overlap rounds" `Quick
+            test_server_dispatchers_overlap;
           Alcotest.test_case "hangup mid-line" `Quick test_server_kill_mid_line;
           Alcotest.test_case "deadline-aware shed" `Quick test_server_shed;
           Alcotest.test_case "brownout downgrade" `Quick test_server_brownout;
