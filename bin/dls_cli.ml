@@ -140,7 +140,6 @@ let solve_cmd =
              $(b,dls check --schedule).")
   in
   let run platform discipline model load explain dump fast delta stats =
-    if stats then Dls.Lp_model.reset_pipeline_stats ();
     let scenario_of p =
       match discipline with
       | `Fifo -> Dls.Scenario.fifo_exn p (Dls.Fifo.order p)

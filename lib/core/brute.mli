@@ -5,7 +5,7 @@
     can brute-force it: every ordering of the full worker set is tried
     (subsets are covered automatically, since the LP may assign zero
     load), for FIFO, LIFO, or arbitrary [(sigma1, sigma2)] pairs.  Used
-    by the test suite to verify Theorem 1 and by the ablation benchmarks
+    by the test suite to verify Theorem 1 and by the ablation experiments
     to measure how far FIFO/LIFO sit from the best-known schedule.
 
     Since PR 3 the enumeration is a branch-and-bound: each candidate is
@@ -19,7 +19,7 @@
     against the shared parallel incumbent, so the returned optimum stays
     {e bit-identical} to the unpruned exhaustive scan — and identical
     for every [jobs] value.  [~fast:false ~prune:false] restores the plain exact scan
-    (benchmark baseline).
+    (the reference the tests compare against).
 
     All entry points accept [?jobs] (default 1): the independent LPs are
     fanned out over a domain pool, and the reduction runs sequentially

@@ -44,14 +44,6 @@ let pipeline_stats () =
     exact_pivots = Atomic.get exact_pivots;
   }
 
-let reset_pipeline_stats () =
-  Atomic.set float_wins 0;
-  Atomic.set warm_wins 0;
-  Atomic.set exact_fallbacks 0;
-  Atomic.set pruned_nodes 0;
-  Atomic.set float_pivots 0;
-  Atomic.set exact_pivots 0
-
 let note_pruned n = bump pruned_nodes n
 
 let pp_pipeline_stats fmt s =
@@ -304,10 +296,6 @@ let resolve_stats () =
     repair_wins = Atomic.get repair_wins;
     repair_pivots = 0;
   }
-
-let reset_resolve_stats () =
-  Atomic.set neighbor_probes 0;
-  Atomic.set repair_wins 0
 
 let pp_resolve_stats fmt s =
   Format.fprintf fmt "@[<v>neighbor probes:  %d@,neighbor wins:    %d@]"

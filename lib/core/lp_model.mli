@@ -139,11 +139,10 @@ type pipeline_stats = {
   exact_pivots : int;  (** cumulative exact-simplex pivots (all paths) *)
 }
 
-(** [pipeline_stats ()] is a snapshot of the fast-pipeline counters. *)
+(** [pipeline_stats ()] is a snapshot of the fast-pipeline counters.
+    They only grow: a caller measures a span as the difference of two
+    snapshots. *)
 val pipeline_stats : unit -> pipeline_stats
-
-(** [reset_pipeline_stats ()] zeroes them (benchmark bookkeeping). *)
-val reset_pipeline_stats : unit -> unit
 
 (** [note_pruned n] records [n] enumeration nodes skipped via a cheap
     bound — called by [Brute]/[Search], surfaced in {!pipeline_stats}. *)
@@ -161,11 +160,9 @@ type resolve_stats = {
           for readers of the older dual-simplex repair's counters) *)
 }
 
-(** [resolve_stats ()] is a snapshot of the re-solve counters. *)
+(** [resolve_stats ()] is a snapshot of the re-solve counters, which
+    only grow like {!pipeline_stats}. *)
 val resolve_stats : unit -> resolve_stats
-
-(** [reset_resolve_stats ()] zeroes them (benchmark bookkeeping). *)
-val reset_resolve_stats : unit -> unit
 
 val pp_resolve_stats : Format.formatter -> resolve_stats -> unit
 

@@ -112,7 +112,7 @@ val batch_schedules : batch -> (int * Schedule.t) array
     loads in release order, each solved alone with the single-load FIFO
     LP on its induced platform (warm-starting each solve with the
     previous basis), no overlap between consecutive loads.  The
-    published multi-load bench compares steady-state throughput against
+    [multiload] experiment compares steady-state throughput against
     this. *)
 val naive_makespan : Platform.t -> Workload.t -> (Q.t, Errors.t) result
 

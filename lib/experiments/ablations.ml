@@ -390,3 +390,104 @@ let theorem2_check ?(seed = 24) () =
     ~title:"Theorem 2 closed form vs LP optimum (bus platforms)"
     ~columns:[ "workers"; "closed form"; "LP"; "agreement" ]
     rows
+
+let robustness ?(quick = false) ?(seed = 2026) () =
+  let cases = if quick then 6 else 18 in
+  let percent q = 100.0 *. Q.to_float q in
+  let cell severity regime =
+    let unrecovered = ref [] and recovered = ref [] and recoveries = ref 0 in
+    for i = 0 to cases - 1 do
+      let platform, plan, load = Check.Fuzz.fault_case ~seed ~severity regime i in
+      let o = Dls.Replan.respond_exn plan (Dls.Fifo.optimal platform) ~load in
+      let frac (r : Dls.Replan.report) =
+        percent (Q.div r.Dls.Replan.done_by_deadline r.Dls.Replan.total)
+      in
+      unrecovered := frac o.Dls.Replan.baseline :: !unrecovered;
+      recovered := frac o.Dls.Replan.achieved :: !recovered;
+      match o.Dls.Replan.decision with
+      | Dls.Replan.Recover _ -> incr recoveries
+      | Dls.Replan.Keep_original -> ()
+    done;
+    let u = Stats.mean !unrecovered and r = Stats.mean !recovered in
+    [
+      Report.Float severity;
+      Report.Str (Check.Fuzz.regime_to_string regime);
+      Report.Float u;
+      Report.Float r;
+      Report.Float (r -. u);
+      Report.Int !recoveries;
+    ]
+  in
+  Report.make ~id:"robustness"
+    ~title:"recovered vs unrecovered completion under seeded faults"
+    ~columns:
+      [
+        "severity"; "z"; "unrecovered (%)"; "recovered (%)"; "gain (%)";
+        "recoveries";
+      ]
+    ~notes:
+      [
+        Printf.sprintf
+          "%d Check.Fuzz.fault_case draws per cell, seed %d; percentages are \
+           the mean share of the load returned by the fault-free deadline, \
+           without recovery and under Replan.respond's decision"
+          cases seed;
+      ]
+    (List.concat_map
+       (fun severity ->
+         List.map (cell severity) Check.Fuzz.all_regimes)
+       [ 0.25; 0.5; 0.75; 1.0 ])
+
+let multiload ?(quick = false) () =
+  let h = if quick then 2 else 3 in
+  let cs = [| Q.one; Q.of_ints 1 2; Q.of_int 2; Q.of_ints 3 4 |] in
+  let ws = [| Q.of_int 2; Q.of_int 3; Q.of_ints 3 2; Q.of_ints 5 2 |] in
+  let workload =
+    Dls.Workload.make_exn
+      [
+        Dls.Workload.load ~size:(Q.of_int 5) ();
+        Dls.Workload.load ~size:(Q.of_int 3) ();
+      ]
+  in
+  let total = Dls.Workload.total_size workload in
+  let row p z =
+    let platform =
+      Dls.Platform.with_return_ratio ~z (List.init p (fun i -> (cs.(i), ws.(i))))
+    in
+    let period = (Dls.Steady_state.solve_exn platform workload).Dls.Steady_state.period in
+    let naive =
+      Dls.Errors.get_exn (Dls.Steady_state.naive_makespan platform workload)
+    in
+    let batch =
+      Dls.Errors.get_exn
+        (Dls.Steady_state.solve_batch_best ~max_depth:2 platform
+           (Dls.Workload.repeat h workload))
+    in
+    let per time = Q.to_float (Q.div total time) in
+    [
+      Report.Int p;
+      Report.Str (Q.to_string z);
+      Report.Str (Q.to_string period);
+      Report.Float (per period);
+      Report.Float (per naive);
+      Report.Float
+        (Q.to_float
+           (Q.div (Q.mul (Q.of_int h) total) batch.Dls.Steady_state.makespan));
+      Report.Float (Q.to_float (Q.div naive period));
+    ]
+  in
+  Report.make ~id:"multiload"
+    ~title:
+      (Printf.sprintf "multi-load steady state vs back-to-back (mix 5+3, H=%d)" h)
+    ~columns:
+      [ "p"; "z"; "period"; "steady tp"; "naive tp"; "batch tp"; "improvement" ]
+    ~notes:
+      [
+        "tp is load per time unit: the steady-state period, one mix run \
+         back to back, and the best batch LP (depth <= 2) over H \
+         zero-release copies; improvement = naive time / period";
+      ]
+    (List.concat_map
+       (fun p ->
+         List.map (row p) [ Q.of_ints 1 2; Q.one; Q.of_int 2 ])
+       (if quick then [ 3 ] else [ 3; 4 ]))

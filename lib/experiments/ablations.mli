@@ -63,3 +63,19 @@ val scaling : ?quick:bool -> ?seed:int -> unit -> Report.t
     Fig. 13a by its sensitivity "to small performance variations"; this
     experiment measures that hypothesis on the simulated cluster. *)
 val sensitivity : ?quick:bool -> ?seed:int -> unit -> Report.t
+
+(** [robustness ()] draws seeded fault cases ({!Check.Fuzz.fault_case})
+    across four severities and the three return-ratio regimes, and
+    reports the mean share of the load returned by the fault-free
+    deadline without recovery and under {!Dls.Replan.respond}'s
+    decision, plus how many cases spliced a recovery schedule.  18
+    cases per cell, 6 when [quick]. *)
+val robustness : ?quick:bool -> ?seed:int -> unit -> Report.t
+
+(** [multiload ()] compares, for a fixed two-load mix (sizes 5 and 3) on
+    deterministic 3- and 4-worker platforms (3 only when [quick]) and
+    every return regime, the multi-load steady-state throughput with
+    running the mix back to back and with the batch LP over H copies
+    (H = 3, or 2 when [quick]): steady state overlaps one load's returns
+    with the next load's sends, which back-to-back cannot. *)
+val multiload : ?quick:bool -> unit -> Report.t

@@ -1,4 +1,4 @@
-(** Minimal ASCII scatter/line plots, so the benchmark harness can
+(** Minimal ASCII scatter/line plots, so the experiment sweeps can
     render the paper's figures as charts and not only as tables.
 
     Each series gets a marker character; points are placed on a

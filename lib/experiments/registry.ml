@@ -88,6 +88,16 @@ let all =
         description = "exact vs float solver scaling with worker count";
         run = (fun ~quick ~jobs:_ -> [ Ablations.scaling ~quick () ]);
       };
+      {
+        id = "robustness";
+        description = "recovered vs unrecovered completion under faults";
+        run = (fun ~quick ~jobs:_ -> [ Ablations.robustness ~quick () ]);
+      };
+      {
+        id = "multiload";
+        description = "multi-load steady state vs back-to-back";
+        run = (fun ~quick ~jobs:_ -> [ Ablations.multiload ~quick () ]);
+      };
     ]
 
 let find id = List.find (fun e -> e.id = id) all

@@ -1,5 +1,5 @@
 (** Registry of every reproducible experiment, keyed by the paper's
-    figure ids.  The bench harness and the CLI both drive this list. *)
+    figure ids; [dls experiment] drives this list. *)
 
 type entry = {
   id : string;

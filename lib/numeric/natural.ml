@@ -136,8 +136,7 @@ let mul_schoolbook a b =
 
 (* Karatsuba multiplication above this limb count; below it the O(n^2)
    schoolbook loop has better constants (the recursion's temporaries are
-   allocation-heavy, so the measured crossover sits high: see the
-   "natural mul" benchmarks). *)
+   allocation-heavy, so the measured crossover sits high). *)
 let karatsuba_threshold = 512
 
 let low_limbs a m = normalize (Array.sub a 0 (min m (Array.length a)))

@@ -54,8 +54,7 @@ val sub : t -> t -> t
 val mul : t -> t -> t
 
 (** [mul_schoolbook a b] is the O(n²) reference multiplication, exposed
-    so the test suite can cross-check {!mul}'s Karatsuba path and the
-    benchmarks can measure the crossover. *)
+    so the test suite can cross-check {!mul}'s Karatsuba path. *)
 val mul_schoolbook : t -> t -> t
 
 (** [divmod a b] is [(a / b, a mod b)] (Euclidean).

@@ -1,6 +1,6 @@
 (** Blocking client for the {!Server} wire protocol: one connection,
     synchronous request/response, typed errors — the building block of
-    [dls client], [dls loadgen], {!Resilient} and the service bench.
+    [dls client], [dls loadgen], {!Resilient} and perfbench.
 
     Built on {!Wire}, so requests and responses survive arbitrary
     packet fragmentation, [EINTR] is retried, and a vanished server

@@ -11,8 +11,8 @@
     what exercises the server's single-flight batching and the shared
     LP cache.
 
-    Used by the service tests, the pool bench, the CI smoke jobs and
-    [dls loadgen]: all of them see the same traffic by construction. *)
+    Used by the service tests, the CI smoke jobs and [dls loadgen]:
+    all of them see the same traffic by construction. *)
 
 type outcome = {
   sent : int;
@@ -39,7 +39,7 @@ type outcome = {
     With [~multi:true] (default false) scenario slot 7 carries a
     [solve-multi] request (steady or batch by parity) instead of a
     [solve]; every other slot is bit-identical to the classic stream,
-    so existing benches and smoke jobs are unaffected.
+    so existing tests and smoke jobs are unaffected.
 
     [~skew] (default 0) selects the key-popularity distribution.  [0.]
     is the classic uniform draw over the [distinct] scenarios.  A

@@ -63,9 +63,8 @@ type config = {
           command line: it makes overload, timeout, shed and
           shard-capacity scenarios deterministic, because evaluation
           time is then a known sleep instead of solver time that varies
-          with the host.  The tests of [test_service] and [test_scale]
-          and the pool bench's dispatcher arm set it; nothing in
-          production does *)
+          with the host.  Only the tests of [test_service] and
+          [test_scale] set it; nothing in production does *)
   store : string option;
       (** durable solution store path ({!Store}), the daemon's only
           durable state.  [Some] also enables the warm response cache

@@ -329,8 +329,8 @@ let prop_case regime =
 let test_fast_stall_fallback () =
   let p = two_worker_platform () in
   let s = Dls.Scenario.fifo_exn p [| 0; 1 |] in
-  Dls.Lp_model.reset_pipeline_stats ();
   let cold = Dls.Solve.solve_exn ~mode:`Exact s in
+  let before = Dls.Lp_model.pipeline_stats () in
   let fast = Dls.Solve.solve_exn ~mode:`Fast ~max_float_pivots:0 s in
   Alcotest.(check bool) "identical rho" true
     (Q.equal fast.Dls.Lp_model.rho cold.Dls.Lp_model.rho);
@@ -338,9 +338,10 @@ let test_fast_stall_fallback () =
     (Array.for_all2 Q.equal fast.Dls.Lp_model.alpha cold.Dls.Lp_model.alpha);
   Alcotest.(check bool) "identical idle times" true
     (Array.for_all2 Q.equal fast.Dls.Lp_model.idle cold.Dls.Lp_model.idle);
-  let st = Dls.Lp_model.pipeline_stats () in
+  let after = Dls.Lp_model.pipeline_stats () in
   Alcotest.(check bool) "took the exact fallback" true
-    (st.Dls.Lp_model.exact_fallbacks >= 1);
+    (after.Dls.Lp_model.exact_fallbacks - before.Dls.Lp_model.exact_fallbacks
+    >= 1);
   check_ok "fallback result certifies" (Certificate.check fast)
 
 let test_matrix_reproducible () =
@@ -384,7 +385,7 @@ let test_repair_wins_on_nudge () =
   let delta = [ Dls.Delta.Scale_comp { worker = 0; factor = Q.of_ints 11 10 } ] in
   let s' = Dls.Delta.apply_scenario_exn base.Dls.Lp_model.scenario delta in
   let exact = Dls.Solve.solve_exn ~mode:`Exact s' in
-  Dls.Lp_model.reset_resolve_stats ();
+  let before = Dls.Lp_model.resolve_stats () in
   match Dls.Lp_model.solve_from_neighbor Dls.Lp_model.One_port s' base with
   | None -> Alcotest.fail "repair declined a 10% compute nudge"
   | Some repaired ->
@@ -392,8 +393,9 @@ let test_repair_wins_on_nudge () =
       (Q.equal repaired.Dls.Lp_model.rho exact.Dls.Lp_model.rho);
     Alcotest.(check bool) "identical loads" true
       (Array.for_all2 Q.equal repaired.Dls.Lp_model.alpha exact.Dls.Lp_model.alpha);
-    let st = Dls.Lp_model.resolve_stats () in
-    Alcotest.(check int) "counted as a win" 1 st.Dls.Lp_model.repair_wins
+    let after = Dls.Lp_model.resolve_stats () in
+    Alcotest.(check int) "counted as a win" 1
+      (after.Dls.Lp_model.repair_wins - before.Dls.Lp_model.repair_wins)
 
 (* Shape-changing deltas must be refused by the repair path: the cached
    basis indexes a different-dimension LP. *)

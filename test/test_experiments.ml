@@ -431,6 +431,33 @@ let test_ordering_ablation () =
       rest
   | _ -> Alcotest.fail "INC_C row missing or misplaced"
 
+let test_robustness_recovery () =
+  let r = Experiments.Ablations.robustness ~quick:true () in
+  Alcotest.(check int) "4 severities x 3 regimes" 12
+    (List.length r.Experiments.Report.rows);
+  List.iter
+    (fun row ->
+      match row with
+      | [ _severity; _z; unrecovered; recovered; _gain; _recoveries ] ->
+        Alcotest.(check bool) "recovery never loses" true
+          (float_cell recovered >= float_cell unrecovered)
+      | _ -> Alcotest.fail "unexpected row")
+    r.Experiments.Report.rows
+
+let test_multiload_beats_back_to_back () =
+  let r = Experiments.Ablations.multiload ~quick:true () in
+  (* The mix's total is 8; the periods are exact LP optima. *)
+  Alcotest.(check (list string)) "steady-state periods"
+    [ "48/5"; "12"; "16" ]
+    (List.map
+       (fun row -> Experiments.Report.cell_to_string (List.nth row 2))
+       r.Experiments.Report.rows);
+  List.iter
+    (fun row ->
+      Alcotest.(check bool) "steady state beats back-to-back" true
+        (float_cell (List.nth row 6) > 1.0))
+    r.Experiments.Report.rows
+
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -505,6 +532,8 @@ let () =
           Alcotest.test_case "protocol" `Slow test_protocol_ablation;
           Alcotest.test_case "sensitivity" `Slow test_sensitivity_ablation_shape;
           Alcotest.test_case "scaling" `Slow test_scaling_ablation;
+          Alcotest.test_case "robustness" `Quick test_robustness_recovery;
+          Alcotest.test_case "multiload" `Quick test_multiload_beats_back_to_back;
         ] );
       ( "registry",
         [
