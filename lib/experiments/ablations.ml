@@ -391,8 +391,8 @@ let theorem2_check ?(seed = 24) () =
     ~columns:[ "workers"; "closed form"; "LP"; "agreement" ]
     rows
 
-let robustness ?(quick = false) ?(seed = 2026) () =
-  let cases = if quick then 6 else 18 in
+let robustness ?(quick = false) () =
+  let seed = 2026 and cases = if quick then 6 else 18 in
   let percent q = 100.0 *. Q.to_float q in
   let cell severity regime =
     let unrecovered = ref [] and recovered = ref [] and recoveries = ref 0 in

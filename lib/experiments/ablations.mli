@@ -69,8 +69,8 @@ val sensitivity : ?quick:bool -> ?seed:int -> unit -> Report.t
     reports the mean share of the load returned by the fault-free
     deadline without recovery and under {!Dls.Replan.respond}'s
     decision, plus how many cases spliced a recovery schedule.  18
-    cases per cell, 6 when [quick]. *)
-val robustness : ?quick:bool -> ?seed:int -> unit -> Report.t
+    cases per cell, 6 when [quick], all from seed 2026. *)
+val robustness : ?quick:bool -> unit -> Report.t
 
 (** [multiload ()] compares, for a fixed two-load mix (sizes 5 and 3) on
     deterministic 3- and 4-worker platforms (3 only when [quick]) and

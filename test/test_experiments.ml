@@ -442,7 +442,25 @@ let test_robustness_recovery () =
         Alcotest.(check bool) "recovery never loses" true
           (float_cell recovered >= float_cell unrecovered)
       | _ -> Alcotest.fail "unexpected row")
-    r.Experiments.Report.rows
+    r.Experiments.Report.rows;
+  (* The row means above are floats; the never-worse property holds per
+     case and exactly, on the very cases the quick table draws. *)
+  List.iter
+    (fun severity ->
+      List.iter
+        (fun regime ->
+          for i = 0 to 5 do
+            let platform, plan, load =
+              Check.Fuzz.fault_case ~seed:2026 ~severity regime i
+            in
+            Alcotest.(check (list string))
+              (Printf.sprintf "case %d, severity %.2f, z %s" i severity
+                 (Check.Fuzz.regime_to_string regime))
+              []
+              (Check.Fuzz.check_faulted platform plan ~load)
+          done)
+        Check.Fuzz.all_regimes)
+    [ 0.25; 0.5; 0.75; 1.0 ]
 
 let test_multiload_beats_back_to_back () =
   let r = Experiments.Ablations.multiload ~quick:true () in

@@ -923,7 +923,10 @@ let test_server_dispatchers_overlap () =
   Printf.printf "1 dispatcher %.3fs, 4 dispatchers %.3fs\n" single four;
   (* Half the single arm, not just below it: one dispatcher costs at
      least 40 x 20 ms of sleep, so a server that ran one dispatcher
-     whatever the config would otherwise pass on timing noise. *)
+     whatever the config would otherwise pass on timing noise.  The
+     four arm needs ~0.2 s (10 rounds of 20 ms) against a bound of
+     ~0.4 s, so it fails only if scheduling doubles its wall time; on a
+     2-vCPU host it read 0.20-0.23 s, also with both CPUs kept busy. *)
   if not (2. *. four < single) then
     Alcotest.failf "4 dispatchers %.3fs, not under half of 1 dispatcher's %.3fs"
       four single
