@@ -125,16 +125,27 @@ let divmod a b =
     let remainder = if Natural.is_zero r then zero else of_sign_mag sa r in
     (quotient, remainder)
 
+(* Only zero is a multiple of a larger magnitude. *)
+let divexact a b =
+  match (a, b) with
+  | _, Small 0 -> raise Division_by_zero
+  | Small x, Small y -> Small (x / y)
+  | Small _, Big _ -> zero
+  | Big _, _ ->
+    of_sign_mag (sign a * sign b) (Natural.divexact (magnitude a) (magnitude b))
+
 (* Euclid on non-negative native ints. *)
 let rec gcd_small x y = if y = 0 then x else gcd_small y (x mod y)
 
-(* One Euclid step brings a [Big] and a non-zero [Small] operand into
-   the native range. *)
-let rec gcd_integer a b =
+(* One remainder, taken without a quotient, brings a [Big] and a
+   non-zero [Small] operand into the native range. *)
+let gcd_integer a b =
   match (a, b) with
   | Small x, Small y -> Small (gcd_small (Stdlib.abs x) (Stdlib.abs y))
   | Small 0, c | c, Small 0 -> abs c
-  | (Small _ as s), c | c, (Small _ as s) -> gcd_integer s (snd (divmod c s))
+  | Small x, Big c | Big c, Small x ->
+    let x = Stdlib.abs x in
+    Small (gcd_small x (Natural.rem_int c.mag x))
   | Big a, Big b -> of_natural (Natural.gcd a.mag b.mag)
 
 let gcd a b = magnitude (gcd_integer a b)

@@ -62,6 +62,11 @@ val mul : t -> t -> t
     @raise Division_by_zero if [b] is zero. *)
 val divmod : t -> t -> t * t
 
+(** [divexact a b] is [a / b] for a [b] known to divide [a]; the result
+    is unspecified when it does not.
+    @raise Division_by_zero if [b] is zero. *)
+val divexact : t -> t -> t
+
 (** [gcd a b] is the non-negative greatest common divisor of [|a|], [|b|]. *)
 val gcd : t -> t -> Natural.t
 

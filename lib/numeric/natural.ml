@@ -66,14 +66,12 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* The bit width of a non-negative int, counting up from [w]. *)
+let rec int_width n w = if n lsr w = 0 then w else int_width n (w + 1)
+
 let num_bits a =
   let l = Array.length a in
-  if l = 0 then 0
-  else begin
-    let top = a.(l - 1) in
-    let rec width w = if top lsr w = 0 then w else width (w + 1) in
-    ((l - 1) * base_bits) + width 0
-  end
+  if l = 0 then 0 else ((l - 1) * base_bits) + int_width a.(l - 1) 0
 
 let add a b =
   let la = Array.length a and lb = Array.length b in
@@ -320,7 +318,140 @@ let divmod a b =
   end
   else knuth_d a b
 
-let rec gcd a b = if is_zero b then a else gcd b (snd (divmod a b))
+(* Jebelean's exact division: with [b] odd, the quotient's limbs come
+   from the low end, each [q_i = r_i · b_0^-1 mod B], and only the low
+   [la - lb + 1] limbs of the running remainder are ever needed.  Each
+   [q_i] is stored in the limb its subtraction clears. *)
+let divexact a b =
+  if is_zero b then raise Division_by_zero;
+  let rec zero_limbs i = if b.(i) = 0 then zero_limbs (i + 1) else i in
+  let zl = zero_limbs 0 in
+  let rec zero_bits k = if (b.(zl) lsr k) land 1 = 0 then zero_bits (k + 1) else k in
+  let s = (zl * base_bits) + zero_bits 0 in
+  let a = shift_right a s and b = shift_right b s in
+  let la = Array.length a and lb = Array.length b in
+  if la < lb then zero
+  else begin
+    let lq = la - lb + 1 in
+    let r = Array.sub a 0 lq in
+    let b0 = b.(0) in
+    (* Newton's iteration for b0^-1 mod 2^30: b0 is its own inverse
+       mod 8, and each round doubles the correct bits (3, 6, 12, 24, 48). *)
+    let inv = ref b0 in
+    for _ = 1 to 4 do
+      inv := !inv * ((2 - (b0 * !inv)) land mask) land mask
+    done;
+    for i = 0 to lq - 1 do
+      let qi = r.(i) * !inv land mask in
+      let c = ref 0 in
+      for j = 0 to (if lb < lq - i then lb else lq - i) - 1 do
+        let t = r.(i + j) - (qi * b.(j)) + !c in
+        r.(i + j) <- t land mask;
+        c := t asr base_bits
+      done;
+      let k = ref (i + lb) in
+      while !c <> 0 && !k < lq do
+        let t = r.(!k) + !c in
+        r.(!k) <- t land mask;
+        c := t asr base_bits;
+        incr k
+      done;
+      r.(i) <- qi
+    done;
+    normalize r
+  end
+
+(* [a mod m] for a native [0 < m], allocating nothing.  With [r < m <
+   2^nb], [r lsl (62 - nb)] stays below 2^62, so each limb goes in
+   [62 - nb] bits at a time (the whole limb for [m] below 2^32).  A
+   62-bit [m] leaves no room: [r] is then doubled modulo [m] one bit at
+   a time, never exceeding [m]. *)
+let rem_int a m =
+  if m <= 0 then invalid_arg "Natural.rem_int: non-positive modulus";
+  let step = 62 - int_width m 0 in
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    let limb = a.(i) in
+    if step > 0 then begin
+      let j = ref base_bits in
+      while !j > 0 do
+        let w = if step < !j then step else !j in
+        j := !j - w;
+        r := ((!r lsl w) lor ((limb lsr !j) land ((1 lsl w) - 1))) mod m
+      done
+    end
+    else
+      for j = base_bits - 1 downto 0 do
+        let d = if !r >= m - !r then !r - (m - !r) else !r + !r in
+        let d = d + ((limb lsr j) land 1) in
+        r := if d >= m then d - m else d
+      done
+  done;
+  !r
+
+let rec gcd_int x y = if y = 0 then x else gcd_int y (x mod y)
+
+(* Lehmer's gcd (Knuth, TAOCP vol. 2, 4.5.2, Algorithm L). *)
+let window_bits = 60
+let cofactor_bound = 1 lsl 30
+
+(* Bits [k, k + 60) of [a], for [a < 2^(k + 60)]. *)
+let window a k =
+  let limb i = if i < Array.length a then a.(i) else 0 in
+  let i = k / base_bits and off = k mod base_bits in
+  (limb i lsr off)
+  lor (limb (i + 1) lsl (base_bits - off))
+  lor (limb (i + 2) lsl ((2 * base_bits) - off))
+
+(* [x·a + y·b] for cofactors [|x|, |y| <= 2^30] and a non-negative
+   result below [B^(length a)]: every limb sum stays below 2^62, and
+   [asr] carries the borrow of a negative term. *)
+let combine x a y b =
+  let la = Array.length a and lb = Array.length b in
+  let r = Array.make la 0 in
+  let carry = ref 0 in
+  for i = 0 to la - 1 do
+    let s = (x * a.(i)) + (if i < lb then y * b.(i) else 0) + !carry in
+    r.(i) <- s land mask;
+    carry := s asr base_bits
+  done;
+  assert (!carry = 0);
+  normalize r
+
+(* Euclid's quotient steps on the windows [ah >= bh] of [a >= b], with
+   cofactors [(x, y, u, v)] such that [x·a + y·b] and [u·a + v·b] are
+   the current pair.  A quotient is taken only when the two ends of the
+   window's uncertainty give the same one (Knuth's test), so every step
+   is one that Euclid on [a] and [b] takes too, and only while the
+   cofactors stay within [cofactor_bound]. *)
+let rec lehmer_steps ah bh x y u v =
+  if bh + u = 0 || bh + v = 0 then (x, y, u, v)
+  else begin
+    let q = (ah + x) / (bh + u) in
+    if q <> (ah + y) / (bh + v) || q >= cofactor_bound then (x, y, u, v)
+    else begin
+      let u' = x - (q * u) and v' = y - (q * v) in
+      if abs u' > cofactor_bound || abs v' > cofactor_bound then (x, y, u, v)
+      else lehmer_steps bh (ah - (q * bh)) u v u' v'
+    end
+  end
+
+(* [a >= b]: Lehmer rounds while [b] needs more than an int, then
+   native Euclid. *)
+let rec gcd_ordered a b =
+  match to_int_opt b with
+  | Some 0 -> a
+  | Some m -> (
+    match to_int_opt a with
+    | Some n -> of_int (gcd_int n m)
+    | None -> of_int (gcd_int m (rem_int a m)))
+  | None ->
+    let k = num_bits a - window_bits in
+    let x, y, u, v = lehmer_steps (window a k) (window b k) 1 0 0 1 in
+    if y = 0 then gcd_ordered b (snd (divmod a b))
+    else gcd_ordered (combine x a y b) (combine u a v b)
+
+let gcd a b = if compare a b >= 0 then gcd_ordered a b else gcd_ordered b a
 
 let pow a k =
   if k < 0 then invalid_arg "Natural.pow: negative exponent";

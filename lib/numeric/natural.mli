@@ -50,7 +50,8 @@ val add : t -> t -> t
     @raise Invalid_argument if [b > a]. *)
 val sub : t -> t -> t
 
-(** [mul a b] multiplies: schoolbook below 32 limbs, Karatsuba above. *)
+(** [mul a b] multiplies: schoolbook below 512 limbs, Karatsuba from
+    512 limbs in both operands. *)
 val mul : t -> t -> t
 
 (** [mul_schoolbook a b] is the O(n²) reference multiplication, exposed
@@ -61,7 +62,28 @@ val mul_schoolbook : t -> t -> t
     @raise Division_by_zero if [b] is zero. *)
 val divmod : t -> t -> t * t
 
-(** [gcd a b] is the greatest common divisor; [gcd 0 b = b]. *)
+(** [divexact a b] is [a / b] for a [b] known to divide [a]; the result
+    is unspecified when it does not.  It builds the quotient from the
+    low limbs up (Jebelean's exact division), with one allocation for an
+    odd [b].
+    @raise Division_by_zero if [b] is zero. *)
+val divexact : t -> t -> t
+
+(** [rem_int a m] is [a mod m] for a native [m > 0], computed without
+    allocating.
+    @raise Invalid_argument if [m <= 0]. *)
+val rem_int : t -> int -> int
+
+(** [gcd a b] is the greatest common divisor; [gcd 0 b = b].
+
+    Lehmer's algorithm (Knuth, TAOCP vol. 2, 4.5.2, Algorithm L): each
+    round reads a 60-bit leading window of both operands and runs
+    Euclid's quotient steps on native ints while Knuth's two-quotient
+    test shows they are the operands' own quotients, with signed
+    cofactors kept within 2{^30}, so one limb pass of [x·a + y·b]
+    stays below 2{^62}.  A round with no such step takes one {!divmod}
+    step.  Once the smaller operand fits an [int], native Euclid
+    finishes. *)
 val gcd : t -> t -> t
 
 (** [pow a k] is [a]{^ [k]} for [k >= 0]. *)

@@ -2,7 +2,7 @@ type t = { num : Integer.t; den : Integer.t }
 (* Invariant: den > 0, gcd(|num|, den) = 1, zero is 0/1. *)
 
 (* [a / b] where [b] is known to divide [a]. *)
-let exact_div a b = if Integer.equal b Integer.one then a else fst (Integer.divmod a b)
+let exact_div a b = if Integer.equal b Integer.one then a else Integer.divexact a b
 
 let make num den =
   if Integer.is_zero den then raise Division_by_zero;

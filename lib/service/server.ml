@@ -104,10 +104,29 @@ let eval_solve ~brownout (r : P.solve_req) =
         Option.map (fun load -> Dls.Lp_model.time_for_load sol ~load) r.P.s_load;
     }
 
+(* A batch LP has [4 · loads · p + 1] variables and only the exact Bland
+   simplex solves it, at a cost that climbs steeply with that size
+   (solve_batch_best on a 2-vCPU VM): at most 0.45 s up to 45 variables
+   (p = 11, one load), 0.4-1.6 s at 49, 0.9-3.7 s at 61-65 and 2.5-11 s
+   at 73-89 (p = 11, two loads), all the while holding a pool worker,
+   since the timeout is cooperative.  The daemon refuses anything larger
+   than 45; [dls solve-multi] stays uncapped. *)
+let max_batch_lp_vars = 45
+
+let batch_lp_vars (r : P.multi_req) =
+  (4 * Dls.Workload.size r.P.u_workload * Dls.Platform.size r.P.u_platform) + 1
+
 let eval_multi (r : P.multi_req) =
   let p = r.P.u_platform in
   let w = r.P.u_workload in
   match r.P.u_mode with
+  | P.Batch when batch_lp_vars r > max_batch_lp_vars ->
+    P.Failed
+      (E.Invalid_scenario
+         (Printf.sprintf
+            "batch LP of %d variables (4 x loads x workers + 1) exceeds the \
+             daemon's %d; solve it with dls solve-multi"
+            (batch_lp_vars r) max_batch_lp_vars))
   | P.Steady ->
     let s = E.get_exn (Dls.Steady_state.solve p w) in
     P.Ok_multi

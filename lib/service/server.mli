@@ -83,6 +83,15 @@ type config = {
 
 val default_config : address -> config
 
+(** [max_batch_lp_vars] is the largest batch LP, counted in variables
+    ([4 · loads · workers + 1]), that the daemon solves: a larger
+    [solve-multi ... mode=batch] request is answered with
+    [Invalid_scenario].  The exact batch solve grows steeply with this
+    size (up to 0.45 s at 45 variables, several seconds for a p = 11
+    two-load batch), and the request would hold a pool worker for all
+    of it.  [dls solve-multi] is not capped. *)
+val max_batch_lp_vars : int
+
 type t
 
 (** [start config] binds the socket and spawns the listener, dispatcher

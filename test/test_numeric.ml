@@ -199,6 +199,9 @@ let nat_props =
         let g = N.gcd a b in
         let _, r1 = N.divmod a g and _, r2 = N.divmod b g in
         N.is_zero r1 && N.is_zero r2);
+    prop "nat: divexact inverts mul" g3 (fun (a, b, c) ->
+        let b = N.shift_left (N.add b N.one) (N.num_bits c mod 67) in
+        N.equal (N.divexact (N.mul a b) b) a);
     (* Force the Karatsuba path (the threshold is 512 limbs, ~4600
        decimal digits) and cross-check it against the schoolbook
        reference.  Minimum digit counts keep the inputs above the
@@ -211,6 +214,97 @@ let nat_props =
       (QCheck2.Gen.pair (gen_natural ~min_digits:10000 14000)
          (gen_natural ~min_digits:5000 6000))
       (fun (a, b) -> N.equal (N.mul a b) (N.mul_schoolbook a b));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* gcd against an independent oracle                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Euclid over [N.divmod]: the reference the library's Lehmer gcd is
+   checked against.  It never calls [N.gcd]. *)
+let rec euclid a b = if N.is_zero b then a else euclid b (snd (N.divmod a b))
+
+let pow2 k = N.shift_left N.one k
+
+(* Limb boundaries 2^(30k) +- 1 up to nine limbs, and the 2^62
+   Small/Big edge. *)
+let limb_edges =
+  List.concat_map
+    (fun k -> [ N.sub (pow2 k) N.one; pow2 k; N.add (pow2 k) N.one ])
+    (List.init 9 (fun i -> 30 * (i + 1)) @ [ 61; 62; 63 ])
+
+(* F(n), F(n+1) for n up to [n]: every Euclid quotient is 1, so
+   Lehmer's rounds take the most steps per bit. *)
+let fibonacci_pairs n =
+  let rec go acc k a b = if k = 0 then acc else go ((b, a) :: acc) (k - 1) b (N.add a b) in
+  go [] n N.one N.one
+
+(* [g] is the greatest common divisor of [a] and [b]: the oracle's
+   value, a divisor of both, and nothing larger divides both cofactors. *)
+let gcd_ok a b g =
+  let divides d x = N.is_zero d || N.is_zero (snd (N.divmod x d)) in
+  let cofactor x = if N.is_zero g then N.zero else fst (N.divmod x g) in
+  N.equal g (euclid a b)
+  && divides g a && divides g b
+  && (N.is_zero g || N.equal (euclid (cofactor a) (cofactor b)) N.one)
+
+let check_gcd label a b =
+  let g = N.gcd a b in
+  if not (gcd_ok a b g && N.equal g (N.gcd b a)) then
+    Alcotest.failf "%s: gcd(%s, %s) = %s, oracle %s" label (N.to_string a)
+      (N.to_string b) (N.to_string g) (N.to_string (euclid a b))
+
+let test_gcd_limb_edges () =
+  List.iter (fun a -> List.iter (fun b -> check_gcd "limb edges" a b) limb_edges) limb_edges
+
+let test_gcd_fibonacci () =
+  let g = N.of_string "1000000007000000063" in
+  List.iter
+    (fun (a, b) ->
+      check_gcd "fibonacci" a b;
+      check_gcd "fibonacci times g" (N.mul g a) (N.mul g b))
+    (fibonacci_pairs 700)
+
+let test_gcd_degenerate () =
+  let nine = N.sub (pow2 270) (N.of_int 12345) in
+  List.iter
+    (fun a ->
+      check_gcd "zero" N.zero a;
+      check_gcd "equal" a a;
+      check_gcd "multiple" (N.mul a (N.of_int 3)) a;
+      check_gcd "multiple by nine limbs" (N.mul a nine) a)
+    (N.one :: N.of_int 12 :: nine :: limb_edges);
+  Alcotest.check nat "gcd(0, 0)" N.zero (N.gcd N.zero N.zero)
+
+(* One limb against nine, with and without a shared factor. *)
+let gen_one_nine =
+  let open QCheck2.Gen in
+  let* small = map (fun n -> n + 1) (int_bound ((1 lsl 30) - 2)) in
+  let* big = gen_natural ~min_digits:73 81 in
+  let* shared = bool in
+  return (if shared then (N.of_int small, N.mul big (N.of_int small)) else (N.of_int small, big))
+
+(* Operands of up to nine limbs sharing a random factor, so the gcd is
+   rarely 1. *)
+let gen_shared =
+  let open QCheck2.Gen in
+  let* g = gen_natural 40 in
+  let* x = gen_natural 45 in
+  let* y = gen_natural 45 in
+  let g = N.add g N.one in
+  return (N.mul g x, N.mul g y)
+
+let gcd_props =
+  [
+    prop ~count:1000 "gcd: oracle, greatest, on shared factors" gen_shared
+      (fun (a, b) -> gcd_ok a b (N.gcd a b));
+    prop ~count:500 "gcd: oracle, greatest, one limb against nine" gen_one_nine
+      (fun (a, b) -> gcd_ok a b (N.gcd a b) && gcd_ok b a (N.gcd b a));
+    prop ~count:1000 "gcd: rem_int agrees with divmod"
+      (QCheck2.Gen.pair (gen_natural 90)
+         (QCheck2.Gen.oneof
+            [ QCheck2.Gen.int_range 1 ((1 lsl 32) + 5); QCheck2.Gen.int_range 1 max_int ]))
+      (fun (a, m) -> N.equal (N.of_int (N.rem_int a m)) (snd (N.divmod a (N.of_int m))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -658,6 +752,9 @@ let boundary_props =
         | Some x, Some y ->
           native_agrees rq q (fun () -> x / y) && native_agrees rr r (fun () -> x mod y)
         | _ -> true);
+    prop ~count "int boundary: divexact" g2 (fun (a, b) ->
+        let b = if fst b = 0 then (1, N.one) else b in
+        agrees (Z.divexact (R.to_z (R.mul a b)) (R.to_z b)) a);
     prop ~count "int boundary: compare, equal" g2 (fun (a, b) ->
         let za = R.to_z a and zb = R.to_z b in
         let c = R.compare a b in
@@ -669,7 +766,7 @@ let boundary_props =
         agrees z a && agrees (Z.neg z) (R.neg a)
         && agrees (Z.abs z) (R.make 1 (snd a)));
     prop ~count "int boundary: gcd" g2 (fun (a, b) ->
-        N.equal (Z.gcd (R.to_z a) (R.to_z b)) (N.gcd (snd a) (snd b)));
+        N.equal (Z.gcd (R.to_z a) (R.to_z b)) (euclid (snd a) (snd b)));
     prop ~count "int boundary: string roundtrip" g (fun a ->
         let z = R.to_z a in
         agrees (Z.of_string (Z.to_string z)) a);
@@ -788,6 +885,14 @@ let () =
           Alcotest.test_case "to_float" `Quick test_nat_to_float;
         ] );
       ("natural.props", nat_props);
+      ( "gcd",
+        [
+          Alcotest.test_case "oracle on limb edges" `Quick test_gcd_limb_edges;
+          Alcotest.test_case "oracle on Fibonacci pairs" `Quick test_gcd_fibonacci;
+          Alcotest.test_case "zero, equal and multiple operands" `Quick
+            test_gcd_degenerate;
+        ] );
+      ("gcd.props", gcd_props);
       ( "integer.unit",
         [
           Alcotest.test_case "of_int" `Quick test_int_of_int;

@@ -405,6 +405,54 @@ let test_budget_rejected () =
     ];
   Sys.remove jpath
 
+(* A batch LP beyond the daemon's cap is a typed refusal, answered
+   without solving.  The cap counts [4 · loads · workers + 1]
+   variables: [at_cap] workers with one load fit it, one more worker
+   does not.  Steady state, whose LP does not grow with the batch, is
+   not capped, and neither is [dls solve-multi] (checked below). *)
+let workers n = platform (List.init n (fun i -> ("1", string_of_int (i + 1), "1/2")))
+
+let loads k =
+  Dls.Workload.make_exn
+    (List.init k (fun i ->
+         Dls.Workload.load ~release:Q.zero ~size:(Q.of_int (100 * (i + 1))) ()))
+
+let multi ?depth mode n k =
+  P.Solve_multi
+    { P.u_platform = workers n; u_workload = loads k; u_mode = mode; u_depth = depth }
+
+let at_cap = (Service.Server.max_batch_lp_vars - 1) / 4
+
+let test_batch_cap () =
+  let server = start_server_exn (server_cfg (tmp_socket ())) in
+  let address = Service.Server.address server in
+  Fun.protect
+    ~finally:(fun () -> Service.Server.stop server)
+    (fun () ->
+      List.iter
+        (fun (label, req) ->
+          match request_via address req with
+          | P.Failed (Dls.Errors.Invalid_scenario _) -> ()
+          | resp ->
+            Alcotest.failf "%s: expected an invalid-scenario refusal, got %s" label
+              (P.response_to_string resp))
+        [
+          ("one worker over the cap, one load", multi P.Batch (at_cap + 1) 1);
+          ("p = 11, two loads", multi P.Batch 11 2);
+          ("two workers, many loads, fixed depth", multi ~depth:0 P.Batch 2 at_cap);
+        ];
+      List.iter
+        (fun (label, req) ->
+          match request_via address req with
+          | P.Ok_multi _ -> ()
+          | resp ->
+            Alcotest.failf "%s: expected an answer, got %s" label
+              (P.response_to_string resp))
+        [
+          ("at the cap", multi P.Batch at_cap 1);
+          ("steady state over the cap", multi P.Steady (at_cap + 1) 2);
+        ])
+
 (* ------------------------------------------------------------------ *)
 (* CLI: --journal is another name for --store                          *)
 (* ------------------------------------------------------------------ *)
@@ -502,6 +550,21 @@ let test_cli_budget_without_store () =
   in
   check "--journal-max-bytes without --store fails" true
     (wait 200 <> Unix.WEXITED 0)
+
+(* The CLI's solve-multi solves a batch the daemon refuses. *)
+let test_cli_batch_uncapped () =
+  let spec =
+    String.concat "," (List.init (at_cap + 1) (fun i -> Printf.sprintf "1:%d:1/2" (i + 1)))
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process dls_exe
+      [| dls_exe; "solve-multi"; "-p"; spec; "-w"; "100:0"; "--batch" |]
+      Unix.stdin null null
+  in
+  Unix.close null;
+  check "dls solve-multi --batch over the daemon's cap exits 0" true
+    (snd (Unix.waitpid [] pid) = Unix.WEXITED 0)
 
 (* ------------------------------------------------------------------ *)
 (* Server + tier-2 store                                               *)
@@ -1216,6 +1279,9 @@ let () =
             test_budget_rejected;
           Alcotest.test_case "cli budget without --store exits non-zero"
             `Quick test_cli_budget_without_store;
+          Alcotest.test_case "oversized batch LP refused" `Quick test_batch_cap;
+          Alcotest.test_case "cli solve-multi batch uncapped" `Quick
+            test_cli_batch_uncapped;
         ] );
       ( "tiering",
         [
