@@ -22,8 +22,7 @@ let certify problem sol ~what =
             (String.concat "; " msgs)))
 
 (* Variable layout: a(k,i) at k*p + i, then T at K*p. *)
-let solve platform workload =
-  let ( let* ) = Result.bind in
+let problem platform workload =
   let p = Platform.size platform in
   let kk = Workload.size workload in
   let nvars = (kk * p) + 1 in
@@ -63,10 +62,15 @@ let solve platform workload =
   done;
   let objective = Array.make nvars Q.zero in
   objective.(t_var) <- Q.one;
-  let problem =
-    Simplex.Problem.make Simplex.Problem.Minimize objective
-      (List.rev !constraints)
-  in
+  Simplex.Problem.make Simplex.Problem.Minimize objective (List.rev !constraints)
+
+let solve platform workload =
+  let ( let* ) = Result.bind in
+  let p = Platform.size platform in
+  let kk = Workload.size workload in
+  let a_var k i = (k * p) + i in
+  let t_var = kk * p in
+  let problem = problem platform workload in
   match Simplex.Solver.solve problem with
   | Simplex.Solver.Infeasible -> Error Errors.Infeasible
   | Simplex.Solver.Unbounded -> Error Errors.Unbounded
@@ -149,25 +153,25 @@ let port_blocks ~depth kk =
   done;
   List.rev !blocks
 
-let solve_batch ?(depth = 1) ?order platform workload =
-  let ( let* ) = Result.bind in
-  if depth < 0 then invalid_arg "Steady_state.solve_batch: negative depth";
-  let order =
-    match order with Some o -> o | None -> Fifo.order platform
-  in
+(* Batch LP variable layout over [q] order slots and [kk] loads: four
+   blocks of [kk * q] variables (chunk sizes, send, compute and return
+   starts), each indexed by sequence position [k] and slot [j], then
+   the makespan. *)
+let batch_var ~q ~kk block k j = (block * kk * q) + (k * q) + j
+
+let batch_problem ?(depth = 1) ?order platform workload =
+  if depth < 0 then invalid_arg "Steady_state.batch_problem: negative depth";
+  let order = match order with Some o -> o | None -> Fifo.order platform in
   (* Validate the worker order as a scenario over the platform. *)
   ignore (Scenario.fifo_exn platform order);
   let q = Array.length order in
   let kk = Workload.size workload in
   let seq = sequence_of workload in
-  let nchunks = kk * q in
-  let nvars = (4 * nchunks) + 1 in
+  let nvars = (4 * kk * q) + 1 in
   (* [k] below is a sequence position, not a workload index. *)
-  let a_var k j = (k * q) + j in
-  let u_var k j = nchunks + (k * q) + j in
-  let s_var k j = (2 * nchunks) + (k * q) + j in
-  let t_var k j = (3 * nchunks) + (k * q) + j in
-  let m_var = 4 * nchunks in
+  let a_var = batch_var ~q ~kk 0 and u_var = batch_var ~q ~kk 1 in
+  let s_var = batch_var ~q ~kk 2 and t_var = batch_var ~q ~kk 3 in
+  let m_var = nvars - 1 in
   let wk j = Platform.get platform order.(j) in
   let dcost k j = Workload.return_cost workload seq.(k) (wk j) in
   let release k = (Workload.get workload seq.(k)).Workload.release in
@@ -241,10 +245,19 @@ let solve_batch ?(depth = 1) ?order platform workload =
   chain items;
   let objective = Array.make nvars Q.zero in
   objective.(m_var) <- Q.one;
-  let problem =
-    Simplex.Problem.make Simplex.Problem.Minimize objective
-      (List.rev !constraints)
-  in
+  Simplex.Problem.make Simplex.Problem.Minimize objective (List.rev !constraints)
+
+let solve_batch ?(depth = 1) ?order platform workload =
+  let ( let* ) = Result.bind in
+  if depth < 0 then invalid_arg "Steady_state.solve_batch: negative depth";
+  let order = match order with Some o -> o | None -> Fifo.order platform in
+  let problem = batch_problem ~depth ~order platform workload in
+  let q = Array.length order in
+  let kk = Workload.size workload in
+  let seq = sequence_of workload in
+  let a_var = batch_var ~q ~kk 0 and u_var = batch_var ~q ~kk 1 in
+  let s_var = batch_var ~q ~kk 2 and t_var = batch_var ~q ~kk 3 in
+  let m_var = 4 * kk * q in
   match Simplex.Solver.solve problem with
   | Simplex.Solver.Infeasible -> Error Errors.Infeasible
   | Simplex.Solver.Unbounded -> Error Errors.Unbounded

@@ -60,6 +60,10 @@ val solve : Platform.t -> Workload.t -> (solved, Errors.t) result
 (** [solve_exn] is {!solve}. @raise Errors.Error accordingly. *)
 val solve_exn : Platform.t -> Workload.t -> solved
 
+(** [problem platform workload] is the steady-state LP that {!solve}
+    solves: the allocations [a(k,i)] at [k * p + i], then the period. *)
+val problem : Platform.t -> Workload.t -> Simplex.Problem.t
+
 type batch = private {
   b_platform : Platform.t;
   b_workload : Workload.t;
@@ -84,6 +88,12 @@ val solve_batch :
   Platform.t ->
   Workload.t ->
   (batch, Errors.t) result
+
+(** [batch_problem ?depth ?order platform workload] is the LP that
+    {!solve_batch} solves, with [4 * loads * workers + 1] variables.
+    @raise Invalid_argument on a negative [depth]. *)
+val batch_problem :
+  ?depth:int -> ?order:int array -> Platform.t -> Workload.t -> Simplex.Problem.t
 
 (** [solve_batch_best ?max_depth ?order platform workload] tries every
     depth in [0..max_depth] (default: [min 2 (loads-1)]) and keeps the

@@ -106,11 +106,12 @@ let eval_solve ~brownout (r : P.solve_req) =
 
 (* A batch LP has [4 · loads · p + 1] variables and only the exact Bland
    simplex solves it, at a cost that climbs steeply with that size
-   (solve_batch_best on a 2-vCPU VM): at most 0.45 s up to 45 variables
-   (p = 11, one load), 0.4-1.6 s at 49, 0.9-3.7 s at 61-65 and 2.5-11 s
-   at 73-89 (p = 11, two loads), all the while holding a pool worker,
-   since the timeout is cooperative.  The daemon refuses anything larger
-   than 45; [dls solve-multi] stays uncapped. *)
+   (solve_batch_best on the fraction-free tableau, two draws per size,
+   2-vCPU VM): at most 0.19 s up to 45 variables (p = 11, one load),
+   0.2-0.6 s at 49, 0.5-3.9 s at 61-65 and 1.3-3.1 s at 89 (p = 11, two
+   loads), all the while holding a pool worker, since the timeout is
+   cooperative.  The daemon refuses anything larger than 45;
+   [dls solve-multi] stays uncapped. *)
 let max_batch_lp_vars = 45
 
 let batch_lp_vars (r : P.multi_req) =

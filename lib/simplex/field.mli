@@ -1,9 +1,9 @@
 (** The scalar interface the simplex core is generic over.
 
-    Two instances ship with the library: exact rationals (the default —
-    schedules are exact) and IEEE floats with an epsilon-tolerant sign
-    (fast, for throughput estimation at scale where exactness is not
-    required).  See {!Solver_core.Make}. *)
+    Two instances ship with the library: IEEE floats with an
+    epsilon-tolerant sign, behind {!Float_solver}, and exact rationals,
+    which the test suite runs as the reference of the fraction-free
+    exact {!Solver}.  See {!Solver_core.Make}. *)
 
 module type S = sig
   type t

@@ -1,8 +1,8 @@
 (** Floating-point simplex: {!Solver_core.Make} over IEEE doubles.
 
-    Roughly an order of magnitude faster than the exact solver on the
-    scheduling LPs of this library, at the price of [1e-9]-tolerance
-    pivoting: use it for large-scale throughput {e estimation}
+    Several times faster than the exact solver on the scheduling LPs of
+    this library, at the price of [1e-9]-tolerance pivoting: use it for
+    large-scale throughput {e estimation}
     (dashboards, sweeps), or as the scout of the certified fast path —
     its terminal {!solution.basis} is lifted into the exact solver by
     the [`Fast] solve mode, which accepts the answer only after an exact
@@ -15,8 +15,8 @@ type solution = {
   point : float array;
   pivots : int;
   basis : int array;
-      (** terminal basis, suitable for exact lifting via
-          {!Solver.solve_with_basis} *)
+      (** terminal basis, the candidate that [Dls.Structured_cert] and
+          {!Solver.certify_basis} lift to an exact answer *)
 }
 
 type outcome = Optimal of solution | Unbounded | Infeasible | Stalled

@@ -13,6 +13,12 @@ type t = {
 
 let constr coeffs relation rhs = { coeffs; relation; rhs }
 
+let orient c =
+  if Q.sign c.rhs >= 0 then c
+  else
+    let relation = match c.relation with Le -> Ge | Ge -> Le | Eq -> Eq in
+    { coeffs = Array.map Q.neg c.coeffs; relation; rhs = Q.neg c.rhs }
+
 let make ?names direction objective constraints =
   let n = Array.length objective in
   List.iteri

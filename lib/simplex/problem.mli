@@ -32,6 +32,10 @@ val make :
 (** [constr coeffs relation rhs] is a convenience constructor. *)
 val constr : Q.t array -> relation -> Q.t -> constr
 
+(** [orient c] is [c] with a non-negative right-hand side: a constraint
+    with a negative one is negated, which flips [Le] and [Ge]. *)
+val orient : constr -> constr
+
 val num_vars : t -> int
 val num_constraints : t -> int
 

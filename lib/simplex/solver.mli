@@ -1,4 +1,4 @@
-(** Exact two-phase primal simplex over arbitrary-precision rationals.
+(** Exact two-phase primal simplex.
 
     Pivoting uses Bland's smallest-index rule, which guarantees
     termination even on degenerate problems (the scheduling LPs of the
@@ -6,7 +6,17 @@
     simultaneously).  Because the arithmetic is exact, the returned
     optimum is a true vertex of the feasible polyhedron — the structural
     arguments of the paper (Lemma 1: "at most one constraint slack")
-    apply to it literally. *)
+    apply to it literally.
+
+    The tableau is fraction-free: big integers over the basis
+    determinant (Edmonds; Bareiss) instead of reduced rationals, so a
+    pivot takes two products and one exact division per entry and no
+    gcd.  Columns and rows are positively rescaled to integers at
+    set-up, which changes none of Bland's choices: the pivot path, hence
+    [value], [point], [basis] and [pivots], is the one a rational
+    Gauss-Jordan tableau takes on the same problem.  The test suite
+    keeps that rational tableau ({!Solver_core.Make} over
+    {!Field.Rational}) as the reference. *)
 
 module Q = Numeric.Rational
 
@@ -15,23 +25,12 @@ type solution = {
   point : Q.t array;  (** one optimal assignment of the decision variables *)
   pivots : int;  (** number of simplex pivots performed (both phases) *)
   basis : int array;
-      (** terminal basis (column index per constraint row); reusable as a
-          warm start or a certification target via {!solve_with_basis} *)
+      (** terminal basis: for each constraint row, the column index of
+          its basic variable.  Columns are numbered original variables
+          first, then slacks, then artificials. *)
 }
 
 type outcome = Optimal of solution | Unbounded | Infeasible
-
-(** Outcome of {!solve_with_basis}; mirrors
-    {!Solver_core.Make.warm_outcome} minus [Warm_stalled], which is
-    unreachable with exact arithmetic. *)
-type warm_outcome =
-  | Warm_optimal of solution * bool
-      (** [true]: strictly negative reduced costs on all non-basic
-          columns, so the optimum is unique and the solution is
-          bit-identical to {!solve}'s.  [false]: alternate optima may
-          exist — fall back to {!solve} for a canonical answer. *)
-  | Warm_unbounded
-  | Warm_rejected  (** unusable basis; no answer implied — use {!solve} *)
 
 (** The two ways a linear program can fail to have an optimum.  (The
     [Error_] prefix keeps the constructors from clashing with
@@ -48,14 +47,6 @@ val pp_error : Format.formatter -> error -> unit
 (** [solve p] solves the linear program exactly. *)
 val solve : Problem.t -> outcome
 
-(** [solve_with_basis p ~basis] factorizes the candidate basis exactly
-    and re-optimizes from it (zero pivots when the basis is already
-    optimal).  Use with a float solver's terminal basis to certify a
-    fast solve, or with a neighbouring problem's optimal basis as a warm
-    start.  A defective basis returns [Warm_rejected], never a wrong
-    answer. *)
-val solve_with_basis : Problem.t -> basis:int array -> warm_outcome
-
 (** [certify_basis p ~basis] checks whether [basis] is the {e unique}
     optimal basis of [p] using a single exact factorization restricted
     to the basis columns — two [m x m] fraction-free integer
@@ -71,10 +62,9 @@ val solve_with_basis : Problem.t -> basis:int array -> warm_outcome
     coordinate with a non-zero objective), with [pivots = 0].
 
     [None] means "no certificate", never "no optimum": the basis may be
-    wrong, the optimum non-unique, the problem shape unsupported (only
-    all-[<=] programs with non-negative right-hand sides are handled),
-    or an intermediate value may have left the native integer range.
-    Callers must fall back to {!solve}.  A cheap float screen rejects
+    wrong, the optimum non-unique, or the problem shape unsupported
+    (only all-[<=] programs with non-negative right-hand sides are
+    handled).  Callers must fall back to {!solve}.  A cheap float screen rejects
     hopeless bases before any exact arithmetic is spent. *)
 val certify_basis : Problem.t -> basis:int array -> solution option
 

@@ -8,15 +8,10 @@ module Make (F : Field.S) = struct
 
   type outcome = Optimal of solution | Unbounded | Infeasible | Stalled
 
-  type warm_outcome =
-    | Warm_optimal of solution * bool
-    | Warm_unbounded
-    | Warm_rejected
-    | Warm_stalled
-
   exception Pivot_cap
 
-  (* Dense tableau over F; see Solver for the layout description. *)
+  (* Dense tableau over F: one row per constraint and the objective row,
+     each [total + 1] wide, the right-hand side last. *)
   type tableau = {
     rows : F.t array array;
     obj : F.t array;
@@ -101,7 +96,7 @@ module Make (F : Field.S) = struct
         end)
       t.basis
 
-  (* Standard-form tableau shared by the cold and warm entry points. *)
+  (* Standard-form tableau. *)
   type prepared = {
     t : tableau;
     n : int;  (* original variables *)
@@ -113,22 +108,7 @@ module Make (F : Field.S) = struct
   let prepare ~max_pivots (p : Problem.t) =
     let n = Problem.num_vars p in
     let m = Problem.num_constraints p in
-    let module Q = Numeric.Rational in
-    let oriented =
-      Array.map
-        (fun (c : Problem.constr) ->
-          if Q.sign c.Problem.rhs < 0 then
-            let coeffs = Array.map Q.neg c.Problem.coeffs in
-            let relation =
-              match c.Problem.relation with
-              | Problem.Le -> Problem.Ge
-              | Problem.Ge -> Problem.Le
-              | Problem.Eq -> Problem.Eq
-            in
-            Problem.constr coeffs relation (Q.neg c.Problem.rhs)
-          else c)
-        p.Problem.constraints
-    in
+    let oriented = Array.map Problem.orient p.Problem.constraints in
     let n_slack =
       Array.fold_left
         (fun acc c ->
@@ -245,119 +225,4 @@ module Make (F : Field.S) = struct
         end
       end
     with Pivot_cap -> Stalled
-
-  (* Bring the columns of [target] into the basis with plain Gauss-Jordan
-     pivots.  Rows whose initial basic column already belongs to the
-     target keep it; every remaining target column is pivoted onto the
-     first free row where its coefficient is nonzero.  Returns [false]
-     when the columns are linearly dependent (no such row exists), or
-     when an artificial ends up basic on a row that still has a
-     structural coefficient or a nonzero right-hand side.  Artificials
-     never belong to a feasible basis of the real problem, except on a
-     redundant equality ([0 x = 0], or a row dependent on others):
-     phase 1 finds no structural column to drive that artificial out,
-     so [solve] returns it basic at zero, and the basis must install. *)
-  let install_basis t ~structural target =
-    let m = Array.length t.rows in
-    let in_target = Array.make t.total false in
-    Array.iter (fun c -> in_target.(c) <- true) target;
-    let claimed = Array.make m false in
-    let placed = Array.make t.total false in
-    Array.iteri
-      (fun i bv ->
-        if in_target.(bv) && not placed.(bv) then begin
-          claimed.(i) <- true;
-          placed.(bv) <- true
-        end)
-      t.basis;
-    try
-      Array.iter
-        (fun col ->
-          if not placed.(col) then begin
-            let row = ref (-1) in
-            (try
-               for i = 0 to m - 1 do
-                 if (not claimed.(i)) && F.sign t.rows.(i).(col) <> 0 then begin
-                   row := i;
-                   raise Exit
-                 end
-               done
-             with Exit -> ());
-            if !row < 0 then raise Not_found;
-            pivot t ~row:!row ~col;
-            claimed.(!row) <- true;
-            placed.(col) <- true
-          end)
-        target;
-      let redundant i =
-        let row = t.rows.(i) in
-        let rec zero j = j >= structural || (F.sign row.(j) = 0 && zero (j + 1)) in
-        F.sign row.(t.total) = 0 && zero 0
-      in
-      let ok = ref true in
-      Array.iteri
-        (fun i bv -> if bv >= structural && not (redundant i) then ok := false)
-        t.basis;
-      !ok
-    with Not_found -> false
-
-  (* Shared candidate-basis validation: [m] distinct columns.  Which
-     artificials may stay basic is settled by [install_basis]. *)
-  let basis_shape_ok t ~m basis =
-    Array.length basis = m
-    &&
-    let seen = Array.make t.total false in
-    Array.for_all
-      (fun c ->
-        c >= 0 && c < t.total
-        &&
-        if seen.(c) then false
-        else begin
-          seen.(c) <- true;
-          true
-        end)
-      basis
-
-  let solve_with_basis ?(max_pivots = 100_000) (p : Problem.t) ~basis =
-    let pr = prepare ~max_pivots p in
-    let t = pr.t in
-    let m = Array.length t.rows in
-    let structural = pr.n + pr.n_slack in
-    if not (basis_shape_ok t ~m basis) then Warm_rejected
-    else
-      try
-        if not (install_basis t ~structural basis) then Warm_rejected
-        else begin
-          (* Exact primal feasibility of the candidate basis. *)
-          let feasible = ref true in
-          for i = 0 to m - 1 do
-            if F.sign t.rows.(i).(t.total) < 0 then feasible := false
-          done;
-          if not !feasible then Warm_rejected
-          else begin
-            for j = structural to t.total - 1 do
-              t.allowed.(j) <- false
-            done;
-            install_objective t (phase2_objective pr p);
-            match optimize t with
-            | `Unbounded -> Warm_unbounded
-            | `Optimal ->
-              (* Strict dual feasibility: every allowed non-basic column
-                 must have a strictly negative reduced cost.  This proves
-                 the optimal point is unique, hence equal to whatever the
-                 cold solve would return — the caller may then substitute
-                 this solution for the canonical one. *)
-              let basic = Array.make t.total false in
-              Array.iter (fun bv -> basic.(bv) <- true) t.basis;
-              let unique = ref true in
-              for j = 0 to t.total - 1 do
-                if t.allowed.(j) && (not basic.(j)) && F.sign t.obj.(j) = 0
-                then unique := false
-              done;
-              (match finish pr with
-              | Optimal s -> Warm_optimal (s, !unique)
-              | _ -> assert false)
-          end
-        end
-      with Pivot_cap -> Warm_stalled
 end

@@ -1,5 +1,6 @@
 (* Tests for the exact simplex solver, cross-checked against brute-force
-   vertex enumeration. *)
+   vertex enumeration and, pivot for pivot, against a rational
+   Gauss-Jordan tableau (the [reference] group). *)
 
 module Q = Numeric.Rational
 module P = Simplex.Problem
@@ -378,6 +379,14 @@ let test_float_solver_infeasible () =
   | Simplex.Float_solver.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible"
 
+let test_float_stall_cap () =
+  (* A one-pivot cap stalls the float solver on a problem needing more;
+     the fast pipeline turns this into an exact fallback. *)
+  let p = lp P.Maximize [| 1; 1 |] [ ([| 2; 1 |], P.Le, 3); ([| 1; 3 |], P.Le, 5) ] in
+  match Simplex.Float_solver.solve ~max_pivots:1 p with
+  | Simplex.Float_solver.Stalled -> ()
+  | _ -> Alcotest.fail "expected stall under a 1-pivot cap"
+
 let prop_float_matches_exact =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300 ~name:"float solver tracks the exact solver"
@@ -400,124 +409,6 @@ let prop_float_matches_exact =
            (match S.solve p with
            | S.Optimal e -> Float.abs (Q.to_float e.S.value) < 1e-6
            | _ -> false)))
-
-(* ------------------------------------------------------------------ *)
-(* Warm starts and basis lifting                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_warm_start_own_basis () =
-  (* Re-feeding a solve's own terminal basis must certify it with zero
-     extra pivots beyond the factorization, and flag uniqueness on this
-     non-degenerate problem. *)
-  let p = lp P.Maximize [| 1; 1 |] [ ([| 2; 1 |], P.Le, 3); ([| 1; 3 |], P.Le, 5) ] in
-  let s = S.solve_exn p in
-  match S.solve_with_basis p ~basis:s.S.basis with
-  | S.Warm_optimal (s', unique) ->
-    Alcotest.check rat "value" s.S.value s'.S.value;
-    Alcotest.(check bool) "point" true (Array.for_all2 Q.equal s.S.point s'.S.point);
-    Alcotest.(check bool) "unique" true unique
-  | _ -> Alcotest.fail "expected warm optimal"
-
-let test_warm_start_rejections () =
-  let p = lp P.Maximize [| 1; 1 |] [ ([| 2; 1 |], P.Le, 3); ([| 1; 3 |], P.Le, 5) ] in
-  let reject basis name =
-    match S.solve_with_basis p ~basis with
-    | S.Warm_rejected -> ()
-    | _ -> Alcotest.fail name
-  in
-  reject [| 0 |] "wrong length accepted";
-  reject [| 0; 0 |] "duplicate column accepted";
-  reject [| 0; 7 |] "out-of-range column accepted";
-  (* {x, slack_0}: the nonbasic choice forces x = 5 from row 1, driving
-     row 0's slack to -7 — a primally infeasible vertex. *)
-  reject [| 0; 2 |] "infeasible basis accepted"
-
-let test_warm_start_alternate_optima () =
-  (* max x + y on x + y <= 1: the whole edge is optimal, so even the
-     solver's own terminal basis must come back with [unique = false] —
-     the fast pipeline then falls back to the canonical cold solve. *)
-  let p = lp P.Maximize [| 1; 1 |] [ ([| 1; 1 |], P.Le, 1) ] in
-  let s = S.solve_exn p in
-  match S.solve_with_basis p ~basis:s.S.basis with
-  | S.Warm_optimal (_, unique) ->
-    Alcotest.(check bool) "not unique" false unique
-  | _ -> Alcotest.fail "expected warm optimal"
-
-let test_warm_start_recovers_from_suboptimal_basis () =
-  (* Start from the all-slack basis (the origin): installation is a
-     no-op and Bland's rule must walk to the optimum. *)
-  let p = lp P.Maximize [| 1; 1 |] [ ([| 2; 1 |], P.Le, 3); ([| 1; 3 |], P.Le, 5) ] in
-  match S.solve_with_basis p ~basis:[| 2; 3 |] with
-  | S.Warm_optimal (s', _) -> Alcotest.check rat "value" (qq 11 5) s'.S.value
-  | _ -> Alcotest.fail "expected warm optimal"
-
-let test_warm_start_redundant_zero_row () =
-  (* [0 x0 = 0] leaves its phase-1 artificial basic at zero: no
-     structural column can drive it out.  The same happens to a row
-     that phase 1 reduces to zero ([x0 = 0] after [-x0 = 0]).  The
-     solver's own terminal basis must still install and reproduce the
-     cold optimum. *)
-  List.iter
-    (fun p ->
-      let s = S.solve_exn p in
-      match S.solve_with_basis p ~basis:s.S.basis with
-      | S.Warm_optimal (s', _) ->
-        Alcotest.check rat "value" s.S.value s'.S.value;
-        Alcotest.(check bool) "point" true
-          (Array.for_all2 Q.equal s.S.point s'.S.point)
-      | _ -> Alcotest.fail "own basis with a redundant artificial rejected")
-    [
-      lp P.Maximize [| -3 |]
-        [ ([| -4 |], P.Le, 8); ([| 0 |], P.Eq, 0); ([| 3 |], P.Le, 10) ];
-      lp P.Maximize [| 0 |] [ ([| -1 |], P.Eq, 0); ([| 1 |], P.Eq, 0) ];
-    ]
-
-let test_float_stall_cap () =
-  (* A one-pivot cap stalls the float solver on a problem needing more;
-     the fast pipeline turns this into an exact fallback. *)
-  let p = lp P.Maximize [| 1; 1 |] [ ([| 2; 1 |], P.Le, 3); ([| 1; 3 |], P.Le, 5) ] in
-  match Simplex.Float_solver.solve ~max_pivots:1 p with
-  | Simplex.Float_solver.Stalled -> ()
-  | _ -> Alcotest.fail "expected stall under a 1-pivot cap"
-
-let prop_lifted_basis_certifies =
-  (* The fast pipeline's core step: lift the float solver's terminal
-     basis into the exact solver.  Whenever the lift certifies with the
-     uniqueness flag, the solution must be bit-identical to the cold
-     exact solve. *)
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:300 ~name:"float basis lift is exact when certified"
-       gen_problem (fun p ->
-         match Simplex.Float_solver.solve p with
-         | Simplex.Float_solver.Optimal f -> (
-           match S.solve_with_basis p ~basis:f.Simplex.Float_solver.basis with
-           | S.Warm_optimal (s', true) -> (
-             match S.solve p with
-             | S.Optimal s ->
-               Q.equal s.S.value s'.S.value
-               && Array.for_all2 Q.equal s.S.point s'.S.point
-             | _ -> false)
-           | S.Warm_optimal (_, false) | S.Warm_rejected -> true
-           | S.Warm_unbounded -> (
-             match S.solve p with S.Unbounded -> true | _ -> false))
-         | _ -> true))
-
-let prop_warm_start_any_valid_basis =
-  (* From any installable basis the warm solve must reach the same
-     optimal value as the cold solve (the point may differ only when
-     alternate optima exist, i.e. when [unique] is false). *)
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:300 ~name:"warm start reaches the cold optimum"
-       gen_problem (fun p ->
-         match S.solve p with
-         | S.Optimal s -> (
-           match S.solve_with_basis p ~basis:s.S.basis with
-           | S.Warm_optimal (s', unique) ->
-             Q.equal s.S.value s'.S.value
-             && ((not unique) || Array.for_all2 Q.equal s.S.point s'.S.point)
-           | S.Warm_rejected -> false (* its own terminal basis must install *)
-           | S.Warm_unbounded -> false)
-         | S.Unbounded | S.Infeasible -> true))
 
 (* ------------------------------------------------------------------ *)
 (* Restricted factorization certificate                                 *)
@@ -620,6 +511,211 @@ let prop_certify_float_basis =
              | _ -> false))
          | _ -> true))
 
+(* ------------------------------------------------------------------ *)
+(* Reference: the rational Gauss-Jordan tableau                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact solver runs Bland's pivots on a fraction-free integer
+   tableau.  Its reference is the same two-phase Bland simplex on a
+   rational Gauss-Jordan tableau: both must agree on the outcome and,
+   when optimal, on the value, the point, the terminal basis and the
+   pivot count, which together pin the pivot path. *)
+module Ref = Simplex.Solver_core.Make (Simplex.Field.Rational)
+
+let disagreement p =
+  let show_q a = String.concat "," (Array.to_list (Array.map Q.to_string a)) in
+  let show_i a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  match (S.solve p, Ref.solve ~max_pivots:max_int p) with
+  | S.Optimal s, Ref.Optimal r ->
+    if
+      Q.equal s.S.value r.Ref.value
+      && Array.for_all2 Q.equal s.S.point r.Ref.point
+      && s.S.basis = r.Ref.basis && s.S.pivots = r.Ref.pivots
+    then None
+    else
+      Some
+        (Printf.sprintf "value %s / %s, point %s / %s, basis %s / %s, pivots %d / %d"
+           (Q.to_string s.S.value) (Q.to_string r.Ref.value) (show_q s.S.point)
+           (show_q r.Ref.point) (show_i s.S.basis) (show_i r.Ref.basis) s.S.pivots
+           r.Ref.pivots)
+  | S.Unbounded, Ref.Unbounded | S.Infeasible, Ref.Infeasible -> None
+  | o, _ -> Some (Format.asprintf "outcomes differ: %a" S.pp_outcome o)
+
+let check_reference name p =
+  Option.iter (fun msg -> Alcotest.failf "%s: %s" name msg) (disagreement p)
+
+(* Rational coefficients, right-hand sides of both signs, all three
+   relations, both directions, and rows repeated with a rational factor
+   of either sign (redundant equalities, duplicated or opposed
+   inequalities). *)
+let gen_reference_problem =
+  let open QCheck2.Gen in
+  let frac lo hi =
+    map2 (fun a b -> Q.of_ints a b) (int_range lo hi) (int_range 1 4)
+  in
+  let* n = int_range 1 5 in
+  let* m = int_range 1 5 in
+  let* objective = array_size (return n) (frac (-5) 5) in
+  let* rows =
+    list_size (return m)
+      (let* coeffs = array_size (return n) (frac (-5) 5) in
+       let* rhs = frac (-6) 10 in
+       let* rel = frequency [ (5, return P.Le); (2, return P.Ge); (2, return P.Eq) ] in
+       return (P.constr coeffs rel rhs))
+  in
+  let* copies =
+    list_size (int_range 0 2)
+      (let* i = int_range 0 (m - 1) in
+       let* k = oneofl [ Q.of_int 2; Q.of_ints 1 3; Q.of_int (-1); Q.of_ints (-3) 2 ] in
+       let* rel = oneofl [ P.Le; P.Ge; P.Eq ] in
+       return (i, k, rel))
+  in
+  let copied =
+    List.map
+      (fun (i, k, rel) ->
+        let (c : P.constr) = List.nth rows i in
+        P.constr (Array.map (Q.mul k) c.P.coeffs) rel (Q.mul k c.P.rhs))
+      copies
+  in
+  let* direction = oneofl [ P.Maximize; P.Minimize ] in
+  return (P.make direction objective (rows @ copied))
+
+let prop_reference_random =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"random LPs match the rational tableau"
+       ~print:(Format.asprintf "%a" P.pp) gen_reference_problem (fun p ->
+         match disagreement p with
+         | None -> true
+         | Some msg -> QCheck2.Test.fail_report msg))
+
+let test_reference_fixed () =
+  (* Beale's cycling example, an equality system, an infeasible and an
+     unbounded-after-phase-1 program, huge coefficients, and an
+     artificial driven out of the basis on a negative entry, after which
+     phase 2 runs with a negative basis determinant. *)
+  let big = Q.of_string "1000000000000000000" in
+  List.iteri
+    (fun i p -> check_reference (Printf.sprintf "fixed %d" i) p)
+    [
+      P.make P.Maximize
+        [| qq 3 4; Q.of_int (-150); qq 1 50; Q.of_int (-6) |]
+        [
+          P.constr [| qq 1 4; Q.of_int (-60); qq (-1) 25; q 9 |] P.Le Q.zero;
+          P.constr [| Q.half; Q.of_int (-90); qq (-1) 50; q 3 |] P.Le Q.zero;
+          P.constr [| Q.zero; Q.zero; Q.one; Q.zero |] P.Le Q.one;
+        ];
+      lp P.Maximize [| 1; 0 |] [ ([| 1; 1 |], P.Eq, 3); ([| 1; -1 |], P.Eq, 1) ];
+      lp P.Maximize [| 1; 1 |] [ ([| 1; 1 |], P.Eq, 1); ([| 1; 1 |], P.Eq, 2) ];
+      lp P.Maximize [| 1; 1 |] [ ([| 1; 0 |], P.Ge, 2) ];
+      lp P.Minimize [| 1; 2 |] [ ([| -1; -1 |], P.Le, -2) ];
+      P.make P.Maximize [| Q.one; big |]
+        [ P.constr [| big; Q.inv big |] P.Le (Q.mul (q 3) big) ];
+      lp P.Maximize [| 0; 0; 1 |]
+        [ ([| -1; -1; 0 |], P.Eq, 0); ([| 0; 0; 1 |], P.Le, 2); ([| 1; 0; 1 |], P.Le, 3) ];
+    ]
+
+let test_reference_redundant_zero_row () =
+  (* [0 x0 = 0] leaves its phase-1 artificial basic at zero: no
+     structural column can drive it out.  The same happens to a row
+     that phase 1 reduces to zero ([x0 = 0] after [-x0 = 0]).  The
+     artificial must stay in the terminal basis, as in the reference. *)
+  List.iteri
+    (fun i p ->
+      let name = Printf.sprintf "zero row %d" i in
+      check_reference name p;
+      let s = S.solve_exn p in
+      let slacks =
+        Array.fold_left
+          (fun k (c : P.constr) -> if c.P.relation = P.Eq then k else k + 1)
+          0 p.P.constraints
+      in
+      let artificial = P.num_vars p + slacks in
+      Alcotest.(check bool) (name ^ ": artificial basic") true
+        (Array.exists (fun c -> c >= artificial) s.S.basis))
+    [
+      lp P.Maximize [| -3 |]
+        [ ([| -4 |], P.Le, 8); ([| 0 |], P.Eq, 0); ([| 3 |], P.Le, 10) ];
+      lp P.Maximize [| 0 |] [ ([| -1 |], P.Eq, 0); ([| 1 |], P.Eq, 0) ];
+    ]
+
+(* LP (2) of p = 11 platforms of the Fig. 10-13 families (each
+   heterogeneity scenario plain and with communication or computation
+   x10), at z = 1/2, 1 and 3/2, in FIFO and LIFO order. *)
+let test_reference_lp2 () =
+  let rng = Numeric.Prng.create ~seed:2006 in
+  List.iter
+    (fun (sc, comm_times, comp_times) ->
+      List.iter
+        (fun z ->
+          let f =
+            Cluster.Gen.scale ~comm_times ~comp_times
+              (Cluster.Gen.factors rng sc ~workers:11)
+          in
+          let base = Cluster.Gen.platform Cluster.Workload.gdsdmi ~n:100 f in
+          let platform =
+            Dls.Platform.with_return_ratio ~z
+              (List.init 11 (fun k ->
+                   let wk = Dls.Platform.get base k in
+                   (wk.Dls.Platform.c, wk.Dls.Platform.w)))
+          in
+          List.iter
+            (fun (order, scenario) ->
+              check_reference
+                (Printf.sprintf "%s x%d/x%d z=%s %s"
+                   (Cluster.Gen.scenario_name sc) comm_times comp_times (Q.to_string z)
+                   order)
+                (Dls.Lp_model.problem Dls.Lp_model.One_port scenario))
+            [
+              ("fifo", Dls.Scenario.fifo_exn platform (Dls.Fifo.order platform));
+              ("lifo", Dls.Scenario.lifo_exn platform (Dls.Lifo.order platform));
+            ])
+        [ Q.half; Q.one; qq 3 2 ])
+    (List.concat_map
+       (fun sc -> [ (sc, 1, 1); (sc, 10, 1); (sc, 1, 10) ])
+       Cluster.Gen.[ Homogeneous; Hom_comm_het_comp; Heterogeneous ])
+
+(* The multi-load LPs: steady state (equality rows, so phase 1 runs) and
+   batches at every interleave depth, at p = 3 and 4. *)
+let test_reference_multiload () =
+  let platforms =
+    [
+      Dls.Platform.with_return_ratio ~z:Q.half
+        [ (Q.one, q 2); (qq 1 2, q 3); (q 2, qq 3 2) ];
+      Dls.Platform.make_exn
+        [
+          Dls.Platform.worker ~c:(qq 1 3) ~w:(q 2) ~d:(qq 1 6) ();
+          Dls.Platform.worker ~c:(qq 1 2) ~w:(qq 5 2) ~d:(qq 3 4) ();
+          Dls.Platform.worker ~c:(qq 1 3) ~w:(qq 7 3) ~d:(qq 1 3) ();
+          Dls.Platform.worker ~c:Q.one ~w:(qq 3 2) ~d:(qq 3 2) ();
+        ];
+    ]
+  in
+  let workloads =
+    [
+      Dls.Workload.make_exn
+        [ Dls.Workload.load ~size:(q 5) (); Dls.Workload.load ~size:(q 3) () ];
+      Dls.Workload.make_exn
+        [
+          Dls.Workload.load ~size:(q 4) ();
+          Dls.Workload.load ~release:(qq 1 2) ~z:(q 2) ~size:(q 2) ();
+          Dls.Workload.load ~release:Q.one ~size:(qq 3 2) ();
+        ];
+    ]
+  in
+  List.iteri
+    (fun pi platform ->
+      List.iteri
+        (fun wi workload ->
+          let name = Printf.sprintf "platform %d workload %d" pi wi in
+          check_reference (name ^ " steady") (Dls.Steady_state.problem platform workload);
+          for depth = 0 to Dls.Workload.size workload - 1 do
+            check_reference
+              (Printf.sprintf "%s batch depth %d" name depth)
+              (Dls.Steady_state.batch_problem ~depth platform workload)
+          done)
+        workloads)
+    platforms
+
 let () =
   Alcotest.run "simplex"
     [
@@ -660,21 +756,8 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_float_solver_basic;
           Alcotest.test_case "infeasible" `Quick test_float_solver_infeasible;
-          prop_float_matches_exact;
-        ] );
-      ( "warm_start",
-        [
-          Alcotest.test_case "own basis certifies" `Quick test_warm_start_own_basis;
-          Alcotest.test_case "rejections" `Quick test_warm_start_rejections;
-          Alcotest.test_case "alternate optima" `Quick
-            test_warm_start_alternate_optima;
-          Alcotest.test_case "suboptimal basis" `Quick
-            test_warm_start_recovers_from_suboptimal_basis;
           Alcotest.test_case "float stall cap" `Quick test_float_stall_cap;
-          prop_lifted_basis_certifies;
-          prop_warm_start_any_valid_basis;
-          Alcotest.test_case "redundant zero row" `Quick
-            test_warm_start_redundant_zero_row;
+          prop_float_matches_exact;
         ] );
       ( "certify_basis",
         [
@@ -683,6 +766,15 @@ let () =
           Alcotest.test_case "twin tolerance" `Quick test_certify_twin_tolerance;
           prop_certify_matches_cold;
           prop_certify_float_basis;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "fixed programs" `Quick test_reference_fixed;
+          Alcotest.test_case "redundant zero row" `Quick
+            test_reference_redundant_zero_row;
+          Alcotest.test_case "p=11 LP (2)" `Quick test_reference_lp2;
+          Alcotest.test_case "multi-load LPs" `Quick test_reference_multiload;
+          prop_reference_random;
         ] );
       ( "lp_file",
         [
