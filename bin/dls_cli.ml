@@ -1421,9 +1421,18 @@ let address_of socket host port =
   | Some _, Some _ -> Error "give either --socket or --port, not both"
   | None, None -> Error "an address is required (--socket PATH or --port N)"
 
-let address_to_string = function
-  | Service.Server.Unix_socket path -> path
-  | Service.Server.Tcp (host, port) -> Printf.sprintf "%s:%d" host port
+(* [serve], [route] and [chaos] run until SIGTERM or SIGINT.  The
+   handlers go in before [announce] prints the ready line, so a
+   supervisor that signals on that line cannot kill the process. *)
+let run_until_signal announce =
+  let stop_flag = Atomic.make false in
+  let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stop_flag true) in
+  Sys.set_signal Sys.sigterm on_signal;
+  Sys.set_signal Sys.sigint on_signal;
+  announce ();
+  while not (Atomic.get stop_flag) do
+    (try Unix.sleepf 0.1 with Unix.Unix_error (Unix.EINTR, _, _) -> ())
+  done
 
 let serve_cmd =
   let queue_cap_arg =
@@ -1519,18 +1528,12 @@ let serve_cmd =
     match Service.Server.start cfg with
     | Error e -> die "%s" (Dls.Errors.to_string e)
     | Ok server ->
-      let stop_flag = Atomic.make false in
-      let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stop_flag true) in
-      Sys.set_signal Sys.sigterm on_signal;
-      Sys.set_signal Sys.sigint on_signal;
-      Printf.printf
-        "dls: serving on %s (jobs=%d dispatchers=%d queue=%d batch=%d)\n%!"
-        (address_to_string (Service.Server.address server))
-        cfg.Service.Server.jobs cfg.Service.Server.dispatchers
-        cfg.Service.Server.queue_capacity cfg.Service.Server.max_batch;
-      while not (Atomic.get stop_flag) do
-        (try Unix.sleepf 0.1 with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-      done;
+      run_until_signal (fun () ->
+          Printf.printf
+            "dls: serving on %s (jobs=%d dispatchers=%d queue=%d batch=%d)\n%!"
+            (Service.Endpoint.to_string (Service.Server.address server))
+            cfg.Service.Server.jobs cfg.Service.Server.dispatchers
+            cfg.Service.Server.queue_capacity cfg.Service.Server.max_batch);
       prerr_endline "dls: draining";
       Service.Server.stop server;
       let final = Service.Server.stats server in
@@ -1941,16 +1944,10 @@ let route_cmd =
     match Service.Router.start cfg with
     | Error e -> die "%s" (Dls.Errors.to_string e)
     | Ok router ->
-      let stop_flag = Atomic.make false in
-      let on_signal = Sys.Signal_handle (fun _ -> Atomic.set stop_flag true) in
-      Sys.set_signal Sys.sigterm on_signal;
-      Sys.set_signal Sys.sigint on_signal;
-      Printf.printf "dls: routing %s over %d shards\n%!"
-        (address_to_string (Service.Router.address router))
-        (List.length shard_addresses);
-      while not (Atomic.get stop_flag) do
-        (try Unix.sleepf 0.1 with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-      done;
+      run_until_signal (fun () ->
+          Printf.printf "dls: routing %s over %d shards\n%!"
+            (Service.Endpoint.to_string (Service.Router.address router))
+            (List.length shard_addresses));
       prerr_endline "dls: router draining";
       Service.Router.stop router;
       let s = Service.Router.stats router in
@@ -2093,19 +2090,11 @@ let chaos_cmd =
       match Service.Chaos.start ~listen ~upstream plan with
       | Error e -> die "%s" (Dls.Errors.to_string e)
       | Ok proxy ->
-        let stop_flag = Atomic.make false in
-        let on_signal =
-          Sys.Signal_handle (fun _ -> Atomic.set stop_flag true)
-        in
-        Sys.set_signal Sys.sigterm on_signal;
-        Sys.set_signal Sys.sigint on_signal;
-        Printf.printf "dls: chaos proxy %s -> %s (%d planned faults)\n%!"
-          (address_to_string (Service.Chaos.address proxy))
-          (address_to_string upstream)
-          (List.length plan);
-        while not (Atomic.get stop_flag) do
-          (try Unix.sleepf 0.1 with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-        done;
+        run_until_signal (fun () ->
+            Printf.printf "dls: chaos proxy %s -> %s (%d planned faults)\n%!"
+              (Service.Endpoint.to_string (Service.Chaos.address proxy))
+              (Service.Endpoint.to_string upstream)
+              (List.length plan));
         prerr_endline "dls: chaos proxy stopping";
         Service.Chaos.stop proxy
     end

@@ -123,20 +123,12 @@ let gen ~seed ~conns ~severity =
 (* The proxy                                                           *)
 
 type t = {
-  listen_fd : Unix.file_descr;
-  bound : Server.address;
-  upstream : Server.address;
+  endpoint : Endpoint.t;
+  upstream : Endpoint.address;
   faults : (int * int, fault) Hashtbl.t;
-  draining : bool Atomic.t;
-  mutable listener : Thread.t option;
-  conns : (int, Unix.file_descr * Thread.t) Hashtbl.t;
-  conns_m : Mutex.t;
-  mutable next_conn : int;
-  mutable stopped : bool;
-  stop_m : Mutex.t;
 }
 
-let address t = t.bound
+let address t = Endpoint.address t.endpoint
 
 let garble line =
   (* Overwrite the middle third with 0x01 — bytes no canonical protocol
@@ -162,7 +154,7 @@ let black_hole reader =
   go ()
 
 let relay t conn_idx client_fd =
-  (match Client.connect t.upstream with
+  match Client.connect t.upstream with
   | Error _ -> ()
   | Ok up ->
     let reader = Wire.reader client_fd in
@@ -198,113 +190,16 @@ let relay t conn_idx client_fd =
             | _ -> if deliver reply then loop (req_idx + 1))))
     in
     loop 0;
-    Client.close up);
-  Mutex.lock t.conns_m;
-  Hashtbl.remove t.conns conn_idx;
-  Mutex.unlock t.conns_m;
-  try Unix.close client_fd with Unix.Unix_error _ -> ()
-
-(* Poll-accept with a draining flag, as in {!Server.listener_loop}. *)
-let listener_loop t =
-  let rec loop () =
-    if Atomic.get t.draining then ()
-    else
-      match Unix.select [ t.listen_fd ] [] [] 0.05 with
-      | [], _, _ -> loop ()
-      | _ :: _, _, _ -> (
-        match Unix.accept ~cloexec:true t.listen_fd with
-        | fd, _ ->
-          Mutex.lock t.conns_m;
-          let id = t.next_conn in
-          t.next_conn <- id + 1;
-          let thread = Thread.create (fun () -> relay t id fd) () in
-          Hashtbl.add t.conns id (fd, thread);
-          Mutex.unlock t.conns_m;
-          loop ()
-        | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-        | exception Unix.Unix_error _ -> loop ())
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-  in
-  loop ()
-
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = [||]; _ } -> raise Not_found
-    | { Unix.h_addr_list; _ } -> h_addr_list.(0))
-
-let bind_socket (address : Server.address) =
-  match address with
-  | Server.Unix_socket path ->
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    (fd, address)
-  | Server.Tcp (host, port) ->
-    let addr = resolve_host host in
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (addr, port));
-    Unix.listen fd 64;
-    let bound =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> Server.Tcp (host, p)
-      | _ -> address
-    in
-    (fd, bound)
+    Client.close up
 
 let start ~listen ~upstream plan =
-  match bind_socket listen with
-  | exception Unix.Unix_error (err, fn, arg) ->
-    Error
-      (E.Io_error (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message err)))
-  | exception Not_found -> Error (E.Io_error "cannot resolve host")
-  | listen_fd, bound ->
-    let faults = Hashtbl.create 64 in
-    List.iter (fun s -> Hashtbl.replace faults (s.conn, s.req) s.fault) plan;
-    let t =
-      {
-        listen_fd;
-        bound;
-        upstream;
-        faults;
-        draining = Atomic.make false;
-        listener = None;
-        conns = Hashtbl.create 16;
-        conns_m = Mutex.create ();
-        next_conn = 0;
-        stopped = false;
-        stop_m = Mutex.create ();
-      }
-    in
-    t.listener <- Some (Thread.create (fun () -> listener_loop t) ());
-    Ok t
+  Result.map
+    (fun endpoint ->
+      let faults = Hashtbl.create 64 in
+      List.iter (fun s -> Hashtbl.replace faults (s.conn, s.req) s.fault) plan;
+      let t = { endpoint; upstream; faults } in
+      Endpoint.serve endpoint (relay t);
+      t)
+    (Endpoint.listen listen)
 
-let stop t =
-  Mutex.lock t.stop_m;
-  let already = t.stopped in
-  t.stopped <- true;
-  Mutex.unlock t.stop_m;
-  if not already then begin
-    Atomic.set t.draining true;
-    Option.iter Thread.join t.listener;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    let conns =
-      Mutex.lock t.conns_m;
-      let l = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-      Mutex.unlock t.conns_m;
-      l
-    in
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      conns;
-    List.iter (fun (_, thread) -> Thread.join thread) conns;
-    match t.bound with
-    | Server.Unix_socket path -> (
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Server.Tcp _ -> ()
-  end
+let stop t = Endpoint.stop t.endpoint

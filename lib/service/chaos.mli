@@ -29,7 +29,12 @@
     - [Disconnect]: the connection is closed at a line boundary after
       reading the request, before any reply.
 
-    Connections beyond the plan are relayed untouched. *)
+    Connections beyond the plan are relayed untouched.
+
+    The listening side is the shared {!Endpoint}: connections are
+    numbered in its accept order, and the proxy ignores [SIGPIPE], so
+    an upstream that dies under a relayed request closes that one
+    client connection and the proxy serves the next. *)
 
 type fault =
   | Drop
@@ -78,12 +83,17 @@ type t
 
 (** [start ~listen ~upstream plan] binds [listen] and relays every
     accepted connection to [upstream] under [plan].  Like
-    {!Server.start}, [Tcp (_, 0)] picks a free port. *)
+    {!Server.start}, [Tcp (_, 0)] picks a free port, and a live Unix
+    socket path is refused. *)
 val start :
-  listen:Server.address -> upstream:Server.address -> plan -> (t, Dls.Errors.t) result
+  listen:Endpoint.address ->
+  upstream:Endpoint.address ->
+  plan ->
+  (t, Dls.Errors.t) result
 
 (** The bound listen address, with the actual port. *)
-val address : t -> Server.address
+val address : t -> Endpoint.address
 
-(** [stop t] closes the listener and every relayed connection. *)
+(** [stop t] closes the listener, shuts down the reading side of every
+    relayed connection and waits for its thread.  Idempotent. *)
 val stop : t -> unit

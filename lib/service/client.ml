@@ -13,26 +13,10 @@ let transport_error_to_string = function
   | `Closed_mid_line -> "connection lost mid-response"
   | `Deadline -> "deadline expired waiting for the response"
 
-let connect (address : Server.address) =
-  let mk domain addr =
-    let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
-    match Unix.connect fd addr with
-    | () -> Ok { fd; reader = Wire.reader fd; closed = false }
-    | exception Unix.Unix_error (err, fn, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (E.Io_error (Printf.sprintf "%s: %s" fn (Unix.error_message err)))
-  in
-  match address with
-  | Server.Unix_socket path -> mk Unix.PF_UNIX (Unix.ADDR_UNIX path)
-  | Server.Tcp (host, port) -> (
-    match Unix.inet_addr_of_string host with
-    | addr -> mk Unix.PF_INET (Unix.ADDR_INET (addr, port))
-    | exception Failure _ -> (
-      match Unix.gethostbyname host with
-      | { Unix.h_addr_list; _ } when Array.length h_addr_list > 0 ->
-        mk Unix.PF_INET (Unix.ADDR_INET (h_addr_list.(0), port))
-      | _ | (exception Not_found) ->
-        Error (E.Io_error (Printf.sprintf "cannot resolve host %S" host))))
+let connect address =
+  Result.map
+    (fun fd -> { fd; reader = Wire.reader fd; closed = false })
+    (Endpoint.connect address)
 
 (* One raw request/response cycle: the resilient client builds on this
    because it needs the undecoded reply line (corruption detection

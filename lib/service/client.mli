@@ -21,7 +21,7 @@ type transport_error = [ `Closed | `Closed_mid_line | `Deadline ]
 val transport_error_to_string : transport_error -> string
 
 (** [connect address] opens one connection. *)
-val connect : Server.address -> (t, Dls.Errors.t) result
+val connect : Endpoint.address -> (t, Dls.Errors.t) result
 
 (** [request ?deadline_s t req] sends the canonical line for [req] and
     reads the response line, waiting at most [deadline_s] seconds
@@ -45,4 +45,4 @@ val close : t -> unit
 
 (** [with_client address f] connects, runs [f], closes (also on
     exception). *)
-val with_client : Server.address -> (t -> 'a) -> ('a, Dls.Errors.t) result
+val with_client : Endpoint.address -> (t -> 'a) -> ('a, Dls.Errors.t) result

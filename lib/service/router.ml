@@ -1,20 +1,20 @@
 (* Consistent-hash front router.  See router.mli for the contract.
 
-   Thread model, after Chaos: one poll-accept listener, one thread per
-   front connection, synchronous request/response per line (the
-   protocol is strictly request/response, so nothing is lost by not
-   pipelining).  Backend connections live in per-shard pools of
-   Resilient clients: a connection thread borrows one for the duration
-   of a single proxied request and returns it — breaker state included,
-   so a tripped breaker fast-fails every borrower until its cooldown,
-   which is exactly the per-backend policy we want. *)
+   Thread model: the shared Endpoint, one thread per front connection,
+   synchronous request/response per line (the protocol is strictly
+   request/response, so nothing is lost by not pipelining).  Backend
+   connections live in per-shard pools of Resilient clients: a
+   connection thread borrows one for the duration of a single proxied
+   request and returns it — breaker state included, so a tripped
+   breaker fast-fails every borrower until its cooldown, which is
+   exactly the per-backend policy we want. *)
 
 module E = Dls.Errors
 module P = Protocol
 
 type config = {
-  address : Server.address;
-  shard_addresses : Server.address list;
+  address : Endpoint.address;
+  shard_addresses : Endpoint.address list;
   attempts : int;
   attempt_timeout : float option;
 }
@@ -48,15 +48,7 @@ type t = {
   cfg : config;
   ring : Ring.t;
   pools : pool array;
-  listen_fd : Unix.file_descr;
-  bound : Server.address;
-  draining : bool Atomic.t;
-  mutable listener : Thread.t option;
-  conns : (int, Unix.file_descr * Thread.t) Hashtbl.t;
-  conns_m : Mutex.t;
-  mutable next_conn : int;
-  mutable stopped : bool;
-  stop_m : Mutex.t;
+  endpoint : Endpoint.t;
   m_requests : int Atomic.t;
   m_routed : int Atomic.t array;
   m_failovers : int Atomic.t;
@@ -66,15 +58,15 @@ type t = {
   m_hangups : int Atomic.t;
 }
 
-let address t = t.bound
+let address t = Endpoint.address t.endpoint
 let shard_of_key t key = Ring.lookup t.ring key
 
 (* Stable shard identity for ring placement: the rendered address.
    Equal shard lists therefore give bit-identical rings in the router,
    the tests, and any future second router instance. *)
 let shard_name = function
-  | Server.Unix_socket path -> "unix:" ^ path
-  | Server.Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
+  | Endpoint.Unix_socket path -> "unix:" ^ path
+  | Endpoint.Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
 
 let borrow pool =
   Mutex.lock pool.pm;
@@ -210,94 +202,14 @@ let handle_line t line =
   | `Request P.Health -> merged_health t
   | `Request req -> route_request t req
 
-(* ------------------------------------------------------------------ *)
-(* Front socket plumbing (the Chaos/Server pattern)                    *)
-
-let serve_conn t conn_idx fd =
-  let reader = Wire.reader fd in
-  let rec loop () =
-    match Wire.read_line reader with
-    | Wire.Eof -> ()
-    | Wire.Eof_mid_line | Wire.Deadline -> Atomic.incr t.m_hangups
-    | Wire.Line line -> (
-        let resp = handle_line t line in
-        match Wire.write_line fd (P.response_to_string resp) with
-        | Ok () -> loop ()
-        | Error `Closed -> Atomic.incr t.m_hangups)
-  in
-  loop ();
-  Mutex.lock t.conns_m;
-  Hashtbl.remove t.conns conn_idx;
-  Mutex.unlock t.conns_m;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let listener_loop t =
-  let rec loop () =
-    if Atomic.get t.draining then ()
-    else
-      match Unix.select [ t.listen_fd ] [] [] 0.05 with
-      | [], _, _ -> loop ()
-      | _ :: _, _, _ -> (
-          match Unix.accept ~cloexec:true t.listen_fd with
-          | fd, _ ->
-              Mutex.lock t.conns_m;
-              let id = t.next_conn in
-              t.next_conn <- id + 1;
-              let thread = Thread.create (fun () -> serve_conn t id fd) () in
-              Hashtbl.add t.conns id (fd, thread);
-              Mutex.unlock t.conns_m;
-              loop ()
-          | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-          | exception Unix.Unix_error _ -> loop ())
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-  in
-  loop ()
-
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-      match Unix.gethostbyname host with
-      | { Unix.h_addr_list = [||]; _ } -> raise Not_found
-      | { Unix.h_addr_list; _ } -> h_addr_list.(0))
-
-let bind_socket (address : Server.address) =
-  match address with
-  | Server.Unix_socket path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      (fd, address)
-  | Server.Tcp (host, port) ->
-      let addr = resolve_host host in
-      let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (addr, port));
-      Unix.listen fd 64;
-      let bound =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> Server.Tcp (host, p)
-        | _ -> address
-      in
-      (fd, bound)
-
 let start cfg =
   if cfg.shard_addresses = [] then Error (E.Io_error "router: no shards")
-  else begin
-    (* A SIGKILLed shard turns the next write into SIGPIPE; without
-       this a standalone router process dies with its shard.  (The
-       in-process tests never see it: Server.start masks the signal
-       process-wide.) *)
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ -> ());
-    match bind_socket cfg.address with
-    | exception Unix.Unix_error (err, fn, arg) ->
-        Error
-          (E.Io_error
-             (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message err)))
-    | exception Not_found -> Error (E.Io_error "cannot resolve host")
-    | listen_fd, bound ->
+  else
+    (* The endpoint also masks SIGPIPE, without which a SIGKILLed shard
+       would turn the next backend write into the router's death. *)
+    match Endpoint.listen cfg.address with
+    | Error _ as e -> e
+    | Ok endpoint ->
         let shards = Array.of_list cfg.shard_addresses in
         let names = Array.map shard_name shards in
         let ring = Ring.create ~vnodes names in
@@ -326,15 +238,7 @@ let start cfg =
             cfg;
             ring;
             pools;
-            listen_fd;
-            bound;
-            draining = Atomic.make false;
-            listener = None;
-            conns = Hashtbl.create 16;
-            conns_m = Mutex.create ();
-            next_conn = 0;
-            stopped = false;
-            stop_m = Mutex.create ();
+            endpoint;
             m_requests = Atomic.make 0;
             m_routed = Array.init (Array.length shards) (fun _ -> Atomic.make 0);
             m_failovers = Atomic.make 0;
@@ -344,41 +248,21 @@ let start cfg =
             m_hangups = Atomic.make 0;
           }
         in
-        t.listener <- Some (Thread.create (fun () -> listener_loop t) ());
+        Endpoint.serve_lines endpoint
+          ~handle:(fun line -> Some (handle_line t line))
+          ~hangup:(fun () -> Atomic.incr t.m_hangups);
         Ok t
-  end
 
+(* Backend clients close only once no front connection can borrow
+   one. *)
 let stop t =
-  Mutex.lock t.stop_m;
-  let already = t.stopped in
-  t.stopped <- true;
-  Mutex.unlock t.stop_m;
-  if not already then begin
-    Atomic.set t.draining true;
-    Option.iter Thread.join t.listener;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    let conns =
-      Mutex.lock t.conns_m;
-      let l = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-      Mutex.unlock t.conns_m;
-      l
-    in
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      conns;
-    List.iter (fun (_, thread) -> Thread.join thread) conns;
-    Array.iter
-      (fun pool ->
-        Mutex.lock pool.pm;
-        List.iter Resilient.close pool.all;
-        Mutex.unlock pool.pm)
-      t.pools;
-    match t.bound with
-    | Server.Unix_socket path -> (
-        try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Server.Tcp _ -> ()
-  end
+  Endpoint.stop t.endpoint;
+  Array.iter
+    (fun pool ->
+      Mutex.lock pool.pm;
+      List.iter Resilient.close pool.all;
+      Mutex.unlock pool.pm)
+    t.pools
 
 let stats t =
   {

@@ -23,11 +23,17 @@
     same protocol version); [stats] and [health] are fanned out to
     every shard and merged ({!Protocol.merge_stats}; health is the
     worst-of), so one probe sees the whole fleet.  Malformed lines and
-    unknown verbs are answered locally without touching a shard. *)
+    unknown verbs are answered locally without touching a shard.
+
+    The front socket is the shared {!Endpoint}, the daemon's own: the
+    same bind (no descriptor leaked on failure, a live Unix socket path
+    refused), the same line loop, and [SIGPIPE] ignored, so a SIGKILLed
+    shard surfaces as a failed backend write, never the router's
+    death. *)
 
 type config = {
-  address : Server.address;  (** front address clients connect to *)
-  shard_addresses : Server.address list;  (** the backend daemons *)
+  address : Endpoint.address;  (** front address clients connect to *)
+  shard_addresses : Endpoint.address list;  (** the backend daemons *)
   attempts : int;  (** resilient attempts per shard before failover *)
   attempt_timeout : float option;  (** per-attempt deadline, seconds *)
 }
@@ -39,7 +45,7 @@ type config = {
     fewer points make the arc-length variance (~1/sqrt vnodes)
     dominate. *)
 val default_config :
-  Server.address -> shard_addresses:Server.address list -> config
+  Endpoint.address -> shard_addresses:Endpoint.address list -> config
 
 type t
 
@@ -59,17 +65,18 @@ type stats = {
 }
 
 (** [start config] binds the front socket and starts serving.
-    [Error (Io_error _)] when the address cannot be bound or the shard
-    list is empty.  Shards are {e not} contacted at start — a dead
+    [Error (Io_error _)] when the address cannot be bound, a live server
+    holds the Unix socket path, or the shard list is empty.  Shards are {e not} contacted at start — a dead
     shard surfaces per-request, through the failover path. *)
 val start : config -> (t, Dls.Errors.t) result
 
-(** [stop t] stops accepting, drains the open front connections, closes
-    every pooled backend client.  Idempotent. *)
+(** [stop t] stops accepting, shuts down the reading side of every
+    front connection and waits out the requests in progress, then
+    closes every pooled backend client.  Idempotent. *)
 val stop : t -> unit
 
 (** Bound front address (actual port for [Tcp (_, 0)]). *)
-val address : t -> Server.address
+val address : t -> Endpoint.address
 
 val stats : t -> stats
 

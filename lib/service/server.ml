@@ -2,7 +2,7 @@ module Q = Numeric.Rational
 module P = Protocol
 module E = Dls.Errors
 
-type address = Unix_socket of string | Tcp of string * int
+type address = Endpoint.address = Unix_socket of string | Tcp of string * int
 
 type config = {
   address : address;
@@ -47,7 +47,6 @@ type job = {
 
 type t = {
   cfg : config;
-  bound : address;
   shards : job Shards.t;
   metrics : Metrics.t;
   pool : Parallel.Pool.t;
@@ -60,15 +59,8 @@ type t = {
      the flip by a round. *)
   high_rounds : int Atomic.t;
   low_rounds : int Atomic.t;
-  listen_fd : Unix.file_descr;
-  draining : bool Atomic.t;
-  mutable listener : Thread.t option;
+  endpoint : Endpoint.t;
   mutable dispatchers : Thread.t list;
-  conns : (int, Unix.file_descr * Thread.t) Hashtbl.t;
-  conns_m : Mutex.t;
-  mutable next_conn : int;
-  stop_m : Mutex.t;
-  mutable stopped : bool;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -387,7 +379,7 @@ let snapshot t =
     ~queue_depth:(Shards.length t.shards)
 
 let health_of t : P.health_rep =
-  let draining = Atomic.get t.draining in
+  let draining = Endpoint.stopping t.endpoint in
   let degraded = Metrics.brownout_active t.metrics in
   let s = snapshot t in
   {
@@ -534,86 +526,8 @@ let handle_line t line =
           Metrics.incr t.metrics Rejected;
           P.Failed (E.Io_error "server is draining")))
 
-let connection_loop t id fd =
-  (* Raw-descriptor line I/O (Wire): EINTR retried, EPIPE/reset typed,
-     partial lines reassembled across arbitrary packet boundaries.  A
-     peer that vanishes mid-request or before its response is written
-     is a hangup, not a thread-killing exception. *)
-  let reader = Wire.reader fd in
-  let rec loop () =
-    match Wire.read_line reader with
-    | Wire.Line line -> (
-      match handle_line t line with
-      | None -> loop ()
-      | Some resp -> (
-        match Wire.write_line fd (P.response_to_string resp) with
-        | Ok () -> loop ()
-        | Error `Closed -> Metrics.incr t.metrics Hangups))
-    | Wire.Eof -> ()
-    | Wire.Eof_mid_line -> Metrics.incr t.metrics Hangups
-    | Wire.Deadline -> loop ()
-  in
-  loop ();
-  Mutex.lock t.conns_m;
-  Hashtbl.remove t.conns id;
-  Mutex.unlock t.conns_m;
-  (try Unix.close fd with Unix.Unix_error _ -> ())
-
-(* Poll-accept so [stop] can end the loop with a flag instead of racing
-   a close against a blocked [accept]. *)
-let listener_loop t =
-  let rec loop () =
-    if Atomic.get t.draining then ()
-    else
-      match Unix.select [ t.listen_fd ] [] [] 0.05 with
-      | [], _, _ -> loop ()
-      | _ :: _, _, _ -> (
-        match Unix.accept ~cloexec:true t.listen_fd with
-        | fd, _ ->
-          Mutex.lock t.conns_m;
-          let id = t.next_conn in
-          t.next_conn <- id + 1;
-          let thread = Thread.create (fun () -> connection_loop t id fd) () in
-          Hashtbl.add t.conns id (fd, thread);
-          Mutex.unlock t.conns_m;
-          loop ()
-        | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-        | exception Unix.Unix_error _ -> loop ())
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-  in
-  loop ()
-
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
-
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = [||]; _ } -> raise Not_found
-    | { Unix.h_addr_list; _ } -> h_addr_list.(0))
-
-let bind_socket address =
-  match address with
-  | Unix_socket path ->
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    (fd, address)
-  | Tcp (host, port) ->
-    let addr = resolve_host host in
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (addr, port));
-    Unix.listen fd 64;
-    let bound =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> Tcp (host, p)
-      | _ -> address
-    in
-    (fd, bound)
 
 let start cfg =
   if
@@ -627,21 +541,11 @@ let start cfg =
     E.invalid "Server.start: journal_max_bytes needs a store"
   else if (match cfg.journal_max_bytes with Some n -> n < 1 | None -> false)
   then E.invalid "Server.start: journal_max_bytes must be >= 1"
-  else begin
-    (* A client vanishing mid-response must not kill the daemon. *)
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-    match bind_socket cfg.address with
-    | exception Unix.Unix_error (err, fn, arg) ->
-      Error
-        (E.Io_error
-           (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message err)))
-    | exception Not_found -> Error (E.Io_error "cannot resolve host")
-    | listen_fd, bound -> (
+  else
+    match Endpoint.listen cfg.address with
+    | Error _ as e -> e
+    | Ok endpoint -> (
       let metrics = Metrics.create () in
-      let fail_boot e =
-        (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-        Error e
-      in
       (* Open the store before serving: a bad path must fail the boot.
          Nothing is read up front; tier-1 misses probe it lazily. *)
       let store_setup =
@@ -650,7 +554,9 @@ let start cfg =
         | Some path -> Result.map Option.some (Store.open_ path)
       in
       match store_setup with
-      | Error e -> fail_boot e
+      | Error e ->
+        Endpoint.stop endpoint;
+        Error e
       | Ok store ->
       (* The tier-1 cache exists whenever the store does.  Every
          capacity eviction is then a demotion: the record still lives
@@ -667,7 +573,6 @@ let start cfg =
       let t =
         {
           cfg;
-          bound;
           shards =
             Shards.create ~shards:cfg.dispatchers
               ~capacity:cfg.queue_capacity;
@@ -677,58 +582,29 @@ let start cfg =
           store;
           high_rounds = Atomic.make 0;
           low_rounds = Atomic.make 0;
-          listen_fd;
-          draining = Atomic.make false;
-          listener = None;
+          endpoint;
           dispatchers = [];
-          conns = Hashtbl.create 16;
-          conns_m = Mutex.create ();
-          next_conn = 0;
-          stop_m = Mutex.create ();
-          stopped = false;
         }
       in
       t.dispatchers <-
         List.init cfg.dispatchers (fun i ->
             Thread.create (fun () -> dispatcher_loop t i) ());
-      t.listener <- Some (Thread.create (fun () -> listener_loop t) ());
+      Endpoint.serve_lines endpoint ~handle:(handle_line t) ~hangup:(fun () ->
+          Metrics.incr metrics Hangups);
       Ok t)
-  end
 
-let address t = t.bound
+let address t = Endpoint.address t.endpoint
 
+(* The endpoint stops accepting, then runs the drain below, then wakes
+   the connection threads (blocked readers see EOF) and waits them out;
+   the store closes last, after every reader is gone. *)
 let stop t =
-  Mutex.lock t.stop_m;
-  let already = t.stopped in
-  t.stopped <- true;
-  Mutex.unlock t.stop_m;
-  if not already then begin
-    (* 1. Stop admitting: no new connections, no new jobs. *)
-    Atomic.set t.draining true;
-    Option.iter Thread.join t.listener;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Shards.close t.shards;
-    (* 2. Drain: every dispatcher answers everything already admitted
-       (its own shard or stolen) before its pop returns None. *)
-    List.iter Thread.join t.dispatchers;
-    t.dispatchers <- [];
-    Parallel.Pool.shutdown t.pool;
-    (* 3. Wake the connection threads (blocked readers see EOF) and
-       wait them out. *)
-    let conns =
-      Mutex.lock t.conns_m;
-      let l = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-      Mutex.unlock t.conns_m;
-      l
-    in
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      conns;
-    List.iter (fun (_, thread) -> Thread.join thread) conns;
-    Option.iter Store.close t.store;
-    match t.bound with
-    | Unix_socket path -> (
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Tcp _ -> ()
-  end
+  Endpoint.stop t.endpoint ~drain:(fun () ->
+      (* Close admission; every dispatcher answers everything already
+         admitted (its own shard or stolen) before its pop returns
+         None. *)
+      Shards.close t.shards;
+      List.iter Thread.join t.dispatchers;
+      t.dispatchers <- [];
+      Parallel.Pool.shutdown t.pool);
+  Option.iter Store.close t.store

@@ -35,13 +35,22 @@
     requests are answered at admission time ([store_hits], then
     [warm_hits]).
 
-    {!stop} drains gracefully: stop accepting, close admission, let
-    every dispatcher finish everything already admitted, shut the pool
-    down, then wake the connection threads.  After [stop] returns, no
-    request is in flight and the counters satisfy
-    [accepted = served + timed_out + failed + shed]. *)
+    The socket side (bind, accept, one thread per connection, the line
+    loop) is the shared {!Endpoint}, as for {!Router} and {!Chaos}; a
+    failed start leaves no descriptor open, and a Unix socket path that
+    a live server still answers on is refused rather than taken over.
 
-type address =
+    {!stop} drains gracefully, in the endpoint's order: stop accepting
+    and close the listening socket; then this module's drain (close
+    admission, let every dispatcher finish everything already admitted,
+    shut the pool down); then shut down the reading side of every
+    connection and join its thread; then unlink the socket path and
+    close the store.  After [stop] returns, no request is in flight and
+    the counters satisfy [accepted = served + timed_out + failed +
+    shed]. *)
+
+(** {!Endpoint.address}, re-exported with its constructors. *)
+type address = Endpoint.address =
   | Unix_socket of string  (** path; created on start, unlinked on stop *)
   | Tcp of string * int  (** host, port; port 0 picks a free port *)
 
@@ -97,8 +106,9 @@ type t
 (** [start config] binds the socket and spawns the listener, dispatcher
     and pool.  [Error (Invalid_scenario _)] for a config that cannot
     work (a bound below 1, or a [journal_max_bytes] without a store or
-    below 1); [Error (Io_error _)] when the address cannot be bound or
-    the store cannot be opened. *)
+    below 1); [Error (Io_error _)] when the address cannot be bound, a
+    live server holds the Unix socket path, or the store cannot be
+    opened. *)
 val start : config -> (t, Dls.Errors.t) result
 
 (** [stop t] drains and shuts everything down; idempotent, returns only

@@ -17,7 +17,7 @@
       typed outcomes ({!Eof}, {!Eof_mid_line}, [`Closed]), never raised
       — a client vanishing mid-response must not kill the thread that
       was serving it (the process ignores [SIGPIPE]; see
-      {!Server.start});
+      {!Endpoint.listen});
     - {b deadlines}: {!read_line} takes an optional per-call budget
       measured on the monotonic clock, the building block of the
       resilient client's per-attempt deadline. *)

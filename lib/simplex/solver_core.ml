@@ -96,16 +96,9 @@ module Make (F : Field.S) = struct
         end)
       t.basis
 
-  (* Standard-form tableau. *)
-  type prepared = {
-    t : tableau;
-    n : int;  (* original variables *)
-    n_slack : int;
-    n_art : int;
-    maximize_sign : F.t;
-  }
-
-  let prepare ~max_pivots (p : Problem.t) =
+  let solve ?(max_pivots = 100_000) (p : Problem.t) =
+    (* Standard form: a slack per inequality, an artificial per [>=] or
+       [=] row, the artificials basic where there is no slack. *)
     let n = Problem.num_vars p in
     let m = Problem.num_constraints p in
     let oriented = Array.map Problem.orient p.Problem.constraints in
@@ -162,35 +155,24 @@ module Make (F : Field.S) = struct
       | Problem.Maximize -> F.one
       | Problem.Minimize -> F.minus_one
     in
-    { t; n; n_slack; n_art; maximize_sign }
-
-  let phase2_objective pr (p : Problem.t) =
-    let c = Array.make (pr.t.total + 1) F.zero in
-    Array.iteri
-      (fun j v -> c.(j) <- F.mul pr.maximize_sign (F.of_rational v))
-      p.Problem.objective;
-    c
-
-  let finish pr =
-    let t = pr.t in
-    let point = Array.make pr.n F.zero in
-    Array.iteri
-      (fun i bv -> if bv < pr.n then point.(bv) <- t.rows.(i).(t.total))
-      t.basis;
-    let value = F.mul pr.maximize_sign (F.neg t.obj.(t.total)) in
-    Optimal
-      { value; point; pivots = t.pivots; basis = Array.copy t.basis }
-
-  let solve ?(max_pivots = 100_000) (p : Problem.t) =
-    let pr = prepare ~max_pivots p in
-    let t = pr.t in
-    let n = pr.n and n_slack = pr.n_slack and n_art = pr.n_art in
-    let total = t.total in
+    let phase2 () =
+      let c = Array.make (total + 1) F.zero in
+      Array.iteri
+        (fun j v -> c.(j) <- F.mul maximize_sign (F.of_rational v))
+        p.Problem.objective;
+      install_objective t c;
+      match optimize t with
+      | `Unbounded -> Unbounded
+      | `Optimal ->
+        let point = Array.make n F.zero in
+        Array.iteri
+          (fun i bv -> if bv < n then point.(bv) <- t.rows.(i).(total))
+          t.basis;
+        let value = F.mul maximize_sign (F.neg t.obj.(total)) in
+        Optimal { value; point; pivots = t.pivots; basis = Array.copy t.basis }
+    in
     try
-      if n_art = 0 then begin
-        install_objective t (phase2_objective pr p);
-        match optimize t with `Optimal -> finish pr | `Unbounded -> Unbounded
-      end
+      if n_art = 0 then phase2 ()
       else begin
         let c1 = Array.make (total + 1) F.zero in
         for j = n + n_slack to total - 1 do
@@ -220,8 +202,7 @@ module Make (F : Field.S) = struct
           for j = n + n_slack to total - 1 do
             t.allowed.(j) <- false
           done;
-          install_objective t (phase2_objective pr p);
-          match optimize t with `Optimal -> finish pr | `Unbounded -> Unbounded
+          phase2 ()
         end
       end
     with Pivot_cap -> Stalled

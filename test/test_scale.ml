@@ -551,6 +551,83 @@ let test_cli_budget_without_store () =
   check "--journal-max-bytes without --store fails" true
     (wait 200 <> Unix.WEXITED 0)
 
+(* ------------------------------------------------------------------ *)
+(* CLI: dls chaos outlives its upstream                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A [dls chaos] in front of a [dls serve] that is SIGKILLed: the next
+   line on a held connection makes the proxy write to the dead upstream.
+   The proxy must survive that write, relay again once the daemon is
+   back on the same path (its stale socket file reclaimed), and exit 0
+   on SIGTERM. *)
+let test_cli_chaos_survives_upstream_kill () =
+  let up = tmp_socket () and front = tmp_socket () in
+  let live = ref [] in
+  let spawn args =
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Unix.create_process dls_exe
+        (Array.of_list (dls_exe :: args))
+        Unix.stdin null null
+    in
+    Unix.close null;
+    live := pid :: !live;
+    pid
+  in
+  let reap pid =
+    live := List.filter (( <> ) pid) !live;
+    snd (Unix.waitpid [] pid)
+  in
+  let serve () = spawn [ "serve"; "--socket"; up; "--jobs"; "1" ] in
+  let front_addr = Service.Server.Unix_socket front in
+  let req = solve_req (p2 ()) in
+  (* Retry while the proxy or the daemon behind it comes up. *)
+  let rec ask tries =
+    match
+      Service.Client.with_client front_addr (fun cl ->
+          Service.Client.request cl req)
+    with
+    | Ok (Ok resp) -> P.response_to_string resp
+    | (Ok (Error _) | Error _) when tries > 0 ->
+      Unix.sleepf 0.05;
+      ask (tries - 1)
+    | Ok (Error e) | Error e ->
+      Alcotest.failf "through the proxy: %s" (Dls.Errors.to_string e)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid))
+        !live)
+    (fun () ->
+      let daemon = serve () in
+      let proxy =
+        spawn
+          [ "chaos"; "--listen-socket"; front; "--upstream-socket"; up;
+            "--severity"; "0" ]
+      in
+      let first = ask 100 in
+      let held =
+        match Service.Client.connect front_addr with
+        | Ok cl -> cl
+        | Error e -> Alcotest.failf "connect: %s" (Dls.Errors.to_string e)
+      in
+      check "held connection answers" true
+        (Result.is_ok (Service.Client.request held req));
+      Unix.kill daemon Sys.sigkill;
+      ignore (reap daemon);
+      check "held connection fails with the upstream" true
+        (Result.is_error (Service.Client.request held req));
+      Service.Client.close held;
+      let daemon = serve () in
+      check_str "the proxy answers after the upstream restarts" first (ask 100);
+      Unix.kill proxy Sys.sigterm;
+      check "the proxy exits 0 on SIGTERM" true (reap proxy = Unix.WEXITED 0);
+      Unix.kill daemon Sys.sigterm;
+      check "the daemon drains" true (reap daemon = Unix.WEXITED 0))
+
 (* The CLI's solve-multi solves a batch the daemon refuses. *)
 let test_cli_batch_uncapped () =
   let spec =
@@ -1282,6 +1359,11 @@ let () =
           Alcotest.test_case "oversized batch LP refused" `Quick test_batch_cap;
           Alcotest.test_case "cli solve-multi batch uncapped" `Quick
             test_cli_batch_uncapped;
+        ] );
+      ( "chaos",
+        [
+          Alcotest.test_case "cli proxy survives an upstream kill" `Quick
+            test_cli_chaos_survives_upstream_kill;
         ] );
       ( "tiering",
         [

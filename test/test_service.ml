@@ -1668,6 +1668,146 @@ let test_protocol_backcompat_lines () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Endpoint: the socket front end of the daemon, router and proxy      *)
+(* ------------------------------------------------------------------ *)
+
+let start_exn what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s start: %s" what (Dls.Errors.to_string e)
+
+let one_job address =
+  { (Service.Server.default_config address) with Service.Server.jobs = 1 }
+
+(* The exact solve's reply to [solve_req p], rendered: every front end
+   must send these bytes. *)
+let exact_reply p =
+  let sc = Dls.Scenario.fifo_exn p (Dls.Fifo.order p) in
+  let sol = Dls.Solve.solve_exn ~mode:`Exact sc in
+  P.response_to_string
+    (P.Ok_solve
+       {
+         rho = sol.Dls.Lp_model.rho;
+         sigma1 = sc.Dls.Scenario.sigma1;
+         alpha = sol.Dls.Lp_model.alpha;
+         idle = sol.Dls.Lp_model.idle;
+         makespan = Some (Dls.Lp_model.time_for_load sol ~load:(q "1000"));
+       })
+
+let solve_via what address p =
+  match
+    Service.Client.with_client address (fun cl -> request_ok cl (solve_req p))
+  with
+  | Ok r -> P.response_to_string r
+  | Error e -> Alcotest.failf "%s: %s" what (Dls.Errors.to_string e)
+
+let tcp_any = Service.Server.Tcp ("127.0.0.1", 0)
+
+(* A front end started on port 0 reports the port it got, answers one
+   solve there bit-identically to the exact solver, and stops twice. *)
+let check_tcp_front what address stop =
+  (match address with
+  | Service.Server.Tcp ("127.0.0.1", port) ->
+    check (what ^ ": real port") true (port > 0)
+  | other ->
+    Alcotest.failf "%s bound %s" what (Service.Endpoint.to_string other));
+  let p = p3 () in
+  check_str (what ^ ": solve = exact") (exact_reply p) (solve_via what address p);
+  stop ();
+  stop ();
+  check (what ^ ": port closed") true
+    (Result.is_error (Service.Client.connect address))
+
+let test_endpoint_tcp_daemon () =
+  let server = start_exn "daemon" (Service.Server.start (one_job tcp_any)) in
+  check_tcp_front "daemon" (Service.Server.address server) (fun () ->
+      Service.Server.stop server)
+
+let test_endpoint_tcp_router () =
+  let server = start_exn "daemon" (Service.Server.start (one_job tcp_any)) in
+  let router =
+    start_exn "router"
+      (Service.Router.start
+         (Service.Router.default_config tcp_any
+            ~shard_addresses:[ Service.Server.address server ]))
+  in
+  check_tcp_front "router" (Service.Router.address router) (fun () ->
+      Service.Router.stop router);
+  Service.Server.stop server
+
+let test_endpoint_tcp_chaos () =
+  let server = start_exn "daemon" (Service.Server.start (one_job tcp_any)) in
+  let proxy =
+    start_exn "chaos proxy"
+      (Service.Chaos.start ~listen:tcp_any
+         ~upstream:(Service.Server.address server) [])
+  in
+  check_tcp_front "chaos proxy" (Service.Chaos.address proxy) (fun () ->
+      Service.Chaos.stop proxy);
+  Service.Server.stop server
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* A bind that fails (here: a socket path in a missing directory) must
+   close the socket it made. *)
+let test_endpoint_failed_start_no_leak () =
+  let dir = Filename.temp_file "dls-endpoint" ".missing" in
+  Sys.remove dir;
+  let address = Service.Server.Unix_socket (Filename.concat dir "x.sock") in
+  let refused what = function
+    | Ok _ -> Alcotest.failf "%s started in a missing directory" what
+    | Error _ -> ()
+  in
+  let before = open_fds () in
+  for _ = 1 to 20 do
+    refused "daemon" (Service.Server.start (one_job address));
+    refused "router"
+      (Service.Router.start
+         (Service.Router.default_config address ~shard_addresses:[ address ]));
+    refused "chaos proxy" (Service.Chaos.start ~listen:address ~upstream:address [])
+  done;
+  check_int "open descriptors after 60 failed starts" before (open_fds ())
+
+(* A socket path that accepts connections belongs to a live server: a
+   second daemon, router or proxy must not take it over. *)
+let test_endpoint_live_path_refused () =
+  with_server
+    (fun c -> { c with Service.Server.jobs = 1 })
+    (fun server ->
+      let address = Service.Server.address server in
+      let refused what = function
+        | Ok _ -> Alcotest.failf "%s took over a live socket path" what
+        | Error (Dls.Errors.Io_error _) -> ()
+        | Error e ->
+          Alcotest.failf "%s: expected io error, got %s" what
+            (Dls.Errors.to_string e)
+      in
+      refused "daemon" (Service.Server.start (one_job address));
+      refused "router"
+        (Service.Router.start
+           (Service.Router.default_config address ~shard_addresses:[ address ]));
+      refused "chaos proxy"
+        (Service.Chaos.start ~listen:address ~upstream:address []);
+      let p = p2 () in
+      check_str "the first daemon still answers" (exact_reply p)
+        (solve_via "first daemon" address p))
+
+(* A socket file nobody listens on, as a killed daemon leaves behind, is
+   reclaimed. *)
+let test_endpoint_stale_path_reclaimed () =
+  let path = tmp_socket () in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.close fd;
+  check "stale socket file present" true (Sys.file_exists path);
+  let address = Service.Server.Unix_socket path in
+  let server = start_exn "daemon" (Service.Server.start (one_job address)) in
+  let p = p2 () in
+  check_str "answers on the reclaimed path" (exact_reply p)
+    (solve_via "daemon" address p);
+  Service.Server.stop server;
+  check "socket unlinked" false (Sys.file_exists path)
+
 let () =
   Alcotest.run "service"
     [
@@ -1763,5 +1903,20 @@ let () =
             test_loadgen_deterministic;
           Alcotest.test_case "against a server" `Quick test_loadgen_against_server;
           Alcotest.test_case "skewed key popularity" `Quick test_loadgen_skew;
+        ] );
+      ( "endpoint",
+        [
+          Alcotest.test_case "daemon on tcp port 0" `Quick
+            test_endpoint_tcp_daemon;
+          Alcotest.test_case "router on tcp port 0" `Quick
+            test_endpoint_tcp_router;
+          Alcotest.test_case "chaos proxy on tcp port 0" `Quick
+            test_endpoint_tcp_chaos;
+          Alcotest.test_case "failed starts leak no descriptor" `Quick
+            test_endpoint_failed_start_no_leak;
+          Alcotest.test_case "live socket path refused" `Quick
+            test_endpoint_live_path_refused;
+          Alcotest.test_case "stale socket path reclaimed" `Quick
+            test_endpoint_stale_path_reclaimed;
         ] );
     ]
