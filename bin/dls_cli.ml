@@ -449,8 +449,8 @@ let simulate_cmd =
       & info [ "faults" ] ~docv:"FILE"
           ~doc:
             "Inject the fault plan in $(docv) (see $(b,dls faults)) and \
-             report the perturbed execution: achieved load, deadline slack, \
-             per-worker lateness.")
+             report the perturbed execution: load returned by the deadline, \
+             per-worker lateness and lost results (exact), and the trace.")
   in
   let replan_arg =
     Arg.(
@@ -497,12 +497,14 @@ let simulate_cmd =
     with
     | Error e -> die "%s" (Dls.Errors.to_string e)
     | Ok trace ->
-      let m =
-        Sim.Faults.metrics
-          ~deadline:(Q.to_float outcome.Dls.Replan.deadline)
-          ~total:(Q.to_float load) trace
-      in
-      Format.printf "simulated execution:@.  @[%a@]@." Sim.Faults.pp_metrics m;
+      let achieved = outcome.Dls.Replan.achieved.Dls.Replan.done_by_deadline in
+      Format.printf
+        "simulated execution:@.  achieved %.6g / %.6g load by deadline %.6g \
+         (%.1f%%), makespan %.6g@."
+        (Q.to_float achieved) (Q.to_float load)
+        (Q.to_float outcome.Dls.Replan.deadline)
+        (100.0 *. Q.to_float (Q.div achieved load))
+        trace.Sim.Trace.makespan;
       print_string
         (Sim.Gantt.render
            ~names:(fun i -> (Dls.Platform.get platform i).Dls.Platform.name)

@@ -180,18 +180,17 @@ let eval_simulate (r : P.simulate_req) =
         (Sim.Faults.execute_decision p plan ~original
            ~decision:outcome.Dls.Replan.decision)
     in
-    let m =
-      Sim.Faults.metrics
-        ~deadline:(Q.to_float outcome.Dls.Replan.deadline)
-        ~total:(Q.to_float load) trace
-    in
+    (* The completed load is the exact re-planner's: the LP schedule
+       meets its deadline exactly, so the float trace would lose whole
+       returns to one ulp of rounding. *)
+    let achieved = outcome.Dls.Replan.achieved.Dls.Replan.done_by_deadline in
     P.Ok_simulate
       {
         sim_makespan = trace.Sim.Trace.makespan;
         lp_makespan;
         sim_valid = Sim.Trace.is_valid trace;
-        achieved = Some m.Sim.Faults.achieved;
-        achieved_ratio = Some m.Sim.Faults.achieved_ratio;
+        achieved = Some (Q.to_float achieved);
+        achieved_ratio = Some (Q.to_float (Q.div achieved load));
         replanned =
           Option.map Dls.Replan.policy_to_string outcome.Dls.Replan.policy_used;
       }

@@ -1,207 +1,63 @@
 module Q = Numeric.Rational
 module F = Dls.Faults
 
-(* Durations under faults depend on the absolute start date, so instead
-   of [load * cost] the simulator asks the exact integrator
-   ({!Dls.Faults.finish_time}) at dispatch time, with the float clock
-   lifted to an exact rational ([Q.of_float] is exact).  This keeps the
-   discrete-event executor and {!Dls.Replan}'s rational replay
-   bit-consistent on the same inputs. *)
-
-let plan_of_schedule (sched : Dls.Schedule.t) =
-  let n = Dls.Platform.size sched.Dls.Schedule.platform in
-  let loads = Array.make n 0.0 in
-  Array.iter
-    (fun e ->
-      loads.(e.Dls.Schedule.worker) <-
-        loads.(e.Dls.Schedule.worker) +. Q.to_float e.Dls.Schedule.alpha)
-    sched.Dls.Schedule.entries;
-  let sigma1 = Array.map (fun e -> e.Dls.Schedule.worker) sched.Dls.Schedule.entries in
-  let by_return = Array.copy sched.Dls.Schedule.entries in
-  Array.stable_sort
-    (fun a b ->
-      Q.compare a.Dls.Schedule.return_.Dls.Schedule.start
-        b.Dls.Schedule.return_.Dls.Schedule.start)
-    by_return;
+let plan_of_seq (s : Dls.Replan.seq) =
   {
-    Star.sigma1;
-    sigma2 = Array.map (fun e -> e.Dls.Schedule.worker) by_return;
-    loads;
+    Star.sigma1 = s.Dls.Replan.sigma1;
+    sigma2 = s.Dls.Replan.sigma2;
+    loads = Array.map Q.to_float s.Dls.Replan.loads;
   }
 
-let execute_seq ?(start = 0.0) platform faults (plan : Star.plan) =
-  match Star.check_plan platform plan with
-  | Error e -> Error e
-  | Ok () ->
-    let finish activity ~start:t ~load =
-      if load <= 0.0 then Some t
-      else
-        Option.map Q.to_float
-          (F.finish_time platform faults activity ~start:(Q.of_float t)
-             ~load:(Q.of_float load))
-    in
-    let active order =
-      Array.of_list
-        (List.filter (fun i -> plan.Star.loads.(i) > 0.0) (Array.to_list order))
-    in
-    let sends = active plan.Star.sigma1 and returns = active plan.Star.sigma2 in
-    let eng = Engine.create () in
-    let events = ref [] in
-    let record worker kind start finish load =
-      events := { Trace.worker; kind; start; finish; load } :: !events
-    in
-    let n = Dls.Platform.size platform in
-    let compute_done = Array.make n false in
-    let lost = Array.make n false in
-    let master_busy = ref false in
-    let send_idx = ref 0 in
-    let ret_idx = ref 0 in
-    let rec master_step eng =
-      if not !master_busy then begin
-        while !ret_idx < Array.length returns && lost.(returns.(!ret_idx)) do
-          incr ret_idx
-        done;
-        let sends_left = !send_idx < Array.length sends in
-        let return_ready =
-          !ret_idx < Array.length returns && compute_done.(returns.(!ret_idx))
-        in
-        if return_ready && not sends_left then begin
-          let i = returns.(!ret_idx) in
-          let load = plan.Star.loads.(i) in
-          let now = Engine.now eng in
-          match finish (F.Return_from i) ~start:now ~load with
-          | None ->
-            (* The transfer would never complete (crash): the master
-               detects the failure and moves on without seizing the
-               port. *)
-            incr ret_idx;
-            lost.(i) <- true;
-            master_step eng
-          | Some f ->
-            incr ret_idx;
-            record i Trace.Return now f load;
-            master_busy := true;
-            Engine.schedule_at eng ~time:f (fun eng ->
-                master_busy := false;
-                master_step eng)
-        end
-        else if sends_left then begin
-          let i = sends.(!send_idx) in
-          incr send_idx;
-          let load = plan.Star.loads.(i) in
-          let now = Engine.now eng in
-          match finish (F.Send_to i) ~start:now ~load with
-          | None ->
-            (* Unreachable with the current fault kinds (stalls are
-               finite and crashed workers still absorb data), kept for
-               totality. *)
-            lost.(i) <- true;
-            master_step eng
-          | Some sf ->
-            record i Trace.Send now sf load;
-            master_busy := true;
-            Engine.schedule_at eng ~time:sf (fun eng ->
-                master_busy := false;
-                (match finish (F.Compute_on i) ~start:sf ~load with
-                | None -> lost.(i) <- true
-                | Some cf ->
-                  record i Trace.Compute sf cf load;
-                  Engine.schedule_at eng ~time:cf (fun eng ->
-                      compute_done.(i) <- true;
-                      master_step eng));
-                master_step eng)
-        end
-      end
-    in
-    Engine.schedule_at eng ~time:start (fun eng -> master_step eng);
-    let _ = Engine.run eng in
-    Ok (Trace.make !events)
+let plan_of_schedule sched = plan_of_seq (Dls.Replan.seq_of_schedule sched ~start:Q.zero)
 
-let execute platform faults plan = execute_seq ~start:0.0 platform faults plan
+(* Durations under faults depend on the absolute start date, so each
+   phase is dated by the exact integrator.  The loop's clock is a float,
+   but every date it passes back is [start] or a date this function
+   returned, so remembering the rational behind each returned float
+   replays {!Dls.Replan.replay_seq}'s exact arithmetic, rounded once per
+   date: an LP schedule that meets a fault onset exactly still meets it.
+   [loads i] is worker [i]'s exact load. *)
+let run platform faults plan ~start ~loads =
+  Result.bind (Star.check_plan platform plan) (fun () ->
+      let exact = Hashtbl.create 16 in
+      let remember q =
+        let f = Q.to_float q in
+        Hashtbl.replace exact f q;
+        f
+      in
+      let lift t = match Hashtbl.find_opt exact t with Some q -> q | None -> Q.of_float t in
+      let finish op phase t =
+        let i = op.Star.op_worker in
+        let activity =
+          match phase with
+          | Trace.Send -> F.Send_to i
+          | Trace.Compute -> F.Compute_on i
+          | Trace.Return -> F.Return_from i
+        in
+        Option.map remember
+          (F.finish_time platform faults activity ~start:(lift t) ~load:(loads i))
+      in
+      Star.run ~start:(remember start) ~finish platform (Star.ops_of_plan platform plan))
+
+let execute_seq ?(start = 0.0) platform faults plan =
+  run platform faults plan ~start:(Q.of_float start) ~loads:(fun i ->
+      Q.of_float plan.Star.loads.(i))
+
+let execute platform faults plan = execute_seq platform faults plan
+
+let execute_schedule platform faults sched ~start =
+  let s = Dls.Replan.seq_of_schedule sched ~start in
+  run platform faults (plan_of_seq s) ~start ~loads:(fun i -> s.Dls.Replan.loads.(i))
 
 let execute_decision platform faults ~original ~decision =
+  let ( let* ) = Result.bind in
   match decision with
-  | Dls.Replan.Keep_original -> execute platform faults (plan_of_schedule original)
-  | Dls.Replan.Recover r -> (
-    let at = Q.to_float r.Dls.Replan.at in
-    match execute platform Dls.Faults.empty (plan_of_schedule original) with
-    | Error e -> Error e
-    | Ok fault_free -> (
-      let prefix =
-        List.filter
-          (fun e -> e.Trace.finish <= at)
-          fault_free.Trace.events
-      in
-      match
-        execute_seq ~start:at platform faults
-          (plan_of_schedule r.Dls.Replan.schedule)
-      with
-      | Error e -> Error e
-      | Ok recovery -> Ok (Trace.make (prefix @ recovery.Trace.events))))
-
-(* ------------------------------------------------------------------ *)
-(* Metrics                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type metrics = {
-  deadline : float;
-  total : float;
-  achieved : float;
-  achieved_ratio : float;
-  throughput : float;
-  slack : float;
-  lateness : (int * float option) list;
-}
-
-let metrics ~deadline ~total (trace : Trace.t) =
-  let returned = Hashtbl.create 8 in
-  let touched = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      Hashtbl.replace touched e.Trace.worker ();
-      if e.Trace.kind = Trace.Return then
-        let prev = Option.value ~default:(0.0, 0.0) (Hashtbl.find_opt returned e.Trace.worker) in
-        Hashtbl.replace returned e.Trace.worker
-          (fst prev +. e.Trace.load, Float.max (snd prev) e.Trace.finish))
-    trace.Trace.events;
-  let achieved =
-    Hashtbl.fold
-      (fun _ (load, finish) acc -> if finish <= deadline then acc +. load else acc)
-      returned 0.0
-  in
-  let last_return =
-    Hashtbl.fold (fun _ (_, finish) acc -> Float.max acc finish) returned 0.0
-  in
-  let lateness =
-    Hashtbl.fold
-      (fun w () acc ->
-        match Hashtbl.find_opt returned w with
-        | None -> (w, None) :: acc
-        | Some (_, finish) -> (w, Some (Float.max 0.0 (finish -. deadline))) :: acc)
-      touched []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  {
-    deadline;
-    total;
-    achieved;
-    achieved_ratio = (if total > 0.0 then achieved /. total else 0.0);
-    throughput = (if deadline > 0.0 then achieved /. deadline else 0.0);
-    slack = deadline -. last_return;
-    lateness;
-  }
-
-let pp_metrics fmt m =
-  Format.fprintf fmt
-    "@[<v>achieved %.6g / %.6g load by deadline %.6g (%.1f%%), throughput \
-     %.6g, slack %.6g@,"
-    m.achieved m.total m.deadline (100.0 *. m.achieved_ratio) m.throughput
-    m.slack;
-  List.iter
-    (fun (w, l) ->
-      match l with
-      | None -> Format.fprintf fmt "  worker %d: results lost@," w
-      | Some l when l > 0.0 -> Format.fprintf fmt "  worker %d: late by %.6g@," w l
-      | Some _ -> ())
-    m.lateness;
-  Format.fprintf fmt "@]"
+  | Dls.Replan.Keep_original -> execute_schedule platform faults original ~start:Q.zero
+  | Dls.Replan.Recover r ->
+    let at = r.Dls.Replan.at in
+    let* fault_free = execute_schedule platform F.empty original ~start:Q.zero in
+    let prefix =
+      List.filter (fun e -> e.Trace.finish <= Q.to_float at) fault_free.Trace.events
+    in
+    let* recovery = execute_schedule platform faults r.Dls.Replan.schedule ~start:at in
+    Ok (Trace.make (prefix @ recovery.Trace.events))

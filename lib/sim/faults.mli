@@ -1,25 +1,28 @@
-(** Discrete-event execution under an injected fault plan.
+(** Execution under an injected fault plan.
 
-    Same master protocol as {!Star} ([Sends_first]), but every duration
-    is integrated through the fault plan's piecewise rate profile via
-    {!Dls.Faults.finish_time} (the float clock is lifted exactly into
-    rationals), so this float executor and {!Dls.Replan}'s exact replay
-    agree on the same inputs.  Workers whose computation or result
-    message would never complete (crashes) are detected and skipped; the
-    master's port is never wedged. *)
+    The {!Star.run} loop with the [Sends_first] protocol, where every
+    phase is dated by {!Dls.Faults.finish_time}.  The clock stays a
+    float, but each date is the rounding of the exact rational the
+    integrator returned, so a schedule run from its exact loads
+    ({!execute_decision}) reproduces {!Dls.Replan.replay_seq} to one
+    rounding per date.  A send, computation or result message that would
+    never complete (a crash) loses the worker's results; the master
+    skips that return at once, without holding the port — the
+    perfect-detection rule of the exact replay.  test_sim's "replay"
+    group checks the agreement. *)
 
-(** [plan_of_schedule sched] extracts orders and per-worker float loads
-    from an explicit schedule. *)
+(** [plan_of_schedule sched] is {!Dls.Replan.seq_of_schedule}'s orders
+    and loads, the loads converted to float. *)
 val plan_of_schedule : Dls.Schedule.t -> Star.plan
 
 (** [execute platform faults plan] runs the campaign from time [0] under
-    the fault plan.  Malformed plans error as in
-    {!Star.execute_result}. *)
+    the fault plan, lifting the float loads exactly into rationals.
+    Malformed plans error as in {!Star.execute_result}. *)
 val execute :
   Dls.Platform.t -> Dls.Faults.plan -> Star.plan -> (Trace.t, Dls.Errors.t) result
 
 (** [execute_seq ~start platform faults plan] dispatches from [start]
-    instead of [0] — used to splice recovery schedules. *)
+    instead of [0]. *)
 val execute_seq :
   ?start:float ->
   Dls.Platform.t ->
@@ -31,26 +34,12 @@ val execute_seq :
     a re-planning decision as a single trace: the fault-free prefix of
     [original] up to the splice point, then the recovery schedule
     executed under the faults ([Keep_original] just runs [original]
-    under the faults in full). *)
+    under the faults in full).  Both parts run from the schedules' exact
+    loads and the exact splice date, so the trace's returns are the
+    decision's [achieved] completions, rounded. *)
 val execute_decision :
   Dls.Platform.t ->
   Dls.Faults.plan ->
   original:Dls.Schedule.t ->
   decision:Dls.Replan.decision ->
   (Trace.t, Dls.Errors.t) result
-
-(** Aggregates of a perturbed trace against a deadline. *)
-type metrics = {
-  deadline : float;
-  total : float;  (** load the campaign enrolled *)
-  achieved : float;  (** load fully returned by [deadline] *)
-  achieved_ratio : float;  (** [achieved / total] *)
-  throughput : float;  (** [achieved / deadline] *)
-  slack : float;  (** [deadline - last return] (negative: late) *)
-  lateness : (int * float option) list;
-      (** per active worker: [Some l] = late by [l >= 0], [None] = its
-          results never came back *)
-}
-
-val metrics : deadline:float -> total:float -> Trace.t -> metrics
-val pp_metrics : Format.formatter -> metrics -> unit

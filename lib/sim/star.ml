@@ -1,3 +1,5 @@
+module Q = Numeric.Rational
+
 type noise = {
   comm : worker:int -> float -> float;
   comp : worker:int -> float -> float;
@@ -14,7 +16,7 @@ let plan_of_solved (sol : Dls.Lp_model.solved) =
   {
     sigma1 = Array.copy s.Dls.Scenario.sigma1;
     sigma2 = Array.copy s.Dls.Scenario.sigma2;
-    loads = Array.map Numeric.Rational.to_float sol.Dls.Lp_model.alpha;
+    loads = Array.map Q.to_float sol.Dls.Lp_model.alpha;
   }
 
 let plan_of_rounded (sol : Dls.Lp_model.solved) ~total =
@@ -24,241 +26,6 @@ let plan_of_rounded (sol : Dls.Lp_model.solved) ~total =
     sigma2 = Array.copy s.Dls.Scenario.sigma2;
     loads = Array.map float_of_int (Dls.Rounding.integer_loads sol ~total);
   }
-
-(* A malformed plan used to wedge the simulator silently: a worker
-   enrolled in [sigma2] but never sent data waits forever, so its return
-   simply vanishes from the trace and the makespan lies.  NaN loads
-   poison the event clock.  Validate up front and fail with a typed
-   error instead. *)
-let check_plan platform plan =
-  let n = Dls.Platform.size platform in
-  let ( let* ) = Result.bind in
-  let* () =
-    if Array.length plan.loads = n then Ok ()
-    else
-      Dls.Errors.invalid "plan carries %d loads for a %d-worker platform"
-        (Array.length plan.loads) n
-  in
-  let* () =
-    let bad = ref None in
-    Array.iteri
-      (fun i l ->
-        if !bad = None && (Float.is_nan l || l = Float.infinity || l < 0.0) then
-          bad := Some (i, l))
-      plan.loads;
-    match !bad with
-    | Some (i, l) ->
-      Dls.Errors.invalid "worker %d has invalid load %g (negative, NaN or infinite)" i l
-    | None -> Ok ()
-  in
-  let check_order name order =
-    let seen = Array.make n false in
-    let bad = ref (Ok ()) in
-    Array.iter
-      (fun i ->
-        match !bad with
-        | Error _ -> ()
-        | Ok () ->
-          if i < 0 || i >= n then
-            bad := Dls.Errors.invalid "%s refers to worker %d, platform has %d workers" name i n
-          else if seen.(i) then
-            bad := Dls.Errors.invalid "%s enrolls worker %d twice" name i
-          else seen.(i) <- true)
-      order;
-    !bad
-  in
-  let* () = check_order "sigma1" plan.sigma1 in
-  let* () = check_order "sigma2" plan.sigma2 in
-  let member order i = Array.exists (fun j -> j = i) order in
-  let missing =
-    List.filter
-      (fun i ->
-        plan.loads.(i) > 0.0
-        && (not (member plan.sigma1 i) || not (member plan.sigma2 i)))
-      (List.init n Fun.id)
-  in
-  match missing with
-  | i :: _ ->
-    Dls.Errors.invalid
-      "worker %d has load %g but is not enrolled in both orders (its results \
-       would never come back)"
-      i plan.loads.(i)
-  | [] -> Ok ()
-
-(* The master is a single resource running one decision procedure: when
-   idle, it performs the next return of [sigma2] if that worker is ready
-   (immediately under [Eager_returns]; only once all sends are posted
-   under [Sends_first], which is what the paper's MPI program did), else
-   the next send of [sigma1], else it waits for a computation to end. *)
-let execute_unchecked ?(noise = no_noise) ?(protocol = Sends_first) platform plan =
-  let qf = Numeric.Rational.to_float in
-  let cost i =
-    let wk = Dls.Platform.get platform i in
-    (qf wk.Dls.Platform.c, qf wk.Dls.Platform.w, qf wk.Dls.Platform.d)
-  in
-  let active order =
-    Array.of_list
-      (List.filter (fun i -> plan.loads.(i) > 0.0) (Array.to_list order))
-  in
-  let sends = active plan.sigma1 and returns = active plan.sigma2 in
-  let eng = Engine.create () in
-  let events = ref [] in
-  let record worker kind start finish load =
-    events := { Trace.worker; kind; start; finish; load } :: !events
-  in
-  let compute_done = Array.make (Dls.Platform.size platform) false in
-  let master_busy = ref false in
-  let send_idx = ref 0 in
-  let ret_idx = ref 0 in
-  let rec master_step eng =
-    if not !master_busy then begin
-      let sends_left = !send_idx < Array.length sends in
-      let return_ready =
-        !ret_idx < Array.length returns && compute_done.(returns.(!ret_idx))
-      in
-      let do_return =
-        return_ready && ((protocol = Eager_returns) || not sends_left)
-      in
-      if do_return then begin
-        let i = returns.(!ret_idx) in
-        incr ret_idx;
-        let _, _, d = cost i in
-        let load = plan.loads.(i) in
-        let dur = noise.comm ~worker:i (load *. d) in
-        let start = Engine.now eng in
-        record i Trace.Return start (start +. dur) load;
-        master_busy := true;
-        Engine.schedule eng ~delay:dur (fun eng ->
-            master_busy := false;
-            master_step eng)
-      end
-      else if sends_left then begin
-        let i = sends.(!send_idx) in
-        incr send_idx;
-        let c, w, _ = cost i in
-        let load = plan.loads.(i) in
-        let dur = noise.comm ~worker:i (load *. c) in
-        let start = Engine.now eng in
-        record i Trace.Send start (start +. dur) load;
-        master_busy := true;
-        Engine.schedule eng ~delay:dur (fun eng ->
-            master_busy := false;
-            let wdur = noise.comp ~worker:i (load *. w) in
-            let wstart = Engine.now eng in
-            record i Trace.Compute wstart (wstart +. wdur) load;
-            Engine.schedule eng ~delay:wdur (fun eng ->
-                compute_done.(i) <- true;
-                master_step eng);
-            master_step eng)
-      end
-      (* else: idle until some computation completes *)
-    end
-  in
-  master_step eng;
-  let _ = Engine.run eng in
-  Trace.make !events
-
-let execute_result ?noise ?protocol platform plan =
-  match check_plan platform plan with
-  | Error e -> Error e
-  | Ok () -> Ok (execute_unchecked ?noise ?protocol platform plan)
-
-let execute ?noise ?protocol platform plan =
-  match execute_result ?noise ?protocol platform plan with
-  | Ok trace -> trace
-  | Error e -> raise (Dls.Errors.Error e)
-
-let makespan ?noise ?protocol platform plan =
-  (execute ?noise ?protocol platform plan).Trace.makespan
-
-(* ------------------------------------------------------------------ *)
-(* Chunked (multi-round) campaigns                                     *)
-(* ------------------------------------------------------------------ *)
-
-type chunked_plan = {
-  chunk_sends : (int * float) list;
-  chunk_returns : (int * float) list;
-}
-
-let plan_of_multiround (s : Dls.Multiround.solved) =
-  let cfg = s.Dls.Multiround.config in
-  if
-    not
-      (Numeric.Rational.is_zero cfg.Dls.Multiround.send_latency
-      && Numeric.Rational.is_zero cfg.Dls.Multiround.return_latency)
-  then
-    invalid_arg
-      "Star.plan_of_multiround: the simulator implements the linear model \
-       (zero latencies)";
-  let order = cfg.Dls.Multiround.order in
-  let chunks_in_order =
-    List.concat_map
-      (fun per_round ->
-        List.mapi
-          (fun k a -> (order.(k), Numeric.Rational.to_float a))
-          (Array.to_list per_round))
-      (Array.to_list s.Dls.Multiround.chunks)
-  in
-  let nonzero = List.filter (fun (_, a) -> a > 0.0) chunks_in_order in
-  {
-    chunk_sends = nonzero;
-    chunk_returns = (if cfg.Dls.Multiround.with_returns then nonzero else []);
-  }
-
-let execute_chunked ?(noise = no_noise) platform plan =
-  let qf = Numeric.Rational.to_float in
-  let cost i =
-    let wk = Dls.Platform.get platform i in
-    (qf wk.Dls.Platform.c, qf wk.Dls.Platform.w, qf wk.Dls.Platform.d)
-  in
-  let events = ref [] in
-  let record worker kind start finish load =
-    events := { Trace.worker; kind; start; finish; load } :: !events
-  in
-  let n = Dls.Platform.size platform in
-  (* Sends back-to-back; each worker computes its chunks in order. *)
-  let worker_ready = Array.make n 0.0 in
-  let compute_ends : (int, float Queue.t) Hashtbl.t = Hashtbl.create 8 in
-  let clock = ref 0.0 in
-  List.iter
-    (fun (i, load) ->
-      let c, w, _ = cost i in
-      let dur = noise.comm ~worker:i (load *. c) in
-      record i Trace.Send !clock (!clock +. dur) load;
-      clock := !clock +. dur;
-      let start = Float.max !clock worker_ready.(i) in
-      let wdur = noise.comp ~worker:i (load *. w) in
-      record i Trace.Compute start (start +. wdur) load;
-      worker_ready.(i) <- start +. wdur;
-      let q =
-        match Hashtbl.find_opt compute_ends i with
-        | Some q -> q
-        | None ->
-          let q = Queue.create () in
-          Hashtbl.add compute_ends i q;
-          q
-      in
-      Queue.add (start +. wdur) q)
-    plan.chunk_sends;
-  (* One-port return chain, in the prescribed order. *)
-  let master_free = ref !clock in
-  List.iter
-    (fun (i, load) ->
-      let _, _, d = cost i in
-      let computed =
-        match Hashtbl.find_opt compute_ends i with
-        | Some q when not (Queue.is_empty q) -> Queue.pop q
-        | _ -> invalid_arg "Star.execute_chunked: return without a sent chunk"
-      in
-      let start = Float.max !master_free computed in
-      let dur = noise.comm ~worker:i (load *. d) in
-      record i Trace.Return start (start +. dur) load;
-      master_free := start +. dur)
-    plan.chunk_returns;
-  Trace.make !events
-
-(* ------------------------------------------------------------------ *)
-(* Multi-load batches                                                  *)
 
 type multi_op = {
   op_load : int;
@@ -274,87 +41,261 @@ and kind = Op_send | Op_return
 
 type multi_plan = { ops : multi_op list }
 
+(* The linear-model operation moving [a] units to or from worker [i]; a
+   multi-load batch passes its load index, release date and per-load
+   return cost [d]. *)
+let linear_op ?(load = 0) ?(release = 0.0) ?d platform op_kind i a =
+  let wk = Dls.Platform.get platform i in
+  let send = op_kind = Op_send in
+  let cost = if send then wk.Dls.Platform.c else Option.value d ~default:wk.Dls.Platform.d in
+  {
+    op_load = load;
+    op_worker = i;
+    op_kind;
+    op_amount = a;
+    op_release = (if send then release else 0.0);
+    op_comm = a *. Q.to_float cost;
+    op_comp = (if send then a *. Q.to_float wk.Dls.Platform.w else 0.0);
+  }
+
+let valid_amount x = Float.is_finite x && x >= 0.0
+
+(* A malformed plan used to wedge the simulator silently: a worker
+   enrolled in [sigma2] but never sent data waits forever, so its return
+   simply vanishes from the trace and the makespan lies.  NaN loads
+   poison the clock.  Validate up front and fail with a typed error
+   instead. *)
+let check_plan platform plan =
+  let n = Dls.Platform.size platform in
+  let ( let* ) = Result.bind in
+  let* () =
+    if Array.length plan.loads = n then Ok ()
+    else
+      Dls.Errors.invalid "plan carries %d loads for a %d-worker platform"
+        (Array.length plan.loads) n
+  in
+  let* () =
+    match Array.find_index (fun l -> not (valid_amount l)) plan.loads with
+    | Some i ->
+      Dls.Errors.invalid "worker %d has invalid load %g (negative, NaN or infinite)" i
+        plan.loads.(i)
+    | None -> Ok ()
+  in
+  let check_order name order =
+    let seen = Array.make n false in
+    Array.fold_left
+      (fun acc i ->
+        let* () = acc in
+        if i < 0 || i >= n then
+          Dls.Errors.invalid "%s refers to worker %d, platform has %d workers" name i n
+        else if seen.(i) then Dls.Errors.invalid "%s enrolls worker %d twice" name i
+        else Ok (seen.(i) <- true))
+      (Ok ()) order
+  in
+  let* () = check_order "sigma1" plan.sigma1 in
+  let* () = check_order "sigma2" plan.sigma2 in
+  let enrolled i = Array.mem i plan.sigma1 && Array.mem i plan.sigma2 in
+  match
+    List.find_opt (fun i -> plan.loads.(i) > 0.0 && not (enrolled i)) (List.init n Fun.id)
+  with
+  | Some i ->
+    Dls.Errors.invalid
+      "worker %d has load %g but is not enrolled in both orders (its results \
+       would never come back)"
+      i plan.loads.(i)
+  | None -> Ok ()
+
+(* The same checks for a port-operation list, whatever produced it. *)
+let check_ops n ops =
+  let sent = Array.make n 0 in
+  List.fold_left
+    (fun acc op ->
+      Result.bind acc (fun () ->
+          let i = op.op_worker in
+          if i < 0 || i >= n then
+            Dls.Errors.invalid "operation on worker %d, platform has %d workers" i n
+          else if
+            not
+              (List.for_all valid_amount
+                 [ op.op_amount; op.op_release; op.op_comm; op.op_comp ])
+          then
+            Dls.Errors.invalid
+              "operation on worker %d has a negative, NaN or infinite amount or \
+               duration"
+              i
+          else
+            match op.op_kind with
+            | Op_send -> Ok (sent.(i) <- sent.(i) + 1)
+            | Op_return when sent.(i) > 0 -> Ok (sent.(i) <- sent.(i) - 1)
+            | Op_return -> Dls.Errors.invalid "return of worker %d without a sent chunk" i))
+    (Ok ()) ops
+
+let ops_of_plan platform plan =
+  let active kind order =
+    List.filter_map
+      (fun i ->
+        let a = plan.loads.(i) in
+        if a > 0.0 then Some (linear_op platform kind i a) else None)
+      (Array.to_list order)
+  in
+  { ops = active Op_send plan.sigma1 @ active Op_return plan.sigma2 }
+
+(* The master is one sequential resource, so executing a plan is one
+   pass over its port operations with the clock in a float.  A send
+   starts when the port is free and its data is released; the worker
+   computes its chunks in arrival order; a return starts when the port
+   is free and the chunk's computation has ended.  [finish op phase t]
+   dates the end of a phase started at [t]; [None] means it never
+   completes, and the master skips the chunk without holding the port
+   (the perfect-detection rule of {!Dls.Replan.replay_seq}).  The one
+   dynamic rule is [Eager_returns]: before each send, the next return
+   is taken instead if its computation has already ended. *)
+let run ?(start = 0.0) ?(protocol = Sends_first) ~finish platform plan =
+  let n = Dls.Platform.size platform in
+  match check_ops n plan.ops with
+  | Error e -> Error e
+  | Ok () ->
+    let events = ref [] in
+    let record op kind start finish =
+      events :=
+        { Trace.worker = op.op_worker; kind; start; finish; load = op.op_amount }
+        :: !events
+    in
+    let port = ref start in
+    let idle = Array.make n 0.0 in
+    (* per worker, the end of each received chunk's computation, in
+       arrival order; [None] for a chunk that never completes *)
+    let computed = Array.init n (fun _ -> Queue.create ()) in
+    let send op =
+      let i = op.op_worker in
+      let s = Float.max !port op.op_release in
+      match finish op Trace.Send s with
+      | None -> Queue.add None computed.(i)
+      | Some sf ->
+        record op Trace.Send s sf;
+        port := sf;
+        let cs = Float.max sf idle.(i) in
+        let cf = finish op Trace.Compute cs in
+        Option.iter
+          (fun cf ->
+            record op Trace.Compute cs cf;
+            idle.(i) <- cf)
+          cf;
+        Queue.add cf computed.(i)
+    in
+    let return op =
+      match Queue.take computed.(op.op_worker) with
+      | None -> ()
+      | Some cf -> (
+        let s = Float.max !port cf in
+        match finish op Trace.Return s with
+        | None -> ()
+        | Some rf ->
+          record op Trace.Return s rf;
+          port := rf)
+    in
+    (* Returns run in plan order, so a count of those done tells the
+       main pass which ones [Eager_returns] already took. *)
+    let returns = Array.of_list (List.filter (fun op -> op.op_kind = Op_return) plan.ops) in
+    let returned = ref 0 and seen = ref 0 in
+    let next_return () =
+      return returns.(!returned);
+      incr returned
+    in
+    let rec take_ready_returns () =
+      if !returned < Array.length returns then
+        match Queue.peek_opt computed.(returns.(!returned).op_worker) with
+        | Some (Some cf) when cf > !port -> ()
+        | Some _ ->
+          next_return ();
+          take_ready_returns ()
+        | None -> ()
+    in
+    List.iter
+      (fun op ->
+        match op.op_kind with
+        | Op_send ->
+          if protocol = Eager_returns then take_ready_returns ();
+          send op
+        | Op_return ->
+          if !seen = !returned then next_return ();
+          incr seen)
+      plan.ops;
+    Ok (Trace.make !events)
+
+let noisy noise op phase t =
+  let i = op.op_worker in
+  Some
+    (t
+    +.
+    match phase with
+    | Trace.Compute -> noise.comp ~worker:i op.op_comp
+    | Trace.Send | Trace.Return -> noise.comm ~worker:i op.op_comm)
+
+let execute_result ?(noise = no_noise) ?protocol platform plan =
+  Result.bind (check_plan platform plan) (fun () ->
+      run ?protocol ~finish:(noisy noise) platform (ops_of_plan platform plan))
+
+let execute ?noise ?protocol platform plan =
+  Dls.Errors.get_exn (execute_result ?noise ?protocol platform plan)
+
+let makespan ?noise ?protocol platform plan =
+  (execute ?noise ?protocol platform plan).Trace.makespan
+
+let execute_multi ?(noise = no_noise) platform plan =
+  Dls.Errors.get_exn (run ~finish:(noisy noise) platform plan)
+
+(* ------------------------------------------------------------------ *)
+(* Plans from the LP solutions                                         *)
+(* ------------------------------------------------------------------ *)
+
+let plan_of_multiround (s : Dls.Multiround.solved) =
+  let cfg = s.Dls.Multiround.config in
+  if
+    not
+      (Q.is_zero cfg.Dls.Multiround.send_latency
+      && Q.is_zero cfg.Dls.Multiround.return_latency)
+  then
+    raise
+      (Dls.Errors.Error
+         (Dls.Errors.Invalid_scenario
+            "Star.plan_of_multiround: the simulator implements the linear model \
+             (zero latencies)"));
+  let order = cfg.Dls.Multiround.order in
+  let chunks =
+    List.concat_map
+      (fun per_round ->
+        List.filter_map
+          (fun (k, a) ->
+            let a = Q.to_float a in
+            if a > 0.0 then Some (order.(k), a) else None)
+          (List.mapi (fun k a -> (k, a)) (Array.to_list per_round)))
+      (Array.to_list s.Dls.Multiround.chunks)
+  in
+  let ops kind =
+    List.map (fun (i, a) -> linear_op s.Dls.Multiround.platform kind i a) chunks
+  in
+  { ops = ops Op_send @ if cfg.Dls.Multiround.with_returns then ops Op_return else [] }
+
 let plan_of_batch (b : Dls.Steady_state.batch) =
-  let qf = Numeric.Rational.to_float in
   let workload = b.Dls.Steady_state.b_workload in
+  let platform = b.Dls.Steady_state.b_platform in
   let ops =
     List.filter_map
       (fun (kind, k, j) ->
         let i = b.Dls.Steady_state.order.(j) in
-        let wk = Dls.Platform.get b.Dls.Steady_state.b_platform i in
         let a = b.Dls.Steady_state.chunks.(k).(j) in
-        if Numeric.Rational.sign a <= 0 then None
+        if Q.sign a <= 0 then None
         else
-          let a_f = qf a in
-          match kind with
-          | `Send ->
-            Some
-              {
-                op_load = k;
-                op_worker = i;
-                op_kind = Op_send;
-                op_amount = a_f;
-                op_release =
-                  qf (Dls.Workload.get workload k).Dls.Workload.release;
-                op_comm = a_f *. qf wk.Dls.Platform.c;
-                op_comp = a_f *. qf wk.Dls.Platform.w;
-              }
-          | `Return ->
-            Some
-              {
-                op_load = k;
-                op_worker = i;
-                op_kind = Op_return;
-                op_amount = a_f;
-                op_release = 0.;
-                op_comm = a_f *. qf (Dls.Workload.return_cost workload k wk);
-                op_comp = 0.;
-              })
+          let a = Q.to_float a in
+          Some
+            (match kind with
+            | `Send ->
+              let release = Q.to_float (Dls.Workload.get workload k).Dls.Workload.release in
+              linear_op ~load:k ~release platform Op_send i a
+            | `Return ->
+              let d = Dls.Workload.return_cost workload k (Dls.Platform.get platform i) in
+              linear_op ~load:k ~d platform Op_return i a))
       (Dls.Steady_state.port_sequence b)
   in
   { ops }
-
-let execute_multi ?(noise = no_noise) platform plan =
-  let events = ref [] in
-  let record worker kind start finish load =
-    events := { Trace.worker; kind; start; finish; load } :: !events
-  in
-  let n = Dls.Platform.size platform in
-  let worker_ready = Array.make n 0.0 in
-  let compute_ends : (int, float Queue.t) Hashtbl.t = Hashtbl.create 8 in
-  let queue_of i =
-    match Hashtbl.find_opt compute_ends i with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.add compute_ends i q;
-      q
-  in
-  let master_free = ref 0.0 in
-  List.iter
-    (fun op ->
-      let i = op.op_worker in
-      match op.op_kind with
-      | Op_send ->
-        let start = Float.max !master_free op.op_release in
-        let dur = noise.comm ~worker:i op.op_comm in
-        record i Trace.Send start (start +. dur) op.op_amount;
-        master_free := start +. dur;
-        let cstart = Float.max !master_free worker_ready.(i) in
-        let cdur = noise.comp ~worker:i op.op_comp in
-        record i Trace.Compute cstart (cstart +. cdur) op.op_amount;
-        worker_ready.(i) <- cstart +. cdur;
-        Queue.add (cstart +. cdur) (queue_of i)
-      | Op_return ->
-        let computed =
-          let q = queue_of i in
-          if Queue.is_empty q then
-            invalid_arg "Star.execute_multi: return without a sent chunk"
-          else Queue.pop q
-        in
-        let start = Float.max !master_free computed in
-        let dur = noise.comm ~worker:i op.op_comm in
-        record i Trace.Return start (start +. dur) op.op_amount;
-        master_free := start +. dur)
-    plan.ops;
-  Trace.make !events

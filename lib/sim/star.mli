@@ -1,12 +1,16 @@
-(** Discrete-event execution of a master/worker campaign on a star
-    platform under the one-port model.
+(** Execution of a master/worker campaign on a star platform under the
+    one-port model.
 
-    The simulated master runs the same eager protocol as the paper's
-    MPI program: it posts the initial messages back-to-back in [sigma1]
-    order, then receives the result messages in [sigma2] order, each
-    reception starting as soon as both the master is free and the worker
-    has finished computing.  Per-event noise hooks model the gap between
-    the linear cost model and a real cluster. *)
+    The master is one sequential resource: it sends in [sigma1] order
+    and receives in [sigma2] order, so executing a plan is a single pass
+    over its port operations ({!run}), with no event queue.  Each send
+    starts when the port is free and its data is released, the worker
+    computes its chunks in arrival order, and each return starts when
+    the port is free and the chunk's computation has ended.  Every
+    entry point below — single-round, multi-round, multi-load, and the
+    faulted executor of {!Faults} — is this one loop with a different
+    operation list or duration function.  Per-operation noise hooks
+    model the gap between the linear cost model and a real cluster. *)
 
 type noise = {
   comm : worker:int -> float -> float;
@@ -71,34 +75,11 @@ val execute : ?noise:noise -> ?protocol:protocol -> Dls.Platform.t -> plan -> Tr
 (** [makespan ?noise ?protocol platform plan] is the trace's makespan. *)
 val makespan : ?noise:noise -> ?protocol:protocol -> Dls.Platform.t -> plan -> float
 
-(** {1 Chunked (multi-round) campaigns} *)
+(** {1 Port-operation plans} *)
 
-type chunked_plan = {
-  chunk_sends : (int * float) list;
-      (** (worker, load) in the master's sending order *)
-  chunk_returns : (int * float) list;
-      (** (worker, load) in return order; the j-th return of a worker
-          carries its j-th received chunk's results *)
-}
-
-(** [plan_of_multiround s] extracts the chunk structure of a multi-round
-    LP solution (zero-size chunks are dropped).
-    @raise Invalid_argument when the solution uses latencies — the
-    simulator implements the linear cost model. *)
-val plan_of_multiround : Dls.Multiround.solved -> chunked_plan
-
-(** [execute_chunked ?noise platform plan] runs a multi-round campaign:
-    sends back-to-back in order, per-worker in-order chunk processing,
-    then the one-port return chain.  Used to cross-validate
-    {!Dls.Multiround} — without noise the makespan equals the LP
-    horizon. *)
-val execute_chunked : ?noise:noise -> Dls.Platform.t -> chunked_plan -> Trace.t
-
-(** {1 Multi-load batches} *)
-
-(** One master-port operation of a multi-load batch, in port order. *)
+(** One master-port operation, in port order. *)
 type multi_op = {
-  op_load : int;  (** workload load index *)
+  op_load : int;  (** workload load index ([0] outside multi-load batches) *)
   op_worker : int;  (** platform worker index *)
   op_kind : kind;
   op_amount : float;  (** chunk size, load units *)
@@ -111,16 +92,49 @@ and kind = Op_send | Op_return
 
 type multi_plan = { ops : multi_op list  (** in the port's activity order *) }
 
+(** [ops_of_plan platform plan] lists a single-round plan's operations:
+    the sends of the loaded workers in [sigma1] order, then their
+    returns in [sigma2] order. *)
+val ops_of_plan : Dls.Platform.t -> plan -> multi_plan
+
+(** [plan_of_multiround s] lists a multi-round LP solution's chunks
+    (zero-size chunks are dropped): every send in round order, then the
+    returns in the same order, the [j]-th return of a worker carrying
+    its [j]-th chunk.  Without noise the makespan equals the LP horizon.
+    @raise Dls.Errors.Error when the solution uses latencies — the
+    simulator implements the linear cost model. *)
+val plan_of_multiround : Dls.Multiround.solved -> multi_plan
+
 (** [plan_of_batch b] linearizes a batch LP solution into its port
     operation sequence (zero-size chunks are dropped; the LP's event
     dates induce the order). *)
 val plan_of_batch : Dls.Steady_state.batch -> multi_plan
 
-(** [execute_multi ?noise platform plan] replays the batch eagerly:
-    each port operation starts as soon as the master is free, the data
-    is released, and (for returns) the chunk's computation — which a
-    worker runs in arrival order — has ended.  Without noise the
-    resulting makespan equals the batch LP's: the eager schedule is the
-    componentwise-earliest one compatible with the port order, and the
-    LP already minimizes over that set. *)
+(** [execute_multi ?noise platform plan] runs an operation list in its
+    order, each operation as early as the port, its release and (for a
+    return) its chunk's computation allow.  Without noise a batch
+    plan's makespan equals the batch LP's: the earliest schedule
+    compatible with the port order is componentwise minimal, and the LP
+    already minimizes over that set.
+    @raise Dls.Errors.Error on an operation naming a worker outside the
+    platform, a negative/NaN/infinite amount or duration, or a return
+    without a sent chunk. *)
 val execute_multi : ?noise:noise -> Dls.Platform.t -> multi_plan -> Trace.t
+
+(** {1 The executor} *)
+
+(** [run ?start ?protocol ~finish platform plan] is the one executor
+    behind every entry point: the port is free from [start] (default
+    [0.]), and [finish op phase t] is the completion date of [op]'s
+    [phase] ([Send], [Compute] of a sent chunk, or [Return]) started at
+    [t].  [None] means the phase never completes: the chunk's result is
+    lost and the master skips its return at once, without holding the
+    port.  The plan is validated first, with the errors of
+    {!execute_multi}. *)
+val run :
+  ?start:float ->
+  ?protocol:protocol ->
+  finish:(multi_op -> Trace.kind -> float -> float option) ->
+  Dls.Platform.t ->
+  multi_plan ->
+  (Trace.t, Dls.Errors.t) result

@@ -165,7 +165,7 @@ let prop_multiround_simulation_matches_lp =
       | Dls.Multiround.Too_slow -> QCheck2.Test.fail_reportf "unexpected Too_slow"
       | Dls.Multiround.Solved s ->
         let plan = Sim.Star.plan_of_multiround s in
-        let trace = Sim.Star.execute_chunked platform plan in
+        let trace = Sim.Star.execute_multi platform plan in
         if Float.abs (trace.Sim.Trace.makespan -. 1.0) > 1e-6 then
           QCheck2.Test.fail_reportf "makespan %.9f, expected 1.0"
             trace.Sim.Trace.makespan

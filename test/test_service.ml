@@ -1284,6 +1284,43 @@ let test_server_brownout () =
               (Q.to_string r.P.rho))
         answers)
 
+(* A faulted [simulate] reports the exact re-planner's completed load.
+   The LP schedule meets its deadline exactly, so a float trace checked
+   against a float deadline drops whole returns on one ulp of rounding
+   (this request used to answer achieved=49.51 against the exact
+   302450005/4134842 = 73.15). *)
+let test_server_faulted_simulate_exact () =
+  let line =
+    "simulate 1/10:1:1/20,1/5:2:1/10,1/3:1:1/6 order=fifo items=100 \
+     faults=crash:2:1/20"
+  in
+  let req =
+    match P.parse_request ~line:1 line with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "parse: %s" (Dls.Errors.to_string e)
+  in
+  let r = match req with P.Simulate r -> r | _ -> Alcotest.fail "not a simulate" in
+  let faults = Option.get r.P.m_faults in
+  let load = Q.of_int r.P.m_items in
+  let outcome =
+    Dls.Replan.respond_exn faults (Dls.Fifo.optimal r.P.m_platform) ~load
+  in
+  let done_ = outcome.Dls.Replan.achieved.Dls.Replan.done_by_deadline in
+  with_server Fun.id (fun server ->
+      match
+        Service.Client.with_client (Service.Server.address server) (fun cl ->
+            request_ok cl req)
+      with
+      | Error e -> Alcotest.failf "client: %s" (Dls.Errors.to_string e)
+      | Ok (P.Ok_simulate s) ->
+        Alcotest.(check (option (float 0.0)))
+          "achieved" (Some (Q.to_float done_)) s.P.achieved;
+        Alcotest.(check (option (float 0.0)))
+          "achieved_ratio"
+          (Some (Q.to_float (Q.div done_ load)))
+          s.P.achieved_ratio
+      | Ok resp -> Alcotest.failf "unexpected reply %s" (P.response_to_string resp))
+
 let test_server_journal_warm_restart () =
   Dls.Lp_model.reset_cache ();
   let journal = tmp_journal () in
@@ -1880,6 +1917,8 @@ let () =
           Alcotest.test_case "brownout downgrade" `Quick test_server_brownout;
           Alcotest.test_case "journal warm restart" `Quick
             test_server_journal_warm_restart;
+          Alcotest.test_case "faulted simulate achieved is exact" `Quick
+            test_server_faulted_simulate_exact;
         ] );
       ( "resilient",
         [
