@@ -1704,6 +1704,318 @@ let test_protocol_backcompat_lines () =
   | _ -> Alcotest.fail "old draining line did not parse"
 
 (* ------------------------------------------------------------------ *)
+(* Pinned wire bytes                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* fixtures/pinned_protocol.txt holds the wire as the hand-written codec
+   rendered and parsed it, recorded before the codec became loops over
+   per-verb field tables.  Each line is a tag and a payload:
+   - [R]/[S]: a rendered request/response — the samples above, then a
+     seeded draw covering every verb, every optional field present and
+     absent, and a pre-resilience health line;
+   - [E]: a rejected request line (%S-escaped) and the [error parse]
+     rendering of its error — the error-position, huge-exponent and
+     platform-spec-hardening inputs;
+   - [P]: a platform spec (%S-escaped) rejected by the spec parser on
+     its own, and its error;
+   - [M]: a mutated line (%S-escaped) and what [parse_request] and
+     [parse_response] make of it, re-rendered, so every parse error's
+     line, column and message is pinned too.
+   The fixture is never regenerated to make a change pass; its lines are
+   printed by [test_service.exe --print-pinned FILE]. *)
+
+let pinned_protocol_fixture =
+  let here = "fixtures/pinned_protocol.txt" in
+  if Sys.file_exists here then here else Filename.concat "test" here
+
+let pick st a = a.(Random.State.int st (Array.length a))
+let draw_q st = Q.of_ints (1 + Random.State.int st 1000) (1 + Random.State.int st 64)
+let draw_q0 st = if Random.State.int st 4 = 0 then Q.zero else draw_q st
+let draw_opt st f = if Random.State.bool st then Some (f st) else None
+let draw_qs st n = Array.init n (fun _ -> draw_q0 st)
+
+(* Every seventh platform has p = 11; z-uniform ones cycle through
+   z < 1, z = 1 and z > 1. *)
+let draw_platform st =
+  let n = if Random.State.int st 7 = 0 then 11 else 1 + Random.State.int st 4 in
+  if Random.State.bool st then
+    Dls.Platform.with_return_ratio
+      ~z:(pick st [| Q.of_ints 1 2; Q.one; Q.of_ints 3 2 |])
+      (List.init n (fun _ -> (draw_q st, draw_q st)))
+  else
+    Dls.Platform.make_exn
+      (List.init n (fun i ->
+           Dls.Platform.worker ~name:(Printf.sprintf "P%d" (i + 1)) ~c:(draw_q st)
+             ~w:(draw_q st) ~d:(draw_q0 st) ()))
+
+let draw_faults st =
+  Dls.Faults.make_exn
+    (List.init (Random.State.int st 3) (fun _ ->
+         let worker = Random.State.int st 4 in
+         let factor = Q.add Q.one (draw_q0 st) in
+         match Random.State.int st 4 with
+         | 0 -> Dls.Faults.Slowdown { worker; factor; from_ = draw_q0 st }
+         | 1 -> Dls.Faults.Degrade { worker; factor; from_ = draw_q0 st }
+         | 2 -> Dls.Faults.Crash { worker; at = draw_q0 st }
+         | _ -> Dls.Faults.Stall { worker; at = draw_q0 st; duration = draw_q st }))
+
+let draw_policy st =
+  pick st [| Dls.Replan.Resolve; Dls.Replan.Drop_faulty; Dls.Replan.Margin (draw_q0 st) |]
+
+let draw_order st = pick st [| P.Fifo; P.Lifo |]
+
+let draw_request st =
+  match Random.State.int st 7 with
+  | 0 ->
+    P.Solve
+      {
+        s_platform = draw_platform st;
+        s_order = draw_order st;
+        s_model = pick st [| Dls.Lp_model.One_port; Dls.Lp_model.Two_port |];
+        s_fast = Random.State.bool st;
+        s_load = draw_opt st draw_q;
+      }
+  | 1 ->
+    let u_mode = pick st [| P.Steady; P.Batch |] in
+    P.Solve_multi
+      {
+        u_platform = draw_platform st;
+        u_workload =
+          Check.Fuzz.gen_workload st (pick st (Array.of_list Check.Fuzz.all_regimes));
+        u_mode;
+        u_depth =
+          (if u_mode = P.Batch then draw_opt st (fun st -> Random.State.int st 4) else None);
+      }
+  | 2 ->
+    P.Simulate
+      {
+        m_platform = draw_platform st;
+        m_order = draw_order st;
+        m_items = 1 + Random.State.int st 5000;
+        m_faults = draw_opt st draw_faults;
+        m_replan =
+          (match Random.State.int st 3 with
+          | 0 -> P.Replan_none
+          | 1 -> P.Replan_auto
+          | _ -> P.Replan_policy (draw_policy st));
+      }
+  | 3 -> P.Check (draw_platform st)
+  | 4 -> P.Stats
+  | 5 -> P.Health
+  | _ -> P.Hello
+
+let draw_float st =
+  match Random.State.int st 4 with
+  | 0 -> float (Random.State.int st 100_000)
+  | 1 -> Random.State.float st 1.0
+  | 2 -> Random.State.float st 1e7
+  | _ -> ldexp (Random.State.float st 1.0) (Random.State.int st 100 - 50)
+
+let draw_words st =
+  String.concat " "
+    (List.init
+       (1 + Random.State.int st 4)
+       (fun _ -> pick st [| "load"; "must"; "be"; "positive"; "x=1"; "\"P3\""; "worker"; "3/4" |]))
+
+(* An [ok solve] drawn from the exact optimum of a drawn platform (every
+   third one p = 11), or from plain random rationals. *)
+let draw_solve_rep st =
+  if Random.State.bool st then
+    let n = if Random.State.int st 3 = 0 then 11 else 2 + Random.State.int st 3 in
+    let p =
+      Dls.Platform.with_return_ratio
+        ~z:(pick st [| Q.of_ints 1 2; Q.one; Q.of_ints 3 2 |])
+        (List.init n (fun _ -> (draw_q st, draw_q st)))
+    in
+    let sol = Dls.Fifo.optimal p in
+    {
+      P.rho = sol.Dls.Lp_model.rho;
+      sigma1 = Dls.Fifo.order p;
+      alpha = sol.Dls.Lp_model.alpha;
+      idle = sol.Dls.Lp_model.idle;
+      makespan =
+        draw_opt st (fun st -> Dls.Lp_model.time_for_load sol ~load:(draw_q st));
+    }
+  else
+    let n = 1 + Random.State.int st 5 in
+    {
+      P.rho = draw_q st;
+      sigma1 = Array.init n (fun _ -> Random.State.int st n);
+      alpha = draw_qs st n;
+      idle = draw_qs st n;
+      makespan = draw_opt st draw_q;
+    }
+
+let draw_response st =
+  let int () = Random.State.int st 100_000 in
+  match Random.State.int st 12 with
+  | 0 -> P.Ok_solve (draw_solve_rep st)
+  | 1 ->
+    let mm_mode = pick st [| P.Steady; P.Batch |] in
+    let loads = 1 + Random.State.int st 3 and n = 1 + Random.State.int st 4 in
+    P.Ok_multi
+      {
+        mm_mode;
+        mm_value = draw_q st;
+        mm_throughput = draw_q st;
+        mm_depth = draw_opt st (fun st -> Random.State.int st 4);
+        mm_alloc = Array.init loads (fun _ -> draw_qs st n);
+      }
+  | 2 ->
+    P.Ok_simulate
+      {
+        sim_makespan = draw_float st;
+        lp_makespan = draw_float st;
+        sim_valid = Random.State.bool st;
+        achieved = draw_opt st draw_float;
+        achieved_ratio = draw_opt st draw_float;
+        replanned =
+          draw_opt st (fun st -> Dls.Replan.policy_to_string (draw_policy st));
+      }
+  | 3 -> P.Ok_check { check_ok = Random.State.bool st; violations = int () }
+  | 4 ->
+    P.Ok_stats
+      (P.stats_of ~count:(fun _ -> int ()) ~seconds:(fun _ -> draw_float st))
+  | 5 ->
+    P.Ok_health
+      {
+        healthy = Random.State.bool st;
+        draining = Random.State.bool st;
+        h_mode = pick st [| P.Mode_healthy; P.Mode_degraded; P.Mode_draining |];
+        h_uptime_s = draw_float st;
+        h_queue_depth = int ();
+        h_capacity = int ();
+        h_workers = int ();
+      }
+  | 6 ->
+    P.Ok_hello
+      {
+        server_version = int ();
+        server_min_version = int ();
+        server_verbs = List.filter (fun _ -> Random.State.bool st) P.verbs;
+      }
+  | 7 -> P.Overloaded { depth = int (); capacity = int () }
+  | 8 -> P.Timed_out { budget = draw_float st }
+  | 9 -> P.Shed { wait = draw_float st; budget = draw_float st }
+  | 10 ->
+    P.Unsupported
+      { verb = pick st [| "frobnicate"; "solve2"; "trace" |]; server_version = int () }
+  | _ ->
+    P.Failed
+      (match Random.State.int st 5 with
+      | 0 -> Dls.Errors.Unbounded
+      | 1 -> Dls.Errors.Infeasible
+      | 2 -> Dls.Errors.Invalid_scenario (draw_words st)
+      | 3 -> Dls.Errors.Io_error (draw_words st)
+      | _ ->
+        Dls.Errors.Parse_error
+          { file = None; line = 1 + int (); col = 1 + int (); msg = draw_words st })
+
+let pre_resilience_health =
+  "ok health healthy=false draining=false uptime_s=2.5 queue=0 capacity=64 workers=4"
+
+let outcome_to_string render = function
+  | Ok r -> render r
+  | Error e -> P.response_to_string (P.Failed e)
+
+let rejected_requests =
+  [
+    "frobnicate 1:1:1";
+    "solve 1:1";
+    "solve 1:1:1,2:x:1";
+    "solve 1:1:1 order=sideways";
+    "solve 1:1:1 load=-3";
+    "solve 1:1:1 banana=7";
+    "simulate 1:1:1 items=0";
+    "simulate 1:1:1 faults=crash:0";
+    "check 1:1:1 extra=1";
+    "stats now";
+    "";
+    "solve 1:1e2000000:1,2:3:4";
+    "solve 1:1:1 load=1e-99999999999999999999";
+  ]
+  @ List.map
+      (fun spec -> "check " ^ spec)
+      [ "1:2:1/2,"; ",1:2:1/2"; "1::1/2"; "1:2:"; "1:2" ]
+
+(* The platform-spec parser, called on its own. *)
+let platform_of_spec = P.platform_of_spec
+
+let rejected_specs =
+  [ "1:2:1/2,"; ",1:2:1/2"; "1:2:1/2, ,2:3:1"; "1::1/2"; "1:2:"; "1:2"; " "; "1:2:3, 4:x:6" ]
+
+let pinned_protocol_lines () =
+  let st = Random.State.make [| 2026; 10; 26 |] in
+  let requests =
+    sample_requests () @ [ P.Hello ] @ List.init 300 (fun _ -> draw_request st)
+  in
+  let responses = sample_responses () @ List.init 300 (fun _ -> draw_response st) in
+  let req_lines = List.map P.request_to_string requests in
+  let rep_lines =
+    List.map P.response_to_string responses
+    @ [
+        outcome_to_string P.response_to_string
+          (P.parse_response pre_resilience_health);
+      ]
+  in
+  let errors =
+    List.map
+      (fun s ->
+        Printf.sprintf "E %S %s" s
+          (outcome_to_string P.request_to_string (P.parse_request ~line:3 s)))
+      rejected_requests
+  in
+  let specs =
+    List.map
+      (fun s ->
+        Printf.sprintf "P %S %s" s
+          (outcome_to_string (fun _ -> "accepted") (platform_of_spec ~line:4 ~col:9 s)))
+      rejected_specs
+  in
+  let alphabet = "0123456789/-.,:;=#solvecheckstamulathfqropidxyz overloadtimeru\t" in
+  let mutate line =
+    let n = String.length line in
+    match Random.State.int st 3 with
+    | 0 -> String.sub line 0 (Random.State.int st (n + 1))
+    | 1 ->
+      let i = Random.State.int st (max n 1) in
+      String.mapi (fun j ch -> if j = i then pick st (Array.init (String.length alphabet) (String.get alphabet)) else ch) line
+    | _ ->
+      let i = Random.State.int st (n + 1) in
+      String.sub line 0 i ^ " " ^ String.sub line i (n - i)
+  in
+  let mutations =
+    List.concat_map
+      (fun line ->
+        List.init 4 (fun _ ->
+            let s = mutate line in
+            Printf.sprintf "M %S %s | %s" s
+              (outcome_to_string P.request_to_string (P.parse_request ~line:2 s))
+              (outcome_to_string P.response_to_string (P.parse_response s))))
+      (List.filteri (fun i _ -> i mod 3 = 0) (req_lines @ rep_lines))
+  in
+  List.map (( ^ ) "R ") req_lines @ List.map (( ^ ) "S ") rep_lines @ errors @ specs @ mutations
+
+let test_pinned_protocol () =
+  let want =
+    In_channel.with_open_text pinned_protocol_fixture In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let got = pinned_protocol_lines () in
+  Alcotest.(check int) "line count" (List.length want) (List.length got);
+  List.iter2 (fun w g -> check_str "pinned wire bytes" w g) want got;
+  (* the rendered lines also parse back to themselves *)
+  List.iter
+    (fun l ->
+      let tag = String.sub l 0 2 and line = String.sub l 2 (String.length l - 2) in
+      if tag = "R " then
+        check_str "request re-renders" line
+          (outcome_to_string P.request_to_string (P.parse_request ~line:1 line))
+      else if tag = "S " then
+        check_str "response re-renders" line
+          (outcome_to_string P.response_to_string (P.parse_response line)))
+    want
 
 (* ------------------------------------------------------------------ *)
 (* Endpoint: the socket front end of the daemon, router and proxy      *)
@@ -1846,6 +2158,10 @@ let test_endpoint_stale_path_reclaimed () =
   check "socket unlinked" false (Sys.file_exists path)
 
 let () =
+  if Array.length Sys.argv > 2 && Sys.argv.(1) = "--print-pinned" then
+    Out_channel.with_open_text Sys.argv.(2) (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) (pinned_protocol_lines ()))
+  else
   Alcotest.run "service"
     [
       ( "protocol",
@@ -1862,6 +2178,8 @@ let () =
           Alcotest.test_case "pre-resilience lines still parse" `Quick
             test_protocol_backcompat_lines;
         ] );
+      ( "protocol pinned",
+        [ Alcotest.test_case "wire bytes and errors" `Quick test_pinned_protocol ] );
       ( "wire",
         [
           Alcotest.test_case "byte-at-a-time framing" `Quick
