@@ -25,23 +25,13 @@ open Cmdliner
 (* Platform specifications                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* "c:w:d,c:w:d,..." with rational components ("1/2", "0.25", "3"). *)
-let parse_spec s =
-  let parse_worker i part =
-    match String.split_on_char ':' (String.trim part) with
-    | [ c; w; d ] ->
-      Dls.Platform.worker
-        ~name:(Printf.sprintf "P%d" (i + 1))
-        ~c:(Q.of_string c) ~w:(Q.of_string w) ~d:(Q.of_string d) ()
-    | _ -> failwith (Printf.sprintf "worker %d: expected c:w:d, got %S" (i + 1) part)
-  in
-  Dls.Platform.make_exn (List.mapi parse_worker (String.split_on_char ',' s))
-
+(* "c:w:d,c:w:d,..." with rational components ("1/2", "0.25", "3"),
+   parsed as the wire protocol parses it. *)
 let platform_conv =
   let parse s =
-    match parse_spec s with
-    | p -> Ok p
-    | exception (Failure msg | Invalid_argument msg) -> Error (`Msg msg)
+    Result.map_error
+      (fun e -> `Msg (Dls.Errors.to_string e))
+      (Dls.Platform.of_spec ~line:1 ~col:1 s)
   in
   let print fmt p = Dls.Platform.pp fmt p in
   Arg.conv (parse, print)

@@ -127,43 +127,14 @@ let to_spec d =
 let of_spec ?file ~line ~col s =
   let ( let* ) = Result.bind in
   let err ~off fmt = Errors.parse_error ?file ~line ~col:(col + off) fmt in
-  (* Split [str] on [sep], keeping each part's offset into [s], with
-     surrounding blanks trimmed (offsets adjusted).  A part left empty
-     by the trim is a stray separator — rejected with its position. *)
-  let split_offsets sep off str =
-    let parts = String.split_on_char sep str in
-    let _, with_off =
-      List.fold_left
-        (fun (o, acc) part ->
-          (o + String.length part + 1, (o, part) :: acc))
-        (off, []) parts
-    in
-    List.rev_map
-      (fun (o, part) ->
-        let n = String.length part in
-        let i = ref 0 in
-        while !i < n && (part.[!i] = ' ' || part.[!i] = '\t') do
-          incr i
-        done;
-        let j = ref (n - 1) in
-        while !j >= !i && (part.[!j] = ' ' || part.[!j] = '\t') do
-          decr j
-        done;
-        (o + !i, String.sub part !i (!j - !i + 1)))
-      with_off
-  in
-  let rational ~off txt =
-    match Q.of_string txt with
-    | q -> Ok q
-    | exception _ -> err ~off "not a rational: %S" txt
-  in
+  let rational ~off text = Text_format.rational ?file ~line { text; col = col + off } in
   let index ~off txt =
     match int_of_string_opt txt with
     | Some i when i >= 1 -> Ok (i - 1)
     | _ -> err ~off "not a 1-based worker index: %S" txt
   in
   let parse_change (off, part) =
-    match split_offsets ':' off part with
+    match Text_format.fields ~off ':' part with
     | (_, "") :: _ -> err ~off "empty delta change (stray ',' separator?)"
     | [ (_, "comm"); (oi, i); (ofc, f) ] ->
       let* worker = index ~off:oi i in
@@ -205,7 +176,7 @@ let of_spec ?file ~line ~col s =
       collect (ch :: acc) rest
   in
   if String.trim s = "" then err ~off:0 "empty delta spec"
-  else collect [] (split_offsets ',' 0 s)
+  else collect [] (Text_format.fields ',' s)
 
 let of_spec_exn ?file ~line ~col s = Errors.get_exn (of_spec ?file ~line ~col s)
 

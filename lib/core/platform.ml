@@ -69,6 +69,46 @@ let sorted_indices_by p f =
     idx;
   idx
 
+let to_spec p =
+  String.concat ","
+    (Array.to_list
+       (Array.map
+          (fun wk ->
+            String.concat ":" (List.map Q.to_string [ wk.c; wk.w; wk.d ]))
+          p.workers))
+
+let of_spec ?file ~line ~col s =
+  let ( let* ) = Result.bind in
+  let err ~off fmt = Errors.parse_error ?file ~line ~col:(col + off) fmt in
+  let rational ~off text = Text_format.rational ?file ~line { text; col = col + off } in
+  let parse_worker i (off, part) =
+    match Text_format.fields ~off ':' part with
+    | [ (oc, c); (ow, w); (od, d) ] when c <> "" && w <> "" && d <> "" -> (
+      let* c = rational ~off:oc c in
+      let* w = rational ~off:ow w in
+      let* d = rational ~off:od d in
+      match worker ~name:(Printf.sprintf "P%d" (i + 1)) ~c ~w ~d () with
+      | wk -> Ok wk
+      | exception Invalid_argument msg -> err ~off "%s" msg)
+    | _ when part = "" -> err ~off "empty worker spec (stray ',' separator?)"
+    | fields -> (
+      match List.find_opt (fun (_, f) -> f = "") fields with
+      | Some (o, _) -> err ~off:o "empty field in worker spec (stray ':' separator?)"
+      | None -> err ~off "expected c:w:d, got %S" part)
+  in
+  let rec collect i acc = function
+    | [] -> Ok (List.rev acc)
+    | part :: rest ->
+      let* wk = parse_worker i part in
+      collect (i + 1) (wk :: acc) rest
+  in
+  if String.trim s = "" then err ~off:0 "empty platform spec"
+  else
+    let* workers = collect 0 [] (Text_format.fields ',' s) in
+    match make workers with
+    | Error (Errors.Invalid_scenario msg) -> err ~off:0 "%s" msg
+    | r -> r
+
 let pp fmt p =
   Format.fprintf fmt "@[<v>";
   Array.iter

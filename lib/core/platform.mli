@@ -68,4 +68,21 @@ val restrict : t -> int array -> t
     non-decreasing order, stable w.r.t. the original order. *)
 val sorted_indices_by : t -> (worker -> Q.t) -> int array
 
+(** {2 Text form}
+
+    The compact spec [c:w:d,...] — e.g. [1:1:1/2,1/2:2:1/4] — used by
+    the wire protocol and the CLI's [--platform]; blanks around fields
+    are allowed.  {!Workload.of_spec} and {!Delta.of_spec} follow the
+    same conventions. *)
+
+(** [of_spec ~line ~col s] parses the compact form; error positions are
+    relative to [col], the column where the spec starts, and point at
+    the offending field.  Workers are named [P1..Pn].  Never raises. *)
+val of_spec :
+  ?file:string -> line:int -> col:int -> string -> (t, Errors.t) result
+
+(** [to_spec p] renders the canonical spec: {!of_spec} inverts it, up to
+    worker names. *)
+val to_spec : t -> string
+
 val pp : Format.formatter -> t -> unit

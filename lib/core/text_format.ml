@@ -24,14 +24,26 @@ let tokens line =
   done;
   List.rev !toks
 
-let rational ~line (tok : token) =
+let rational ?file ~line (tok : token) =
   (* [Q.of_string] raises [Invalid_argument] on a malformed numeral or
      a decimal exponent beyond +-1000, and [Division_by_zero] on "1/0";
      normalize both into a positioned parse error. *)
   match Numeric.Rational.of_string tok.text with
   | q -> Ok q
   | exception (Invalid_argument _ | Division_by_zero) ->
-    Errors.parse_error ~line ~col:tok.col "not a rational: %S" tok.text
+    Errors.parse_error ?file ~line ~col:tok.col "not a rational: %S" tok.text
+
+let fields ?(off = 0) sep s =
+  let blank ch = ch = ' ' || ch = '\t' in
+  let rec go start acc =
+    let stop = Option.value (String.index_from_opt s start sep) ~default:(String.length s) in
+    let i = ref start and j = ref stop in
+    while !i < !j && blank s.[!i] do incr i done;
+    while !j > !i && blank s.[!j - 1] do decr j done;
+    let acc = (off + !i, String.sub s !i (!j - !i)) :: acc in
+    if stop = String.length s then List.rev acc else go (stop + 1) acc
+  in
+  go 0 []
 
 let int ~line (tok : token) =
   match int_of_string_opt tok.text with

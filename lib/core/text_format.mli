@@ -12,7 +12,15 @@ val tokens : string -> token list
 (** [rational ~line tok] parses the token as an exact rational,
     reporting a positioned {!Errors.Parse_error} on malformed input
     (including ["1/0"]). *)
-val rational : line:int -> token -> (Numeric.Rational.t, Errors.t) result
+val rational :
+  ?file:string -> line:int -> token -> (Numeric.Rational.t, Errors.t) result
+
+(** [fields ?off sep s] splits [s] on [sep] for the compact [a:b:c,...]
+    specs: each part with its surrounding blanks trimmed, paired with the
+    0-based offset in [s] (plus [off]) where the trimmed part starts.  A
+    part left empty is a stray separator, which the spec parsers report
+    at that offset. *)
+val fields : ?off:int -> char -> string -> (int * string) list
 
 (** [int ~line tok] parses the token as an OCaml int. *)
 val int : line:int -> token -> (int, Errors.t) result

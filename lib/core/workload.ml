@@ -75,38 +75,7 @@ let key w = to_spec w
 
 let of_spec ?file ~line ~col s =
   let ( let* ) = Result.bind in
-  let rational ~off txt =
-    match Q.of_string txt with
-    | q -> Ok q
-    | exception _ ->
-      Errors.parse_error ?file ~line ~col:(col + off) "not a rational: %S" txt
-  in
-  (* split keeping each part's offset in [s], surrounding blanks trimmed
-     (offsets adjusted); a part left empty by the trim is a stray
-     separator, reported at its exact position instead of as a generic
-     "not a rational" / shape error *)
-  let split_offsets sep str =
-    let parts = String.split_on_char sep str in
-    let _, with_off =
-      List.fold_left
-        (fun (off, acc) part ->
-          (off + String.length part + 1, (off, part) :: acc))
-        (0, []) parts
-    in
-    List.rev_map
-      (fun (off, part) ->
-        let n = String.length part in
-        let i = ref 0 in
-        while !i < n && (part.[!i] = ' ' || part.[!i] = '\t') do
-          incr i
-        done;
-        let j = ref (n - 1) in
-        while !j >= !i && (part.[!j] = ' ' || part.[!j] = '\t') do
-          decr j
-        done;
-        (off + !i, String.sub part !i (!j - !i + 1)))
-      with_off
-  in
+  let rational ~off text = Text_format.rational ?file ~line { text; col = col + off } in
   let build ~off i ~size ~release ~z =
     match load ~name:(Printf.sprintf "L%d" (i + 1)) ~release ?z ~size () with
     | l -> Ok l
@@ -114,16 +83,16 @@ let of_spec ?file ~line ~col s =
       Errors.parse_error ?file ~line ~col:(col + off) "%s" msg
   in
   let parse_load i (off, part) =
-    match split_offsets ':' part with
+    match Text_format.fields ~off ':' part with
     | [ (os, sz); (orl, rl) ] when sz <> "" && rl <> "" ->
-      let* size = rational ~off:(off + os) sz in
-      let* release = rational ~off:(off + orl) rl in
+      let* size = rational ~off:os sz in
+      let* release = rational ~off:orl rl in
       build ~off i ~size ~release ~z:None
     | [ (os, sz); (orl, rl); (oz, zs) ] when sz <> "" && rl <> "" && zs <> ""
       ->
-      let* size = rational ~off:(off + os) sz in
-      let* release = rational ~off:(off + orl) rl in
-      let* z = rational ~off:(off + oz) zs in
+      let* size = rational ~off:os sz in
+      let* release = rational ~off:orl rl in
+      let* z = rational ~off:oz zs in
       build ~off i ~size ~release ~z:(Some z)
     | fields ->
       if part = "" then
@@ -132,7 +101,7 @@ let of_spec ?file ~line ~col s =
       else (
         match List.find_opt (fun (_, f) -> f = "") fields with
         | Some (o, _) ->
-          Errors.parse_error ?file ~line ~col:(col + off + o)
+          Errors.parse_error ?file ~line ~col:(col + o)
             "empty field in load spec (stray ':' separator?)"
         | None ->
           Errors.parse_error ?file ~line ~col:(col + off)
@@ -147,7 +116,7 @@ let of_spec ?file ~line ~col s =
   if String.trim s = "" then
     Errors.parse_error ?file ~line ~col "empty workload spec"
   else
-    let* loads = collect 0 [] (split_offsets ',' s) in
+    let* loads = collect 0 [] (Text_format.fields ',' s) in
     match make loads with
     | Ok w -> Ok w
     | Error (Errors.Invalid_scenario msg) ->

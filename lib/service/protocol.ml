@@ -43,9 +43,6 @@ type request =
 let version = 2
 let min_version = 1
 
-let verbs =
-  [ "solve"; "solve-multi"; "simulate"; "check"; "stats"; "health"; "hello" ]
-
 type solve_rep = {
   rho : Q.t;
   sigma1 : int array;
@@ -143,7 +140,48 @@ type response =
 let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------------ *)
-(* Scalar rendering                                                    *)
+(* Value kinds                                                         *)
+
+(* Every value a request option or a response field can carry; [show]
+   and [read] below are the codec, one arm per kind.  Parse error
+   positions and wording are pinned by test_service's "protocol
+   pinned". *)
+
+type bound = Any | Positive | Non_negative
+
+type _ kind =
+  | Rational : bound -> Q.t kind
+  | Int : bound -> int kind
+  | Bool : bool kind
+  | Float : float kind
+  | Word : string kind
+  | Order : order kind
+  | Model : Dls.Lp_model.model kind
+  | Mode : multi_mode kind
+  | Health : health_mode kind
+  | Recovery : replan kind
+  | Fault_plan : Dls.Faults.plan kind
+  | Platform_spec : Dls.Platform.t kind
+  | Workload_spec : Dls.Workload.t kind
+  | Q_list : Q.t array kind
+  | Int_list : int array kind
+  | Alloc : Q.t array array kind
+  | Verbs : string list kind
+  | Opt : 'a kind -> 'a option kind
+
+type 'r absent = Required | Seed | Derived of ('r -> 'r) | Only_if of ('r -> bool)
+
+type 'r field =
+  | Field : {
+      name : string;
+      kind : 'a kind;
+      absent : 'r absent;
+      get : 'r -> 'a;
+      set : 'r -> 'a -> 'r;
+    }
+      -> 'r field
+
+let field name kind absent get set = Field { name; kind; absent; get; set }
 
 (* Shortest decimal form that parses back to the same float, so float
    fields survive a render/parse round trip bit-for-bit.  Non-finite
@@ -166,118 +204,156 @@ let float_str f =
       in
       go 6
 
-let bool_str b = if b then "true" else "false"
+let join sep f xs = String.concat sep (List.map f (Array.to_list xs))
 
-let mode_str = function
-  | Mode_healthy -> "healthy"
-  | Mode_degraded -> "degraded"
-  | Mode_draining -> "draining"
-let order_to_string = function Fifo -> "fifo" | Lifo -> "lifo"
+(* [faults=slowdown:2:3/2:1/4;crash:0:5/8] is the Faults text format
+   with [;] for newline and [:] for the field separator. *)
+let faults_to_inline plan =
+  String.concat ";"
+    (List.map
+       (fun f -> String.map (function ' ' -> ':' | ch -> ch) (Dls.Faults.fault_to_string f))
+       (Dls.Faults.faults plan))
 
-let model_to_string = function
-  | Dls.Lp_model.One_port -> "one-port"
-  | Dls.Lp_model.Two_port -> "two-port"
+(* The keyword kinds' spellings; the first one of a value is rendered. *)
+let bools = [ ("true", true); ("false", false); ("1", true); ("0", false) ]
+let orders = [ ("fifo", Fifo); ("lifo", Lifo) ]
 
-let replan_to_string = function
-  | Replan_none -> "none"
-  | Replan_auto -> "auto"
-  | Replan_policy p -> Dls.Replan.policy_to_string p
+let models =
+  Dls.Lp_model.[ ("one-port", One_port); ("two-port", Two_port); ("1p", One_port); ("2p", Two_port) ]
 
-let q_list qs = String.concat "," (List.map Q.to_string (Array.to_list qs))
-let int_list is = String.concat "," (List.map string_of_int (Array.to_list is))
-let mode_to_string = function Steady -> "steady" | Batch -> "batch"
+let modes = [ ("steady", Steady); ("batch", Batch) ]
+let healths = [ ("healthy", Mode_healthy); ("degraded", Mode_degraded); ("draining", Mode_draining) ]
+let spelling table v = fst (List.find (fun (_, x) -> x = v) table)
 
-(* Load-major allocation matrix: rows comma-joined, rows joined by ';'. *)
-let alloc_list rows =
-  String.concat ";" (List.map q_list (Array.to_list rows))
+(* [None] leaves the field off the line: an absent option, or an empty
+   fault plan. *)
+let rec show : type a. a kind -> a -> string option =
+ fun kind v ->
+  match kind with
+  | Rational _ -> Some (Q.to_string v)
+  | Int _ -> Some (string_of_int v)
+  | Bool -> Some (spelling bools v)
+  | Float -> Some (float_str v)
+  | Word -> Some v
+  | Order -> Some (spelling orders v)
+  | Model -> Some (spelling models v)
+  | Mode -> Some (spelling modes v)
+  | Health -> Some (spelling healths v)
+  | Recovery ->
+    Some
+      (match v with
+      | Replan_none -> "none"
+      | Replan_auto -> "auto"
+      | Replan_policy p -> Dls.Replan.policy_to_string p)
+  | Fault_plan -> if Dls.Faults.is_empty v then None else Some (faults_to_inline v)
+  | Platform_spec -> Some (Dls.Platform.to_spec v)
+  | Workload_spec -> Some (Dls.Workload.to_spec v)
+  | Q_list -> Some (join "," Q.to_string v)
+  | Int_list -> Some (join "," string_of_int v)
+  | Alloc -> Some (join ";" (join "," Q.to_string) v)
+  | Verbs -> Some (String.concat "," v)
+  | Opt k -> Option.bind v (show k)
 
-(* ------------------------------------------------------------------ *)
-(* Platform spec: c:w:d,c:w:d — the CLI's compact form, with positions *)
+(* Where a parse error is reported: [col] is added per token. *)
+type pos = { file : string option; line : int }
 
-let platform_to_spec p =
-  String.concat ","
-    (List.init (Dls.Platform.size p) (fun i ->
-         let wk = Dls.Platform.get p i in
-         Printf.sprintf "%s:%s:%s"
-           (Q.to_string wk.Dls.Platform.c)
-           (Q.to_string wk.Dls.Platform.w)
-           (Q.to_string wk.Dls.Platform.d)))
+let fail pos col fmt = E.parse_error ?file:pos.file ~line:pos.line ~col fmt
 
-(* [col] is where [s] starts on the line; sub-token error columns are
-   offsets into [s] added to it. *)
-let platform_of_spec ?file ~line ~col s =
-  let rational ~off txt =
-    match Q.of_string txt with
-    | q -> Ok q
-    | exception _ ->
-      E.parse_error ?file ~line ~col:(col + off) "not a rational: %S" txt
-  in
-  (* split keeping each part's offset in [s], surrounding blanks
-     trimmed (offsets adjusted) so "1:2 , 3:4:5" parses; a part left
-     empty by the trim is a stray separator, reported at its exact
-     position instead of as a generic shape error *)
-  let split_offsets sep str =
-    let parts = String.split_on_char sep str in
-    let _, with_off =
-      List.fold_left
-        (fun (off, acc) part ->
-          (off + String.length part + 1, (off, part) :: acc))
-        (0, []) parts
-    in
-    List.rev_map
-      (fun (off, part) ->
-        let n = String.length part in
-        let i = ref 0 in
-        while !i < n && (part.[!i] = ' ' || part.[!i] = '\t') do
-          incr i
-        done;
-        let j = ref (n - 1) in
-        while !j >= !i && (part.[!j] = ' ' || part.[!j] = '\t') do
-          decr j
-        done;
-        (off + !i, String.sub part !i (!j - !i + 1)))
-      with_off
-  in
-  let parse_worker i (off, part) =
-    match split_offsets ':' part with
-    | [ (oc, c); (ow, w); (od, d) ] when c <> "" && w <> "" && d <> "" ->
-      let* c = rational ~off:(off + oc) c in
-      let* w = rational ~off:(off + ow) w in
-      let* d = rational ~off:(off + od) d in
-      (match Dls.Platform.worker ~name:(Printf.sprintf "P%d" (i + 1)) ~c ~w ~d () with
-      | wk -> Ok wk
-      | exception Invalid_argument msg ->
-        E.parse_error ?file ~line ~col:(col + off) "%s" msg)
-    | fields ->
-      if part = "" then
-        E.parse_error ?file ~line ~col:(col + off)
-          "empty worker spec (stray ',' separator?)"
-      else (
-        match List.find_opt (fun (_, f) -> f = "") fields with
-        | Some (o, _) ->
-          E.parse_error ?file ~line ~col:(col + off + o)
-            "empty field in worker spec (stray ':' separator?)"
-        | None ->
-          E.parse_error ?file ~line ~col:(col + off) "expected c:w:d, got %S"
-            part)
-  in
-  let rec collect i acc = function
-    | [] -> Ok (List.rev acc)
-    | part :: rest ->
-      let* wk = parse_worker i part in
-      collect (i + 1) (wk :: acc) rest
-  in
-  if String.trim s = "" then
-    E.parse_error ?file ~line ~col "empty platform spec"
+let rational pos col v =
+  Dls.Text_format.rational ?file:pos.file ~line:pos.line { T.text = v; col }
+
+let int pos col v =
+  match int_of_string_opt v with
+  | Some n -> Ok n
+  | None -> fail pos col "not an integer: %S" v
+
+let list read sep v =
+  if v = "" then Ok [||]
   else
-    let* workers = collect 0 [] (split_offsets ',' s) in
-    match Dls.Platform.make workers with
-    | Ok p -> Ok p
-    | Error (E.Invalid_scenario msg) -> E.parse_error ?file ~line ~col "%s" msg
-    | Error e -> Error e
+    let* xs =
+      List.fold_left
+        (fun acc x ->
+          let* acc = acc in
+          let* x = read x in
+          Ok (x :: acc))
+        (Ok []) (String.split_on_char sep v)
+    in
+    Ok (Array.of_list (List.rev xs))
 
-(* ------------------------------------------------------------------ *)
-(* Request parsing                                                     *)
+let keyword pos col what table v =
+  match List.assoc_opt v table with
+  | Some x -> Ok x
+  | None -> fail pos col "expected %s, got %S" what v
+
+(* In a response, a bad value inside a list, or in an optional rational
+   or integer, is reported at column 1, not at its token: the pinned
+   fixture holds these positions. *)
+let at_column_one : type a. a kind -> bool = function
+  | Rational Any | Int Any -> true
+  | _ -> false
+
+(* [read kind pos ~name ~col v] parses the value [v] of field [name],
+   whose token starts at column [col]. *)
+let rec read : type a. a kind -> pos -> name:string -> col:int -> string -> (a, E.t) result =
+ fun kind pos ~name ~col v ->
+  let within bound sign x =
+    match bound with
+    | Positive when sign <= 0 -> fail pos col "%s must be positive" name
+    | Non_negative when sign < 0 -> fail pos col "%s must be non-negative" name
+    | _ -> Ok x
+  in
+  match kind with
+  | Rational bound ->
+    let* q = rational pos col v in
+    within bound (Q.sign q) q
+  | Int bound ->
+    let* n = int pos col v in
+    within bound (compare n 0) n
+  | Bool -> keyword pos col "true/false" bools v
+  | Float -> (
+    (* [float_of_string_opt] happily accepts "nan"/"inf"; protocol
+       floats are measurements for which a non-finite value can only be
+       an upstream bug, so it is rejected. *)
+    match float_of_string_opt v with
+    | Some f when Float.is_finite f -> Ok f
+    | Some _ -> fail pos col "non-finite float: %S" v
+    | None -> fail pos col "not a float: %S" v)
+  | Word -> Ok v
+  | Order -> keyword pos col "fifo/lifo" orders v
+  | Model -> keyword pos col "one-port/two-port" models v
+  | Mode -> keyword pos col "steady/batch" modes v
+  | Health -> (
+    match List.assoc_opt v healths with
+    | Some m -> Ok m
+    | None -> fail pos 1 "unknown health mode %S" v)
+  | Recovery -> (
+    match v with
+    | "none" -> Ok Replan_none
+    | "auto" -> Ok Replan_auto
+    | _ -> (
+      match Dls.Replan.policy_of_string v with
+      | Some p -> Ok (Replan_policy p)
+      | None -> fail pos col "unknown recovery policy %S" v))
+  | Fault_plan -> (
+    (* unpack into the Faults text format and reuse its parser; its
+       positions are in the unpacked text, so the error is reported at
+       the option token with the original message *)
+    match Dls.Faults.of_string (String.map (function ';' -> '\n' | ':' -> ' ' | ch -> ch) v) with
+    | Error (E.Parse_error { msg; _ }) -> fail pos col "bad fault plan: %s" msg
+    | r -> r)
+  | Platform_spec -> Dls.Platform.of_spec ?file:pos.file ~line:pos.line ~col v
+  | Workload_spec ->
+    (* positions inside the spec are relative to the value, which starts
+       after "name=" within the token *)
+    Dls.Workload.of_spec ?file:pos.file ~line:pos.line ~col:(col + String.length name + 1) v
+  | Q_list -> list (rational pos 1) ',' v
+  | Int_list -> list (int pos 1) ',' v
+  | Alloc -> list (list (rational pos 1) ',') ';' v
+  | Verbs -> Ok (if v = "" then [] else String.split_on_char ',' v)
+  | Opt k ->
+    let col = if at_column_one k then 1 else col in
+    let* x = read k pos ~name ~col v in
+    Ok (Some x)
 
 let split_kv (tok : T.token) =
   match String.index_opt tok.T.text '=' with
@@ -287,228 +363,160 @@ let split_kv (tok : T.token) =
         String.sub tok.T.text (i + 1) (String.length tok.T.text - i - 1) )
   | None -> None
 
-let parse_bool ?file ~line (tok : T.token) v =
-  match v with
-  | "true" | "1" -> Ok true
-  | "false" | "0" -> Ok false
-  | _ -> E.parse_error ?file ~line ~col:tok.T.col "expected true/false, got %S" v
-
-let parse_int ?file ~line (tok : T.token) v =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None -> E.parse_error ?file ~line ~col:tok.T.col "not an integer: %S" v
-
-let parse_rational ?file ~line (tok : T.token) v =
-  match Q.of_string v with
-  | q -> Ok q
-  | exception _ ->
-    E.parse_error ?file ~line ~col:tok.T.col "not a rational: %S" v
-
-(* [faults=slowdown:2:3/2:1/4;crash:0:5/8] — unpack into the Faults
-   text format ([;] = newline, [:] = space) and reuse its parser.  The
-   re-parse reports positions in the unpacked text; surface them at the
-   option token instead, keeping the original message. *)
-let parse_faults ?file ~line (tok : T.token) v =
-  let text =
-    String.map (function ';' -> '\n' | ':' -> ' ' | ch -> ch) v
+(* [head], the positional spec's bare value if any, then [key=value]
+   per field in row order. *)
+let render head spec rows r =
+  let b = Buffer.create 128 in
+  Buffer.add_string b head;
+  let add key v =
+    Buffer.add_char b ' ';
+    Buffer.add_string b key;
+    Buffer.add_string b v
   in
-  match Dls.Faults.of_string text with
-  | Ok plan -> Ok plan
-  | Error (E.Parse_error { msg; _ }) ->
-    E.parse_error ?file ~line ~col:tok.T.col "bad fault plan: %s" msg
-  | Error e -> Error e
+  Option.iter (fun (Field f) -> Option.iter (add "") (show f.kind (f.get r))) spec;
+  List.iter
+    (fun (Field f) ->
+      match f.absent with
+      | Only_if on when not (on r) -> ()
+      | _ -> Option.iter (add (f.name ^ "=")) (show f.kind (f.get r)))
+    rows;
+  Buffer.contents b
 
-let parse_replan ?file ~line (tok : T.token) v =
-  match v with
-  | "none" -> Ok Replan_none
-  | "auto" -> Ok Replan_auto
-  | _ -> (
-    match Dls.Replan.policy_of_string v with
-    | Some p -> Ok (Replan_policy p)
-    | None ->
-      E.parse_error ?file ~line ~col:tok.T.col "unknown recovery policy %S" v)
+(* ------------------------------------------------------------------ *)
+(* Request verbs                                                       *)
 
-let parse_order ?file ~line (tok : T.token) v =
-  match v with
-  | "fifo" -> Ok Fifo
-  | "lifo" -> Ok Lifo
-  | _ -> E.parse_error ?file ~line ~col:tok.T.col "expected fifo/lifo, got %S" v
+type verb =
+  | Verb : {
+      name : string;
+      spec : 'r field option;
+      rows : 'r field list;
+      seed : 'r;
+      check : given:string list -> 'r -> (int * string) option;
+      inj : 'r -> request;
+      prj : request -> 'r option;
+    }
+      -> verb
 
-let parse_model ?file ~line (tok : T.token) v =
-  match v with
-  | "one-port" | "1p" -> Ok Dls.Lp_model.One_port
-  | "two-port" | "2p" -> Ok Dls.Lp_model.Two_port
-  | _ ->
-    E.parse_error ?file ~line ~col:tok.T.col "expected one-port/two-port, got %S" v
+let verb ?spec ?(check = fun ~given:_ _ -> None) name rows seed inj prj =
+  Verb { name; spec; rows; seed; check; inj; prj }
 
-let parse_mode ?file ~line (tok : T.token) v =
-  match v with
-  | "steady" -> Ok Steady
-  | "batch" -> Ok Batch
-  | _ ->
-    E.parse_error ?file ~line ~col:tok.T.col "expected steady/batch, got %S" v
+(* The positional spec, and the seeds' stand-ins for the platform and
+   the workload, which every successful parse overwrites. *)
+let platform get set = field "platform" Platform_spec Required get set
+let no_platform = Dls.Platform.make_exn [ Dls.Platform.worker ~c:Q.one ~w:Q.one ~d:Q.zero () ]
+let no_workload = Dls.Workload.make_exn [ Dls.Workload.load ~size:Q.one () ]
+
+let request_verbs =
+  [
+    verb "solve"
+      ~spec:(platform (fun r -> r.s_platform) (fun r v -> { r with s_platform = v }))
+      [
+        field "order" Order Seed (fun r -> r.s_order) (fun r v -> { r with s_order = v });
+        field "model" Model Seed (fun r -> r.s_model) (fun r v -> { r with s_model = v });
+        field "fast" Bool Seed (fun r -> r.s_fast) (fun r v -> { r with s_fast = v });
+        field "load" (Opt (Rational Positive)) Seed
+          (fun r -> r.s_load) (fun r v -> { r with s_load = v });
+      ]
+      {
+        s_platform = no_platform;
+        s_order = Fifo;
+        s_model = Dls.Lp_model.One_port;
+        s_fast = true;
+        s_load = None;
+      }
+      (fun r -> Solve r)
+      (function Solve r -> Some r | _ -> None);
+    (* workload= is required, and depth needs mode=batch *)
+    verb "solve-multi"
+      ~spec:(platform (fun r -> r.u_platform) (fun r v -> { r with u_platform = v }))
+      ~check:(fun ~given r ->
+        if not (List.mem "workload" given) then
+          Some (String.length "solve-multi", "solve-multi needs workload=size:release[:z],...")
+        else if r.u_mode = Steady && r.u_depth <> None then
+          Some (0, "depth only applies to mode=batch")
+        else None)
+      [
+        field "workload" Workload_spec Required
+          (fun r -> r.u_workload) (fun r v -> { r with u_workload = v });
+        field "mode" Mode Seed (fun r -> r.u_mode) (fun r v -> { r with u_mode = v });
+        field "depth" (Opt (Int Non_negative)) Seed
+          (fun r -> r.u_depth) (fun r v -> { r with u_depth = v });
+      ]
+      { u_platform = no_platform; u_workload = no_workload; u_mode = Steady; u_depth = None }
+      (fun r -> Solve_multi r)
+      (function Solve_multi r -> Some r | _ -> None);
+    verb "simulate"
+      ~spec:(platform (fun r -> r.m_platform) (fun r v -> { r with m_platform = v }))
+      [
+        field "order" Order Seed (fun r -> r.m_order) (fun r v -> { r with m_order = v });
+        field "items" (Int Positive) Seed (fun r -> r.m_items) (fun r v -> { r with m_items = v });
+        field "faults" (Opt Fault_plan) Seed
+          (fun r -> r.m_faults) (fun r v -> { r with m_faults = v });
+        field "replan" Recovery Seed (fun r -> r.m_replan) (fun r v -> { r with m_replan = v });
+      ]
+      {
+        m_platform = no_platform;
+        m_order = Fifo;
+        m_items = 1000;
+        m_faults = None;
+        m_replan = Replan_auto;
+      }
+      (fun r -> Simulate r)
+      (function Simulate r -> Some r | _ -> None);
+    verb "check" ~spec:(platform Fun.id (fun _ p -> p)) [] no_platform
+      (fun p -> Check p)
+      (function Check p -> Some p | _ -> None);
+    verb "stats" [] () (fun () -> Stats) (function Stats -> Some () | _ -> None);
+    verb "health" [] () (fun () -> Health) (function Health -> Some () | _ -> None);
+    verb "hello" [] () (fun () -> Hello) (function Hello -> Some () | _ -> None);
+  ]
+
+let verbs = List.map (fun (Verb v) -> v.name) request_verbs
+
+(* Options are read in token order; a repeated option keeps its last
+   value, an unknown one is an error. *)
+let parse_verb pos (verb : T.token) rest (Verb v) =
+  let* r, opts =
+    match (v.spec, rest) with
+    | None, [] -> Ok (v.seed, [])
+    | None, tok :: _ -> fail pos tok.T.col "%s takes no arguments" v.name
+    | Some _, [] ->
+      fail pos (verb.T.col + String.length v.name) "%s needs a platform spec (c:w:d,...)" v.name
+    | Some (Field f), spec :: opts ->
+      let* p = read f.kind pos ~name:f.name ~col:spec.T.col spec.T.text in
+      Ok (f.set v.seed p, opts)
+  in
+  let* r, given =
+    match (v.rows, opts) with
+    | [], tok :: _ -> fail pos tok.T.col "%s takes no options" v.name
+    | rows, opts ->
+      List.fold_left
+        (fun acc (tok : T.token) ->
+          let* r, given = acc in
+          match split_kv tok with
+          | None -> fail pos tok.T.col "expected key=value, got %S" tok.T.text
+          | Some (k, x) -> (
+            match List.find_opt (fun (Field f) -> f.name = k) rows with
+            | None -> fail pos tok.T.col "unknown %s option %S" v.name k
+            | Some (Field f) ->
+              let* x = read f.kind pos ~name:k ~col:tok.T.col x in
+              Ok (f.set r x, k :: given)))
+        (Ok (r, [])) opts
+  in
+  match v.check ~given r with
+  | Some (off, msg) -> fail pos (verb.T.col + off) "%s" msg
+  | None -> Ok (v.inj r)
 
 let parse_request_v ?file ~line s =
-  let malformed = function Ok r -> `Request r | Error e -> `Malformed e in
   match T.tokens s with
   | [] -> `Malformed (E.Parse_error { file; line; col = 1; msg = "empty request" })
   | verb :: rest -> (
-    let spec_and_opts kind =
-      match rest with
-      | [] ->
-        E.parse_error ?file ~line ~col:(verb.T.col + String.length verb.T.text)
-          "%s needs a platform spec (c:w:d,...)" kind
-      | spec :: opts ->
-        let* p =
-          platform_of_spec ?file ~line ~col:spec.T.col spec.T.text
-        in
-        Ok (p, opts)
-    in
-    let fold_opts opts ~init ~f =
-      List.fold_left
-        (fun acc tok ->
-          let* acc = acc in
-          match split_kv tok with
-          | None ->
-            E.parse_error ?file ~line ~col:tok.T.col
-              "expected key=value, got %S" tok.T.text
-          | Some (k, v) -> f acc tok k v)
-        (Ok init) opts
-    in
-    let no_trailing kind =
-      match rest with
-      | [] -> Ok ()
-      | tok :: _ ->
-        E.parse_error ?file ~line ~col:tok.T.col "%s takes no arguments" kind
-    in
-    let known () =
-      match verb.T.text with
-    | "solve" ->
-      let* p, opts = spec_and_opts "solve" in
-      let init =
-        {
-          s_platform = p;
-          s_order = Fifo;
-          s_model = Dls.Lp_model.One_port;
-          s_fast = true;
-          s_load = None;
-        }
-      in
-      let* r =
-        fold_opts opts ~init ~f:(fun r tok k v ->
-            match k with
-            | "order" ->
-              let* o = parse_order ?file ~line tok v in
-              Ok { r with s_order = o }
-            | "model" ->
-              let* m = parse_model ?file ~line tok v in
-              Ok { r with s_model = m }
-            | "fast" ->
-              let* b = parse_bool ?file ~line tok v in
-              Ok { r with s_fast = b }
-            | "load" ->
-              let* q = parse_rational ?file ~line tok v in
-              if Q.sign q <= 0 then
-                E.parse_error ?file ~line ~col:tok.T.col "load must be positive"
-              else Ok { r with s_load = Some q }
-            | _ ->
-              E.parse_error ?file ~line ~col:tok.T.col
-                "unknown solve option %S" k)
-      in
-      Ok (Solve r)
-    | "solve-multi" ->
-      let* p, opts = spec_and_opts "solve-multi" in
-      let init = (None, Steady, None) in
-      let* workload, u_mode, u_depth =
-        fold_opts opts ~init ~f:(fun (wl, mode, depth) tok k v ->
-            match k with
-            | "workload" ->
-              (* positions inside the spec are relative to the value,
-                 which starts after "workload=" within the token *)
-              let col = tok.T.col + String.length k + 1 in
-              let* w = Dls.Workload.of_spec ?file ~line ~col v in
-              Ok (Some w, mode, depth)
-            | "mode" ->
-              let* m = parse_mode ?file ~line tok v in
-              Ok (wl, m, depth)
-            | "depth" ->
-              let* d = parse_int ?file ~line tok v in
-              if d < 0 then
-                E.parse_error ?file ~line ~col:tok.T.col
-                  "depth must be non-negative"
-              else Ok (wl, mode, Some d)
-            | _ ->
-              E.parse_error ?file ~line ~col:tok.T.col
-                "unknown solve-multi option %S" k)
-      in
-      (match workload with
-      | None ->
-        E.parse_error ?file ~line
-          ~col:(verb.T.col + String.length verb.T.text)
-          "solve-multi needs workload=size:release[:z],..."
-      | Some u_workload ->
-        if u_mode = Steady && u_depth <> None then
-          E.parse_error ?file ~line ~col:verb.T.col
-            "depth only applies to mode=batch"
-        else Ok (Solve_multi { u_platform = p; u_workload; u_mode; u_depth }))
-    | "simulate" ->
-      let* p, opts = spec_and_opts "simulate" in
-      let init =
-        {
-          m_platform = p;
-          m_order = Fifo;
-          m_items = 1000;
-          m_faults = None;
-          m_replan = Replan_auto;
-        }
-      in
-      let* r =
-        fold_opts opts ~init ~f:(fun r tok k v ->
-            match k with
-            | "order" ->
-              let* o = parse_order ?file ~line tok v in
-              Ok { r with m_order = o }
-            | "items" ->
-              let* n = parse_int ?file ~line tok v in
-              if n <= 0 then
-                E.parse_error ?file ~line ~col:tok.T.col "items must be positive"
-              else Ok { r with m_items = n }
-            | "faults" ->
-              let* plan = parse_faults ?file ~line tok v in
-              Ok { r with m_faults = Some plan }
-            | "replan" ->
-              let* rp = parse_replan ?file ~line tok v in
-              Ok { r with m_replan = rp }
-            | _ ->
-              E.parse_error ?file ~line ~col:tok.T.col
-                "unknown simulate option %S" k)
-      in
-      Ok (Simulate r)
-    | "check" ->
-      let* p, opts = spec_and_opts "check" in
-      let* () =
-        match opts with
-        | [] -> Ok ()
-        | tok :: _ ->
-          E.parse_error ?file ~line ~col:tok.T.col "check takes no options"
-      in
-      Ok (Check p)
-    | "stats" ->
-      let* () = no_trailing "stats" in
-      Ok Stats
-    | "health" ->
-      let* () = no_trailing "health" in
-      Ok Health
-    | "hello" ->
-      let* () = no_trailing "hello" in
-      Ok Hello
-    | _ -> assert false
-    in
-    match verb.T.text with
-    | "solve" | "solve-multi" | "simulate" | "check" | "stats" | "health"
-    | "hello" ->
-      malformed (known ())
-    | other -> `Unknown_verb other)
+    match List.find_opt (fun (Verb v) -> v.name = verb.T.text) request_verbs with
+    | None -> `Unknown_verb verb.T.text
+    | Some v -> (
+      match parse_verb { file; line } verb rest v with
+      | Ok r -> `Request r
+      | Error e -> `Malformed e))
 
 let parse_request ?file ~line s =
   match parse_request_v ?file ~line s with
@@ -519,206 +527,87 @@ let parse_request ?file ~line s =
     E.parse_error ?file ~line ~col "unknown request %S (expected %s)" other
       (String.concat "/" verbs)
 
-(* ------------------------------------------------------------------ *)
-(* Request rendering                                                   *)
-
-let faults_to_inline plan =
-  String.concat ";"
-    (List.map
-       (fun f ->
-         String.map
-           (function ' ' -> ':' | ch -> ch)
-           (Dls.Faults.fault_to_string f))
-       (Dls.Faults.faults plan))
-
-let request_to_string = function
-  | Solve r ->
-    let b = Buffer.create 64 in
-    Buffer.add_string b "solve ";
-    Buffer.add_string b (platform_to_spec r.s_platform);
-    Buffer.add_string b (" order=" ^ order_to_string r.s_order);
-    Buffer.add_string b (" model=" ^ model_to_string r.s_model);
-    Buffer.add_string b (" fast=" ^ bool_str r.s_fast);
-    (match r.s_load with
-    | Some q -> Buffer.add_string b (" load=" ^ Q.to_string q)
-    | None -> ());
-    Buffer.contents b
-  | Solve_multi r ->
-    let b = Buffer.create 64 in
-    Buffer.add_string b "solve-multi ";
-    Buffer.add_string b (platform_to_spec r.u_platform);
-    Buffer.add_string b (" workload=" ^ Dls.Workload.to_spec r.u_workload);
-    Buffer.add_string b (" mode=" ^ mode_to_string r.u_mode);
-    (match r.u_depth with
-    | Some d -> Buffer.add_string b (Printf.sprintf " depth=%d" d)
-    | None -> ());
-    Buffer.contents b
-  | Simulate r ->
-    let b = Buffer.create 64 in
-    Buffer.add_string b "simulate ";
-    Buffer.add_string b (platform_to_spec r.m_platform);
-    Buffer.add_string b (" order=" ^ order_to_string r.m_order);
-    Buffer.add_string b (Printf.sprintf " items=%d" r.m_items);
-    (match r.m_faults with
-    | Some plan when not (Dls.Faults.is_empty plan) ->
-      Buffer.add_string b (" faults=" ^ faults_to_inline plan)
-    | _ -> ());
-    Buffer.add_string b (" replan=" ^ replan_to_string r.m_replan);
-    Buffer.contents b
-  | Check p -> "check " ^ platform_to_spec p
-  | Stats -> "stats"
-  | Health -> "health"
-  | Hello -> "hello"
+let request_to_string req =
+  List.find_map (fun (Verb v) -> Option.map (render v.name v.spec v.rows) (v.prj req)) request_verbs
+  |> Option.get
 
 let request_key = request_to_string
 
 (* ------------------------------------------------------------------ *)
 (* Stats fields                                                        *)
 
-(* The one description of the stats record: a row per field, in wire
-   order, with its name, value kind, merge rule across shards and
-   default when absent from the wire.  The [ok stats] line, its JSON,
-   [merge_stats], the parser and [stats_of] (hence [Metrics.snapshot])
-   are loops over it. *)
+(* The stats record's rows, in wire order, each with its merge rule
+   across shards.  The [ok stats] line, its JSON, [merge_stats], the
+   parser and [stats_of] (hence [Metrics.snapshot]) are loops over it.
 
-type _ kind = Count : int kind | Seconds : float kind
-type merge = Sum | Max
-type 'a absent = Required | Default of 'a
-
-type stats_field =
-  | Field : {
-      name : string;
-      kind : 'a kind;
-      merge : merge;
-      absent : 'a absent;
-      get : stats_rep -> 'a;
-      set : stats_rep -> 'a -> stats_rep;
-    }
-      -> stats_field
-
-(* Merge: counters add up across shards; the round/latency maxima stay
+   Merge: counters add up across shards; the round/latency maxima stay
    maxima (a merged quantile of power-of-two bucket bounds is not
    reconstructible, so the conservative upper envelope is reported);
    [dispatchers] adds up because it counts serving threads behind the
    merged endpoint; [uptime_s] is the oldest shard's — the merged
    endpoint has been serving at least that long.
 
-   Absent: the [Default] fields arrived with later servers (repair,
+   Absent: the [Seed] fields arrived with later servers (repair,
    sharding, resilience, scale-out), which were the first to do what
-   they count, so an older line without them means 0 — and one
-   dispatcher, the only layout before sharding. *)
+   they count, so an older line without them reads as [stats_seed]: 0,
+   and one dispatcher, the only layout before sharding. *)
+
+type merge = Sum | Max
+
 let stats_fields =
-  let count name merge absent get set =
-    Field { name; kind = Count; merge; absent; get; set }
-  in
+  let count name merge absent get set = (merge, field name (Int Any) absent get set) in
   [
-    count "accepted" Sum Required
-      (fun r -> r.accepted) (fun r v -> { r with accepted = v });
-    count "served" Sum Required
-      (fun r -> r.served) (fun r v -> { r with served = v });
-    count "rejected" Sum Required
-      (fun r -> r.rejected) (fun r v -> { r with rejected = v });
-    count "timed_out" Sum Required
-      (fun r -> r.timed_out) (fun r v -> { r with timed_out = v });
-    count "failed" Sum Required
-      (fun r -> r.failed) (fun r v -> { r with failed = v });
-    count "malformed" Sum Required
-      (fun r -> r.malformed) (fun r v -> { r with malformed = v });
-    count "batches" Sum Required
-      (fun r -> r.batches) (fun r v -> { r with batches = v });
-    count "max_batch" Max Required
-      (fun r -> r.max_batch) (fun r v -> { r with max_batch = v });
-    count "collapsed" Sum Required
-      (fun r -> r.collapsed) (fun r v -> { r with collapsed = v });
-    count "cache_hits" Sum Required
-      (fun r -> r.cache_hits) (fun r v -> { r with cache_hits = v });
+    count "accepted" Sum Required (fun r -> r.accepted) (fun r v -> { r with accepted = v });
+    count "served" Sum Required (fun r -> r.served) (fun r v -> { r with served = v });
+    count "rejected" Sum Required (fun r -> r.rejected) (fun r v -> { r with rejected = v });
+    count "timed_out" Sum Required (fun r -> r.timed_out) (fun r v -> { r with timed_out = v });
+    count "failed" Sum Required (fun r -> r.failed) (fun r v -> { r with failed = v });
+    count "malformed" Sum Required (fun r -> r.malformed) (fun r v -> { r with malformed = v });
+    count "batches" Sum Required (fun r -> r.batches) (fun r v -> { r with batches = v });
+    count "max_batch" Max Required (fun r -> r.max_batch) (fun r v -> { r with max_batch = v });
+    count "collapsed" Sum Required (fun r -> r.collapsed) (fun r v -> { r with collapsed = v });
+    count "cache_hits" Sum Required (fun r -> r.cache_hits) (fun r v -> { r with cache_hits = v });
     count "cache_misses" Sum Required
       (fun r -> r.cache_misses) (fun r v -> { r with cache_misses = v });
-    count "repair_probes" Sum (Default 0)
+    count "repair_probes" Sum Seed
       (fun r -> r.repair_probes) (fun r v -> { r with repair_probes = v });
-    count "repair_wins" Sum (Default 0)
-      (fun r -> r.repair_wins) (fun r v -> { r with repair_wins = v });
-    count "repair_pivots" Sum (Default 0)
+    count "repair_wins" Sum Seed (fun r -> r.repair_wins) (fun r v -> { r with repair_wins = v });
+    count "repair_pivots" Sum Seed
       (fun r -> r.repair_pivots) (fun r v -> { r with repair_pivots = v });
-    count "dispatchers" Sum (Default 1)
-      (fun r -> r.dispatchers) (fun r v -> { r with dispatchers = v });
-    count "steals" Sum (Default 0)
-      (fun r -> r.steals) (fun r v -> { r with steals = v });
-    count "shed" Sum (Default 0)
-      (fun r -> r.shed) (fun r v -> { r with shed = v });
-    count "brownouts" Sum (Default 0)
-      (fun r -> r.brownouts) (fun r v -> { r with brownouts = v });
-    count "hangups" Sum (Default 0)
-      (fun r -> r.hangups) (fun r v -> { r with hangups = v });
-    count "warm_hits" Sum (Default 0)
-      (fun r -> r.warm_hits) (fun r v -> { r with warm_hits = v });
-    count "journal_appended" Sum (Default 0)
+    count "dispatchers" Sum Seed (fun r -> r.dispatchers) (fun r v -> { r with dispatchers = v });
+    count "steals" Sum Seed (fun r -> r.steals) (fun r v -> { r with steals = v });
+    count "shed" Sum Seed (fun r -> r.shed) (fun r v -> { r with shed = v });
+    count "brownouts" Sum Seed (fun r -> r.brownouts) (fun r v -> { r with brownouts = v });
+    count "hangups" Sum Seed (fun r -> r.hangups) (fun r v -> { r with hangups = v });
+    count "warm_hits" Sum Seed (fun r -> r.warm_hits) (fun r v -> { r with warm_hits = v });
+    count "journal_appended" Sum Seed
       (fun r -> r.journal_appended) (fun r v -> { r with journal_appended = v });
-    count "store_hits" Sum (Default 0)
-      (fun r -> r.store_hits) (fun r v -> { r with store_hits = v });
-    count "store_misses" Sum (Default 0)
+    count "store_hits" Sum Seed (fun r -> r.store_hits) (fun r v -> { r with store_hits = v });
+    count "store_misses" Sum Seed
       (fun r -> r.store_misses) (fun r v -> { r with store_misses = v });
-    count "store_demoted" Sum (Default 0)
+    count "store_demoted" Sum Seed
       (fun r -> r.store_demoted) (fun r v -> { r with store_demoted = v });
-    count "compactions" Sum (Default 0)
-      (fun r -> r.compactions) (fun r v -> { r with compactions = v });
+    count "compactions" Sum Seed (fun r -> r.compactions) (fun r v -> { r with compactions = v });
     count "queue_depth" Sum Required
       (fun r -> r.queue_depth) (fun r v -> { r with queue_depth = v });
-    count "inflight" Sum Required
-      (fun r -> r.inflight) (fun r v -> { r with inflight = v });
-    count "p50_us" Max Required
-      (fun r -> r.p50_us) (fun r v -> { r with p50_us = v });
-    count "p90_us" Max Required
-      (fun r -> r.p90_us) (fun r v -> { r with p90_us = v });
-    count "p99_us" Max Required
-      (fun r -> r.p99_us) (fun r v -> { r with p99_us = v });
-    count "max_us" Max Required
-      (fun r -> r.max_us) (fun r v -> { r with max_us = v });
-    Field
-      {
-        name = "uptime_s";
-        kind = Seconds;
-        merge = Max;
-        absent = Required;
-        get = (fun r -> r.uptime_s);
-        set = (fun r v -> { r with uptime_s = v });
-      };
+    count "inflight" Sum Required (fun r -> r.inflight) (fun r v -> { r with inflight = v });
+    count "p50_us" Max Required (fun r -> r.p50_us) (fun r v -> { r with p50_us = v });
+    count "p90_us" Max Required (fun r -> r.p90_us) (fun r v -> { r with p90_us = v });
+    count "p99_us" Max Required (fun r -> r.p99_us) (fun r v -> { r with p99_us = v });
+    count "max_us" Max Required (fun r -> r.max_us) (fun r v -> { r with max_us = v });
+    (Max, field "uptime_s" Float Required (fun r -> r.uptime_s) (fun r v -> { r with uptime_s = v }));
   ]
 
-(* The seed every field-by-field build starts from. *)
-let stats_zero =
+let stats_rows = List.map snd stats_fields
+
+let stats_seed =
   {
-    accepted = 0;
-    served = 0;
-    rejected = 0;
-    timed_out = 0;
-    failed = 0;
-    malformed = 0;
-    batches = 0;
-    max_batch = 0;
-    collapsed = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    repair_probes = 0;
-    repair_wins = 0;
-    repair_pivots = 0;
-    dispatchers = 0;
-    steals = 0;
-    shed = 0;
-    brownouts = 0;
-    hangups = 0;
-    warm_hits = 0;
-    journal_appended = 0;
-    store_hits = 0;
-    store_misses = 0;
-    store_demoted = 0;
-    compactions = 0;
-    queue_depth = 0;
-    inflight = 0;
-    p50_us = 0;
-    p90_us = 0;
-    p99_us = 0;
-    max_us = 0;
+    accepted = 0; served = 0; rejected = 0; timed_out = 0; failed = 0; malformed = 0;
+    batches = 0; max_batch = 0; collapsed = 0; cache_hits = 0; cache_misses = 0;
+    repair_probes = 0; repair_wins = 0; repair_pivots = 0; dispatchers = 1; steals = 0;
+    shed = 0; brownouts = 0; hangups = 0; warm_hits = 0; journal_appended = 0;
+    store_hits = 0; store_misses = 0; store_demoted = 0; compactions = 0;
+    queue_depth = 0; inflight = 0; p50_us = 0; p90_us = 0; p99_us = 0; max_us = 0;
     uptime_s = 0.;
   }
 
@@ -726,46 +615,219 @@ let stats_of ~(count : string -> int) ~(seconds : string -> float) =
   List.fold_left
     (fun r (Field f) ->
       match f.kind with
-      | Count -> f.set r (count f.name)
-      | Seconds -> f.set r (seconds f.name))
-    stats_zero stats_fields
-
-let stat_to_string : type a. a kind -> a -> string =
- fun kind v -> match kind with Count -> string_of_int v | Seconds -> float_str v
-
-(* [(name, rendered value)] per field, in wire order. *)
-let stats_pairs r =
-  List.map
-    (fun (Field f) -> (f.name, stat_to_string f.kind (f.get r)))
-    stats_fields
+      | Int _ -> f.set r (count f.name)
+      | Float -> f.set r (seconds f.name)
+      | _ -> r)
+    stats_seed stats_rows
 
 let stats_to_json r =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) (stats_pairs r))
+      (List.map
+         (fun (Field f) ->
+           Printf.sprintf "\"%s\":%s" f.name (Option.get (show f.kind (f.get r))))
+         stats_rows)
   ^ "}"
 
 let merge_stat : type a. a kind -> merge -> a -> a -> a =
  fun kind merge a b ->
   match (kind, merge) with
-  | Count, Sum -> a + b
-  | Count, Max -> max a b
-  | Seconds, Sum -> a +. b
-  | Seconds, Max -> Float.max a b
+  | Int _, Sum -> a + b
+  | Int _, Max -> max a b
+  | Float, Sum -> a +. b
+  | Float, Max -> Float.max a b
+  | _ -> a
 
 let merge_stats (first : stats_rep) (rest : stats_rep list) =
   List.fold_left
     (fun a r ->
       List.fold_left
-        (fun m (Field f) ->
-          f.set m (merge_stat f.kind f.merge (f.get a) (f.get r)))
+        (fun m (merge, Field f) -> f.set m (merge_stat f.kind merge (f.get a) (f.get r)))
         a stats_fields)
     first rest
 
 (* ------------------------------------------------------------------ *)
-(* Response rendering                                                  *)
+(* Response kinds                                                      *)
 
+type reply =
+  | Reply : {
+      head : string;
+      rows : 'r field list;
+      seed : 'r;
+      inj : 'r -> response;
+      prj : response -> 'r option;
+    }
+      -> reply
+
+let reply head rows seed inj prj = Reply { head; rows; seed; inj; prj }
+
+let replies =
+  [
+    reply "ok solve"
+      [
+        field "rho" (Rational Any) Required (fun r -> r.rho) (fun r v -> { r with rho = v });
+        field "sigma1" Int_list Required (fun r -> r.sigma1) (fun r v -> { r with sigma1 = v });
+        field "alpha" Q_list Required (fun r -> r.alpha) (fun r v -> { r with alpha = v });
+        field "idle" Q_list Required (fun r -> r.idle) (fun r v -> { r with idle = v });
+        field "makespan" (Opt (Rational Any)) Seed
+          (fun r -> r.makespan) (fun r v -> { r with makespan = v });
+      ]
+      { rho = Q.zero; sigma1 = [||]; alpha = [||]; idle = [||]; makespan = None }
+      (fun r -> Ok_solve r)
+      (function Ok_solve r -> Some r | _ -> None);
+    (* the value's key says what it is: the steady-state period or the
+       batch makespan *)
+    reply "ok multi"
+      [
+        field "mode" Mode Required (fun r -> r.mm_mode) (fun r v -> { r with mm_mode = v });
+        field "period" (Rational Any)
+          (Only_if (fun r -> r.mm_mode = Steady))
+          (fun r -> r.mm_value) (fun r v -> { r with mm_value = v });
+        field "makespan" (Rational Any)
+          (Only_if (fun r -> r.mm_mode = Batch))
+          (fun r -> r.mm_value) (fun r v -> { r with mm_value = v });
+        field "throughput" (Rational Any) Required
+          (fun r -> r.mm_throughput) (fun r v -> { r with mm_throughput = v });
+        field "depth" (Opt (Int Any)) Seed
+          (fun r -> r.mm_depth) (fun r v -> { r with mm_depth = v });
+        field "alloc" Alloc Required (fun r -> r.mm_alloc) (fun r v -> { r with mm_alloc = v });
+      ]
+      {
+        mm_mode = Steady;
+        mm_value = Q.zero;
+        mm_throughput = Q.zero;
+        mm_depth = None;
+        mm_alloc = [||];
+      }
+      (fun r -> Ok_multi r)
+      (function Ok_multi r -> Some r | _ -> None);
+    reply "ok simulate"
+      [
+        field "makespan" Float Required
+          (fun r -> r.sim_makespan) (fun r v -> { r with sim_makespan = v });
+        field "lp" Float Required
+          (fun r -> r.lp_makespan) (fun r v -> { r with lp_makespan = v });
+        field "valid" Bool Required
+          (fun r -> r.sim_valid) (fun r v -> { r with sim_valid = v });
+        field "achieved" (Opt Float) Seed
+          (fun r -> r.achieved) (fun r v -> { r with achieved = v });
+        field "ratio" (Opt Float) Seed
+          (fun r -> r.achieved_ratio) (fun r v -> { r with achieved_ratio = v });
+        field "replan" (Opt Word) Seed
+          (fun r -> r.replanned) (fun r v -> { r with replanned = v });
+      ]
+      {
+        sim_makespan = 0.;
+        lp_makespan = 0.;
+        sim_valid = false;
+        achieved = None;
+        achieved_ratio = None;
+        replanned = None;
+      }
+      (fun r -> Ok_simulate r)
+      (function Ok_simulate r -> Some r | _ -> None);
+    reply "ok check"
+      [
+        field "valid" Bool Required (fun r -> r.check_ok) (fun r v -> { r with check_ok = v });
+        field "violations" (Int Any) Required
+          (fun r -> r.violations) (fun r v -> { r with violations = v });
+      ]
+      { check_ok = false; violations = 0 }
+      (fun r -> Ok_check r)
+      (function Ok_check r -> Some r | _ -> None);
+    reply "ok stats" stats_rows stats_seed
+      (fun r -> Ok_stats r)
+      (function Ok_stats r -> Some r | _ -> None);
+    (* pre-resilience servers spoke only the two booleans: an absent mode
+       is derived from them, so new clients keep parsing old lines *)
+    reply "ok health"
+      [
+        field "healthy" Bool Required (fun r -> r.healthy) (fun r v -> { r with healthy = v });
+        field "draining" Bool Required
+          (fun r -> r.draining) (fun r v -> { r with draining = v });
+        field "mode" Health
+          (Derived
+             (fun r ->
+               let h_mode =
+                 if r.draining then Mode_draining
+                 else if r.healthy then Mode_healthy
+                 else Mode_degraded
+               in
+               { r with h_mode }))
+          (fun r -> r.h_mode) (fun r v -> { r with h_mode = v });
+        field "uptime_s" Float Required
+          (fun r -> r.h_uptime_s) (fun r v -> { r with h_uptime_s = v });
+        field "queue" (Int Any) Required
+          (fun r -> r.h_queue_depth) (fun r v -> { r with h_queue_depth = v });
+        field "capacity" (Int Any) Required
+          (fun r -> r.h_capacity) (fun r v -> { r with h_capacity = v });
+        field "workers" (Int Any) Required
+          (fun r -> r.h_workers) (fun r v -> { r with h_workers = v });
+      ]
+      {
+        healthy = false;
+        draining = false;
+        h_mode = Mode_healthy;
+        h_uptime_s = 0.;
+        h_queue_depth = 0;
+        h_capacity = 0;
+        h_workers = 0;
+      }
+      (fun r -> Ok_health r)
+      (function Ok_health r -> Some r | _ -> None);
+    reply "ok hello"
+      [
+        field "version" (Int Any) Required
+          (fun r -> r.server_version) (fun r v -> { r with server_version = v });
+        field "min" (Int Any) Required
+          (fun r -> r.server_min_version) (fun r v -> { r with server_min_version = v });
+        field "verbs" Verbs Required
+          (fun r -> r.server_verbs) (fun r v -> { r with server_verbs = v });
+      ]
+      { server_version = 0; server_min_version = 0; server_verbs = [] }
+      (fun r -> Ok_hello r)
+      (function Ok_hello r -> Some r | _ -> None);
+    (* the inline-record replies parse into pairs *)
+    reply "overloaded"
+      [
+        field "depth" (Int Any) Required fst (fun (_, c) d -> (d, c));
+        field "capacity" (Int Any) Required snd (fun (d, _) c -> (d, c));
+      ]
+      (0, 0)
+      (fun (depth, capacity) -> Overloaded { depth; capacity })
+      (function Overloaded { depth; capacity } -> Some (depth, capacity) | _ -> None);
+    reply "timeout"
+      [ field "budget" Float Required Fun.id (fun _ b -> b) ]
+      0.
+      (fun budget -> Timed_out { budget })
+      (function Timed_out { budget } -> Some budget | _ -> None);
+    reply "shed"
+      [
+        field "wait" Float Required fst (fun (_, b) w -> (w, b));
+        field "budget" Float Required snd (fun (w, _) b -> (w, b));
+      ]
+      (0., 0.)
+      (fun (wait, budget) -> Shed { wait; budget })
+      (function Shed { wait; budget } -> Some (wait, budget) | _ -> None);
+    reply "unsupported"
+      [
+        field "verb" Word Required fst (fun (_, n) v -> (v, n));
+        field "version" (Int Any) Required snd (fun (v, _) n -> (v, n));
+      ]
+      ("", 0)
+      (fun (verb, server_version) -> Unsupported { verb; server_version })
+      (function Unsupported { verb; server_version } -> Some (verb, server_version) | _ -> None);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Response rendering and parsing                                      *)
+
+(* [error <code> <message...>] carries a free-text tail: newlines are
+   flattened on the way out, and the tokens after the fixed prefix are
+   rejoined on the way in, so interior spacing collapses to single
+   blanks (the renderer never emits more anyway). *)
 let one_line s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
+let rest_as_string toks = String.concat " " (List.map (fun t -> t.T.text) toks)
 
 let error_to_string (e : E.t) =
   match e with
@@ -777,69 +839,10 @@ let error_to_string (e : E.t) =
     Printf.sprintf "error parse line=%d col=%d %s" line col (one_line msg)
 
 let response_to_string = function
-  | Ok_solve r ->
-    let b = Buffer.create 128 in
-    Buffer.add_string b ("ok solve rho=" ^ Q.to_string r.rho);
-    Buffer.add_string b (" sigma1=" ^ int_list r.sigma1);
-    Buffer.add_string b (" alpha=" ^ q_list r.alpha);
-    Buffer.add_string b (" idle=" ^ q_list r.idle);
-    (match r.makespan with
-    | Some q -> Buffer.add_string b (" makespan=" ^ Q.to_string q)
-    | None -> ());
-    Buffer.contents b
-  | Ok_multi r ->
-    let b = Buffer.create 96 in
-    Buffer.add_string b ("ok multi mode=" ^ mode_to_string r.mm_mode);
-    let value_key = match r.mm_mode with Steady -> "period" | Batch -> "makespan" in
-    Buffer.add_string b
-      (Printf.sprintf " %s=%s" value_key (Q.to_string r.mm_value));
-    Buffer.add_string b (" throughput=" ^ Q.to_string r.mm_throughput);
-    (match r.mm_depth with
-    | Some d -> Buffer.add_string b (Printf.sprintf " depth=%d" d)
-    | None -> ());
-    Buffer.add_string b (" alloc=" ^ alloc_list r.mm_alloc);
-    Buffer.contents b
-  | Ok_simulate r ->
-    let b = Buffer.create 96 in
-    Buffer.add_string b ("ok simulate makespan=" ^ float_str r.sim_makespan);
-    Buffer.add_string b (" lp=" ^ float_str r.lp_makespan);
-    Buffer.add_string b (" valid=" ^ bool_str r.sim_valid);
-    (match r.achieved with
-    | Some f -> Buffer.add_string b (" achieved=" ^ float_str f)
-    | None -> ());
-    (match r.achieved_ratio with
-    | Some f -> Buffer.add_string b (" ratio=" ^ float_str f)
-    | None -> ());
-    (match r.replanned with
-    | Some p -> Buffer.add_string b (" replan=" ^ p)
-    | None -> ());
-    Buffer.contents b
-  | Ok_check r ->
-    Printf.sprintf "ok check valid=%s violations=%d" (bool_str r.check_ok)
-      r.violations
-  | Ok_stats r ->
-    String.concat " "
-      ("ok stats" :: List.map (fun (k, v) -> k ^ "=" ^ v) (stats_pairs r))
-  | Ok_health r ->
-    Printf.sprintf
-      "ok health healthy=%s draining=%s mode=%s uptime_s=%s queue=%d \
-       capacity=%d workers=%d"
-      (bool_str r.healthy) (bool_str r.draining)
-      (mode_str r.h_mode)
-      (float_str r.h_uptime_s)
-      r.h_queue_depth r.h_capacity r.h_workers
-  | Ok_hello r ->
-    Printf.sprintf "ok hello version=%d min=%d verbs=%s" r.server_version
-      r.server_min_version
-      (String.concat "," r.server_verbs)
-  | Overloaded { depth; capacity } ->
-    Printf.sprintf "overloaded depth=%d capacity=%d" depth capacity
-  | Timed_out { budget } -> "timeout budget=" ^ float_str budget
-  | Shed { wait; budget } ->
-    Printf.sprintf "shed wait=%s budget=%s" (float_str wait) (float_str budget)
-  | Unsupported { verb; server_version } ->
-    Printf.sprintf "unsupported verb=%s version=%d" verb server_version
   | Failed e -> error_to_string e
+  | resp ->
+    List.find_map (fun (Reply k) -> Option.map (render k.head None k.rows) (k.prj resp)) replies
+    |> Option.get
 
 let is_ok = function
   | Ok_solve _ | Ok_multi _ | Ok_simulate _ | Ok_check _ | Ok_stats _
@@ -847,291 +850,70 @@ let is_ok = function
     true
   | Overloaded _ | Timed_out _ | Shed _ | Unsupported _ | Failed _ -> false
 
-(* ------------------------------------------------------------------ *)
-(* Response parsing                                                    *)
+let response_pos = { file = None; line = 1 }
 
-let kv_map toks =
-  List.fold_left
-    (fun acc tok ->
-      let* acc = acc in
-      match split_kv tok with
-      | Some (k, v) -> Ok ((k, (tok, v)) :: acc)
-      | None ->
-        E.parse_error ~line:1 ~col:tok.T.col "expected key=value, got %S"
-          tok.T.text)
-    (Ok []) toks
+(* Fields are read in row order and looked up by key: the last
+   occurrence wins, unknown keys are ignored, a missing [Required] field
+   is an error. *)
+let parse_reply (Reply k) toks =
+  let* kvs =
+    List.fold_left
+      (fun acc tok ->
+        let* acc = acc in
+        match split_kv tok with
+        | Some (key, v) -> Ok ((key, (tok, v)) :: acc)
+        | None -> fail response_pos tok.T.col "expected key=value, got %S" tok.T.text)
+      (Ok []) toks
+  in
+  let* r =
+    List.fold_left
+      (fun acc (Field f) ->
+        let* r = acc in
+        match (List.assoc_opt f.name kvs, f.absent) with
+        | _, Only_if on when not (on r) -> Ok r
+        | None, Seed -> Ok r
+        | None, Derived derive -> Ok (derive r)
+        | None, (Required | Only_if _) ->
+          fail response_pos 1 "response misses field %S" f.name
+        | Some ((tok : T.token), v), _ ->
+          let* x = read f.kind response_pos ~name:f.name ~col:tok.T.col v in
+          Ok (f.set r x))
+      (Ok k.seed) k.rows
+  in
+  Ok (k.inj r)
 
-let need kvs k =
-  match List.assoc_opt k kvs with
-  | Some (tok, v) -> Ok (tok, v)
-  | None -> E.parse_error ~line:1 ~col:1 "response misses field %S" k
+let find_reply head = List.find_opt (fun (Reply k) -> k.head = head) replies
 
-let opt_field kvs k = Option.map snd (List.assoc_opt k kvs)
-
-let need_int kvs k =
-  let* tok, v = need kvs k in
-  parse_int ~line:1 tok v
-
-(* [float_of_string_opt] happily accepts "nan"/"inf"; protocol floats
-   are measurements (makespans, budgets, uptimes) for which a
-   non-finite value can only be an upstream bug, so it is rejected with
-   a typed error instead of being propagated. *)
-let finite_float ~col v =
-  match float_of_string_opt v with
-  | Some f when Float.is_finite f -> Ok f
-  | Some _ -> E.parse_error ~line:1 ~col "non-finite float: %S" v
-  | None -> E.parse_error ~line:1 ~col "not a float: %S" v
-
-let need_float kvs k =
-  let* tok, v = need kvs k in
-  finite_float ~col:tok.T.col v
-
-let need_bool kvs k =
-  let* tok, v = need kvs k in
-  parse_bool ~line:1 tok v
-
-let need_q kvs k =
-  let* tok, v = need kvs k in
-  parse_rational ~line:1 tok v
-
-let q_array ~col v =
-  if v = "" then Ok [||]
-  else
-    let parts = String.split_on_char ',' v in
-    let* qs =
-      List.fold_left
-        (fun acc p ->
-          let* acc = acc in
-          match Q.of_string p with
-          | q -> Ok (q :: acc)
-          | exception _ ->
-            E.parse_error ~line:1 ~col "not a rational: %S" p)
-        (Ok []) parts
-    in
-    Ok (Array.of_list (List.rev qs))
-
-let int_array ~col v =
-  if v = "" then Ok [||]
-  else
-    let parts = String.split_on_char ',' v in
-    let* is =
-      List.fold_left
-        (fun acc p ->
-          let* acc = acc in
-          match int_of_string_opt p with
-          | Some i -> Ok (i :: acc)
-          | None -> E.parse_error ~line:1 ~col "not an integer: %S" p)
-        (Ok []) parts
-    in
-    Ok (Array.of_list (List.rev is))
-
-let opt_float kvs k =
-  match List.assoc_opt k kvs with
-  | None -> Ok None
-  | Some (tok, v) ->
-    let* f = finite_float ~col:tok.T.col v in
-    Ok (Some f)
-
-let parse_stat : type a. a kind -> T.token -> string -> (a, E.t) result =
- fun kind tok v ->
-  match kind with
-  | Count -> parse_int ~line:1 tok v
-  | Seconds -> finite_float ~col:tok.T.col v
-
-(* [error ...] / [ok simulate replan=...] carry a free-text tail; the
-   tokens after a fixed prefix are rejoined from their recorded columns
-   so interior spacing collapses to single blanks (the renderer never
-   emits more anyway). *)
-let rest_as_string toks = String.concat " " (List.map (fun t -> t.T.text) toks)
+let parse_error_reply (code : T.token) rest =
+  match (code.T.text, rest) with
+  | "unbounded", _ -> Ok (Failed E.Unbounded)
+  | "infeasible", _ -> Ok (Failed E.Infeasible)
+  | "invalid", _ -> Ok (Failed (E.Invalid_scenario (rest_as_string rest)))
+  | "io", _ -> Ok (Failed (E.Io_error (rest_as_string rest)))
+  | "parse", lt :: ct :: msg_toks -> (
+    match (split_kv lt, split_kv ct) with
+    | Some ("line", lv), Some ("col", cv) ->
+      let* line = int response_pos lt.T.col lv in
+      let* col = int response_pos ct.T.col cv in
+      Ok (Failed (E.Parse_error { file = None; line; col; msg = rest_as_string msg_toks }))
+    | _ -> fail response_pos lt.T.col "error parse needs line= and col=")
+  | "parse", _ -> fail response_pos code.T.col "error parse needs line= and col="
+  | other, _ -> fail response_pos code.T.col "unknown error code %S" other
 
 let parse_response s =
   match T.tokens s with
-  | [] -> E.parse_error ~line:1 ~col:1 "empty response"
-  | { T.text = "overloaded"; _ } :: rest ->
-    let* kvs = kv_map rest in
-    let* depth = need_int kvs "depth" in
-    let* capacity = need_int kvs "capacity" in
-    Ok (Overloaded { depth; capacity })
-  | { T.text = "timeout"; _ } :: rest ->
-    let* kvs = kv_map rest in
-    let* budget = need_float kvs "budget" in
-    Ok (Timed_out { budget })
-  | { T.text = "shed"; _ } :: rest ->
-    let* kvs = kv_map rest in
-    let* wait = need_float kvs "wait" in
-    let* budget = need_float kvs "budget" in
-    Ok (Shed { wait; budget })
-  | { T.text = "unsupported"; _ } :: rest ->
-    let* kvs = kv_map rest in
-    let* _, verb = need kvs "verb" in
-    let* server_version = need_int kvs "version" in
-    Ok (Unsupported { verb; server_version })
-  | { T.text = "error"; _ } :: code :: rest -> (
-    match code.T.text with
-    | "unbounded" -> Ok (Failed E.Unbounded)
-    | "infeasible" -> Ok (Failed E.Infeasible)
-    | "invalid" -> Ok (Failed (E.Invalid_scenario (rest_as_string rest)))
-    | "io" -> Ok (Failed (E.Io_error (rest_as_string rest)))
-    | "parse" -> (
-      match rest with
-      | lt :: ct :: msg_toks -> (
-        match (split_kv lt, split_kv ct) with
-        | Some ("line", lv), Some ("col", cv) ->
-          let* line = parse_int ~line:1 lt lv in
-          let* col = parse_int ~line:1 ct cv in
-          Ok
-            (Failed
-               (E.Parse_error
-                  { file = None; line; col; msg = rest_as_string msg_toks }))
-        | _ ->
-          E.parse_error ~line:1 ~col:lt.T.col
-            "error parse needs line= and col=")
-      | _ ->
-        E.parse_error ~line:1 ~col:code.T.col
-          "error parse needs line= and col=")
-    | other ->
-      E.parse_error ~line:1 ~col:code.T.col "unknown error code %S" other)
-  | { T.text = "error"; col; _ } :: [] ->
-    E.parse_error ~line:1 ~col "error response misses its code"
+  | [] -> fail response_pos 1 "empty response"
+  | { T.text = "error"; _ } :: code :: rest -> parse_error_reply code rest
+  | { T.text = "error"; col } :: [] -> fail response_pos col "error response misses its code"
   | { T.text = "ok"; _ } :: kind :: rest -> (
-    match kind.T.text with
-    | "solve" ->
-      let* kvs = kv_map rest in
-      let* rho = need_q kvs "rho" in
-      let* _, s1 = need kvs "sigma1" in
-      let* sigma1 = int_array ~col:1 s1 in
-      let* _, av = need kvs "alpha" in
-      let* alpha = q_array ~col:1 av in
-      let* _, iv = need kvs "idle" in
-      let* idle = q_array ~col:1 iv in
-      let* makespan =
-        match opt_field kvs "makespan" with
-        | None -> Ok None
-        | Some v -> (
-          match Q.of_string v with
-          | q -> Ok (Some q)
-          | exception _ ->
-            E.parse_error ~line:1 ~col:1 "not a rational: %S" v)
-      in
-      Ok (Ok_solve { rho; sigma1; alpha; idle; makespan })
-    | "multi" ->
-      let* kvs = kv_map rest in
-      let* mode_tok, mode_v = need kvs "mode" in
-      let* mm_mode = parse_mode ~line:1 mode_tok mode_v in
-      let value_key = match mm_mode with Steady -> "period" | Batch -> "makespan" in
-      let* mm_value = need_q kvs value_key in
-      let* mm_throughput = need_q kvs "throughput" in
-      let* mm_depth =
-        match opt_field kvs "depth" with
-        | None -> Ok None
-        | Some v -> (
-          match int_of_string_opt v with
-          | Some d -> Ok (Some d)
-          | None -> E.parse_error ~line:1 ~col:1 "not an integer: %S" v)
-      in
-      let* _, av = need kvs "alloc" in
-      let* rows =
-        if av = "" then Ok [||]
-        else
-          let* rows =
-            List.fold_left
-              (fun acc row ->
-                let* acc = acc in
-                let* qs = q_array ~col:1 row in
-                Ok (qs :: acc))
-              (Ok [])
-              (String.split_on_char ';' av)
-          in
-          Ok (Array.of_list (List.rev rows))
-      in
-      Ok (Ok_multi { mm_mode; mm_value; mm_throughput; mm_depth; mm_alloc = rows })
-    | "hello" ->
-      let* kvs = kv_map rest in
-      let* server_version = need_int kvs "version" in
-      let* server_min_version = need_int kvs "min" in
-      let* _, vv = need kvs "verbs" in
-      let server_verbs =
-        if vv = "" then [] else String.split_on_char ',' vv
-      in
-      Ok (Ok_hello { server_version; server_min_version; server_verbs })
-    | "simulate" ->
-      let* kvs = kv_map rest in
-      let* sim_makespan = need_float kvs "makespan" in
-      let* lp_makespan = need_float kvs "lp" in
-      let* sim_valid = need_bool kvs "valid" in
-      let* achieved = opt_float kvs "achieved" in
-      let* achieved_ratio = opt_float kvs "ratio" in
-      let replanned = opt_field kvs "replan" in
-      Ok
-        (Ok_simulate
-           {
-             sim_makespan;
-             lp_makespan;
-             sim_valid;
-             achieved;
-             achieved_ratio;
-             replanned;
-           })
-    | "check" ->
-      let* kvs = kv_map rest in
-      let* check_ok = need_bool kvs "valid" in
-      let* violations = need_int kvs "violations" in
-      Ok (Ok_check { check_ok; violations })
-    | "stats" ->
-      let* kvs = kv_map rest in
-      let field r (Field f) =
-        let* r = r in
-        let* v =
-          match (List.assoc_opt f.name kvs, f.absent) with
-          | None, Default d -> Ok d
-          | _ ->
-            let* tok, v = need kvs f.name in
-            parse_stat f.kind tok v
-        in
-        Ok (f.set r v)
-      in
-      let* r = List.fold_left field (Ok stats_zero) stats_fields in
-      Ok (Ok_stats r)
-    | "health" ->
-      let* kvs = kv_map rest in
-      let* healthy = need_bool kvs "healthy" in
-      let* draining = need_bool kvs "draining" in
-      (* Pre-resilience servers spoke only the two booleans; derive the
-         mode from them when the field is absent so new clients keep
-         parsing old health lines. *)
-      let* h_mode =
-        match opt_field kvs "mode" with
-        | None ->
-          Ok
-            (if draining then Mode_draining
-             else if healthy then Mode_healthy
-             else Mode_degraded)
-        | Some "healthy" -> Ok Mode_healthy
-        | Some "degraded" -> Ok Mode_degraded
-        | Some "draining" -> Ok Mode_draining
-        | Some other ->
-          E.parse_error ~line:1 ~col:1 "unknown health mode %S" other
-      in
-      let* h_uptime_s = need_float kvs "uptime_s" in
-      let* h_queue_depth = need_int kvs "queue" in
-      let* h_capacity = need_int kvs "capacity" in
-      let* h_workers = need_int kvs "workers" in
-      Ok
-        (Ok_health
-           {
-             healthy;
-             draining;
-             h_mode;
-             h_uptime_s;
-             h_queue_depth;
-             h_capacity;
-             h_workers;
-           })
-    | other ->
-      E.parse_error ~line:1 ~col:kind.T.col "unknown response kind %S" other)
-  | { T.text = "ok"; col; _ } :: [] ->
-    E.parse_error ~line:1 ~col "ok response misses its kind"
-  | tok :: _ ->
-    E.parse_error ~line:1 ~col:tok.T.col
-      "unknown response status %S (expected ok/overloaded/timeout/shed/error)"
-      tok.T.text
+    match find_reply ("ok " ^ kind.T.text) with
+    | Some k -> parse_reply k rest
+    | None -> fail response_pos kind.T.col "unknown response kind %S" kind.T.text)
+  | { T.text = "ok"; col } :: [] -> fail response_pos col "ok response misses its kind"
+  | tok :: rest -> (
+    match find_reply tok.T.text with
+    | Some k -> parse_reply k rest
+    | None ->
+      fail response_pos tok.T.col
+        "unknown response status %S (expected ok/overloaded/timeout/shed/error)"
+        tok.T.text)

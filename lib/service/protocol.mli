@@ -49,6 +49,18 @@
     {!Dls.Errors.Parse_error} with 1-based line/column positions, like
     the {!Dls.Platform_io} / {!Dls.Schedule_io} suites.
 
+    {2 One field table per verb}
+
+    Each request verb ({!request_verbs}) and response kind
+    ({!replies}) is one row list plus a seed record; parsing,
+    rendering, {!request_key}, {!verbs} and the test generators are
+    loops over them (see {{!section-tables} the field tables}).
+    test_service's "protocol pinned" group holds the bytes and every
+    parse error's position and message to
+    [test/fixtures/pinned_protocol.txt], recorded from the hand-written
+    codec the tables replaced; "protocol qcheck" round-trips every verb
+    and reply drawn from its rows.
+
     {2 Versioning}
 
     The protocol carries a version number ({!version}); a client opens
@@ -154,11 +166,12 @@ type hello_rep = {
 (** Serving counters; the invariant after a drain (no requests in
     flight) is [accepted = served + timed_out + failed + shed].
 
-    One table in the implementation gives every field's wire name,
-    value kind, merge rule and wire default; the [ok stats] line,
-    {!stats_to_json}, {!merge_stats}, the parser and {!stats_of} are
-    loops over it.  A new field is a field here and in the
-    implementation, a row of the table and a line of its zero seed. *)
+    The [ok stats] entry of {!replies} gives every field's wire name,
+    value kind and wire default, and the implementation pairs each row
+    with its merge rule; the [ok stats] line, {!stats_to_json},
+    {!merge_stats}, the parser and {!stats_of} are loops over it.  A new
+    field is a field here and in the implementation, a row of the table
+    and a line of its seed. *)
 type stats_rep = {
   accepted : int;  (** admitted to the request queue *)
   served : int;  (** answered with an [ok] response *)
@@ -317,10 +330,92 @@ val merge_stats : stats_rep -> stats_rep list -> stats_rep
 val stats_of :
   count:(string -> int) -> seconds:(string -> float) -> stats_rep
 
-val platform_to_spec : Dls.Platform.t -> string
+(** {2:tables The field tables}
 
-(** [platform_of_spec ~line ~col s] parses the compact [c:w:d,...] form;
-    positions in errors are relative to [col], the column at which the
-    spec token starts. *)
-val platform_of_spec :
-  ?file:string -> line:int -> col:int -> string -> (Dls.Platform.t, Dls.Errors.t) result
+    Each request verb and each response kind is one row list plus a
+    seed record: a row names a [key=value] field, its value {!kind} and
+    what its absence means.  Parsing, rendering (hence {!request_key}),
+    {!verbs} and the test generators are loops over {!request_verbs}
+    and {!replies}; adding a field to a verb is one row plus its record
+    field.  What is not a plain field stays explicit beside the rows:
+    the positional platform spec, solve-multi's cross-field rule, the
+    [error] replies' free-text tails. *)
+
+(** Range check of a numeric kind; a violation is reported as
+    ["<key> must be positive"] / ["... non-negative"]. *)
+type bound = Any | Positive | Non_negative
+
+(** A value kind: how one field's value is written and read. *)
+type _ kind =
+  | Rational : bound -> Q.t kind  (** lowest terms *)
+  | Int : bound -> int kind
+  | Bool : bool kind  (** [true|false]; [1|0] also read *)
+  | Float : float kind  (** shortest round-trip decimal; finite only *)
+  | Word : string kind  (** the token verbatim *)
+  | Order : order kind
+  | Model : Dls.Lp_model.model kind
+  | Mode : multi_mode kind
+  | Health : health_mode kind
+  | Recovery : replan kind
+  | Fault_plan : Dls.Faults.plan kind
+      (** the {!Dls.Faults} text with [;]/[:]; an empty plan is left
+          off the line *)
+  | Platform_spec : Dls.Platform.t kind  (** {!Dls.Platform.of_spec} *)
+  | Workload_spec : Dls.Workload.t kind  (** {!Dls.Workload.of_spec} *)
+  | Q_list : Q.t array kind  (** comma-separated *)
+  | Int_list : int array kind
+  | Alloc : Q.t array array kind  (** rows of a [Q_list], [;]-separated *)
+  | Verbs : string list kind
+  | Opt : 'a kind -> 'a option kind  (** [None] is left off the line *)
+
+(** What a field's absence from a line means. *)
+type 'r absent =
+  | Required  (** the line must carry it *)
+  | Seed  (** the seed record's value stands *)
+  | Derived of ('r -> 'r)  (** computed from the fields before it *)
+  | Only_if of ('r -> bool)
+      (** on the line exactly when the fields before it say so *)
+
+type 'r field =
+  | Field : {
+      name : string;  (** the key *)
+      kind : 'a kind;
+      absent : 'r absent;
+      get : 'r -> 'a;
+      set : 'r -> 'a -> 'r;
+    }
+      -> 'r field
+
+(** A request verb: its positional platform spec (if any), its option
+    rows in canonical order, the seed record an option-less line parses
+    to (the defaults), and [check], a rule across fields: [Some (off,
+    msg)] rejects the line at [off] columns after the verb's start.
+    [given] lists the keys on the line. *)
+type verb =
+  | Verb : {
+      name : string;
+      spec : 'r field option;
+      rows : 'r field list;
+      seed : 'r;
+      check : given:string list -> 'r -> (int * string) option;
+      inj : 'r -> request;
+      prj : request -> 'r option;
+    }
+      -> verb
+
+(** A response kind: its leading tokens ([ok solve], [overloaded], ...),
+    its rows in wire order and the seed record parsing starts from.
+    [Failed] ([error ...]) is not a row table: its message is free
+    text. *)
+type reply =
+  | Reply : {
+      head : string;
+      rows : 'r field list;
+      seed : 'r;
+      inj : 'r -> response;
+      prj : response -> 'r option;
+    }
+      -> reply
+
+val request_verbs : verb list
+val replies : reply list

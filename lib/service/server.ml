@@ -196,8 +196,7 @@ let eval_simulate (r : P.simulate_req) =
       }
 
 let eval_check p =
-  let count label sol acc =
-    ignore label;
+  let count sol acc =
     let schedule =
       match
         Check.Validator.errors_of_result p (Check.Validator.validate_solved sol)
@@ -213,7 +212,7 @@ let eval_check p =
     acc + schedule + certificate
   in
   let violations =
-    count "fifo" (optimal P.Fifo p) 0 |> count "lifo" (optimal P.Lifo p)
+    count (optimal P.Fifo p) 0 |> count (optimal P.Lifo p)
   in
   P.Ok_check { check_ok = violations = 0; violations }
 
@@ -255,17 +254,14 @@ let eval_job t job =
 (* Dispatcher: batch, collapse, evaluate, distribute                   *)
 
 let deliver t job resp =
-  (match resp with
-  | P.Ok_solve _ | P.Ok_multi _ | P.Ok_simulate _ | P.Ok_check _ | P.Ok_stats _
-  | P.Ok_health _ | P.Ok_hello _ ->
-    Metrics.incr t.metrics Served
-  | P.Timed_out _ -> Metrics.incr t.metrics Timed_out
-  | P.Shed _ ->
+  Metrics.incr t.metrics
+    (match resp with
+    | _ when P.is_ok resp -> Served
+    | P.Timed_out _ -> Timed_out
     (* Sheds are answered at admission, never delivered from a
        dispatcher; counted defensively should that ever change. *)
-    Metrics.incr t.metrics Shed
-  | P.Overloaded _ | P.Unsupported _ | P.Failed _ ->
-    Metrics.incr t.metrics Failed);
+    | P.Shed _ -> Shed
+    | _ -> Failed);
   Metrics.observe_latency t.metrics
     (Parallel.Clock.elapsed_s ~since:job.admitted);
   Metrics.decr t.metrics Inflight;

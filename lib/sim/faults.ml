@@ -8,8 +8,6 @@ let plan_of_seq (s : Dls.Replan.seq) =
     loads = Array.map Q.to_float s.Dls.Replan.loads;
   }
 
-let plan_of_schedule sched = plan_of_seq (Dls.Replan.seq_of_schedule sched ~start:Q.zero)
-
 (* Durations under faults depend on the absolute start date, so each
    phase is dated by the exact integrator.  The loop's clock is a float,
    but every date it passes back is [start] or a date this function
@@ -39,15 +37,12 @@ let run platform faults plan ~start ~loads =
       in
       Star.run ~start:(remember start) ~finish platform (Star.ops_of_plan platform plan))
 
-let execute_seq ?(start = 0.0) platform faults plan =
-  run platform faults plan ~start:(Q.of_float start) ~loads:(fun i ->
-      Q.of_float plan.Star.loads.(i))
-
-let execute platform faults plan = execute_seq platform faults plan
+let execute platform faults (s : Dls.Replan.seq) =
+  run platform faults (plan_of_seq s) ~start:s.Dls.Replan.start ~loads:(fun i ->
+      s.Dls.Replan.loads.(i))
 
 let execute_schedule platform faults sched ~start =
-  let s = Dls.Replan.seq_of_schedule sched ~start in
-  run platform faults (plan_of_seq s) ~start ~loads:(fun i -> s.Dls.Replan.loads.(i))
+  execute platform faults (Dls.Replan.seq_of_schedule sched ~start)
 
 let execute_decision platform faults ~original ~decision =
   let ( let* ) = Result.bind in

@@ -331,7 +331,7 @@ let test_float_nonfinite () =
    around separators are tolerated, stray separators are rejected with
    the position of the offending field. *)
 let test_platform_spec_hardening () =
-  (match P.platform_of_spec ~line:1 ~col:1 "1:2:1/2,2:3:1" with
+  (match Dls.Platform.of_spec ~line:1 ~col:1 "1:2:1/2,2:3:1" with
   | Error e -> Alcotest.failf "spec rejected: %s" (Dls.Errors.to_string e)
   | Ok p ->
     let w0 = Dls.Platform.get p 0 in
@@ -339,14 +339,14 @@ let test_platform_spec_hardening () =
       (Q.equal w0.Dls.Platform.c Q.one
       && Q.equal w0.Dls.Platform.w (Q.of_int 2)
       && Q.equal w0.Dls.Platform.d (Q.of_ints 1 2)));
-  (match P.platform_of_spec ~line:1 ~col:1 "1:2:1/2 ,\t2:3:1" with
+  (match Dls.Platform.of_spec ~line:1 ~col:1 "1:2:1/2 ,\t2:3:1" with
   | Error e -> Alcotest.failf "blanks rejected: %s" (Dls.Errors.to_string e)
   | Ok p ->
     check_str "blanks trimmed, canonical spec" "1:2:1/2,2:3:1"
-      (P.platform_to_spec p));
+      (Dls.Platform.to_spec p));
   List.iter
     (fun (spec, expect_col) ->
-      match P.platform_of_spec ~line:1 ~col:1 spec with
+      match Dls.Platform.of_spec ~line:1 ~col:1 spec with
       | Ok _ -> Alcotest.failf "spec %S: expected a parse error" spec
       | Error (Dls.Errors.Parse_error { col; _ }) ->
         check_int (Printf.sprintf "col of %S" spec) expect_col col
@@ -1939,7 +1939,7 @@ let rejected_requests =
       [ "1:2:1/2,"; ",1:2:1/2"; "1::1/2"; "1:2:"; "1:2" ]
 
 (* The platform-spec parser, called on its own. *)
-let platform_of_spec = P.platform_of_spec
+let platform_of_spec = Dls.Platform.of_spec
 
 let rejected_specs =
   [ "1:2:1/2,"; ",1:2:1/2"; "1:2:1/2, ,2:3:1"; "1::1/2"; "1:2:"; "1:2"; " "; "1:2:3, 4:x:6" ]
@@ -2016,6 +2016,168 @@ let test_pinned_protocol () =
         check_str "response re-renders" line
           (outcome_to_string P.response_to_string (P.parse_response line)))
     want
+
+(* ------------------------------------------------------------------ *)
+(* Round trips drawn from the field tables                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One generator per value kind; a request or reply is drawn by folding
+   its rows over the seed record, so a new row is drawn as soon as it
+   exists.  Values are drawn in canonical form (workers [P1..Pn], loads
+   [L1..Ln], non-empty fault plans and list rows), because the wire
+   normalizes the others. *)
+
+module G = QCheck2.Gen
+
+let gen_q = G.map2 Q.of_ints (G.int_range 1 1000) (G.int_range 1 64)
+let gen_q0 = G.oneof [ G.pure Q.zero; gen_q ]
+
+(* p = 1..4 or 11, uniform return ratio z < 1, z = 1 or z > 1, or
+   arbitrary return costs *)
+let gen_platform =
+  let open G in
+  let* n = oneof [ int_range 1 4; pure 11 ] in
+  let* z = oneofl [ Some (Q.of_ints 1 2); Some Q.one; Some (Q.of_ints 3 2); None ] in
+  let+ costs = list_repeat n (triple gen_q gen_q gen_q0) in
+  Dls.Platform.make_exn
+    (List.mapi
+       (fun i (c, w, d) ->
+         let d = match z with Some z -> Q.mul z c | None -> d in
+         Dls.Platform.worker ~name:(Printf.sprintf "P%d" (i + 1)) ~c ~w ~d ())
+       costs)
+
+let gen_word =
+  G.string_size ~gen:(G.oneofl (List.init 26 (fun i -> Char.chr (97 + i)) @ [ ':'; '/'; '-'; '=' ]))
+    (G.int_range 1 12)
+
+let rec gen_kind : type a. a P.kind -> a G.t =
+ fun kind ->
+  let open G in
+  match kind with
+  | P.Rational P.Any -> oneof [ gen_q0; map Q.neg gen_q ]
+  | P.Rational P.Positive -> gen_q
+  | P.Rational P.Non_negative -> gen_q0
+  | P.Int P.Any -> int_range (-1000) 1_000_000
+  | P.Int P.Positive -> int_range 1 1_000_000
+  | P.Int P.Non_negative -> int_range 0 10
+  | P.Bool -> bool
+  | P.Float ->
+    oneof
+      [
+        map float_of_int (int_range 0 100_000);
+        float_range 0. 1e7;
+        map2 ldexp (float_range 0. 1.) (int_range (-50) 50);
+      ]
+  | P.Word -> gen_word
+  | P.Order -> oneofl [ P.Fifo; P.Lifo ]
+  | P.Model -> oneofl [ Dls.Lp_model.One_port; Dls.Lp_model.Two_port ]
+  | P.Mode -> oneofl [ P.Steady; P.Batch ]
+  | P.Health -> oneofl [ P.Mode_healthy; P.Mode_degraded; P.Mode_draining ]
+  | P.Recovery ->
+    oneof
+      [
+        oneofl [ P.Replan_none; P.Replan_auto ];
+        map (fun p -> P.Replan_policy p)
+          (oneof
+             [
+               oneofl [ Dls.Replan.Resolve; Dls.Replan.Drop_faulty ];
+               map (fun m -> Dls.Replan.Margin m) gen_q0;
+             ]);
+      ]
+  | P.Fault_plan ->
+    let fault =
+      let* worker = int_range 0 10 and* factor = map (Q.add Q.one) gen_q0 and* at = gen_q0 in
+      oneof
+        [
+          pure (Dls.Faults.Slowdown { worker; factor; from_ = at });
+          pure (Dls.Faults.Degrade { worker; factor; from_ = at });
+          pure (Dls.Faults.Crash { worker; at });
+          map (fun duration -> Dls.Faults.Stall { worker; at; duration }) gen_q;
+        ]
+    in
+    map Dls.Faults.make_exn (list_size (int_range 1 3) fault)
+  | P.Platform_spec -> gen_platform
+  | P.Workload_spec ->
+    let load i =
+      let+ size = gen_q and+ release = gen_q0 and+ z = option gen_q0 in
+      Dls.Workload.load ~name:(Printf.sprintf "L%d" (i + 1)) ~size ~release ?z ()
+    in
+    let* n = int_range 1 3 in
+    map Dls.Workload.make_exn (flatten_l (List.init n load))
+  | P.Q_list -> array_size (int_range 0 11) (gen_kind (P.Rational P.Any))
+  | P.Int_list -> array_size (int_range 0 11) (int_range 0 10)
+  | P.Alloc -> array_size (int_range 1 3) (array_size (int_range 1 11) gen_q0)
+  | P.Verbs -> list_size (int_range 0 8) gen_word
+  | P.Opt k -> option (gen_kind k)
+
+let gen_rows rows seed =
+  List.fold_left
+    (fun acc (P.Field f) -> G.bind acc (fun r -> G.map (f.set r) (gen_kind f.kind)))
+    (G.pure seed) rows
+
+let round_trip ~name ~print ~parse gen =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |])
+    (QCheck2.Test.make ~count:200 ~name ~print gen (fun r ->
+         let line = print r in
+         match parse line with
+         | Error e -> QCheck2.Test.fail_reportf "%S: %s" line (Dls.Errors.to_string e)
+         | Ok r' -> r' = r && print r' = line))
+
+let request_round_trip (P.Verb v) =
+  let rec valid gen =
+    G.bind gen (fun r ->
+        let given = List.map (fun (P.Field f) -> f.name) v.rows in
+        if v.check ~given r = None then G.pure (v.inj r) else valid gen)
+  in
+  round_trip ~name:("request " ^ v.name) ~print:P.request_to_string
+    ~parse:(P.parse_request ~line:1)
+    (valid (gen_rows (Option.to_list v.spec @ v.rows) v.seed))
+
+let reply_round_trip (P.Reply k) =
+  round_trip ~name:("reply " ^ k.head) ~print:P.response_to_string ~parse:P.parse_response
+    (G.map k.inj (gen_rows k.rows k.seed))
+
+(* [ok solve] as the daemon fills it: the exact LP(2) optimum of a drawn
+   platform, p = 11 among them, at z < 1, z = 1 and z > 1. *)
+let lp_answer_round_trip =
+  let gen =
+    let open G in
+    let+ p = gen_platform and+ load = option gen_q in
+    let sol = Dls.Fifo.optimal p in
+    P.Ok_solve
+      {
+        rho = sol.Dls.Lp_model.rho;
+        sigma1 = Dls.Fifo.order p;
+        alpha = sol.Dls.Lp_model.alpha;
+        idle = sol.Dls.Lp_model.idle;
+        makespan = Option.map (fun load -> Dls.Lp_model.time_for_load sol ~load) load;
+      }
+  in
+  round_trip ~name:"ok solve from exact LP answers" ~print:P.response_to_string
+    ~parse:P.parse_response gen
+
+(* [error ...] is not a row table: its message is free text, single
+   blanks between words. *)
+let failed_round_trip =
+  let gen =
+    let open G in
+    let* msg = map (String.concat " ") (list_size (int_range 1 5) gen_word) in
+    oneof
+      [
+        oneofl [ Dls.Errors.Unbounded; Dls.Errors.Infeasible ];
+        oneofl [ Dls.Errors.Invalid_scenario msg; Dls.Errors.Io_error msg ];
+        map2
+          (fun line col -> Dls.Errors.Parse_error { file = None; line; col; msg })
+          (int_range 1 1000) (int_range 1 1000);
+      ]
+  in
+  round_trip ~name:"reply error" ~print:P.response_to_string ~parse:P.parse_response
+    (G.map (fun e -> P.Failed e) gen)
+
+let protocol_qcheck_tests =
+  List.map request_round_trip P.request_verbs
+  @ List.map reply_round_trip P.replies
+  @ [ failed_round_trip; lp_answer_round_trip ]
 
 (* ------------------------------------------------------------------ *)
 (* Endpoint: the socket front end of the daemon, router and proxy      *)
@@ -2180,6 +2342,7 @@ let () =
         ] );
       ( "protocol pinned",
         [ Alcotest.test_case "wire bytes and errors" `Quick test_pinned_protocol ] );
+      ("protocol qcheck", protocol_qcheck_tests);
       ( "wire",
         [
           Alcotest.test_case "byte-at-a-time framing" `Quick

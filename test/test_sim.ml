@@ -529,14 +529,27 @@ let test_star_rejects_malformed_plans () =
   | exception Dls.Errors.Error _ -> ()
   | _ -> Alcotest.fail "execute should raise the typed error"
 
+(* [Sim.Faults.execute] runs exact loads: [seq_of_plan] lifts a float
+   plan's loads exactly, [seq_of_solved] takes the LP's own. *)
+let seq_of_plan ?(loads = fun (plan : Star.plan) -> Array.map Q.of_float plan.Star.loads) plan =
+  {
+    Dls.Replan.sigma1 = plan.Star.sigma1;
+    sigma2 = plan.Star.sigma2;
+    loads = loads plan;
+    start = Q.zero;
+    source = Dls.Replan.Original;
+  }
+
+let seq_of_solved sol =
+  seq_of_plan ~loads:(fun _ -> sol.Dls.Lp_model.alpha) (Star.plan_of_solved sol)
+
 let test_sim_faults_crash_drops_return () =
   let p = platform_2 () in
   let sol = Dls.Fifo.optimal p in
-  let star_plan = Star.plan_of_solved sol in
   let faults =
     Dls.Faults.make_exn [ Dls.Faults.Crash { worker = 0; at = qq 1 10 } ]
   in
-  match Sim.Faults.execute p faults star_plan with
+  match Sim.Faults.execute p faults (seq_of_solved sol) with
   | Error e -> Alcotest.fail (Dls.Errors.to_string e)
   | Ok trace ->
     let returns_of w =
@@ -551,7 +564,7 @@ let test_sim_faults_crash_drops_return () =
       List.fold_left (fun acc e -> acc +. e.Trace.load) 0.0 (returns_of 1)
     in
     Alcotest.(check bool) "partial completion" true
-      (returned < Array.fold_left ( +. ) 0.0 star_plan.Star.loads)
+      (returned < Array.fold_left (fun acc a -> acc +. Q.to_float a) 0.0 sol.Dls.Lp_model.alpha)
 
 let test_sim_faults_decision_trace_valid () =
   let p = platform_2 () in
@@ -715,7 +728,7 @@ let test_sim_faults_no_fault_matches_star () =
           List.iter
             (fun plan ->
               let reference = Star.execute p plan in
-              match Sim.Faults.execute p Dls.Faults.empty plan with
+              match Sim.Faults.execute p Dls.Faults.empty (seq_of_plan plan) with
               | Error e -> Alcotest.failf "%s: %s" label (Dls.Errors.to_string e)
               | Ok trace ->
                 Alcotest.(check int)
@@ -786,11 +799,27 @@ let test_replay_crash_after_compute () =
       source = Dls.Replan.Original;
     }
   in
-  let plan = { Star.sigma1 = [| 1; 0 |]; sigma2 = [| 0; 1 |]; loads = [| 2.0; 2.0 |] } in
-  match Sim.Faults.execute p faults plan with
+  match Sim.Faults.execute p faults seq with
   | Error e -> Alcotest.fail (Dls.Errors.to_string e)
   | Ok trace ->
     agrees_with_replay "crash after compute" trace (Dls.Replan.replay_seq p faults seq)
+
+(* Two LP schedules of the seed-25 matrix whose surviving return meets a
+   stall onset exactly: run from loads lifted back from floats, it
+   landed one ulp late and lost the stall's whole length (z = 1 case
+   434 returned at 0.421875, z > 1 case 1242 at 3.09375); from the exact
+   loads it returns at the replay's 0.375 and 2.8125. *)
+let test_replay_exact_loads () =
+  List.iter
+    (fun (regime, i) ->
+      let platform, faults, load = Check.Fuzz.fault_case ~seed:25 ~severity:0.8 regime i in
+      let original = Dls.Schedule.for_load (Dls.Fifo.optimal platform) ~load in
+      let seq = Dls.Replan.seq_of_schedule original ~start:Q.zero in
+      let label = Printf.sprintf "%s case %d" (Check.Fuzz.regime_to_string regime) i in
+      match Sim.Faults.execute platform faults seq with
+      | Error e -> Alcotest.failf "%s: %s" label (Dls.Errors.to_string e)
+      | Ok trace -> agrees_with_replay label trace (Dls.Replan.replay_seq platform faults seq))
+    [ (Check.Fuzz.Unit_z, 434); (Check.Fuzz.Big_z, 1242) ]
 
 (* Seeded [Faults.gen] cases in each return-ratio regime: the original
    schedule run under the faults matches its exact replay, and the trace
@@ -870,6 +899,7 @@ let () =
       ("pinned", [ Alcotest.test_case "executor traces" `Quick test_pinned_traces ]);
       ( "replay",
         Alcotest.test_case "crash after compute" `Quick test_replay_crash_after_compute
+        :: Alcotest.test_case "exact loads at a stall onset" `Quick test_replay_exact_loads
         :: List.map replay_matrix_case Check.Fuzz.all_regimes );
       ( "trace",
         [
