@@ -38,8 +38,12 @@ let fields ?(off = 0) sep s =
   let rec go start acc =
     let stop = Option.value (String.index_from_opt s start sep) ~default:(String.length s) in
     let i = ref start and j = ref stop in
-    while !i < !j && blank s.[!i] do incr i done;
-    while !j > !i && blank s.[!j - 1] do decr j done;
+    while !i < !j && blank s.[!i] do
+      incr i
+    done;
+    while !j > !i && blank s.[!j - 1] do
+      decr j
+    done;
     let acc = (off + !i, String.sub s !i (!j - !i)) :: acc in
     if stop = String.length s then List.rev acc else go (stop + 1) acc
   in

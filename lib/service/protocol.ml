@@ -260,7 +260,7 @@ type pos = { file : string option; line : int }
 let fail pos col fmt = E.parse_error ?file:pos.file ~line:pos.line ~col fmt
 
 let rational pos col v =
-  Dls.Text_format.rational ?file:pos.file ~line:pos.line { T.text = v; col }
+  T.rational ?file:pos.file ~line:pos.line { T.text = v; col }
 
 let int pos col v =
   match int_of_string_opt v with
@@ -368,17 +368,23 @@ let split_kv (tok : T.token) =
 let render head spec rows r =
   let b = Buffer.create 128 in
   Buffer.add_string b head;
-  let add key v =
-    Buffer.add_char b ' ';
-    Buffer.add_string b key;
-    Buffer.add_string b v
-  in
-  Option.iter (fun (Field f) -> Option.iter (add "") (show f.kind (f.get r))) spec;
+  Option.iter
+    (fun (Field f) ->
+      Buffer.add_char b ' ';
+      Buffer.add_string b (Option.get (show f.kind (f.get r))))
+    spec;
   List.iter
     (fun (Field f) ->
       match f.absent with
       | Only_if on when not (on r) -> ()
-      | _ -> Option.iter (add (f.name ^ "=")) (show f.kind (f.get r)))
+      | _ -> (
+        match show f.kind (f.get r) with
+        | Some v ->
+          Buffer.add_char b ' ';
+          Buffer.add_string b f.name;
+          Buffer.add_char b '=';
+          Buffer.add_string b v
+        | None -> ()))
     rows;
   Buffer.contents b
 
@@ -528,7 +534,10 @@ let parse_request ?file ~line s =
       (String.concat "/" verbs)
 
 let request_to_string req =
-  List.find_map (fun (Verb v) -> Option.map (render v.name v.spec v.rows) (v.prj req)) request_verbs
+  List.find_map
+    (fun (Verb v) ->
+      match v.prj req with Some r -> Some (render v.name v.spec v.rows r) | None -> None)
+    request_verbs
   |> Option.get
 
 let request_key = request_to_string
@@ -841,7 +850,10 @@ let error_to_string (e : E.t) =
 let response_to_string = function
   | Failed e -> error_to_string e
   | resp ->
-    List.find_map (fun (Reply k) -> Option.map (render k.head None k.rows) (k.prj resp)) replies
+    List.find_map
+      (fun (Reply k) ->
+        match k.prj resp with Some r -> Some (render k.head None k.rows r) | None -> None)
+      replies
     |> Option.get
 
 let is_ok = function

@@ -332,11 +332,8 @@ val stats_of :
 
 (** {2:tables The field tables}
 
-    Each request verb and each response kind is one row list plus a
-    seed record: a row names a [key=value] field, its value {!kind} and
-    what its absence means.  Parsing, rendering (hence {!request_key}),
-    {!verbs} and the test generators are loops over {!request_verbs}
-    and {!replies}; adding a field to a verb is one row plus its record
+    A row names a [key=value] field, its value {!kind} and what its
+    absence means; adding a field to a verb is one row plus its record
     field.  What is not a plain field stays explicit beside the rows:
     the positional platform spec, solve-multi's cross-field rule, the
     [error] replies' free-text tails. *)
