@@ -531,17 +531,16 @@ let test_star_rejects_malformed_plans () =
 
 (* [Sim.Faults.execute] runs exact loads: [seq_of_plan] lifts a float
    plan's loads exactly, [seq_of_solved] takes the LP's own. *)
-let seq_of_plan ?(loads = fun (plan : Star.plan) -> Array.map Q.of_float plan.Star.loads) plan =
+let seq_of_plan ?loads (plan : Star.plan) =
   {
     Dls.Replan.sigma1 = plan.Star.sigma1;
     sigma2 = plan.Star.sigma2;
-    loads = loads plan;
+    loads = Option.value loads ~default:(Array.map Q.of_float plan.Star.loads);
     start = Q.zero;
     source = Dls.Replan.Original;
   }
 
-let seq_of_solved sol =
-  seq_of_plan ~loads:(fun _ -> sol.Dls.Lp_model.alpha) (Star.plan_of_solved sol)
+let seq_of_solved sol = seq_of_plan ~loads:sol.Dls.Lp_model.alpha (Star.plan_of_solved sol)
 
 let test_sim_faults_crash_drops_return () =
   let p = platform_2 () in
