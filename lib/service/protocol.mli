@@ -55,11 +55,11 @@
     ({!replies}) is one row list plus a seed record; parsing,
     rendering, {!request_key}, {!verbs} and the test generators are
     loops over them (see {{!section-tables} the field tables}).
-    test_service's "protocol pinned" group holds the bytes and every
-    parse error's position and message to
+    test_service's "protocol pinned wire bytes and errors" holds the
+    bytes and every parse error's position and message to
     [test/fixtures/pinned_protocol.txt], recorded from the hand-written
-    codec the tables replaced; "protocol qcheck" round-trips every verb
-    and reply drawn from its rows.
+    codec the tables replaced; the "protocol qcheck …" cases round-trip
+    every verb and reply drawn from its rows.
 
     {2 Versioning}
 

@@ -2117,7 +2117,7 @@ let gen_rows rows seed =
 
 let round_trip ~name ~print ~parse gen =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |])
-    (QCheck2.Test.make ~count:200 ~name ~print gen (fun r ->
+    (QCheck2.Test.make ~count:200 ~name:("qcheck " ^ name) ~print gen (fun r ->
          let line = print r in
          match parse line with
          | Error e -> QCheck2.Test.fail_reportf "%S: %s" line (Dls.Errors.to_string e)
@@ -2339,10 +2339,10 @@ let () =
             test_platform_spec_hardening;
           Alcotest.test_case "pre-resilience lines still parse" `Quick
             test_protocol_backcompat_lines;
-        ] );
-      ( "protocol pinned",
-        [ Alcotest.test_case "wire bytes and errors" `Quick test_pinned_protocol ] );
-      ("protocol qcheck", protocol_qcheck_tests);
+          Alcotest.test_case "pinned wire bytes and errors" `Quick
+            test_pinned_protocol;
+        ]
+        @ protocol_qcheck_tests );
       ( "wire",
         [
           Alcotest.test_case "byte-at-a-time framing" `Quick
