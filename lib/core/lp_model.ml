@@ -98,40 +98,65 @@ let problem model (s : Scenario.t) =
   in
   Simplex.Problem.make ~names Simplex.Problem.Maximize objective constraints
 
-(* Repackage an optimal LP point as a [solved] record. *)
-let package model (s : Scenario.t) (sol : Simplex.Solver.solution) =
-  let platform = s.Scenario.platform in
-  let n = Platform.size platform in
-  let alpha = Array.make n Q.zero in
-  Array.iteri
-    (fun k i -> alpha.(i) <- sol.Simplex.Solver.point.(k))
-    s.Scenario.sigma1;
-  (* [idle] is canonical, not read off the simplex point: it is the gap
-     between the worker's compute finish and its return start in the
-     canonical packed timeline (sends packed from 0, returns packed
-     against the horizon — exactly [Schedule.of_solved]'s layout).  The
-     LP's own idle variable duplicates its row's slack column, so the
-     split between them depends on the pivot path; the gap depends only
-     on [alpha], which keeps the two solver pipelines bit-identical.
-     The gap is 1 minus the prefix of [alpha c] in sigma1 order, the
-     worker's own [alpha w], and the suffix of [alpha d] in sigma2
-     order. *)
-  let gap = Array.make n Q.zero in
-  let sent = ref Q.zero in
-  Array.iter
-    (fun i ->
-      let wk = Platform.get platform i in
-      sent := Q.add !sent (Q.mul alpha.(i) wk.Platform.c);
-      gap.(i) <- Q.sub Q.one (Q.add !sent (Q.mul alpha.(i) wk.Platform.w)))
-    s.Scenario.sigma1;
-  let returned = ref Q.zero in
-  for r = Array.length s.Scenario.sigma2 - 1 downto 0 do
-    let i = s.Scenario.sigma2.(r) in
-    returned :=
-      Q.add !returned (Q.mul alpha.(i) (Platform.get platform i).Platform.d);
-    gap.(i) <- Q.sub gap.(i) !returned
+(* [idle] is canonical, not read off the simplex point: it is the gap
+   between the worker's compute finish and its return start in the
+   canonical packed timeline (sends packed from 0, returns packed
+   against the horizon — exactly [Schedule.of_solved]'s layout).  The
+   LP's own idle variable duplicates its row's slack column, so the
+   split between them depends on the pivot path; the gap depends only
+   on [alpha], which keeps the two solver pipelines bit-identical.  The
+   gap is 1 minus the worker's deadline row without its idle variable:
+   the prefix of [alpha c] in sigma1 order, the worker's own [alpha w],
+   and the suffix of [alpha d] in sigma2 order.
+
+   [gaps alpha] computes them in sigma1 order over one denominator.
+   Worker [j]'s [(c, w, d)] is [(c', w', d') / l_j] with integers
+   [c', w', d'] ([l_j] the lcm of their denominators), and
+   [alpha_j / l_j = a_j / m] with one common denominator [m], so every
+   term [alpha_j x_j] is the integer [a_j x'_j] over [m]. *)
+let gaps (s : Scenario.t) alpha =
+  let module I = Numeric.Integer in
+  let q = Array.length alpha in
+  let cols =
+    Array.map
+      (fun i ->
+        let wk = Platform.get s.Scenario.platform i in
+        Q.common_denominator [| wk.Platform.c; wk.Platform.w; wk.Platform.d |])
+      s.Scenario.sigma1
+  in
+  let a, m =
+    Q.common_denominator (Array.mapi (fun k x -> Q.div x (Q.of_integer (snd cols.(k)))) alpha)
+  in
+  let term k f = I.mul a.(k) (fst cols.(k)).(f) in
+  let row = Array.make q I.zero in
+  let sent = ref I.zero in
+  for k = 0 to q - 1 do
+    sent := I.add !sent (term k 0);
+    row.(k) <- I.add !sent (term k 1)
   done;
-  let idle = Array.mapi (fun i g -> if Q.sign alpha.(i) > 0 then g else Q.zero) gap in
+  let position = Array.make (Platform.size s.Scenario.platform) (-1) in
+  Array.iteri (fun k i -> position.(i) <- k) s.Scenario.sigma1;
+  let returned = ref I.zero in
+  for r = Array.length s.Scenario.sigma2 - 1 downto 0 do
+    let k = position.(s.Scenario.sigma2.(r)) in
+    returned := I.add !returned (term k 2);
+    row.(k) <- I.add row.(k) !returned
+  done;
+  Array.mapi (fun k r -> if Q.sign alpha.(k) > 0 then Q.make (I.sub m r) m else Q.zero) row
+
+(* Repackage an optimal LP point as a [solved] record; [gaps] (sigma1
+   order) when the caller has them already, as a certificate does. *)
+let package ?gaps:given model (s : Scenario.t) (sol : Simplex.Solver.solution) =
+  let q = Array.length s.Scenario.sigma1 in
+  let loads = Array.sub sol.Simplex.Solver.point 0 q in
+  let gap = match given with Some g -> g | None -> gaps s loads in
+  let n = Platform.size s.Scenario.platform in
+  let alpha = Array.make n Q.zero and idle = Array.make n Q.zero in
+  Array.iteri
+    (fun k i ->
+      alpha.(i) <- loads.(k);
+      if Q.sign loads.(k) > 0 then idle.(i) <- gap.(k))
+    s.Scenario.sigma1;
   {
     scenario = s;
     model;
@@ -167,9 +192,10 @@ let solve_lp model s p =
    certificate tests the same primal and dual signs. *)
 let certify model s p basis =
   match Structured_cert.certify ~one_port:(model = One_port) s ~basis with
-  | Structured_cert.Certified sol -> Some sol
+  | Structured_cert.Certified { solution; gaps } -> Some (package ~gaps model s solution)
   | Structured_cert.Rejected -> None
-  | Structured_cert.Shape -> Simplex.Solver.certify_basis (Lazy.force p) ~basis
+  | Structured_cert.Shape ->
+    Option.map (package model s) (Simplex.Solver.certify_basis (Lazy.force p) ~basis)
 
 let default_max_float_pivots = 100_000
 
@@ -187,9 +213,9 @@ let fast_pipeline model ?warm ~max_float_pivots s p =
     | None -> None
     | Some basis -> (
       match certify model s p basis with
-      | Some sol ->
+      | Some solved ->
         bump warm_wins 1;
-        Some sol
+        Some solved
       | None -> None)
   in
   let certified =
@@ -208,16 +234,16 @@ let fast_pipeline model ?warm ~max_float_pivots s p =
         if warm = Some fbasis then None
         else
           match certify model s p fbasis with
-          | Some sol ->
+          | Some solved ->
             bump float_wins 1;
-            Some sol
+            Some solved
           | None -> None)
       | Simplex.Float_solver.Unbounded | Simplex.Float_solver.Infeasible
       | Simplex.Float_solver.Stalled ->
         None)
   in
   match certified with
-  | Some sol -> Ok (package model s sol)
+  | Some solved -> Ok solved
   | None ->
     bump exact_fallbacks 1;
     solve_lp model s p
@@ -308,9 +334,9 @@ let solve_from_neighbor model s (near : solved) =
   bump neighbor_probes 1;
   match certify model s (lazy (problem model s)) near.basis with
   | None -> None
-  | Some sol ->
+  | Some solved ->
     bump repair_wins 1;
-    Some (package model s sol)
+    Some solved
 
 (* ------------------------------------------------------------------ *)
 (* The three modes behind [Solve.solve].                              *)

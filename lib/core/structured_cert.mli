@@ -30,15 +30,28 @@
     primal tests, but on the strict dual tests it rules out only an
     exact zero (the float image of an alternate optimum) or a clearly
     negative value, leaving duals too small for doubles to resolve to
-    the exact test.  Everything
-    is O(p) rational operations, against the O(m^3) elimination of
-    {!Simplex.Solver.certify_basis}. *)
+    the exact test.
+
+    The arithmetic is fraction-free.  Each worker's column is scaled to
+    integers (by the lcm of its denominators); the loads are integer
+    numerators over one denominator, built from prefix and suffix
+    products of the chain's link factors, and so are the duals.  Every
+    test compares signs by cross-multiplication, and the one division
+    per value (a gcd) happens when the certified answer is packaged.
+    Everything is O(p) integer operations, against the O(m^3)
+    elimination of {!Simplex.Solver.certify_basis}. *)
 
 type outcome =
-  | Certified of Simplex.Solver.solution
-      (** the unique optimum, with [pivots = 0] and the candidate basis;
-          [point] is the basis's vertex (a basic idle variable carries
-          its row's gap) *)
+  | Certified of {
+      solution : Simplex.Solver.solution;
+          (** the unique optimum, with [pivots = 0] and the candidate
+              basis; [point] is the basis's vertex (a basic idle
+              variable carries its row's gap) *)
+      gaps : Numeric.Rational.t array;
+          (** [1 -] each deadline row without its idle variable, in
+              sigma1 order: a loaded worker's [idle] in
+              {!Lp_model.solved} *)
+    }
   | Rejected
       (** the basis has the chain shape but is not the unique optimum:
           infeasible, suboptimal, or on alternate optima.  The generic
@@ -50,5 +63,34 @@ type outcome =
 
 (** [certify ~one_port scenario ~basis] runs the test above on [basis],
     a basis of [Lp_model.problem] for [scenario] ([one_port] selects the
-    model: the one-port row is the last row when present). *)
+    model: the one-port row is the last row when present).  It is
+    [read], then [screen], then [exact]. *)
 val certify : one_port:bool -> Scenario.t -> basis:int array -> outcome
+
+(** {2 The layers of [certify]}
+
+    Exposed so that a reference implementation of the exact test can be
+    held to this one on the same chains. *)
+
+(** A basis read as a chain, in sigma1 positions: [enrolled] workers
+    have their load basic; [tight] rows bind (neither twin basic);
+    [binding] is the last enrolled worker when the one-port row binds. *)
+type chain = private {
+  fifo : bool;
+  one_port : bool;
+  enrolled : bool array;
+  tight : bool array;
+  binding : int option;
+}
+
+(** [read ~one_port scenario ~basis] is the chain [basis] forms, or
+    [None] when it has another shape ({!Shape}). *)
+val read : one_port:bool -> Scenario.t -> basis:int array -> chain option
+
+(** [screen chain scenario] is the float run: [false] rules the basis
+    out. *)
+val screen : chain -> Scenario.t -> bool
+
+(** [exact chain scenario ~basis] is the exact test, unscreened: it
+    returns [Certified] or [Rejected]. *)
+val exact : chain -> Scenario.t -> basis:int array -> outcome

@@ -1,11 +1,8 @@
 type token = { text : string; col : int }
 
-let tokens line =
-  (* Strip the '#' comment, then split on blanks, remembering where each
-     token starts (1-based column, counting raw characters). *)
-  let limit =
-    match String.index_opt line '#' with Some i -> i | None -> String.length line
-  in
+(* Split [line] on blanks up to [limit], remembering where each token
+   starts (1-based column, counting raw characters). *)
+let split line limit =
   let toks = ref [] in
   let i = ref 0 in
   while !i < limit do
@@ -23,6 +20,11 @@ let tokens line =
     end
   done;
   List.rev !toks
+
+let tokens line =
+  split line (match String.index_opt line '#' with Some i -> i | None -> String.length line)
+
+let words line = split line (String.length line)
 
 let rational ?file ~line (tok : token) =
   (* [Q.of_string] raises [Invalid_argument] on a malformed numeral or

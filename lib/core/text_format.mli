@@ -9,6 +9,10 @@ type token = { text : string; col : int  (** 1-based *) }
     each token carries its 1-based starting column. *)
 val tokens : string -> token list
 
+(** [words line] is [tokens line] without the comment rule: a ['#']
+    is an ordinary character (a reply line carries free text). *)
+val words : string -> token list
+
 (** [rational ~line tok] parses the token as an exact rational,
     reporting a positioned {!Errors.Parse_error} on malformed input
     (including ["1/0"]). *)

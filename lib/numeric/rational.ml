@@ -118,6 +118,14 @@ let of_float f =
 let sum l = List.fold_left add zero l
 let sum_array a = Array.fold_left add zero a
 
+let common_denominator a =
+  let l =
+    Array.fold_left
+      (fun acc x -> Integer.mul acc (exact_div x.den (Integer.gcd_integer acc x.den)))
+      Integer.one a
+  in
+  (Array.map (fun x -> Integer.mul x.num (exact_div l x.den)) a, l)
+
 let to_string a =
   if is_integer a then Integer.to_string a.num
   else Integer.to_string a.num ^ "/" ^ Integer.to_string a.den

@@ -100,6 +100,11 @@ val ceil_int : t -> int
 val sum : t list -> t
 val sum_array : t array -> t
 
+(** [common_denominator a] is [(v, l)] with [a.(i) = v.(i) / l] for
+    every [i]: [l > 0] is the lcm of the denominators ([1] on an empty
+    array).  Exact checks then run on integers, one gcd per entry. *)
+val common_denominator : t array -> Integer.t array * Integer.t
+
 (** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit

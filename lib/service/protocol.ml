@@ -912,8 +912,9 @@ let parse_error_reply (code : T.token) rest =
   | "parse", _ -> fail response_pos code.T.col "error parse needs line= and col="
   | other, _ -> fail response_pos code.T.col "unknown error code %S" other
 
+(* A reply has no comments: a ['#'] is part of its text. *)
 let parse_response s =
-  match T.tokens s with
+  match T.words s with
   | [] -> fail response_pos 1 "empty response"
   | { T.text = "error"; _ } :: code :: rest -> parse_error_reply code rest
   | { T.text = "error"; col } :: [] -> fail response_pos col "error response misses its code"

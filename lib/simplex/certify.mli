@@ -2,7 +2,14 @@
 
     The checker re-evaluates every constraint with exact arithmetic, so a
     bug in the tableau machinery cannot silently corrupt a schedule: the
-    scheduling layer validates each solved program before trusting it. *)
+    scheduling layer validates each solved program before trusting it.
+
+    The evaluation is fraction-free: the point is brought to one common
+    denominator, and each row is an integer dot product of the row over
+    its own common denominator with the point's numerators, compared
+    with the right-hand side by cross-multiplication.  Rational values
+    are formed only to describe a violation, so the verdicts and
+    messages are those of evaluating every row on reduced rationals. *)
 
 module Q = Numeric.Rational
 

@@ -53,14 +53,7 @@ let pp_error fmt e = Format.pp_print_string fmt (string_of_error e)
    vector).  It scales the rows of [certify_basis]'s systems and the
    columns of the simplex tableau. *)
 let integer_vector row =
-  let l =
-    Array.fold_left
-      (fun acc q ->
-        let d = Q.den q in
-        I.mul acc (I.divexact d (I.gcd_integer acc d)))
-      I.one row
-  in
-  let scaled = Array.map (fun q -> I.mul (Q.num q) (I.divexact l (Q.den q))) row in
+  let scaled, l = Q.common_denominator row in
   let g = Array.fold_left I.gcd_integer I.zero scaled in
   let g = if I.is_zero g then I.one else g in
   (Array.map (fun v -> I.divexact v g) scaled, Q.make l g)

@@ -1461,7 +1461,7 @@ let test_structured_matches_exact () =
                 (fun basis ->
                   match certify model s basis with
                   | Cert.Rejected | Cert.Shape -> ()
-                  | Cert.Certified sol ->
+                  | Cert.Certified { solution = sol; _ } ->
                     let key = (kind, model) in
                     Hashtbl.replace accepted key
                       (1 + Option.value ~default:0 (Hashtbl.find_opt accepted key));
@@ -1524,17 +1524,25 @@ let test_structured_rejects_alternate_optima () =
      both models.  Leaving P2 out (alpha_1 and row 2's slack basic),
      P2's reduced cost is exactly zero; enrolling both, row 2's dual is
      exactly zero, and so is the one-port row's when it is made to
-     bind (row 2's slack basic instead of the port slack).  With these
-     values each zero rounds to a small nonzero double, so the float
-     screen passes the basis and the exact test must reject it. *)
+     bind (row 2's slack basic instead of the port slack).  Whether a
+     zero survives the float screen as an exact 0.0 depends on how the
+     doubles round, so the exact test is also asked on its own: it must
+     reject each basis. *)
   List.iter
     (fun (what, c2, model, basis) ->
       let p =
         Dls.Platform.make_exn [ worker (1, 2) (1, 3) (1, 5); worker c2 (1, 1) (31, 30) ]
       in
-      match certify model (Dls.Scenario.fifo_exn p [| 0; 1 |]) basis with
+      let s = Dls.Scenario.fifo_exn p [| 0; 1 |] in
+      (match certify model s basis with
       | Cert.Rejected -> ()
-      | o -> Alcotest.failf "%s: %s" what (outcome_name o))
+      | o -> Alcotest.failf "%s: %s" what (outcome_name o));
+      match Cert.read ~one_port:(model = Dls.Lp_model.One_port) s ~basis with
+      | None -> Alcotest.failf "%s: not a chain" what
+      | Some ch -> (
+        match Cert.exact ch s ~basis with
+        | Cert.Rejected -> ()
+        | o -> Alcotest.failf "%s unscreened: %s" what (outcome_name o)))
     Dls.Lp_model.
       [
         ("zero reduced cost", (5, 3), Two_port, [| 0; 5 |]);
@@ -1587,6 +1595,299 @@ let test_structured_rejects_perturbed () =
         models)
     (family_platforms ());
   if !dropped = 0 || !flipped = 0 then Alcotest.fail "no perturbation exercised"
+
+(* The reference: the structured certificate's exact test on reduced
+   rationals, as it ran before the integer chain.  Same chain, same
+   tests, one gcd per operation; [read] and [screen] are the library's. *)
+module Rational_chain = struct
+  exception Reject
+
+  let top a = Array.length a - 1
+  let ( + ) = Q.add
+  let ( - ) = Q.sub
+  let ( * ) = Q.mul
+  let ( / ) a b = if Q.is_zero b then raise Reject else Q.div a b
+
+  let rows (ch : Cert.chain) ~c ~w ~d alpha =
+    let out = Array.map (fun _ -> Q.zero) alpha in
+    let acc = ref Q.zero in
+    for k = 0 to top alpha do
+      acc := !acc + (alpha.(k) * (if ch.fifo then c.(k) else c.(k) + d.(k)));
+      out.(k) <- !acc + (alpha.(k) * w.(k))
+    done;
+    if ch.fifo then begin
+      let acc = ref Q.zero in
+      for k = top alpha downto 0 do
+        acc := !acc + (alpha.(k) * d.(k));
+        out.(k) <- out.(k) + !acc
+      done
+    end;
+    out
+
+  let primal (ch : Cert.chain) ~c ~w ~d =
+    let q = Array.length c in
+    let r = Array.make q Q.zero in
+    let first = ref (-1) and prev = ref (-1) in
+    for k = 0 to top c do
+      if ch.tight.(k) then begin
+        (match !prev with
+        | -1 ->
+          first := k;
+          r.(k) <- Q.one
+        | j ->
+          r.(k) <-
+            (if ch.fifo then r.(j) * (w.(j) + d.(j)) / (c.(k) + w.(k))
+             else r.(j) * w.(j) / (c.(k) + w.(k) + d.(k))));
+        prev := k
+      end
+    done;
+    let alpha = Array.make q Q.zero in
+    (match (!first, ch.binding) with
+    | -1, None -> raise Reject
+    | -1, Some l -> alpha.(l) <- Q.one / (c.(l) + d.(l))
+    | k0, binding -> (
+      let r0 =
+        if ch.fifo then begin
+          let acc = ref (r.(k0) * (c.(k0) + w.(k0))) in
+          Array.iteri (fun k t -> if t then acc := !acc + (r.(k) * d.(k))) ch.tight;
+          !acc
+        end
+        else c.(k0) + w.(k0) + d.(k0)
+      in
+      match binding with
+      | None ->
+        let t = Q.one / r0 in
+        Array.iteri (fun k rk -> alpha.(k) <- t * rk) r
+      | Some l ->
+        let port = ref Q.zero in
+        Array.iteri (fun k t -> if t then port := !port + (r.(k) * (c.(k) + d.(k)))) ch.tight;
+        let a0l = if ch.fifo then d.(l) else Q.zero in
+        let pl = c.(l) + d.(l) in
+        let det = (r0 * pl) - (!port * a0l) in
+        let t = (pl - a0l) / det in
+        Array.iteri (fun k rk -> alpha.(k) <- t * rk) r;
+        alpha.(l) <- (r0 - !port) / det));
+    alpha
+
+  let duals (ch : Cert.chain) ~c ~w ~d =
+    let q = Array.length c in
+    let y = Array.make q Q.zero in
+    if ch.fifo then begin
+      let u, v =
+        match ch.binding with
+        | None -> (Q.zero, Q.zero)
+        | Some l ->
+          let pl = c.(l) + d.(l) in
+          (Q.one / pl, (Q.zero - d.(l)) / pl)
+      in
+      let a = Array.make q Q.zero and b = Array.make q Q.zero in
+      let p0 = ref Q.zero and p1 = ref Q.zero in
+      for k = 0 to top c do
+        if ch.tight.(k) then begin
+          let den = w.(k) + d.(k) and cd = c.(k) + d.(k) and dc = d.(k) - c.(k) in
+          a.(k) <- (Q.one - (cd * u) - (dc * !p0)) / den;
+          b.(k) <- (Q.zero - c.(k) - (cd * v) - (dc * !p1)) / den;
+          p0 := !p0 + a.(k);
+          p1 := !p1 + b.(k)
+        end
+      done;
+      let total = !p0 / (Q.one - !p1) in
+      Array.iteri (fun k t -> if t then y.(k) <- a.(k) + (b.(k) * total)) ch.tight;
+      (y, u + (v * total))
+    end
+    else begin
+      let port =
+        match ch.binding with None -> Q.zero | Some l -> Q.one / (c.(l) + d.(l))
+      in
+      let s = ref Q.zero in
+      for k = top c downto 0 do
+        if ch.tight.(k) then begin
+          let cd = c.(k) + d.(k) in
+          y.(k) <- (Q.one - (cd * (!s + port))) / (cd + w.(k));
+          s := !s + y.(k)
+        end
+      done;
+      (y, port)
+    end
+
+  let run (ch : Cert.chain) ~c ~w ~d =
+    let alpha = primal ch ~c ~w ~d in
+    Array.iteri (fun k e -> if e && Q.sign alpha.(k) < 0 then raise Reject) ch.enrolled;
+    let rows = rows ch ~c ~w ~d alpha in
+    Array.iteri
+      (fun k t ->
+        let slack = Q.one - rows.(k) in
+        if (t && Q.sign slack <> 0) || Q.sign slack < 0 then raise Reject)
+      ch.tight;
+    if ch.one_port then begin
+      let port = ref Q.zero in
+      Array.iteri (fun k a -> port := !port + (a * (c.(k) + d.(k)))) alpha;
+      let slack = Q.one - !port in
+      if (ch.binding <> None && Q.sign slack <> 0) || Q.sign slack < 0 then raise Reject
+    end;
+    let y, y_port = duals ch ~c ~w ~d in
+    Array.iteri (fun k t -> if t && Q.sign y.(k) <= 0 then raise Reject) ch.tight;
+    if ch.binding <> None && Q.sign y_port <= 0 then raise Reject;
+    let prefix = ref Q.zero in
+    let total = Array.fold_left ( + ) Q.zero y in
+    for j = 0 to top c do
+      let suffix = total - !prefix in
+      prefix := !prefix + y.(j);
+      let price =
+        if ch.fifo then
+          (c.(j) * suffix) + (d.(j) * !prefix) + (w.(j) * y.(j)) + ((c.(j) + d.(j)) * y_port)
+        else ((c.(j) + d.(j)) * (suffix + y_port)) + (w.(j) * y.(j))
+      in
+      if ch.enrolled.(j) then (if Q.sign (price - Q.one) <> 0 then raise Reject)
+      else if Q.sign (price - Q.one) <= 0 then raise Reject
+    done;
+    (alpha, rows)
+end
+
+module Rational_cert = struct
+  (* [Some (solution, gaps)] when the basis is certified *)
+  let exact ch (s : Dls.Scenario.t) ~basis =
+    let q = Dls.Scenario.num_enrolled s in
+    let field f =
+      Array.init q (fun k -> f (Dls.Platform.get s.Dls.Scenario.platform s.Dls.Scenario.sigma1.(k)))
+    in
+    match
+      Rational_chain.run ch ~c:(field (fun x -> x.Dls.Platform.c)) ~w:(field (fun x -> x.Dls.Platform.w))
+        ~d:(field (fun x -> x.Dls.Platform.d))
+    with
+    | exception Rational_chain.Reject -> None
+    | alpha, rows ->
+      let gaps = Array.map (fun r -> Q.sub Q.one r) rows in
+      let point = Array.make (2 * q) Q.zero in
+      Array.blit alpha 0 point 0 q;
+      Array.iter (fun j -> if j >= q && j < 2 * q then point.(j) <- gaps.(j - q)) basis;
+      Some
+        ( { Simplex.Solver.value = Q.sum_array alpha; point; pivots = 0; basis = Array.copy basis },
+          gaps )
+
+  let certify ~one_port s ~basis =
+    match Cert.read ~one_port s ~basis with
+    | None -> `Shape
+    | Some ch ->
+      if not (Cert.screen ch s) then `Rejected
+      else match exact ch s ~basis with None -> `Rejected | Some c -> `Certified c
+end
+
+(* A random basis of chain shape for [q] workers: a non-empty enrolled
+   set; under one-port, the port slack basic or not (then the last
+   enrolled worker's row may leave a gap); each row that does not bind
+   gets its idle variable or its slack. *)
+let random_chain_basis rng ~one_port q =
+  let enrolled = Array.init q (fun _ -> Random.State.int rng 3 > 0) in
+  if not (Array.exists Fun.id enrolled) then enrolled.(Random.State.int rng q) <- true;
+  let port_slack = one_port && Random.State.bool rng in
+  let last = ref 0 in
+  Array.iteri (fun k e -> if e then last := k) enrolled;
+  let basis = ref (if port_slack then [ 3 * q ] else []) in
+  for k = q - 1 downto 0 do
+    if enrolled.(k) then basis := k :: !basis;
+    if (not enrolled.(k)) || (one_port && (not port_slack) && k = !last) then
+      basis := (if Random.State.bool rng then q + k else (2 * q) + k) :: !basis
+  done;
+  Array.of_list !basis
+
+(* Worker parameters from three families: small integers over 1 or 2
+   (ties and exact degeneracies, [d = 0] included), the test-wide
+   rationals in 1..10 over 1..10, and numerators or denominators near
+   10^18, which take the integers past the native range. *)
+let random_cert_worker rng family =
+  let small () = qq (1 + Random.State.int rng 3) (1 + Random.State.int rng 2) in
+  let big () =
+    let e18 = Numeric.Integer.of_string "1000000000000000000" in
+    let n = Numeric.Integer.add e18 (Numeric.Integer.of_int (Random.State.int rng 1000)) in
+    let k = Numeric.Integer.of_int (1 + Random.State.int rng 9) in
+    if Random.State.bool rng then Q.make n (Numeric.Integer.mul k e18) else Q.make k n
+  in
+  let pick () =
+    match family with
+    | 0 -> small ()
+    | 1 -> qq (1 + Random.State.int rng 10) (1 + Random.State.int rng 10)
+    | _ -> if Random.State.bool rng then big () else small ()
+  in
+  let d = if family = 0 && Random.State.int rng 4 = 0 then Q.zero else pick () in
+  Dls.Platform.worker ~c:(pick ()) ~w:(pick ()) ~d ()
+
+(* The integer chain against the rational reference on random chain
+   bases (and each LP's exact and float optimal bases): the same verdict
+   and, when certified, the same value, point, basis and gaps, both
+   behind the float screen and unscreened. *)
+let test_structured_reference () =
+  let rng = Random.State.make [| 2006; 27 |] in
+  let seen = Hashtbl.create 16 in
+  let count key = Hashtbl.replace seen key (1 + Option.value ~default:0 (Hashtbl.find_opt seen key)) in
+  let same label (sol : Simplex.Solver.solution) gaps ((rsol : Simplex.Solver.solution), rgaps) =
+    Alcotest.check rat (label ^ ": value") rsol.value sol.value;
+    Alcotest.(check (array rat)) (label ^ ": point") rsol.point sol.point;
+    Alcotest.(check (array int)) (label ^ ": basis") rsol.basis sol.basis;
+    Alcotest.(check (array rat)) (label ^ ": gaps") rgaps gaps
+  in
+  for case = 1 to 400 do
+    let family = case mod 3 in
+    let n = 1 + Random.State.int rng 6 in
+    let p = Dls.Platform.make_exn (List.init n (fun _ -> random_cert_worker rng family)) in
+    let order = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- t
+    done;
+    List.iter
+      (fun (kind, s) ->
+        List.iter
+          (fun model ->
+            let one_port = model = Dls.Lp_model.One_port in
+            let exact = Dls.Solve.solve_exn ~mode:`Exact ~model s in
+            let bases =
+              (exact.Dls.Lp_model.basis :: Option.to_list (float_basis model s))
+              @ List.init 4 (fun _ -> random_chain_basis rng ~one_port n)
+            in
+            List.iter
+              (fun basis ->
+                let label =
+                  Printf.sprintf "case %d %s %s basis [%s]" case kind
+                    (if one_port then "1p" else "2p")
+                    (String.concat "," (Array.to_list (Array.map string_of_int basis)))
+                in
+                (match (Cert.certify ~one_port s ~basis, Rational_cert.certify ~one_port s ~basis) with
+                | Cert.Shape, `Shape | Cert.Rejected, `Rejected -> ()
+                | Cert.Certified { solution; gaps }, `Certified r -> same label solution gaps r
+                | o, _ -> Alcotest.failf "%s: %s against the reference" label (outcome_name o));
+                match Cert.read ~one_port s ~basis with
+                | None -> ()
+                | Some ch -> (
+                  let ref_ = Rational_cert.exact ch s ~basis in
+                  (* a degenerate vertex: an enrolled load at zero *)
+                  (match ref_ with
+                  | Some (rsol, _) ->
+                    if Array.exists (fun k -> k < n && Q.is_zero rsol.point.(k)) basis then
+                      count "zero load"
+                  | None -> ());
+                  match (Cert.exact ch s ~basis, ref_) with
+                  | Cert.Rejected, None -> count "rejected"
+                  | Cert.Certified { solution; gaps }, Some r ->
+                    same (label ^ " unscreened") solution gaps r;
+                    count (Printf.sprintf "%s %s %s" kind (if one_port then "1p" else "2p")
+                             (if one_port && ch.binding <> None then "binding" else "slack"));
+                    if family = 2 then count "big"
+                  | o, _ ->
+                    Alcotest.failf "%s unscreened: %s against the reference" label (outcome_name o)))
+              bases)
+          models)
+      [ ("fifo", Dls.Scenario.fifo_exn p order); ("lifo", Dls.Scenario.lifo_exn p order) ]
+  done;
+  List.iter
+    (fun key ->
+      if not (Hashtbl.mem seen key) then Alcotest.failf "vacuous: no %s chain" key)
+    [
+      "fifo 1p binding"; "fifo 1p slack"; "fifo 2p slack"; "lifo 1p slack"; "lifo 2p slack";
+      "rejected"; "zero load"; "big";
+    ]
 
 let () =
   Alcotest.run "dls"
@@ -1644,6 +1945,8 @@ let () =
             test_structured_rejects_alternate_optima;
           Alcotest.test_case "perturbed basis rejected" `Quick
             test_structured_rejects_perturbed;
+          Alcotest.test_case "integer chain = rational reference" `Quick
+            test_structured_reference;
         ] );
       ( "heuristics",
         [

@@ -218,6 +218,35 @@ let test_response_roundtrip () =
       | Ok r' -> check_str "canonical line survives" line (P.response_to_string r'))
     (sample_responses ())
 
+(* A reply line has no comments: a '#' in free text or in a word value
+   is part of the reply.  (Request lines still strip '#' comments.) *)
+let test_reply_keeps_hash () =
+  List.iter
+    (fun (r, line) ->
+      check_str "rendered" line (P.response_to_string r);
+      match P.parse_response line with
+      | Error e -> Alcotest.failf "%S did not re-parse: %s" line (Dls.Errors.to_string e)
+      | Ok r' ->
+        check "same reply" true (r = r');
+        check_str "canonical line survives" line (P.response_to_string r'))
+    [
+      ( P.Failed (Dls.Errors.Invalid_scenario "worker #3 has c=0"),
+        "error invalid worker #3 has c=0" );
+      ( P.Ok_simulate
+          {
+            sim_makespan = 1.5;
+            lp_makespan = 1.25;
+            sim_valid = true;
+            achieved = None;
+            achieved_ratio = None;
+            replanned = Some "a#b";
+          },
+        "ok simulate makespan=1.5 lp=1.25 valid=true replan=a#b" );
+    ];
+  match P.parse_request ~line:1 "solve 1:1:1 # a comment" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "request comment: %s" (Dls.Errors.to_string e)
+
 let expect_parse_error ~col input =
   match P.parse_request ~line:3 input with
   | Ok _ -> Alcotest.failf "%S parsed" input
@@ -1984,6 +2013,13 @@ let pinned_protocol_lines () =
       let i = Random.State.int st (n + 1) in
       String.sub line 0 i ^ " " ^ String.sub line i (n - i)
   in
+  (* The fixture was recorded when a reply line, like a request line,
+     dropped a '#' and what follows it.  A reply keeps its '#' now
+     ("reply keeps '#'" pins that), so the reply column of a mutated
+     line is the codec's outcome on the text before its first '#': the
+     same text as before for every line, and the whole line for all
+     but three. *)
+  let before_hash s = match String.index_opt s '#' with Some i -> String.sub s 0 i | None -> s in
   let mutations =
     List.concat_map
       (fun line ->
@@ -1991,7 +2027,7 @@ let pinned_protocol_lines () =
             let s = mutate line in
             Printf.sprintf "M %S %s | %s" s
               (outcome_to_string P.request_to_string (P.parse_request ~line:2 s))
-              (outcome_to_string P.response_to_string (P.parse_response s))))
+              (outcome_to_string P.response_to_string (P.parse_response (before_hash s)))))
       (List.filteri (fun i _ -> i mod 3 = 0) (req_lines @ rep_lines))
   in
   List.map (( ^ ) "R ") req_lines @ List.map (( ^ ) "S ") rep_lines @ errors @ specs @ mutations
@@ -2330,6 +2366,7 @@ let () =
         [
           Alcotest.test_case "request round trip" `Quick test_request_roundtrip;
           Alcotest.test_case "response round trip" `Quick test_response_roundtrip;
+          Alcotest.test_case "reply keeps '#'" `Quick test_reply_keeps_hash;
           Alcotest.test_case "error positions" `Quick test_request_error_positions;
           Alcotest.test_case "huge decimal exponent" `Quick test_huge_exponent_rejected;
           Alcotest.test_case "garbage never raises" `Quick

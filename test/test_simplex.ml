@@ -588,14 +588,14 @@ let prop_reference_random =
          | None -> true
          | Some msg -> QCheck2.Test.fail_report msg))
 
-let test_reference_fixed () =
-  (* Beale's cycling example, an equality system, an infeasible and an
-     unbounded-after-phase-1 program, huge coefficients, and an
-     artificial driven out of the basis on a negative entry, after which
-     phase 2 runs with a negative basis determinant. *)
+(* Beale's cycling example, an equality system, an infeasible and an
+   unbounded-after-phase-1 program, huge coefficients, and an
+   artificial driven out of the basis on a negative entry, after which
+   phase 2 runs with a negative basis determinant. *)
+let fixed_problems () =
   let big = Q.of_string "1000000000000000000" in
-  List.iteri
-    (fun i p -> check_reference (Printf.sprintf "fixed %d" i) p)
+  List.mapi
+    (fun i p -> (Printf.sprintf "fixed %d" i, p))
     [
       P.make P.Maximize
         [| qq 3 4; Q.of_int (-150); qq 1 50; Q.of_int (-6) |]
@@ -614,14 +614,25 @@ let test_reference_fixed () =
         [ ([| -1; -1; 0 |], P.Eq, 0); ([| 0; 0; 1 |], P.Le, 2); ([| 1; 0; 1 |], P.Le, 3) ];
     ]
 
+let test_reference_fixed () =
+  List.iter (fun (name, p) -> check_reference name p) (fixed_problems ())
+
+let zero_row_problems () =
+  List.mapi
+    (fun i p -> (Printf.sprintf "zero row %d" i, p))
+    [
+      lp P.Maximize [| -3 |]
+        [ ([| -4 |], P.Le, 8); ([| 0 |], P.Eq, 0); ([| 3 |], P.Le, 10) ];
+      lp P.Maximize [| 0 |] [ ([| -1 |], P.Eq, 0); ([| 1 |], P.Eq, 0) ];
+    ]
+
 let test_reference_redundant_zero_row () =
   (* [0 x0 = 0] leaves its phase-1 artificial basic at zero: no
      structural column can drive it out.  The same happens to a row
      that phase 1 reduces to zero ([x0 = 0] after [-x0 = 0]).  The
      artificial must stay in the terminal basis, as in the reference. *)
-  List.iteri
-    (fun i p ->
-      let name = Printf.sprintf "zero row %d" i in
+  List.iter
+    (fun (name, p) ->
       check_reference name p;
       let s = S.solve_exn p in
       let slacks =
@@ -632,20 +643,16 @@ let test_reference_redundant_zero_row () =
       let artificial = P.num_vars p + slacks in
       Alcotest.(check bool) (name ^ ": artificial basic") true
         (Array.exists (fun c -> c >= artificial) s.S.basis))
-    [
-      lp P.Maximize [| -3 |]
-        [ ([| -4 |], P.Le, 8); ([| 0 |], P.Eq, 0); ([| 3 |], P.Le, 10) ];
-      lp P.Maximize [| 0 |] [ ([| -1 |], P.Eq, 0); ([| 1 |], P.Eq, 0) ];
-    ]
+    (zero_row_problems ())
 
 (* LP (2) of p = 11 platforms of the Fig. 10-13 families (each
    heterogeneity scenario plain and with communication or computation
    x10), at z = 1/2, 1 and 3/2, in FIFO and LIFO order. *)
-let test_reference_lp2 () =
+let lp2_problems () =
   let rng = Numeric.Prng.create ~seed:2006 in
-  List.iter
+  List.concat_map
     (fun (sc, comm_times, comp_times) ->
-      List.iter
+      List.concat_map
         (fun z ->
           let f =
             Cluster.Gen.scale ~comm_times ~comp_times
@@ -658,13 +665,12 @@ let test_reference_lp2 () =
                    let wk = Dls.Platform.get base k in
                    (wk.Dls.Platform.c, wk.Dls.Platform.w)))
           in
-          List.iter
+          List.map
             (fun (order, scenario) ->
-              check_reference
-                (Printf.sprintf "%s x%d/x%d z=%s %s"
-                   (Cluster.Gen.scenario_name sc) comm_times comp_times (Q.to_string z)
-                   order)
-                (Dls.Lp_model.problem Dls.Lp_model.One_port scenario))
+              ( Printf.sprintf "%s x%d/x%d z=%s %s"
+                  (Cluster.Gen.scenario_name sc) comm_times comp_times (Q.to_string z)
+                  order,
+                Dls.Lp_model.problem Dls.Lp_model.One_port scenario ))
             [
               ("fifo", Dls.Scenario.fifo_exn platform (Dls.Fifo.order platform));
               ("lifo", Dls.Scenario.lifo_exn platform (Dls.Lifo.order platform));
@@ -674,9 +680,12 @@ let test_reference_lp2 () =
        (fun sc -> [ (sc, 1, 1); (sc, 10, 1); (sc, 1, 10) ])
        Cluster.Gen.[ Homogeneous; Hom_comm_het_comp; Heterogeneous ])
 
+let test_reference_lp2 () =
+  List.iter (fun (name, p) -> check_reference name p) (lp2_problems ())
+
 (* The multi-load LPs: steady state (equality rows, so phase 1 runs) and
    batches at every interleave depth, at p = 3 and 4. *)
-let test_reference_multiload () =
+let multiload_problems () =
   let platforms =
     [
       Dls.Platform.with_return_ratio ~z:Q.half
@@ -702,19 +711,107 @@ let test_reference_multiload () =
         ];
     ]
   in
-  List.iteri
-    (fun pi platform ->
-      List.iteri
-        (fun wi workload ->
-          let name = Printf.sprintf "platform %d workload %d" pi wi in
-          check_reference (name ^ " steady") (Dls.Steady_state.problem platform workload);
-          for depth = 0 to Dls.Workload.size workload - 1 do
-            check_reference
-              (Printf.sprintf "%s batch depth %d" name depth)
-              (Dls.Steady_state.batch_problem ~depth platform workload)
-          done)
-        workloads)
-    platforms
+  List.concat
+    (List.mapi
+       (fun pi platform ->
+         List.concat
+           (List.mapi
+              (fun wi workload ->
+                let name = Printf.sprintf "platform %d workload %d" pi wi in
+                (name ^ " steady", Dls.Steady_state.problem platform workload)
+                :: List.init (Dls.Workload.size workload) (fun depth ->
+                       ( Printf.sprintf "%s batch depth %d" name depth,
+                         Dls.Steady_state.batch_problem ~depth platform workload )))
+              workloads))
+       platforms)
+
+let test_reference_multiload () =
+  List.iter (fun (name, p) -> check_reference name p) (multiload_problems ())
+
+(* [Certify.check] evaluates each row as an integer dot product over the
+   point's common denominator.  Its reference is the rational
+   evaluation it replaced, one [Problem.holds] per row: both must give
+   the same verdict and the same messages, on the solver's answers and
+   on answers moved just off them. *)
+let reference_check (p : P.t) (s : S.solution) =
+  let x = s.S.point in
+  let errs =
+    if Array.length x <> P.num_vars p then
+      [ Printf.sprintf "point has %d coordinates, expected %d" (Array.length x) (P.num_vars p) ]
+    else begin
+      let errs = ref [] in
+      let add e = errs := e :: !errs in
+      Array.iteri
+        (fun j v ->
+          if Q.sign v < 0 then
+            add (Printf.sprintf "variable %s = %s is negative" p.P.names.(j) (Q.to_string v)))
+        x;
+      Array.iteri
+        (fun i c ->
+          if not (P.holds c x) then
+            add
+              (Printf.sprintf "constraint %d violated: lhs = %s, rhs = %s" i
+                 (Q.to_string (P.eval_constraint c x))
+                 (Q.to_string c.P.rhs)))
+        p.P.constraints;
+      let v = P.objective_value p x in
+      if not (Q.equal v s.S.value) then
+        add
+          (Printf.sprintf "claimed value %s but point evaluates to %s" (Q.to_string s.S.value)
+             (Q.to_string v));
+      List.rev !errs
+    end
+  in
+  if errs = [] then Ok () else Error errs
+
+(* The answer itself; each coordinate moved by +-1/2^60 and made
+   negative; the claimed value off by +-1/10^30; a point one
+   coordinate short. *)
+let moved_answers (s : S.solution) =
+  let module I = Numeric.Integer in
+  let eps = Q.make I.one (I.pow (I.of_int 2) 60) in
+  let tiny = Q.make I.one (I.pow (I.of_int 10) 30) in
+  let n = Array.length s.S.point in
+  let at j f =
+    let point = Array.copy s.S.point in
+    point.(j) <- f point.(j);
+    { s with S.point }
+  in
+  s
+  :: { s with S.value = Q.add s.S.value tiny }
+  :: { s with S.value = Q.sub s.S.value tiny }
+  :: { s with S.point = Array.sub s.S.point 0 (n - 1) }
+  :: List.concat
+       (List.init n (fun j ->
+            [
+              at j (Q.add eps);
+              at j (fun x -> Q.sub x eps);
+              at j (fun x -> Q.neg (Q.add x Q.one));
+            ]))
+
+let test_check_reference () =
+  let verdicts = Hashtbl.create 2 in
+  let compare_checks name p (s : S.solution) =
+    let got = Simplex.Certify.check p s and want = reference_check p s in
+    Hashtbl.replace verdicts (Result.is_ok want) ();
+    match (got, want) with
+    | Ok (), Ok () -> ()
+    | Error g, Error w -> Alcotest.(check (list string)) (name ^ ": messages") w g
+    | Ok (), Error w -> Alcotest.failf "%s: accepted, reference says %s" name (String.concat "; " w)
+    | Error g, Ok () -> Alcotest.failf "%s: rejected (%s), reference accepts" name (String.concat "; " g)
+  in
+  let random =
+    List.mapi
+      (fun i p -> (Printf.sprintf "random %d" i, p))
+      (QCheck2.Gen.generate ~rand:(Random.State.make [| 2006; 60 |]) ~n:300 gen_reference_problem)
+  in
+  List.iter
+    (fun (name, p) ->
+      match S.solve p with
+      | S.Optimal s -> List.iteri (fun k s -> compare_checks (Printf.sprintf "%s #%d" name k) p s) (moved_answers s)
+      | S.Unbounded | S.Infeasible -> ())
+    (fixed_problems () @ zero_row_problems () @ lp2_problems () @ multiload_problems () @ random);
+  if Hashtbl.length verdicts < 2 then Alcotest.fail "vacuous: one verdict only"
 
 let () =
   Alcotest.run "simplex"
@@ -774,6 +871,7 @@ let () =
             test_reference_redundant_zero_row;
           Alcotest.test_case "p=11 LP (2)" `Quick test_reference_lp2;
           Alcotest.test_case "multi-load LPs" `Quick test_reference_multiload;
+          Alcotest.test_case "Certify.check = rational rows" `Quick test_check_reference;
           prop_reference_random;
         ] );
       ( "lp_file",
