@@ -291,12 +291,15 @@ module Chain (R : RING) = struct
      test), tight rows exactly 1, every other row and the one-port row
      at most 1.  Dual: [y > 0] on the tight rows and on a binding
      one-port row; enrolled columns price to exactly [o_j] and every
-     other column strictly above it.  Returns the load numerators, their
-     denominator and the row numerators, in sigma1 order. *)
+     other column strictly above it.  Each test reads a quantity of the
+     unscaled LP — the load [o b / e], a row, a dual, the reduced cost
+     [(price - o g) / (o g)] — so a column scaling never moves the
+     screen's margins.  Returns the load numerators, their denominator
+     and the row numerators, in sigma1 order. *)
   let run ch ~o ~c ~w ~d =
     let ts = tight_positions ch in
     let b, e = primal ch ts ~c ~w ~d in
-    Array.iteri (fun k en -> if en && R.sign b.(k) e < 0 then raise Reject) ch.enrolled;
+    Array.iteri (fun k en -> if en && R.sign (o.(k) * b.(k)) e < 0 then raise Reject) ch.enrolled;
     let rows = rows ch ~c ~w ~d b in
     Array.iteri
       (fun k t ->
@@ -325,9 +328,10 @@ module Chain (R : RING) = struct
           + ((c.(j) + d.(j)) * y_port)
         else ((c.(j) + d.(j)) * (suffix + y_port)) + (w.(j) * y.(j))
       in
-      let reduced = price - (o.(j) * g) in
-      if ch.enrolled.(j) then (if R.sign reduced g <> 0 then raise Reject)
-      else if not (R.positive reduced g) then raise Reject
+      let og = o.(j) * g in
+      let reduced = price - og in
+      if ch.enrolled.(j) then (if R.sign reduced og <> 0 then raise Reject)
+      else if not (R.positive reduced og) then raise Reject
     done;
     (b, e, rows)
 end
@@ -339,16 +343,30 @@ let workers (s : Scenario.t) =
   Array.init (Scenario.num_enrolled s) (fun k ->
       Platform.get s.Scenario.platform s.Scenario.sigma1.(k))
 
+(* The chain's products have degree up to about twice the chain's
+   length, so on long chains doubles leave their range.  Every column
+   is scaled by one power of two [2^k] that centres the binary exponents
+   of [c, w, d] on zero: the scaling is exact, every value the chain
+   computes is the unscaled one times a power of two, and the tests
+   read unscaled quantities, so the verdicts are those of [k = 0]
+   wherever [k = 0] stays in range. *)
 let screen ch s =
   let ws = workers s in
   let field f = Array.map (fun x -> Q.to_float (f x)) ws in
-  match
-    Float_chain.run ch
-      ~o:(Array.map (fun _ -> 1.0) ws)
-      ~c:(field (fun x -> x.Platform.c))
-      ~w:(field (fun x -> x.Platform.w))
-      ~d:(field (fun x -> x.Platform.d))
-  with
+  let c = field (fun x -> x.Platform.c)
+  and w = field (fun x -> x.Platform.w)
+  and d = field (fun x -> x.Platform.d) in
+  let sum = ref 0 and count = ref 0 in
+  List.iter
+    (Array.iter (fun x ->
+         if x <> 0.0 then begin
+           sum := !sum + int_of_float (Float.log2 (Float.abs x));
+           incr count
+         end))
+    [ c; w; d ];
+  let k = - !sum / max 1 !count in
+  List.iter (Array.map_inplace (fun x -> Float.ldexp x k)) [ c; w; d ];
+  match Float_chain.run ch ~o:(Array.make (Array.length ws) (Float.ldexp 1.0 k)) ~c ~w ~d with
   | _ -> true
   | exception Reject -> false
 
