@@ -48,7 +48,7 @@ let () =
   Format.printf "makespan for %s units: %s time units@." (Q.to_string load)
     (Q.to_string (Dls.Lp_model.time_for_load fifo ~load));
 
-  (* Execute the campaign on the discrete-event simulator (no noise):
+  (* Execute the campaign on the one-port simulator (no noise):
      the measured makespan matches the LP prediction exactly. *)
   let plan = Sim.Star.plan_of_solved fifo in
   let trace = Sim.Star.execute platform plan in

@@ -392,14 +392,18 @@ let check_faulted platform plan ~load =
   | Error e -> add "respond failed: %s" (Dls.Errors.to_string e)
   | Ok outcome ->
     let open Dls.Replan in
-    (* The baseline must be exactly the independent no-recovery replay. *)
+    (* The baseline must be exactly the replay of the original schedule
+       from date 0 under the whole plan.  That replay runs the same
+       exact walk as [respond], so this checks which schedule, start and
+       plan the baseline replayed, not the walk (test_sim's "walk" group
+       holds the walk to a reference replay). *)
     let original = Dls.Schedule.for_load sol ~load in
     let naive =
       report_of ~deadline:outcome.deadline ~total:load
         (replay_seq platform plan (seq_of_schedule original ~start:Q.zero))
     in
     if naive.done_by_deadline <>/ outcome.baseline.done_by_deadline then
-      add "baseline %s disagrees with an independent replay %s"
+      add "baseline %s disagrees with the no-recovery replay %s"
         (Q.to_string outcome.baseline.done_by_deadline)
         (Q.to_string naive.done_by_deadline);
     (* Never worse than doing nothing. *)

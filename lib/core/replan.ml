@@ -28,12 +28,11 @@ let lateness ~deadline = function
   | Some finish -> Some (Q.max Q.zero (finish -/ deadline))
 
 (* One work assignment to execute: FIFO/LIFO orders plus per-platform-
-   index loads, dispatched from [start].  The master follows the
-   [Sends_first] protocol of [Sim.Star]: all initial messages in
-   [sigma1] order back to back, then result messages in [sigma2] order
-   as the computations complete.  Durations are integrated through the
-   fault plan ({!Faults.finish_time}); the master skips transfers that
-   would never complete (perfect failure detection). *)
+   index loads, dispatched from [start].  The master walks its port
+   ({!Port_walk}) under the [Sends_first] protocol, with every
+   duration integrated through the fault plan ({!Faults.finish_time});
+   it skips transfers that would never complete (perfect failure
+   detection). *)
 type seq = {
   sigma1 : int array;
   sigma2 : int array;
@@ -61,57 +60,40 @@ let seq_of_schedule ?(source = Original) (sched : Schedule.t) ~start =
     source;
   }
 
+module Walk = Port_walk.Make (Q)
+
+(* Only loaded workers take part, and a worker sent nothing has no
+   return to take: its completion is lost. *)
+let active (s : seq) order =
+  List.filter (fun i -> Q.sign s.loads.(i) > 0) (Array.to_list order)
+
+let walk_seq platform plan (s : seq) =
+  let sends = active s s.sigma1 in
+  let returns = List.filter (fun i -> List.mem i sends) (active s s.sigma2) in
+  let op direction i =
+    { Port_walk.worker = i; direction; release = s.start; data = s.loads.(i) }
+  in
+  let finish (op : _ Port_walk.op) phase start =
+    let activity =
+      match phase with
+      | Port_walk.Send -> Faults.Send_to op.worker
+      | Compute -> Faults.Compute_on op.worker
+      | Return -> Faults.Return_from op.worker
+    in
+    Faults.finish_time platform plan activity ~start ~load:op.data
+  in
+  Walk.run ~start:s.start ~protocol:Sends_first ~finish
+    (List.map (op Op_send) sends @ List.map (op Op_return) returns)
+
 let replay_seq platform plan (s : seq) =
-  let active order =
-    Array.of_list
-      (List.filter (fun i -> Q.sign s.loads.(i) > 0) (Array.to_list order))
-  in
-  let sends = active s.sigma1 and returns = active s.sigma2 in
-  let clock = ref s.start in
-  let send_finish = Hashtbl.create 8 in
-  Array.iter
-    (fun i ->
-      match
-        Faults.finish_time platform plan (Faults.Send_to i) ~start:!clock
-          ~load:s.loads.(i)
-      with
-      | Some f ->
-        Hashtbl.replace send_finish i f;
-        clock := f
-      | None ->
-        (* Sends never block forever (stalls are finite, crashed workers
-           still absorb data); keep the port safe regardless. *)
-        ())
-    sends;
-  let master_free = ref !clock in
-  let completions =
-    Array.to_list
-      (Array.map
-         (fun i ->
-           let finish =
-             match Hashtbl.find_opt send_finish i with
-             | None -> None
-             | Some sf -> (
-               match
-                 Faults.finish_time platform plan (Faults.Compute_on i) ~start:sf
-                   ~load:s.loads.(i)
-               with
-               | None -> None
-               | Some cf -> (
-                 let rs = Q.max !master_free cf in
-                 match
-                   Faults.finish_time platform plan (Faults.Return_from i)
-                     ~start:rs ~load:s.loads.(i)
-                 with
-                 | None -> None
-                 | Some rf ->
-                   master_free := rf;
-                   Some rf))
-           in
-           { worker = i; load = s.loads.(i); source = s.source; finish })
-         returns)
-  in
-  completions
+  let returned = Array.make (Array.length s.loads) None in
+  List.iter
+    (fun (st : _ Port_walk.step) ->
+      if st.phase = Return then returned.(st.op.worker) <- Some st.finish)
+    (walk_seq platform plan s);
+  List.map
+    (fun i -> { worker = i; load = s.loads.(i); source = s.source; finish = returned.(i) })
+    (active s s.sigma2)
 
 let report_of ~deadline ~total completions =
   let done_by_deadline =
@@ -181,7 +163,7 @@ type outcome = {
   decision : decision;
   baseline : report;
   achieved : report;
-  candidates : (policy * report) list;
+  candidates : (policy * recovery * report) list;
 }
 
 (* Remap a schedule solved on [Platform.restrict p keep] back onto the
@@ -367,7 +349,7 @@ let respond ?(policies = default_policies) plan sol ~load =
           decision;
           baseline;
           achieved;
-          candidates = List.map (fun (p, _, r) -> (p, r)) candidates;
+          candidates;
         }
   end
 

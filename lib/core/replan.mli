@@ -58,10 +58,17 @@ type seq = {
     explicit schedule ([sigma2] by return start date). *)
 val seq_of_schedule : ?source:source -> Schedule.t -> start:Q.t -> seq
 
-(** [replay_seq platform plan seq] replays the assignment through the
-    one-port [Sends_first] protocol with every duration integrated
-    through the fault plan ({!Faults.finish_time}).  The master skips
-    result messages that would never complete. *)
+(** [walk_seq platform plan seq] walks the master's port
+    ({!Port_walk}) in exact rationals: the loaded workers, from
+    [seq.start], [Sends_first], each phase dated by
+    {!Faults.finish_time}; a step's data is its worker's load.  Each
+    order names a worker at most once, as {!seq_of_schedule} makes. *)
+val walk_seq : Platform.t -> Faults.plan -> seq -> (Q.t, Q.t) Port_walk.step list
+
+(** [replay_seq platform plan seq] lists, for each loaded worker of
+    [sigma2] in order, the date {!walk_seq} lands its results, or
+    [None] when a fault cuts its send, computation or return, or
+    [sigma1] never sent it a chunk. *)
 val replay_seq : Platform.t -> Faults.plan -> seq -> completion list
 
 (** [report_of ~deadline ~total completions] aggregates a replay. *)
@@ -109,7 +116,8 @@ type outcome = {
   decision : decision;
   baseline : report;  (** no-recovery continuation *)
   achieved : report;  (** the chosen execution *)
-  candidates : (policy * report) list;
+  candidates : (policy * recovery * report) list;
+      (** every recovery tried, with its replay *)
 }
 
 (** [respond plan sol ~load] decides how to react to [plan] when

@@ -1,15 +1,14 @@
 (** Execution under an injected fault plan.
 
-    The {!Star.run} loop with the [Sends_first] protocol, where every
-    phase is dated by {!Dls.Faults.finish_time}.  The clock stays a
-    float, but each date is the rounding of the exact rational the
-    integrator returned, so a schedule run from its exact loads
-    ({!execute}, {!execute_decision}) reproduces {!Dls.Replan.replay_seq} to one
-    rounding per date.  A send, computation or result message that would
-    never complete (a crash) loses the worker's results; the master
-    skips that return at once, without holding the port — the
-    perfect-detection rule of the exact replay.  test_sim's "replay"
-    group checks the agreement. *)
+    The exact instance of {!Dls.Port_walk}, shared with the re-planner
+    ({!Dls.Replan.walk_seq}): the [Sends_first] protocol with every
+    phase dated in rationals by {!Dls.Faults.finish_time}, each date
+    rounded once into the trace.  A schedule that meets a fault onset
+    exactly still meets it, and the trace's returns are
+    {!Dls.Replan.replay_seq}'s completions, rounded.  A send,
+    computation or result message that would never complete (a crash)
+    loses the worker's results; the master skips that return at once,
+    without holding the port. *)
 
 (** [execute platform faults seq] runs the assignment from [seq.start]
     under the fault plan, from its exact loads.  Malformed orders error
@@ -22,8 +21,8 @@ val execute :
     [original] up to the splice point, then the recovery schedule
     executed under the faults ([Keep_original] just runs [original]
     under the faults in full).  Both parts run from the schedules' exact
-    loads and the exact splice date, so the trace's returns are the
-    decision's [achieved] completions, rounded. *)
+    loads, and the prefix is cut at the exact splice date, so the
+    trace's returns are the decision's [achieved] completions, rounded. *)
 val execute_decision :
   Dls.Platform.t ->
   Dls.Faults.plan ->

@@ -7,25 +7,18 @@ type noise = {
 
 let no_noise = { comm = (fun ~worker:_ x -> x); comp = (fun ~worker:_ x -> x) }
 
-type protocol = Sends_first | Eager_returns
+type protocol = Dls.Port_walk.protocol = Sends_first | Eager_returns
 
 type plan = { sigma1 : int array; sigma2 : int array; loads : float array }
 
-let plan_of_solved (sol : Dls.Lp_model.solved) =
+let plan_with (sol : Dls.Lp_model.solved) loads =
   let s = sol.Dls.Lp_model.scenario in
-  {
-    sigma1 = Array.copy s.Dls.Scenario.sigma1;
-    sigma2 = Array.copy s.Dls.Scenario.sigma2;
-    loads = Array.map Q.to_float sol.Dls.Lp_model.alpha;
-  }
+  { sigma1 = Array.copy s.Dls.Scenario.sigma1; sigma2 = Array.copy s.Dls.Scenario.sigma2; loads }
 
-let plan_of_rounded (sol : Dls.Lp_model.solved) ~total =
-  let s = sol.Dls.Lp_model.scenario in
-  {
-    sigma1 = Array.copy s.Dls.Scenario.sigma1;
-    sigma2 = Array.copy s.Dls.Scenario.sigma2;
-    loads = Array.map float_of_int (Dls.Rounding.integer_loads sol ~total);
-  }
+let plan_of_solved sol = plan_with sol (Array.map Q.to_float sol.Dls.Lp_model.alpha)
+
+let plan_of_rounded sol ~total =
+  plan_with sol (Array.map float_of_int (Dls.Rounding.integer_loads sol ~total))
 
 type multi_op = {
   op_load : int;
@@ -37,7 +30,7 @@ type multi_op = {
   op_comp : float;
 }
 
-and kind = Op_send | Op_return
+and kind = Dls.Port_walk.direction = Op_send | Op_return
 
 type multi_plan = { ops : multi_op list }
 
@@ -140,101 +133,33 @@ let ops_of_plan platform plan =
   in
   { ops = active Op_send plan.sigma1 @ active Op_return plan.sigma2 }
 
-(* The master is one sequential resource, so executing a plan is one
-   pass over its port operations with the clock in a float.  A send
-   starts when the port is free and its data is released; the worker
-   computes its chunks in arrival order; a return starts when the port
-   is free and the chunk's computation has ended.  [finish op phase t]
-   dates the end of a phase started at [t]; [None] means it never
-   completes, and the master skips the chunk without holding the port
-   (the perfect-detection rule of {!Dls.Replan.replay_seq}).  The one
-   dynamic rule is [Eager_returns]: before each send, the next return
-   is taken instead if its computation has already ended. *)
-let run ?(start = 0.0) ?(protocol = Sends_first) ~finish platform plan =
-  let n = Dls.Platform.size platform in
-  match check_ops n plan.ops with
-  | Error e -> Error e
-  | Ok () ->
-    let events = ref [] in
-    let record op kind start finish =
-      events :=
-        { Trace.worker = op.op_worker; kind; start; finish; load = op.op_amount }
-        :: !events
-    in
-    let port = ref start in
-    let idle = Array.make n 0.0 in
-    (* per worker, the end of each received chunk's computation, in
-       arrival order; [None] for a chunk that never completes *)
-    let computed = Array.init n (fun _ -> Queue.create ()) in
-    let send op =
-      let i = op.op_worker in
-      let s = Float.max !port op.op_release in
-      match finish op Trace.Send s with
-      | None -> Queue.add None computed.(i)
-      | Some sf ->
-        record op Trace.Send s sf;
-        port := sf;
-        let cs = Float.max sf idle.(i) in
-        let cf = finish op Trace.Compute cs in
-        Option.iter
-          (fun cf ->
-            record op Trace.Compute cs cf;
-            idle.(i) <- cf)
-          cf;
-        Queue.add cf computed.(i)
-    in
-    let return op =
-      match Queue.take computed.(op.op_worker) with
-      | None -> ()
-      | Some cf -> (
-        let s = Float.max !port cf in
-        match finish op Trace.Return s with
-        | None -> ()
-        | Some rf ->
-          record op Trace.Return s rf;
-          port := rf)
-    in
-    (* Returns run in plan order, so a count of those done tells the
-       main pass which ones [Eager_returns] already took. *)
-    let returns = Array.of_list (List.filter (fun op -> op.op_kind = Op_return) plan.ops) in
-    let returned = ref 0 and seen = ref 0 in
-    let next_return () =
-      return returns.(!returned);
-      incr returned
-    in
-    let rec take_ready_returns () =
-      if !returned < Array.length returns then
-        match Queue.peek_opt computed.(returns.(!returned).op_worker) with
-        | Some (Some cf) when cf > !port -> ()
-        | Some _ ->
-          next_return ();
-          take_ready_returns ()
-        | None -> ()
-    in
-    List.iter
-      (fun op ->
-        match op.op_kind with
-        | Op_send ->
-          if protocol = Eager_returns then take_ready_returns ();
-          send op
-        | Op_return ->
-          if !seen = !returned then next_return ();
-          incr seen)
-      plan.ops;
-    Ok (Trace.make !events)
+module Walk = Dls.Port_walk.Make (Float)
 
-let noisy noise op phase t =
-  let i = op.op_worker in
-  Some
-    (t
-    +.
-    match phase with
-    | Trace.Compute -> noise.comp ~worker:i op.op_comp
-    | Trace.Send | Trace.Return -> noise.comm ~worker:i op.op_comm)
+(* Every entry point is the float walk of {!Dls.Port_walk} over a
+   validated operation list, with the port free from [0.] and each
+   phase lasting its nominal duration through [noise]. *)
+let run ?(protocol = Sends_first) noise platform plan =
+  let finish (op : (_, multi_op) Dls.Port_walk.op) phase t =
+    let i = op.worker in
+    Some
+      (t
+      +.
+      match phase with
+      | Trace.Compute -> noise.comp ~worker:i op.data.op_comp
+      | Trace.Send | Trace.Return -> noise.comm ~worker:i op.data.op_comm)
+  in
+  let op o =
+    { Dls.Port_walk.worker = o.op_worker; direction = o.op_kind; release = o.op_release; data = o }
+  in
+  Result.map
+    (fun () ->
+      let steps = Walk.run ~start:0.0 ~protocol ~finish (List.map op plan.ops) in
+      Trace.of_steps ~date:Fun.id ~load:(fun o -> o.op_amount) steps)
+    (check_ops (Dls.Platform.size platform) plan.ops)
 
 let execute_result ?(noise = no_noise) ?protocol platform plan =
   Result.bind (check_plan platform plan) (fun () ->
-      run ?protocol ~finish:(noisy noise) platform (ops_of_plan platform plan))
+      run ?protocol noise platform (ops_of_plan platform plan))
 
 let execute ?noise ?protocol platform plan =
   Dls.Errors.get_exn (execute_result ?noise ?protocol platform plan)
@@ -243,7 +168,7 @@ let makespan ?noise ?protocol platform plan =
   (execute ?noise ?protocol platform plan).Trace.makespan
 
 let execute_multi ?(noise = no_noise) platform plan =
-  Dls.Errors.get_exn (run ~finish:(noisy noise) platform plan)
+  Dls.Errors.get_exn (run noise platform plan)
 
 (* ------------------------------------------------------------------ *)
 (* Plans from the LP solutions                                         *)

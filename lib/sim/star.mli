@@ -1,16 +1,12 @@
 (** Execution of a master/worker campaign on a star platform under the
-    one-port model.
+    one-port model, in floats.
 
-    The master is one sequential resource: it sends in [sigma1] order
-    and receives in [sigma2] order, so executing a plan is a single pass
-    over its port operations ({!run}), with no event queue.  Each send
-    starts when the port is free and its data is released, the worker
-    computes its chunks in arrival order, and each return starts when
-    the port is free and the chunk's computation has ended.  Every
-    entry point below — single-round, multi-round, multi-load, and the
-    faulted executor of {!Faults} — is this one loop with a different
-    operation list or duration function.  Per-operation noise hooks
-    model the gap between the linear cost model and a real cluster. *)
+    Every entry point below — single-round, multi-round and multi-load —
+    is the float instance of {!Dls.Port_walk}: one pass over the
+    master's port operations, each as early as the port, its release
+    and (for a return) its chunk's computation allow.  Per-operation
+    noise hooks model the gap between the linear cost model and a real
+    cluster.  Execution under faults is the exact instance ({!Faults}). *)
 
 type noise = {
   comm : worker:int -> float -> float;
@@ -22,17 +18,10 @@ type noise = {
     model exactly. *)
 val no_noise : noise
 
-(** Master decision policy.
-
-    - [Sends_first]: post every initial message, then receive results in
-      [sigma2] order — the paper's canonical structure and what its MPI
-      program did;
-    - [Eager_returns]: whenever the master is free and the next worker
-      in [sigma2] has finished computing, receive its results before the
-      remaining sends.  Still one-port and still order-respecting, but a
-      different (sometimes better, sometimes worse) interleaving — an
-      execution-policy ablation the model fixes by assumption. *)
-type protocol = Sends_first | Eager_returns
+(** Master decision policy ({!Dls.Port_walk.protocol}): [Sends_first]
+    is the paper's; [Eager_returns] takes a return before the next send
+    when its computation has already ended. *)
+type protocol = Dls.Port_walk.protocol = Sends_first | Eager_returns
 
 type plan = {
   sigma1 : int array;  (** sending order (worker indices) *)
@@ -88,14 +77,9 @@ type multi_op = {
   op_comp : float;  (** nominal compute duration; [0.] for returns *)
 }
 
-and kind = Op_send | Op_return
+and kind = Dls.Port_walk.direction = Op_send | Op_return
 
 type multi_plan = { ops : multi_op list  (** in the port's activity order *) }
-
-(** [ops_of_plan platform plan] lists a single-round plan's operations:
-    the sends of the loaded workers in [sigma1] order, then their
-    returns in [sigma2] order. *)
-val ops_of_plan : Dls.Platform.t -> plan -> multi_plan
 
 (** [plan_of_multiround s] lists a multi-round LP solution's chunks
     (zero-size chunks are dropped): every send in round order, then the
@@ -120,21 +104,3 @@ val plan_of_batch : Dls.Steady_state.batch -> multi_plan
     platform, a negative/NaN/infinite amount or duration, or a return
     without a sent chunk. *)
 val execute_multi : ?noise:noise -> Dls.Platform.t -> multi_plan -> Trace.t
-
-(** {1 The executor} *)
-
-(** [run ?start ?protocol ~finish platform plan] is the one executor
-    behind every entry point: the port is free from [start] (default
-    [0.]), and [finish op phase t] is the completion date of [op]'s
-    [phase] ([Send], [Compute] of a sent chunk, or [Return]) started at
-    [t].  [None] means the phase never completes: the chunk's result is
-    lost and the master skips its return at once, without holding the
-    port.  The plan is validated first, with the errors of
-    {!execute_multi}. *)
-val run :
-  ?start:float ->
-  ?protocol:protocol ->
-  finish:(multi_op -> Trace.kind -> float -> float option) ->
-  Dls.Platform.t ->
-  multi_plan ->
-  (Trace.t, Dls.Errors.t) result

@@ -1,4 +1,4 @@
-type kind = Send | Compute | Return
+type kind = Dls.Port_walk.phase = Send | Compute | Return
 
 type event = {
   worker : int;
@@ -25,6 +25,16 @@ let make events =
   in
   let makespan = List.fold_left (fun acc e -> Float.max acc e.finish) 0.0 events in
   { events; makespan }
+
+(* Latest step first into [make]'s stable sort, so tied events keep the
+   order the pinned traces were recorded in. *)
+let of_steps ~date ~load steps =
+  make
+    (List.rev_map
+       (fun (st : _ Dls.Port_walk.step) ->
+         let start = date st.start and finish = date st.finish in
+         { worker = st.op.worker; kind = st.phase; start; finish; load = load st.op.data })
+       steps)
 
 let of_schedule (sched : Dls.Schedule.t) =
   let open Dls.Schedule in

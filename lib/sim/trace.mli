@@ -2,7 +2,7 @@
     during a (simulated) run, with the same structure as the paper's
     Figure 9 visualization. *)
 
-type kind = Send | Compute | Return
+type kind = Dls.Port_walk.phase = Send | Compute | Return
 
 type event = {
   worker : int;  (** platform worker index *)
@@ -17,6 +17,12 @@ type t = private { events : event list; makespan : float }
 (** [make events] sorts the events by start date and computes the
     makespan. *)
 val make : event list -> t
+
+(** [of_steps ~date ~load steps] is the trace of a walk of the master's
+    port ({!Dls.Port_walk}): each date read through [date], each step's
+    load through [load] from its data. *)
+val of_steps :
+  date:('c -> float) -> load:('a -> float) -> ('c, 'a) Dls.Port_walk.step list -> t
 
 (** [of_schedule sched] converts an exact schedule into a float trace
     (e.g. to render it). *)

@@ -750,10 +750,10 @@ let test_sim_faults_no_fault_matches_star () =
         [ Dls.Fifo.optimal p; Dls.Lifo.optimal p ])
     (pinned_platforms ())
 
-(* [Dls.Replan.replay_seq] is the exact reference for execution under
-   faults (perfect detection: the master skips a transfer that can never
-   complete, without holding the port).  The float executor must lose
-   the same workers and land every return within 1e-9 relative of it. *)
+(* [Dls.Replan.replay_seq] and the faulted executor are the same exact
+   walk (perfect detection: the master skips a transfer that can never
+   complete, without holding the port), so the trace must lose the same
+   workers and land every return on the replay's date rounded once. *)
 let agrees_with_replay label trace (reference : Dls.Replan.completion list) =
   let returns =
     List.filter_map
@@ -779,7 +779,7 @@ let agrees_with_replay label trace (reference : Dls.Replan.completion list) =
     (List.map fst expected) (List.map fst returns);
   List.iter2
     (fun (w, want) (_, got) ->
-      if Float.abs (got -. want) > 1e-9 *. Float.max 1.0 (Float.abs want) then
+      if got <> want then
         Alcotest.failf "%s: worker %d returns at %.17g, exact replay says %.17g" label w got want)
     expected returns
 
@@ -850,6 +850,171 @@ let replay_matrix_case regime =
           outcome.Dls.Replan.achieved.Dls.Replan.completions
       done)
 
+(* ------------------------------------------------------------------ *)
+(* The exact walk against the rational replay it replaced              *)
+(* ------------------------------------------------------------------ *)
+
+(* The replay [Dls.Replan.replay_seq] ran before the master's port was
+   walked once ({!Dls.Port_walk}), kept as the exact instance's
+   reference: every send back to back in [sigma1] order, then the
+   returns in [sigma2] order, each phase dated by the integrator. *)
+let reference_replay_seq platform plan (s : Dls.Replan.seq) =
+  let active order =
+    Array.of_list
+      (List.filter (fun i -> Q.sign s.loads.(i) > 0) (Array.to_list order))
+  in
+  let sends = active s.sigma1 and returns = active s.sigma2 in
+  let clock = ref s.start in
+  let send_finish = Hashtbl.create 8 in
+  Array.iter
+    (fun i ->
+      match
+        Dls.Faults.finish_time platform plan (Dls.Faults.Send_to i) ~start:!clock
+          ~load:s.loads.(i)
+      with
+      | Some f ->
+        Hashtbl.replace send_finish i f;
+        clock := f
+      | None -> ())
+    sends;
+  let master_free = ref !clock in
+  Array.to_list
+    (Array.map
+       (fun i ->
+         let finish =
+           match Hashtbl.find_opt send_finish i with
+           | None -> None
+           | Some sf -> (
+             match
+               Dls.Faults.finish_time platform plan (Dls.Faults.Compute_on i) ~start:sf
+                 ~load:s.loads.(i)
+             with
+             | None -> None
+             | Some cf -> (
+               let rs = Q.max !master_free cf in
+               match
+                 Dls.Faults.finish_time platform plan (Dls.Faults.Return_from i) ~start:rs
+                   ~load:s.loads.(i)
+               with
+               | None -> None
+               | Some rf ->
+                 master_free := rf;
+                 Some rf))
+         in
+         { Dls.Replan.worker = i; load = s.loads.(i); source = s.source; finish })
+       returns)
+
+let completion_to_string (c : Dls.Replan.completion) =
+  Printf.sprintf "%d:%s:%s:%s" c.worker (Q.to_string c.load)
+    (match c.source with Dls.Replan.Original -> "original" | Recovery -> "recovery")
+    (match c.finish with Some f -> Q.to_string f | None -> "lost")
+
+let same_as_reference label platform plan seq =
+  let same (a : Dls.Replan.completion) (b : Dls.Replan.completion) =
+    a.worker = b.worker && Q.equal a.load b.load && a.source = b.source
+    && Option.equal Q.equal a.finish b.finish
+  in
+  let want = reference_replay_seq platform plan seq in
+  let got = Dls.Replan.replay_seq platform plan seq in
+  if not (List.equal same want got) then
+    Alcotest.failf "%s: walk [%s], reference [%s]" label
+      (String.concat "; " (List.map completion_to_string got))
+      (String.concat "; " (List.map completion_to_string want))
+
+(* Fault plans aimed at one walk's dates: a crash in the middle of each
+   phase (a send to a crashed worker still lands, so that crash cuts the
+   computation), and a stall starting exactly where a phase starts or
+   ends. *)
+let aimed_plans platform seq =
+  List.concat_map
+    (fun (st : _ Dls.Port_walk.step) ->
+      let worker = st.op.worker in
+      let mid = Q.div (Q.add st.start st.finish) (Q.of_int 2) in
+      let duration = Q.sub st.finish st.start in
+      let duration = if Q.sign duration > 0 then duration else Q.one in
+      List.map Dls.Faults.make_exn
+        [
+          [ Dls.Faults.Crash { worker; at = mid } ];
+          [ Dls.Faults.Stall { worker; at = st.start; duration } ];
+          [ Dls.Faults.Stall { worker; at = st.finish; duration } ];
+        ])
+    (Dls.Replan.walk_seq platform Dls.Faults.empty seq)
+
+(* Arbitrary orders over independent subsets (a loaded worker may be
+   missing from [sigma1] and is then lost), a quarter of the loads zero,
+   and a start that is mostly not zero. *)
+let random_seq rng n =
+  let order () =
+    let ws = List.filter (fun _ -> Random.State.int rng 5 > 0) (List.init n Fun.id) in
+    let keyed = List.map (fun i -> (Random.State.bits rng, i)) ws in
+    Array.of_list (List.map snd (List.sort compare keyed))
+  in
+  let sigma1 = order () in
+  let sigma2 = order () in
+  {
+    Dls.Replan.sigma1;
+    sigma2;
+    loads =
+      Array.init n (fun _ ->
+          if Random.State.int rng 4 = 0 then Q.zero
+          else qq (1 + Random.State.int rng 20) (1 + Random.State.int rng 7));
+    start = qq (Random.State.int rng 5) (1 + Random.State.int rng 3);
+    source = (if Random.State.bool rng then Dls.Replan.Original else Dls.Replan.Recovery);
+  }
+
+let test_walk_matches_reference () =
+  (* The seed-25 matrix: each original FIFO and LIFO seq, fault-free and
+     under its faults, and every recovery the re-planner tried. *)
+  List.iter
+    (fun regime ->
+      for i = 0 to 1499 do
+        let platform, faults, load = Check.Fuzz.fault_case ~seed:25 ~severity:0.8 regime i in
+        let label = Printf.sprintf "%s case %d" (Check.Fuzz.regime_to_string regime) i in
+        let sol = Dls.Fifo.optimal platform in
+        List.iter
+          (fun (oname, sol) ->
+            let seq =
+              Dls.Replan.seq_of_schedule (Dls.Schedule.for_load sol ~load) ~start:Q.zero
+            in
+            same_as_reference (label ^ " " ^ oname) platform faults seq;
+            same_as_reference (label ^ " " ^ oname ^ " fault-free") platform Dls.Faults.empty
+              seq)
+          [ ("fifo", sol); ("lifo", Dls.Lifo.optimal platform) ];
+        List.iter
+          (fun (policy, (r : Dls.Replan.recovery), _) ->
+            let seq =
+              Dls.Replan.seq_of_schedule ~source:Dls.Replan.Recovery r.schedule ~start:Q.zero
+            in
+            same_as_reference
+              (label ^ " " ^ Dls.Replan.policy_to_string policy)
+              platform faults { seq with start = r.at })
+          (Dls.Replan.respond_exn faults sol ~load).Dls.Replan.candidates
+      done)
+    Check.Fuzz.all_regimes;
+  (* Random seqs, under a generated plan and under plans aimed at their
+     own dates. *)
+  for i = 0 to 599 do
+    let rng = Random.State.make [| 29; i |] in
+    let regime = List.nth Check.Fuzz.all_regimes (i mod 3) in
+    let platform = Check.Fuzz.gen_platform rng regime in
+    let n = Dls.Platform.size platform in
+    let seq = random_seq rng n in
+    let label = Printf.sprintf "random seq %d" i in
+    let deadline =
+      List.fold_left
+        (fun acc (st : _ Dls.Port_walk.step) -> Q.max acc st.finish)
+        Q.one
+        (Dls.Replan.walk_seq platform Dls.Faults.empty seq)
+    in
+    let prng = Numeric.Prng.create ~seed:(1000 + i) in
+    same_as_reference label platform
+      (Dls.Faults.gen prng ~workers:n ~deadline ~severity:0.8)
+      seq;
+    List.iteri
+      (fun k plan -> same_as_reference (Printf.sprintf "%s aimed plan %d" label k) platform plan seq)
+      (aimed_plans platform seq)
+  done
+
 let () =
   if Array.length Sys.argv > 2 && Sys.argv.(1) = "--print-pinned" then
     Out_channel.with_open_text Sys.argv.(2) (fun oc ->
@@ -896,6 +1061,7 @@ let () =
             test_sim_faults_decision_trace_valid;
         ] );
       ("pinned", [ Alcotest.test_case "executor traces" `Quick test_pinned_traces ]);
+      ("walk", [ Alcotest.test_case "exact walk = reference replay" `Quick test_walk_matches_reference ]);
       ( "replay",
         Alcotest.test_case "crash after compute" `Quick test_replay_crash_after_compute
         :: Alcotest.test_case "exact loads at a stall onset" `Quick test_replay_exact_loads
