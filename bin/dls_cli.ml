@@ -1163,127 +1163,33 @@ let check_cmd =
       in
       report path (if msgs = [] then Ok () else Error msgs)
   in
-  let check_fuzz jobs count regime =
+  (* One fuzz matrix per regime, each reported under its label.  A
+     failing case lists its messages, then each input: a one-line spec
+     after its label, a serialized file (ending in a newline) as an
+     indented block under it. *)
+  let check_fuzz name ~noun run count regime =
     let regimes =
       match regime with Some r -> [ r ] | None -> Check.Fuzz.all_regimes
+    in
+    let indent = List.map (fun l -> "  " ^ l) in
+    let input (label, text) =
+      if String.ends_with ~suffix:"\n" text then
+        (label ^ ":") :: indent (String.split_on_char '\n' (String.trim text))
+      else [ label ^ ": " ^ text ]
+    in
+    let case (f : Check.Fuzz.failure) =
+      Printf.sprintf "case %d:" f.index
+      :: indent (f.messages @ List.concat_map input f.inputs)
     in
     List.for_all
       (fun r ->
-        let failures = Check.Fuzz.run_matrix ~jobs ~fast:true ~count r in
         let label =
-          Printf.sprintf "fuzz %s (%d platforms)" (Check.Fuzz.regime_to_string r)
-            count
+          Printf.sprintf "%s %s (%d %s)" name (Check.Fuzz.regime_to_string r)
+            count noun
         in
         report label
-          (match failures with
-          | [] -> Ok ()
-          | fs ->
-            Error
-              (List.concat_map
-                 (fun f ->
-                   Printf.sprintf "platform %d:" f.Check.Fuzz.index
-                   :: List.map (fun m -> "  " ^ m) f.Check.Fuzz.messages
-                   @ [ "  spec:" ]
-                   @ List.map
-                       (fun l -> "    " ^ l)
-                       (String.split_on_char '\n'
-                          (String.trim f.Check.Fuzz.platform)))
-                 fs)))
+          (match run r with [] -> Ok () | fs -> Error (List.concat_map case fs)))
       regimes
-  in
-  let check_fuzz_faults jobs count severity regime =
-    let regimes =
-      match regime with Some r -> [ r ] | None -> Check.Fuzz.all_regimes
-    in
-    List.for_all
-      (fun r ->
-        let failures = Check.Fuzz.run_fault_matrix ~jobs ~count ~severity r in
-        let label =
-          Printf.sprintf "fuzz-faults %s (%d cases, severity %.2f)"
-            (Check.Fuzz.regime_to_string r) count severity
-        in
-        report label
-          (match failures with
-          | [] -> Ok ()
-          | fs ->
-            Error
-              (List.concat_map
-                 (fun f ->
-                   Printf.sprintf "case %d:" f.Check.Fuzz.f_index
-                   :: List.map (fun m -> "  " ^ m) f.Check.Fuzz.f_messages
-                   @ [ "  platform:" ]
-                   @ List.map
-                       (fun l -> "    " ^ l)
-                       (String.split_on_char '\n'
-                          (String.trim f.Check.Fuzz.f_platform))
-                   @ [ "  faults:" ]
-                   @ List.map
-                       (fun l -> "    " ^ l)
-                       (String.split_on_char '\n'
-                          (String.trim f.Check.Fuzz.f_faults)))
-                 fs)))
-      regimes
-  in
-  let check_fuzz_multi jobs count regime =
-    let regimes =
-      match regime with Some r -> [ r ] | None -> Check.Fuzz.all_regimes
-    in
-    List.for_all
-      (fun r ->
-        let failures = Check.Fuzz.run_multi_matrix ~jobs ~count r in
-        let label =
-          Printf.sprintf "fuzz-multi %s (%d workloads)"
-            (Check.Fuzz.regime_to_string r) count
-        in
-        report label
-          (match failures with
-          | [] -> Ok ()
-          | fs ->
-            Error
-              (List.concat_map
-                 (fun f ->
-                   Printf.sprintf "case %d:" f.Check.Fuzz.w_index
-                   :: List.map (fun m -> "  " ^ m) f.Check.Fuzz.w_messages
-                   @ [ "  workload: " ^ f.Check.Fuzz.w_workload; "  platform:" ]
-                   @ List.map
-                       (fun l -> "    " ^ l)
-                       (String.split_on_char '\n'
-                          (String.trim f.Check.Fuzz.w_platform)))
-                 fs)))
-      regimes
-  in
-  let check_fuzz_resolve jobs count regime =
-    let regimes =
-      match regime with Some r -> [ r ] | None -> Check.Fuzz.all_regimes
-    in
-    let ok =
-      List.for_all
-        (fun r ->
-          let failures = Check.Fuzz.run_resolve_matrix ~jobs ~count r in
-          let label =
-            Printf.sprintf "fuzz-resolve %s (%d deltas)"
-              (Check.Fuzz.regime_to_string r) count
-          in
-          report label
-            (match failures with
-            | [] -> Ok ()
-            | fs ->
-              Error
-                (List.concat_map
-                   (fun f ->
-                     Printf.sprintf "case %d:" f.Check.Fuzz.r_index
-                     :: List.map (fun m -> "  " ^ m) f.Check.Fuzz.r_messages
-                     @ [ "  delta: " ^ f.Check.Fuzz.r_delta; "  platform:" ]
-                     @ List.map
-                         (fun l -> "    " ^ l)
-                         (String.split_on_char '\n'
-                            (String.trim f.Check.Fuzz.r_platform)))
-                   fs)))
-        regimes
-    in
-    Format.printf "resolve:@.%a@." Dls.Lp_model.pp_resolve_stats
-      (Dls.Lp_model.resolve_stats ());
-    ok
   in
   let check_platform platform =
     List.for_all
@@ -1311,17 +1217,46 @@ let check_cmd =
           | Some path -> [ (fun () -> check_trace eps path) ]
           | None -> []);
           (match fuzz with
-          | Some count -> [ (fun () -> check_fuzz jobs count regime) ]
+          | Some count ->
+            [
+              (fun () ->
+                check_fuzz "fuzz" ~noun:"platforms"
+                  (Check.Fuzz.run_matrix ~jobs ~fast:true ~count)
+                  count regime);
+            ]
           | None -> []);
           (match fuzz_faults with
           | Some count ->
-            [ (fun () -> check_fuzz_faults jobs count severity regime) ]
+            [
+              (fun () ->
+                check_fuzz "fuzz-faults"
+                  ~noun:(Printf.sprintf "cases, severity %.2f" severity)
+                  (Check.Fuzz.run_fault_matrix ~jobs ~count ~severity)
+                  count regime);
+            ]
           | None -> []);
           (match fuzz_multi with
-          | Some count -> [ (fun () -> check_fuzz_multi jobs count regime) ]
+          | Some count ->
+            [
+              (fun () ->
+                check_fuzz "fuzz-multi" ~noun:"workloads"
+                  (Check.Fuzz.run_multi_matrix ~jobs ~count)
+                  count regime);
+            ]
           | None -> []);
           (match fuzz_resolve with
-          | Some count -> [ (fun () -> check_fuzz_resolve jobs count regime) ]
+          | Some count ->
+            [
+              (fun () ->
+                let ok =
+                  check_fuzz "fuzz-resolve" ~noun:"deltas"
+                    (Check.Fuzz.run_resolve_matrix ~jobs ~count)
+                    count regime
+                in
+                Format.printf "resolve:@.%a@." Dls.Lp_model.pp_resolve_stats
+                  (Dls.Lp_model.resolve_stats ());
+                ok);
+            ]
           | None -> []);
           (match platform with
           | Some p -> [ (fun () -> check_platform p) ]
@@ -1742,19 +1677,12 @@ let loadgen_cmd =
             "Open-loop mode: issue request $(i,i) at its seeded Poisson \
              arrival time at target rate $(docv) instead of as fast as the \
              connections allow, and report offered vs achieved rate plus the \
-             worst scheduling lag.  0 keeps the classic closed loop.")
-  in
-  let processes_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "processes" ] ~docv:"N"
-          ~doc:
-            "Open-loop driving processes (with $(b,--rps)); the request \
-             multiset and the arrival schedule are invariant in $(docv), \
-             only the issue interleaving changes.")
+             worst scheduling lag.  The arrival schedule is invariant in \
+             $(b,--connections); only the issue interleaving changes.  0 \
+             keeps the classic closed loop.")
   in
   let run socket host port requests connections seed distinct multi skew json
-      retries attempt_timeout deadline rps processes =
+      retries attempt_timeout deadline rps =
     let address =
       match address_of socket host port with
       | Ok a -> a
@@ -1774,19 +1702,7 @@ let loadgen_cmd =
             jitter_seed = seed;
           }
     in
-    let print_outcome (o : Service.Loadgen.outcome) =
-      Printf.printf
-        "sent=%d ok=%d overloaded=%d timeouts=%d shed=%d failed=%d goodput=%d \
-         retries=%d breaker_opens=%d p50=%.1fms p99=%.1fms wall=%.3fs \
-         rps=%.1f\n"
-        o.Service.Loadgen.sent o.Service.Loadgen.ok o.Service.Loadgen.overloaded
-        o.Service.Loadgen.timeouts o.Service.Loadgen.shed
-        o.Service.Loadgen.failed o.Service.Loadgen.goodput
-        o.Service.Loadgen.retries o.Service.Loadgen.breaker_opens
-        o.Service.Loadgen.p50_ms o.Service.Loadgen.p99_ms
-        o.Service.Loadgen.wall_s o.Service.Loadgen.rps
-    in
-    let write_json path ?open_loop (o : Service.Loadgen.outcome) =
+    let write_json path (o : Service.Loadgen.outcome) =
       let oc = open_out path in
       Printf.fprintf oc
         "{\n\
@@ -1808,61 +1724,38 @@ let loadgen_cmd =
         \  \"p50_ms\": %.3f,\n\
         \  \"p99_ms\": %.3f,\n\
         \  \"wall_s\": %.6f,\n\
-        \  \"rps\": %.1f"
-        seed distinct skew connections retries o.Service.Loadgen.sent
-        o.Service.Loadgen.ok o.Service.Loadgen.overloaded
-        o.Service.Loadgen.timeouts o.Service.Loadgen.shed
-        o.Service.Loadgen.failed o.Service.Loadgen.goodput
-        o.Service.Loadgen.retries o.Service.Loadgen.breaker_opens
-        o.Service.Loadgen.p50_ms o.Service.Loadgen.p99_ms
-        o.Service.Loadgen.wall_s o.Service.Loadgen.rps;
-      (match open_loop with
-      | None -> ()
-      | Some oo ->
-        Printf.fprintf oc
-          ",\n\
-          \  \"target_rps\": %.3f,\n\
-          \  \"offered_rps\": %.3f,\n\
-          \  \"max_lag_ms\": %.3f,\n\
-          \  \"processes\": %d"
-          oo.Service.Loadgen.target_rps oo.Service.Loadgen.offered_rps
-          oo.Service.Loadgen.max_lag_ms oo.Service.Loadgen.processes);
-      Printf.fprintf oc "\n}\n";
+        \  \"rps\": %.1f,\n\
+        \  \"target_rps\": %.3f,\n\
+        \  \"offered_rps\": %.3f,\n\
+        \  \"max_lag_ms\": %.3f\n\
+         }\n"
+        seed distinct skew connections retries o.sent o.ok o.overloaded
+        o.timeouts o.shed o.failed o.goodput o.retries o.breaker_opens o.p50_ms
+        o.p99_ms o.wall_s o.rps rps o.offered_rps o.max_lag_ms;
       close_out oc
     in
-    if rps > 0. then begin
-      match
-        Service.Loadgen.run_open ~multi ~skew ?resilient ?deadline_s:deadline
-          address ~processes ~requests ~rps ~seed ~distinct ()
-      with
-      | Error e ->
-        prerr_endline ("dls: " ^ Dls.Errors.to_string e);
-        exit 2
-      | Ok oo ->
-        let o = oo.Service.Loadgen.closed in
-        print_outcome o;
+    match
+      Service.Loadgen.run ~multi ~skew ?resilient ?deadline_s:deadline
+        ?rps:(if rps > 0. then Some rps else None)
+        address ~connections ~requests ~seed ~distinct ()
+    with
+    | Error e ->
+      prerr_endline ("dls: " ^ Dls.Errors.to_string e);
+      exit 2
+    | Ok o ->
+      Printf.printf
+        "sent=%d ok=%d overloaded=%d timeouts=%d shed=%d failed=%d goodput=%d \
+         retries=%d breaker_opens=%d p50=%.1fms p99=%.1fms wall=%.3fs \
+         rps=%.1f\n"
+        o.sent o.ok o.overloaded o.timeouts o.shed o.failed o.goodput o.retries
+        o.breaker_opens o.p50_ms o.p99_ms o.wall_s o.rps;
+      if rps > 0. then
         Printf.printf
           "open-loop: target=%.1frps offered=%.1frps achieved=%.1frps \
-           max_lag=%.1fms processes=%d\n"
-          oo.Service.Loadgen.target_rps oo.Service.Loadgen.offered_rps
-          o.Service.Loadgen.rps oo.Service.Loadgen.max_lag_ms
-          oo.Service.Loadgen.processes;
-        Option.iter (fun path -> write_json path ~open_loop:oo o) json;
-        if o.Service.Loadgen.failed > 0 then exit 1
-    end
-    else begin
-      match
-        Service.Loadgen.run ~multi ~skew ?resilient ?deadline_s:deadline
-          address ~connections ~requests ~seed ~distinct ()
-      with
-      | Error e ->
-        prerr_endline ("dls: " ^ Dls.Errors.to_string e);
-        exit 2
-      | Ok o ->
-        print_outcome o;
-        Option.iter (fun path -> write_json path o) json;
-        if o.Service.Loadgen.failed > 0 then exit 1
-    end
+           max_lag=%.1fms\n"
+          rps o.offered_rps o.rps o.max_lag_ms;
+      Option.iter (fun path -> write_json path o) json;
+      if o.failed > 0 then exit 1
   in
   let doc = "replay the deterministic request stream against a daemon" in
   Cmd.v
@@ -1870,8 +1763,7 @@ let loadgen_cmd =
     Term.(
       const run $ socket_arg $ host_arg $ port_arg $ requests_arg
       $ connections_arg $ seed_arg $ distinct_arg $ multi_arg $ skew_arg
-      $ json_arg $ retries_arg $ attempt_timeout_arg $ deadline_arg $ rps_arg
-      $ processes_arg)
+      $ json_arg $ retries_arg $ attempt_timeout_arg $ deadline_arg $ rps_arg)
 
 let route_cmd =
   let shard_arg =

@@ -195,37 +195,40 @@ let check_platform ?(fast = false) platform =
 (* The matrix driver                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type failure = { index : int; platform : string; messages : string list }
+type failure = {
+  index : int;
+  inputs : (string * string) list;
+  messages : string list;
+}
+
+(* Every matrix: [case i] draws case [i] and returns its labelled
+   inputs and its discrepancies.  Cases fan out over the pool; failures
+   come back in index order. *)
+let run_cases ?jobs count case =
+  let check i =
+    match case i with
+    | _, [] -> None
+    | inputs, messages -> Some { index = i; inputs; messages }
+  in
+  List.filter_map Fun.id
+    (Array.to_list (Parallel.Pool.run ?jobs check (Array.init count Fun.id)))
+
+let platform_input platform = ("platform", Dls.Platform_io.to_string platform)
 
 let regime_tag = function Small_z -> 1 | Unit_z -> 2 | Big_z -> 3
 
 let run_matrix ?jobs ?(count = 200) ?(seed = 7) ?(fast = false) regime =
   (* One PRNG per platform, seeded by (seed, regime, index): the matrix
      is reproducible and independent of [jobs]. *)
-  let platform_of_index i =
-    let rng = Random.State.make [| seed; regime_tag regime; i |] in
-    gen_platform rng regime
-  in
-  let check i =
-    let platform = platform_of_index i in
-    match check_platform ~fast platform with
-    | [] -> None
-    | messages ->
-      Some { index = i; platform = Dls.Platform_io.to_string platform; messages }
-  in
-  let results = Parallel.Pool.run ?jobs check (Array.init count (fun i -> i)) in
-  List.filter_map Fun.id (Array.to_list results)
+  run_cases ?jobs count (fun i ->
+      let platform =
+        gen_platform (Random.State.make [| seed; regime_tag regime; i |]) regime
+      in
+      ([ platform_input platform ], check_platform ~fast platform))
 
 (* ------------------------------------------------------------------ *)
 (* Multi-load differential matrix                                      *)
 (* ------------------------------------------------------------------ *)
-
-type multi_failure = {
-  w_index : int;
-  w_platform : string;
-  w_workload : string;
-  w_messages : string list;
-}
 
 (* Two loads and 2-3 workers keep the batch LPs (4 variables per chunk,
    H copies) inside exact-simplex comfort. *)
@@ -355,34 +358,16 @@ let check_multi ?(h = 3) platform workload =
   List.rev !errs
 
 let run_multi_matrix ?jobs ?(count = 60) ?(seed = 23) ?(h = 3) regime =
-  let check i =
-    let rng = Random.State.make [| seed; 32 + regime_tag regime; i |] in
-    let platform = gen_multi_platform rng regime in
-    let workload = gen_workload rng regime in
-    match check_multi ~h platform workload with
-    | [] -> None
-    | messages ->
-      Some
-        {
-          w_index = i;
-          w_platform = Dls.Platform_io.to_string platform;
-          w_workload = Dls.Workload.to_spec workload;
-          w_messages = messages;
-        }
-  in
-  let results = Parallel.Pool.run ?jobs check (Array.init count (fun i -> i)) in
-  List.filter_map Fun.id (Array.to_list results)
+  run_cases ?jobs count (fun i ->
+      let rng = Random.State.make [| seed; 32 + regime_tag regime; i |] in
+      let platform = gen_multi_platform rng regime in
+      let workload = gen_workload rng regime in
+      ( [ ("workload", Dls.Workload.to_spec workload); platform_input platform ],
+        check_multi ~h platform workload ))
 
 (* ------------------------------------------------------------------ *)
 (* Fault-injection matrix                                              *)
 (* ------------------------------------------------------------------ *)
-
-type fault_failure = {
-  f_index : int;
-  f_platform : string;
-  f_faults : string;
-  f_messages : string list;
-}
 
 let check_faulted platform plan ~load =
   let errs = ref [] in
@@ -460,32 +445,14 @@ let fault_case ~seed ~severity regime i =
   (platform, plan, load)
 
 let run_fault_matrix ?jobs ?(count = 200) ?(seed = 11) ?(severity = 0.6) regime =
-  let check i =
-    let platform, plan, load = fault_case ~seed ~severity regime i in
-    match check_faulted platform plan ~load with
-    | [] -> None
-    | messages ->
-      Some
-        {
-          f_index = i;
-          f_platform = Dls.Platform_io.to_string platform;
-          f_faults = Dls.Faults.to_string plan;
-          f_messages = messages;
-        }
-  in
-  let results = Parallel.Pool.run ?jobs check (Array.init count (fun i -> i)) in
-  List.filter_map Fun.id (Array.to_list results)
+  run_cases ?jobs count (fun i ->
+      let platform, plan, load = fault_case ~seed ~severity regime i in
+      ( [ platform_input platform; ("faults", Dls.Faults.to_string plan) ],
+        check_faulted platform plan ~load ))
 
 (* ------------------------------------------------------------------ *)
 (* Re-solve differential matrix                                        *)
 (* ------------------------------------------------------------------ *)
-
-type resolve_failure = {
-  r_index : int;
-  r_platform : string;
-  r_delta : string;
-  r_messages : string list;
-}
 
 let gen_delta rng regime platform =
   let n = Dls.Platform.size platform in
@@ -565,20 +532,9 @@ let check_resolve platform delta =
   List.rev !errs
 
 let run_resolve_matrix ?jobs ?(count = 100) ?(seed = 13) regime =
-  let check i =
-    let rng = Random.State.make [| seed; 48 + regime_tag regime; i |] in
-    let platform = gen_platform rng regime in
-    let delta = gen_delta rng regime platform in
-    match check_resolve platform delta with
-    | [] -> None
-    | messages ->
-      Some
-        {
-          r_index = i;
-          r_platform = Dls.Platform_io.to_string platform;
-          r_delta = Dls.Delta.to_spec delta;
-          r_messages = messages;
-        }
-  in
-  let results = Parallel.Pool.run ?jobs check (Array.init count (fun i -> i)) in
-  List.filter_map Fun.id (Array.to_list results)
+  run_cases ?jobs count (fun i ->
+      let rng = Random.State.make [| seed; 48 + regime_tag regime; i |] in
+      let platform = gen_platform rng regime in
+      let delta = gen_delta rng regime platform in
+      ( [ ("delta", Dls.Delta.to_spec delta); platform_input platform ],
+        check_resolve platform delta ))

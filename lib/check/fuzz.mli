@@ -53,9 +53,16 @@ val gen_platform : Random.State.t -> regime -> Dls.Platform.t
     answer. *)
 val check_platform : ?fast:bool -> Dls.Platform.t -> string list
 
-(** One fuzzed platform that failed: its index in the run, the platform
-    (serialized, for reproduction), and the discrepancies. *)
-type failure = { index : int; platform : string; messages : string list }
+(** One fuzzed case that failed, in any of the matrices below: its index
+    in the run, its labelled serialized inputs for reproduction —
+    ["platform"] ({!Dls.Platform_io.to_string}), plus ["workload"]
+    ({!Dls.Workload.to_spec}), ["faults"] ({!Dls.Faults.to_string}) or
+    ["delta"] ({!Dls.Delta.to_spec}) — and the discrepancies. *)
+type failure = {
+  index : int;
+  inputs : (string * string) list;
+  messages : string list;
+}
 
 (** [run_matrix ?jobs ?count ?seed ?fast regime] fuzzes [count] (default
     200) random platforms of the regime, fanning the checks out over a
@@ -84,13 +91,6 @@ val run_matrix :
     - a one-load batch at depth 0 reproduces the paper's LP(2) makespan
       bit-exactly. *)
 
-type multi_failure = {
-  w_index : int;
-  w_platform : string;  (** serialized, for reproduction *)
-  w_workload : string;  (** {!Dls.Workload.to_spec} *)
-  w_messages : string list;
-}
-
 (** [gen_workload rng regime] draws a random two-load workload: sizes in
     [[1/4, 8]], releases in [{0, 1/2, 1}], and each load keeping the
     platform's return ratio or overriding it with a fresh draw from the
@@ -108,7 +108,7 @@ val check_multi : ?h:int -> Dls.Platform.t -> Dls.Workload.t -> string list
     index [i] depends only on [(seed, regime, i)].  Failures come back
     in index order (empty = the matrix passes). *)
 val run_multi_matrix :
-  ?jobs:int -> ?count:int -> ?seed:int -> ?h:int -> regime -> multi_failure list
+  ?jobs:int -> ?count:int -> ?seed:int -> ?h:int -> regime -> failure list
 
 (** {1 Fault-injection matrix}
 
@@ -125,13 +125,6 @@ val run_multi_matrix :
       degraded platform, deadline respected, accounting consistent;
     - an empty fault plan yields [Keep_original] with full completion;
     - [respond] is deterministic on identical inputs. *)
-
-type fault_failure = {
-  f_index : int;
-  f_platform : string;  (** serialized, for reproduction *)
-  f_faults : string;  (** serialized fault plan *)
-  f_messages : string list;
-}
 
 (** [check_faulted platform plan ~load] runs every assertion above for
     one case; returns the discrepancies (empty = pass). *)
@@ -154,7 +147,7 @@ val run_fault_matrix :
   ?seed:int ->
   ?severity:float ->
   regime ->
-  fault_failure list
+  failure list
 
 (** {1 Re-solve differential matrix}
 
@@ -174,13 +167,6 @@ val run_fault_matrix :
     - a shape-changing delta must never be accepted (the base's basis
       has the wrong dimension). *)
 
-type resolve_failure = {
-  r_index : int;
-  r_platform : string;  (** serialized, for reproduction *)
-  r_delta : string;  (** {!Dls.Delta.to_spec} *)
-  r_messages : string list;
-}
-
 (** [gen_delta rng regime platform] draws a random delta against
     [platform]: factors in [[1/4, 4]] clustered around 1, [z] sweeps
     from the regime, one change in eight shape-changing and one in eight
@@ -196,4 +182,4 @@ val check_resolve : Dls.Platform.t -> Dls.Delta.t -> string list
     [i] depends only on [(seed, regime, i)].  Failures come back in
     index order (empty = the matrix passes). *)
 val run_resolve_matrix :
-  ?jobs:int -> ?count:int -> ?seed:int -> regime -> resolve_failure list
+  ?jobs:int -> ?count:int -> ?seed:int -> regime -> failure list

@@ -2,11 +2,9 @@
    most-recently-used end, [tail] the eviction end.
 
    Concurrency: every structural access runs under [m]; [compute]
-   callbacks run outside it.  [find_or_add] may run the callback in
-   several domains at once (first store wins); [find_or_compute] is the
-   single-flight variant: concurrent misses on the same key collapse
-   into one callback run, the others block on [flight_done] and pick up
-   the cached value. *)
+   callbacks run outside it.  [find_or_compute] is single-flight:
+   concurrent misses on the same key collapse into one callback run,
+   the others block on [flight_done] and pick up the cached value. *)
 
 type ('k, 'v) node = {
   key : 'k;
@@ -137,22 +135,6 @@ let with_lock t f =
 
 let find t k = with_lock t (fun () -> find_locked t k)
 let add t k v = with_lock t (fun () -> add_locked t k v)
-
-let find_or_add t k compute =
-  match find t k with
-  | Some v -> v
-  | None -> (
-      let v = compute () in
-      (* Another domain may have stored [k] while we computed; keep the
-         existing entry so every caller sees one canonical value. *)
-      with_lock t (fun () ->
-          match Hashtbl.find_opt t.table k with
-          | Some n ->
-              touch t n;
-              n.value
-          | None ->
-              add_locked t k v;
-              v))
 
 (* Single-flight: classify under the lock — cached (hit), someone is
    computing it (join: wait for the flight and pick its pinned value

@@ -1,16 +1,13 @@
 (** Size-bounded LRU memo cache, safe for concurrent use from multiple
     domains (a single {!Mutex} guards the table; the expensive compute
-    in {!find_or_add} and {!find_or_compute} runs {e outside} the lock).
+    in {!find_or_compute} runs {e outside} the lock).
 
     Intended for memoising pure functions whose results are structurally
     identical whenever the keys are equal — e.g. exact LP solutions
-    keyed by a canonical scenario fingerprint.  Under that assumption a
-    racy double-compute is harmless: both domains produce the same
-    value and the first insertion wins.  When the compute is expensive
-    enough that the duplicated work matters (a server fielding many
-    concurrent identical requests), use {!find_or_compute}, which
-    additionally collapses concurrent misses on one key into a single
-    callback run. *)
+    keyed by a canonical scenario fingerprint.  {!find_or_compute}
+    collapses concurrent misses on one key into a single callback run,
+    so a server fielding many concurrent identical requests computes
+    each answer once. *)
 
 type ('k, 'v) t
 
@@ -45,14 +42,10 @@ val find : ('k, 'v) t -> 'k -> 'v option
     least-recently-used entry if the cache is full. *)
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 
-(** [find_or_add t k compute] returns the cached value for [k], or runs
-    [compute ()] (outside the cache lock), stores and returns it.  If
-    another domain raced us to the same key, the already-stored value is
-    returned so all callers observe one canonical entry.  Concurrent
-    misses on the same key may each run [compute] (first store wins). *)
-val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-
-(** [find_or_compute t k compute] is {!find_or_add} with {e single
+(** [find_or_compute t k compute] returns the cached value for [k], or
+    runs [compute ()] (outside the cache lock), stores and returns it.
+    If an {!add} raced it to the same key, the already-stored value is
+    returned so all callers observe one canonical entry.  It is {e single
     flight}: if another domain is already computing [k], the call blocks
     until that flight lands and returns its value instead of computing
     again (counted in [stats.joins]).  Exactly one [compute] runs per
@@ -62,9 +55,8 @@ val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     callback raised.  The flight's value is pinned to the flight record
     before the waiters wake, so joiners receive it even when an insert
     burst evicts the freshly cached entry first — eviction pressure can
-    never force a joiner to recompute a landed flight.  Single-threaded
-    behaviour — and therefore the hit/miss accounting observable
-    sequentially — is identical to {!find_or_add}. *)
+    never force a joiner to recompute a landed flight.  Sequentially,
+    a call is one miss (and one compute) or one hit, never a join. *)
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 
 val mem : ('k, 'v) t -> 'k -> bool

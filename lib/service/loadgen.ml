@@ -15,6 +15,8 @@ type outcome = {
   p99_ms : float;
   wall_s : float;
   rps : float;
+  offered_rps : float;
+  max_lag_ms : float;
 }
 
 let regimes = [| Check.Fuzz.Small_z; Check.Fuzz.Unit_z; Check.Fuzz.Big_z |]
@@ -88,16 +90,12 @@ let request ?(multi = false) ?(skew = 0.) ~seed ~distinct i =
         s_load = (if k < 4 then Some (Q.of_int 1000) else None);
       }
 
-(* ------------------------------------------------------------------ *)
-(* Open-loop arrivals                                                  *)
-
 (* Poisson arrival schedule: inter-arrival gaps are exponential with
    mean 1/rps, each gap derived from a hash-based uniform — a pure
    function of (seed, i), like the request stream itself.  The prefix
-   sums are therefore identical in every process and for every worker
-   count: "process-count-invariant" is by construction, not by
-   coordination.  Hashtbl.hash gives 30 bits; +1 keeps the uniform in
-   (0, 1] so log never sees 0. *)
+   sums are therefore identical for every connection count: the
+   invariance is by construction, not by coordination.  Hashtbl.hash
+   gives 30 bits; +1 keeps the uniform in (0, 1] so log never sees 0. *)
 let arrivals ~seed ~rps n =
   if rps <= 0. then invalid_arg "Loadgen.arrivals: rps must be > 0";
   let t = ref 0. in
@@ -119,11 +117,12 @@ type tally = {
   mutable t_retries : int;
   mutable t_breaker_opens : int;
   mutable t_latencies_ms : float list;  (* of ok responses *)
+  mutable t_lag_s : float;  (* worst lag behind the arrival schedule *)
 }
 
-(* Per-connection issue loop, shared by the naive and resilient arms.
-   [send] runs one request to completion (including any retries) and
-   returns the response or a terminal error. *)
+(* One request issued and classified.  [send] runs it to completion
+   (including any retries) and returns the response or a terminal
+   error. *)
 let issue tally ~deadline_s ~send req =
   let t0 = Parallel.Clock.now () in
   let result = send req in
@@ -151,15 +150,18 @@ let quantile_ms sorted q =
     in
     sorted.(idx)
 
-let run ?(multi = false) ?(skew = 0.) ?resilient ?deadline_s address
+let run ?(multi = false) ?(skew = 0.) ?resilient ?deadline_s ?rps address
     ~connections ~requests ~seed ~distinct () =
-  if connections <= 0 || requests < 0 || distinct <= 0 then
-    Dls.Errors.invalid "Loadgen.run: bad parameters"
+  if
+    connections <= 0 || requests < 0 || distinct <= 0
+    || (match rps with Some r -> r <= 0. | None -> false)
+  then Dls.Errors.invalid "Loadgen.run: bad parameters"
   else begin
     (* Materialize the stream up front so worker threads only do I/O. *)
     let stream =
       Array.init requests (fun i -> request ~multi ~skew ~seed ~distinct i)
     in
+    let schedule = Option.map (fun rps -> arrivals ~seed ~rps requests) rps in
     let connections = max 1 (min connections (max requests 1)) in
     let tallies =
       Array.init connections (fun _ ->
@@ -173,15 +175,36 @@ let run ?(multi = false) ?(skew = 0.) ?resilient ?deadline_s address
             t_retries = 0;
             t_breaker_opens = 0;
             t_latencies_ms = [];
+            t_lag_s = 0.;
           })
     in
     let conn_error = Atomic.make None in
+    let t0 = Parallel.Clock.now () in
+    (* Connection [c] issues the requests with [i mod connections = c]
+       in order.  In the open loop each waits for its scheduled arrival;
+       a busy connection falls behind schedule instead of thinning the
+       offered load, and that lag ([max_lag_ms]) and the achieved-vs-
+       offered gap are what an open-loop run exposes. *)
+    let drive c send =
+      let tally = tallies.(c) in
+      let i = ref c in
+      while !i < requests do
+        Option.iter
+          (fun schedule ->
+            let due = schedule.(!i) in
+            let now = Parallel.Clock.elapsed_s ~since:t0 in
+            if due > now then Unix.sleepf (due -. now)
+            else tally.t_lag_s <- Float.max tally.t_lag_s (now -. due))
+          schedule;
+        issue tally ~deadline_s ~send stream.(!i);
+        i := !i + connections
+      done
+    in
     let naive_worker c =
       match Client.connect address with
       | Error e ->
         if Atomic.get conn_error = None then Atomic.set conn_error (Some e)
       | Ok client ->
-        let tally = tallies.(c) in
         let client = ref client in
         let send req =
           match Client.request ?deadline_s:deadline_s !client req with
@@ -198,26 +221,15 @@ let run ?(multi = false) ?(skew = 0.) ?resilient ?deadline_s address
             | Error _ -> ());
             err
         in
-        let i = ref c in
-        while !i < requests do
-          issue tally ~deadline_s ~send stream.(!i);
-          i := !i + connections
-        done;
+        drive c send;
         Client.close !client
     in
     let resilient_worker rcfg c =
-      let rcfg = { rcfg with Resilient.address } in
-      let r = Resilient.create rcfg in
-      let tally = tallies.(c) in
-      let send req = Resilient.request r req in
-      let i = ref c in
-      while !i < requests do
-        issue tally ~deadline_s ~send stream.(!i);
-        i := !i + connections
-      done;
+      let r = Resilient.create { rcfg with Resilient.address } in
+      drive c (Resilient.request r);
       let s = Resilient.stats r in
-      tally.t_retries <- s.Resilient.retries;
-      tally.t_breaker_opens <- s.Resilient.breaker_opens;
+      tallies.(c).t_retries <- s.Resilient.retries;
+      tallies.(c).t_breaker_opens <- s.Resilient.breaker_opens;
       Resilient.close r
     in
     let worker =
@@ -225,7 +237,6 @@ let run ?(multi = false) ?(skew = 0.) ?resilient ?deadline_s address
       | None -> naive_worker
       | Some rcfg -> resilient_worker rcfg
     in
-    let t0 = Parallel.Clock.now () in
     let threads = Array.init connections (fun c -> Thread.create worker c) in
     Array.iter Thread.join threads;
     let wall_s = Parallel.Clock.elapsed_s ~since:t0 in
@@ -241,157 +252,29 @@ let run ?(multi = false) ?(skew = 0.) ?resilient ?deadline_s address
              [] tallies)
       in
       Array.sort compare latencies;
-      Ok
-        {
-          sent = requests;
-          ok;
-          overloaded = sum (fun t -> t.t_overloaded);
-          timeouts = sum (fun t -> t.t_timeouts);
-          shed = sum (fun t -> t.t_shed);
-          failed = sum (fun t -> t.t_failed);
-          goodput = sum (fun t -> t.t_goodput);
-          retries = sum (fun t -> t.t_retries);
-          breaker_opens = sum (fun t -> t.t_breaker_opens);
-          p50_ms = quantile_ms latencies 0.50;
-          p99_ms = quantile_ms latencies 0.99;
-          wall_s;
-          rps = (if wall_s > 0. then float_of_int ok /. wall_s else 0.);
-        }
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Open-loop driving                                                   *)
-
-type open_outcome = {
-  closed : outcome;
-  target_rps : float;
-  offered_rps : float;
-  max_lag_ms : float;
-  processes : int;
-}
-
-let run_open ?(multi = false) ?(skew = 0.) ?resilient ?deadline_s address
-    ~processes ~requests ~rps ~seed ~distinct () =
-  if processes <= 0 || requests < 0 || distinct <= 0 || rps <= 0. then
-    Dls.Errors.invalid "Loadgen.run_open: bad parameters"
-  else begin
-    let stream =
-      Array.init requests (fun i -> request ~multi ~skew ~seed ~distinct i)
-    in
-    let schedule = arrivals ~seed ~rps requests in
-    let processes = max 1 (min processes (max requests 1)) in
-    let tallies =
-      Array.init processes (fun _ ->
-          {
-            t_ok = 0;
-            t_overloaded = 0;
-            t_timeouts = 0;
-            t_shed = 0;
-            t_failed = 0;
-            t_goodput = 0;
-            t_retries = 0;
-            t_breaker_opens = 0;
-            t_latencies_ms = [];
-          })
-    in
-    let lags = Array.make processes 0. in
-    let conn_error = Atomic.make None in
-    let t0 = Parallel.Clock.now () in
-    (* Worker [p] issues the requests with [i mod processes = p], each
-       no earlier than its scheduled arrival.  A busy worker falls
-       behind schedule instead of thinning the offered load — that lag
-       (reported as [max_lag_ms]) and the achieved-vs-offered gap are
-       exactly what an open-loop run is supposed to expose. *)
-    let drive p send close_it =
-      let tally = tallies.(p) in
-      let i = ref p in
-      while !i < requests do
-        let due = schedule.(!i) in
-        let now = Parallel.Clock.elapsed_s ~since:t0 in
-        if due > now then Unix.sleepf (due -. now)
-        else lags.(p) <- Float.max lags.(p) (now -. due);
-        issue tally ~deadline_s ~send stream.(!i);
-        i := !i + processes
-      done;
-      close_it ()
-    in
-    let naive_worker p =
-      match Client.connect address with
-      | Error e ->
-        if Atomic.get conn_error = None then Atomic.set conn_error (Some e)
-      | Ok client ->
-        let client = ref client in
-        let send req =
-          match Client.request ?deadline_s:deadline_s !client req with
-          | Ok _ as ok -> ok
-          | Error _ as err ->
-            Client.close !client;
-            (match Client.connect address with
-            | Ok fresh -> client := fresh
-            | Error _ -> ());
-            err
-        in
-        drive p send (fun () -> Client.close !client)
-    in
-    let resilient_worker rcfg p =
-      let rcfg = { rcfg with Resilient.address } in
-      let r = Resilient.create rcfg in
-      let send req = Resilient.request r req in
-      drive p send (fun () ->
-          let s = Resilient.stats r in
-          tallies.(p).t_retries <- s.Resilient.retries;
-          tallies.(p).t_breaker_opens <- s.Resilient.breaker_opens;
-          Resilient.close r)
-    in
-    let worker =
-      match resilient with
-      | None -> naive_worker
-      | Some rcfg -> resilient_worker rcfg
-    in
-    let threads = Array.init processes (fun p -> Thread.create worker p) in
-    Array.iter Thread.join threads;
-    let wall_s = Parallel.Clock.elapsed_s ~since:t0 in
-    match Atomic.get conn_error with
-    | Some e -> Error e
-    | None ->
-      let sum f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
-      let ok = sum (fun t -> t.t_ok) in
-      let latencies =
-        Array.of_list
-          (Array.fold_left
-             (fun acc t -> List.rev_append t.t_latencies_ms acc)
-             [] tallies)
-      in
-      Array.sort compare latencies;
-      let closed =
-        {
-          sent = requests;
-          ok;
-          overloaded = sum (fun t -> t.t_overloaded);
-          timeouts = sum (fun t -> t.t_timeouts);
-          shed = sum (fun t -> t.t_shed);
-          failed = sum (fun t -> t.t_failed);
-          goodput = sum (fun t -> t.t_goodput);
-          retries = sum (fun t -> t.t_retries);
-          breaker_opens = sum (fun t -> t.t_breaker_opens);
-          p50_ms = quantile_ms latencies 0.50;
-          p99_ms = quantile_ms latencies 0.99;
-          wall_s;
-          rps = (if wall_s > 0. then float_of_int ok /. wall_s else 0.);
-        }
-      in
       let offered_rps =
-        if requests = 0 then 0.
-        else
-          let span = schedule.(requests - 1) in
-          if span > 0. then float_of_int requests /. span else 0.
+        match schedule with
+        | Some s when requests > 0 && s.(requests - 1) > 0. ->
+          float_of_int requests /. s.(requests - 1)
+        | _ -> 0.
       in
       Ok
         {
-          closed;
-          target_rps = rps;
+          sent = requests;
+          ok;
+          overloaded = sum (fun t -> t.t_overloaded);
+          timeouts = sum (fun t -> t.t_timeouts);
+          shed = sum (fun t -> t.t_shed);
+          failed = sum (fun t -> t.t_failed);
+          goodput = sum (fun t -> t.t_goodput);
+          retries = sum (fun t -> t.t_retries);
+          breaker_opens = sum (fun t -> t.t_breaker_opens);
+          p50_ms = quantile_ms latencies 0.50;
+          p99_ms = quantile_ms latencies 0.99;
+          wall_s;
+          rps = (if wall_s > 0. then float_of_int ok /. wall_s else 0.);
           offered_rps;
-          max_lag_ms = 1e3 *. Array.fold_left Float.max 0. lags;
-          processes;
+          max_lag_ms =
+            1e3 *. Array.fold_left (fun m t -> Float.max m t.t_lag_s) 0. tallies;
         }
   end

@@ -11,8 +11,12 @@
     what exercises the server's single-flight batching and the shared
     LP cache.
 
-    Used by the service tests, the CI smoke jobs and [dls loadgen]:
-    all of them see the same traffic by construction. *)
+    One driver, {!run}, issues the stream closed-loop (each connection
+    sends its next request as soon as the previous one is answered) or
+    open-loop (each request waits for its seeded Poisson arrival), so
+    closed- and open-loop numbers come from the same code path.  Used by
+    the service tests, the CI smoke jobs and [dls loadgen]: all of them
+    see the same traffic by construction. *)
 
 type outcome = {
   sent : int;
@@ -32,7 +36,16 @@ type outcome = {
   p50_ms : float;  (** latency quantiles over [ok] responses, ms *)
   p99_ms : float;
   wall_s : float;
-  rps : float;  (** ok responses per wall-clock second *)
+  rps : float;  (** ok responses per wall-clock second: the achieved rate *)
+  offered_rps : float;
+      (** open loop: the schedule's realised rate, [n / last arrival] —
+          close to the target, not equal, since the schedule is one
+          random draw; 0 in the closed loop *)
+  max_lag_ms : float;
+      (** open loop: the worst scheduling lag, how far behind its
+          arrival time a request was issued because its connection was
+          still busy — the saturation signal (a closed loop would have
+          silently thinned the load instead); 0 in the closed loop *)
 }
 
 (** [request ~seed ~distinct i] is the [i]-th request of the stream.
@@ -57,8 +70,15 @@ val request :
 
 (** [run address ~connections ~requests ~seed ~distinct ()] replays the
     first [requests] requests of the stream over [connections]
-    concurrent connections and aggregates the outcome.  [~multi] and
-    [~skew] are passed to {!request}.
+    concurrent connections and aggregates the outcome: connection [c]
+    sends the requests with [i mod connections = c], in order.  [~multi]
+    and [~skew] are passed to {!request}.
+
+    [~rps] makes the run open-loop: request [i] is issued no earlier
+    than {!arrivals}[.(i)] at target rate [rps] ([rps > 0]).  The
+    request multiset {e and} the arrival schedule are invariant under
+    [connections]; only the issue interleaving changes.  Without it the
+    loop is closed and [offered_rps] and [max_lag_ms] are 0.
 
     [~resilient] switches the per-connection client from the naive
     single-attempt {!Client} (which, after a transport failure, drops
@@ -75,6 +95,7 @@ val run :
   ?skew:float ->
   ?resilient:Resilient.config ->
   ?deadline_s:float ->
+  ?rps:float ->
   Server.address ->
   connections:int ->
   requests:int ->
@@ -87,45 +108,7 @@ val run :
     request [i], as the prefix sum of exponential inter-arrival gaps
     with mean [1/rps] — a Poisson process at target rate [rps].  Each
     gap is derived from a hash of [(seed, i)], so the schedule is a
-    pure function of its arguments: identical in every process and for
-    every worker partition.  Monotone nondecreasing. *)
+    pure function of its arguments, identical for every connection
+    count.  Monotone nondecreasing.
+    @raise Invalid_argument when [rps <= 0]. *)
 val arrivals : seed:int -> rps:float -> int -> float array
-
-(** Outcome of an open-loop run.  [closed] aggregates exactly like
-    {!run}; the extra fields carry the offered-vs-achieved accounting:
-    [target_rps] is the requested rate, [offered_rps] the schedule's
-    realised rate ([n / last arrival] — close to target, not equal,
-    since the schedule is one random draw), and [closed.rps] the
-    achieved rate.  [max_lag_ms] is the worst scheduling lag: how far
-    behind its arrival time a request was issued because the driving
-    process was still busy — the open-loop saturation signal (a closed
-    loop would have silently thinned the load instead). *)
-type open_outcome = {
-  closed : outcome;
-  target_rps : float;
-  offered_rps : float;
-  max_lag_ms : float;
-  processes : int;
-}
-
-(** [run_open address ~processes ~requests ~rps ~seed ~distinct ()]
-    replays the stream {e open-loop}: request [i] is issued no earlier
-    than {!arrivals}[.(i)], by driving process [i mod processes] (one
-    connection each; threads here, the multi-process CLI arms simply
-    pass disjoint [processes] slices).  The request multiset {e and}
-    the arrival schedule are invariant under [processes] — only the
-    issue interleaving changes.  [~multi]/[~skew]/[~resilient]/
-    [~deadline_s] as in {!run}. *)
-val run_open :
-  ?multi:bool ->
-  ?skew:float ->
-  ?resilient:Resilient.config ->
-  ?deadline_s:float ->
-  Server.address ->
-  processes:int ->
-  requests:int ->
-  rps:float ->
-  seed:int ->
-  distinct:int ->
-  unit ->
-  (open_outcome, Dls.Errors.t) result

@@ -1,6 +1,5 @@
 type 'a t = {
   m : Mutex.t;
-  not_empty : Condition.t;
   items : 'a Stdlib.Queue.t;
   cap : int;
   mutable closed : bool;
@@ -13,7 +12,6 @@ let create ~capacity =
     invalid_arg (Printf.sprintf "Service.Queue.create: capacity %d" capacity);
   {
     m = Mutex.create ();
-    not_empty = Condition.create ();
     items = Stdlib.Queue.create ();
     cap = capacity;
     closed = false;
@@ -26,26 +24,9 @@ let try_push t x =
     else if Stdlib.Queue.length t.items >= t.cap then Overloaded
     else begin
       Stdlib.Queue.push x t.items;
-      Condition.signal t.not_empty;
       Enqueued
     end
   in
-  Mutex.unlock t.m;
-  r
-
-let pop t =
-  Mutex.lock t.m;
-  let rec wait () =
-    match Stdlib.Queue.take_opt t.items with
-    | Some x -> Some x
-    | None ->
-      if t.closed then None
-      else begin
-        Condition.wait t.not_empty t.m;
-        wait ()
-      end
-  in
-  let r = wait () in
   Mutex.unlock t.m;
   r
 
@@ -58,8 +39,6 @@ let try_pop t =
 let close t =
   Mutex.lock t.m;
   t.closed <- true;
-  (* wake every blocked consumer so it can observe the close *)
-  Condition.broadcast t.not_empty;
   Mutex.unlock t.m
 
 let length t =

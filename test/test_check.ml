@@ -255,6 +255,15 @@ let test_schedule_io_corruption_detected () =
 (* Differential fuzzing                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* A failure's labelled inputs on one line, for the test's message. *)
+let inputs_line (f : Fuzz.failure) =
+  String.concat ", "
+    (List.map
+       (fun (label, text) ->
+         label ^ " "
+         ^ String.concat " | " (String.split_on_char '\n' (String.trim text)))
+       f.Fuzz.inputs)
+
 let matrix_case regime =
   let name =
     Printf.sprintf "matrix %s (200 platforms)" (Fuzz.regime_to_string regime)
@@ -264,8 +273,7 @@ let matrix_case regime =
     | [] -> ()
     | f :: _ as fs ->
       Alcotest.failf "%d platform(s) failed; first (index %d, %s): %s"
-        (List.length fs) f.Fuzz.index
-        (String.concat " | " (String.split_on_char '\n' (String.trim f.Fuzz.platform)))
+        (List.length fs) f.Fuzz.index (inputs_line f)
         (String.concat "; " f.Fuzz.messages)
   in
   Alcotest.test_case name `Slow run
@@ -284,8 +292,7 @@ let fast_matrix_case regime =
     | [] -> ()
     | f :: _ as fs ->
       Alcotest.failf "%d platform(s) failed; first (index %d, %s): %s"
-        (List.length fs) f.Fuzz.index
-        (String.concat " | " (String.split_on_char '\n' (String.trim f.Fuzz.platform)))
+        (List.length fs) f.Fuzz.index (inputs_line f)
         (String.concat "; " f.Fuzz.messages)
   in
   Alcotest.test_case name `Slow run
@@ -362,12 +369,9 @@ let resolve_matrix_case regime =
     match Fuzz.run_resolve_matrix ~count:100 regime with
     | [] -> ()
     | f :: _ as fs ->
-      Alcotest.failf "%d delta case(s) failed; first (index %d, %s, delta %s): %s"
-        (List.length fs) f.Fuzz.r_index
-        (String.concat " | "
-           (String.split_on_char '\n' (String.trim f.Fuzz.r_platform)))
-        f.Fuzz.r_delta
-        (String.concat "; " f.Fuzz.r_messages)
+      Alcotest.failf "%d delta case(s) failed; first (index %d, %s): %s"
+        (List.length fs) f.Fuzz.index (inputs_line f)
+        (String.concat "; " f.Fuzz.messages)
   in
   Alcotest.test_case name `Slow run
 

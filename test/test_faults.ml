@@ -255,10 +255,10 @@ let matrix_case regime =
       match Check.Fuzz.run_fault_matrix ~count:40 ~severity:0.8 regime with
       | [] -> ()
       | f :: _ as fs ->
-        Alcotest.failf "%d failing case(s); first (index %d):\n%s%s\n%s"
-          (List.length fs) f.Check.Fuzz.f_index f.Check.Fuzz.f_platform
-          f.Check.Fuzz.f_faults
-          (String.concat "\n" f.Check.Fuzz.f_messages))
+        Alcotest.failf "%d failing case(s); first (index %d):\n%s\n%s"
+          (List.length fs) f.Check.Fuzz.index
+          (String.concat "" (List.map snd f.Check.Fuzz.inputs))
+          (String.concat "\n" f.Check.Fuzz.messages))
 
 let test_matrix_jobs_invariant () =
   (* The failure set (here: empty) and the generated cases must not

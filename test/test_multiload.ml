@@ -137,8 +137,8 @@ let test_fuzz_matrix () =
       | f :: _ ->
         Alcotest.failf "%s: case %d failed: %s"
           (Check.Fuzz.regime_to_string regime)
-          f.Check.Fuzz.w_index
-          (String.concat "; " f.Check.Fuzz.w_messages))
+          f.Check.Fuzz.index
+          (String.concat "; " f.Check.Fuzz.messages))
     Check.Fuzz.all_regimes
 
 (* ------------------------------------------------------------------ *)

@@ -318,25 +318,14 @@ let test_lru_eviction_order () =
   let s = Parallel.Lru.stats c in
   check_int "one eviction" 1 s.Parallel.Lru.evictions
 
-let test_lru_find_or_add () =
-  let c = Parallel.Lru.create ~capacity:4 () in
-  let calls = ref 0 in
-  let compute () = incr calls; 42 in
-  check_int "computed" 42 (Parallel.Lru.find_or_add c "k" compute);
-  check_int "cached" 42 (Parallel.Lru.find_or_add c "k" compute);
-  check_int "compute ran once" 1 !calls;
-  let s = Parallel.Lru.stats c in
-  check_int "one miss" 1 s.Parallel.Lru.misses;
-  check_int "one hit" 1 s.Parallel.Lru.hits
-
 let test_lru_disabled () =
   let c = Parallel.Lru.create ~capacity:0 () in
   Parallel.Lru.add c "a" 1;
   check "nothing stored" true (Parallel.Lru.find c "a" = None);
   let calls = ref 0 in
   let compute () = incr calls; 7 in
-  ignore (Parallel.Lru.find_or_add c "a" compute);
-  ignore (Parallel.Lru.find_or_add c "a" compute);
+  ignore (Parallel.Lru.find_or_compute c "a" compute);
+  ignore (Parallel.Lru.find_or_compute c "a" compute);
   check_int "always recomputes" 2 !calls;
   check_int "stays empty" 0 (Parallel.Lru.length c)
 
@@ -346,7 +335,7 @@ let test_lru_concurrent_hammer () =
   let c = Parallel.Lru.create ~capacity:16 () in
   let f i =
     let k = i mod 24 in
-    Parallel.Lru.find_or_add c k (fun () -> 2 * k)
+    Parallel.Lru.find_or_compute c k (fun () -> 2 * k)
   in
   let results = Parallel.Pool.run ~jobs:4 f (Array.init 480 Fun.id) in
   Array.iteri
@@ -356,8 +345,7 @@ let test_lru_concurrent_hammer () =
     results
 
 let test_lru_find_or_compute_sequential () =
-  (* Sequentially, find_or_compute must be indistinguishable from
-     find_or_add: one miss, then hits, no joins. *)
+  (* Sequentially: one miss and one compute, then hits, no joins. *)
   let c = Parallel.Lru.create ~capacity:4 () in
   let calls = ref 0 in
   let compute () = incr calls; 42 in
@@ -740,11 +728,10 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_lru_basics;
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
-          Alcotest.test_case "find_or_add" `Quick test_lru_find_or_add;
-          Alcotest.test_case "capacity 0 disables" `Quick test_lru_disabled;
-          Alcotest.test_case "concurrent hammer" `Quick test_lru_concurrent_hammer;
           Alcotest.test_case "find_or_compute sequential" `Quick
             test_lru_find_or_compute_sequential;
+          Alcotest.test_case "capacity 0 disables" `Quick test_lru_disabled;
+          Alcotest.test_case "concurrent hammer" `Quick test_lru_concurrent_hammer;
           Alcotest.test_case "find_or_compute failure" `Quick
             test_lru_find_or_compute_failure;
           Alcotest.test_case "single-flight hammer" `Quick

@@ -628,6 +628,46 @@ let test_cli_chaos_survives_upstream_kill () =
       Unix.kill daemon Sys.sigterm;
       check "the daemon drains" true (reap daemon = Unix.WEXITED 0))
 
+(* [dls loadgen --rps] against a daemon: the open-loop CLI path answers
+   every request, exits 0 and writes the offered rate and the worst
+   scheduling lag to its JSON. *)
+let test_cli_loadgen_open_loop () =
+  let sock = tmp_socket () and json = tmp_file ".json" in
+  let server = start_server_exn (server_cfg sock) in
+  let status =
+    Fun.protect
+      ~finally:(fun () -> Service.Server.stop server)
+      (fun () ->
+        let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        let pid =
+          Unix.create_process dls_exe
+            [| dls_exe; "loadgen"; "--socket"; sock; "--requests"; "80";
+               "--rps"; "400"; "--connections"; "2"; "--json"; json |]
+            Unix.stdin null null
+        in
+        Unix.close null;
+        snd (Unix.waitpid [] pid))
+  in
+  check "dls loadgen --rps exits 0" true (status = Unix.WEXITED 0);
+  let ic = open_in json in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove json;
+  let lines = List.map String.trim (String.split_on_char '\n' text) in
+  (* one ["key": number,] per line *)
+  let field key =
+    let prefix = Printf.sprintf "\"%s\": " key in
+    match List.find_opt (String.starts_with ~prefix) lines with
+    | Some l ->
+      let n = String.length prefix in
+      let v = String.sub l n (String.length l - n) in
+      float_of_string (List.hd (String.split_on_char ',' v))
+    | None -> Alcotest.failf "loadgen JSON has no %S:\n%s" key text
+  in
+  check "failed is 0" true (field "failed" = 0.);
+  check "offered_rps > 0" true (field "offered_rps" > 0.);
+  check "max_lag_ms >= 0" true (field "max_lag_ms" >= 0.)
+
 (* The CLI's solve-multi solves a batch the daemon refuses. *)
 let test_cli_batch_uncapped () =
   let spec =
@@ -703,53 +743,47 @@ let test_arrivals () =
   | _ -> Alcotest.fail "rps = 0 must be rejected"
 
 (* The request multiset and the schedule are invariant under the
-   process count — only the interleaving changes. *)
-let test_run_open_invariance () =
+   connection count — only the interleaving changes. *)
+let test_open_loop_invariance () =
   let server = start_server_exn (server_cfg (tmp_socket ())) in
   let address = Service.Server.address server in
-  let run processes =
+  let run connections =
     match
-      Service.Loadgen.run_open address ~processes ~requests:60 ~rps:600.
-        ~seed:5 ~distinct:4 ()
+      Service.Loadgen.run ~rps:600. address ~connections ~requests:60 ~seed:5
+        ~distinct:4 ()
     with
     | Ok o -> o
-    | Error e -> Alcotest.failf "run_open: %s" (Dls.Errors.to_string e)
+    | Error e -> Alcotest.failf "open-loop run: %s" (Dls.Errors.to_string e)
   in
   let one = run 1 in
   let four = run 4 in
   Service.Server.stop server;
-  check_int "ok invariant" one.Service.Loadgen.closed.Service.Loadgen.ok
-    four.Service.Loadgen.closed.Service.Loadgen.ok;
-  check_int "everything answered" 60
-    one.Service.Loadgen.closed.Service.Loadgen.ok;
+  check_int "ok invariant" one.Service.Loadgen.ok four.Service.Loadgen.ok;
+  check_int "everything answered" 60 one.Service.Loadgen.ok;
   check "offered rate is schedule-determined" true
     (one.Service.Loadgen.offered_rps = four.Service.Loadgen.offered_rps);
-  check_int "processes reported" 4 four.Service.Loadgen.processes;
   check "lag is measured" true (four.Service.Loadgen.max_lag_ms >= 0.)
 
-let test_run_open_accounting () =
+let test_open_loop_accounting () =
   let server = start_server_exn (server_cfg (tmp_socket ())) in
   let address = Service.Server.address server in
   let o =
     match
-      Service.Loadgen.run_open address ~processes:2 ~requests:80 ~rps:400.
+      Service.Loadgen.run ~rps:400. address ~connections:2 ~requests:80
         ~seed:11 ~distinct:5 ()
     with
     | Ok o -> o
-    | Error e -> Alcotest.failf "run_open: %s" (Dls.Errors.to_string e)
+    | Error e -> Alcotest.failf "open-loop run: %s" (Dls.Errors.to_string e)
   in
   Service.Server.stop server;
-  check "target recorded" true (o.Service.Loadgen.target_rps = 400.);
   check "offered is one Poisson draw of the target" true
     (o.Service.Loadgen.offered_rps > 200.
     && o.Service.Loadgen.offered_rps < 800.);
-  let closed = o.Service.Loadgen.closed in
-  check_int "sent" 80 closed.Service.Loadgen.sent;
-  check_int "ok" 80 closed.Service.Loadgen.ok;
+  check_int "sent" 80 o.Service.Loadgen.sent;
+  check_int "ok" 80 o.Service.Loadgen.ok;
   (* an open loop cannot finish before its own schedule *)
   check "wall at least the schedule span" true
-    (closed.Service.Loadgen.wall_s
-    >= 80. /. o.Service.Loadgen.offered_rps -. 0.5)
+    (o.Service.Loadgen.wall_s >= 80. /. o.Service.Loadgen.offered_rps -. 0.5)
 
 (* ------------------------------------------------------------------ *)
 (* Router                                                              *)
@@ -1373,10 +1407,11 @@ let () =
       ( "openloop",
         [
           Alcotest.test_case "arrival schedule" `Quick test_arrivals;
-          Alcotest.test_case "invariant under process count" `Quick
-            test_run_open_invariance;
+          Alcotest.test_case "invariant under connection count" `Quick
+            test_open_loop_invariance;
           Alcotest.test_case "offered vs achieved accounting" `Quick
-            test_run_open_accounting;
+            test_open_loop_accounting;
+          Alcotest.test_case "cli --rps run" `Quick test_cli_loadgen_open_loop;
         ] );
       ( "router",
         [

@@ -424,13 +424,13 @@ let test_queue_basics () =
   check "push 3 overloads" true
     (Service.Queue.try_push qq 3 = Service.Queue.Overloaded);
   check_int "length" 2 (Service.Queue.length qq);
-  check "fifo pop" true (Service.Queue.pop qq = Some 1);
+  check "fifo pop" true (Service.Queue.try_pop qq = Some 1);
   check "fifo pop 2" true (Service.Queue.try_pop qq = Some 2);
   check "empty try_pop" true (Service.Queue.try_pop qq = None);
   Service.Queue.close qq;
   check "push after close" true
     (Service.Queue.try_push qq 4 = Service.Queue.Closed);
-  check "pop after close+drain" true (Service.Queue.pop qq = None)
+  check "pop after close+drain" true (Service.Queue.try_pop qq = None)
 
 let test_queue_close_drains () =
   let qq = Service.Queue.create ~capacity:8 in
@@ -440,51 +440,13 @@ let test_queue_close_drains () =
   Service.Queue.close qq;
   let drained = ref [] in
   let rec go () =
-    match Service.Queue.pop qq with
+    match Service.Queue.try_pop qq with
     | Some x -> drained := x :: !drained; go ()
     | None -> ()
   in
   go ();
-  check "drained in order" true (List.rev !drained = [ 1; 2; 3; 4; 5 ])
-
-let test_queue_concurrent () =
-  (* Producer/consumer threads: every pushed item is popped exactly
-     once, blocked consumers wake on close. *)
-  let qq = Service.Queue.create ~capacity:16 in
-  let producers = 4 and per_producer = 500 in
-  let consumed = Array.make (producers * per_producer) 0 in
-  let consumer () =
-    let rec go () =
-      match Service.Queue.pop qq with
-      | Some x ->
-        consumed.(x) <- consumed.(x) + 1;
-        go ()
-      | None -> ()
-    in
-    go ()
-  in
-  let producer p () =
-    for i = 0 to per_producer - 1 do
-      let x = (p * per_producer) + i in
-      let rec push () =
-        match Service.Queue.try_push qq x with
-        | Service.Queue.Enqueued -> ()
-        | Service.Queue.Overloaded ->
-          Thread.yield ();
-          push ()
-        | Service.Queue.Closed -> Alcotest.fail "closed during production"
-      in
-      push ()
-    done
-  in
-  let cs = Array.init 3 (fun _ -> Thread.create consumer ()) in
-  let ps = Array.init producers (fun p -> Thread.create (producer p) ()) in
-  Array.iter Thread.join ps;
-  Service.Queue.close qq;
-  Array.iter Thread.join cs;
-  Array.iteri
-    (fun x n -> if n <> 1 then Alcotest.failf "item %d consumed %d times" x n)
-    consumed
+  check "drained in order" true (List.rev !drained = [ 1; 2; 3; 4; 5 ]);
+  check_int "empty after the drain" 0 (Service.Queue.length qq)
 
 (* ------------------------------------------------------------------ *)
 (* Shards                                                              *)
@@ -523,6 +485,46 @@ let test_shards_exactly_once () =
       if c <> 1 then Alcotest.failf "item %d consumed %d times" i c)
     seen;
   check_int "fully drained" 0 (Service.Shards.length s)
+
+let test_shards_concurrent () =
+  (* Producer/consumer threads on one shard, the daemon's layer: every
+     pushed item is popped exactly once, blocked consumers wake on
+     close. *)
+  let s = Service.Shards.create ~shards:1 ~capacity:16 in
+  let producers = 4 and per_producer = 500 in
+  let consumed = Array.make (producers * per_producer) 0 in
+  let consumer () =
+    let rec go () =
+      match Service.Shards.pop s ~shard:0 with
+      | Some (x, _) ->
+        consumed.(x) <- consumed.(x) + 1;
+        go ()
+      | None -> ()
+    in
+    go ()
+  in
+  let producer p () =
+    for i = 0 to per_producer - 1 do
+      let x = (p * per_producer) + i in
+      let rec push () =
+        match Service.Shards.try_push s ~key:(string_of_int x) x with
+        | Service.Queue.Enqueued -> ()
+        | Service.Queue.Overloaded ->
+          Thread.yield ();
+          push ()
+        | Service.Queue.Closed -> Alcotest.fail "closed during production"
+      in
+      push ()
+    done
+  in
+  let cs = Array.init 3 (fun _ -> Thread.create consumer ()) in
+  let ps = Array.init producers (fun p -> Thread.create (producer p) ()) in
+  Array.iter Thread.join ps;
+  Service.Shards.close s;
+  Array.iter Thread.join cs;
+  Array.iteri
+    (fun x n -> if n <> 1 then Alcotest.failf "item %d consumed %d times" x n)
+    consumed
 
 let test_shards_steal () =
   let s = Service.Shards.create ~shards:2 ~capacity:8 in
@@ -857,6 +859,41 @@ let test_loadgen_deterministic () =
   in
   check "solve present" true (List.mem "solve" kinds)
 
+(* MD5 digests of seeded prefixes of the request stream (rendered on
+   the wire) and of the arrival schedule (hex floats), recorded from the
+   load generator before its closed and open loops became one driver:
+   the streams are part of every benchmark and smoke job, so a driver
+   change must leave them bit-identical. *)
+let test_loadgen_streams_pinned () =
+  let requests ?multi ?skew ~seed ~distinct n =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n"
+            (List.init n (fun i ->
+                 P.request_to_string
+                   (Service.Loadgen.request ?multi ?skew ~seed ~distinct i)))))
+  in
+  let arrivals ~seed ~rps n =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n"
+            (Array.to_list
+               (Array.map (Printf.sprintf "%h")
+                  (Service.Loadgen.arrivals ~seed ~rps n)))))
+  in
+  check_str "uniform, seed 1" "24828f3d4703aeafd91d7b7e4ca49800"
+    (requests ~seed:1 ~distinct:5 300);
+  check_str "uniform, seed 2026" "b3dc9104354a637bf49387f1ddc138fe"
+    (requests ~seed:2026 ~distinct:6 300);
+  check_str "multi" "d8d2e50770fc7351a8dccf5cc20b2da6"
+    (requests ~multi:true ~seed:3 ~distinct:40 300);
+  check_str "skewed" "a102c86124480b65b228080474500cd8"
+    (requests ~skew:1.2 ~seed:3 ~distinct:8 300);
+  check_str "arrivals, 100 rps" "cd22e85fdd1d0e58a3fc44390a2a1f9e"
+    (arrivals ~seed:7 ~rps:100. 500);
+  check_str "arrivals, 400 rps" "bf8cac62385dacc2d579cdab1b30ca60"
+    (arrivals ~seed:1 ~rps:400. 500)
+
 let test_loadgen_against_server () =
   Dls.Lp_model.reset_cache ();
   with_server
@@ -877,6 +914,8 @@ let test_loadgen_against_server () =
           + o.Service.Loadgen.failed);
         check "mostly ok" true (o.Service.Loadgen.ok >= 25);
         check_int "no failures" 0 o.Service.Loadgen.failed;
+        check "closed loop: no offered rate, no lag" true
+          (o.Service.Loadgen.offered_rps = 0. && o.Service.Loadgen.max_lag_ms = 0.);
         let s = Service.Server.stats server in
         drain_invariant "loadgen" s)
 
@@ -2404,7 +2443,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_queue_basics;
           Alcotest.test_case "close drains" `Quick test_queue_close_drains;
-          Alcotest.test_case "concurrent" `Quick test_queue_concurrent;
         ] );
       ( "shards",
         [
@@ -2414,6 +2452,7 @@ let () =
             test_shards_steal;
           Alcotest.test_case "close wakes blocked pop" `Quick
             test_shards_close_wakes_blocked_pop;
+          Alcotest.test_case "concurrent" `Quick test_shards_concurrent;
         ] );
       ( "server",
         [
@@ -2458,6 +2497,7 @@ let () =
         [
           Alcotest.test_case "deterministic stream" `Quick
             test_loadgen_deterministic;
+          Alcotest.test_case "streams pinned" `Quick test_loadgen_streams_pinned;
           Alcotest.test_case "against a server" `Quick test_loadgen_against_server;
           Alcotest.test_case "skewed key popularity" `Quick test_loadgen_skew;
         ] );
