@@ -624,6 +624,11 @@ let experiment_cmd =
             if json then print_endline (Experiments.Report.to_json report)
             else if csv then print_string (Experiments.Report.to_csv report)
             else Experiments.Report.print report;
+            (* wall-clock cells go to stderr: stdout stays a function of
+               the seeds, comparable by digest across runs and [--jobs] *)
+            Option.iter
+              (Format.eprintf "%a@." Experiments.Report.pp)
+              report.Experiments.Report.timings;
             match out with
             | None -> ()
             | Some dir ->

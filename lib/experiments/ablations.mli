@@ -54,7 +54,9 @@ val protocol : ?quick:bool -> ?seed:int -> unit -> Report.t
     solvers scale with the worker count on the FIFO scheduling LP, and
     verifies they agree on the throughput.  The exact solver is the
     source of truth; the float path exists exactly for the large-[p]
-    regime this table maps out. *)
+    regime this table maps out.  The table holds the relative error and
+    the exact pivots; the wall-clock times of both solvers are its
+    [timings]. *)
 val scaling : ?quick:bool -> ?seed:int -> unit -> Report.t
 
 (** [sensitivity ()] executes INC_C- and LIFO-dimensioned campaigns

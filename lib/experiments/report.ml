@@ -6,9 +6,10 @@ type t = {
   columns : string list;
   rows : cell list list;
   notes : string list;
+  timings : t option;
 }
 
-let make ~id ~title ~columns ?(notes = []) rows =
+let make ~id ~title ~columns ?(notes = []) ?timings rows =
   let width = List.length columns in
   List.iteri
     (fun i row ->
@@ -17,7 +18,7 @@ let make ~id ~title ~columns ?(notes = []) rows =
           (Printf.sprintf "Report.make: row %d has %d cells, expected %d" i
              (List.length row) width))
     rows;
-  { id; title; columns; rows; notes }
+  { id; title; columns; rows; notes; timings }
 
 let cell_to_string = function
   | Str s -> s

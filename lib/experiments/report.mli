@@ -9,11 +9,24 @@ type t = {
   columns : string list;
   rows : cell list list;
   notes : string list;  (** free-form commentary printed under the table *)
+  timings : t option;
+      (** wall-clock measurements taken while the table was computed,
+          as a table of their own.  No rendering of this report ([pp],
+          [to_csv], [to_json]) includes them, so those stay a pure
+          function of the experiment's seeds; [dls experiment] prints
+          them on stderr. *)
 }
 
 (** [make ~id ~title ~columns rows] checks that every row has one cell
     per column. @raise Invalid_argument otherwise. *)
-val make : id:string -> title:string -> columns:string list -> ?notes:string list -> cell list list -> t
+val make :
+  id:string ->
+  title:string ->
+  columns:string list ->
+  ?notes:string list ->
+  ?timings:t ->
+  cell list list ->
+  t
 
 val cell_to_string : cell -> string
 

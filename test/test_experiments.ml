@@ -390,17 +390,23 @@ let test_protocol_ablation () =
 
 let test_scaling_ablation () =
   let r = Experiments.Ablations.scaling ~quick:true () in
-  List.iter
-    (fun row ->
-      match row with
-      | [ _w; exact_ms; float_ms; err; pivots ] ->
+  let timings =
+    match r.Experiments.Report.timings with
+    | Some t -> t.Experiments.Report.rows
+    | None -> Alcotest.fail "no timings"
+  in
+  List.iter2
+    (fun row timing ->
+      match (row, timing) with
+      | [ w; err; pivots ], [ w'; exact_ms; float_ms ] ->
+        Alcotest.(check bool) "same worker count" true (w = w');
         Alcotest.(check bool) "exact time positive" true (float_cell exact_ms > 0.0);
         Alcotest.(check bool) "float no slower x10" true
           (float_cell float_ms < float_cell exact_ms *. 10.0);
         Alcotest.(check bool) "solvers agree" true (float_cell err < 1e-9);
         Alcotest.(check bool) "pivots sane" true (float_cell pivots >= 1.0)
       | _ -> Alcotest.fail "unexpected row")
-    r.Experiments.Report.rows
+    r.Experiments.Report.rows timings
 
 let test_sensitivity_ablation_shape () =
   let r = Experiments.Ablations.sensitivity ~quick:true () in
@@ -497,7 +503,79 @@ let test_registry_find () =
     Alcotest.fail "found a ghost"
   with Not_found -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Pinned tables                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every table [dls experiment] prints, pinned by the MD5 of its text
+   (as [Report.print] writes it) and of its CSV, in
+   [fixtures/pinned_experiments.txt]: the [--quick] tables, checked
+   here, and the full ones, checked by [test_experiments.exe
+   --check-full] (about 90 s).  A line is [mode experiment report kind
+   md5].  The fixture is regenerated ([--print-pinned FILE], which runs
+   both modes) only by a change that means to move a figure, and that
+   change lists the cells that moved. *)
+
+(* Relative to [test/] under [dune runtest], to the repository root
+   under [dune exec test/test_experiments.exe]. *)
+let pinned_fixture =
+  let here = "fixtures/pinned_experiments.txt" in
+  if Sys.file_exists here then here else Filename.concat "test" here
+
+let pinned_lines ~quick ~jobs =
+  let mode = if quick then "quick" else "full" in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.concat_map
+    (fun (e : Experiments.Registry.entry) ->
+      List.concat_map
+        (fun (r : Experiments.Report.t) ->
+          let line kind text =
+            Printf.sprintf "%s %s %s %s %s" mode e.Experiments.Registry.id
+              r.Experiments.Report.id kind (md5 text)
+          in
+          [
+            line "text" (Format.asprintf "%a@." Experiments.Report.pp r);
+            line "csv" (Experiments.Report.to_csv r);
+          ])
+        (e.Experiments.Registry.run ~quick ~jobs))
+    Experiments.Registry.all
+
+let fixture_lines mode =
+  In_channel.with_open_text pinned_fixture In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.starts_with ~prefix:(mode ^ " ") l)
+
+(* The fixture was printed with [jobs = 1]; two domains here check that
+   the parallel sweeps print the same bytes. *)
+let test_pinned_quick () =
+  let want = fixture_lines "quick" and got = pinned_lines ~quick:true ~jobs:2 in
+  Alcotest.(check int) "line count" (List.length want) (List.length got);
+  List.iter2 (fun w g -> Alcotest.(check string) "pinned table" w g) want got
+
+let check_full () =
+  let want = fixture_lines "full" and got = pinned_lines ~quick:false ~jobs:2 in
+  let bad = ref (List.length want <> List.length got) in
+  if !bad then Printf.printf "%d lines pinned, %d computed\n" (List.length want) (List.length got)
+  else
+    List.iter2
+      (fun w g ->
+        if w <> g then begin
+          bad := true;
+          Printf.printf "pinned:   %s\ncomputed: %s\n" w g
+        end)
+      want got;
+  if !bad then exit 1 else Printf.printf "%d full-table digests match\n" (List.length got)
+
 let () =
+  match Array.to_list Sys.argv with
+  | [ _; "--print-pinned"; file ] ->
+    Out_channel.with_open_text file (fun oc ->
+        List.iter
+          (fun quick ->
+            List.iter (fun l -> output_string oc (l ^ "\n")) (pinned_lines ~quick ~jobs:1))
+          [ true; false ])
+  | [ _; "--check-full" ] -> check_full ()
+  | _ ->
   Alcotest.run "experiments"
     [
       ( "report",
@@ -553,6 +631,7 @@ let () =
           Alcotest.test_case "robustness" `Quick test_robustness_recovery;
           Alcotest.test_case "multiload" `Quick test_multiload_beats_back_to_back;
         ] );
+      ("pinned", [ Alcotest.test_case "quick tables" `Quick test_pinned_quick ]);
       ( "registry",
         [
           Alcotest.test_case "unique ids" `Quick test_registry_ids_unique;
