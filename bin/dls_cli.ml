@@ -1675,16 +1675,27 @@ let loadgen_cmd =
              count as throughput but not goodput.")
   in
   let rps_arg =
+    (* a rate that selects nothing is a usage error, as it is for
+       [Loadgen.run] *)
+    let rate =
+      let parse s =
+        match float_of_string_opt s with
+        | Some r when r > 0. && Float.is_finite r -> Ok r
+        | _ -> Error (`Msg (Printf.sprintf "%S is not a positive rate" s))
+      in
+      Arg.conv (parse, fun fmt r -> Format.fprintf fmt "%g" r)
+    in
     Arg.(
-      value & opt float 0.
+      value
+      & opt (some rate) None
       & info [ "rps" ] ~docv:"RATE"
           ~doc:
             "Open-loop mode: issue request $(i,i) at its seeded Poisson \
-             arrival time at target rate $(docv) instead of as fast as the \
-             connections allow, and report offered vs achieved rate plus the \
-             worst scheduling lag.  The arrival schedule is invariant in \
-             $(b,--connections); only the issue interleaving changes.  0 \
-             keeps the classic closed loop.")
+             arrival time at target rate $(docv) (> 0) instead of as fast as \
+             the connections allow, and report offered vs achieved rate plus \
+             the worst scheduling lag.  The arrival schedule is invariant in \
+             $(b,--connections); only the issue interleaving changes.  \
+             Without it, the classic closed loop runs.")
   in
   let run socket host port requests connections seed distinct multi skew json
       retries attempt_timeout deadline rps =
@@ -1736,12 +1747,12 @@ let loadgen_cmd =
          }\n"
         seed distinct skew connections retries o.sent o.ok o.overloaded
         o.timeouts o.shed o.failed o.goodput o.retries o.breaker_opens o.p50_ms
-        o.p99_ms o.wall_s o.rps rps o.offered_rps o.max_lag_ms;
+        o.p99_ms o.wall_s o.rps (Option.value rps ~default:0.) o.offered_rps
+        o.max_lag_ms;
       close_out oc
     in
     match
-      Service.Loadgen.run ~multi ~skew ?resilient ?deadline_s:deadline
-        ?rps:(if rps > 0. then Some rps else None)
+      Service.Loadgen.run ~multi ~skew ?resilient ?deadline_s:deadline ?rps
         address ~connections ~requests ~seed ~distinct ()
     with
     | Error e ->
@@ -1754,11 +1765,13 @@ let loadgen_cmd =
          rps=%.1f\n"
         o.sent o.ok o.overloaded o.timeouts o.shed o.failed o.goodput o.retries
         o.breaker_opens o.p50_ms o.p99_ms o.wall_s o.rps;
-      if rps > 0. then
-        Printf.printf
-          "open-loop: target=%.1frps offered=%.1frps achieved=%.1frps \
-           max_lag=%.1fms\n"
-          rps o.offered_rps o.rps o.max_lag_ms;
+      Option.iter
+        (fun rps ->
+          Printf.printf
+            "open-loop: target=%.1frps offered=%.1frps achieved=%.1frps \
+             max_lag=%.1fms\n"
+            rps o.offered_rps o.rps o.max_lag_ms)
+        rps;
       Option.iter (fun path -> write_json path o) json;
       if o.failed > 0 then exit 1
   in

@@ -154,7 +154,7 @@ let run ?(multi = false) ?(skew = 0.) ?resilient ?deadline_s ?rps address
     ~connections ~requests ~seed ~distinct () =
   if
     connections <= 0 || requests < 0 || distinct <= 0
-    || (match rps with Some r -> r <= 0. | None -> false)
+    || (match rps with Some r -> not (r > 0. && Float.is_finite r) | None -> false)
   then Dls.Errors.invalid "Loadgen.run: bad parameters"
   else begin
     (* Materialize the stream up front so worker threads only do I/O. *)

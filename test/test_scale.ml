@@ -668,6 +668,27 @@ let test_cli_loadgen_open_loop () =
   check "offered_rps > 0" true (field "offered_rps" > 0.);
   check "max_lag_ms >= 0" true (field "max_lag_ms" >= 0.)
 
+(* A rate that is not positive is a usage error before any request is
+   sent: [--rps] refuses it as [Loadgen.run ~rps] does, instead of
+   running the closed loop. *)
+let test_cli_loadgen_bad_rate () =
+  List.iter
+    (fun rate ->
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Unix.create_process dls_exe
+          [| dls_exe; "loadgen"; "--socket"; tmp_socket (); "--requests"; "5";
+             "--rps=" ^ rate |]
+          Unix.stdin null null
+      in
+      Unix.close null;
+      let status = snd (Unix.waitpid [] pid) in
+      check
+        (Printf.sprintf "dls loadgen --rps=%s is a usage error" rate)
+        true
+        (status = Unix.WEXITED Cmdliner.Cmd.Exit.cli_error))
+    [ "-5"; "0"; "nan" ]
+
 (* The CLI's solve-multi solves a batch the daemon refuses. *)
 let test_cli_batch_uncapped () =
   let spec =
@@ -1412,6 +1433,7 @@ let () =
           Alcotest.test_case "offered vs achieved accounting" `Quick
             test_open_loop_accounting;
           Alcotest.test_case "cli --rps run" `Quick test_cli_loadgen_open_loop;
+          Alcotest.test_case "cli --rps refuses a bad rate" `Quick test_cli_loadgen_bad_rate;
         ] );
       ( "router",
         [
