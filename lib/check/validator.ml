@@ -86,9 +86,6 @@ let rec violation_to_string platform v =
       "period %s leaves slack on every resource (max busy %s): not optimal"
       (Q.to_string period) (Q.to_string busy)
 
-let pp_violation platform fmt v =
-  Format.pp_print_string fmt (violation_to_string platform v)
-
 (* A master transfer, for the one-port sweep. *)
 type transfer = { t_worker : int; t_phase : string; t_start : Q.t; t_finish : Q.t }
 

@@ -73,7 +73,6 @@ type violation =
       (** no resource is tight: the period cannot be minimal *)
 
 val violation_to_string : Dls.Platform.t -> violation -> string
-val pp_violation : Dls.Platform.t -> Format.formatter -> violation -> unit
 
 (** [validate sched] checks every invariant above against
     [sched.horizon].  Returns all violations, in a deterministic

@@ -178,8 +178,6 @@ let of_spec ?file ~line ~col s =
   if String.trim s = "" then err ~off:0 "empty delta spec"
   else collect [] (Text_format.fields ',' s)
 
-let of_spec_exn ?file ~line ~col s = Errors.get_exn (of_spec ?file ~line ~col s)
-
 let change_to_string platform = function
   | Scale_comm { worker; factor } ->
     Printf.sprintf "comm(%s) x %s"

@@ -70,8 +70,6 @@ val apply_scenario_exn : Scenario.t -> t -> Scenario.t
 val of_spec :
   ?file:string -> line:int -> col:int -> string -> (t, Errors.t) result
 
-val of_spec_exn : ?file:string -> line:int -> col:int -> string -> t
-
 (** [to_spec d] renders the canonical spec; [of_spec] of the result is
     [d] again. *)
 val to_spec : t -> string

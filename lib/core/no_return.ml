@@ -25,10 +25,6 @@ let loads p ~order =
 
 let throughput p = Q.sum_array (loads p ~order:(optimal_order p))
 
-let bus_throughput ~c ws =
-  let p = Platform.bus ~c ~d:Q.zero (Array.to_list ws) in
-  throughput p
-
 let strip_returns p =
   Platform.make_exn
     (List.init (Platform.size p) (fun i ->

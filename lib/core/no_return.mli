@@ -35,9 +35,6 @@ val loads : Platform.t -> order:int array -> Q.t array
     platform [p] (bandwidth-first order, closed form). *)
 val throughput : Platform.t -> Q.t
 
-(** [bus_throughput ~c ws] is the closed form of [5,10] on a bus. *)
-val bus_throughput : c:Q.t -> Q.t array -> Q.t
-
 (** [strip_returns p] is the platform with every [d] forced to zero —
     the form under which the scenario LP reproduces this module's
     closed forms. *)

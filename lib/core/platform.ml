@@ -24,13 +24,6 @@ let make workers =
 
 let make_exn workers = Errors.get_exn (make workers)
 
-let of_floats specs =
-  make_exn
-    (List.map
-       (fun (c, w, d) ->
-         worker ~c:(Q.of_float c) ~w:(Q.of_float w) ~d:(Q.of_float d) ())
-       specs)
-
 let bus ~c ~d ws = make_exn (List.map (fun w -> worker ~c ~w ~d ()) ws)
 
 let with_return_ratio ~z specs =

@@ -32,10 +32,6 @@ val make : worker list -> (t, Errors.t) result
 (** [make_exn workers] is {!make}. @raise Errors.Error accordingly. *)
 val make_exn : worker list -> t
 
-(** [of_floats specs] builds a platform from [(c, w, d)] float triples
-    (converted exactly). *)
-val of_floats : (float * float * float) list -> t
-
 (** [bus ~c ~d ws] builds a bus platform: uniform link costs, per-worker
     compute costs [ws]. *)
 val bus : c:Q.t -> d:Q.t -> Q.t list -> t

@@ -31,9 +31,6 @@ let size w = Array.length w.loads
 let get w k = w.loads.(k)
 let total_size w = Q.sum_array (Array.map (fun l -> l.size) w.loads)
 
-let max_release w =
-  Array.fold_left (fun acc l -> Q.max acc l.release) Q.zero w.loads
-
 let repeat h w =
   if h < 1 then invalid_arg "Workload.repeat: need at least one copy";
   let k = size w in

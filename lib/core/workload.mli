@@ -45,9 +45,6 @@ val get : t -> int -> load
 (** [total_size w] is the summed load sizes. *)
 val total_size : t -> Q.t
 
-(** [max_release w] is the latest release date. *)
-val max_release : t -> Q.t
-
 (** [repeat h w] concatenates [h] copies of the mix, preserving each
     load's release and [z] — the long-horizon batches the differential
     fuzzer feeds to the batch LP to squeeze it against the steady-state

@@ -45,8 +45,6 @@ let string_of_error = function
   | Error_unbounded -> "unbounded problem"
   | Error_infeasible -> "infeasible problem"
 
-let pp_error fmt e = Format.pp_print_string fmt (string_of_error e)
-
 (* [integer_vector a] is [(v, s)]: [v = s * a] is the primitive integer
    vector positively proportional to [a], with [s] the lcm of the
    denominators over the gcd of the scaled numerators ([s = 1] on a zero

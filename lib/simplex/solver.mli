@@ -42,7 +42,6 @@ type error = Error_unbounded | Error_infeasible
 exception Error of error
 
 val string_of_error : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 (** [solve p] solves the linear program exactly. *)
 val solve : Problem.t -> outcome
