@@ -167,23 +167,43 @@ let package ?gaps:given model (s : Scenario.t) (sol : Simplex.Solver.solution) =
     basis = sol.Simplex.Solver.basis;
   }
 
+(* The normal form of a FIFO or LIFO scenario's optimal schedules, where
+   [Structured_cert.normal_form] proves one: a function of the scenario
+   alone, so both pipelines answer with it. *)
+let normal_form model s =
+  if Scenario.is_fifo s || Scenario.is_lifo s then
+    Structured_cert.normal_form ~one_port:(model = One_port) s
+  else None
+
 (* The exact simplex, on the scenario's LP [p] (built at most once per
-   solve, and only when a rung needs it).  Its answer is verified
-   independently before it is packaged; answers proved by a basis
-   certificate skip this, since each certificate has already checked
-   every row in exact arithmetic. *)
-let solve_lp model s p =
+   solve, and only when a rung needs it), answering with the scenario's
+   normal form [nf] where there is one and with its own vertex
+   elsewhere.  The simplex judges the normal form: both must reach the
+   same [rho].  The answer is verified independently before it is
+   packaged; answers proved by a basis certificate skip this, since
+   each certificate has already checked every row in exact
+   arithmetic. *)
+let solve_lp ~nf model s p =
   let p = Lazy.force p in
   match Simplex.Solver.solve_result p with
   | Error e -> Error (Errors.of_solver e)
   | Ok sol -> (
     bump exact_pivots sol.Simplex.Solver.pivots;
-    match Simplex.Certify.check p sol with
-    | Error msgs ->
-      (* Unreachable unless the solver itself is wrong; surfaced as a
-         typed error rather than an assertion so callers can log it. *)
-      Errors.invalid "LP certification failed: %s" (String.concat "; " msgs)
-    | Ok () -> Ok (package model s sol))
+    let value = sol.Simplex.Solver.value in
+    let sol, gaps =
+      match nf with
+      | Some (nf, gaps) -> ({ nf with Simplex.Solver.pivots = sol.Simplex.Solver.pivots }, Some gaps)
+      | None -> (sol, None)
+    in
+    (* Unreachable unless a solver is wrong; surfaced as a typed error
+       rather than an assertion so callers can log it. *)
+    if not (Q.equal sol.Simplex.Solver.value value) then
+      Errors.invalid "LP certification failed: normal form rho %s, simplex rho %s"
+        (Q.to_string sol.Simplex.Solver.value) (Q.to_string value)
+    else
+      match Simplex.Certify.check p sol with
+      | Error msgs -> Errors.invalid "LP certification failed: %s" (String.concat "; " msgs)
+      | Ok () -> Ok (package ?gaps model s sol))
 
 (* One candidate basis up the certification ladder: the structured
    FIFO/LIFO certificate (O(p)) first, and [certify_basis]'s restricted
@@ -199,15 +219,15 @@ let certify model s p basis =
 
 let default_max_float_pivots = 100_000
 
-(* The certified fast pipeline.  A candidate basis (the caller's warm
-   start, else the float solver's terminal basis) goes up the
-   certification ladder, which accepts only a basis whose non-basic
-   reduced costs are all strictly negative — proving the optimal point
-   unique, and therefore equal to the cold solve's.  Anything else
-   (defective basis, float stall, alternate optima, integer overflow in
-   the certificate) falls back to the canonical exact solve, so the
-   result is bit-identical to the exact solve by construction. *)
-let fast_pipeline model ?warm ~max_float_pivots s p =
+(* The certification ladder.  A candidate basis (the caller's warm
+   start, else the float solver's terminal basis) is accepted only when
+   every non-basic reduced cost is strictly negative — proving the
+   optimal point unique, and therefore equal to the cold solve's.
+   Anything else (defective basis, float stall, alternate optima,
+   integer overflow in the certificate) falls back to the exact solve,
+   so the result is bit-identical to it by construction.  The caller
+   has found no normal form. *)
+let ladder model ?warm ~max_float_pivots s p =
   let certified =
     match warm with
     | None -> None
@@ -246,7 +266,17 @@ let fast_pipeline model ?warm ~max_float_pivots s p =
   | Some solved -> Ok solved
   | None ->
     bump exact_fallbacks 1;
-    solve_lp model s p
+    solve_lp ~nf:None model s p
+
+(* The certified fast pipeline.  The normal form comes first: it needs
+   no LP, and where it exists it is the exact solve's answer too (a
+   float win, for the counters).  Elsewhere the ladder decides. *)
+let fast_pipeline model ?warm ~max_float_pivots s p =
+  match normal_form model s with
+  | Some (solution, gaps) ->
+    bump float_wins 1;
+    Ok (package ~gaps model s solution)
+  | None -> ladder model ?warm ~max_float_pivots s p
 
 (* ------------------------------------------------------------------ *)
 (* LRU-memoized solving.                                              *)
@@ -357,7 +387,7 @@ let run (mode : mode) ?(model = One_port) ?warm
     ?(max_float_pivots = default_max_float_pivots) s =
   let p = lazy (problem model s) in
   match mode with
-  | `Exact -> solve_lp model s p
+  | `Exact -> solve_lp ~nf:(normal_form model s) model s p
   | `Fast -> fast_pipeline model ?warm ~max_float_pivots s p
   | `Cached -> (
     match

@@ -6,6 +6,7 @@ type outcome =
   | Rejected
   | Shape
 
+
 (* The candidate basis read as a chain, in sigma1 positions.  [tight]
    rows have neither their idle variable nor their slack basic, so their
    deadline binds; every other row has exactly one of the twins basic.
@@ -19,31 +20,31 @@ type chain = {
   binding : int option;
 }
 
-exception Not_chain
+exception Other_shape
 
 let read_basis ~one_port ~fifo q basis =
-  if Array.length basis <> (if one_port then q + 1 else q) then raise Not_chain;
+  if Array.length basis <> (if one_port then q + 1 else q) then raise Other_shape;
   let enrolled = Array.make q false and free = Array.make q false in
   let port_slack = ref false in
   let mark a k =
-    if a.(k) then raise Not_chain;
+    if a.(k) then raise Other_shape;
     a.(k) <- true
   in
   Array.iter
     (fun j ->
-      if j < 0 then raise Not_chain
+      if j < 0 then raise Other_shape
       else if j < q then mark enrolled j
       else if j < 2 * q then mark free (j - q)
       else if j < 3 * q then mark free (j - (2 * q))
       else if one_port && j = 3 * q && not !port_slack then port_slack := true
-      else raise Not_chain)
+      else raise Other_shape)
     basis;
   let last = ref (-1) in
   Array.iteri (fun k e -> if e then last := k) enrolled;
-  if !last < 0 then raise Not_chain;
+  if !last < 0 then raise Other_shape;
   let binding = if one_port && not !port_slack then Some !last else None in
   let tight = Array.init q (fun k -> enrolled.(k) && binding <> Some k) in
-  Array.iteri (fun k t -> if t = free.(k) then raise Not_chain) tight;
+  Array.iteri (fun k t -> if t = free.(k) then raise Other_shape) tight;
   { fifo; one_port; enrolled; tight; binding }
 
 (* Under LIFO the one-port row is implied by the last deadline row (the
@@ -55,20 +56,20 @@ let read ~one_port (s : Scenario.t) ~basis =
   match
     if Scenario.is_fifo s then read_basis ~one_port ~fifo:true q basis
     else if Scenario.is_lifo s then read_basis ~one_port ~fifo:false q basis
-    else raise Not_chain
+    else raise Other_shape
   with
-  | exception Not_chain -> None
+  | exception Other_shape -> None
   | ch -> Some ch
 
 (* The arithmetic the recurrences need, once over floats (the screen)
    and once over integers (the certificate).  No division: every value
    is a numerator over a denominator the chain carries, and the tests
    read the sign of a ratio [n / d].  [sign] serves the primal tests and
-   carries the screen's margin.  [positive] serves the strict dual
-   tests: the screen rules out only an exact [0.0] (the float image of
-   an alternate optimum) or a clearly negative value, and leaves a dual
-   too small for doubles to resolve to the exact test.  [invertible]
-   guards every factor the rational recurrences would divide by. *)
+   carries the screen's margin.  [negative] serves the dual tests
+   ([y >= 0], reduced costs [<= 0]): the screen rules out only a clearly
+   negative value, and leaves a dual too small for doubles to resolve,
+   zero included, to the exact test.  [invertible] guards every factor
+   the rational recurrences would divide by. *)
 module type RING = sig
   type t
 
@@ -78,7 +79,7 @@ module type RING = sig
   val sub : t -> t -> t
   val mul : t -> t -> t
   val sign : t -> t -> int
-  val positive : t -> t -> bool
+  val negative : t -> t -> bool
   val invertible : t -> bool
 end
 
@@ -99,9 +100,7 @@ module Float_ring = struct
     let x = n /. d in
     if x > margin then 1 else if x < -.margin then -1 else 0
 
-  let positive n d =
-    let x = n /. d in
-    not (x = 0.0 || x <= -.margin)
+  let negative n d = n /. d <= -.margin
 
   let invertible x = x <> 0.0
 end
@@ -115,7 +114,7 @@ module Integer_ring = struct
   let sub = I.sub
   let mul = I.mul
   let sign n d = I.sign n * I.sign d
-  let positive n d = sign n d > 0
+  let negative n d = sign n d < 0
   let invertible x = not (I.is_zero x)
 end
 
@@ -286,18 +285,11 @@ module Chain (R : RING) = struct
       (y, u * !pi, !delta)
     end
 
-  (* The acceptance test.  Primal: enrolled loads non-negative (a zero
-     load is a degenerate vertex, still unique under the strict dual
-     test), tight rows exactly 1, every other row and the one-port row
-     at most 1.  Dual: [y > 0] on the tight rows and on a binding
-     one-port row; enrolled columns price to exactly [o_j] and every
-     other column strictly above it.  Each test reads a quantity of the
-     unscaled LP — the load [o b / e], a row, a dual, the reduced cost
-     [(price - o g) / (o g)] — so a column scaling never moves the
-     screen's margins.  Returns the load numerators, their denominator
-     and the row numerators, in sigma1 order. *)
-  let run ch ~o ~c ~w ~d =
-    let ts = tight_positions ch in
+  (* The primal half of the test: enrolled loads non-negative (a zero
+     load is a degenerate vertex), tight rows exactly 1, every other row
+     and the one-port row at most 1.  Returns the load numerators, their
+     denominator and the row numerators, in sigma1 order. *)
+  let vertex ch ts ~o ~c ~w ~d =
     let b, e = primal ch ts ~c ~w ~d in
     Array.iteri (fun k en -> if en && R.sign (o.(k) * b.(k)) e < 0 then raise Reject) ch.enrolled;
     let rows = rows ch ~c ~w ~d b in
@@ -312,13 +304,27 @@ module Chain (R : RING) = struct
       let slack = R.sign (e - !port) e in
       if (ch.binding <> None && slack <> 0) || slack < 0 then raise Reject
     end;
+    (b, e, rows)
+
+  (* The acceptance test: [vertex], then the dual half.  [y >= 0] on the
+     tight rows and on a binding one-port row; enrolled columns price to
+     exactly [o_j] and every other column at least to it.  Each test
+     reads a quantity of the unscaled LP — the load [o b / e], a row, a
+     dual, the reduced cost [(price - o g) / (o g)] — so a column
+     scaling never moves the screen's margins.  Returns [vertex]'s
+     values, then the duals [y], [y_port] over [g] and the reduced-cost
+     numerators [price - o g], in sigma1 order. *)
+  let run ch ~o ~c ~w ~d =
+    let ts = tight_positions ch in
+    let b, e, rows = vertex ch ts ~o ~c ~w ~d in
     let y, y_port, g = duals ch ts ~o ~c ~w ~d in
-    Array.iter (fun k -> if not (R.positive y.(k) g) then raise Reject) ts;
-    if ch.binding <> None && not (R.positive y_port g) then raise Reject;
+    Array.iter (fun k -> if R.negative y.(k) g then raise Reject) ts;
+    if ch.binding <> None && R.negative y_port g then raise Reject;
     (* column j's price, from the suffix of [y] in sigma1 order and (FIFO)
        its prefix *)
     let prefix = ref R.zero in
     let total = Array.fold_left ( + ) R.zero y in
+    let reduced = Array.map (fun _ -> R.zero) c in
     for j = 0 to top c do
       let suffix = total - !prefix in
       prefix := !prefix + y.(j);
@@ -329,11 +335,11 @@ module Chain (R : RING) = struct
         else ((c.(j) + d.(j)) * (suffix + y_port)) + (w.(j) * y.(j))
       in
       let og = o.(j) * g in
-      let reduced = price - og in
-      if ch.enrolled.(j) then (if R.sign reduced og <> 0 then raise Reject)
-      else if not (R.positive reduced og) then raise Reject
+      reduced.(j) <- price - og;
+      if ch.enrolled.(j) then (if R.sign reduced.(j) og <> 0 then raise Reject)
+      else if R.negative reduced.(j) og then raise Reject
     done;
-    (b, e, rows)
+    (b, e, rows, y, y_port, g, reduced)
 end
 
 module Float_chain = Chain (Float_ring)
@@ -350,7 +356,7 @@ let workers (s : Scenario.t) =
    computes is the unscaled one times a power of two, and the tests
    read unscaled quantities, so the verdicts are those of [k = 0]
    wherever [k = 0] stays in range. *)
-let screen ch s =
+let float_columns s =
   let ws = workers s in
   let field f = Array.map (fun x -> Q.to_float (f x)) ws in
   let c = field (fun x -> x.Platform.c)
@@ -366,46 +372,178 @@ let screen ch s =
     [ c; w; d ];
   let k = - !sum / max 1 !count in
   List.iter (Array.map_inplace (fun x -> Float.ldexp x k)) [ c; w; d ];
-  match Float_chain.run ch ~o:(Array.make (Array.length ws) (Float.ldexp 1.0 k)) ~c ~w ~d with
-  | _ -> true
-  | exception Reject -> false
+  (Array.make (Array.length ws) (Float.ldexp 1.0 k), c, w, d)
+
+let screen ch s =
+  let o, c, w, d = float_columns s in
+  match Float_chain.run ch ~o ~c ~w ~d with _ -> true | exception Reject -> false
 
 (* Each worker's [(1, c, w, d)] over its common denominator [o] (the
-   lcm of the denominators of [c, w, d]) is an integer column.  The one
-   division is here, where the answer is packaged:
-   [alpha_k = o_k b_k / e] and the gap [1 - row_k = (e - row_k) / e]. *)
-let exact ch s ~basis =
+   lcm of the denominators of [c, w, d]) is an integer column. *)
+let integer_columns s =
   let cols =
     Array.map
       (fun x -> fst (Q.common_denominator [| Q.one; x.Platform.c; x.Platform.w; x.Platform.d |]))
       (workers s)
   in
   let col i = Array.map (fun v -> v.(i)) cols in
-  let o = col 0 in
-  match Integer_chain.run ch ~o ~c:(col 1) ~w:(col 2) ~d:(col 3) with
+  (col 0, col 1, col 2, col 3)
+
+(* The one division is here, where an answer is packaged:
+   [alpha_k = o_k b_k / e] and the gap [1 - row_k = (e - row_k) / e].
+   A basic idle variable of [basis] takes its row's gap, every other
+   idle variable is zero: on the chain's own basis, its vertex. *)
+let package ~basis o b e rows =
+  let q = Array.length b in
+  let loads = Array.map2 I.mul o b in
+  let gaps = Array.map (fun r -> Q.make (I.sub e r) e) rows in
+  let point = Array.make (2 * q) Q.zero in
+  Array.iteri (fun k x -> point.(k) <- Q.make x e) loads;
+  Array.iter (fun j -> if j >= q && j < 2 * q then point.(j) <- gaps.(j - q)) basis;
+  ( {
+      Simplex.Solver.value = Q.make (Array.fold_left I.add I.zero loads) e;
+      point;
+      pivots = 0;
+      basis = Array.copy basis;
+    },
+    gaps )
+
+(* The exact test, unscreened: [run] proves the basis optimal, and it
+   is the unique optimum when no dual of a binding row and no reduced
+   cost off the enrolled loads is zero. *)
+let exact ch s ~basis =
+  let o, c, w, d = integer_columns s in
+  match Integer_chain.run ch ~o ~c ~w ~d with
   | exception Reject -> Rejected
-  | b, e, rows ->
-    let q = Array.length b in
-    let loads = Array.map2 I.mul o b in
-    let gaps = Array.map (fun r -> Q.make (I.sub e r) e) rows in
-    (* the point is the basis's vertex: a basic idle variable takes
-       its row's gap, every other idle variable is zero *)
-    let point = Array.make (2 * q) Q.zero in
-    Array.iteri (fun k x -> point.(k) <- Q.make x e) loads;
-    Array.iter (fun j -> if j >= q && j < 2 * q then point.(j) <- gaps.(j - q)) basis;
-    Certified
-      {
-        solution =
-          {
-            Simplex.Solver.value = Q.make (Array.fold_left I.add I.zero loads) e;
-            point;
-            pivots = 0;
-            basis = Array.copy basis;
-          };
-        gaps;
-      }
+  | b, e, rows, y, y_port, _, reduced ->
+    let nonzero x = not (I.is_zero x) in
+    if
+      (ch.binding = None || nonzero y_port)
+      && Array.for_all2 (fun t yk -> (not t) || nonzero yk) ch.tight y
+      && Array.for_all2 (fun en r -> en || nonzero r) ch.enrolled reduced
+    then
+      let solution, gaps = package ~basis o b e rows in
+      Certified { solution; gaps }
+    else Rejected
 
 let certify ~one_port s ~basis =
   match read ~one_port s ~basis with
   | None -> Shape
   | Some ch -> if screen ch s then exact ch s ~basis else Rejected
+
+(* ------------------------------------------------------------------ *)
+(* The normal form of an optimal face                                  *)
+
+(* FIFO under one-port with one return ratio [z]: when the one-port row
+   binds at every optimum, every optimum sends [C = sum c alpha =
+   1/(1+z)] and returns [D = sum d alpha = z/(1+z)], and row [k] reads
+   [D + sum_{j<k} (c_j - d_j) alpha_j + (c_k + w_k) alpha_k], a function
+   of the loads up to [k].  So, in sigma1 order, a worker's load is at
+   most [(1 - D - L) / (c + w)] (its row) and at most [(C - S) / c] (the
+   port's rest), with [L] and [S] the prefix sums of [(c - d) alpha] and
+   [c alpha].  From worker [first] on, the float walk takes the row's
+   bound while the port's is larger and returns the first worker [m]
+   where it is not: the closing worker of a normal form's chain. *)
+let closing_worker (c, w, d) ~first =
+  let z = d.(0) /. c.(0) in
+  let rest = 1.0 /. (1.0 +. z) and returns = z /. (1.0 +. z) in
+  let rec walk k l sent =
+    if k >= Array.length c then None
+    else
+      let row = (1.0 -. returns -. l) /. (c.(k) +. w.(k)) and port = (rest -. sent) /. c.(k) in
+      if port <= row then Some k
+      else walk (k + 1) (l +. ((c.(k) -. d.(k)) *. row)) (sent +. (c.(k) *. row))
+  in
+  walk first 0.0 0.0
+
+let one_ratio ws =
+  let x0 = ws.(0) in
+  Array.for_all
+    (fun (x : Platform.worker) ->
+      Q.equal (Q.mul x.Platform.d x0.Platform.c) (Q.mul x0.Platform.d x.Platform.c))
+    ws
+
+(* The chain's own basis: the enrolled loads, and the slack of every row
+   that does not bind (and of the one-port row, unless it binds). *)
+let chain_basis ch =
+  let q = Array.length ch.enrolled in
+  let loads = List.filter (fun k -> ch.enrolled.(k)) (List.init q Fun.id) in
+  let slacks = List.filter (fun k -> not ch.tight.(k)) (List.init q Fun.id) in
+  Array.of_list
+    (loads
+    @ List.map (fun k -> (2 * q) + k) slacks
+    @ if ch.one_port && ch.binding = None then [ 3 * q ] else [])
+
+(* A candidate chain of the normal form, and the workers before its
+   first enrolled one ([skipped]), which it proves idle at every
+   optimum. *)
+type candidate = { chain : chain; skipped : int }
+
+(* The proof: the chain is an optimal basis (the non-strict test), with
+   a positive one-port dual under FIFO and a strictly positive reduced
+   cost (a price above the objective) on every skipped worker. *)
+let passes (type t) (module R : RING with type t = t) run (o : t array) { chain = ch; skipped } =
+  match run ch with
+  | exception Reject -> None
+  | b, e, rows, _, y_port, g, reduced ->
+    let priced k = R.sign reduced.(k) (R.mul o.(k) g) > 0 in
+    if ((not ch.fifo) || R.sign y_port g > 0) && List.for_all priced (List.init skipped Fun.id)
+    then Some (b, e, rows)
+    else None
+
+(* The first candidate that passes, screened by the float run. *)
+let first_proved (fo, fc, fw, fd) (io, ic, iw, id) candidates =
+  let prove cand =
+    match passes (module Float_ring) (Float_chain.run ~o:fo ~c:fc ~w:fw ~d:fd) fo cand with
+    | None -> None
+    | Some _ ->
+      Option.map
+        (fun (b, e, rows) -> package ~basis:(chain_basis cand.chain) io b e rows)
+        (passes (module Integer_ring) (Integer_chain.run ~o:io ~c:ic ~w:iw ~d:id) io cand)
+  in
+  Seq.find_map prove candidates
+
+(* FIFO chains: for each first worker [first], workers [first .. m - 1]
+   to their deadlines and [m] closing; a near tie of the two bounds can
+   put the float walk one worker off. *)
+let fifo_candidates ~one_port (_, c, w, d) =
+  let q = Array.length c in
+  Seq.concat_map
+    (fun first ->
+      match closing_worker (c, w, d) ~first with
+      | None -> Seq.empty
+      | Some m ->
+        Seq.filter_map
+          (fun m ->
+            if m < first || m >= q then None
+            else
+              Some
+                {
+                  chain =
+                    {
+                      fifo = true;
+                      one_port;
+                      enrolled = Array.init q (fun k -> k >= first && k <= m);
+                      tight = Array.init q (fun k -> k >= first && k < m);
+                      binding = Some m;
+                    };
+                  skipped = first;
+                })
+          (List.to_seq [ m; m + 1; m - 1 ]))
+    (Seq.init q Fun.id)
+
+let normal_form ~one_port s =
+  let ws = workers s in
+  let q = Array.length ws in
+  let floats = float_columns s and integers = integer_columns s in
+  if Scenario.is_lifo s then
+    let all = Array.make q true in
+    first_proved floats integers
+      (Seq.return
+         {
+           chain = { fifo = false; one_port; enrolled = all; tight = all; binding = None };
+           skipped = 0;
+         })
+  else if Scenario.is_fifo s && one_port && one_ratio ws then
+    first_proved floats integers (fifo_candidates ~one_port floats)
+  else None
