@@ -314,32 +314,40 @@ module Chain (R : RING) = struct
      scaling never moves the screen's margins.  Returns [vertex]'s
      values, then the duals [y], [y_port] over [g] and the reduced-cost
      numerators [price - o g], in sigma1 order. *)
+  (* Each [alpha_j] column's price [y . A_j] over the duals' denominator,
+     from the suffix of [y] in sigma1 order and (FIFO) its prefix. *)
+  let prices ch ~c ~w ~d y y_port =
+    let prefix = ref R.zero in
+    let total = Array.fold_left ( + ) R.zero y in
+    Array.mapi
+      (fun j yj ->
+        let suffix = total - !prefix in
+        prefix := !prefix + yj;
+        if ch.fifo then
+          (c.(j) * suffix) + (d.(j) * !prefix) + (w.(j) * yj) + ((c.(j) + d.(j)) * y_port)
+        else ((c.(j) + d.(j)) * (suffix + y_port)) + (w.(j) * yj))
+      y
+
   let run ch ~o ~c ~w ~d =
     let ts = tight_positions ch in
     let b, e, rows = vertex ch ts ~o ~c ~w ~d in
     let y, y_port, g = duals ch ts ~o ~c ~w ~d in
     Array.iter (fun k -> if R.negative y.(k) g then raise Reject) ts;
     if ch.binding <> None && R.negative y_port g then raise Reject;
-    (* column j's price, from the suffix of [y] in sigma1 order and (FIFO)
-       its prefix *)
-    let prefix = ref R.zero in
-    let total = Array.fold_left ( + ) R.zero y in
-    let reduced = Array.map (fun _ -> R.zero) c in
-    for j = 0 to top c do
-      let suffix = total - !prefix in
-      prefix := !prefix + y.(j);
-      let price =
-        if ch.fifo then
-          (c.(j) * suffix) + (d.(j) * !prefix) + (w.(j) * y.(j))
-          + ((c.(j) + d.(j)) * y_port)
-        else ((c.(j) + d.(j)) * (suffix + y_port)) + (w.(j) * y.(j))
-      in
-      let og = o.(j) * g in
-      reduced.(j) <- price - og;
-      if ch.enrolled.(j) then (if R.sign reduced.(j) og <> 0 then raise Reject)
-      else if R.negative reduced.(j) og then raise Reject
-    done;
+    let reduced = Array.mapi (fun j price -> price - (o.(j) * g)) (prices ch ~c ~w ~d y y_port) in
+    Array.iteri
+      (fun j r ->
+        let og = o.(j) * g in
+        if ch.enrolled.(j) then (if R.sign r og <> 0 then raise Reject)
+        else if R.negative r og then raise Reject)
+      reduced;
     (b, e, rows, y, y_port, g, reduced)
+
+  (* The duals [y], [y_port] over [g] of the objective [o] on the
+     chain's basis, and each [alpha_j] column's price over [g]. *)
+  let objective ch ~o ~c ~w ~d =
+    let y, y_port, g = duals ch (tight_positions ch) ~o ~c ~w ~d in
+    (y, y_port, g, prices ch ~c ~w ~d y y_port)
 end
 
 module Float_chain = Chain (Float_ring)
@@ -474,38 +482,67 @@ let chain_basis ch =
     @ List.map (fun k -> (2 * q) + k) slacks
     @ if ch.one_port && ch.binding = None then [ 3 * q ] else [])
 
-(* A candidate chain of the normal form, and the workers before its
-   first enrolled one ([skipped]), which it proves idle at every
-   optimum. *)
-type candidate = { chain : chain; skipped : int }
+(* A candidate chain of the normal form, with what makes its vertex the
+   lexicographic maximum once the chain passes the non-strict test (an
+   optimal basis, so the vertex is an optimum):
+   - every position in [skipped] prices strictly above its objective,
+     so its load is zero at every optimum;
+   - [Row_bounds]: every load sits at a bound that holds on every
+     optimum with the same earlier loads (the one-port dual must be
+     positive under FIFO, see [closing_worker]);
+   - [Unique_max a]: the vertex is the only optimum with the largest
+     load at position [a].  On this basis every column that keeps the
+     optimum when it enters (a zero reduced cost off the twins) must
+     lower load [a] — a positive price for the objective [alpha_a]
+     alone — so for a small [eps] the vertex is the only maximum of
+     [sum alpha + eps alpha_a]. *)
+type proof = Row_bounds | Unique_max of int
 
-(* The proof: the chain is an optimal basis (the non-strict test), with
-   a positive one-port dual under FIFO and a strictly positive reduced
-   cost (a price above the objective) on every skipped worker. *)
-let passes (type t) (module R : RING with type t = t) run (o : t array) { chain = ch; skipped } =
+type candidate = { chain : chain; skipped : int list; proof : proof }
+
+let passes (type t) (module R : RING with type t = t) ~run ~objective (o : t array) cand =
+  let ch = cand.chain in
   match run ch with
   | exception Reject -> None
-  | b, e, rows, _, y_port, g, reduced ->
+  | b, e, rows, y, y_port, g, reduced ->
     let priced k = R.sign reduced.(k) (R.mul o.(k) g) > 0 in
-    if ((not ch.fifo) || R.sign y_port g > 0) && List.for_all priced (List.init skipped Fun.id)
-    then Some (b, e, rows)
-    else None
+    let proved =
+      match cand.proof with
+      | Row_bounds -> (not ch.fifo) || R.sign y_port g > 0
+      | Unique_max a ->
+        let o' = Array.mapi (fun k x -> if k = a then x else R.zero) o in
+        let y', y_port', g', prices' = objective ch o' in
+        let lowers sign_primary sign_a = sign_primary > 0 || sign_a > 0 in
+        (ch.binding = None || lowers (R.sign y_port g) (R.sign y_port' g'))
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun k t ->
+                  ((not t) || lowers (R.sign y.(k) g) (R.sign y'.(k) g'))
+                  && (ch.enrolled.(k)
+                     || lowers (R.sign reduced.(k) (R.mul o.(k) g)) (R.sign prices'.(k) g')))
+                ch.tight)
+    in
+    if proved && List.for_all priced cand.skipped then Some (b, e, rows) else None
 
 (* The first candidate that passes, screened by the float run. *)
 let first_proved (fo, fc, fw, fd) (io, ic, iw, id) candidates =
   let prove cand =
-    match passes (module Float_ring) (Float_chain.run ~o:fo ~c:fc ~w:fw ~d:fd) fo cand with
+    let float_run ch = Float_chain.run ch ~o:fo ~c:fc ~w:fw ~d:fd
+    and float_objective ch o = Float_chain.objective ch ~o ~c:fc ~w:fw ~d:fd
+    and integer_run ch = Integer_chain.run ch ~o:io ~c:ic ~w:iw ~d:id
+    and integer_objective ch o = Integer_chain.objective ch ~o ~c:ic ~w:iw ~d:id in
+    match passes (module Float_ring) ~run:float_run ~objective:float_objective fo cand with
     | None -> None
     | Some _ ->
       Option.map
-        (fun (b, e, rows) -> package ~basis:(chain_basis cand.chain) io b e rows)
-        (passes (module Integer_ring) (Integer_chain.run ~o:io ~c:ic ~w:iw ~d:id) io cand)
+        (fun found -> (cand.chain, found))
+        (passes (module Integer_ring) ~run:integer_run ~objective:integer_objective io cand)
   in
   Seq.find_map prove candidates
 
-(* FIFO chains: for each first worker [first], workers [first .. m - 1]
-   to their deadlines and [m] closing; a near tie of the two bounds can
-   put the float walk one worker off. *)
+(* FIFO chains loaded from the front: for each first worker [first],
+   workers [first .. m - 1] to their deadlines and [m] closing; a near
+   tie of the two bounds can put the float walk one worker off. *)
 let fifo_candidates ~one_port (_, c, w, d) =
   let q = Array.length c in
   Seq.concat_map
@@ -527,23 +564,84 @@ let fifo_candidates ~one_port (_, c, w, d) =
                       tight = Array.init q (fun k -> k >= first && k < m);
                       binding = Some m;
                     };
-                  skipped = first;
+                  skipped = List.init first Fun.id;
+                  proof = Row_bounds;
                 })
           (List.to_seq [ m; m + 1; m - 1 ]))
     (Seq.init q Fun.id)
 
+(* The same chains loaded from the back, in mirrored positions (see
+   [normal_form]): the mirrored walk loads the last workers to their
+   deadlines and closes the one-port row at [m]; the closing load goes
+   to [m] or to an earlier worker with the same [c] (and [d]), the
+   workers between idle.  [same_cost k l] compares mirrored positions. *)
+let mirrored_candidates ~one_port ~same_cost (_, c, w, d) =
+  let q = Array.length c in
+  match closing_worker (c, w, d) ~first:0 with
+  | None -> Seq.empty
+  | Some m ->
+    Seq.concat_map
+      (fun m ->
+        if m < 0 || m >= q then Seq.empty
+        else
+          Seq.filter_map
+            (fun l ->
+              if l = m || (l > m && same_cost l m) then
+                Some
+                  {
+                    chain =
+                      {
+                        fifo = true;
+                        one_port;
+                        enrolled = Array.init q (fun k -> k < m || k = l);
+                        tight = Array.init q (fun k -> k < m);
+                        binding = Some l;
+                      };
+                    skipped = List.init (q - 1 - l) (fun i -> l + 1 + i);
+                    proof = Unique_max l;
+                  }
+              else None)
+            (Seq.init (q - m) (fun i -> q - 1 - i)))
+      (List.to_seq [ m; m + 1; m - 1 ])
+
+let reverse a =
+  let n = Array.length a in
+  Array.init n (fun i -> a.(n - 1 - i))
+
 let normal_form ~one_port s =
   let ws = workers s in
   let q = Array.length ws in
-  let floats = float_columns s and integers = integer_columns s in
+  let ((_, _, _, fd) as floats) = float_columns s in
+  let ((o, _, _, _) as integers) = integer_columns s in
+  (* a proved chain's answer, back in sigma1 positions *)
+  let answer ~mirrored (ch, (b, e, rows)) =
+    let back a = if mirrored then reverse a else a in
+    let position k = if mirrored then q - 1 - k else k in
+    let basis =
+      Array.map (fun j -> if j < 3 * q then (j / q * q) + position (j mod q) else j) (chain_basis ch)
+    in
+    package ~basis o (back b) e (back rows)
+  in
   if Scenario.is_lifo s then
     let all = Array.make q true in
-    first_proved floats integers
-      (Seq.return
-         {
-           chain = { fifo = false; one_port; enrolled = all; tight = all; binding = None };
-           skipped = 0;
-         })
+    Option.map (answer ~mirrored:false)
+      (first_proved floats integers
+         (Seq.return
+            {
+              chain = { fifo = false; one_port; enrolled = all; tight = all; binding = None };
+              skipped = [];
+              proof = Row_bounds;
+            }))
   else if Scenario.is_fifo s && one_port && one_ratio ws then
-    first_proved floats integers (fifo_candidates ~one_port floats)
+    match first_proved floats integers (fifo_candidates ~one_port floats) with
+    | Some found -> Some (answer ~mirrored:false found)
+    | None when fd.(0) = 0.0 -> None
+    | None ->
+      (* Theorem 1's mirror: reversing sigma1 and swapping [c] and [d]
+         gives the same LP, row for row *)
+      let mirror (o, c, w, d) = (reverse o, reverse d, reverse w, reverse c) in
+      let same_cost k l = Q.equal ws.(q - 1 - k).Platform.c ws.(q - 1 - l).Platform.c in
+      let floats = mirror floats in
+      Option.map (answer ~mirrored:true)
+        (first_proved floats (mirror integers) (mirrored_candidates ~one_port ~same_cost floats))
   else None

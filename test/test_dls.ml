@@ -1889,6 +1889,172 @@ let test_structured_reference () =
       "rejected"; "zero load"; "big";
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Normal form                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference: the lexicographic maximum of alpha in sigma1 order
+   over the optimal schedules, by a sequence of exact LPs on the
+   scenario's LP with [sum alpha >= rho]: maximise each load in turn,
+   then hold it at its maximum. *)
+let lex_max_reference model s rho =
+  let module P = Simplex.Problem in
+  let lp = Dls.Lp_model.problem model s in
+  let n = P.num_vars lp and q = Dls.Scenario.num_enrolled s in
+  let unit k = Array.init n (fun v -> if v = k then Q.one else Q.zero) in
+  let rows =
+    ref
+      (Array.to_list lp.P.constraints
+      @ [ P.constr (Array.init n (fun v -> if v < q then Q.one else Q.zero)) P.Ge rho ])
+  in
+  Array.init q (fun k ->
+      match Simplex.Solver.solve (P.make P.Maximize (unit k) !rows) with
+      | Simplex.Solver.Optimal sol ->
+        rows := !rows @ [ P.constr (unit k) P.Eq sol.Simplex.Solver.value ];
+        sol.Simplex.Solver.value
+      | _ -> Alcotest.fail "the optimal face is empty")
+
+(* Uniform-ratio platforms of 2 to 7 workers: a bus (one [c]), [c] drawn
+   from two values (ties), or every [c] drawn freely; [z] below, at and
+   above 1. *)
+let normal_form_platform rng =
+  let n = 2 + Random.State.int rng 6 in
+  let kind = Random.State.int rng 3 in
+  let z = [| qq 1 2; qq 2 3; Q.one; qq 3 2; q 2 |].(Random.State.int rng 5) in
+  let small () = qq (1 + Random.State.int rng 6) (1 + Random.State.int rng 4) in
+  let bus = small () and pair = [| small (); small () |] in
+  let c () = match kind with 0 -> bus | 1 -> pair.(Random.State.int rng 2) | _ -> small () in
+  let p = Dls.Platform.with_return_ratio ~z (List.init n (fun _ -> (c (), small ()))) in
+  ((match kind with 0 -> "bus" | 1 -> "ties" | _ -> "distinct"), p)
+
+(* [Structured_cert.normal_form] against the reference on random FIFO
+   and LIFO LPs (Theorem 1 orders and random ones, both port models):
+   wherever it answers, its point is the lexicographic maximum, its
+   value the exact simplex's [rho], and both solve modes return it.
+   Every scenario's fast answer stays bit-identical to the exact one. *)
+let test_normal_form_reference () =
+  let rng = Random.State.make [| 2006; 31 |] in
+  let seen = Hashtbl.create 16 in
+  let count key = Hashtbl.replace seen key (1 + Option.value ~default:0 (Hashtbl.find_opt seen key)) in
+  for case = 1 to 300 do
+    let kind, p = normal_form_platform rng in
+    let n = Dls.Platform.size p in
+    let shuffled = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = shuffled.(i) in
+      shuffled.(i) <- shuffled.(j);
+      shuffled.(j) <- t
+    done;
+    let z =
+      match Dls.Platform.z_ratio p with
+      | Some z -> [| "z<1"; "z=1"; "z>1" |].(1 + Q.compare z Q.one)
+      | None -> Alcotest.fail "not a uniform ratio"
+    in
+    List.iter
+      (fun (order, s) ->
+        List.iter
+          (fun model ->
+            let one_port = model = Dls.Lp_model.One_port in
+            let label =
+              Printf.sprintf "case %d %s %s %s %s" case kind z order (if one_port then "1p" else "2p")
+            in
+            let exact = Dls.Solve.solve_exn ~mode:`Exact ~model s in
+            check_same_answer label exact (Dls.Solve.solve_exn ~mode:`Fast ~model s);
+            match Dls.Structured_cert.normal_form ~one_port s with
+            | None -> ()
+            | Some (sol, _) ->
+              let q = Dls.Scenario.num_enrolled s in
+              let reference = lex_max_reference model s exact.Dls.Lp_model.rho in
+              Alcotest.check rat (label ^ ": rho") exact.Dls.Lp_model.rho sol.Simplex.Solver.value;
+              Alcotest.(check (array rat)) (label ^ ": lexicographic maximum") reference
+                (Array.sub sol.Simplex.Solver.point 0 q);
+              Alcotest.(check (array rat)) (label ^ ": solve answer") reference
+                (Array.map (fun i -> exact.Dls.Lp_model.alpha.(i)) s.Dls.Scenario.sigma1);
+              List.iter count
+                [
+                  "answered";
+                  kind;
+                  z;
+                  (if one_port then "1p" else "2p");
+                  String.sub order 0 4 ^ " " ^ z;
+                ])
+          models)
+      [
+        ("fifo Theorem 1", Dls.Scenario.fifo_exn p (Dls.Fifo.order p));
+        ("lifo Theorem 1", Dls.Scenario.lifo_exn p (Dls.Lifo.order p));
+        ("fifo shuffled", Dls.Scenario.fifo_exn p shuffled);
+        ("lifo shuffled", Dls.Scenario.lifo_exn p shuffled);
+      ]
+  done;
+  let answered = Option.value ~default:0 (Hashtbl.find_opt seen "answered") in
+  if answered < 500 then Alcotest.failf "only %d normal forms checked" answered;
+  List.iter
+    (fun key -> if not (Hashtbl.mem seen key) then Alcotest.failf "vacuous: no %s normal form" key)
+    [
+      "bus"; "ties"; "distinct"; "1p"; "2p"; "fifo z<1"; "fifo z=1"; "fifo z>1"; "lifo z<1";
+      "lifo z=1"; "lifo z>1";
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Long chains                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The float screen may not rule out a basis that the exact test
+   certifies.  On chains of 160 workers (the Fig. 10-13 families on
+   gdsdmi, n = 400, z in {1/2, 1, 3/2}), the float simplex's basis and
+   the normal form's are read as chains; every one [exact] certifies
+   must pass [screen].  Under the old strict screen the LIFO back
+   substitution cancelled tight duals to an exact 0.0 here and ruled
+   such bases out. *)
+let test_long_chains () =
+  let rng = Numeric.Prng.create ~seed:5 in
+  let certified = Hashtbl.create 4 and lost = ref 0 in
+  List.iteri
+    (fun i sc ->
+      let f = Cluster.Gen.factors rng sc ~workers:160 in
+      let base = Cluster.Gen.platform Cluster.Workload.gdsdmi ~n:400 f in
+      let z = [| qq 1 2; Q.one; qq 3 2 |].(i mod 3) in
+      let p =
+        Dls.Platform.with_return_ratio ~z
+          (List.init 160 (fun k ->
+               let wk = Dls.Platform.get base k in
+               (wk.Dls.Platform.c, wk.Dls.Platform.w)))
+      in
+      List.iter
+        (fun (kind, s) ->
+          List.iter
+            (fun model ->
+              let one_port = model = Dls.Lp_model.One_port in
+              let normal =
+                Option.map
+                  (fun (sol, _) -> sol.Simplex.Solver.basis)
+                  (Dls.Structured_cert.normal_form ~one_port s)
+              in
+              List.iter
+                (fun basis ->
+                  match Cert.read ~one_port s ~basis with
+                  | None -> ()
+                  | Some ch -> (
+                    match Cert.exact ch s ~basis with
+                    | Cert.Rejected | Cert.Shape -> ()
+                    | Cert.Certified _ ->
+                      Hashtbl.replace certified kind
+                        (1 + Option.value ~default:0 (Hashtbl.find_opt certified kind));
+                      if not (Cert.screen ch s) then incr lost))
+                (Option.to_list (float_basis model s) @ Option.to_list normal))
+            models)
+        (scenarios p))
+    Cluster.Gen.
+      [
+        Homogeneous; Hom_comm_het_comp; Heterogeneous; Homogeneous; Hom_comm_het_comp; Heterogeneous;
+      ];
+  List.iter
+    (fun kind ->
+      if not (Hashtbl.mem certified kind) then Alcotest.failf "vacuous: no %s basis certified" kind)
+    [ "fifo"; "lifo" ];
+  Alcotest.(check int) "certified bases the screen rules out" 0 !lost
+
 let () =
   Alcotest.run "dls"
     [
@@ -1948,6 +2114,9 @@ let () =
           Alcotest.test_case "integer chain = rational reference" `Quick
             test_structured_reference;
         ] );
+      ( "normal form",
+        [ Alcotest.test_case "= lexicographic maximum" `Quick test_normal_form_reference ] );
+      ("long chains", [ Alcotest.test_case "screen keeps certified" `Quick test_long_chains ]);
       ( "heuristics",
         [
           prop_inc_c_beats_inc_w;
