@@ -41,8 +41,9 @@ type solved = private {
           pivot path. *)
   pivots : int;  (** simplex pivots, for diagnostics *)
   basis : int array;
-      (** terminal simplex basis — diagnostics, and the warm-start seed
-          threaded through enumeration (see {!run}) *)
+      (** a basis of the answer's vertex: the simplex's terminal basis,
+          or the normal form's chain — diagnostics, and the warm-start
+          seed threaded through enumeration (see {!run}) *)
 }
 
 (** [problem model scenario] builds the LP. Variables are laid out as
@@ -56,14 +57,26 @@ type mode = [ `Exact | `Fast | `Cached ]
     implementation behind {!Solve.solve}, the front door every caller
     uses (default model [One_port]).
 
-    - [`Exact] runs the exact simplex and verifies its answer with
+    The answer is canonical.  On a FIFO or LIFO scenario whose optimal
+    schedules have a normal form ({!Structured_cert.normal_form}: the
+    lexicographic maximum of [alpha] in sigma1 order, where a chain of
+    binding rows proves it), [alpha] is that normal form, whether or
+    not the optimum is unique; elsewhere it is the exact simplex's
+    vertex (Bland's rule), which is the only optimum whenever the fast
+    pipeline certifies one.
+
+    - [`Exact] runs the exact simplex, answers with the normal form
+      where there is one (its [rho] must equal the simplex's) and with
+      the simplex's vertex elsewhere, and verifies the answer with
       {!Simplex.Certify}.  [Error Unbounded]/[Error Infeasible] are
       impossible for a well-formed platform but reported faithfully
       when they occur.
     - [`Fast] is the certified fast pipeline, {e bit-identical} to
-      [`Exact] by construction.  A candidate basis — [warm] (the
-      optimal basis of a neighbouring scenario) when given, else the
-      float simplex's terminal basis — climbs a certification ladder:
+      [`Exact] by construction.  The normal form comes first, in O(p)
+      and with no LP built; where there is none, a candidate basis —
+      [warm] (the optimal basis of a neighbouring scenario) when given,
+      else the float simplex's terminal basis — climbs a certification
+      ladder:
       + the structured certificate ({!Structured_cert}), for FIFO and
         LIFO scenarios: O(p) exact operations along Theorem 1's chain
         of binding rows;
@@ -81,7 +94,8 @@ type mode = [ `Exact | `Fast | `Cached ]
       floats only pick which exact computation runs.  The [pivots]
       field reflects the work of whichever path produced the answer.
       Counter movements are visible in {!pipeline_stats} ([float_wins]
-      and [warm_wins] count wins of either certificate).
+      counts normal-form answers and float bases either certificate
+      accepts, [warm_wins] accepted warm bases).
     - [`Cached] is [`Fast] memoized through a process-wide, size-bounded
       LRU cache keyed by {!scenario_key}.  A miss runs [`Fast] with the
       caller's [warm] hint and builds the LP at most once; concurrent
@@ -131,7 +145,8 @@ val cache_stats : unit -> Parallel.Lru.stats
     are atomic, so the numbers are meaningful under [?jobs] parallelism. *)
 type pipeline_stats = {
   float_wins : int;
-      (** solves certified from the float solver's lifted basis *)
+      (** solves answered by the normal form, or certified from the
+          float solver's lifted basis *)
   warm_wins : int;  (** solves certified from a caller-supplied warm basis *)
   exact_fallbacks : int;  (** solves that needed the full exact simplex *)
   pruned : int;  (** enumeration nodes skipped on {!Bounds} evidence *)

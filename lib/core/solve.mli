@@ -2,14 +2,16 @@
 
     Call sites say {e what} guarantee they need through [mode], not
     {e which} pipeline to run.  All three modes return bit-identical
-    {!Lp_model.solved} records by construction (the fast pipeline
-    certifies or falls back; the cache stores the same records), so
-    [mode] is purely a performance knob.  {!Lp_model.run} documents the
-    pipelines. *)
+    {!Lp_model.solved} records by construction (each answers with the
+    scenario's normal form where it has one; the fast pipeline
+    otherwise certifies or falls back; the cache stores the same
+    records), so [mode] is purely a performance knob.  {!Lp_model.run}
+    documents the pipelines and the canonical answer. *)
 
 (** How to run the solve:
-    - [`Exact]: the cold exact simplex, no floats anywhere — the
-      reference path;
+    - [`Exact]: the cold exact simplex — the reference path — then the
+      normal form where there is one (its chain walk is picked by
+      floats and proved exactly);
     - [`Fast]: certified float-first pipeline, bit-identical to
       [`Exact] (default);
     - [`Cached]: [`Fast] memoized through the process-wide LRU.  A miss
