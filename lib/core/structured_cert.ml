@@ -524,19 +524,26 @@ let passes (type t) (module R : RING with type t = t) ~run ~objective (o : t arr
     in
     if proved && List.for_all priced cand.skipped then Some (b, e, rows) else None
 
-(* The first candidate that passes, screened by the float run. *)
-let first_proved (fo, fc, fw, fd) (io, ic, iw, id) candidates =
+(* The first candidate that passes, screened by the float run; the
+   integer columns are built for the first candidate the screen lets
+   through. *)
+let first_proved (fo, fc, fw, fd) integers candidates =
   let prove cand =
-    let float_run ch = Float_chain.run ch ~o:fo ~c:fc ~w:fw ~d:fd
-    and float_objective ch o = Float_chain.objective ch ~o ~c:fc ~w:fw ~d:fd
-    and integer_run ch = Integer_chain.run ch ~o:io ~c:ic ~w:iw ~d:id
-    and integer_objective ch o = Integer_chain.objective ch ~o ~c:ic ~w:iw ~d:id in
-    match passes (module Float_ring) ~run:float_run ~objective:float_objective fo cand with
+    match
+      passes (module Float_ring)
+        ~run:(fun ch -> Float_chain.run ch ~o:fo ~c:fc ~w:fw ~d:fd)
+        ~objective:(fun ch o -> Float_chain.objective ch ~o ~c:fc ~w:fw ~d:fd)
+        fo cand
+    with
     | None -> None
     | Some _ ->
+      let io, ic, iw, id = Lazy.force integers in
       Option.map
         (fun found -> (cand.chain, found))
-        (passes (module Integer_ring) ~run:integer_run ~objective:integer_objective io cand)
+        (passes (module Integer_ring)
+           ~run:(fun ch -> Integer_chain.run ch ~o:io ~c:ic ~w:iw ~d:id)
+           ~objective:(fun ch o -> Integer_chain.objective ch ~o ~c:ic ~w:iw ~d:id)
+           io cand)
   in
   Seq.find_map prove candidates
 
@@ -612,7 +619,7 @@ let normal_form ~one_port s =
   let ws = workers s in
   let q = Array.length ws in
   let ((_, _, _, fd) as floats) = float_columns s in
-  let ((o, _, _, _) as integers) = integer_columns s in
+  let integers = lazy (integer_columns s) in
   (* a proved chain's answer, back in sigma1 positions *)
   let answer ~mirrored (ch, (b, e, rows)) =
     let back a = if mirrored then reverse a else a in
@@ -620,6 +627,7 @@ let normal_form ~one_port s =
     let basis =
       Array.map (fun j -> if j < 3 * q then (j / q * q) + position (j mod q) else j) (chain_basis ch)
     in
+    let o, _, _, _ = Lazy.force integers in
     package ~basis o (back b) e (back rows)
   in
   if Scenario.is_lifo s then
@@ -643,5 +651,6 @@ let normal_form ~one_port s =
       let same_cost k l = Q.equal ws.(q - 1 - k).Platform.c ws.(q - 1 - l).Platform.c in
       let floats = mirror floats in
       Option.map (answer ~mirrored:true)
-        (first_proved floats (mirror integers) (mirrored_candidates ~one_port ~same_cost floats))
+        (first_proved floats (lazy (mirror (Lazy.force integers)))
+           (mirrored_candidates ~one_port ~same_cost floats))
   else None
