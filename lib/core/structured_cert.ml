@@ -306,14 +306,6 @@ module Chain (R : RING) = struct
     end;
     (b, e, rows)
 
-  (* The acceptance test: [vertex], then the dual half.  [y >= 0] on the
-     tight rows and on a binding one-port row; enrolled columns price to
-     exactly [o_j] and every other column at least to it.  Each test
-     reads a quantity of the unscaled LP — the load [o b / e], a row, a
-     dual, the reduced cost [(price - o g) / (o g)] — so a column
-     scaling never moves the screen's margins.  Returns [vertex]'s
-     values, then the duals [y], [y_port] over [g] and the reduced-cost
-     numerators [price - o g], in sigma1 order. *)
   (* Each [alpha_j] column's price [y . A_j] over the duals' denominator,
      from the suffix of [y] in sigma1 order and (FIFO) its prefix. *)
   let prices ch ~c ~w ~d y y_port =
@@ -328,6 +320,14 @@ module Chain (R : RING) = struct
         else ((c.(j) + d.(j)) * (suffix + y_port)) + (w.(j) * yj))
       y
 
+  (* The acceptance test: [vertex], then the dual half.  [y >= 0] on the
+     tight rows and on a binding one-port row; enrolled columns price to
+     exactly [o_j] and every other column at least to it.  Each test
+     reads a quantity of the unscaled LP — the load [o b / e], a row, a
+     dual, the reduced cost [(price - o g) / (o g)] — so a column
+     scaling never moves the screen's margins.  Returns [vertex]'s
+     values, then the duals [y], [y_port] over [g] and the reduced-cost
+     numerators [price - o g], in sigma1 order. *)
   let run ch ~o ~c ~w ~d =
     let ts = tight_positions ch in
     let b, e, rows = vertex ch ts ~o ~c ~w ~d in
@@ -618,7 +618,7 @@ let reverse a =
 let normal_form ~one_port s =
   let ws = workers s in
   let q = Array.length ws in
-  let ((_, _, _, fd) as floats) = float_columns s in
+  let floats = float_columns s in
   let integers = lazy (integer_columns s) in
   (* a proved chain's answer, back in sigma1 positions *)
   let answer ~mirrored (ch, (b, e, rows)) =
@@ -643,7 +643,7 @@ let normal_form ~one_port s =
   else if Scenario.is_fifo s && one_port && one_ratio ws then
     match first_proved floats integers (fifo_candidates ~one_port floats) with
     | Some found -> Some (answer ~mirrored:false found)
-    | None when fd.(0) = 0.0 -> None
+    | None when Q.is_zero ws.(0).Platform.d -> None
     | None ->
       (* Theorem 1's mirror: reversing sigma1 and swapping [c] and [d]
          gives the same LP, row for row *)
