@@ -167,13 +167,10 @@ let package ?gaps:given model (s : Scenario.t) (sol : Simplex.Solver.solution) =
     basis = sol.Simplex.Solver.basis;
   }
 
-(* The normal form of a FIFO or LIFO scenario's optimal schedules, where
+(* The normal form of the scenario's optimal schedules, where
    [Structured_cert.normal_form] proves one: a function of the scenario
    alone, so both pipelines answer with it. *)
-let normal_form model s =
-  if Scenario.is_fifo s || Scenario.is_lifo s then
-    Structured_cert.normal_form ~one_port:(model = One_port) s
-  else None
+let normal_form model s = Structured_cert.normal_form ~one_port:(model = One_port) s
 
 (* The exact simplex, on the scenario's LP [p] (built at most once per
    solve, and only when a rung needs it), answering with the scenario's

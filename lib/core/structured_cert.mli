@@ -12,8 +12,8 @@
     [certify] reads a candidate basis of {!Lp_model.problem} for a
     single-scenario FIFO ([sigma2 = sigma1]) or LIFO
     ([sigma2 = reverse sigma1]) LP, derives its vertex and its duals by
-    forward and back substitution, and accepts only when, in exact
-    arithmetic,
+    forward and back substitution, and tests, in exact arithmetic,
+    that
     - every deadline row is at most 1, every binding one exactly 1, and
       the one-port row likewise;
     - every enrolled load is non-negative (zero at a degenerate vertex);
