@@ -98,11 +98,6 @@ val run_matrix :
     traffic. *)
 val gen_workload : Random.State.t -> regime -> Dls.Workload.t
 
-(** [check_multi ?h platform workload] runs every assertion above for
-    one case ([h] copies in the squeeze, default 3); returns the
-    discrepancies (empty = pass). *)
-val check_multi : ?h:int -> Dls.Platform.t -> Dls.Workload.t -> string list
-
 (** [run_multi_matrix ?jobs ?count ?seed ?h regime] fuzzes [count]
     (default 60) multi-load cases over a {!Parallel.Pool}; the case at
     index [i] depends only on [(seed, regime, i)].  Failures come back
@@ -166,16 +161,6 @@ val run_fault_matrix :
       bit-exactly with [`Exact];
     - a shape-changing delta must never be accepted (the base's basis
       has the wrong dimension). *)
-
-(** [gen_delta rng regime platform] draws a random delta against
-    [platform]: factors in [[1/4, 4]] clustered around 1, [z] sweeps
-    from the regime, one change in eight shape-changing and one in eight
-    a composed pair. *)
-val gen_delta : Random.State.t -> regime -> Dls.Platform.t -> Dls.Delta.t
-
-(** [check_resolve platform delta] runs every assertion above for one
-    case; returns the discrepancies (empty = pass). *)
-val check_resolve : Dls.Platform.t -> Dls.Delta.t -> string list
 
 (** [run_resolve_matrix ?jobs ?count ?seed regime] fuzzes [count]
     (default 100) delta cases over a {!Parallel.Pool}; the case at index

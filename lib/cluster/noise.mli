@@ -20,9 +20,6 @@ type params = {
           large sizes (Fig. 13b) *)
 }
 
-(** Calibrated default: a few percent of jitter and overhead. *)
-val default_params : params
-
 val none : params
 
 (** [make ?params rng ~n] builds the per-event noise hooks for a

@@ -38,9 +38,6 @@ val of_platform : ?send_latency:Q.t -> ?return_latency:Q.t -> Platform.t -> t
 val size : t -> int
 val get : t -> int -> worker
 
-(** [linear_platform t] forgets the latencies. *)
-val linear_platform : t -> Platform.t
-
 type solved = private {
   affine : t;
   sigma1 : int array;

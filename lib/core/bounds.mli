@@ -17,9 +17,6 @@
 
 module Q = Numeric.Rational
 
-(** [port_bound p] is [1 / min (c_i + d_i)]. *)
-val port_bound : Platform.t -> Q.t
-
 (** [chain_bound p] is [Σ 1/(c_i + w_i + d_i)]. *)
 val chain_bound : Platform.t -> Q.t
 

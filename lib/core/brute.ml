@@ -14,11 +14,17 @@ let insert_everywhere x l =
   in
   go [] l
 
-let rec perms l =
-  match l with
-  | [] -> Seq.return []
-  | x :: rest -> Seq.concat_map (insert_everywhere x) (perms rest)
+(* [extend xs s] inserts the elements of [xs], last first, everywhere
+   into every list of [s].  [extend l (Seq.return [])] enumerates the
+   permutations of [l]; [extend head (Seq.return t)] is the block of
+   consecutive permutations of [head @ tail] that the permutation [t] of
+   [tail] heads. *)
+let rec extend xs s =
+  match xs with
+  | [] -> s
+  | x :: rest -> Seq.concat_map (insert_everywhere x) (extend rest s)
 
+let perms l = extend l (Seq.return [])
 let permutations_seq n = Seq.map Array.of_list (perms (List.init n Fun.id))
 let permutations n = List.of_seq (permutations_seq n)
 
@@ -26,179 +32,124 @@ let factorial n =
   let rec go acc k = if k <= 1 then acc else go (acc * k) (k - 1) in
   go 1 n
 
+(* A task of the search: the candidates at positions [lo, lo + size) of
+   the enumeration, lazily, and optionally a bound that holds for all of
+   them. *)
+type block = {
+  lo : int;
+  size : int;
+  bound : (unit -> Q.t) option;
+  scenarios : Scenario.t Seq.t;
+}
+
 (* Solve one candidate, threading the previous optimal basis through as a
-   warm start (a hint only — never changes the answer) and keeping the
-   first maximizer under strict [>].  [fast = false] is the exact
-   baseline: no floats, no cache. *)
-let consider ~model ~fast ~best ~warm s =
-  let sol =
-    if fast then Solve.solve_exn ~mode:`Cached ~model ?warm:!warm s
-    else Solve.solve_exn ~mode:`Exact ~model s
-  in
-  if fast then warm := Some sol.Lp_model.basis;
-  (match !best with
-  | Some b when Q.compare sol.Lp_model.rho b.Lp_model.rho <= 0 -> ()
-  | Some _ | None -> best := Some sol);
-  sol.Lp_model.rho
+   warm start (a hint only — never changes the answer).  [fast = false]
+   is the exact baseline: no floats, no cache. *)
+let solve ~model ~fast warm s =
+  if fast then begin
+    let sol = Solve.solve_exn ~mode:`Cached ~model ?warm:!warm s in
+    warm := Some sol.Lp_model.basis;
+    sol
+  end
+  else Solve.solve_exn ~mode:`Exact ~model s
 
 (* Two-tier bound test: the float knapsack bound first (a few
    microseconds), the exact rational bound — the only one allowed to
    decide — only when the float bound says pruning is plausible.  A
    float error in either direction is harmless: too high skips the
    exact confirmation (the candidate is solved as if never pruned), too
-   low wastes one exact bound computation.  [exact_le]: non-strict test
-   against a sequential incumbent; strict against a shared parallel
-   one. *)
-let bound_cannot_beat ~model s incumbent ~exact_le =
-  let inc = Q.to_float incumbent in
-  Bounds.scenario_bound_float ~model s
-  <= inc +. (1e-9 *. Float.max 1.0 (Float.abs inc))
-  &&
-  let c = Q.compare (Bounds.scenario_bound ~model s) incumbent in
-  if exact_le then c <= 0 else c < 0
+   low wastes one exact bound computation. *)
+let cannot_beat ~model best s ~pos =
+  match Incumbent.solved best with
+  | None -> false
+  | Some inc ->
+    let r = Q.to_float inc.Lp_model.rho in
+    Bounds.scenario_bound_float ~model s
+    <= r +. (1e-9 *. Float.max 1.0 (Float.abs r))
+    && Incumbent.prunes best (Bounds.scenario_bound ~model s) ~from:pos
 
-(* Sequential engine: candidates are consumed lazily in enumeration
-   order; a candidate is skipped when its cheap bound cannot beat the
-   incumbent (non-strict: a skipped candidate can tie the incumbent but
-   never precede it, so the first maximizer survives). *)
-let seq_best ~model ~fast ~prune scenarios =
-  let best = ref None in
-  let warm = ref None in
-  Seq.iter
-    (fun s ->
-      let skip =
-        prune
-        &&
-        match !best with
-        | None -> false
-        | Some (b : Lp_model.solved) ->
-          bound_cannot_beat ~model s b.Lp_model.rho ~exact_le:true
-      in
-      if skip then Lp_model.note_pruned 1
-      else ignore (consider ~model ~fast ~best ~warm s))
-    scenarios;
-  match !best with
+(* The one engine, for every [jobs]: the blocks run through the domain
+   pool, each domain keeping its warm basis between the blocks it claims,
+   against one incumbent ordered by enumeration position.  The answer is
+   the final incumbent, the first maximizer (see {!Incumbent}); with
+   [jobs = 1] the blocks run in order and every decision is the
+   sequential scan's. *)
+let best_over ~model ~jobs ~fast ~prune blocks =
+  let best = Incumbent.create ~before:( < ) in
+  let run warm b =
+    if
+      prune
+      && Option.fold b.bound ~none:false ~some:(fun bound ->
+             Incumbent.prunes best (bound ()) ~from:b.lo)
+    then Lp_model.note_pruned b.size
+    else
+      Seq.iteri
+        (fun i s ->
+          let pos = b.lo + i in
+          if prune && cannot_beat ~model best s ~pos then
+            Lp_model.note_pruned 1
+          else Incumbent.offer best pos (solve ~model ~fast warm s))
+        b.scenarios
+  in
+  ignore
+    (Parallel.Pool.run_local ~jobs ~chunk:1 ~init:(fun () -> ref None) run
+       blocks);
+  match Incumbent.solved best with
   | Some b -> b
   | None -> invalid_arg "Brute.best_over: empty scenario list"
 
-(* Parallel engine: every candidate is solved (or pruned) independently;
-   pruning is STRICT against the best throughput any domain has
-   published.  [shared <= rho*] at all times, so [bound < shared] implies
-   the candidate is not a maximizer — no candidate tying the optimum is
-   ever skipped, and the sequential reduction below returns the first
-   maximizer in enumeration order, bit-identical to [jobs = 1].  Warm
-   bases live in per-domain scratch state ({!Parallel.Pool.run_local}). *)
-let par_best ~model ~jobs ~fast ~prune scenarios =
-  if Array.length scenarios = 0 then
-    invalid_arg "Brute.best_over: empty scenario list";
-  let shared = Atomic.make Q.zero in
-  let rec publish r =
-    let cur = Atomic.get shared in
-    if Q.compare r cur > 0 && not (Atomic.compare_and_set shared cur r) then
-      publish r
-  in
-  let task warm s =
-    if
-      prune
-      (* Snapshot of the shared incumbent: it only grows, so pruning
-         against an older (smaller) value is merely conservative. *)
-      && bound_cannot_beat ~model s (Atomic.get shared) ~exact_le:false
-    then begin
-      Lp_model.note_pruned 1;
-      None
-    end
-    else begin
-      let best = ref None in
-      publish (consider ~model ~fast ~best ~warm s);
-      !best
-    end
-  in
-  let results =
-    Parallel.Pool.run_local ~jobs ~init:(fun () -> ref None) task scenarios
-  in
-  let best = ref None in
-  Array.iter
-    (fun r ->
-      match (r, !best) with
-      | None, _ -> ()
-      | Some (sol : Lp_model.solved), Some (b : Lp_model.solved)
-        when Q.compare sol.Lp_model.rho b.Lp_model.rho <= 0 ->
-        ()
-      | Some sol, _ -> best := Some sol)
-    results;
-  match !best with
-  | Some b -> b
-  | None -> assert false (* the first candidate is never pruned *)
-
-let best_of ~model ~jobs ~fast ~prune scenarios =
-  if jobs <= 1 then seq_best ~model ~fast ~prune scenarios
-  else par_best ~model ~jobs ~fast ~prune (Array.of_seq scenarios)
+(* The orders cut into blocks: each permutation of the last [min n 4]
+   indices heads the block of its extensions, so a few dozen blocks
+   spread over the domains and no order is built ahead of its turn. *)
+let order_blocks make platform =
+  let n = Platform.size platform in
+  let k = min n 4 in
+  let size = factorial n / factorial k in
+  let head = List.init (n - k) Fun.id in
+  Array.of_seq
+    (Seq.mapi
+       (fun i tail ->
+         {
+           lo = i * size;
+           size;
+           bound = None;
+           scenarios =
+             Seq.map
+               (fun ord -> make platform (Array.of_list ord))
+               (extend head (Seq.return tail));
+         })
+       (perms (List.init k (fun j -> n - k + j))))
 
 let best_fifo ?(model = Lp_model.One_port) ?(jobs = 1) ?(fast = true)
     ?(prune = true) platform =
-  best_of ~model ~jobs ~fast ~prune
-    (Seq.map
-       (fun ord -> Scenario.fifo_exn platform ord)
-       (permutations_seq (Platform.size platform)))
+  best_over ~model ~jobs ~fast ~prune (order_blocks Scenario.fifo_exn platform)
 
 let best_lifo ?(model = Lp_model.One_port) ?(jobs = 1) ?(fast = true)
     ?(prune = true) platform =
-  best_of ~model ~jobs ~fast ~prune
-    (Seq.map
-       (fun ord -> Scenario.lifo_exn platform ord)
-       (permutations_seq (Platform.size platform)))
+  best_over ~model ~jobs ~fast ~prune (order_blocks Scenario.lifo_exn platform)
 
+(* One block per sigma1: [prefix_bound ~discipline:`Free] holds for every
+   sigma2, so when it cannot beat the incumbent the whole [n!]-wide block
+   is skipped at once. *)
 let best_general ?(model = Lp_model.One_port) ?(jobs = 1) ?(fast = true)
     ?(prune = true) platform =
   let n = Platform.size platform in
-  if jobs <= 1 then begin
-    (* Branch-and-bound over sigma1 blocks: [prefix_bound ~discipline:`Free]
-       holds for every sigma2, so when it cannot beat the incumbent the
-       whole [n!]-wide block is skipped at once. *)
-    let best = ref None in
-    let warm = ref None in
-    let block = factorial n in
-    Seq.iter
-      (fun sigma1 ->
-        let block_skip =
-          prune
-          &&
-          match !best with
-          | None -> false
-          | Some (b : Lp_model.solved) ->
-            Q.compare
-              (Bounds.prefix_bound ~model ~discipline:`Free platform
-                 ~prefix:sigma1 ~remaining:[||])
-              b.Lp_model.rho
-            <= 0
-        in
-        if block_skip then Lp_model.note_pruned block
-        else
-          Seq.iter
-            (fun sigma2 ->
-              let s = Scenario.make_exn platform ~sigma1 ~sigma2 in
-              let skip =
-                prune
-                &&
-                match !best with
-                | None -> false
-                | Some (b : Lp_model.solved) ->
-                  bound_cannot_beat ~model s b.Lp_model.rho ~exact_le:true
-              in
-              if skip then Lp_model.note_pruned 1
-              else ignore (consider ~model ~fast ~best ~warm s))
-            (permutations_seq n))
-      (permutations_seq n);
-    match !best with
-    | Some b -> b
-    | None -> invalid_arg "Brute.best_over: empty scenario list"
-  end
-  else
-    par_best ~model ~jobs ~fast ~prune
-      (Array.of_seq
-         (Seq.concat_map
-            (fun sigma1 ->
-              Seq.map
-                (fun sigma2 -> Scenario.make_exn platform ~sigma1 ~sigma2)
-                (permutations_seq n))
-            (permutations_seq n)))
+  let size = factorial n in
+  best_over ~model ~jobs ~fast ~prune
+    (Array.of_seq
+       (Seq.mapi
+          (fun i sigma1 ->
+            {
+              lo = i * size;
+              size;
+              bound =
+                Some
+                  (fun () ->
+                    Bounds.prefix_bound ~model ~discipline:`Free platform
+                      ~prefix:sigma1 ~remaining:[||]);
+              scenarios =
+                Seq.map
+                  (fun sigma2 -> Scenario.make_exn platform ~sigma1 ~sigma2)
+                  (permutations_seq n);
+            })
+          (permutations_seq n)))

@@ -8,22 +8,24 @@
     by the test suite to verify Theorem 1 and by the ablation experiments
     to measure how far FIFO/LIFO sit from the best-known schedule.
 
-    Since PR 3 the enumeration is a branch-and-bound: each candidate is
-    first measured against the incumbent with the exact knapsack bound
-    of {!Bounds.scenario_bound} (for [best_general], whole [sigma1]
-    blocks are measured with {!Bounds.prefix_bound}), LPs that cannot
-    win are skipped, and the surviving solves run through the certified
-    fast pipeline ([Solve.solve ~mode:`Cached] when [fast], threading
-    the previous optimal basis as a warm start; [`Exact] otherwise).
-    Pruning is non-strict against the sequential incumbent and strict
-    against the shared parallel incumbent, so the returned optimum stays
-    {e bit-identical} to the unpruned exhaustive scan — and identical
-    for every [jobs] value.  [~fast:false ~prune:false] restores the plain exact scan
-    (the reference the tests compare against).
+    The enumeration is a branch-and-bound: each candidate is first
+    measured against the incumbent with the exact knapsack bound of
+    {!Bounds.scenario_bound} (for [best_general], whole [sigma1] blocks
+    are measured with {!Bounds.prefix_bound}), LPs that cannot win are
+    skipped, and the surviving solves run through the certified fast
+    pipeline ([Solve.solve ~mode:`Cached] when [fast], threading the
+    previous optimal basis as a warm start; [`Exact] otherwise).
+    [~fast:false ~prune:false] is the plain exact scan (the reference the
+    tests compare against).
 
-    All entry points accept [?jobs] (default 1): the independent LPs are
-    fanned out over a domain pool, and the reduction runs sequentially
-    in enumeration order with a strict comparison. *)
+    There is one search loop for every [?jobs] (default 1): blocks of
+    the enumeration run on a domain pool ({!Parallel.Pool.run_local})
+    against one shared {!Incumbent} ordered by enumeration position, so
+    a candidate tied with an earlier incumbent is pruned on every
+    domain.  The answer is the first maximizer in enumeration order,
+    {e bit-identical} to the unpruned exhaustive scan and the same for
+    every [jobs]; with [jobs = 1] every pruning decision and LP solve is
+    the sequential scan's. *)
 
 module Q = Numeric.Rational
 

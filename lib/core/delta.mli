@@ -74,8 +74,6 @@ val of_spec :
     [d] again. *)
 val to_spec : t -> string
 
-val change_to_string : Platform.t -> change -> string
-
 (** [pp platform fmt d] pretty-prints against the base platform (worker
     names resolved). *)
 val pp : Platform.t -> Format.formatter -> t -> unit

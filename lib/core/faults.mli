@@ -36,7 +36,6 @@ type fault =
 type plan = private fault list
 
 val onset : fault -> Q.t
-val worker_of : fault -> int
 val fault_to_string : fault -> string
 
 (** [make faults] validates (worker indices non-negative, onsets

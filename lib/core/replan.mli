@@ -136,5 +136,4 @@ val respond :
 val respond_exn :
   ?policies:policy list -> Faults.plan -> Lp_model.solved -> load:Q.t -> outcome
 
-val pp_report : Format.formatter -> report -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -67,188 +67,130 @@ let bound_problem discipline model platform prefix remaining =
   let objective = Array.make n Q.one in
   Simplex.Problem.make Simplex.Problem.Maximize objective (List.rev !constraints)
 
-(* Two-tier bound test: a float solve first — if it says the node cannot
-   be pruned (bound clearly above the incumbent) we skip the exact LP
-   entirely; only when pruning looks possible do we confirm with exact
-   arithmetic, so no subtree is ever cut on floating-point evidence.
+(* Positions in DFS leaf order.  [None] is the heuristic seed, placed
+   before every leaf; [Some ranks] is a node, the candidate ranks of its
+   prefix.  [precedes a b]: the leaf or seed [a] comes before every leaf
+   under the node [b] (for two leaves: [a] comes first). *)
+let precedes a b =
+  match (a, b) with
+  | None, _ -> true
+  | Some _, None -> false
+  | Some a, Some b ->
+    let rec go i =
+      i < Array.length b && (a.(i) < b.(i) || (a.(i) = b.(i) && go (i + 1)))
+    in
+    go 0
 
-   Two thresholds keep the parallel search canonical:
-   - [local] is the task's own incumbent; pruning is NON-strict
-     ([bound <= local]), exactly as in the sequential search;
-   - [shared] is the best throughput any concurrent task has published;
-     pruning against it is STRICT ([bound < shared]).  An optimal
-     subtree has [bound >= rho*] and [shared <= rho*] at all times, so
-     strict cross-task pruning can never cut the subtree holding the
-     canonical optimum, whereas non-strict pruning could.
-   A sequential caller passes [shared = local], making the combined test
-   collapse to the classic [bound <= incumbent]. *)
-let prunable discipline model platform prefix remaining ~local ~shared ~count_lp =
-  (* Cheapest test first: the knapsack bound of [Bounds.prefix_bound]
-     dominates the LP relaxation bound below (its rows are a subset of
-     the LP's constraints, relaxed one at a time), so whenever it already
-     fails to beat the incumbent the LP bound would have failed too.  The
-     pruning decision — and hence the canonical answer — is unchanged;
-     the node just skips both LP solves. *)
+(* Three-tier bound test against the incumbent ({!Incumbent.prunes}, so a
+   tie prunes only a subtree that the incumbent precedes).  The knapsack
+   bound of [Bounds.prefix_bound] comes first: it dominates the LP
+   relaxation bound below (its rows are a subset of the LP's
+   constraints, relaxed one at a time), so whenever it already fails to
+   beat the incumbent the LP bound would have failed too, and the node
+   skips both LP solves without changing a decision.  Then a float
+   solve: if it says the node clearly cannot be pruned, the exact LP is
+   skipped; only when pruning looks possible is it confirmed in exact
+   arithmetic, so no subtree is ever cut on floating-point evidence. *)
+let prunable discipline model platform prefix remaining best ~from ~count_lp =
   let cheap =
     Bounds.prefix_bound ~model
       ~discipline:(discipline :> [ `Fifo | `Lifo | `Free ])
       platform ~prefix ~remaining
   in
-  if Q.compare cheap local <= 0 || Q.compare cheap shared < 0 then true
-  else
+  Incumbent.prunes best cheap ~from
+  ||
   let problem = bound_problem discipline model platform prefix remaining in
-  let inc = Q.to_float (Q.max local shared) in
+  let inc = Q.to_float (Option.get (Incumbent.solved best)).Lp_model.rho in
   let clearly_unprunable =
     match Simplex.Float_solver.solve problem with
     | Simplex.Float_solver.Optimal s ->
-      s.Simplex.Float_solver.value > inc +. (1e-6 *. Float.max 1.0 (Float.abs inc))
+      s.Simplex.Float_solver.value
+      > inc +. (1e-6 *. Float.max 1.0 (Float.abs inc))
     | _ -> false
   in
-  if clearly_unprunable then false
-  else begin
+  (not clearly_unprunable)
+  && begin
     count_lp ();
-    let bound = (Simplex.Solver.solve_exn problem).Simplex.Solver.value in
-    Q.compare bound local <= 0 || Q.compare bound shared < 0
+    Incumbent.prunes best
+      (Simplex.Solver.solve_exn problem).Simplex.Solver.value ~from
   end
 
-(* The canonical result — returned for every [jobs] — is the one of the
-   sequential search: the heuristic seed if it already achieves the
-   optimal throughput, otherwise the first leaf in DFS order (children
-   in ascending-[c] candidate order) that does.  The parallel search
-   reproduces it by (a) giving every root subtree its own task with a
-   private incumbent seeded at the heuristic throughput, (b) only
-   pruning strictly against the shared cross-task bound, and (c)
-   reducing task results in subtree order with a strict comparison. *)
+(* The answer is the heuristic seed if it already achieves the optimal
+   throughput, otherwise the first leaf in DFS order (children in
+   ascending-[c] candidate order) that does.  After the root check, each
+   root subtree is one task of the domain pool for every [jobs]; the
+   tasks share one incumbent ({!Incumbent}), so the answer is the same
+   for every [jobs], and with [jobs = 1] every decision is the
+   sequential DFS's. *)
 let search ?(jobs = 1) discipline model platform =
   let n = Platform.size platform in
-  let scenario_of order =
-    match discipline with
-    | `Fifo -> Scenario.fifo_exn platform order
-    | `Lifo -> Scenario.lifo_exn platform order
-  in
-  (* Incumbent: the Theorem 1 heuristic order (also the optimal LIFO
-     order under uniform z, per the companion paper). *)
-  let heuristic = Solve.solve_exn ~mode:`Cached ~model (scenario_of (Fifo.order platform)) in
   (* Branch in ascending-c order, which tends to find improvements
      early. *)
   let candidates = Fifo.order platform in
-  if jobs <= 1 then begin
-    let nodes = ref 0 and pruned = ref 0 and lps = ref 1 in
-    (* Leaf solves thread the previous optimal basis through as a warm
-       start; a hint only, so the canonical-answer contract is intact. *)
-    let warm = ref None in
-    let solve_order order =
-      incr lps;
-      let sol = Solve.solve_exn ~mode:`Cached ~model ?warm:!warm (scenario_of order) in
-      warm := Some sol.Lp_model.basis;
-      sol
-    in
-    let incumbent = ref heuristic in
-    let rec dfs prefix used =
-      incr nodes;
+  let workers ranks = Array.map (Array.get candidates) ranks in
+  let scenario_of ranks =
+    match discipline with
+    | `Fifo -> Scenario.fifo_exn platform (workers ranks)
+    | `Lifo -> Scenario.lifo_exn platform (workers ranks)
+  in
+  let nodes = Atomic.make 0 and pruned = Atomic.make 0 in
+  let lps = Atomic.make 1 in
+  (* Incumbent: the Theorem 1 heuristic order (also the optimal LIFO
+     order under uniform z, per the companion paper). *)
+  let best = Incumbent.create ~before:precedes in
+  Incumbent.offer best None
+    (Solve.solve_exn ~mode:`Cached ~model (scenario_of (Array.init n Fun.id)));
+  (* Visit the inner node [ranks]; [true] when its subtree is cut. *)
+  let cut ranks remaining =
+    Atomic.incr nodes;
+    prunable discipline model platform (workers ranks) (workers remaining) best
+      ~from:(Some ranks)
+      ~count_lp:(fun () -> Atomic.incr lps)
+    && (Atomic.incr pruned; true)
+  in
+  (* Leaf solves thread the domain's previous optimal basis through as
+     a warm start; a hint only, so the answer is intact. *)
+  let task warm root =
+    let used = Array.make n false in
+    let rec dfs prefix =
+      let ranks = Array.of_list (List.rev prefix) in
       let remaining =
-        Array.of_list
-          (List.filter (fun i -> not used.(i)) (Array.to_list candidates))
+        Array.of_list (List.filter (fun r -> not used.(r)) (List.init n Fun.id))
       in
       if Array.length remaining = 0 then begin
-        let sol = solve_order (Array.of_list (List.rev prefix)) in
-        if sol.Lp_model.rho >/ !incumbent.Lp_model.rho then incumbent := sol
+        Atomic.incr nodes;
+        Atomic.incr lps;
+        let sol =
+          Solve.solve_exn ~mode:`Cached ~model ?warm:!warm (scenario_of ranks)
+        in
+        warm := Some sol.Lp_model.basis;
+        Incumbent.offer best (Some ranks) sol
       end
-      else if
-        prunable discipline model platform
-          (Array.of_list (List.rev prefix))
-          remaining ~local:!incumbent.Lp_model.rho ~shared:!incumbent.Lp_model.rho
-          ~count_lp:(fun () -> incr lps)
-      then incr pruned
-      else
+      else if not (cut ranks remaining) then
         Array.iter
-          (fun i ->
-            used.(i) <- true;
-            dfs (i :: prefix) used;
-            used.(i) <- false)
+          (fun r ->
+            used.(r) <- true;
+            dfs (r :: prefix);
+            used.(r) <- false)
           remaining
     in
-    dfs [] (Array.make n false);
-    { solved = !incumbent; stats = { nodes = !nodes; pruned = !pruned; lps = !lps } }
-  end
-  else begin
-    let root_lps = ref 0 in
-    (* Root node: same prune check the sequential search performs before
-       descending. *)
-    if
-      prunable discipline model platform [||] candidates
-        ~local:heuristic.Lp_model.rho ~shared:heuristic.Lp_model.rho
-        ~count_lp:(fun () -> incr root_lps)
-    then
-      { solved = heuristic; stats = { nodes = 1; pruned = 1; lps = 1 + !root_lps } }
-    else begin
-      let shared = Atomic.make heuristic.Lp_model.rho in
-      let rec publish r =
-        let cur = Atomic.get shared in
-        if Q.compare r cur > 0 && not (Atomic.compare_and_set shared cur r) then
-          publish r
-      in
-      let task root =
-        let nodes = ref 0 and pruned = ref 0 and lps = ref 0 in
-        let warm = ref None in
-        let solve_order order =
-          incr lps;
-          let sol = Solve.solve_exn ~mode:`Cached ~model ?warm:!warm (scenario_of order) in
-          warm := Some sol.Lp_model.basis;
-          sol
-        in
-        let local = ref heuristic.Lp_model.rho in
-        let best = ref None in
-        let used = Array.make n false in
-        let rec dfs prefix =
-          incr nodes;
-          let remaining =
-            Array.of_list
-              (List.filter (fun i -> not used.(i)) (Array.to_list candidates))
-          in
-          if Array.length remaining = 0 then begin
-            let sol = solve_order (Array.of_list (List.rev prefix)) in
-            if sol.Lp_model.rho >/ !local then begin
-              local := sol.Lp_model.rho;
-              best := Some sol;
-              publish sol.Lp_model.rho
-            end
-          end
-          else if
-            prunable discipline model platform
-              (Array.of_list (List.rev prefix))
-              remaining ~local:!local ~shared:(Atomic.get shared)
-              ~count_lp:(fun () -> incr lps)
-          then incr pruned
-          else
-            Array.iter
-              (fun i ->
-                used.(i) <- true;
-                dfs (i :: prefix);
-                used.(i) <- false)
-              remaining
-        in
-        used.(root) <- true;
-        dfs [ root ];
-        (!best, !nodes, !pruned, !lps)
-      in
-      (* One task per root subtree; chunk 1 so each domain claims whole
-         subtrees. *)
-      let results = Parallel.Pool.run ~jobs ~chunk:1 task candidates in
-      let best = ref heuristic in
-      let nodes = ref 1 and pruned = ref 0 and lps = ref (1 + !root_lps) in
-      Array.iter
-        (fun (b, tn, tp, tl) ->
-          (match b with
-          | Some sol when sol.Lp_model.rho >/ !best.Lp_model.rho -> best := sol
-          | Some _ | None -> ());
-          nodes := !nodes + tn;
-          pruned := !pruned + tp;
-          lps := !lps + tl)
-        results;
-      { solved = !best; stats = { nodes = !nodes; pruned = !pruned; lps = !lps } }
-    end
-  end
+    used.(root) <- true;
+    dfs [ root ]
+  in
+  let roots = Array.init n Fun.id in
+  if not (cut [||] roots) then
+    ignore
+      (Parallel.Pool.run_local ~jobs ~chunk:1 ~init:(fun () -> ref None) task
+         roots);
+  {
+    solved = Option.get (Incumbent.solved best);
+    stats =
+      {
+        nodes = Atomic.get nodes;
+        pruned = Atomic.get pruned;
+        lps = Atomic.get lps;
+      };
+  }
 
 let best_fifo ?(model = Lp_model.One_port) ?jobs platform =
   search ?jobs `Fifo model platform

@@ -26,13 +26,15 @@
     the certified fast pipeline ([Solve.solve ~mode:`Cached]), threading
     the previous optimal basis as a warm start.
 
-    With [?jobs > 1] the root subtrees are searched by a domain pool.
-    The returned {e solution} is bit-identical for every [jobs] value:
-    cross-task pruning is strict and the reduction follows subtree
-    order, so the canonical optimum of the sequential search always
-    survives.  The {e statistics} are not part of that guarantee — a
-    parallel run prunes differently, so [nodes]/[pruned]/[lps] may vary
-    with [jobs] (and leaf solves may be answered by the LP cache). *)
+    After the root check, each root subtree is one task of a domain
+    pool ({!Parallel.Pool.run_local}) for every [?jobs] (default 1), and
+    all tasks share one {!Incumbent} ordered by DFS leaf position, the
+    heuristic seed before every leaf.  The returned {e solution} is the
+    heuristic if it attains the optimum, else the first optimal leaf in
+    DFS order: bit-identical for every [jobs] value.  With [jobs = 1]
+    every decision is the sequential DFS's; with more domains the
+    {e statistics} [nodes]/[pruned]/[lps] may vary (and leaf solves may
+    be answered by the LP cache). *)
 
 module Q = Numeric.Rational
 
@@ -48,7 +50,7 @@ type outcome = { solved : Lp_model.solved; stats : stats }
 
 (** [best_fifo ?model ?jobs platform] is the exact optimal FIFO solution
     (over all sending orders; participation is still decided by the LP)
-    and the search statistics.  [jobs] defaults to [1] (sequential). *)
+    and the search statistics.  [jobs] defaults to [1]. *)
 val best_fifo : ?model:Lp_model.model -> ?jobs:int -> Platform.t -> outcome
 
 (** [best_lifo ?model ?jobs platform] is the exact optimal LIFO

@@ -6,10 +6,10 @@ let random_platform rng ~workers ~n =
   let f = Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers in
   Cluster.Gen.platform machine ~n f
 
-let one_port_cost ?(quick = false) ?(seed = 21) () =
+let one_port_cost ?(quick = false) () =
   let reps = if quick then 5 else 30 in
   let sizes = if quick then [ 40; 120; 200 ] else [ 40; 80; 120; 160; 200; 400 ] in
-  let rng = Numeric.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed:21 in
   let rows =
     List.map
       (fun n ->
@@ -37,9 +37,9 @@ let one_port_cost ?(quick = false) ?(seed = 21) () =
       ]
     rows
 
-let permutation_gap ?(quick = false) ?(seed = 22) ?jobs () =
+let permutation_gap ?(quick = false) ?jobs () =
   let reps = if quick then 4 else 25 in
-  let rng = Numeric.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed:22 in
   let fifo_gaps = ref [] and lifo_gaps = ref [] and fifo_hits = ref 0 in
   for _ = 1 to reps do
     let p = random_platform rng ~workers:4 ~n:120 in
@@ -72,9 +72,9 @@ let permutation_gap ?(quick = false) ?(seed = 22) ?jobs () =
       ];
     ]
 
-let ordering ?(quick = false) ?(seed = 23) () =
+let ordering ?(quick = false) () =
   let reps = if quick then 8 else 40 in
-  let rng = Numeric.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed:23 in
   let strategies =
     [
       ("INC_C (Theorem 1)", fun p -> Dls.Fifo.order p);
@@ -106,9 +106,9 @@ let ordering ?(quick = false) ?(seed = 23) () =
          [ Report.Str name; Report.Float (sums.(i) /. float_of_int reps) ])
        strategies)
 
-let lifo_regime ?(quick = false) ?(seed = 25) () =
+let lifo_regime ?(quick = false) () =
   let reps = if quick then 6 else 25 in
-  let rng = Numeric.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed:25 in
   (* Scale w relative to c by a factor r; z stays at the workload's 1/2. *)
   let ratios = [ (1, 4); (1, 1); (2, 1); (4, 1); (8, 1); (16, 1); (32, 1) ] in
   let rows =
@@ -150,9 +150,9 @@ let lifo_regime ?(quick = false) ?(seed = 25) () =
       ]
     rows
 
-let affine_latency ?(quick = false) ?(seed = 26) () =
+let affine_latency ?(quick = false) () =
   let workers = if quick then 3 else 4 in
-  let rng = Numeric.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed:26 in
   let f = Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers in
   let p = Cluster.Gen.platform machine ~n:100 f in
   let latencies = [ 0; 1; 2; 5; 10; 20 ] (* percent of the deadline *) in
@@ -184,9 +184,9 @@ let affine_latency ?(quick = false) ?(seed = 26) () =
       ]
     rows
 
-let multiround ?(quick = false) ?(seed = 27) () =
+let multiround ?(quick = false) () =
   let max_rounds = if quick then 6 else 8 in
-  let rng = Numeric.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed:27 in
   let f = Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers:3 in
   let p = Cluster.Gen.platform machine ~n:100 f in
   let order = Dls.Fifo.order p in
@@ -231,9 +231,9 @@ let multiround ?(quick = false) ?(seed = 27) () =
       ]
     rows
 
-let protocol ?(quick = false) ?(seed = 28) () =
+let protocol ?(quick = false) () =
   let reps = if quick then 8 else 40 in
-  let rng = Numeric.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed:28 in
   let rows =
     List.map
       (fun n ->
@@ -280,9 +280,9 @@ let protocol ?(quick = false) ?(seed = 28) () =
       ]
     rows
 
-let scaling ?(quick = false) ?(seed = 30) () =
+let scaling ?(quick = false) () =
   let sizes = if quick then [ 4; 8; 16 ] else [ 4; 8; 16; 24; 32 ] in
-  let rng = Numeric.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed:30 in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -322,10 +322,10 @@ let scaling ?(quick = false) ?(seed = 30) () =
       ]
     ~timings (List.map fst measured)
 
-let sensitivity ?(quick = false) ?(seed = 29) () =
+let sensitivity ?(quick = false) () =
   let reps = if quick then 8 else 40 in
   let n = 120 and total = 1000 in
-  let rng = Numeric.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed:29 in
   let factor_sets =
     List.init reps (fun _ ->
         Cluster.Gen.factors rng Cluster.Gen.Heterogeneous ~workers:11)
@@ -370,8 +370,8 @@ let sensitivity ?(quick = false) ?(seed = 29) () =
       ]
     rows
 
-let theorem2_check ?(seed = 24) () =
-  let rng = Numeric.Prng.create ~seed in
+let theorem2_check () =
+  let rng = Numeric.Prng.create ~seed:24 in
   let rows =
     List.init 6 (fun k ->
         let workers = 2 + k in

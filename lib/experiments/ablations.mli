@@ -11,44 +11,44 @@
 
 (** [one_port_cost ()] compares one-port and two-port optimal FIFO
     throughputs across matrix sizes on random heterogeneous platforms. *)
-val one_port_cost : ?quick:bool -> ?seed:int -> unit -> Report.t
+val one_port_cost : ?quick:bool -> unit -> Report.t
 
 (** [permutation_gap ()] measures FIFO and LIFO against the brute-force
     best [(sigma1, sigma2)] pair on small random platforms. *)
-val permutation_gap : ?quick:bool -> ?seed:int -> ?jobs:int -> unit -> Report.t
+val permutation_gap : ?quick:bool -> ?jobs:int -> unit -> Report.t
 
 (** [ordering ()] compares FIFO orderings (INC_C, INC_W, DEC_C, platform
     order) on random heterogeneous platforms. *)
-val ordering : ?quick:bool -> ?seed:int -> unit -> Report.t
+val ordering : ?quick:bool -> unit -> Report.t
 
 (** [theorem2_check ()] tabulates the Theorem 2 closed form against the
     LP optimum on random bus platforms (they must agree exactly). *)
-val theorem2_check : ?seed:int -> unit -> Report.t
+val theorem2_check : unit -> Report.t
 
 (** [lifo_regime ()] sweeps the computation/communication balance and
     reports the LIFO-vs-INC_C makespan ratio: LIFO's advantage (the
     paper's Figs 10-12 observation) emerges in compute-dominant
     regimes.  Documents the calibration discussion in EXPERIMENTS.md. *)
-val lifo_regime : ?quick:bool -> ?seed:int -> unit -> Report.t
+val lifo_regime : ?quick:bool -> unit -> Report.t
 
 (** [affine_latency ()] sweeps a per-message start-up latency on a small
     platform and reports the optimal throughput and the number of
     enrolled workers: latencies shrink the optimal enrollment — the
     affine-model effect the paper's related work discusses. *)
-val affine_latency : ?quick:bool -> ?seed:int -> unit -> Report.t
+val affine_latency : ?quick:bool -> unit -> Report.t
 
 (** [multiround ()] sweeps the number of rounds with and without
     per-message latencies: under the linear model more rounds always
     help (so the model degenerates), under the affine model a finite
     optimum emerges — the Section 6 argument, measured. *)
-val multiround : ?quick:bool -> ?seed:int -> unit -> Report.t
+val multiround : ?quick:bool -> unit -> Report.t
 
 (** [protocol ()] replays the same LP-dimensioned plans under the two
     master policies ([Sends_first], the paper's structure, vs
     [Eager_returns]) and reports the makespan ratio: how much does the
     "all sends before all returns" modelling assumption cost or gain in
     execution? *)
-val protocol : ?quick:bool -> ?seed:int -> unit -> Report.t
+val protocol : ?quick:bool -> unit -> Report.t
 
 (** [scaling ()] measures how the exact and floating-point simplex
     solvers scale with the worker count on the FIFO scheduling LP, and
@@ -57,14 +57,14 @@ val protocol : ?quick:bool -> ?seed:int -> unit -> Report.t
     regime this table maps out.  The table holds the relative error and
     the exact pivots; the wall-clock times of both solvers are its
     [timings]. *)
-val scaling : ?quick:bool -> ?seed:int -> unit -> Report.t
+val scaling : ?quick:bool -> unit -> Report.t
 
 (** [sensitivity ()] executes INC_C- and LIFO-dimensioned campaigns
     under growing amounts of per-event jitter and reports the real/lp
     degradation of each: the paper explains LIFO's bad showing in
     Fig. 13a by its sensitivity "to small performance variations"; this
     experiment measures that hypothesis on the simulated cluster. *)
-val sensitivity : ?quick:bool -> ?seed:int -> unit -> Report.t
+val sensitivity : ?quick:bool -> unit -> Report.t
 
 (** [robustness ()] draws seeded fault cases ({!Check.Fuzz.fault_case})
     across four severities and the three return-ratio regimes, and

@@ -8,10 +8,10 @@ let worker_table ~x =
     (List.init 4 (fun i ->
          [ Report.Int (i + 1); Report.Int comm.(i); Report.Int comp_factors.(i) ]))
 
-let run ?(seed = 14) ~x () =
+let run ~x () =
   let n = 400 and total = 1000 in
   let machine = Cluster.Workload.gdsdmi in
-  let rng = Numeric.Prng.create ~seed in
+  let rng = Numeric.Prng.create ~seed:14 in
   let rows =
     List.map
       (fun available ->

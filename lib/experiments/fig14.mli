@@ -8,7 +8,7 @@
 
 (** [run ~x ()] produces one row per number of available workers:
     LP time, simulated time, number of workers actually enrolled. *)
-val run : ?seed:int -> x:int -> unit -> Report.t
+val run : x:int -> unit -> Report.t
 
 (** [worker_table ()] is the platform description table from Section
     5.3.4. *)

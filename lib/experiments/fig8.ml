@@ -1,5 +1,5 @@
-let run ?(seed = 2006) () =
-  let rng = Numeric.Prng.create ~seed in
+let run () =
+  let rng = Numeric.Prng.create ~seed:2006 in
   let noise = Cluster.Noise.make rng ~n:100 in
   let machine = Cluster.Workload.gdsdmi in
   let factors = [ 1; 2; 3; 4; 5 ] in

@@ -7,4 +7,4 @@
     cluster's noisy links and report per-worker least-squares fits
     (slope, intercept, R²) alongside the raw series. *)
 
-val run : ?seed:int -> unit -> Report.t
+val run : unit -> Report.t

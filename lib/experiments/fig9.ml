@@ -1,16 +1,15 @@
 module Q = Numeric.Rational
 
-let default_seed_limit = 10_000
+let seed_limit = 10_000
 
-let no_selective_platform seed_limit =
+let no_selective_platform () =
   raise
     (Dls.Errors.Error
        (Dls.Errors.Invalid_scenario
           (Printf.sprintf
              "Fig9: no selective platform found within %d seeds" seed_limit)))
 
-let find_selective_platform ?(jobs = 1) ?(seed_limit = default_seed_limit)
-    ~workers ~wanted ~n () =
+let find_selective_platform ?(jobs = 1) ~workers ~wanted ~n () =
   let machine = Cluster.Workload.gdsdmi in
   (* Pure in [seed]: each candidate builds its platform from a fresh
      PRNG, so seeds can be probed in any order or in parallel. *)
@@ -32,7 +31,7 @@ let find_selective_platform ?(jobs = 1) ?(seed_limit = default_seed_limit)
   in
   if jobs <= 1 then begin
     let rec search seed =
-      if seed > seed_limit then no_selective_platform seed_limit
+      if seed > seed_limit then no_selective_platform ()
       else match eval seed with Some r -> r | None -> search (seed + 1)
     in
     search 0
@@ -43,7 +42,7 @@ let find_selective_platform ?(jobs = 1) ?(seed_limit = default_seed_limit)
            chosen platform is the sequential one regardless of [jobs]. *)
         let block = 16 * jobs in
         let rec scan lo =
-          if lo > seed_limit then no_selective_platform seed_limit
+          if lo > seed_limit then no_selective_platform ()
           else begin
             let size = min block (seed_limit - lo + 1) in
             let seeds = Array.init size (fun i -> lo + i) in

@@ -16,18 +16,3 @@
     search limit produces the wanted selectivity. *)
 val run : ?width:int -> ?jobs:int -> unit -> Report.t
 
-(** [find_selective_platform ~workers ~wanted ~n ()] probes platform
-    seeds [0..seed_limit] (default 10000) for an [n]-sized matrix
-    workload on [workers] machines whose INC_C solution enrolls exactly
-    [wanted] of them; returns [(seed, factors, platform, solution)] for
-    the lowest matching seed, for any [jobs].
-    @raise Dls.Errors.Error ([Invalid_scenario]) when the limit is
-    exhausted. *)
-val find_selective_platform :
-  ?jobs:int ->
-  ?seed_limit:int ->
-  workers:int ->
-  wanted:int ->
-  n:int ->
-  unit ->
-  int * Cluster.Gen.factors * Dls.Platform.t * Dls.Lp_model.solved

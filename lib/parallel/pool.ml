@@ -51,32 +51,30 @@ let jobs t = t.n_jobs
 (* ------------------------------------------------------------------ *)
 (* Cooperative timeouts                                                *)
 
-exception Task_timeout of { index : int; elapsed : float; budget : float }
+exception Task_timeout of { elapsed : float; budget : float }
 
 let () =
   Printexc.register_printer (function
-    | Task_timeout { index; elapsed; budget } ->
+    | Task_timeout { elapsed; budget } ->
       Some
-        (Printf.sprintf
-           "Pool.Task_timeout (item %d ran %.3fs, budget %.3fs)" index elapsed
+        (Printf.sprintf "Pool.Task_timeout (ran %.3fs, budget %.3fs)" elapsed
            budget)
     | _ -> None)
 
-(* Cooperative: a domain cannot be killed mid-task, so the budget is
-   checked when the task completes — an overrunning item still finishes,
-   but its result is replaced by [Task_timeout] and the batch fails
-   deterministically (smallest index first, like any other task
-   exception).  A task's own exception wins over the overrun.  The
-   clock is monotonic ({!Clock}), so a wall-clock step during the task
-   can neither fire a spurious timeout nor mask a real one. *)
-let timed ?timeout ~index f x =
+(* Cooperative: a task cannot be killed midway, so the budget is checked
+   when it completes — an overrunning task still finishes, but its
+   result is replaced by [Task_timeout].  A task's own exception wins
+   over the overrun.  The clock is monotonic ({!Clock}), so a wall-clock
+   step during the task can neither fire a spurious timeout nor mask a
+   real one. *)
+let timed ?timeout f x =
   match timeout with
   | None -> f x
   | Some budget ->
     let t0 = Clock.now () in
     let v = f x in
     let elapsed = Clock.elapsed_s ~since:t0 in
-    if elapsed > budget then raise (Task_timeout { index; elapsed; budget });
+    if elapsed > budget then raise (Task_timeout { elapsed; budget });
     v
 
 (* ------------------------------------------------------------------ *)
@@ -243,16 +241,15 @@ let default_chunk ~size ~jobs =
      the profile *)
   max 1 (size / (jobs * 4))
 
-let map ?chunk ?timeout t f arr =
+let map ?chunk t f arr =
   let n = Array.length arr in
   if n = 0 then [||]
-  else if t.n_jobs <= 1 || n = 1 || t.domains = [] then
-    Array.mapi (fun i x -> timed ?timeout ~index:i f x) arr
+  else if t.n_jobs <= 1 || n = 1 || t.domains = [] then Array.map f arr
   else begin
     let results = Array.make n None in
     let failures = Array.make n None in
     let run i =
-      match timed ?timeout ~index:i f arr.(i) with
+      match f arr.(i) with
       | v -> results.(i) <- Some v
       | exception e -> failures.(i) <- Some e
     in
@@ -311,25 +308,18 @@ let map ?chunk ?timeout t f arr =
       results
   end
 
-let map_list ?chunk ?timeout t f l =
-  Array.to_list (map ?chunk ?timeout t f (Array.of_list l))
-
-let run ?jobs ?chunk ?timeout f arr =
+let run ?jobs ?chunk f arr =
   let n_jobs = max 1 (Option.value jobs ~default:(default_jobs ())) in
-  if n_jobs <= 1 || Array.length arr <= 1 then
-    Array.mapi (fun i x -> timed ?timeout ~index:i f x) arr
-  else with_pool ~jobs:n_jobs (fun t -> map ?chunk ?timeout t f arr)
+  if n_jobs <= 1 || Array.length arr <= 1 then Array.map f arr
+  else with_pool ~jobs:n_jobs (fun t -> map ?chunk t f arr)
 
-let run_local ?jobs ?chunk ?timeout ~init f arr =
+let run_local ?jobs ?chunk ~init f arr =
   let n_jobs = max 1 (Option.value jobs ~default:(default_jobs ())) in
-  if n_jobs <= 1 || Array.length arr <= 1 then begin
-    let state = init () in
-    Array.mapi (fun i x -> timed ?timeout ~index:i (f state) x) arr
-  end
+  if n_jobs <= 1 || Array.length arr <= 1 then Array.map (f (init ())) arr
   else
     with_pool ~jobs:n_jobs (fun t ->
         (* One scratch state per participating domain, created lazily on
            the domain's first claim.  The key is fresh per call, so
            states never leak between batches. *)
         let key = Domain.DLS.new_key init in
-        map ?chunk ?timeout t (fun x -> f (Domain.DLS.get key) x) arr)
+        map ?chunk t (fun x -> f (Domain.DLS.get key) x) arr)

@@ -43,7 +43,10 @@
 
     {!shutdown} must not race with in-flight {!map} calls: quiesce
     callers first (the service layer does this by joining dispatchers
-    before shutting the pool down). *)
+    before shutting the pool down).
+
+    The pool has no per-task budget: {!timed} is a separate wrapper,
+    used by the request-serving worker loop. *)
 
 type t
 
@@ -67,58 +70,48 @@ val shutdown : t -> unit
     afterwards (also on exception). *)
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 
-(** Raised in the caller when a task overran its [?timeout] budget.
-    Cooperative: a domain cannot be interrupted mid-task, so the budget
-    is checked when the task {e completes} — the overrunning item's
-    result is discarded and this exception takes its failure slot
-    (smallest failing index wins, as for any task exception).  A task
-    that itself raised reports its own exception, not the overrun. *)
-exception Task_timeout of { index : int; elapsed : float; budget : float }
+(** Raised by {!timed} when a task overran its budget. *)
+exception Task_timeout of { elapsed : float; budget : float }
 
-(** [timed ?timeout ~index f x] is [f x] under the pool's cooperative
-    budget check: when [f] returns after more than [timeout] seconds of
-    {e monotonic} clock time ({!Clock}, immune to wall-clock steps), the
-    result is discarded and {!Task_timeout} is raised instead (an
-    exception raised by [f] itself wins over the overrun).  This is the
-    exact primitive {!map} applies per item, exposed so other
-    executors — e.g. a request-serving worker loop — can enforce
-    per-task deadlines with identical semantics.  [timeout = None] is
-    just [f x]. *)
-val timed : ?timeout:float -> index:int -> ('a -> 'b) -> 'a -> 'b
+(** [timed ?timeout f x] is [f x] under a cooperative budget check: a
+    task cannot be interrupted, so when [f] returns after more than
+    [timeout] seconds of {e monotonic} clock time ({!Clock}, immune to
+    wall-clock steps), the result is discarded and {!Task_timeout} is
+    raised instead.  An exception raised by [f] itself wins over the
+    overrun.  [timeout = None] is just [f x].  The request-serving
+    worker loop enforces its per-request deadline with it. *)
+val timed : ?timeout:float -> ('a -> 'b) -> 'a -> 'b
 
-(** [map ?chunk ?timeout pool f arr] is [Array.map f arr], computed by
-    all pool members.  [chunk] requests the widest index range executed
-    without further splitting (default: a heuristic giving each worker
-    a few leaves); the pool auto-partitions — a chunk finer than
+(** [map ?chunk pool f arr] is [Array.map f arr], computed by all pool
+    members.  [chunk] requests the widest index range executed without
+    further splitting (default: a heuristic giving each worker a few
+    leaves); the pool auto-partitions — a chunk finer than
     [n / (8 * jobs)] is coarsened to that floor, since beyond ~8 leaves
     per participant extra splits only add claim traffic.  Granularity
-    affects scheduling only, never the result.  [timeout] is a per-task
-    wall-clock budget in seconds (see {!Task_timeout}).  Safe to call
+    affects scheduling only, never the result.  Safe to call
     concurrently from several threads and reentrantly from within [f] —
     see the concurrency contract above. *)
-val map : ?chunk:int -> ?timeout:float -> t -> ('a -> 'b) -> 'a array -> 'b array
+val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 
-(** [map_list ?chunk ?timeout pool f l] is [List.map f l] via {!map}. *)
-val map_list : ?chunk:int -> ?timeout:float -> t -> ('a -> 'b) -> 'a list -> 'b list
+(** [run ?jobs ?chunk f arr] is a one-shot {!map} on a temporary pool:
+    [with_pool ?jobs (fun p -> map ?chunk p f arr)].  [jobs <= 1] is a
+    plain [Array.map] with no domain spawned. *)
+val run : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 
-(** [run ?jobs ?chunk ?timeout f arr] is a one-shot {!map} on a temporary
-    pool: [with_pool ?jobs (fun p -> map ?chunk p f arr)].  [jobs <= 1]
-    is a plain [Array.map] with no domain spawned. *)
-val run : ?jobs:int -> ?chunk:int -> ?timeout:float -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [run_local ?jobs ?chunk ?timeout ~init f arr] is {!run} where [f] additionally
+(** [run_local ?jobs ?chunk ~init f arr] is {!run} where [f] additionally
     receives a mutable scratch state, created by [init] once per
     participating domain ([jobs <= 1]: a single state for the whole
-    array).  Intended for performance hints that survive between items
-    claimed by the same domain — e.g. the previous item's optimal simplex
-    basis as a warm start.  The determinism guarantee of {!run} only
-    extends to [run_local] if [f]'s {e result} does not depend on the
-    state (the state may freely change how fast the result is
-    computed). *)
+    array, which [f] then sees in index order).  Intended for
+    performance hints that survive between items claimed by the same
+    domain — e.g. the previous item's optimal simplex basis as a warm
+    start.  The determinism guarantee of {!run} only extends to
+    [run_local] if [f]'s {e result} does not depend on the state (the
+    state may freely change how fast the result is computed).  The
+    order searches of [Dls.Brute] and [Dls.Search] run their tasks
+    through it for every [jobs]. *)
 val run_local :
   ?jobs:int ->
   ?chunk:int ->
-  ?timeout:float ->
   init:(unit -> 's) ->
   ('s -> 'a -> 'b) ->
   'a array ->

@@ -233,7 +233,7 @@ let eval_job t job =
   let t0 = Parallel.Clock.now () in
   let resp =
     match
-      Parallel.Pool.timed ?timeout:t.cfg.timeout ~index:0
+      Parallel.Pool.timed ?timeout:t.cfg.timeout
         (fun () ->
           if t.cfg.worker_delay > 0. then Unix.sleepf t.cfg.worker_delay;
           eval_request ~brownout job.request)

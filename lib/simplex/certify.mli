@@ -13,12 +13,8 @@
 
 module Q = Numeric.Rational
 
-(** [feasibility_violations p x] lists human-readable descriptions of
-    every constraint of [p] (including non-negativity) violated by [x].
-    An empty list means [x] is feasible. *)
-val feasibility_violations : Problem.t -> Q.t array -> string list
-
-(** [is_feasible p x] is [feasibility_violations p x = []]. *)
+(** [is_feasible p x] holds when [x] satisfies every constraint of [p],
+    non-negativity included. *)
 val is_feasible : Problem.t -> Q.t array -> bool
 
 (** [check p s] validates a solver result against problem [p]:

@@ -41,10 +41,6 @@ type error = Error_unbounded | Error_infeasible
 
 exception Error of error
 
-let string_of_error = function
-  | Error_unbounded -> "unbounded problem"
-  | Error_infeasible -> "infeasible problem"
-
 (* [integer_vector a] is [(v, s)]: [v = s * a] is the primitive integer
    vector positively proportional to [a], with [s] the lcm of the
    denominators over the gcd of the scaled numerators ([s = 1] on a zero

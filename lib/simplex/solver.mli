@@ -41,8 +41,6 @@ type error = Error_unbounded | Error_infeasible
     [Failure] string. *)
 exception Error of error
 
-val string_of_error : error -> string
-
 (** [solve p] solves the linear program exactly. *)
 val solve : Problem.t -> outcome
 
