@@ -92,7 +92,7 @@ let best_over ~model ~jobs ~fast ~prune blocks =
         b.scenarios
   in
   ignore
-    (Parallel.Pool.run_local ~jobs ~chunk:1 ~init:(fun () -> ref None) run
+    (Parallel.Pool.run_local ~jobs ~init:(fun () -> ref None) run
        blocks);
   match Incumbent.solved best with
   | Some b -> b

@@ -180,7 +180,7 @@ let search ?(jobs = 1) discipline model platform =
   let roots = Array.init n Fun.id in
   if not (cut [||] roots) then
     ignore
-      (Parallel.Pool.run_local ~jobs ~chunk:1 ~init:(fun () -> ref None) task
+      (Parallel.Pool.run_local ~jobs ~init:(fun () -> ref None) task
          roots);
   {
     solved = Option.get (Incumbent.solved best);

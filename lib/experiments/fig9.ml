@@ -22,36 +22,21 @@ let find_selective_platform ?(jobs = 1) ~workers ~wanted ~n () =
       Some (seed, f, p, sol)
     else None
   in
-  let first_match results =
-    let rec scan i =
-      if i >= Array.length results then None
-      else match results.(i) with Some _ as r -> r | None -> scan (i + 1)
-    in
-    scan 0
-  in
-  if jobs <= 1 then begin
-    let rec search seed =
-      if seed > seed_limit then no_selective_platform ()
-      else match eval seed with Some r -> r | None -> search (seed + 1)
-    in
-    search 0
-  end
-  else
-    Parallel.Pool.with_pool ~jobs (fun pool ->
-        (* Probe seeds block by block and keep the lowest match, so the
-           chosen platform is the sequential one regardless of [jobs]. *)
-        let block = 16 * jobs in
-        let rec scan lo =
-          if lo > seed_limit then no_selective_platform ()
-          else begin
-            let size = min block (seed_limit - lo + 1) in
-            let seeds = Array.init size (fun i -> lo + i) in
-            match first_match (Parallel.Pool.map pool eval seeds) with
-            | Some r -> r
-            | None -> scan (lo + size)
-          end
-        in
-        scan 0)
+  Parallel.Pool.with_pool ~jobs (fun pool ->
+      (* Probe seeds in blocks of one per domain and keep the lowest
+         match, so the chosen platform is the sequential one for every
+         [jobs], and one domain evaluates no seed past it. *)
+      let block = max 1 jobs in
+      let rec scan lo =
+        if lo > seed_limit then no_selective_platform ()
+        else
+          let size = min block (seed_limit - lo + 1) in
+          let seeds = Array.init size (fun i -> lo + i) in
+          match Array.find_map Fun.id (Parallel.Pool.map pool eval seeds) with
+          | Some r -> r
+          | None -> scan (lo + block)
+      in
+      scan 0)
 
 let run ?(width = 72) ?jobs () =
   let n = 300 and total = 200 and workers = 5 in

@@ -132,10 +132,7 @@ let run ?(quick = false) ?(jobs = 1) config =
          sizes)
   in
   let measure (n, factors, rng) = measure_point config machine n factors rng in
-  let points =
-    if jobs <= 1 then Array.map measure tasks
-    else Parallel.Pool.run ~jobs measure tasks
-  in
+  let points = Parallel.Pool.run ~jobs measure tasks in
   let columns =
     "n" :: "INC_C lp (s)"
     :: List.concat_map

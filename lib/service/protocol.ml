@@ -285,13 +285,6 @@ let keyword pos col what table v =
   | Some x -> Ok x
   | None -> fail pos col "expected %s, got %S" what v
 
-(* In a response, a bad value inside a list, or in an optional rational
-   or integer, is reported at column 1, not at its token: the pinned
-   fixture holds these positions. *)
-let at_column_one : type a. a kind -> bool = function
-  | Rational Any | Int Any -> true
-  | _ -> false
-
 (* [read kind pos ~name ~col v] parses the value [v] of field [name],
    whose token starts at column [col]. *)
 let rec read : type a. a kind -> pos -> name:string -> col:int -> string -> (a, E.t) result =
@@ -325,7 +318,7 @@ let rec read : type a. a kind -> pos -> name:string -> col:int -> string -> (a, 
   | Health -> (
     match List.assoc_opt v healths with
     | Some m -> Ok m
-    | None -> fail pos 1 "unknown health mode %S" v)
+    | None -> fail pos col "unknown health mode %S" v)
   | Recovery -> (
     match v with
     | "none" -> Ok Replan_none
@@ -346,12 +339,11 @@ let rec read : type a. a kind -> pos -> name:string -> col:int -> string -> (a, 
     (* positions inside the spec are relative to the value, which starts
        after "name=" within the token *)
     Dls.Workload.of_spec ?file:pos.file ~line:pos.line ~col:(col + String.length name + 1) v
-  | Q_list -> list (rational pos 1) ',' v
-  | Int_list -> list (int pos 1) ',' v
-  | Alloc -> list (list (rational pos 1) ',') ';' v
+  | Q_list -> list (rational pos col) ',' v
+  | Int_list -> list (int pos col) ',' v
+  | Alloc -> list (list (rational pos col) ',') ';' v
   | Verbs -> Ok (if v = "" then [] else String.split_on_char ',' v)
   | Opt k ->
-    let col = if at_column_one k then 1 else col in
     let* x = read k pos ~name ~col v in
     Ok (Some x)
 

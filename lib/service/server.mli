@@ -12,8 +12,9 @@
     (single-flight batching; duplicates receive the same response —
     key-hash sharding guarantees duplicates meet in the same
     dispatcher), runs the unique requests on the shared
-    {!Parallel.Pool} (whose work-stealing scheduler lets concurrent
-    rounds interleave), and hands every job its reply.  A dispatcher
+    {!Parallel.Pool} (which runs concurrent rounds side by side, each
+    caller claiming from its own round while the workers help), and
+    hands every job its reply.  A dispatcher
     whose shard runs dry steals a round from the longest other shard,
     so skewed traffic cannot idle dispatchers (counted in the [steals]
     stat).  A [solve] evaluates through [Dls.Solve ~mode:`Cached]

@@ -27,20 +27,8 @@ let test_pool_matches_array_map () =
         [ 1; 2; 3; 8 ])
     [ 0; 1; 2; 7; 64; 1000 ]
 
-let test_pool_chunk_sizes () =
-  let arr = Array.init 137 string_of_int in
-  let expected = Array.map String.length arr in
-  List.iter
-    (fun chunk ->
-      Alcotest.(check (array int))
-        (Printf.sprintf "chunk=%d" chunk)
-        expected
-        (Parallel.Pool.run ~jobs:3 ~chunk String.length arr))
-    [ 1; 2; 16; 200 ]
-
 let test_pool_reuse () =
   Parallel.Pool.with_pool ~jobs:2 (fun pool ->
-      check_int "jobs accessor" 2 (Parallel.Pool.jobs pool);
       let a = Parallel.Pool.map pool (fun x -> x + 1) [| 1; 2; 3 |] in
       let b = Parallel.Pool.map pool (fun x -> x * 2) [| 4; 5 |] in
       Alcotest.(check (array int)) "first batch" [| 2; 3; 4 |] a;
@@ -73,6 +61,26 @@ let test_pool_run_local_matches_map () =
         (Printf.sprintf "run_local jobs=%d" jobs)
         expected got)
     [ 1; 2; 4 ]
+
+let test_pool_run_local_init_per_domain () =
+  (* [init] builds one state per participating domain: at most [jobs]
+     per call, and exactly one when everything runs in the caller. *)
+  List.iter
+    (fun jobs ->
+      let inits = Atomic.make 0 in
+      let got =
+        Parallel.Pool.run_local ~jobs
+          ~init:(fun () -> Atomic.incr inits)
+          (fun () x -> x + 1)
+          (Array.init 200 Fun.id)
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "run_local result, jobs=%d" jobs)
+        (Array.init 200 succ) got;
+      let n = Atomic.get inits in
+      if n < 1 || n > jobs then
+        Alcotest.failf "jobs=%d: init ran %d times" jobs n)
+    [ 1; 2; 3; 4 ]
 
 exception Boom of int
 
@@ -128,9 +136,9 @@ let test_pool_timeout () =
     Alcotest.fail "timeout masked the task's own exception"
 
 let test_pool_concurrent_maps () =
-  (* Several domains mapping on one pool at once — illegal on the old
-     mutex pool, a supported part of the contract on the work-stealing
-     one.  Each call must return its own deterministic result. *)
+  (* Several domains mapping on one pool at once, as the service's
+     dispatchers do.  Each call must return its own deterministic
+     result. *)
   Parallel.Pool.with_pool ~jobs:4 (fun pool ->
       let run_one k =
         let arr = Array.init 500 (fun i -> i + (1000 * k)) in
@@ -162,14 +170,81 @@ let test_pool_reentrant_map () =
       in
       Alcotest.(check (array int)) "reentrant map = sequential" expected got)
 
+exception Failed_at of int * int
+
+let test_pool_hammer () =
+  (* Three systhreads map on one jobs=3 pool while a nested map runs on
+     it too: the outer map's tasks each map on the same pool.  Every
+     index of every batch must run exactly once (per-index counters),
+     and every call must return [Array.map] or, when some of its items
+     raise, its own smallest failure.  Problems are collected rather
+     than raised, since an exception would only end its own thread. *)
+  let problems = ref [] and m = Mutex.create () in
+  let report fmt =
+    Printf.ksprintf
+      (fun msg -> Mutex.protect m (fun () -> problems := msg :: !problems))
+      fmt
+  in
+  Parallel.Pool.with_pool ~jobs:3 (fun pool ->
+      let one_call ~caller ~round =
+        let n = 1 + (((caller * 37) + (round * 11)) mod 150) in
+        let counts = Array.init n (fun _ -> Atomic.make 0) in
+        let failing i = round mod 3 = 0 && i mod 7 = 5 in
+        let f i =
+          Atomic.incr counts.(i);
+          if failing i then raise (Failed_at (caller, i));
+          (1000 * caller) + i
+        in
+        let arr = Array.init n Fun.id in
+        (match Parallel.Pool.map pool f arr with
+        | got ->
+          if Array.exists failing arr then
+            report "caller %d round %d: a failure was lost" caller round
+          else if got <> Array.map (fun i -> (1000 * caller) + i) arr then
+            report "caller %d round %d: wrong result" caller round
+        | exception Failed_at (c, i) ->
+          if c <> caller || i <> 5 then
+            report "caller %d round %d: raised (%d, %d)" caller round c i);
+        Array.iteri
+          (fun i c ->
+            let c = Atomic.get c in
+            if c <> 1 then
+              report "caller %d round %d: index %d ran %d times" caller round
+                i c)
+          counts
+      in
+      let threads =
+        List.init 3 (fun k ->
+            Thread.create
+              (fun () ->
+                for round = 0 to 40 do
+                  one_call ~caller:k ~round
+                done)
+              ())
+      in
+      let outer =
+        Parallel.Pool.map pool
+          (fun j ->
+            for round = 0 to 5 do
+              one_call ~caller:(10 + j) ~round
+            done;
+            j)
+          (Array.init 12 Fun.id)
+      in
+      List.iter Thread.join threads;
+      if outer <> Array.init 12 Fun.id then report "nested outer map: wrong result");
+  match !problems with
+  | [] -> ()
+  | ps -> Alcotest.fail (String.concat "; " (List.rev ps))
+
 let pool_map_equiv_prop =
   QCheck2.Test.make ~count:40
-    ~name:"pool: map = Array.map over random n/jobs/chunk"
-    QCheck2.Gen.(triple (int_range 0 300) (int_range 1 8) (int_range 1 40))
-    (fun (n, jobs, chunk) ->
+    ~name:"pool: map = Array.map over random n/jobs"
+    QCheck2.Gen.(pair (int_range 0 300) (int_range 1 8))
+    (fun (n, jobs) ->
       let f x = (x * 7) - (x * x) in
       let arr = Array.init n (fun i -> i - (n / 2)) in
-      Parallel.Pool.run ~jobs ~chunk f arr = Array.map f arr)
+      Parallel.Pool.run ~jobs f arr = Array.map f arr)
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                               *)
@@ -186,99 +261,6 @@ let test_clock_monotonic () =
   let t0 = Parallel.Clock.now () in
   check "elapsed_s never negative" true
     (Parallel.Clock.elapsed_s ~since:t0 >= 0.)
-
-(* ------------------------------------------------------------------ *)
-(* Deque                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_deque_owner_order () =
-  let d = Parallel.Deque.create () in
-  check "fresh deque empty" true (Parallel.Deque.is_empty d);
-  check "pop on empty" true (Parallel.Deque.pop d = None);
-  check "steal on empty" true (Parallel.Deque.steal d = None);
-  for i = 0 to 9 do
-    Parallel.Deque.push d i
-  done;
-  check_int "length" 10 (Parallel.Deque.length d);
-  (* the owner pops newest first *)
-  for i = 9 downto 5 do
-    check_int "pop LIFO" i (Option.get (Parallel.Deque.pop d))
-  done;
-  (* thieves take the oldest *)
-  for i = 0 to 4 do
-    check_int "steal FIFO" i (Option.get (Parallel.Deque.steal d))
-  done;
-  check "drained" true
-    (Parallel.Deque.pop d = None && Parallel.Deque.steal d = None);
-  (* empty -> nonempty -> empty transitions leave the deque usable *)
-  Parallel.Deque.push d 42;
-  check_int "reusable after empty" 42 (Option.get (Parallel.Deque.pop d));
-  check "empty again" true (Parallel.Deque.pop d = None)
-
-let test_deque_growth () =
-  let d = Parallel.Deque.create ~capacity:4 () in
-  let n = 1000 in
-  for i = 0 to n - 1 do
-    Parallel.Deque.push d i
-  done;
-  check_int "all retained across growth" n (Parallel.Deque.length d);
-  let seen = Array.make n false in
-  let rec drain () =
-    match Parallel.Deque.pop d with
-    | Some v ->
-      seen.(v) <- true;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Array.iteri (fun i s -> if not s then Alcotest.failf "lost %d in growth" i) seen
-
-let test_deque_hammer () =
-  (* One owner pushing and popping, several thieves stealing: every
-     pushed value must be claimed exactly once, across empty/nonempty
-     transitions, the pop-vs-steal last-element race, and buffer
-     growth (initial capacity far below the item count). *)
-  let n = 50_000 and thieves = 3 in
-  let d = Parallel.Deque.create ~capacity:8 () in
-  let seen = Array.init n (fun _ -> Atomic.make 0) in
-  let claimed = Atomic.make 0 in
-  let claim v =
-    Atomic.incr seen.(v);
-    Atomic.incr claimed
-  in
-  let thief () =
-    while Atomic.get claimed < n do
-      match Parallel.Deque.steal d with
-      | Some v -> claim v
-      | None -> Domain.cpu_relax ()
-    done
-  in
-  let ds = List.init thieves (fun _ -> Domain.spawn thief) in
-  for i = 0 to n - 1 do
-    Parallel.Deque.push d i;
-    (* pop a share ourselves so both ends stay hot *)
-    if i mod 3 = 0 then
-      match Parallel.Deque.pop d with Some v -> claim v | None -> ()
-  done;
-  let rec drain () =
-    match Parallel.Deque.pop d with
-    | Some v ->
-      claim v;
-      drain ()
-    | None ->
-      if Atomic.get claimed < n then begin
-        Domain.cpu_relax ();
-        drain ()
-      end
-  in
-  drain ();
-  List.iter Domain.join ds;
-  check_int "every value claimed" n (Atomic.get claimed);
-  Array.iteri
-    (fun i c ->
-      let c = Atomic.get c in
-      if c <> 1 then Alcotest.failf "value %d claimed %d times" i c)
-    seen
 
 (* ------------------------------------------------------------------ *)
 (* Lru                                                                 *)
@@ -716,7 +698,6 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map = Array.map" `Quick test_pool_matches_array_map;
-          Alcotest.test_case "chunk sizes" `Quick test_pool_chunk_sizes;
           Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
           Alcotest.test_case "shutdown degrades" `Quick test_pool_shutdown_degrades;
           Alcotest.test_case "first failure wins" `Quick test_pool_first_failure_wins;
@@ -728,16 +709,12 @@ let () =
           Alcotest.test_case "concurrent maps on one pool" `Quick
             test_pool_concurrent_maps;
           Alcotest.test_case "reentrant map" `Quick test_pool_reentrant_map;
+          Alcotest.test_case "run_local init per domain" `Quick
+            test_pool_run_local_init_per_domain;
+          Alcotest.test_case "threads and nested map hammer" `Quick
+            test_pool_hammer;
         ]
         @ qsuite [ pool_map_equiv_prop ] );
-      ( "deque",
-        [
-          Alcotest.test_case "owner LIFO / thief FIFO" `Quick
-            test_deque_owner_order;
-          Alcotest.test_case "growth keeps the live window" `Quick
-            test_deque_growth;
-          Alcotest.test_case "multi-domain hammer" `Quick test_deque_hammer;
-        ] );
       ( "clock",
         [ Alcotest.test_case "monotonic" `Quick test_clock_monotonic ] );
       ( "lru",

@@ -273,6 +273,18 @@ let test_request_error_positions () =
   expect_parse_error ~col:7 "stats now";
   expect_parse_error ~col:1 ""
 
+(* A bad element of a list field in a reply is reported at its field's
+   token, as a bad value of any other field is. *)
+let test_list_field_error_column () =
+  let line = "ok solve rho=1/2 sigma1=0,1 alpha=1/4,x idle=0,0" in
+  match P.parse_response line with
+  | Ok _ -> Alcotest.failf "%S parsed" line
+  | Error (Dls.Errors.Parse_error { col; msg; _ }) ->
+    check_int "column of the alpha= token" 29 col;
+    check_str "message names the element" "not a rational: \"x\"" msg
+  | Error e ->
+    Alcotest.failf "expected a parse error, got %s" (Dls.Errors.to_string e)
+
 (* A decimal exponent is bounded before any power of ten is built: this
    26-byte line once spent seconds computing 10^2000000. *)
 let test_huge_exponent_rejected () =
@@ -2407,6 +2419,8 @@ let () =
           Alcotest.test_case "response round trip" `Quick test_response_roundtrip;
           Alcotest.test_case "reply keeps '#'" `Quick test_reply_keeps_hash;
           Alcotest.test_case "error positions" `Quick test_request_error_positions;
+          Alcotest.test_case "list field error column" `Quick
+            test_list_field_error_column;
           Alcotest.test_case "huge decimal exponent" `Quick test_huge_exponent_rejected;
           Alcotest.test_case "garbage never raises" `Quick
             test_parser_garbage_never_raises;
