@@ -1373,20 +1373,6 @@ let serve_cmd =
       & info [ "queue-cap" ] ~docv:"N"
           ~doc:"Admission-queue bound; beyond it requests get $(b,overloaded).")
   in
-  let max_batch_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "max-batch" ] ~docv:"N" ~doc:"Largest dispatcher round.")
-  in
-  let dispatchers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "dispatchers" ] ~docv:"N"
-          ~doc:
-            "Dispatcher threads, each owning one admission shard (requests \
-             are sharded by key hash, so duplicates stay on one shard; an \
-             idle dispatcher steals from the longest backlog).")
-  in
   let timeout_arg =
     Arg.(
       value
@@ -1399,10 +1385,10 @@ let serve_cmd =
       value & flag
       & info [ "brownout" ]
           ~doc:
-            "Under sustained overload (three dispatch rounds above 3/4 queue \
-             capacity), force every solve onto the certified fast pipeline \
-             (bit-identical answers, lower worst-case latency) until three \
-             rounds end at or below 1/4.")
+            "Under sustained overload (three evaluations ending above 3/4 \
+             queue capacity), force every solve onto the certified fast \
+             pipeline (bit-identical answers, lower worst-case latency) \
+             until three end at or below 1/4.")
   in
   let journal_max_bytes_arg =
     Arg.(
@@ -1437,8 +1423,8 @@ let serve_cmd =
              as the line format).")
   in
   let die fmt = Format.kasprintf (fun s -> prerr_endline ("dls: " ^ s); exit 1) fmt in
-  let run socket host port jobs dispatchers queue_cap max_batch timeout store
-      journal_max_bytes brownout stats_json =
+  let run socket host port jobs queue_cap timeout store journal_max_bytes
+      brownout stats_json =
     let address =
       match address_of socket host port with
       | Ok a -> a
@@ -1448,9 +1434,7 @@ let serve_cmd =
       {
         (Service.Server.default_config address) with
         Service.Server.jobs;
-        dispatchers;
         queue_capacity = queue_cap;
-        max_batch;
         timeout;
         store;
         journal_max_bytes;
@@ -1462,10 +1446,9 @@ let serve_cmd =
     | Ok server ->
       run_until_signal (fun () ->
           Printf.printf
-            "dls: serving on %s (jobs=%d dispatchers=%d queue=%d batch=%d)\n%!"
+            "dls: serving on %s (jobs=%d queue=%d)\n%!"
             (Service.Endpoint.to_string (Service.Server.address server))
-            cfg.Service.Server.jobs cfg.Service.Server.dispatchers
-            cfg.Service.Server.queue_capacity cfg.Service.Server.max_batch);
+            cfg.Service.Server.jobs cfg.Service.Server.queue_capacity);
       prerr_endline "dls: draining";
       Service.Server.stop server;
       let final = Service.Server.stats server in
@@ -1479,9 +1462,9 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const run $ socket_arg $ host_arg $ port_arg $ jobs_arg
-      $ dispatchers_arg $ queue_cap_arg $ max_batch_arg $ timeout_arg
-      $ store_arg $ journal_max_bytes_arg $ brownout_arg $ stats_json_arg)
+      const run $ socket_arg $ host_arg $ port_arg $ jobs_arg $ queue_cap_arg
+      $ timeout_arg $ store_arg $ journal_max_bytes_arg $ brownout_arg
+      $ stats_json_arg)
 
 let client_cmd =
   let requests_arg =

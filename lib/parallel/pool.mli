@@ -8,8 +8,10 @@
     [Atomic.fetch_and_add] until the batch is exhausted.  Indices are
     claimed in ascending order.  Every caller of the pool maps a short
     array of coarse tasks (permutation blocks, search roots, sweep
-    points, fuzz cases, a service round), so one claim per item costs
-    nothing measurable.
+    points, fuzz cases), so one claim per item costs nothing
+    measurable.  The daemon's evaluators are the one long-lived use:
+    {!run} over one item per participant, each item a loop that lasts
+    as long as the server.
 
     {2 Determinism}
 
@@ -34,11 +36,12 @@
       deadlock.
 
     {!shutdown} must not race with in-flight {!map} calls: quiesce
-    callers first (the service layer does this by joining dispatchers
-    before shutting the pool down).
+    callers first ({!with_pool} and {!run} shut down only after their
+    map returns, which for the daemon is once its evaluator loops have
+    drained the closed admission queue).
 
     The pool has no per-task budget: {!timed} is a separate wrapper,
-    used by the request-serving worker loop. *)
+    used by the daemon's evaluator loops. *)
 
 type t
 

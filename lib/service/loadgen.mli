@@ -61,9 +61,8 @@ type outcome = {
     traffic to scenario 0 with a long tail.  The skewed stream is still
     a pure function of [(seed, distinct, skew, i)]: same seed, same
     multiset of requests, independent of connection count or server
-    [jobs]/[dispatchers].  Skewed traffic concentrates request keys on
-    few dispatcher shards, which is what exercises the server's
-    steal-based rebalancing. *)
+    [jobs].  Skewed traffic repeats a few hot keys, which is what
+    exercises the server's single flight and cache tiers. *)
 val request :
   ?multi:bool -> ?skew:float -> seed:int -> distinct:int -> int ->
   Protocol.request

@@ -12,7 +12,6 @@ type counter =
   | Batches
   | Max_batch
   | Collapsed
-  | Steals
   | Shed
   | Brownouts
   | Hangups
@@ -35,7 +34,6 @@ let counters =
     (Batches, "batches");
     (Max_batch, "max_batch");
     (Collapsed, "collapsed");
-    (Steals, "steals");
     (Shed, "shed");
     (Brownouts, "brownouts");
     (Hangups, "hangups");
@@ -78,7 +76,7 @@ let decr t c = Atomic.decr (cell t c)
 
 let set_brownout t active =
   (* Count only the off->on edge so [brownouts] is "times we browned
-     out", not "rounds spent browned out". *)
+     out", not "evaluations spent browned out". *)
   if active && not (Atomic.exchange t.brownout_active true) then
     incr t Brownouts
   else if not active then Atomic.set t.brownout_active false
@@ -91,11 +89,9 @@ let rec atomic_max cell v =
   else if Atomic.compare_and_set cell cur v then ()
   else atomic_max cell v
 
-let note_batch t ~size ~unique =
+let note_evaluation t ~answered =
   incr t Batches;
-  atomic_max (cell t Max_batch) size;
-  if size > unique then
-    ignore (Atomic.fetch_and_add (cell t Collapsed) (size - unique))
+  atomic_max (cell t Max_batch) answered
 
 let bucket_of_us us =
   let rec go i bound = if us < bound || i = buckets - 1 then i else go (i + 1) (bound * 2) in
@@ -147,7 +143,7 @@ let quantile counts total q =
     in
     go 0 0
 
-let snapshot ?(dispatchers = 1) ?store t ~queue_depth =
+let snapshot ?store t ~queue_depth =
   let counts = Array.map Atomic.get t.histogram in
   let total = Array.fold_left ( + ) 0 counts in
   let cache = Dls.Lp_model.cache_stats () in
@@ -156,10 +152,10 @@ let snapshot ?(dispatchers = 1) ?store t ~queue_depth =
       ~default:{ Store.hits = 0; misses = 0; appended = 0; compactions = 0 }
   in
   (* The stats fields kept outside [counts]: process-wide LP-cache
-     counters, the store's own counters, the caller's configuration and
-     the latency histogram.  No serving path re-solves from a cached
+     counters, the store's own counters, the queue depth and the latency
+     histogram.  No serving path re-solves from a cached
      neighbour any more, so the three repair fields are always 0; they
-     stay on the wire so the stats line keeps its 32 fields. *)
+     stay on the wire so the stats line keeps its 30 fields. *)
   let sampled =
     [
       ("cache_hits", cache.Parallel.Lru.hits);
@@ -167,7 +163,6 @@ let snapshot ?(dispatchers = 1) ?store t ~queue_depth =
       ("repair_probes", 0);
       ("repair_wins", 0);
       ("repair_pivots", 0);
-      ("dispatchers", dispatchers);
       ("journal_appended", durable.Store.appended);
       ("compactions", durable.Store.compactions);
       ("queue_depth", queue_depth);

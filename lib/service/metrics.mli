@@ -1,7 +1,7 @@
 (** Lock-free serving counters and latency histogram.
 
-    Every counter is an {!Atomic}, so connection threads, the
-    dispatcher, and pool workers may record events concurrently without
+    Every counter is an {!Atomic}, so connection threads and the
+    evaluator loops may record events concurrently without
     sharing a lock with the serving path; {!snapshot} is a read-only
     aggregation that never blocks a writer.  Latencies go into
     power-of-two microsecond buckets — quantiles are read as the upper
@@ -12,7 +12,7 @@
     implementation declares each counter once, beside the stats field
     it reports as, and {!snapshot} fills the record from those slots
     and a short list of values sampled elsewhere (LP cache, store,
-    histogram, configuration; the retired repair fields read 0) through
+    histogram, queue depth; the retired repair fields read 0) through
     {!Protocol.stats_of}, a loop over the stats field table.  Adding a
     server counter takes a field of {!Protocol.stats_rep} (both
     copies), a row of the stats table and a line of its zero seed in
@@ -23,10 +23,11 @@
 type t
 
 (** The server-side counters.  Each reports as the {!Protocol.stats_rep}
-    field of the same name in lower case.  [Batches], [Max_batch] and
-    [Collapsed] are written by {!note_batch}, [Brownouts] by
-    {!set_brownout}; [Inflight] is a gauge, raised at admission and
-    lowered by {!decr} once the response is out. *)
+    field of the same name in lower case.  [Batches] and [Max_batch]
+    are written by {!note_evaluation}, [Brownouts] by {!set_brownout};
+    [Collapsed] counts the duplicates that joined an evaluation already
+    in flight; [Inflight] is a gauge, raised at admission and lowered
+    by {!decr} once the response is out. *)
 type counter =
   | Accepted
   | Served
@@ -37,7 +38,6 @@ type counter =
   | Batches
   | Max_batch
   | Collapsed
-  | Steals
   | Shed
   | Brownouts
   | Hangups
@@ -52,13 +52,14 @@ val create : unit -> t
 val incr : t -> counter -> unit
 val decr : t -> counter -> unit
 
-(** [note_batch m ~size ~unique] records one dispatcher round over
-    [size] admitted requests collapsed onto [unique] evaluations. *)
-val note_batch : t -> size:int -> unique:int -> unit
+(** [note_evaluation m ~answered] records one evaluation whose response
+    answered [answered] admitted requests: the first and the duplicates
+    that joined it. *)
+val note_evaluation : t -> answered:int -> unit
 
 (** [set_brownout m active] flips the brownout gauge; only the
     off→on edge increments the [brownouts] counter, so it counts
-    activations, not rounds spent browned out. *)
+    activations, not evaluations spent browned out. *)
 val set_brownout : t -> bool -> unit
 
 val brownout_active : t -> bool
@@ -83,10 +84,6 @@ val max_tracked_us : int
 
 (** [snapshot m ~queue_depth] assembles the wire-level stats record;
     LP-cache counters are read from {!Dls.Lp_model.cache_stats}.
-    [dispatchers] (default 1) is configuration, not a counter — the
-    server passes its dispatcher-thread count through.  [journal_appended]
-    and [compactions] are the store's own counters ({!Store.stats}),
-    0 without [store]. *)
-val snapshot :
-  ?dispatchers:int -> ?store:Store.stats -> t -> queue_depth:int ->
-  Protocol.stats_rep
+    [journal_appended] and [compactions] are the store's own counters
+    ({!Store.stats}), 0 without [store]. *)
+val snapshot : ?store:Store.stats -> t -> queue_depth:int -> Protocol.stats_rep

@@ -91,8 +91,6 @@ type stats_rep = {
   repair_probes : int;
   repair_wins : int;
   repair_pivots : int;
-  dispatchers : int;
-  steals : int;
   shed : int;
   brownouts : int;
   hangups : int;
@@ -541,17 +539,17 @@ let request_key = request_to_string
    across shards.  The [ok stats] line, its JSON, [merge_stats], the
    parser and [stats_of] (hence [Metrics.snapshot]) are loops over it.
 
-   Merge: counters add up across shards; the round/latency maxima stay
-   maxima (a merged quantile of power-of-two bucket bounds is not
+   Merge: counters add up across shards; the evaluation/latency maxima
+   stay maxima (a merged quantile of power-of-two bucket bounds is not
    reconstructible, so the conservative upper envelope is reported);
-   [dispatchers] adds up because it counts serving threads behind the
-   merged endpoint; [uptime_s] is the oldest shard's — the merged
-   endpoint has been serving at least that long.
+   [uptime_s] is the oldest shard's — the merged endpoint has been
+   serving at least that long.
 
    Absent: the [Seed] fields arrived with later servers (repair,
-   sharding, resilience, scale-out), which were the first to do what
-   they count, so an older line without them reads as [stats_seed]: 0,
-   and one dispatcher, the only layout before sharding. *)
+   resilience, scale-out), which were the first to do what they count,
+   so an older line without them reads as [stats_seed]: 0.  The
+   retired [dispatchers] and [steals] rows are unknown keys now, which
+   a reply parser ignores, so an older daemon's line still parses. *)
 
 type merge = Sum | Max
 
@@ -575,8 +573,6 @@ let stats_fields =
     count "repair_wins" Sum Seed (fun r -> r.repair_wins) (fun r v -> { r with repair_wins = v });
     count "repair_pivots" Sum Seed
       (fun r -> r.repair_pivots) (fun r v -> { r with repair_pivots = v });
-    count "dispatchers" Sum Seed (fun r -> r.dispatchers) (fun r v -> { r with dispatchers = v });
-    count "steals" Sum Seed (fun r -> r.steals) (fun r v -> { r with steals = v });
     count "shed" Sum Seed (fun r -> r.shed) (fun r v -> { r with shed = v });
     count "brownouts" Sum Seed (fun r -> r.brownouts) (fun r v -> { r with brownouts = v });
     count "hangups" Sum Seed (fun r -> r.hangups) (fun r v -> { r with hangups = v });
@@ -605,9 +601,9 @@ let stats_seed =
   {
     accepted = 0; served = 0; rejected = 0; timed_out = 0; failed = 0; malformed = 0;
     batches = 0; max_batch = 0; collapsed = 0; cache_hits = 0; cache_misses = 0;
-    repair_probes = 0; repair_wins = 0; repair_pivots = 0; dispatchers = 1; steals = 0;
-    shed = 0; brownouts = 0; hangups = 0; warm_hits = 0; journal_appended = 0;
-    store_hits = 0; store_misses = 0; store_demoted = 0; compactions = 0;
+    repair_probes = 0; repair_wins = 0; repair_pivots = 0; shed = 0; brownouts = 0;
+    hangups = 0; warm_hits = 0; journal_appended = 0; store_hits = 0; store_misses = 0;
+    store_demoted = 0; compactions = 0;
     queue_depth = 0; inflight = 0; p50_us = 0; p90_us = 0; p99_us = 0; max_us = 0;
     uptime_s = 0.;
   }

@@ -179,23 +179,20 @@ type stats_rep = {
   timed_out : int;  (** exceeded the per-request budget *)
   failed : int;  (** admitted but answered with [error] *)
   malformed : int;  (** unparseable request lines (never admitted) *)
-  batches : int;  (** dispatcher rounds *)
-  max_batch : int;  (** largest round *)
-  collapsed : int;  (** requests served by another request's evaluation *)
+  batches : int;  (** evaluations run by the evaluator loops *)
+  max_batch : int;
+      (** most admitted requests one evaluation answered: the first
+          and the duplicates that joined it *)
+  collapsed : int;
+      (** duplicates that joined an evaluation already in flight *)
   cache_hits : int;  (** LP-cache hits across the whole process *)
   cache_misses : int;
   repair_probes : int;
       (** always 0 from this daemon: a cache miss no longer probes for a
           neighbour to repair (the three [repair_*] fields stay so the
-          stats line keeps its 32 fields); 0 when absent on the wire *)
+          stats line keeps its 30 fields); 0 when absent on the wire *)
   repair_wins : int;  (** always 0 from this daemon *)
   repair_pivots : int;  (** always 0 from this daemon *)
-  dispatchers : int;
-      (** dispatcher threads serving the sharded queue; 1 when absent
-          on the wire (pre-sharding servers) *)
-  steals : int;
-      (** dispatch rounds whose first job was stolen from another
-          dispatcher's shard; 0 when absent on the wire *)
   shed : int;
       (** accepted but answered [shed] at admission: the predicted
           queue wait already exceeded the request budget, so queueing
@@ -316,8 +313,7 @@ val stats_to_json : stats_rep -> string
 
 (** [merge_stats first rest] folds shard stats into the view a client
     of the whole fleet should see: counters ([accepted], [served],
-    [cache_hits], ..., and [dispatchers], which counts serving threads)
-    add up; [max_batch] and the latency fields [p50_us]/[p90_us]/
+    [cache_hits], ...) add up; [max_batch] and the latency fields [p50_us]/[p90_us]/
     [p99_us]/[max_us] take the per-shard maximum (bucketed quantiles do
     not merge, so the upper envelope is reported); [uptime_s] is the
     oldest shard's.  The router answers [stats] with this merge over

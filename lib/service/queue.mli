@@ -1,12 +1,11 @@
-(** Bounded multi-producer/multi-consumer queue — one shard of the
-    admission buffer between connection threads and the dispatchers
-    ({!Shards}).
+(** Bounded multi-producer/multi-consumer queue: the daemon's admission
+    buffer between connection threads and the evaluator loops.
 
     The bound is the backpressure mechanism: {!try_push} never blocks,
     it reports [Overloaded] when the queue is full so the caller can
     answer the client immediately instead of queueing unbounded work.
-    Neither end blocks: {!Shards} owns the wake-up signal its
-    dispatchers wait on. *)
+    The consumer end blocks: an idle evaluator sleeps in {!pop} until
+    a push or {!close} wakes it. *)
 
 type 'a t
 
@@ -21,11 +20,12 @@ val create : capacity:int -> 'a t
     or closed ([Closed]).  Never blocks. *)
 val try_push : 'a t -> 'a -> push_result
 
-(** [try_pop q] dequeues an item if one is immediately available. *)
-val try_pop : 'a t -> 'a option
+(** [pop q] blocks until an item is available and dequeues it, oldest
+    first; [None] once the queue is closed and drained. *)
+val pop : 'a t -> 'a option
 
-(** [close q] rejects all further pushes; {!try_pop} still drains the
-    remaining items.  Idempotent. *)
+(** [close q] rejects all further pushes and wakes every blocked
+    {!pop}; the remaining items are still drained.  Idempotent. *)
 val close : 'a t -> unit
 
 val length : 'a t -> int

@@ -7,9 +7,7 @@ type address = Endpoint.address = Unix_socket of string | Tcp of string * int
 type config = {
   address : address;
   jobs : int;
-  dispatchers : int;
   queue_capacity : int;
-  max_batch : int;
   timeout : float option;
   worker_delay : float;
   store : string option;
@@ -21,9 +19,7 @@ let default_config address =
   {
     address;
     jobs = Parallel.Pool.default_jobs ();
-    dispatchers = 1;
     queue_capacity = 64;
-    max_batch = 32;
     timeout = None;
     worker_delay = 0.;
     store = None;
@@ -42,29 +38,37 @@ type job = {
   admitted : float;
   jm : Mutex.t;
   jc : Condition.t;
+  mutable joined : float list;
+      (* admission times of the duplicates waiting on this job; written
+         under the server's [flight] lock *)
   mutable reply : P.response option;
 }
 
 type t = {
   cfg : config;
-  shards : job Shards.t;
+  queue : job Queue.t;
+  (* Single flight: each key admitted and not yet answered, with its
+     job.  A duplicate joins that job instead of taking a queue slot;
+     the evaluator unlinks the key under the same lock before it
+     delivers, so no joiner can be lost. *)
+  flight : Mutex.t;
+  in_flight : (string, job) Hashtbl.t;
   metrics : Metrics.t;
-  pool : Parallel.Pool.t;
   cache : (string, P.response) Parallel.Lru.t option;
       (* tier-1 warm responses; [Some] iff [store] is *)
   store : Store.t option;  (* tier-2 durable solution store *)
-  (* Brownout hysteresis: consecutive dispatch rounds that ended with
-     the queue above 3/4 (resp. at or below 1/4) of capacity.  Written
-     by dispatcher threads; a lost update under contention only delays
-     the flip by a round. *)
-  high_rounds : int Atomic.t;
-  low_rounds : int Atomic.t;
+  (* Brownout hysteresis: consecutive evaluations that ended with the
+     queue above 3/4 (resp. at or below 1/4) of capacity.  Written by
+     the evaluator loops; a lost update under contention only delays
+     the flip by one evaluation. *)
+  high_streak : int Atomic.t;
+  low_streak : int Atomic.t;
   endpoint : Endpoint.t;
-  mutable dispatchers : Thread.t list;
+  mutable join_evaluators : unit -> unit;  (* see [spawn_evaluators] *)
 }
 
 (* ------------------------------------------------------------------ *)
-(* Request evaluation (dispatcher side, runs on pool workers)          *)
+(* Request evaluation (runs in the evaluator loops)                    *)
 
 let scenario order p =
   match order with
@@ -101,7 +105,7 @@ let eval_solve ~brownout (r : P.solve_req) =
    (solve_batch_best on the fraction-free tableau, two draws per size,
    2-vCPU VM): at most 0.19 s up to 45 variables (p = 11, one load),
    0.2-0.6 s at 49, 0.5-3.9 s at 61-65 and 1.3-3.1 s at 89 (p = 11, two
-   loads), all the while holding a pool worker, since the timeout is
+   loads), all the while holding an evaluator, since the timeout is
    cooperative.  The daemon refuses anything larger than 45;
    [dls solve-multi] stays uncapped. *)
 let max_batch_lp_vars = 45
@@ -225,9 +229,8 @@ let eval_request ~brownout = function
   | P.Stats | P.Health | P.Hello ->
     P.Failed (E.Invalid_scenario "stats/health/hello are not queueable")
 
-(* Total: every exception becomes a response, so a pool batch never
-   aborts on a bad request (Pool.map would re-raise and discard the
-   whole round otherwise). *)
+(* Total: every exception becomes a response, so an evaluator loop
+   never dies on a bad request. *)
 let eval_job t job =
   let brownout = Metrics.brownout_active t.metrics in
   let t0 = Parallel.Clock.now () in
@@ -251,127 +254,107 @@ let eval_job t job =
   resp
 
 (* ------------------------------------------------------------------ *)
-(* Dispatcher: batch, collapse, evaluate, distribute                   *)
+(* Evaluator loops                                                     *)
 
-let deliver t job resp =
+let count_response t resp ~admitted =
   Metrics.incr t.metrics
     (match resp with
     | _ when P.is_ok resp -> Served
     | P.Timed_out _ -> Timed_out
-    (* Sheds are answered at admission, never delivered from a
-       dispatcher; counted defensively should that ever change. *)
+    (* Sheds are answered at admission, never delivered from an
+       evaluator; counted defensively should that ever change. *)
     | P.Shed _ -> Shed
     | _ -> Failed);
-  Metrics.observe_latency t.metrics
-    (Parallel.Clock.elapsed_s ~since:job.admitted);
-  Metrics.decr t.metrics Inflight;
-  Mutex.lock job.jm;
-  job.reply <- Some resp;
-  Condition.signal job.jc;
-  Mutex.unlock job.jm
+  Metrics.observe_latency t.metrics (Parallel.Clock.elapsed_s ~since:admitted);
+  Metrics.decr t.metrics Inflight
 
-let dispatch_round t ~src first =
-  (* Greedily drain the shard the first job came from, up to the round
-     bound — after a steal that is the victim's shard, so a steal
-     rebalances a whole round, not one job. *)
-  let batch = ref [ first ] in
-  let n = ref 1 in
-  let continue = ref true in
-  while !continue && !n < t.cfg.max_batch do
-    match Shards.try_pop_from t.shards src with
-    | Some j ->
-      batch := j :: !batch;
-      incr n
-    | None -> continue := false
-  done;
-  let batch = List.rev !batch in
-  (* Group by request key, first-seen order. *)
-  let groups : (string, job list ref) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun j ->
-      match Hashtbl.find_opt groups j.key with
-      | Some cell -> cell := j :: !cell
-      | None ->
-        let cell = ref [ j ] in
-        Hashtbl.add groups j.key cell;
-        order := cell :: !order)
-    batch;
-  let uniques = Array.of_list (List.rev !order) in
-  Metrics.note_batch t.metrics ~size:!n ~unique:(Array.length uniques);
-  let responses =
-    Parallel.Pool.map t.pool (fun cell -> eval_job t (List.hd (List.rev !cell))) uniques
-  in
-  (* Successful evaluations feed both tiers — once per unique key,
-     before delivery, so a crash right after the reply is visible can
-     still re-read the record. *)
-  (match (t.cache, t.store) with
-  | Some cache, Some store ->
-    Array.iteri
-      (fun i cell ->
-        let resp = responses.(i) in
-        if P.is_ok resp then begin
-          let key = (List.hd (List.rev !cell)).key in
-          if not (Parallel.Lru.mem cache key) then begin
-            Parallel.Lru.add cache key resp;
-            (* The store skips a key it already holds, so a record
-               another shard already published is not re-written. *)
-            ignore (Store.add store ~key ~value:(P.response_to_string resp))
-          end
-        end)
-      uniques;
-    (* Byte budget: past it, rewrite the store down to the keys the
-       tier-1 cache still holds.  Dispatchers race here at worst into
-       back-to-back compactions; the store serialises them and counts
-       each. *)
-    (match t.cfg.journal_max_bytes with
-    | Some max_bytes when Store.size_bytes store > max_bytes ->
-      ignore (Store.compact store ~live:(Parallel.Lru.mem cache) ())
-    | _ -> ())
-  | _ -> ());
-  Array.iteri
-    (fun i cell -> List.iter (fun j -> deliver t j responses.(i)) (List.rev !cell))
-    uniques;
-  (* Brownout hysteresis: three consecutive rounds ending with the
-     queue above 3/4 of capacity switch the forced-fast mode on; three
-     at or below 1/4 switch it off.  In between, both streaks reset. *)
-  if t.cfg.brownout then begin
-    let depth = Shards.length t.shards in
-    let cap = Shards.capacity t.shards in
-    if 4 * depth >= 3 * cap then begin
-      Atomic.set t.low_rounds 0;
-      if Atomic.fetch_and_add t.high_rounds 1 + 1 >= 3 then
-        Metrics.set_brownout t.metrics true
-    end
-    else if 4 * depth <= cap then begin
-      Atomic.set t.high_rounds 0;
-      if Atomic.fetch_and_add t.low_rounds 1 + 1 >= 3 then
-        Metrics.set_brownout t.metrics false
-    end
-    else begin
-      Atomic.set t.high_rounds 0;
-      Atomic.set t.low_rounds 0
-    end
+(* Brownout hysteresis: three consecutive evaluations ending with the
+   queue above 3/4 of capacity switch the forced-fast mode on; three at
+   or below 1/4 switch it off.  In between, both streaks reset. *)
+let brownout_step t =
+  let depth = Queue.length t.queue in
+  let cap = Queue.capacity t.queue in
+  if 4 * depth >= 3 * cap then begin
+    Atomic.set t.low_streak 0;
+    if Atomic.fetch_and_add t.high_streak 1 + 1 >= 3 then
+      Metrics.set_brownout t.metrics true
+  end
+  else if 4 * depth <= cap then begin
+    Atomic.set t.high_streak 0;
+    if Atomic.fetch_and_add t.low_streak 1 + 1 >= 3 then
+      Metrics.set_brownout t.metrics false
+  end
+  else begin
+    Atomic.set t.high_streak 0;
+    Atomic.set t.low_streak 0
   end
 
-let dispatcher_loop t shard =
-  let rec loop () =
-    match Shards.pop t.shards ~shard with
-    | None -> ()
-    | Some (job, src) ->
-      if src <> shard then Metrics.incr t.metrics Steals;
-      dispatch_round t ~src job;
-      loop ()
+(* One evaluator: take the next admitted job as soon as the last one is
+   answered, until the queue is closed and drained. *)
+let rec evaluate t =
+  match Queue.pop t.queue with
+  | None -> ()
+  | Some job ->
+    let resp = eval_job t job in
+    (* A success feeds both tiers before delivery, so a crash right
+       after the reply is visible can still re-read the record, and a
+       duplicate admitted after the unlink below hits tier 1. *)
+    (match (t.cache, t.store) with
+    | Some cache, Some store when P.is_ok resp ->
+      if not (Parallel.Lru.mem cache job.key) then begin
+        Parallel.Lru.add cache job.key resp;
+        (* The store skips a key it already holds, so a record another
+           shard already published is not re-written. *)
+        ignore (Store.add store ~key:job.key ~value:(P.response_to_string resp))
+      end;
+      (* Byte budget: past it, rewrite the store down to the keys the
+         tier-1 cache still holds.  Evaluators race here at worst into
+         back-to-back compactions; the store serialises them and counts
+         each. *)
+      (match t.cfg.journal_max_bytes with
+      | Some max_bytes when Store.size_bytes store > max_bytes ->
+        ignore (Store.compact store ~live:(Parallel.Lru.mem cache) ())
+      | _ -> ())
+    | _ -> ());
+    Mutex.lock t.flight;
+    Hashtbl.remove t.in_flight job.key;
+    let answered = job.admitted :: job.joined in
+    Mutex.unlock t.flight;
+    List.iter (fun admitted -> count_response t resp ~admitted) answered;
+    Metrics.note_evaluation t.metrics ~answered:(List.length answered);
+    Mutex.lock job.jm;
+    job.reply <- Some resp;
+    Condition.broadcast job.jc;
+    Mutex.unlock job.jm;
+    if t.cfg.brownout then brownout_step t;
+    evaluate t
+
+(* One evaluator loop per participant of a temporary pool that lives as
+   long as the loops do; returns the join.  With [jobs = 1] the one loop
+   runs on a thread of the main domain, beside the connection threads.
+   With more, the pool's caller is a domain of its own: a loop busy on
+   the main domain would hold the runtime lock that the connection
+   threads retake after every read and write, so a fast request
+   evaluated on another domain would still wait up to a 50 ms tick per
+   handoff (its reply came 0.24-0.46 s late behind a 0.7 s solve). *)
+let spawn_evaluators t =
+  let jobs = t.cfg.jobs in
+  let loops () =
+    ignore (Parallel.Pool.run ~jobs (fun () -> evaluate t) (Array.make jobs ()))
   in
-  loop ()
+  if jobs = 1 then
+    let th = Thread.create loops () in
+    fun () -> Thread.join th
+  else
+    let d = Domain.spawn loops in
+    fun () -> Domain.join d
 
 (* ------------------------------------------------------------------ *)
 (* Connection threads                                                  *)
 
 let snapshot t =
-  Metrics.snapshot ~dispatchers:t.cfg.dispatchers
-    ?store:(Option.map Store.stats t.store) t.metrics
-    ~queue_depth:(Shards.length t.shards)
+  Metrics.snapshot ?store:(Option.map Store.stats t.store) t.metrics
+    ~queue_depth:(Queue.length t.queue)
 
 let health_of t : P.health_rep =
   let draining = Endpoint.stopping t.endpoint in
@@ -386,7 +369,7 @@ let health_of t : P.health_rep =
        else P.Mode_healthy);
     h_uptime_s = s.P.uptime_s;
     h_queue_depth = s.P.queue_depth;
-    h_capacity = Shards.capacity t.shards;
+    h_capacity = Queue.capacity t.queue;
     h_workers = t.cfg.jobs;
   }
 
@@ -401,6 +384,70 @@ let wait_reply job =
   let r = Option.get job.reply in
   Mutex.unlock job.jm;
   r
+
+(* Deadline-aware admission: when the per-request budget cannot be met
+   at the current depth (predicted wait = service EWMA x queued-ahead /
+   evaluators), shedding now is strictly kinder than queueing work that
+   is doomed to [timeout] — the client learns immediately and the queue
+   stays available for requests that can still make it. *)
+let doomed t =
+  match t.cfg.timeout with
+  | None -> None
+  | Some budget ->
+    let ewma = Metrics.service_ewma t.metrics in
+    if ewma <= 0. then None
+    else
+      let depth = Queue.length t.queue in
+      let wait = ewma *. float_of_int (depth + 1) /. float_of_int t.cfg.jobs in
+      if wait > budget then Some (wait, budget) else None
+
+(* [Ok job] to wait on, or [Error resp] to answer at once.  A duplicate
+   of a job in flight joins it: no queue slot, no shed check, since it
+   adds no work.  Counters move under the [flight] lock, so the
+   evaluator, which unlinks the key under it too, delivers only after
+   they have. *)
+let admit t request key =
+  let admitted = Parallel.Clock.now () in
+  Mutex.protect t.flight (fun () ->
+      match Hashtbl.find_opt t.in_flight key with
+      | Some job ->
+        job.joined <- admitted :: job.joined;
+        Metrics.incr t.metrics Accepted;
+        Metrics.incr t.metrics Collapsed;
+        Metrics.incr t.metrics Inflight;
+        Ok job
+      | None -> (
+        match doomed t with
+        | Some (wait, budget) ->
+          Metrics.incr t.metrics Accepted;
+          Metrics.incr t.metrics Shed;
+          Error (P.Shed { wait; budget })
+        | None -> (
+          let job =
+            {
+              request;
+              key;
+              admitted;
+              jm = Mutex.create ();
+              jc = Condition.create ();
+              joined = [];
+              reply = None;
+            }
+          in
+          match Queue.try_push t.queue job with
+          | Queue.Enqueued ->
+            Hashtbl.replace t.in_flight key job;
+            Metrics.incr t.metrics Accepted;
+            Metrics.incr t.metrics Inflight;
+            Ok job
+          | Queue.Overloaded ->
+            Metrics.incr t.metrics Rejected;
+            Error
+              (P.Overloaded
+                 { depth = Queue.length t.queue; capacity = Queue.capacity t.queue })
+          | Queue.Closed ->
+            Metrics.incr t.metrics Rejected;
+            Error (P.Failed (E.Io_error "server is draining")))))
 
 let handle_line t line =
   let trimmed = String.trim line in
@@ -469,69 +516,17 @@ let handle_line t line =
         Option.iter (fun cache -> Parallel.Lru.add cache key resp) t.cache;
         Some resp
       | None ->
-      (* Deadline-aware admission: when the per-request budget cannot
-         be met at the current depth (predicted wait = service EWMA x
-         queued-ahead / workers), shedding now is strictly kinder than
-         queueing work that is doomed to [timeout] — the client learns
-         immediately and the queue stays available for requests that
-         can still make it. *)
-      let doomed =
-        match t.cfg.timeout with
-        | None -> None
-        | Some budget ->
-          let ewma = Metrics.service_ewma t.metrics in
-          if ewma <= 0. then None
-          else
-            let depth = Shards.length t.shards in
-            let wait =
-              ewma *. float_of_int (depth + 1) /. float_of_int t.cfg.jobs
-            in
-            if wait > budget then Some (wait, budget) else None
-      in
-      match doomed with
-      | Some (wait, budget) ->
-        Metrics.incr t.metrics Accepted;
-        Metrics.incr t.metrics Shed;
-        Some (P.Shed { wait; budget })
-      | None ->
-      let job =
-        {
-          request;
-          key;
-          admitted = Parallel.Clock.now ();
-          jm = Mutex.create ();
-          jc = Condition.create ();
-          reply = None;
-        }
-      in
-      Some
-        (match Shards.try_push t.shards ~key:job.key job with
-        | Queue.Enqueued ->
-          Metrics.incr t.metrics Accepted;
-          Metrics.incr t.metrics Inflight;
-          wait_reply job
-        | Queue.Overloaded ->
-          Metrics.incr t.metrics Rejected;
-          P.Overloaded
-            {
-              depth = Shards.length t.shards;
-              capacity = Shards.capacity t.shards;
-            }
-        | Queue.Closed ->
-          Metrics.incr t.metrics Rejected;
-          P.Failed (E.Io_error "server is draining")))
+        Some
+          (match admit t request key with
+          | Ok job -> wait_reply job
+          | Error resp -> resp))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
 let start cfg =
-  if
-    cfg.jobs < 1 || cfg.dispatchers < 1 || cfg.queue_capacity < 1
-    || cfg.max_batch < 1
-  then
-    E.invalid
-      "Server.start: jobs, dispatchers, queue_capacity and max_batch must be \
-       >= 1"
+  if cfg.jobs < 1 || cfg.queue_capacity < 1 then
+    E.invalid "Server.start: jobs and queue_capacity must be >= 1"
   else if cfg.journal_max_bytes <> None && cfg.store = None then
     E.invalid "Server.start: journal_max_bytes needs a store"
   else if (match cfg.journal_max_bytes with Some n -> n < 1 | None -> false)
@@ -568,22 +563,19 @@ let start cfg =
       let t =
         {
           cfg;
-          shards =
-            Shards.create ~shards:cfg.dispatchers
-              ~capacity:cfg.queue_capacity;
+          queue = Queue.create ~capacity:cfg.queue_capacity;
+          flight = Mutex.create ();
+          in_flight = Hashtbl.create 64;
           metrics;
-          pool = Parallel.Pool.create ~jobs:cfg.jobs ();
           cache;
           store;
-          high_rounds = Atomic.make 0;
-          low_rounds = Atomic.make 0;
+          high_streak = Atomic.make 0;
+          low_streak = Atomic.make 0;
           endpoint;
-          dispatchers = [];
+          join_evaluators = ignore;
         }
       in
-      t.dispatchers <-
-        List.init cfg.dispatchers (fun i ->
-            Thread.create (fun () -> dispatcher_loop t i) ());
+      t.join_evaluators <- spawn_evaluators t;
       Endpoint.serve_lines endpoint ~handle:(handle_line t) ~hangup:(fun () ->
           Metrics.incr metrics Hangups);
       Ok t)
@@ -595,11 +587,9 @@ let address t = Endpoint.address t.endpoint
    the store closes last, after every reader is gone. *)
 let stop t =
   Endpoint.stop t.endpoint ~drain:(fun () ->
-      (* Close admission; every dispatcher answers everything already
-         admitted (its own shard or stolen) before its pop returns
-         None. *)
-      Shards.close t.shards;
-      List.iter Thread.join t.dispatchers;
-      t.dispatchers <- [];
-      Parallel.Pool.shutdown t.pool);
+      (* Close admission; the evaluators answer everything already
+         admitted before their pops return None, and the pool shuts
+         down as they end. *)
+      Queue.close t.queue;
+      t.join_evaluators ());
   Option.iter Store.close t.store

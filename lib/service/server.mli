@@ -1,36 +1,37 @@
-(** The scheduling daemon: socket listener, sharded admission queue,
-    batching dispatchers, worker pool.
+(** The scheduling daemon: socket listener, one bounded admission
+    queue, and one evaluator loop per worker.
 
-    Request path: a connection thread reads one line, parses it
-    ({!Protocol.parse_request}) and offers a job to the bounded
-    admission buffer — sharded by {!Protocol.request_key} hash across
-    [dispatchers] queues ({!Shards}).  [stats]/[health] are answered
-    inline; a full shard answers [overloaded] immediately — that is the
-    whole backpressure story, no hidden buffering.  Each dispatcher
-    thread drains its own shard in rounds of at most [max_batch] jobs,
-    collapses jobs with equal request key onto one evaluation
-    (single-flight batching; duplicates receive the same response —
-    key-hash sharding guarantees duplicates meet in the same
-    dispatcher), runs the unique requests on the shared
-    {!Parallel.Pool} (which runs concurrent rounds side by side, each
-    caller claiming from its own round while the workers help), and
-    hands every job its reply.  A dispatcher
-    whose shard runs dry steals a round from the longest other shard,
-    so skewed traffic cannot idle dispatchers (counted in the [steals]
-    stat).  A [solve] evaluates through [Dls.Solve ~mode:`Cached]
+    Request path: a connection thread reads one line and parses it
+    ({!Protocol.parse_request}).  [stats]/[health]/[hello] are answered
+    inline.  Otherwise the request is looked up by its
+    {!Protocol.request_key}: a duplicate of a request admitted and not
+    yet answered joins that evaluation (single flight, counted in
+    [collapsed]; it takes no queue slot), and a new key is offered to
+    the bounded admission {!Queue} — a full queue answers [overloaded]
+    immediately; that is the whole backpressure story, no hidden
+    buffering.  The [jobs] participants of one {!Parallel.Pool} each
+    run an evaluator loop: pop the next job as soon as the last one is
+    answered, evaluate it, feed the cache tiers, and hand the response
+    to the job and every duplicate that joined it.  So a free evaluator
+    always takes the next job, and a fast request does not wait behind
+    a slow one while another evaluator is idle.  With [jobs = 1] the
+    one loop runs on a thread of the main domain, beside the connection
+    threads, and a fast request still waits; with more, the pool runs on
+    a domain of its own, so no evaluation holds the runtime lock the
+    connection threads need.  A [solve] evaluates through [Dls.Solve ~mode:`Cached]
     ([`Exact] when the request says [fast=false] and brownout is off):
     an LP-cache miss runs the certified fast pipeline from scratch, with
-    no neighbour probe, so the [repair_*] stats read 0.  Collapse and
-    the LP cache are always on.
+    no neighbour probe, so the [repair_*] stats read 0.  Single flight
+    and the LP cache are always on.
 
-    Graceful degradation (PR 9): with a [timeout] configured, admission
-    is deadline-aware — when the service-time EWMA predicts a queue
-    wait beyond the budget, the request is answered [shed] instead of
-    being queued to die; with [brownout = true], three consecutive
-    dispatch rounds ending above 3/4 of queue capacity force every
-    [solve] onto the certified fast pipeline (bit-identical answers,
-    lower worst-case latency) until three rounds end at or below 1/4.
-    With [store = Some path], successful responses are appended to a
+    Graceful degradation: with a [timeout] configured, admission is
+    deadline-aware — when the service-time EWMA predicts a queue wait
+    beyond the budget, the request is answered [shed] instead of being
+    queued to die; with [brownout = true], three consecutive
+    evaluations ending above 3/4 of queue capacity force every [solve]
+    onto the certified fast pipeline (bit-identical answers, lower
+    worst-case latency) until three end at or below 1/4.  With
+    [store = Some path], successful responses are appended to a
     checksummed crash-safe file ({!Store}) and kept in a warm response
     cache; a restarted daemon reads them back on demand, so repeat
     requests are answered at admission time ([store_hits], then
@@ -43,8 +44,8 @@
 
     {!stop} drains gracefully, in the endpoint's order: stop accepting
     and close the listening socket; then this module's drain (close
-    admission, let every dispatcher finish everything already admitted,
-    shut the pool down); then shut down the reading side of every
+    admission, let the evaluators answer everything already admitted,
+    then end their pool); then shut down the reading side of every
     connection and join its thread; then unlink the socket path and
     close the store.  After [stop] returns, no request is in flight and
     the counters satisfy [accepted = served + timed_out + failed +
@@ -57,21 +58,16 @@ type address = Endpoint.address =
 
 type config = {
   address : address;
-  jobs : int;  (** worker-pool parallelism *)
-  dispatchers : int;
-      (** dispatcher threads, each owning one admission shard
-          (default 1, which behaves exactly like the pre-sharding
-          single-queue server) *)
+  jobs : int;  (** evaluator loops, one per pool participant *)
   queue_capacity : int;
-      (** total admission bound, split evenly across shards — beyond a
-          shard's share, [overloaded] *)
-  max_batch : int;  (** dispatcher round size *)
+      (** admission bound: beyond it, [overloaded] (duplicates of a
+          request in flight take no slot) *)
   timeout : float option;  (** per-request budget, seconds (cooperative) *)
   worker_delay : float;
       (** artificial seconds of work added to every evaluation (default
           0).  A test fake, kept in the config rather than on the
           command line: it makes overload, timeout, shed and
-          shard-capacity scenarios deterministic, because evaluation
+          capacity scenarios deterministic, because evaluation
           time is then a known sleep instead of solver time that varies
           with the host.  Only the tests of [test_service] and
           [test_scale] set it; nothing in production does *)
@@ -83,7 +79,7 @@ type config = {
           are appended to it, and tier-1 evictions are counted as
           demotions.  Many shards may share one store file *)
   journal_max_bytes : int option;
-      (** store byte budget: past it, a dispatcher compacts the store
+      (** store byte budget: past it, an evaluator compacts the store
           down to the keys the warm cache still holds
           ({!Store.compact}); [None] never compacts.  [Some n] needs a
           [store] and [n >= 1] *)
@@ -97,15 +93,15 @@ val default_config : address -> config
     ([4 · loads · workers + 1]), that the daemon solves: a larger
     [solve-multi ... mode=batch] request is answered with
     [Invalid_scenario].  The exact batch solve grows steeply with this
-    size (up to 0.45 s at 45 variables, several seconds for a p = 11
-    two-load batch), and the request would hold a pool worker for all
+    size (at most 0.19 s at 45 variables, several seconds for a p = 11
+    two-load batch), and the request would hold an evaluator for all
     of it.  [dls solve-multi] is not capped. *)
 val max_batch_lp_vars : int
 
 type t
 
-(** [start config] binds the socket and spawns the listener, dispatcher
-    and pool.  [Error (Invalid_scenario _)] for a config that cannot
+(** [start config] binds the socket and spawns the listener and the
+    evaluator loops.  [Error (Invalid_scenario _)] for a config that cannot
     work (a bound below 1, or a [journal_max_bytes] without a store or
     below 1); [Error (Io_error _)] when the address cannot be bound, a
     live server holds the Unix socket path, or the store cannot be

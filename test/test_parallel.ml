@@ -136,9 +136,8 @@ let test_pool_timeout () =
     Alcotest.fail "timeout masked the task's own exception"
 
 let test_pool_concurrent_maps () =
-  (* Several domains mapping on one pool at once, as the service's
-     dispatchers do.  Each call must return its own deterministic
-     result. *)
+  (* Several domains mapping on one pool at once.  Each call must
+     return its own deterministic result. *)
   Parallel.Pool.with_pool ~jobs:4 (fun pool ->
       let run_one k =
         let arr = Array.init 500 (fun i -> i + (1000 * k)) in

@@ -381,7 +381,7 @@ let test_server_journal_budget () =
   Sys.remove jpath
 
 (* A byte budget that cannot work is a typed boot error, not a silent
-   no-op (no store to compact) or a compaction on every round (a budget
+   no-op (no store to compact) or a compaction on every evaluation (a budget
    below one byte). *)
 let test_budget_rejected () =
   let jpath = tmp_file ".journal" in
@@ -1070,8 +1070,6 @@ let sample_stats () =
     repair_probes = 3;
     repair_wins = 2;
     repair_pivots = 5;
-    dispatchers = 4;
-    steals = 6;
     shed = 2;
     brownouts = 1;
     hangups = 3;
@@ -1124,7 +1122,6 @@ let test_merge_stats () =
   check_int "p99 is the worst" 9999 m.P.p99_us;
   check_int "max_batch is the max" 5 m.P.max_batch;
   check "uptime is the eldest" true (m.P.uptime_s = 12.5);
-  check_int "dispatchers sum across the fleet" 8 m.P.dispatchers;
   (* merging nothing is the identity *)
   check "identity" true (P.merge_stats a [] = a)
 
@@ -1159,8 +1156,7 @@ let sample_line =
   "ok stats accepted=10 served=7 rejected=2 timed_out=1 failed=2 \
    malformed=1 batches=4 max_batch=5 collapsed=3 cache_hits=6 \
    cache_misses=4 repair_probes=3 repair_wins=2 repair_pivots=5 \
-   dispatchers=4 steals=6 shed=2 brownouts=1 hangups=3 warm_hits=5 \
-   journal_appended=9 store_hits=6 store_misses=3 store_demoted=2 \
+   shed=2 brownouts=1 hangups=3 warm_hits=5 journal_appended=9 store_hits=6 store_misses=3 store_demoted=2 \
    compactions=1 queue_depth=0 inflight=0 p50_us=256 p90_us=1024 \
    p99_us=2048 max_us=1843 uptime_s=12.5"
 
@@ -1172,8 +1168,7 @@ let test_stats_bytes () =
      \"failed\":2,\"malformed\":1,\"batches\":4,\"max_batch\":5,\
      \"collapsed\":3,\"cache_hits\":6,\"cache_misses\":4,\
      \"repair_probes\":3,\"repair_wins\":2,\"repair_pivots\":5,\
-     \"dispatchers\":4,\"steals\":6,\"shed\":2,\"brownouts\":1,\
-     \"hangups\":3,\"warm_hits\":5,\"journal_appended\":9,\
+     \"shed\":2,\"brownouts\":1,\"hangups\":3,\"warm_hits\":5,\"journal_appended\":9,\
      \"store_hits\":6,\"store_misses\":3,\"store_demoted\":2,\
      \"compactions\":1,\"queue_depth\":0,\"inflight\":0,\"p50_us\":256,\
      \"p90_us\":1024,\"p99_us\":2048,\"max_us\":1843,\"uptime_s\":12.5}"
@@ -1181,7 +1176,7 @@ let test_stats_bytes () =
 
 let gen_stats_of n =
   let open QCheck2.Gen in
-  let* a = array_size (return 31) n in
+  let* a = array_size (return 29) n in
   let* uptime_s = float_bound_inclusive 1e9 in
   return
     {
@@ -1199,23 +1194,21 @@ let gen_stats_of n =
       repair_probes = a.(11);
       repair_wins = a.(12);
       repair_pivots = a.(13);
-      dispatchers = a.(14);
-      steals = a.(15);
-      shed = a.(16);
-      brownouts = a.(17);
-      hangups = a.(18);
-      warm_hits = a.(19);
-      journal_appended = a.(20);
-      store_hits = a.(21);
-      store_misses = a.(22);
-      store_demoted = a.(23);
-      compactions = a.(24);
-      queue_depth = a.(25);
-      inflight = a.(26);
-      p50_us = a.(27);
-      p90_us = a.(28);
-      p99_us = a.(29);
-      max_us = a.(30);
+      shed = a.(14);
+      brownouts = a.(15);
+      hangups = a.(16);
+      warm_hits = a.(17);
+      journal_appended = a.(18);
+      store_hits = a.(19);
+      store_misses = a.(20);
+      store_demoted = a.(21);
+      compactions = a.(22);
+      queue_depth = a.(23);
+      inflight = a.(24);
+      p50_us = a.(25);
+      p90_us = a.(26);
+      p99_us = a.(27);
+      max_us = a.(28);
       uptime_s;
     }
 
@@ -1249,7 +1242,7 @@ let json_pairs json =
       | _ -> Alcotest.failf "not \"key\":value: %S" kv)
     (String.split_on_char ',' (String.sub json 1 (n - 2)))
 
-let stats_field_count = 32
+let stats_field_count = 30
 
 let prop_stats_roundtrip =
   QCheck_alcotest.to_alcotest
@@ -1272,8 +1265,8 @@ let prop_stats_roundtrip =
            | Error e -> QCheck2.Test.fail_report (Dls.Errors.to_string e)))
 
 (* Every field's merge rule, read off the JSON of the inputs and of
-   the merge: the round/latency maxima and the uptime take the maximum,
-   every other field (dispatchers included) adds up. *)
+   the merge: the evaluation/latency maxima and the uptime take the
+   maximum, every other field adds up. *)
 let max_keys = [ "max_batch"; "p50_us"; "p90_us"; "p99_us"; "max_us"; "uptime_s" ]
 
 let prop_merge_rules =
@@ -1317,9 +1310,8 @@ let without key =
          (fun (k, v) -> if k = key then None else Some (k ^ "=" ^ v))
          (line_pairs sample_line))
 
-(* The oldest lines carry only the 18 required fields: [dispatchers]
-   defaults to 1 (one dispatcher before sharding) and every other
-   optional counter to 0. *)
+(* The oldest lines carry only the 18 required fields: every optional
+   counter defaults to 0. *)
 let test_stats_required_only () =
   let line =
     "ok stats "
@@ -1335,8 +1327,6 @@ let test_stats_required_only () =
       P.repair_probes = 0;
       repair_wins = 0;
       repair_pivots = 0;
-      dispatchers = 1;
-      steals = 0;
       shed = 0;
       brownouts = 0;
       hangups = 0;

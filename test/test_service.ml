@@ -158,8 +158,6 @@ let sample_responses () =
         repair_probes = 3;
         repair_wins = 2;
         repair_pivots = 5;
-        dispatchers = 4;
-        steals = 6;
         shed = 2;
         brownouts = 1;
         hangups = 3;
@@ -436,13 +434,12 @@ let test_queue_basics () =
   check "push 3 overloads" true
     (Service.Queue.try_push qq 3 = Service.Queue.Overloaded);
   check_int "length" 2 (Service.Queue.length qq);
-  check "fifo pop" true (Service.Queue.try_pop qq = Some 1);
-  check "fifo pop 2" true (Service.Queue.try_pop qq = Some 2);
-  check "empty try_pop" true (Service.Queue.try_pop qq = None);
+  check "fifo pop" true (Service.Queue.pop qq = Some 1);
+  check "fifo pop 2" true (Service.Queue.pop qq = Some 2);
   Service.Queue.close qq;
   check "push after close" true
     (Service.Queue.try_push qq 4 = Service.Queue.Closed);
-  check "pop after close+drain" true (Service.Queue.try_pop qq = None)
+  check "pop after close+drain" true (Service.Queue.pop qq = None)
 
 let test_queue_close_drains () =
   let qq = Service.Queue.create ~capacity:8 in
@@ -452,7 +449,7 @@ let test_queue_close_drains () =
   Service.Queue.close qq;
   let drained = ref [] in
   let rec go () =
-    match Service.Queue.try_pop qq with
+    match Service.Queue.pop qq with
     | Some x -> drained := x :: !drained; go ()
     | None -> ()
   in
@@ -460,55 +457,50 @@ let test_queue_close_drains () =
   check "drained in order" true (List.rev !drained = [ 1; 2; 3; 4; 5 ]);
   check_int "empty after the drain" 0 (Service.Queue.length qq)
 
-(* ------------------------------------------------------------------ *)
-(* Shards                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_shards_exactly_once () =
-  let shards = 4 and items = 64 in
-  let s = Service.Shards.create ~shards ~capacity:256 in
+let test_queue_exactly_once () =
+  let consumers = 4 and items = 64 in
+  let qq = Service.Queue.create ~capacity:256 in
   for i = 0 to items - 1 do
-    match Service.Shards.try_push s ~key:(string_of_int i) i with
+    match Service.Queue.try_push qq i with
     | Service.Queue.Enqueued -> ()
     | Service.Queue.Overloaded -> Alcotest.failf "push %d overloaded" i
     | Service.Queue.Closed -> Alcotest.failf "push %d closed" i
   done;
-  check_int "total length" items (Service.Shards.length s);
-  Service.Shards.close s;
-  (match Service.Shards.try_push s ~key:"x" 999 with
+  check_int "total length" items (Service.Queue.length qq);
+  Service.Queue.close qq;
+  (match Service.Queue.try_push qq 999 with
   | Service.Queue.Closed -> ()
   | _ -> Alcotest.fail "push after close not rejected");
   let seen = Array.init items (fun _ -> Atomic.make 0) in
-  let consumer shard () =
+  let consumer () =
     let rec go () =
-      match Service.Shards.pop s ~shard with
+      match Service.Queue.pop qq with
       | None -> ()
-      | Some (v, _src) ->
+      | Some v ->
         Atomic.incr seen.(v);
         go ()
     in
     go ()
   in
-  let ts = Array.init shards (fun i -> Thread.create (consumer i) ()) in
+  let ts = Array.init consumers (fun _ -> Thread.create consumer ()) in
   Array.iter Thread.join ts;
   Array.iteri
     (fun i c ->
       let c = Atomic.get c in
       if c <> 1 then Alcotest.failf "item %d consumed %d times" i c)
     seen;
-  check_int "fully drained" 0 (Service.Shards.length s)
+  check_int "fully drained" 0 (Service.Queue.length qq)
 
-let test_shards_concurrent () =
-  (* Producer/consumer threads on one shard, the daemon's layer: every
-     pushed item is popped exactly once, blocked consumers wake on
-     close. *)
-  let s = Service.Shards.create ~shards:1 ~capacity:16 in
+let test_queue_concurrent () =
+  (* Producer/consumer threads, the daemon's layer: every pushed item is
+     popped exactly once, blocked consumers wake on close. *)
+  let qq = Service.Queue.create ~capacity:16 in
   let producers = 4 and per_producer = 500 in
   let consumed = Array.make (producers * per_producer) 0 in
   let consumer () =
     let rec go () =
-      match Service.Shards.pop s ~shard:0 with
-      | Some (x, _) ->
+      match Service.Queue.pop qq with
+      | Some x ->
         consumed.(x) <- consumed.(x) + 1;
         go ()
       | None -> ()
@@ -519,7 +511,7 @@ let test_shards_concurrent () =
     for i = 0 to per_producer - 1 do
       let x = (p * per_producer) + i in
       let rec push () =
-        match Service.Shards.try_push s ~key:(string_of_int x) x with
+        match Service.Queue.try_push qq x with
         | Service.Queue.Enqueued -> ()
         | Service.Queue.Overloaded ->
           Thread.yield ();
@@ -532,54 +524,25 @@ let test_shards_concurrent () =
   let cs = Array.init 3 (fun _ -> Thread.create consumer ()) in
   let ps = Array.init producers (fun p -> Thread.create (producer p) ()) in
   Array.iter Thread.join ps;
-  Service.Shards.close s;
+  Service.Queue.close qq;
   Array.iter Thread.join cs;
   Array.iteri
     (fun x n -> if n <> 1 then Alcotest.failf "item %d consumed %d times" x n)
     consumed
 
-let test_shards_steal () =
-  let s = Service.Shards.create ~shards:2 ~capacity:8 in
-  (* Find keys that land on shard 0, then consume from shard 1 only:
-     everything it gets must be a steal. *)
-  let key_on_0 =
-    let rec find i =
-      let k = string_of_int i in
-      if Service.Shards.shard_of_key s k = 0 then k else find (i + 1)
-    in
-    find 0
-  in
-  for v = 1 to 3 do
-    match Service.Shards.try_push s ~key:key_on_0 v with
-    | Service.Queue.Enqueued -> ()
-    | _ -> Alcotest.fail "push rejected"
-  done;
-  check_int "all on shard 0" 3 (Service.Shards.shard_length s 0);
-  check_int "shard 1 empty" 0 (Service.Shards.shard_length s 1);
-  (match Service.Shards.pop s ~shard:1 with
-  | Some (_, src) -> check_int "claim was a steal from shard 0" 0 src
-  | None -> Alcotest.fail "steal found nothing");
-  Service.Shards.close s;
-  let rec drain n =
-    match Service.Shards.pop s ~shard:1 with
-    | Some _ -> drain (n + 1)
-    | None -> n
-  in
-  check_int "rest drained after close" 2 (drain 0)
-
-let test_shards_close_wakes_blocked_pop () =
-  let s = Service.Shards.create ~shards:2 ~capacity:4 in
+let test_queue_close_wakes_blocked_pop () =
+  let qq = Service.Queue.create ~capacity:4 in
   let got = Atomic.make `Pending in
   let t =
     Thread.create
       (fun () ->
-        match Service.Shards.pop s ~shard:0 with
+        match Service.Queue.pop qq with
         | None -> Atomic.set got `None
         | Some _ -> Atomic.set got `Some)
       ()
   in
   Thread.delay 0.02;
-  Service.Shards.close s;
+  Service.Queue.close qq;
   Thread.join t;
   check "blocked pop unblocked with None" true (Atomic.get got = `None)
 
@@ -677,7 +640,6 @@ let test_server_single_flight_collapse () =
         c with
         Service.Server.jobs = 2;
         queue_capacity = 32;
-        max_batch = 16;
         worker_delay = 0.02;
       })
     (fun server ->
@@ -713,15 +675,19 @@ let test_server_overload () =
         c with
         Service.Server.jobs = 1;
         queue_capacity = 2;
-        max_batch = 1;
         worker_delay = 0.05;
       })
     (fun server ->
       let address = Service.Server.address server in
-      let p = p2 () in
       let clients = 12 in
       let outcomes = Array.make clients `Pending in
       let worker i () =
+        (* distinct platforms: a duplicate would join the job in flight
+           instead of taking a queue slot *)
+        let p =
+          platform
+            [ ("1", "1", "1/2"); (Printf.sprintf "%d/11" (i + 1), "2", "1/2") ]
+        in
         match
           Service.Client.with_client address (fun cl -> request_ok cl (solve_req p))
         with
@@ -783,7 +749,6 @@ let test_server_drain_under_load () =
         c with
         Service.Server.jobs = 2;
         queue_capacity = 32;
-        max_batch = 4;
         worker_delay = 0.02;
       })
     (fun server ->
@@ -910,7 +875,7 @@ let test_loadgen_against_server () =
   Dls.Lp_model.reset_cache ();
   with_server
     (fun c ->
-      { c with Service.Server.jobs = 2; queue_capacity = 64; max_batch = 16 })
+      { c with Service.Server.jobs = 2; queue_capacity = 64 })
     (fun server ->
       let address = Service.Server.address server in
       match
@@ -932,19 +897,11 @@ let test_loadgen_against_server () =
         drain_invariant "loadgen" s)
 
 let test_server_multi_dispatcher () =
-  (* Four dispatchers over a skewed stream: every request still gets
-     exactly one answer and the drain invariant holds; the stats line
-     carries the dispatcher count. *)
+  (* Four evaluators over a skewed stream: every request still gets
+     exactly one answer and the drain invariant holds. *)
   Dls.Lp_model.reset_cache ();
   with_server
-    (fun c ->
-      {
-        c with
-        Service.Server.jobs = 2;
-        dispatchers = 4;
-        queue_capacity = 64;
-        max_batch = 8;
-      })
+    (fun c -> { c with Service.Server.jobs = 4; queue_capacity = 64 })
     (fun server ->
       let address = Service.Server.address server in
       match
@@ -958,16 +915,12 @@ let test_server_multi_dispatcher () =
           + o.Service.Loadgen.timeouts + o.Service.Loadgen.shed
           + o.Service.Loadgen.failed);
         check_int "no failures" 0 o.Service.Loadgen.failed;
-        let s = Service.Server.stats server in
-        check_int "stats report the dispatcher count" 4 s.P.dispatchers;
-        check "steals counter non-negative" true (s.P.steals >= 0);
-        drain_invariant "multi-dispatcher" s)
+        drain_invariant "multi-evaluator" (Service.Server.stats server))
 
-let test_server_dispatchers_overlap () =
-  (* One-job rounds on a sleep-bound stream of distinct keys: a single
-     dispatcher runs the rounds one after another, four dispatchers keep
-     four in flight on the same pool, so the stream drains about four
-     times faster. *)
+let test_server_evaluators_overlap () =
+  (* A sleep-bound stream of distinct keys: one evaluator runs the jobs
+     one after another, four keep four in flight, so the stream drains
+     about four times faster. *)
   let requests = 40 and seed = 2026 and distinct = 100_000 in
   let keys =
     List.init requests (fun i ->
@@ -975,17 +928,10 @@ let test_server_dispatchers_overlap () =
   in
   check_int "stream keys pairwise distinct" requests
     (List.length (List.sort_uniq compare keys));
-  let arm dispatchers =
+  let arm jobs =
     Dls.Lp_model.reset_cache ();
     with_server
-      (fun c ->
-        {
-          c with
-          Service.Server.jobs = 4;
-          dispatchers;
-          max_batch = 1;
-          worker_delay = 0.02;
-        })
+      (fun c -> { c with Service.Server.jobs; worker_delay = 0.02 })
       (fun server ->
         match
           Service.Loadgen.run (Service.Server.address server) ~connections:8
@@ -994,22 +940,96 @@ let test_server_dispatchers_overlap () =
         | Error e -> Alcotest.failf "loadgen: %s" (Dls.Errors.to_string e)
         | Ok o ->
           check_int
-            (Printf.sprintf "every request ok, %d dispatchers" dispatchers)
+            (Printf.sprintf "every request ok, %d evaluators" jobs)
             requests o.Service.Loadgen.ok;
           o.Service.Loadgen.wall_s)
   in
   let single = arm 1 in
   let four = arm 4 in
-  Printf.printf "1 dispatcher %.3fs, 4 dispatchers %.3fs\n" single four;
-  (* Half the single arm, not just below it: one dispatcher costs at
-     least 40 x 20 ms of sleep, so a server that ran one dispatcher
+  Printf.printf "1 evaluator %.3fs, 4 evaluators %.3fs\n" single four;
+  (* Half the single arm, not just below it: one evaluator costs at
+     least 40 x 20 ms of sleep, so a server that ran one evaluator
      whatever the config would otherwise pass on timing noise.  The
-     four arm needs ~0.2 s (10 rounds of 20 ms) against a bound of
-     ~0.4 s, so it fails only if scheduling doubles its wall time; on a
-     2-vCPU host it read 0.20-0.23 s, also with both CPUs kept busy. *)
+     four arm needs ~0.2 s (10 waves of 20 ms) against a bound of
+     ~0.4 s, so it fails only if scheduling doubles its wall time. *)
   if not (2. *. four < single) then
-    Alcotest.failf "4 dispatchers %.3fs, not under half of 1 dispatcher's %.3fs"
+    Alcotest.failf "4 evaluators %.3fs, not under half of 1 evaluator's %.3fs"
       four single
+
+(* A slow request for the head-of-line tests: an exact ([fast=false])
+   two-port FIFO solve of a fixed 80-worker platform, 0.7-0.8 s on a
+   2-vCPU VM. *)
+let slow_req () =
+  P.Solve
+    {
+      s_platform =
+        platform (List.init 80 (fun i -> ("1", string_of_int (1 + (i mod 10)), "1/2")));
+      s_order = P.Fifo;
+      s_model = Dls.Lp_model.Two_port;
+      s_fast = false;
+      s_load = None;
+    }
+
+(* [send_at ~delay address req] sends [req] on its own connection after
+   [delay] seconds, in a thread; [join] returns its reply and the
+   monotonic time it arrived. *)
+let send_at ~delay address req =
+  let result = ref None in
+  let th =
+    Thread.create
+      (fun () ->
+        Thread.delay delay;
+        result :=
+          Some
+            (match Service.Client.with_client address (fun cl -> request_ok cl req) with
+            | Ok r -> (P.response_to_string r, Parallel.Clock.now ())
+            | Error e -> (Dls.Errors.to_string e, Parallel.Clock.now ())))
+      ()
+  in
+  fun () ->
+    Thread.join th;
+    Option.get !result
+
+let test_server_slow_does_not_stall_fast () =
+  Dls.Lp_model.reset_cache ();
+  with_server
+    (fun c -> { c with Service.Server.jobs = 2 })
+    (fun server ->
+      let address = Service.Server.address server in
+      let t0 = Parallel.Clock.now () in
+      let slow = send_at ~delay:0. address (slow_req ()) in
+      let fast = send_at ~delay:0.05 address (solve_req (p2 ())) in
+      let fast_reply, fast_at = fast () in
+      let slow_reply, slow_at = slow () in
+      check "p=2 reply ok" true (String.sub fast_reply 0 3 = "ok ");
+      check "slow reply ok" true (String.sub slow_reply 0 3 = "ok ");
+      Printf.printf "p=2 answered at %.3fs, the slow solve at %.3fs\n"
+        (fast_at -. t0) (slow_at -. t0);
+      (* First, and by a margin: a server that runs the p=2 solve only
+         once the slow one is done can still write its reply a hair
+         before the slow one's. *)
+      check "the p=2 reply arrives first, before the slow solve is half done"
+        true
+        (fast_at -. t0 < 0.5 *. (slow_at -. t0));
+      drain_invariant "head of line" (Service.Server.stats server))
+
+let test_server_duplicates_join () =
+  Dls.Lp_model.reset_cache ();
+  with_server
+    (fun c -> { c with Service.Server.jobs = 2 })
+    (fun server ->
+      let address = Service.Server.address server in
+      let first = send_at ~delay:0. address (slow_req ()) in
+      let rest = List.init 4 (fun _ -> send_at ~delay:0.05 address (slow_req ())) in
+      let replies = List.map (fun join -> fst (join ())) (first :: rest) in
+      let r0 = List.hd replies in
+      check "reply is ok" true (String.sub r0 0 3 = "ok ");
+      List.iter (check_str "byte-identical replies" r0) replies;
+      let s = Service.Server.stats server in
+      check_int "one evaluation" 1 s.P.batches;
+      check_int "four joined it" 4 s.P.collapsed;
+      check_int "it answered all five" 5 s.P.max_batch;
+      drain_invariant "join" s)
 
 let test_loadgen_skew () =
   (* Same seed, same skewed stream — request by request. *)
@@ -1303,9 +1323,7 @@ let test_server_brownout () =
       {
         c with
         Service.Server.jobs = 1;
-        dispatchers = 1;
         queue_capacity = 8;
-        max_batch = 1;
         worker_delay = 0.01;
         brownout = true;
       })
@@ -1559,7 +1577,7 @@ let test_chaos_matrix () =
   Dls.Lp_model.reset_cache ();
   with_server
     (fun c ->
-      { c with Service.Server.jobs = 2; queue_capacity = 64; max_batch = 8 })
+      { c with Service.Server.jobs = 2; queue_capacity = 64 })
     (fun server ->
       let upstream = Service.Server.address server in
       let cases = 336 in
@@ -1926,7 +1944,23 @@ let draw_solve_rep st =
       makespan = draw_opt st draw_q;
     }
 
-let draw_response st =
+(* [dispatchers] and [steals] were stats rows, between [repair_pivots]
+   and [shed], when the fixture was recorded.  A drawn stats reply still
+   takes their two values there, so the seeded stream stays aligned, and
+   the mutated lines start from the stats line as it was rendered then:
+   they pin how today's codec reads an older daemon's line, whose two
+   retired keys it ignores. *)
+let as_recorded ~retired:(dispatchers, steals) r =
+  let line = P.response_to_string r in
+  match r with
+  | P.Ok_stats _ ->
+    let i = find_sub line " shed=" in
+    String.sub line 0 i
+    ^ Printf.sprintf " dispatchers=%d steals=%d" dispatchers steals
+    ^ String.sub line i (String.length line - i)
+  | _ -> line
+
+let draw_reply st ~retired =
   let int () = Random.State.int st 100_000 in
   match Random.State.int st 12 with
   | 0 -> P.Ok_solve (draw_solve_rep st)
@@ -1954,8 +1988,15 @@ let draw_response st =
       }
   | 3 -> P.Ok_check { check_ok = Random.State.bool st; violations = int () }
   | 4 ->
-    P.Ok_stats
-      (P.stats_of ~count:(fun _ -> int ()) ~seconds:(fun _ -> draw_float st))
+    let count name =
+      if name = "shed" then begin
+        let dispatchers = int () in
+        let steals = int () in
+        retired := (dispatchers, steals)
+      end;
+      int ()
+    in
+    P.Ok_stats (P.stats_of ~count ~seconds:(fun _ -> draw_float st))
   | 5 ->
     P.Ok_health
       {
@@ -1990,6 +2031,12 @@ let draw_response st =
       | _ ->
         Dls.Errors.Parse_error
           { file = None; line = 1 + int (); col = 1 + int (); msg = draw_words st })
+
+(* A drawn reply and its line as recorded ([as_recorded]). *)
+let draw_response st =
+  let retired = ref (0, 0) in
+  let r = draw_reply st ~retired in
+  (r, as_recorded ~retired:!retired r)
 
 let pre_resilience_health =
   "ok health healthy=false draining=false uptime_s=2.5 queue=0 capacity=64 workers=4"
@@ -2029,14 +2076,17 @@ let pinned_protocol_lines () =
   let requests =
     sample_requests () @ [ P.Hello ] @ List.init 300 (fun _ -> draw_request st)
   in
-  let responses = sample_responses () @ List.init 300 (fun _ -> draw_response st) in
+  let samples = sample_responses () in
+  let drawn = List.init 300 (fun _ -> draw_response st) in
   let req_lines = List.map P.request_to_string requests in
+  let pre_resilience =
+    outcome_to_string P.response_to_string (P.parse_response pre_resilience_health)
+  in
   let rep_lines =
-    List.map P.response_to_string responses
-    @ [
-        outcome_to_string P.response_to_string
-          (P.parse_response pre_resilience_health);
-      ]
+    List.map P.response_to_string (samples @ List.map fst drawn) @ [ pre_resilience ]
+  in
+  let recorded_lines =
+    List.map (as_recorded ~retired:(4, 6)) samples @ List.map snd drawn @ [ pre_resilience ]
   in
   let errors =
     List.map
@@ -2079,7 +2129,7 @@ let pinned_protocol_lines () =
             Printf.sprintf "M %S %s | %s" s
               (outcome_to_string P.request_to_string (P.parse_request ~line:2 s))
               (outcome_to_string P.response_to_string (P.parse_response (before_hash s)))))
-      (List.filteri (fun i _ -> i mod 3 = 0) (req_lines @ rep_lines))
+      (List.filteri (fun i _ -> i mod 3 = 0) (req_lines @ recorded_lines))
   in
   List.map (( ^ ) "R ") req_lines @ List.map (( ^ ) "S ") rep_lines @ errors @ specs @ mutations
 
@@ -2457,16 +2507,11 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_queue_basics;
           Alcotest.test_case "close drains" `Quick test_queue_close_drains;
-        ] );
-      ( "shards",
-        [
           Alcotest.test_case "exactly-once across consumers" `Quick
-            test_shards_exactly_once;
-          Alcotest.test_case "dry shard steals from the longest" `Quick
-            test_shards_steal;
+            test_queue_exactly_once;
           Alcotest.test_case "close wakes blocked pop" `Quick
-            test_shards_close_wakes_blocked_pop;
-          Alcotest.test_case "concurrent" `Quick test_shards_concurrent;
+            test_queue_close_wakes_blocked_pop;
+          Alcotest.test_case "concurrent" `Quick test_queue_concurrent;
         ] );
       ( "server",
         [
@@ -2481,8 +2526,12 @@ let () =
             test_server_malformed_and_inline;
           Alcotest.test_case "multi-dispatcher drain" `Quick
             test_server_multi_dispatcher;
-          Alcotest.test_case "dispatchers overlap rounds" `Quick
-            test_server_dispatchers_overlap;
+          Alcotest.test_case "evaluators overlap" `Quick
+            test_server_evaluators_overlap;
+          Alcotest.test_case "a slow request does not stall a fast one" `Quick
+            test_server_slow_does_not_stall_fast;
+          Alcotest.test_case "duplicates join the evaluation in flight" `Quick
+            test_server_duplicates_join;
           Alcotest.test_case "hangup mid-line" `Quick test_server_kill_mid_line;
           Alcotest.test_case "deadline-aware shed" `Quick test_server_shed;
           Alcotest.test_case "brownout downgrade" `Quick test_server_brownout;
