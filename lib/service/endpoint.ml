@@ -145,8 +145,8 @@ let serve_lines t ~handle ~hangup =
         | Wire.Line line -> (
           match handle line with
           | None -> loop ()
-          | Some resp -> (
-            match Wire.write_line fd (Protocol.response_to_string resp) with
+          | Some reply -> (
+            match Wire.write_line fd reply with
             | Ok () -> loop ()
             | Error `Closed -> hangup ()))
         (* No read deadline is set, so [Deadline] cannot occur. *)

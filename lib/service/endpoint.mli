@@ -44,11 +44,12 @@ val serve : t -> (int -> Unix.file_descr -> unit) -> unit
 
 (** [serve_lines t ~handle ~hangup] serves the line protocol: each
     connection reads a line, answers it with [handle] ([None] sends
-    nothing), writes the rendered response, and calls [hangup] when the
-    peer vanishes mid-line or before its response is written. *)
+    nothing, [Some reply] writes the rendered reply line, without its
+    newline), and calls [hangup] when the peer vanishes mid-line or
+    before its reply is written. *)
 val serve_lines :
   t ->
-  handle:(string -> Protocol.response option) ->
+  handle:(string -> string option) ->
   hangup:(unit -> unit) ->
   unit
 

@@ -1,6 +1,15 @@
-(* Buckets are [2^i, 2^(i+1)) microseconds; 40 buckets cover up to
-   ~2^40 us ≈ 12.7 days, far past any request budget. *)
-let buckets = 40
+(* Log-linear latency buckets, in whole microseconds: one per value
+   below [sub] = 8, then [sub] equal buckets per power of two, so from
+   [2^e] (e >= 3) on the buckets are [2^(e-3)] wide.  A bucket then
+   starts at least 8 of its widths above 0, and reading a quantile as
+   the largest value of its bucket over-reports by under 1/8.  The last
+   bucket starts at [2^overflow_exp] us (~6.4 days), far past any request
+   budget, and holds everything above. *)
+let sub_bits = 3
+let sub = 1 lsl sub_bits
+let overflow_exp = 39
+let bucket_base e = sub * (e - sub_bits + 1)
+let buckets = bucket_base overflow_exp + 1
 
 type counter =
   | Accepted
@@ -94,8 +103,12 @@ let note_evaluation t ~answered =
   atomic_max (cell t Max_batch) answered
 
 let bucket_of_us us =
-  let rec go i bound = if us < bound || i = buckets - 1 then i else go (i + 1) (bound * 2) in
-  go 0 2
+  if us < sub then us
+  else
+    let rec msb v e = if v = 1 then e else msb (v lsr 1) (e + 1) in
+    let e = msb us 0 in
+    if e >= overflow_exp then buckets - 1
+    else bucket_base e + (us lsr (e - sub_bits)) - sub
 
 let observe_latency t seconds =
   let us = int_of_float (Float.max 0. (seconds *. 1e6)) in
@@ -119,11 +132,18 @@ let service_ewma t =
 (* The last bucket is an overflow bucket: it holds everything at or
    past the last finite boundary, so it has no meaningful upper bound.
    Quantiles landing there saturate at this value (read: ">= 2^39 us")
-   instead of fabricating a 2^40 us "upper bound" no observation ever
-   had. *)
-let max_tracked_us = 1 lsl (buckets - 1)
+   instead of fabricating an upper bound no observation ever had. *)
+let max_tracked_us = 1 lsl overflow_exp
 
-(* Upper bound of the bucket holding the q-th observation; 0 on an
+(* The largest value bucket [i] holds: [i] itself below [sub], else
+   the last microsecond before the next bucket's start. *)
+let largest_us i =
+  if i < sub then i
+  else
+    let e = (i / sub) + sub_bits - 1 in
+    (((i mod sub) + sub + 1) lsl (e - sub_bits)) - 1
+
+(* Largest value of the bucket holding the q-th observation; 0 on an
    empty histogram, saturated at [max_tracked_us] for the overflow
    bucket. *)
 let quantile counts total q =
@@ -138,7 +158,7 @@ let quantile counts total q =
       else
         let seen = seen + counts.(i) in
         if seen >= target then
-          if i >= buckets - 1 then max_tracked_us else 1 lsl (i + 1)
+          if i >= buckets - 1 then max_tracked_us else largest_us i
         else go (i + 1) seen
     in
     go 0 0

@@ -1,12 +1,13 @@
 (** Lock-free serving counters and latency histogram.
 
     Every counter is an {!Atomic}, so connection threads and the
-    evaluator loops may record events concurrently without
+    evaluations may record events concurrently without
     sharing a lock with the serving path; {!snapshot} is a read-only
     aggregation that never blocks a writer.  Latencies go into
-    power-of-two microsecond buckets — quantiles are read as the upper
-    bound of the covering bucket, which over-reports by at most 2x and
-    costs one atomic increment per observation.
+    log-linear microsecond buckets, one per microsecond below 8 and 8
+    per power of two above — quantiles are read as the largest value of
+    the covering bucket, which never under-reports, over-reports by
+    under 12.5%, and costs one atomic increment per observation.
 
     The counters live in one atomic array keyed by {!counter}; the
     implementation declares each counter once, beside the stats field

@@ -179,7 +179,7 @@ type stats_rep = {
   timed_out : int;  (** exceeded the per-request budget *)
   failed : int;  (** admitted but answered with [error] *)
   malformed : int;  (** unparseable request lines (never admitted) *)
-  batches : int;  (** evaluations run by the evaluator loops *)
+  batches : int;  (** evaluations run *)
   max_batch : int;
       (** most admitted requests one evaluation answered: the first
           and the duplicates that joined it *)

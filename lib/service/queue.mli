@@ -1,11 +1,11 @@
 (** Bounded multi-producer/multi-consumer queue: the daemon's admission
-    buffer between connection threads and the evaluator loops.
+    buffer between connection threads and the evaluations that pop it.
 
     The bound is the backpressure mechanism: {!try_push} never blocks,
     it reports [Overloaded] when the queue is full so the caller can
     answer the client immediately instead of queueing unbounded work.
-    The consumer end blocks: an idle evaluator sleeps in {!pop} until
-    a push or {!close} wakes it. *)
+    The consumer end blocks: an idle evaluator loop sleeps in {!pop}
+    until a push or {!close} wakes it. *)
 
 type 'a t
 

@@ -249,7 +249,7 @@ let start cfg =
           }
         in
         Endpoint.serve_lines endpoint
-          ~handle:(fun line -> Some (handle_line t line))
+          ~handle:(fun line -> Some (P.response_to_string (handle_line t line)))
           ~hangup:(fun () -> Atomic.incr t.m_hangups);
         Ok t
 

@@ -41,7 +41,7 @@ type job = {
   mutable joined : float list;
       (* admission times of the duplicates waiting on this job; written
          under the server's [flight] lock *)
-  mutable reply : P.response option;
+  mutable reply : string option;  (* the rendered reply line *)
 }
 
 type t = {
@@ -53,9 +53,13 @@ type t = {
      delivers, so no joiner can be lost. *)
   flight : Mutex.t;
   in_flight : (string, job) Hashtbl.t;
+  (* The evaluation turn at [jobs = 1], where the connection threads
+     evaluate in turn instead of handing jobs to an evaluator (see
+     [take_turn]); unused with more jobs. *)
+  turn : Mutex.t;
   metrics : Metrics.t;
-  cache : (string, P.response) Parallel.Lru.t option;
-      (* tier-1 warm responses; [Some] iff [store] is *)
+  cache : (string, string) Parallel.Lru.t option;
+      (* tier-1 warm reply lines; [Some] iff [store] is *)
   store : Store.t option;  (* tier-2 durable solution store *)
   (* Brownout hysteresis: consecutive evaluations that ended with the
      queue above 3/4 (resp. at or below 1/4) of capacity.  Written by
@@ -68,7 +72,7 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Request evaluation (runs in the evaluator loops)                    *)
+(* Request evaluation (runs in [step])                                 *)
 
 let scenario order p =
   match order with
@@ -289,64 +293,82 @@ let brownout_step t =
     Atomic.set t.low_streak 0
   end
 
-(* One evaluator: take the next admitted job as soon as the last one is
-   answered, until the queue is closed and drained. *)
+(* One evaluation of an admitted job, shared by the evaluator loops and,
+   at [jobs = 1], by the connection threads that take the turn:
+   evaluate, feed both tiers, unlink the key from single flight, deliver
+   the rendered reply to the job and its joiners, then one brownout
+   step. *)
+let step t job =
+  let resp = eval_job t job in
+  let line = P.response_to_string resp in
+  (* A success feeds both tiers before delivery, so a crash right after
+     the reply is visible can still re-read the record, and a duplicate
+     admitted after the unlink below hits tier 1. *)
+  (match (t.cache, t.store) with
+  | Some cache, Some store when P.is_ok resp ->
+    if not (Parallel.Lru.mem cache job.key) then begin
+      Parallel.Lru.add cache job.key line;
+      (* The store skips a key it already holds, so a record another
+         shard already published is not re-written. *)
+      ignore (Store.add store ~key:job.key ~value:line)
+    end;
+    (* Byte budget: past it, rewrite the store down to the keys the
+       tier-1 cache still holds.  Evaluators race here at worst into
+       back-to-back compactions; the store serialises them and counts
+       each. *)
+    (match t.cfg.journal_max_bytes with
+    | Some max_bytes when Store.size_bytes store > max_bytes ->
+      ignore (Store.compact store ~live:(Parallel.Lru.mem cache) ())
+    | _ -> ())
+  | _ -> ());
+  Mutex.lock t.flight;
+  Hashtbl.remove t.in_flight job.key;
+  let answered = job.admitted :: job.joined in
+  Mutex.unlock t.flight;
+  List.iter (fun admitted -> count_response t resp ~admitted) answered;
+  Metrics.note_evaluation t.metrics ~answered:(List.length answered);
+  Mutex.lock job.jm;
+  job.reply <- Some line;
+  Condition.broadcast job.jc;
+  Mutex.unlock job.jm;
+  if t.cfg.brownout then brownout_step t
+
+(* One evaluator loop: take the next admitted job as soon as the last
+   one is answered, until the queue is closed and drained. *)
 let rec evaluate t =
   match Queue.pop t.queue with
   | None -> ()
   | Some job ->
-    let resp = eval_job t job in
-    (* A success feeds both tiers before delivery, so a crash right
-       after the reply is visible can still re-read the record, and a
-       duplicate admitted after the unlink below hits tier 1. *)
-    (match (t.cache, t.store) with
-    | Some cache, Some store when P.is_ok resp ->
-      if not (Parallel.Lru.mem cache job.key) then begin
-        Parallel.Lru.add cache job.key resp;
-        (* The store skips a key it already holds, so a record another
-           shard already published is not re-written. *)
-        ignore (Store.add store ~key:job.key ~value:(P.response_to_string resp))
-      end;
-      (* Byte budget: past it, rewrite the store down to the keys the
-         tier-1 cache still holds.  Evaluators race here at worst into
-         back-to-back compactions; the store serialises them and counts
-         each. *)
-      (match t.cfg.journal_max_bytes with
-      | Some max_bytes when Store.size_bytes store > max_bytes ->
-        ignore (Store.compact store ~live:(Parallel.Lru.mem cache) ())
-      | _ -> ())
-    | _ -> ());
-    Mutex.lock t.flight;
-    Hashtbl.remove t.in_flight job.key;
-    let answered = job.admitted :: job.joined in
-    Mutex.unlock t.flight;
-    List.iter (fun admitted -> count_response t resp ~admitted) answered;
-    Metrics.note_evaluation t.metrics ~answered:(List.length answered);
-    Mutex.lock job.jm;
-    job.reply <- Some resp;
-    Condition.broadcast job.jc;
-    Mutex.unlock job.jm;
-    if t.cfg.brownout then brownout_step t;
+    step t job;
     evaluate t
 
-(* One evaluator loop per participant of a temporary pool that lives as
-   long as the loops do; returns the join.  With [jobs = 1] the one loop
-   runs on a thread of the main domain, beside the connection threads.
-   With more, the pool's caller is a domain of its own: a loop busy on
-   the main domain would hold the runtime lock that the connection
-   threads retake after every read and write, so a fast request
-   evaluated on another domain would still wait up to a 50 ms tick per
-   handoff (its reply came 0.24-0.46 s late behind a 0.7 s solve). *)
+(* With [jobs = 1] there is no evaluator: the connection thread that
+   queued a job takes the turn, pops the queue head (its own job or one
+   queued before it) and runs [step] on it, so an uncontended request
+   is evaluated where it was read, with no handoff to another thread
+   and back.  Every pusher pops exactly once, after its push and under
+   the turn, so the pop always finds a job, and evaluations stay one at
+   a time and in admission order. *)
+let take_turn t =
+  Mutex.protect t.turn (fun () -> Option.iter (step t) (Queue.pop t.queue))
+
+(* With more jobs, one evaluator loop per participant of a temporary
+   pool that lives as long as the loops do; returns the join.  The
+   pool's caller is a domain of its own: a loop busy on the main domain
+   would hold the runtime lock that the connection threads retake after
+   every read and write, so a fast request evaluated on another domain
+   would still wait up to a 50 ms tick per handoff (its reply came
+   0.24-0.46 s late behind a 0.7 s solve).  With [jobs = 1] nothing is
+   spawned ([take_turn]). *)
 let spawn_evaluators t =
   let jobs = t.cfg.jobs in
-  let loops () =
-    ignore (Parallel.Pool.run ~jobs (fun () -> evaluate t) (Array.make jobs ()))
-  in
-  if jobs = 1 then
-    let th = Thread.create loops () in
-    fun () -> Thread.join th
+  if jobs = 1 then ignore
   else
-    let d = Domain.spawn loops in
+    let d =
+      Domain.spawn (fun () ->
+          ignore
+            (Parallel.Pool.run ~jobs (fun () -> evaluate t) (Array.make jobs ())))
+    in
     fun () -> Domain.join d
 
 (* ------------------------------------------------------------------ *)
@@ -401,11 +423,11 @@ let doomed t =
       let wait = ewma *. float_of_int (depth + 1) /. float_of_int t.cfg.jobs in
       if wait > budget then Some (wait, budget) else None
 
-(* [Ok job] to wait on, or [Error resp] to answer at once.  A duplicate
-   of a job in flight joins it: no queue slot, no shed check, since it
-   adds no work.  Counters move under the [flight] lock, so the
-   evaluator, which unlinks the key under it too, delivers only after
-   they have. *)
+(* [`Queued job] to evaluate and wait on, [`Joined job] to wait on, or
+   [`Answered resp] to answer at once.  A duplicate of a job in flight
+   joins it: no queue slot, no shed check, since it adds no work.
+   Counters move under the [flight] lock, so [step], which unlinks the
+   key under it too, delivers only after they have. *)
 let admit t request key =
   let admitted = Parallel.Clock.now () in
   Mutex.protect t.flight (fun () ->
@@ -415,13 +437,13 @@ let admit t request key =
         Metrics.incr t.metrics Accepted;
         Metrics.incr t.metrics Collapsed;
         Metrics.incr t.metrics Inflight;
-        Ok job
+        `Joined job
       | None -> (
         match doomed t with
         | Some (wait, budget) ->
           Metrics.incr t.metrics Accepted;
           Metrics.incr t.metrics Shed;
-          Error (P.Shed { wait; budget })
+          `Answered (P.Shed { wait; budget })
         | None -> (
           let job =
             {
@@ -439,16 +461,19 @@ let admit t request key =
             Hashtbl.replace t.in_flight key job;
             Metrics.incr t.metrics Accepted;
             Metrics.incr t.metrics Inflight;
-            Ok job
+            `Queued job
           | Queue.Overloaded ->
             Metrics.incr t.metrics Rejected;
-            Error
+            `Answered
               (P.Overloaded
                  { depth = Queue.length t.queue; capacity = Queue.capacity t.queue })
           | Queue.Closed ->
             Metrics.incr t.metrics Rejected;
-            Error (P.Failed (E.Io_error "server is draining")))))
+            `Answered (P.Failed (E.Io_error "server is draining")))))
 
+(* The reply line to write for [line], rendered once: an evaluated
+   reply comes rendered from [step], and a cache hit is the line it
+   holds. *)
 let handle_line t line =
   let trimmed = String.trim line in
   if trimmed = "" || trimmed.[0] = '#' then None
@@ -456,26 +481,28 @@ let handle_line t line =
     match P.parse_request_v ~line:1 trimmed with
     | `Malformed e ->
       Metrics.incr t.metrics Malformed;
-      Some (P.Failed e)
+      Some (P.response_to_string (P.Failed e))
     | `Unknown_verb verb ->
       (* Version skew is not an error: tell the client which verb we
          refused and which protocol we speak, and keep the session up. *)
       Metrics.incr t.metrics Malformed;
-      Some (P.Unsupported { verb; server_version = P.version })
+      Some
+        (P.response_to_string (P.Unsupported { verb; server_version = P.version }))
     | `Request ((P.Stats | P.Health | P.Hello) as r) ->
       (* Control-plane requests bypass the queue: they must answer even
          when the data plane is saturated — that is their whole point. *)
       Some
-        (match r with
-        | P.Stats -> P.Ok_stats (stats t)
-        | P.Hello ->
-          P.Ok_hello
-            {
-              P.server_version = P.version;
-              server_min_version = P.min_version;
-              server_verbs = P.verbs;
-            }
-        | _ -> P.Ok_health (health_of t))
+        (P.response_to_string
+           (match r with
+           | P.Stats -> P.Ok_stats (stats t)
+           | P.Hello ->
+             P.Ok_hello
+               {
+                 P.server_version = P.version;
+                 server_min_version = P.min_version;
+                 server_verbs = P.verbs;
+               }
+           | _ -> P.Ok_health (health_of t)))
     | `Request request -> (
       let key = P.request_key request in
       (* Tier 1, the warm response cache: a hit answers at admission
@@ -484,17 +511,19 @@ let handle_line t line =
       match
         Option.bind t.cache (fun cache -> Parallel.Lru.find cache key)
       with
-      | Some resp ->
+      | Some reply ->
         Metrics.incr t.metrics Accepted;
         Metrics.incr t.metrics Warm_hits;
         Metrics.incr t.metrics Served;
         Metrics.observe_latency t.metrics 0.;
-        Some resp
+        Some reply
       | None ->
       (* Tier 2, the shared solution store: an LRU miss consults the
          fleet's persistent store before solving — a solution computed
-         by any shard, in any past life, is a disk read here.  Hits are
-         promoted back into tier 1. *)
+         by any shard, in any past life, is a disk read here.  A record
+         that parses as a success is served as stored, since the store
+         holds rendered reply lines; hits are promoted back into
+         tier 1. *)
       match
         match t.store with
         | None -> None
@@ -505,21 +534,24 @@ let handle_line t line =
             None
           | Some value -> (
             match P.parse_response value with
-            | Ok resp when P.is_ok resp -> Some resp
+            | Ok resp when P.is_ok resp -> Some value
             | Ok _ | Error _ -> None))
       with
-      | Some resp ->
+      | Some reply ->
         Metrics.incr t.metrics Accepted;
         Metrics.incr t.metrics Store_hits;
         Metrics.incr t.metrics Served;
         Metrics.observe_latency t.metrics 0.;
-        Option.iter (fun cache -> Parallel.Lru.add cache key resp) t.cache;
-        Some resp
+        Option.iter (fun cache -> Parallel.Lru.add cache key reply) t.cache;
+        Some reply
       | None ->
         Some
           (match admit t request key with
-          | Ok job -> wait_reply job
-          | Error resp -> resp))
+          | `Queued job ->
+            if t.cfg.jobs = 1 then take_turn t;
+            wait_reply job
+          | `Joined job -> wait_reply job
+          | `Answered resp -> P.response_to_string resp))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -565,6 +597,7 @@ let start cfg =
           cfg;
           queue = Queue.create ~capacity:cfg.queue_capacity;
           flight = Mutex.create ();
+          turn = Mutex.create ();
           in_flight = Hashtbl.create 64;
           metrics;
           cache;
@@ -587,9 +620,11 @@ let address t = Endpoint.address t.endpoint
    the store closes last, after every reader is gone. *)
 let stop t =
   Endpoint.stop t.endpoint ~drain:(fun () ->
-      (* Close admission; the evaluators answer everything already
-         admitted before their pops return None, and the pool shuts
-         down as they end. *)
+      (* Close admission; everything already admitted is still
+         answered: by the evaluators before their pops return None (the
+         pool shuts down as they end), or at [jobs = 1] by the
+         connection threads that queued it, which the endpoint joins
+         next. *)
       Queue.close t.queue;
       t.join_evaluators ());
   Option.iter Store.close t.store

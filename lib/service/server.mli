@@ -1,5 +1,5 @@
 (** The scheduling daemon: socket listener, one bounded admission
-    queue, and one evaluator loop per worker.
+    queue, and [jobs] evaluations at a time.
 
     Request path: a connection thread reads one line and parses it
     ({!Protocol.parse_request}).  [stats]/[health]/[hello] are answered
@@ -9,16 +9,20 @@
     [collapsed]; it takes no queue slot), and a new key is offered to
     the bounded admission {!Queue} — a full queue answers [overloaded]
     immediately; that is the whole backpressure story, no hidden
-    buffering.  The [jobs] participants of one {!Parallel.Pool} each
-    run an evaluator loop: pop the next job as soon as the last one is
-    answered, evaluate it, feed the cache tiers, and hand the response
-    to the job and every duplicate that joined it.  So a free evaluator
-    always takes the next job, and a fast request does not wait behind
-    a slow one while another evaluator is idle.  With [jobs = 1] the
-    one loop runs on a thread of the main domain, beside the connection
-    threads, and a fast request still waits; with more, the pool runs on
-    a domain of its own, so no evaluation holds the runtime lock the
-    connection threads need.  A [solve] evaluates through [Dls.Solve ~mode:`Cached]
+    buffering.  One evaluation takes a job, evaluates it, feeds the
+    cache tiers, and hands the rendered reply line to the job and
+    every duplicate that joined it.  With [jobs >= 2] the [jobs]
+    participants of one {!Parallel.Pool} each run an evaluator loop
+    that pops the next job as soon as the last one is answered, so a
+    free evaluator always takes the next job, and a fast request does
+    not wait behind a slow one while another evaluator is idle; the
+    pool runs on a domain of its own, so no evaluation holds the
+    runtime lock the connection threads need.  With [jobs = 1] there is
+    no evaluator thread: the connection thread that queued a job takes
+    a single evaluation turn, evaluates the queue head (its own job or
+    one queued before it) and then reads its own reply, so an
+    uncontended request is evaluated on the thread that read it, and a
+    fast request still waits behind a slow one.  A [solve] evaluates through [Dls.Solve ~mode:`Cached]
     ([`Exact] when the request says [fast=false] and brownout is off):
     an LP-cache miss runs the certified fast pipeline from scratch, with
     no neighbour probe, so the [repair_*] stats read 0.  Single flight
@@ -33,9 +37,9 @@
     worst-case latency) until three end at or below 1/4.  With
     [store = Some path], successful responses are appended to a
     checksummed crash-safe file ({!Store}) and kept in a warm response
-    cache; a restarted daemon reads them back on demand, so repeat
-    requests are answered at admission time ([store_hits], then
-    [warm_hits]).
+    cache, both as the rendered reply line; a restarted daemon reads
+    them back on demand, so repeat requests are answered at admission
+    time ([store_hits], then [warm_hits]) with the stored bytes.
 
     The socket side (bind, accept, one thread per connection, the line
     loop) is the shared {!Endpoint}, as for {!Router} and {!Chaos}; a
@@ -45,7 +49,8 @@
     {!stop} drains gracefully, in the endpoint's order: stop accepting
     and close the listening socket; then this module's drain (close
     admission, let the evaluators answer everything already admitted,
-    then end their pool); then shut down the reading side of every
+    then end their pool; at [jobs = 1] the connection threads that
+    queued those jobs answer them); then shut down the reading side of every
     connection and join its thread; then unlink the socket path and
     close the store.  After [stop] returns, no request is in flight and
     the counters satisfy [accepted = served + timed_out + failed +
@@ -58,7 +63,9 @@ type address = Endpoint.address =
 
 type config = {
   address : address;
-  jobs : int;  (** evaluator loops, one per pool participant *)
+  jobs : int;
+      (** evaluations at a time: evaluator loops, one per pool
+          participant, or at [1] the connection threads in turn *)
   queue_capacity : int;
       (** admission bound: beyond it, [overloaded] (duplicates of a
           request in flight take no slot) *)
@@ -100,9 +107,9 @@ val max_batch_lp_vars : int
 
 type t
 
-(** [start config] binds the socket and spawns the listener and the
-    evaluator loops.  [Error (Invalid_scenario _)] for a config that cannot
-    work (a bound below 1, or a [journal_max_bytes] without a store or
+(** [start config] binds the socket and spawns the listener and, with
+    [jobs >= 2], the evaluator loops.  [Error (Invalid_scenario _)] for
+    a config that cannot work (a bound below 1, or a [journal_max_bytes] without a store or
     below 1); [Error (Io_error _)] when the address cannot be bound, a
     live server holds the Unix socket path, or the store cannot be
     opened. *)

@@ -45,9 +45,10 @@ let payload_crc ~key ~value =
   let c = crc_update crc_init key 0 (String.length key) in
   crc_finish (crc_update (crc_update c "\n" 0 1) value 0 (String.length value))
 
-let render ~key ~value =
-  Printf.sprintf "rec %08x %d %d\n%s\n%s\n" (payload_crc ~key ~value)
-    (String.length key) (String.length value) key value
+(* One record, with its payload CRC [crc] computed by the caller. *)
+let render ~crc ~key ~value =
+  Printf.sprintf "rec %08x %d %d\n%s\n%s\n" crc (String.length key)
+    (String.length value) key value
 
 type entry = { voff : int; vlen : int; crc : int }
 
@@ -124,11 +125,10 @@ let read_exactly fd off len =
   Bytes.sub_string b 0 got
 
 let write_all fd s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
+  let len = String.length s in
   let rec write off =
     if off < len then
-      match Unix.write fd bytes off (len - off) with
+      match Unix.write_substring fd s off (len - off) with
       | n -> write (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> write off
   in
@@ -285,7 +285,8 @@ let add t ~key ~value =
                 refresh_locked t;
                 let size = (Unix.fstat t.fd).Unix.st_size in
                 if size > t.scanned then Unix.ftruncate t.fd t.scanned;
-                let line = render ~key ~value in
+                let crc = payload_crc ~key ~value in
+                let line = render ~crc ~key ~value in
                 let at = Unix.lseek t.fd 0 Unix.SEEK_END in
                 write_all t.fd line;
                 if t.sync then Unix.fsync t.fd;
@@ -294,7 +295,7 @@ let add t ~key ~value =
                   {
                     voff = t.scanned - String.length value - 1;
                     vlen = String.length value;
-                    crc = payload_crc ~key ~value;
+                    crc;
                   };
                 t.appended <- t.appended + 1)
         end)
@@ -323,7 +324,7 @@ let compact t ?(live = fun _ -> true) () =
               (fun (_, key, e) ->
                 let value = String.sub contents e.voff e.vlen in
                 if payload_crc ~key ~value = e.crc then
-                  Buffer.add_string b (render ~key ~value))
+                  Buffer.add_string b (render ~crc:e.crc ~key ~value))
               (List.sort compare kept);
             let tmp = t.path ^ ".compact" in
             let tmp_fd =

@@ -410,10 +410,10 @@ let test_metrics_quantiles () =
   let s0 = Service.Metrics.snapshot m ~queue_depth:0 in
   check_int "empty p50" 0 s0.P.p50_us;
   check_int "empty p99" 0 s0.P.p99_us;
-  (* Ordinary observations report the covering bucket's upper edge. *)
+  (* Below 8 us every microsecond has its own bucket. *)
   Service.Metrics.observe_latency m 3e-6;
   let s1 = Service.Metrics.snapshot m ~queue_depth:0 in
-  check_int "3us lands in [2,4)" 4 s1.P.p50_us;
+  check_int "3us reads 3" 3 s1.P.p50_us;
   (* An absurd latency lands in the overflow bucket; the quantile must
      saturate at [max_tracked_us] instead of fabricating 2^40. *)
   let m2 = Service.Metrics.create () in
@@ -422,6 +422,30 @@ let test_metrics_quantiles () =
   check_int "overflow saturates p50" Service.Metrics.max_tracked_us s2.P.p50_us;
   check_int "overflow saturates p99" Service.Metrics.max_tracked_us s2.P.p99_us;
   check "max_us keeps the raw value" true (s2.P.max_us > Service.Metrics.max_tracked_us)
+
+(* A known sample, spread over five decades: every quantile reads at
+   or above the exact nearest-rank value, and within 12.5% of it. *)
+let test_metrics_quantile_error () =
+  let m = Service.Metrics.create () in
+  let prng = Numeric.Prng.create ~seed:11 in
+  let seconds =
+    Array.init 5000 (fun _ -> 1e-6 *. (10. ** (5. *. Numeric.Prng.float prng)))
+  in
+  Array.iter (Service.Metrics.observe_latency m) seconds;
+  (* the whole microseconds the histogram files, sorted *)
+  let us = Array.map (fun s -> int_of_float (s *. 1e6)) seconds in
+  Array.sort compare us;
+  let exact q =
+    us.(max 0 (int_of_float (ceil (q *. float_of_int (Array.length us))) - 1))
+  in
+  let s = Service.Metrics.snapshot m ~queue_depth:0 in
+  List.iter
+    (fun (name, q, read) ->
+      let truth = exact q in
+      if read < truth || float_of_int read > 1.125 *. float_of_int truth then
+        Alcotest.failf "%s reads %d us, exact %d us" name read truth)
+    [ ("p50", 0.50, s.P.p50_us); ("p90", 0.90, s.P.p90_us); ("p99", 0.99, s.P.p99_us) ];
+  check_int "max_us is exact" us.(Array.length us - 1) s.P.max_us
 
 (* ------------------------------------------------------------------ *)
 (* Bounded queue                                                       *)
@@ -741,13 +765,13 @@ let test_server_timeout () =
       check_int "second shed" 1 s.P.shed;
       drain_invariant "timeout" s)
 
-let test_server_drain_under_load () =
+let test_server_drain_under_load ~jobs () =
   Dls.Lp_model.reset_cache ();
   with_server
     (fun c ->
       {
         c with
-        Service.Server.jobs = 2;
+        Service.Server.jobs;
         queue_capacity = 32;
         worker_delay = 0.02;
       })
@@ -1013,10 +1037,10 @@ let test_server_slow_does_not_stall_fast () =
         (fast_at -. t0 < 0.5 *. (slow_at -. t0));
       drain_invariant "head of line" (Service.Server.stats server))
 
-let test_server_duplicates_join () =
+let test_server_duplicates_join ~jobs () =
   Dls.Lp_model.reset_cache ();
   with_server
-    (fun c -> { c with Service.Server.jobs = 2 })
+    (fun c -> { c with Service.Server.jobs })
     (fun server ->
       let address = Service.Server.address server in
       let first = send_at ~delay:0. address (slow_req ()) in
@@ -2502,7 +2526,11 @@ let () =
             test_journal_crc32_vector;
         ] );
       ( "metrics",
-        [ Alcotest.test_case "quantile edges" `Quick test_metrics_quantiles ] );
+        [
+          Alcotest.test_case "quantile edges" `Quick test_metrics_quantiles;
+          Alcotest.test_case "quantiles within 12.5%" `Quick
+            test_metrics_quantile_error;
+        ] );
       ( "queue",
         [
           Alcotest.test_case "basics" `Quick test_queue_basics;
@@ -2521,7 +2549,10 @@ let () =
             test_server_single_flight_collapse;
           Alcotest.test_case "overload backpressure" `Quick test_server_overload;
           Alcotest.test_case "per-request timeout" `Quick test_server_timeout;
-          Alcotest.test_case "drain under load" `Quick test_server_drain_under_load;
+          Alcotest.test_case "drain under load" `Quick
+            (test_server_drain_under_load ~jobs:2);
+          Alcotest.test_case "drain under load, jobs=1" `Quick
+            (test_server_drain_under_load ~jobs:1);
           Alcotest.test_case "malformed + inline stats" `Quick
             test_server_malformed_and_inline;
           Alcotest.test_case "multi-dispatcher drain" `Quick
@@ -2531,7 +2562,9 @@ let () =
           Alcotest.test_case "a slow request does not stall a fast one" `Quick
             test_server_slow_does_not_stall_fast;
           Alcotest.test_case "duplicates join the evaluation in flight" `Quick
-            test_server_duplicates_join;
+            (test_server_duplicates_join ~jobs:2);
+          Alcotest.test_case "duplicates join, jobs=1" `Quick
+            (test_server_duplicates_join ~jobs:1);
           Alcotest.test_case "hangup mid-line" `Quick test_server_kill_mid_line;
           Alcotest.test_case "deadline-aware shed" `Quick test_server_shed;
           Alcotest.test_case "brownout downgrade" `Quick test_server_brownout;
