@@ -1,6 +1,6 @@
 (** Shared monotonic clock.
 
-    Task timeouts ({!Pool.timed}) and service latency stamps measure
+    The daemon's evaluation times and latency stamps measure
     {e elapsed} time, so they must read a clock that cannot step: a
     wall-clock adjustment (NTP correction, manual reset) during a task
     would otherwise fire a spurious timeout or file a negative latency.

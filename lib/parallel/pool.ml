@@ -29,35 +29,6 @@ type t = {
 let default_jobs () = Domain.recommended_domain_count ()
 
 (* ------------------------------------------------------------------ *)
-(* Cooperative timeouts                                                *)
-
-exception Task_timeout of { elapsed : float; budget : float }
-
-let () =
-  Printexc.register_printer (function
-    | Task_timeout { elapsed; budget } ->
-      Some
-        (Printf.sprintf "Pool.Task_timeout (ran %.3fs, budget %.3fs)" elapsed
-           budget)
-    | _ -> None)
-
-(* Cooperative: a task cannot be killed midway, so the budget is checked
-   when it completes — an overrunning task still finishes, but its
-   result is replaced by [Task_timeout].  A task's own exception wins
-   over the overrun.  The clock is monotonic ({!Clock}), so a wall-clock
-   step during the task can neither fire a spurious timeout nor mask a
-   real one. *)
-let timed ?timeout f x =
-  match timeout with
-  | None -> f x
-  | Some budget ->
-    let t0 = Clock.now () in
-    let v = f x in
-    let elapsed = Clock.elapsed_s ~since:t0 in
-    if elapsed > budget then raise (Task_timeout { elapsed; budget });
-    v
-
-(* ------------------------------------------------------------------ *)
 (* Claiming                                                            *)
 
 (* Claim and run items of [b] until none is left unclaimed, then unlink

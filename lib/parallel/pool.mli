@@ -38,10 +38,8 @@
     {!shutdown} must not race with in-flight {!map} calls: quiesce
     callers first ({!with_pool} and {!run} shut down only after their
     map returns, which for the daemon is once its evaluator loops have
-    drained the closed admission queue).
-
-    The pool has no per-task budget: {!timed} is a separate wrapper,
-    used by the daemon's evaluator loops. *)
+    drained the closed admission core).  The pool has no per-task
+    budget: the daemon's admission core gives the budget verdict. *)
 
 type t
 
@@ -61,18 +59,6 @@ val shutdown : t -> unit
 (** [with_pool ?jobs f] runs [f] with a fresh pool and shuts it down
     afterwards (also on exception). *)
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-
-(** Raised by {!timed} when a task overran its budget. *)
-exception Task_timeout of { elapsed : float; budget : float }
-
-(** [timed ?timeout f x] is [f x] under a cooperative budget check: a
-    task cannot be interrupted, so when [f] returns after more than
-    [timeout] seconds of {e monotonic} clock time ({!Clock}, immune to
-    wall-clock steps), the result is discarded and {!Task_timeout} is
-    raised instead.  An exception raised by [f] itself wins over the
-    overrun.  [timeout = None] is just [f x].  The request-serving
-    worker loop enforces its per-request deadline with it. *)
-val timed : ?timeout:float -> ('a -> 'b) -> 'a -> 'b
 
 (** [map pool f arr] is [Array.map f arr], computed by all pool
     members.  Safe to call concurrently from several threads and

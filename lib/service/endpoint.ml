@@ -124,7 +124,9 @@ let accept t handler =
         Hashtbl.add t.conns id (fd, Thread.create run id))
 
 (* Poll-accept, so [stop] ends the loop with a flag instead of racing a
-   close against a blocked [accept]. *)
+   close against a blocked [accept].  [stop] also shuts the listening
+   socket down, which wakes the [select] at once where the platform
+   supports it; the 50 ms poll is the fallback. *)
 let serve t handler =
   let rec loop () =
     if not (Atomic.get t.stopping) then begin
@@ -159,6 +161,7 @@ let stop ?(drain = ignore) t =
   Mutex.protect t.stop_m (fun () ->
       if not (Atomic.get t.stopping) then begin
         Atomic.set t.stopping true;
+        (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
         Option.iter Thread.join t.listener;
         close_quietly t.fd;
         drain ();

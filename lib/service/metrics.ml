@@ -59,11 +59,6 @@ let slot c =
 
 type t = {
   counts : int Atomic.t array;
-  brownout_active : bool Atomic.t;
-  (* EWMA of per-request service time, stored as float bits so a CAS
-     loop can update it without a lock.  Admission divides this by the
-     worker count to predict queue wait. *)
-  service_ewma_bits : int Atomic.t;
   histogram : int Atomic.t array;
   max_us : int Atomic.t;
   started : float;  (* monotonic (Clock.now), not wall time *)
@@ -72,8 +67,6 @@ type t = {
 let create () =
   {
     counts = Array.map (fun _ -> Atomic.make 0) counters;
-    brownout_active = Atomic.make false;
-    service_ewma_bits = Atomic.make (Int64.to_int (Int64.bits_of_float 0.0));
     histogram = Array.init buckets (fun _ -> Atomic.make 0);
     max_us = Atomic.make 0;
     started = Parallel.Clock.now ();
@@ -82,15 +75,6 @@ let create () =
 let cell t c = t.counts.(slot c)
 let incr t c = Atomic.incr (cell t c)
 let decr t c = Atomic.decr (cell t c)
-
-let set_brownout t active =
-  (* Count only the off->on edge so [brownouts] is "times we browned
-     out", not "evaluations spent browned out". *)
-  if active && not (Atomic.exchange t.brownout_active true) then
-    incr t Brownouts
-  else if not active then Atomic.set t.brownout_active false
-
-let brownout_active t = Atomic.get t.brownout_active
 
 let rec atomic_max cell v =
   let cur = Atomic.get cell in
@@ -114,20 +98,6 @@ let observe_latency t seconds =
   let us = int_of_float (Float.max 0. (seconds *. 1e6)) in
   Atomic.incr t.histogram.(bucket_of_us us);
   atomic_max t.max_us us
-
-(* EWMA with alpha = 0.2: heavy enough on history to ride out one odd
-   request, light enough to track a regime change within ~10 requests.
-   First observation seeds the average directly. *)
-let rec observe_service t seconds =
-  let old_bits = Atomic.get t.service_ewma_bits in
-  let old = Int64.float_of_bits (Int64.of_int old_bits) in
-  let next = if old <= 0.0 then seconds else (0.8 *. old) +. (0.2 *. seconds) in
-  let next_bits = Int64.to_int (Int64.bits_of_float next) in
-  if not (Atomic.compare_and_set t.service_ewma_bits old_bits next_bits) then
-    observe_service t seconds
-
-let service_ewma t =
-  Int64.float_of_bits (Int64.of_int (Atomic.get t.service_ewma_bits))
 
 (* The last bucket is an overflow bucket: it holds everything at or
    past the last finite boundary, so it has no meaningful upper bound.

@@ -25,10 +25,11 @@ type t
 
 (** The server-side counters.  Each reports as the {!Protocol.stats_rep}
     field of the same name in lower case.  [Batches] and [Max_batch]
-    are written by {!note_evaluation}, [Brownouts] by {!set_brownout};
-    [Collapsed] counts the duplicates that joined an evaluation already
-    in flight; [Inflight] is a gauge, raised at admission and lowered
-    by {!decr} once the response is out. *)
+    are written by {!note_evaluation}; [Brownouts] counts brownout
+    activations, not evaluations spent browned out; [Collapsed] counts
+    the duplicates that joined an evaluation already in flight;
+    [Inflight] is a gauge, raised at admission and lowered by {!decr}
+    once the response is out. *)
 type counter =
   | Accepted
   | Served
@@ -57,21 +58,6 @@ val decr : t -> counter -> unit
     answered [answered] admitted requests: the first and the duplicates
     that joined it. *)
 val note_evaluation : t -> answered:int -> unit
-
-(** [set_brownout m active] flips the brownout gauge; only the
-    off→on edge increments the [brownouts] counter, so it counts
-    activations, not evaluations spent browned out. *)
-val set_brownout : t -> bool -> unit
-
-val brownout_active : t -> bool
-
-(** [observe_service m seconds] folds one request's evaluation time
-    into the service-time EWMA (alpha 0.2) that deadline-aware
-    admission divides by the worker count to predict queue wait. *)
-val observe_service : t -> float -> unit
-
-(** Current EWMA in seconds; 0.0 until the first observation. *)
-val service_ewma : t -> float
 
 (** [observe_latency m seconds] files one admission-to-response
     latency. *)

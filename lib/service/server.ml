@@ -9,7 +9,6 @@ type config = {
   jobs : int;
   queue_capacity : int;
   timeout : float option;
-  worker_delay : float;
   store : string option;
   journal_max_bytes : int option;
   brownout : bool;
@@ -21,7 +20,6 @@ let default_config address =
     jobs = Parallel.Pool.default_jobs ();
     queue_capacity = 64;
     timeout = None;
-    worker_delay = 0.;
     store = None;
     journal_max_bytes = None;
     brownout = false;
@@ -32,41 +30,19 @@ let default_config address =
    past the admission bound. *)
 let response_cache_capacity = 4096
 
-type job = {
-  request : P.request;
-  key : string;
-  admitted : float;
-  jm : Mutex.t;
-  jc : Condition.t;
-  mutable joined : float list;
-      (* admission times of the duplicates waiting on this job; written
-         under the server's [flight] lock *)
-  mutable reply : string option;  (* the rendered reply line *)
-}
-
 type t = {
   cfg : config;
-  queue : job Queue.t;
-  (* Single flight: each key admitted and not yet answered, with its
-     job.  A duplicate joins that job instead of taking a queue slot;
-     the evaluator unlinks the key under the same lock before it
-     delivers, so no joiner can be lost. *)
-  flight : Mutex.t;
-  in_flight : (string, job) Hashtbl.t;
-  (* The evaluation turn at [jobs = 1], where the connection threads
-     evaluate in turn instead of handing jobs to an evaluator (see
-     [take_turn]); unused with more jobs. *)
-  turn : Mutex.t;
+  (* The one lock of the serving path: it guards the admission core,
+     the reply slots of its jobs, and [changed], which is broadcast
+     whenever a job is queued for an evaluator, a job is answered, or
+     the drain starts. *)
+  m : Mutex.t;
+  changed : Condition.t;
+  core : Admission.t;
   metrics : Metrics.t;
   cache : (string, string) Parallel.Lru.t option;
       (* tier-1 warm reply lines; [Some] iff [store] is *)
   store : Store.t option;  (* tier-2 durable solution store *)
-  (* Brownout hysteresis: consecutive evaluations that ended with the
-     queue above 3/4 (resp. at or below 1/4) of capacity.  Written by
-     the evaluator loops; a lost update under contention only delays
-     the flip by one evaluation. *)
-  high_streak : int Atomic.t;
-  low_streak : int Atomic.t;
   endpoint : Endpoint.t;
   mutable join_evaluators : unit -> unit;  (* see [spawn_evaluators] *)
 }
@@ -109,8 +85,8 @@ let eval_solve ~brownout (r : P.solve_req) =
    (solve_batch_best on the fraction-free tableau, two draws per size,
    2-vCPU VM): at most 0.19 s up to 45 variables (p = 11, one load),
    0.2-0.6 s at 49, 0.5-3.9 s at 61-65 and 1.3-3.1 s at 89 (p = 11, two
-   loads), all the while holding an evaluator, since the timeout is
-   cooperative.  The daemon refuses anything larger than 45;
+   loads), all the while holding an evaluator, since the budget
+   verdict comes only once the evaluation returns.  The daemon refuses anything larger than 45;
    [dls solve-multi] stays uncapped. *)
 let max_batch_lp_vars = 45
 
@@ -224,7 +200,7 @@ let eval_check p =
   in
   P.Ok_check { check_ok = violations = 0; violations }
 
-let eval_request ~brownout = function
+let evaluate ~brownout = function
   | P.Solve r -> eval_solve ~brownout r
   | P.Solve_multi r -> eval_multi r
   | P.Simulate r -> eval_simulate r
@@ -233,77 +209,32 @@ let eval_request ~brownout = function
   | P.Stats | P.Health | P.Hello ->
     P.Failed (E.Invalid_scenario "stats/health/hello are not queueable")
 
-(* Total: every exception becomes a response, so an evaluator loop
-   never dies on a bad request. *)
-let eval_job t job =
-  let brownout = Metrics.brownout_active t.metrics in
-  let t0 = Parallel.Clock.now () in
-  let resp =
-    match
-      Parallel.Pool.timed ?timeout:t.cfg.timeout
-        (fun () ->
-          if t.cfg.worker_delay > 0. then Unix.sleepf t.cfg.worker_delay;
-          eval_request ~brownout job.request)
-        ()
-    with
-    | resp -> resp
-    | exception Parallel.Pool.Task_timeout { budget; _ } ->
-      P.Timed_out { budget }
-    | exception E.Error e -> P.Failed e
-    | exception exn -> P.Failed (E.Invalid_scenario (Printexc.to_string exn))
-  in
-  (* Feed the admission predictor with the evaluation time (including
-     [worker_delay], which keeps overload experiments deterministic). *)
-  Metrics.observe_service t.metrics (Parallel.Clock.elapsed_s ~since:t0);
-  resp
 
 (* ------------------------------------------------------------------ *)
-(* Evaluator loops                                                     *)
+(* Evaluation: the shell around [Admission.next] / [Admission.finish]  *)
 
-let count_response t resp ~admitted =
-  Metrics.incr t.metrics
-    (match resp with
-    | _ when P.is_ok resp -> Served
-    | P.Timed_out _ -> Timed_out
-    (* Sheds are answered at admission, never delivered from an
-       evaluator; counted defensively should that ever change. *)
-    | P.Shed _ -> Shed
-    | _ -> Failed);
-  Metrics.observe_latency t.metrics (Parallel.Clock.elapsed_s ~since:admitted);
-  Metrics.decr t.metrics Inflight
-
-(* Brownout hysteresis: three consecutive evaluations ending with the
-   queue above 3/4 of capacity switch the forced-fast mode on; three at
-   or below 1/4 switch it off.  In between, both streaks reset. *)
-let brownout_step t =
-  let depth = Queue.length t.queue in
-  let cap = Queue.capacity t.queue in
-  if 4 * depth >= 3 * cap then begin
-    Atomic.set t.low_streak 0;
-    if Atomic.fetch_and_add t.high_streak 1 + 1 >= 3 then
-      Metrics.set_brownout t.metrics true
-  end
-  else if 4 * depth <= cap then begin
-    Atomic.set t.high_streak 0;
-    if Atomic.fetch_and_add t.low_streak 1 + 1 >= 3 then
-      Metrics.set_brownout t.metrics false
-  end
-  else begin
-    Atomic.set t.high_streak 0;
-    Atomic.set t.low_streak 0
-  end
-
-(* One evaluation of an admitted job, shared by the evaluator loops and,
-   at [jobs = 1], by the connection threads that take the turn:
-   evaluate, feed both tiers, unlink the key from single flight, deliver
-   the rendered reply to the job and its joiners, then one brownout
-   step. *)
-let step t job =
-  let resp = eval_job t job in
+(* One evaluation of the job [Admission.next] handed out: evaluate it
+   with [t.m] released, then, under it again, take the core's verdict,
+   render the reply once, feed both tiers, and hand the line to the job
+   and every duplicate that joined it.  Called and returns with [t.m]
+   held.  Total: an exception becomes a failed reply, so no evaluator
+   loop or connection thread dies on a bad request.  A success feeds
+   both tiers before the waiters wake, so a crash right after the reply
+   is visible can still re-read the record. *)
+let evaluate_job t (job : Admission.job) =
+  let brownout = Admission.browned_out t.core in
+  Mutex.unlock t.m;
+  let t0 = Parallel.Clock.now () in
+  let outcome =
+    match evaluate ~brownout job.request with
+    | resp -> Ok resp
+    | exception E.Error e -> Error (P.Failed e)
+    | exception exn -> Error (P.Failed (E.Invalid_scenario (Printexc.to_string exn)))
+  in
+  let now = Parallel.Clock.now () in
+  Mutex.lock t.m;
+  let resp, _ = Admission.finish t.core job ~now ~elapsed:(now -. t0) outcome in
   let line = P.response_to_string resp in
-  (* A success feeds both tiers before delivery, so a crash right after
-     the reply is visible can still re-read the record, and a duplicate
-     admitted after the unlink below hits tier 1. *)
   (match (t.cache, t.store) with
   | Some cache, Some store when P.is_ok resp ->
     if not (Parallel.Lru.mem cache job.key) then begin
@@ -313,44 +244,30 @@ let step t job =
       ignore (Store.add store ~key:job.key ~value:line)
     end;
     (* Byte budget: past it, rewrite the store down to the keys the
-       tier-1 cache still holds.  Evaluators race here at worst into
-       back-to-back compactions; the store serialises them and counts
-       each. *)
+       tier-1 cache still holds. *)
     (match t.cfg.journal_max_bytes with
     | Some max_bytes when Store.size_bytes store > max_bytes ->
       ignore (Store.compact store ~live:(Parallel.Lru.mem cache) ())
     | _ -> ())
   | _ -> ());
-  Mutex.lock t.flight;
-  Hashtbl.remove t.in_flight job.key;
-  let answered = job.admitted :: job.joined in
-  Mutex.unlock t.flight;
-  List.iter (fun admitted -> count_response t resp ~admitted) answered;
-  Metrics.note_evaluation t.metrics ~answered:(List.length answered);
-  Mutex.lock job.jm;
   job.reply <- Some line;
-  Condition.broadcast job.jc;
-  Mutex.unlock job.jm;
-  if t.cfg.brownout then brownout_step t
+  Condition.broadcast t.changed
 
-(* One evaluator loop: take the next admitted job as soon as the last
-   one is answered, until the queue is closed and drained. *)
-let rec evaluate t =
-  match Queue.pop t.queue with
-  | None -> ()
-  | Some job ->
-    step t job;
-    evaluate t
-
-(* With [jobs = 1] there is no evaluator: the connection thread that
-   queued a job takes the turn, pops the queue head (its own job or one
-   queued before it) and runs [step] on it, so an uncontended request
-   is evaluated where it was read, with no handoff to another thread
-   and back.  Every pusher pops exactly once, after its push and under
-   the turn, so the pop always finds a job, and evaluations stay one at
-   a time and in admission order. *)
-let take_turn t =
-  Mutex.protect t.turn (fun () -> Option.iter (step t) (Queue.pop t.queue))
+(* One evaluator loop (jobs >= 2): take the next job whenever a slot
+   is free, until the drain has handed out the last one. *)
+let evaluator t () =
+  Mutex.protect t.m (fun () ->
+      let rec loop () =
+        match Admission.next t.core with
+        | Some job ->
+          evaluate_job t job;
+          loop ()
+        | None when Admission.drained t.core -> ()
+        | None ->
+          Condition.wait t.changed t.m;
+          loop ()
+      in
+      loop ())
 
 (* With more jobs, one evaluator loop per participant of a temporary
    pool that lives as long as the loops do; returns the join.  The
@@ -359,29 +276,51 @@ let take_turn t =
    every read and write, so a fast request evaluated on another domain
    would still wait up to a 50 ms tick per handoff (its reply came
    0.24-0.46 s late behind a 0.7 s solve).  With [jobs = 1] nothing is
-   spawned ([take_turn]). *)
+   spawned: the connection threads evaluate ([await]). *)
 let spawn_evaluators t =
   let jobs = t.cfg.jobs in
   if jobs = 1 then ignore
   else
     let d =
       Domain.spawn (fun () ->
-          ignore
-            (Parallel.Pool.run ~jobs (fun () -> evaluate t) (Array.make jobs ())))
+          ignore (Parallel.Pool.run ~jobs (evaluator t) (Array.make jobs ())))
     in
     fun () -> Domain.join d
+
+(* Wait, under [t.m], until [job] is answered.  At [jobs = 1] the
+   waiting connection thread is the evaluator (caller-runs): whenever
+   the slot is free it evaluates the queue head, its own job or one
+   admitted before it, so an uncontended request is evaluated on the
+   thread that read it, in two lock acquisitions (admit, answer), and
+   evaluations stay one at a time and in admission order. *)
+let await t (job : Admission.job) =
+  let rec loop () =
+    match job.reply with
+    | Some line -> line
+    | None ->
+      (match if t.cfg.jobs = 1 then Admission.next t.core else None with
+      | Some head -> evaluate_job t head
+      | None -> Condition.wait t.changed t.m);
+      loop ()
+  in
+  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* Connection threads                                                  *)
 
-let snapshot t =
-  Metrics.snapshot ?store:(Option.map Store.stats t.store) t.metrics
-    ~queue_depth:(Queue.length t.queue)
+let snapshot t ~queue_depth =
+  Metrics.snapshot ?store:(Option.map Store.stats t.store) t.metrics ~queue_depth
 
-let health_of t : P.health_rep =
+let stats t =
+  snapshot t ~queue_depth:(Mutex.protect t.m (fun () -> Admission.depth t.core))
+
+let health t : P.health_rep =
   let draining = Endpoint.stopping t.endpoint in
-  let degraded = Metrics.brownout_active t.metrics in
-  let s = snapshot t in
+  let queue_depth, degraded =
+    Mutex.protect t.m (fun () ->
+        (Admission.depth t.core, Admission.browned_out t.core))
+  in
+  let s = snapshot t ~queue_depth in
   {
     healthy = not (draining || degraded);
     draining;
@@ -390,90 +329,27 @@ let health_of t : P.health_rep =
        else if degraded then P.Mode_degraded
        else P.Mode_healthy);
     h_uptime_s = s.P.uptime_s;
-    h_queue_depth = s.P.queue_depth;
-    h_capacity = Queue.capacity t.queue;
+    h_queue_depth = queue_depth;
+    h_capacity = t.cfg.queue_capacity;
     h_workers = t.cfg.jobs;
   }
 
-let stats t = snapshot t
-let health = health_of
-
-let wait_reply job =
-  Mutex.lock job.jm;
-  while job.reply = None do
-    Condition.wait job.jc job.jm
-  done;
-  let r = Option.get job.reply in
-  Mutex.unlock job.jm;
-  r
-
-(* Deadline-aware admission: when the per-request budget cannot be met
-   at the current depth (predicted wait = service EWMA x queued-ahead /
-   evaluators), shedding now is strictly kinder than queueing work that
-   is doomed to [timeout] — the client learns immediately and the queue
-   stays available for requests that can still make it. *)
-let doomed t =
-  match t.cfg.timeout with
-  | None -> None
-  | Some budget ->
-    let ewma = Metrics.service_ewma t.metrics in
-    if ewma <= 0. then None
-    else
-      let depth = Queue.length t.queue in
-      let wait = ewma *. float_of_int (depth + 1) /. float_of_int t.cfg.jobs in
-      if wait > budget then Some (wait, budget) else None
-
-(* [`Queued job] to evaluate and wait on, [`Joined job] to wait on, or
-   [`Answered resp] to answer at once.  A duplicate of a job in flight
-   joins it: no queue slot, no shed check, since it adds no work.
-   Counters move under the [flight] lock, so [step], which unlinks the
-   key under it too, delivers only after they have. *)
+(* Admit [request] to the core and wait for its reply line.  A new job
+   wakes the evaluators at [jobs >= 2]; at [jobs = 1] the admitting
+   thread evaluates it itself ([await]). *)
 let admit t request key =
-  let admitted = Parallel.Clock.now () in
-  Mutex.protect t.flight (fun () ->
-      match Hashtbl.find_opt t.in_flight key with
-      | Some job ->
-        job.joined <- admitted :: job.joined;
-        Metrics.incr t.metrics Accepted;
-        Metrics.incr t.metrics Collapsed;
-        Metrics.incr t.metrics Inflight;
-        `Joined job
-      | None -> (
-        match doomed t with
-        | Some (wait, budget) ->
-          Metrics.incr t.metrics Accepted;
-          Metrics.incr t.metrics Shed;
-          `Answered (P.Shed { wait; budget })
-        | None -> (
-          let job =
-            {
-              request;
-              key;
-              admitted;
-              jm = Mutex.create ();
-              jc = Condition.create ();
-              joined = [];
-              reply = None;
-            }
-          in
-          match Queue.try_push t.queue job with
-          | Queue.Enqueued ->
-            Hashtbl.replace t.in_flight key job;
-            Metrics.incr t.metrics Accepted;
-            Metrics.incr t.metrics Inflight;
-            `Queued job
-          | Queue.Overloaded ->
-            Metrics.incr t.metrics Rejected;
-            `Answered
-              (P.Overloaded
-                 { depth = Queue.length t.queue; capacity = Queue.capacity t.queue })
-          | Queue.Closed ->
-            Metrics.incr t.metrics Rejected;
-            `Answered (P.Failed (E.Io_error "server is draining")))))
+  let now = Parallel.Clock.now () in
+  Mutex.protect t.m (fun () ->
+      match Admission.admit t.core ~now key request with
+      | Queued job ->
+        if t.cfg.jobs > 1 then Condition.broadcast t.changed;
+        await t job
+      | Joined job -> await t job
+      | Answered resp -> P.response_to_string resp)
 
 (* The reply line to write for [line], rendered once: an evaluated
-   reply comes rendered from [step], and a cache hit is the line it
-   holds. *)
+   reply comes rendered from [evaluate_job], and a cache hit is the
+   line it holds. *)
 let handle_line t line =
   let trimmed = String.trim line in
   if trimmed = "" || trimmed.[0] = '#' then None
@@ -502,7 +378,7 @@ let handle_line t line =
                  server_min_version = P.min_version;
                  server_verbs = P.verbs;
                }
-           | _ -> P.Ok_health (health_of t)))
+           | _ -> P.Ok_health (health t)))
     | `Request request -> (
       let key = P.request_key request in
       (* Tier 1, the warm response cache: a hit answers at admission
@@ -544,14 +420,7 @@ let handle_line t line =
         Metrics.observe_latency t.metrics 0.;
         Option.iter (fun cache -> Parallel.Lru.add cache key reply) t.cache;
         Some reply
-      | None ->
-        Some
-          (match admit t request key with
-          | `Queued job ->
-            if t.cfg.jobs = 1 then take_turn t;
-            wait_reply job
-          | `Joined job -> wait_reply job
-          | `Answered resp -> P.response_to_string resp))
+      | None -> Some (admit t request key))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -595,15 +464,14 @@ let start cfg =
       let t =
         {
           cfg;
-          queue = Queue.create ~capacity:cfg.queue_capacity;
-          flight = Mutex.create ();
-          turn = Mutex.create ();
-          in_flight = Hashtbl.create 64;
+          m = Mutex.create ();
+          changed = Condition.create ();
+          core =
+            Admission.create ~jobs:cfg.jobs ~capacity:cfg.queue_capacity
+              ?timeout:cfg.timeout ~brownout:cfg.brownout metrics;
           metrics;
           cache;
           store;
-          high_streak = Atomic.make 0;
-          low_streak = Atomic.make 0;
           endpoint;
           join_evaluators = ignore;
         }
@@ -621,10 +489,12 @@ let address t = Endpoint.address t.endpoint
 let stop t =
   Endpoint.stop t.endpoint ~drain:(fun () ->
       (* Close admission; everything already admitted is still
-         answered: by the evaluators before their pops return None (the
-         pool shuts down as they end), or at [jobs = 1] by the
-         connection threads that queued it, which the endpoint joins
+         answered: by the evaluators before they see the core drained
+         (the pool shuts down as they end), or at [jobs = 1] by the
+         connection threads waiting on it, which the endpoint joins
          next. *)
-      Queue.close t.queue;
+      Mutex.protect t.m (fun () ->
+          Admission.close t.core;
+          Condition.broadcast t.changed);
       t.join_evaluators ());
   Option.iter Store.close t.store

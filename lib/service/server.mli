@@ -1,45 +1,43 @@
-(** The scheduling daemon: socket listener, one bounded admission
-    queue, and [jobs] evaluations at a time.
+(** The scheduling daemon: the shell around the admission core
+    ({!Admission}).
 
     Request path: a connection thread reads one line and parses it
     ({!Protocol.parse_request}).  [stats]/[health]/[hello] are answered
-    inline.  Otherwise the request is looked up by its
-    {!Protocol.request_key}: a duplicate of a request admitted and not
-    yet answered joins that evaluation (single flight, counted in
-    [collapsed]; it takes no queue slot), and a new key is offered to
-    the bounded admission {!Queue} — a full queue answers [overloaded]
-    immediately; that is the whole backpressure story, no hidden
-    buffering.  One evaluation takes a job, evaluates it, feeds the
-    cache tiers, and hands the rendered reply line to the job and
-    every duplicate that joined it.  With [jobs >= 2] the [jobs]
-    participants of one {!Parallel.Pool} each run an evaluator loop
-    that pops the next job as soon as the last one is answered, so a
-    free evaluator always takes the next job, and a fast request does
-    not wait behind a slow one while another evaluator is idle; the
-    pool runs on a domain of its own, so no evaluation holds the
-    runtime lock the connection threads need.  With [jobs = 1] there is
-    no evaluator thread: the connection thread that queued a job takes
-    a single evaluation turn, evaluates the queue head (its own job or
-    one queued before it) and then reads its own reply, so an
-    uncontended request is evaluated on the thread that read it, and a
-    fast request still waits behind a slow one.  A [solve] evaluates through [Dls.Solve ~mode:`Cached]
-    ([`Exact] when the request says [fast=false] and brownout is off):
-    an LP-cache miss runs the certified fast pipeline from scratch, with
-    no neighbour probe, so the [repair_*] stats read 0.  Single flight
-    and the LP cache are always on.
+    inline.  Otherwise the request's {!Protocol.request_key} is looked
+    up in the warm response cache (tier 1) and the shared store
+    (tier 2); a miss goes to the core, which joins a duplicate of a
+    request in flight (single flight, counted in [collapsed]), sheds a
+    request that the budget predicts doomed, answers [overloaded] on a
+    full queue, or queues a new job.  Those decisions, the budget
+    verdict, brownout and the drain are the core's; the shell holds it
+    under one mutex and one condition, and evaluates, renders, feeds
+    both tiers and writes.
 
-    Graceful degradation: with a [timeout] configured, admission is
-    deadline-aware — when the service-time EWMA predicts a queue wait
-    beyond the budget, the request is answered [shed] instead of being
-    queued to die; with [brownout = true], three consecutive
-    evaluations ending above 3/4 of queue capacity force every [solve]
+    An evaluation takes the job {!Admission.next} hands out, evaluates
+    it with the mutex released, and gives its outcome to
+    {!Admission.finish}; the reply line is rendered once and handed to
+    the job and every duplicate that joined it.  With [jobs >= 2] the
+    [jobs] participants of one {!Parallel.Pool}, on a domain of its
+    own, each run an evaluator loop, so a fast request does not wait
+    behind a slow one while another evaluator is idle.  With
+    [jobs = 1] the connection thread that admitted a job evaluates the
+    queue head itself (caller-runs): an uncontended request is
+    evaluated on the thread that read it, and a fast request still
+    waits behind a slow one.  A [solve] evaluates through
+    [Dls.Solve ~mode:`Cached] ([`Exact] when the request says
+    [fast=false] and brownout is off); the [repair_*] stats read 0.
+    Single flight and the LP cache are always on.
+
+    Graceful degradation: with a [timeout], admission is deadline-aware
+    (the core's service-time EWMA predicts the queue wait), and an
+    evaluation past the budget is answered [timeout]; with
+    [brownout = true], sustained queue pressure forces every [solve]
     onto the certified fast pipeline (bit-identical answers, lower
-    worst-case latency) until three end at or below 1/4.  With
-    [store = Some path], successful responses are appended to a
-    checksummed crash-safe file ({!Store}) and kept in a warm response
-    cache, both as the rendered reply line; a restarted daemon reads
-    them back on demand, so repeat requests are answered at admission
-    time ([store_hits], then [warm_hits]) with the stored bytes.
+    worst-case latency).  With [store = Some path], successful replies
+    are appended to a checksummed crash-safe file ({!Store}) and kept in
+    the warm response cache, both as the rendered reply line, so repeat
+    requests, also after a restart, are answered at admission
+    ([warm_hits], [store_hits]) with the stored bytes.
 
     The socket side (bind, accept, one thread per connection, the line
     loop) is the shared {!Endpoint}, as for {!Router} and {!Chaos}; a
@@ -47,14 +45,12 @@
     a live server still answers on is refused rather than taken over.
 
     {!stop} drains gracefully, in the endpoint's order: stop accepting
-    and close the listening socket; then this module's drain (close
-    admission, let the evaluators answer everything already admitted,
-    then end their pool; at [jobs = 1] the connection threads that
-    queued those jobs answer them); then shut down the reading side of every
-    connection and join its thread; then unlink the socket path and
-    close the store.  After [stop] returns, no request is in flight and
-    the counters satisfy [accepted = served + timed_out + failed +
-    shed]. *)
+    and close the listening socket; then close the core, let the
+    evaluations answer everything already admitted and end the
+    evaluator pool; then shut down the reading side of every connection
+    and join its thread; then unlink the socket path and close the
+    store.  After [stop] returns, no request is in flight and the
+    counters satisfy [accepted = served + timed_out + failed + shed]. *)
 
 (** {!Endpoint.address}, re-exported with its constructors. *)
 type address = Endpoint.address =
@@ -65,19 +61,14 @@ type config = {
   address : address;
   jobs : int;
       (** evaluations at a time: evaluator loops, one per pool
-          participant, or at [1] the connection threads in turn *)
+          participant, or at [1] the admitting connection threads *)
   queue_capacity : int;
       (** admission bound: beyond it, [overloaded] (duplicates of a
           request in flight take no slot) *)
-  timeout : float option;  (** per-request budget, seconds (cooperative) *)
-  worker_delay : float;
-      (** artificial seconds of work added to every evaluation (default
-          0).  A test fake, kept in the config rather than on the
-          command line: it makes overload, timeout, shed and
-          capacity scenarios deterministic, because evaluation
-          time is then a known sleep instead of solver time that varies
-          with the host.  Only the tests of [test_service] and
-          [test_scale] set it; nothing in production does *)
+  timeout : float option;
+      (** per-request budget, seconds.  An evaluation is not
+          interrupted: the core's verdict answers [timeout] when it
+          returns past the budget *)
   store : string option;
       (** durable solution store path ({!Store}), the daemon's only
           durable state.  [Some] also enables the warm response cache
@@ -95,6 +86,12 @@ type config = {
 }
 
 val default_config : address -> config
+
+(** [evaluate ~brownout request] is the reply the daemon's evaluation
+    computes for a queueable [request], before the budget verdict;
+    [brownout] runs a [solve] on the certified fast pipeline.  Raises
+    on a request the solver rejects. *)
+val evaluate : brownout:bool -> Protocol.request -> Protocol.response
 
 (** [max_batch_lp_vars] is the largest batch LP, counted in variables
     ([4 · loads · workers + 1]), that the daemon solves: a larger

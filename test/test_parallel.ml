@@ -108,33 +108,6 @@ let test_pool_failure_leaves_pool_usable () =
       check "pool reusable after failure" true
         (again = Array.init 64 (fun i -> i * i)))
 
-let test_pool_timeout () =
-  let slow x =
-    Unix.sleepf 0.05;
-    x
-  in
-  (* An overrun raises, with its elapsed time and budget. *)
-  (match Parallel.Pool.timed ~timeout:0.01 slow 1 with
-  | _ -> Alcotest.fail "expected Task_timeout"
-  | exception Parallel.Pool.Task_timeout { elapsed; budget } ->
-    check "elapsed over budget" true (elapsed > budget && budget = 0.01));
-  (* A generous budget, or none, passes the result through. *)
-  check_int "generous budget passes" 2
-    (Parallel.Pool.timed ~timeout:60.0 succ 1);
-  check_int "no budget" 2 (Parallel.Pool.timed succ 1);
-  (* The task's own exception wins over the overrun. *)
-  match
-    Parallel.Pool.timed ~timeout:0.01
-      (fun () ->
-        Unix.sleepf 0.05;
-        raise (Boom 0))
-      ()
-  with
-  | _ -> Alcotest.fail "expected Boom"
-  | exception Boom 0 -> ()
-  | exception Parallel.Pool.Task_timeout _ ->
-    Alcotest.fail "timeout masked the task's own exception"
-
 let test_pool_concurrent_maps () =
   (* Several domains mapping on one pool at once.  Each call must
      return its own deterministic result. *)
@@ -702,7 +675,6 @@ let () =
           Alcotest.test_case "first failure wins" `Quick test_pool_first_failure_wins;
           Alcotest.test_case "failure leaves pool usable" `Quick
             test_pool_failure_leaves_pool_usable;
-          Alcotest.test_case "task timeout" `Quick test_pool_timeout;
           Alcotest.test_case "run_local = map" `Quick
             test_pool_run_local_matches_map;
           Alcotest.test_case "concurrent maps on one pool" `Quick

@@ -1,7 +1,7 @@
 (* The scheduler-as-a-service subsystem: wire protocol round trips and
-   totality, the bounded admission queue, the daemon lifecycle (serve,
-   collapse, backpressure, timeout, drain), and the deterministic load
-   generator.  Servers bind throwaway Unix sockets under the temp dir;
+   totality, the admission core (single flight, backpressure, budget,
+   shed, brownout, drain) on a virtual clock, the daemon's shell around
+   it on real sockets, and the deterministic load generator.  Servers bind throwaway Unix sockets under the temp dir;
    everything runs in-process. *)
 
 module Q = Numeric.Rational
@@ -448,129 +448,6 @@ let test_metrics_quantile_error () =
   check_int "max_us is exact" us.(Array.length us - 1) s.P.max_us
 
 (* ------------------------------------------------------------------ *)
-(* Bounded queue                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_queue_basics () =
-  let qq = Service.Queue.create ~capacity:2 in
-  check "push 1" true (Service.Queue.try_push qq 1 = Service.Queue.Enqueued);
-  check "push 2" true (Service.Queue.try_push qq 2 = Service.Queue.Enqueued);
-  check "push 3 overloads" true
-    (Service.Queue.try_push qq 3 = Service.Queue.Overloaded);
-  check_int "length" 2 (Service.Queue.length qq);
-  check "fifo pop" true (Service.Queue.pop qq = Some 1);
-  check "fifo pop 2" true (Service.Queue.pop qq = Some 2);
-  Service.Queue.close qq;
-  check "push after close" true
-    (Service.Queue.try_push qq 4 = Service.Queue.Closed);
-  check "pop after close+drain" true (Service.Queue.pop qq = None)
-
-let test_queue_close_drains () =
-  let qq = Service.Queue.create ~capacity:8 in
-  for i = 1 to 5 do
-    ignore (Service.Queue.try_push qq i)
-  done;
-  Service.Queue.close qq;
-  let drained = ref [] in
-  let rec go () =
-    match Service.Queue.pop qq with
-    | Some x -> drained := x :: !drained; go ()
-    | None -> ()
-  in
-  go ();
-  check "drained in order" true (List.rev !drained = [ 1; 2; 3; 4; 5 ]);
-  check_int "empty after the drain" 0 (Service.Queue.length qq)
-
-let test_queue_exactly_once () =
-  let consumers = 4 and items = 64 in
-  let qq = Service.Queue.create ~capacity:256 in
-  for i = 0 to items - 1 do
-    match Service.Queue.try_push qq i with
-    | Service.Queue.Enqueued -> ()
-    | Service.Queue.Overloaded -> Alcotest.failf "push %d overloaded" i
-    | Service.Queue.Closed -> Alcotest.failf "push %d closed" i
-  done;
-  check_int "total length" items (Service.Queue.length qq);
-  Service.Queue.close qq;
-  (match Service.Queue.try_push qq 999 with
-  | Service.Queue.Closed -> ()
-  | _ -> Alcotest.fail "push after close not rejected");
-  let seen = Array.init items (fun _ -> Atomic.make 0) in
-  let consumer () =
-    let rec go () =
-      match Service.Queue.pop qq with
-      | None -> ()
-      | Some v ->
-        Atomic.incr seen.(v);
-        go ()
-    in
-    go ()
-  in
-  let ts = Array.init consumers (fun _ -> Thread.create consumer ()) in
-  Array.iter Thread.join ts;
-  Array.iteri
-    (fun i c ->
-      let c = Atomic.get c in
-      if c <> 1 then Alcotest.failf "item %d consumed %d times" i c)
-    seen;
-  check_int "fully drained" 0 (Service.Queue.length qq)
-
-let test_queue_concurrent () =
-  (* Producer/consumer threads, the daemon's layer: every pushed item is
-     popped exactly once, blocked consumers wake on close. *)
-  let qq = Service.Queue.create ~capacity:16 in
-  let producers = 4 and per_producer = 500 in
-  let consumed = Array.make (producers * per_producer) 0 in
-  let consumer () =
-    let rec go () =
-      match Service.Queue.pop qq with
-      | Some x ->
-        consumed.(x) <- consumed.(x) + 1;
-        go ()
-      | None -> ()
-    in
-    go ()
-  in
-  let producer p () =
-    for i = 0 to per_producer - 1 do
-      let x = (p * per_producer) + i in
-      let rec push () =
-        match Service.Queue.try_push qq x with
-        | Service.Queue.Enqueued -> ()
-        | Service.Queue.Overloaded ->
-          Thread.yield ();
-          push ()
-        | Service.Queue.Closed -> Alcotest.fail "closed during production"
-      in
-      push ()
-    done
-  in
-  let cs = Array.init 3 (fun _ -> Thread.create consumer ()) in
-  let ps = Array.init producers (fun p -> Thread.create (producer p) ()) in
-  Array.iter Thread.join ps;
-  Service.Queue.close qq;
-  Array.iter Thread.join cs;
-  Array.iteri
-    (fun x n -> if n <> 1 then Alcotest.failf "item %d consumed %d times" x n)
-    consumed
-
-let test_queue_close_wakes_blocked_pop () =
-  let qq = Service.Queue.create ~capacity:4 in
-  let got = Atomic.make `Pending in
-  let t =
-    Thread.create
-      (fun () ->
-        match Service.Queue.pop qq with
-        | None -> Atomic.set got `None
-        | Some _ -> Atomic.set got `Some)
-      ()
-  in
-  Thread.delay 0.02;
-  Service.Queue.close qq;
-  Thread.join t;
-  check "blocked pop unblocked with None" true (Atomic.get got = `None)
-
-(* ------------------------------------------------------------------ *)
 (* Server lifecycle                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -613,6 +490,265 @@ let solve_req p =
       s_fast = true;
       s_load = Some (q "1000");
     }
+
+(* ------------------------------------------------------------------ *)
+(* Admission core: driven with a virtual clock, no socket, no sleep    *)
+(* ------------------------------------------------------------------ *)
+
+module A = Service.Admission
+
+let core ?(jobs = 1) ?(capacity = 64) ?timeout ?(brownout = false) () =
+  let m = Service.Metrics.create () in
+  (A.create ~jobs ~capacity ?timeout ~brownout m, m)
+
+let core_stats (c, m) = Service.Metrics.snapshot m ~queue_depth:(A.depth c)
+
+(* Distinct platforms give distinct request keys. *)
+let distinct_p i =
+  platform [ ("1", "1", "1/2"); (Printf.sprintf "%d/101" (i + 1), "2", "1/2") ]
+
+let admit c ~now req = A.admit c ~now (P.request_key req) req
+let ok_reply = P.Ok_check { check_ok = true; violations = 0 }
+let reply_str = P.response_to_string
+
+let queued = function
+  | A.Queued job -> job
+  | A.Joined _ -> Alcotest.fail "expected queued, got joined"
+  | A.Answered r -> Alcotest.failf "expected queued, got %s" (reply_str r)
+
+let answered = function
+  | A.Answered r -> reply_str r
+  | A.Queued _ | A.Joined _ -> Alcotest.fail "expected an answer at admission"
+
+let next_exn c =
+  match A.next c with Some job -> job | None -> Alcotest.fail "expected a job"
+
+(* Close [c] and finish every job still waiting, in order. *)
+let drain_core c =
+  A.close c;
+  let rec go () =
+    match A.next c with
+    | Some job ->
+      ignore (A.finish c job ~now:1e3 ~elapsed:0.001 (Ok ok_reply));
+      go ()
+    | None -> ()
+  in
+  go ()
+
+let test_queue_basics () =
+  let c, m = core ~jobs:2 ~capacity:2 () in
+  let j1 = queued (admit c ~now:1. (solve_req (distinct_p 1))) in
+  let j2 = queued (admit c ~now:2. (solve_req (distinct_p 2))) in
+  check_str "third overloads"
+    (reply_str (P.Overloaded { depth = 2; capacity = 2 }))
+    (answered (admit c ~now:3. (solve_req (distinct_p 3))));
+  check_int "depth" 2 (A.depth c);
+  check "fifo next" true (next_exn c == j1);
+  check "fifo next 2" true (next_exn c == j2);
+  A.close c;
+  check_str "admit after close"
+    (reply_str (P.Failed (Dls.Errors.Io_error "server is draining")))
+    (answered (admit c ~now:4. (solve_req (distinct_p 4))));
+  check "next after close+drain" true (A.next c = None && A.drained c);
+  List.iter (fun j -> ignore (A.finish c j ~now:5. ~elapsed:1. (Ok ok_reply))) [ j1; j2 ];
+  let s = core_stats (c, m) in
+  check_int "rejected" 2 s.P.rejected;
+  drain_invariant "basics" s
+
+let test_queue_close_drains () =
+  let c, m = core ~jobs:1 () in
+  let jobs =
+    List.init 5 (fun i -> queued (admit c ~now:(float_of_int i) (solve_req (distinct_p i))))
+  in
+  A.close c;
+  let rec go acc =
+    match A.next c with
+    | Some job ->
+      check "one at a time" true (A.next c = None);
+      let _, times = A.finish c job ~now:10. ~elapsed:1. (Ok ok_reply) in
+      check "its own admission answered" true (times = [ job.A.admitted ]);
+      go (job :: acc)
+    | None -> List.rev acc
+  in
+  check "drained in admission order" true (List.for_all2 ( == ) jobs (go []));
+  check_int "empty after the drain" 0 (A.depth c);
+  drain_invariant "close drains" (core_stats (c, m))
+
+(* The shell at [jobs = 4]: four evaluator loops take jobs from one
+   core, and each of a stream of distinct keys is evaluated exactly
+   once. *)
+let test_queue_exactly_once () =
+  let requests = 64 and seed = 2026 and distinct = 100_000 in
+  Dls.Lp_model.reset_cache ();
+  with_server
+    (fun c -> { c with Service.Server.jobs = 4; queue_capacity = 256 })
+    (fun server ->
+      match
+        Service.Loadgen.run (Service.Server.address server) ~connections:8
+          ~requests ~seed ~distinct ()
+      with
+      | Error e -> Alcotest.failf "loadgen: %s" (Dls.Errors.to_string e)
+      | Ok o ->
+        check_int "every request ok" requests o.Service.Loadgen.ok;
+        let s = Service.Server.stats server in
+        check_int "one evaluation per request" requests s.P.batches;
+        check_int "served" requests s.P.served;
+        drain_invariant "exactly once" s)
+
+(* The shell at [jobs >= 2]: evaluator loops waiting for work are woken
+   by [stop], which returns once they are joined. *)
+let test_queue_close_wakes_blocked_pop () =
+  Dls.Lp_model.reset_cache ();
+  with_server
+    (fun c -> { c with Service.Server.jobs = 3 })
+    (fun server ->
+      let address = Service.Server.address server in
+      (match Service.Client.with_client address (fun cl -> request_ok cl (solve_req (p2 ()))) with
+      | Ok r -> check "ok" true (P.is_ok r)
+      | Error e -> Alcotest.failf "client: %s" (Dls.Errors.to_string e));
+      Service.Server.stop server;
+      drain_invariant "stopped idle" (Service.Server.stats server))
+
+(* The shell at [jobs = 1]: connection threads evaluate in turn
+   (caller-runs) under a small bound; every request is answered once,
+   by one evaluation. *)
+let test_queue_concurrent () =
+  Dls.Lp_model.reset_cache ();
+  with_server
+    (fun c -> { c with Service.Server.jobs = 1; queue_capacity = 2 })
+    (fun server ->
+      let address = Service.Server.address server in
+      let producers = 4 and per_producer = 25 in
+      let overloaded = Atomic.make 0 in
+      let producer p () =
+        match
+          Service.Client.with_client address (fun cl ->
+              for i = 0 to per_producer - 1 do
+                let req = solve_req (distinct_p ((p * per_producer) + i)) in
+                let rec send () =
+                  match request_ok cl req with
+                  | P.Overloaded _ ->
+                    Atomic.incr overloaded;
+                    Thread.yield ();
+                    send ()
+                  | r when P.is_ok r -> ()
+                  | other -> Alcotest.failf "unexpected %s" (reply_str other)
+                in
+                send ()
+              done)
+        with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "producer %d: %s" p (Dls.Errors.to_string e)
+      in
+      let ts = Array.init producers (fun p -> Thread.create (producer p) ()) in
+      Array.iter Thread.join ts;
+      let s = Service.Server.stats server in
+      let total = producers * per_producer in
+      check_int "served" total s.P.served;
+      check_int "one evaluation each" total s.P.batches;
+      check_int "rejected = overloaded replies" (Atomic.get overloaded) s.P.rejected;
+      drain_invariant "concurrent" s)
+
+(* Seeded random sequences of admit / next / finish / close, with
+   random durations, then the drain.  Checked: the drain invariant, at
+   most [jobs] evaluations at once, a free slot never left idle while a
+   job waits, evaluations in admission order, and every admission that
+   was queued or joined answered exactly once. *)
+let core_ops_property =
+  let open QCheck2.Gen in
+  let op =
+    frequency
+      [
+        (8, map (fun k -> `Admit k) (int_range 0 5));
+        (6, pure `Next);
+        ( 6,
+          map3
+            (fun k elapsed raised -> `Finish (k, elapsed, raised))
+            (int_range 0 2) (oneofl [ 0.001; 0.02; 0.08 ]) bool );
+        (1, pure `Close);
+      ]
+  in
+  let gen =
+    tup5 (int_range 1 3) (int_range 1 4) (option (pure 0.05)) bool
+      (list_size (int_range 0 60) op)
+  in
+  let print (jobs, capacity, timeout, brownout, ops) =
+    Printf.sprintf "jobs=%d capacity=%d timeout=%s brownout=%b [%s]" jobs capacity
+      (match timeout with Some b -> string_of_float b | None -> "none")
+      brownout
+      (String.concat "; "
+         (List.map
+            (function
+              | `Admit k -> Printf.sprintf "admit %d" k
+              | `Next -> "next"
+              | `Close -> "close"
+              | `Finish (k, e, r) -> Printf.sprintf "finish %d %g%s" k e (if r then " raised" else ""))
+            ops))
+  in
+  let reqs = Array.init 6 (fun i -> solve_req (distinct_p i)) in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 38 |])
+    (QCheck2.Test.make ~count:500 ~name:"qcheck op sequences" ~print gen
+       (fun (jobs, capacity, timeout, brownout, ops) ->
+         let c, m = core ~jobs ~capacity ?timeout ~brownout () in
+         let running = ref [] and handed = ref [] in
+         let owed = ref [] and paid = ref [] in
+         let fail fmt = QCheck2.Test.fail_reportf fmt in
+         let finish job ~now ~elapsed raised =
+           running := List.filter (fun j -> j != job) !running;
+           let failed = P.Failed (Dls.Errors.Invalid_scenario "raised") in
+           let outcome = if raised then Error failed else Ok ok_reply in
+           let resp, times = A.finish c job ~now ~elapsed outcome in
+           (match (raised, timeout) with
+           | true, _ -> if resp <> failed then fail "a raised evaluation did not stay failed"
+           | false, Some b when elapsed > b ->
+             if resp <> P.Timed_out { budget = b } then fail "no timeout verdict"
+           | false, _ -> if not (P.is_ok resp) then fail "an ok evaluation failed");
+           paid := times @ !paid
+         in
+         let next () =
+           match A.next c with
+           | Some job ->
+             running := !running @ [ job ];
+             handed := job.A.admitted :: !handed;
+             if List.length !running > jobs then fail "%d evaluations at once" (List.length !running)
+           | None ->
+             if List.length !running < jobs && A.depth c > 0 then
+               fail "a slot idles while %d jobs wait" (A.depth c)
+         in
+         List.iteri
+           (fun i op ->
+             let now = float_of_int i in
+             match op with
+             | `Admit k -> (
+               match admit c ~now reqs.(k) with
+               | A.Queued _ | A.Joined _ -> owed := now :: !owed
+               | A.Answered _ -> ())
+             | `Next -> next ()
+             | `Close -> A.close c
+             | `Finish (k, elapsed, raised) -> (
+               match !running with
+               | [] -> ()
+               | l -> finish (List.nth l (k mod List.length l)) ~now ~elapsed raised))
+           ops;
+         A.close c;
+         let rec drain () =
+           match !running with
+           | job :: _ ->
+             finish job ~now:1e3 ~elapsed:0.001 false;
+             drain ()
+           | [] ->
+             next ();
+             if !running <> [] then drain ()
+         in
+         drain ();
+         let s = core_stats (c, m) in
+         let order = List.rev !handed in
+         if order <> List.sort compare order then fail "evaluated out of admission order";
+         if List.sort compare !owed <> List.sort compare !paid then
+           fail "admissions %d, answers %d" (List.length !owed) (List.length !paid);
+         if not (A.drained c) then fail "not drained";
+         s.P.inflight = 0 && s.P.queue_depth = 0
+         && s.P.accepted = s.P.served + s.P.timed_out + s.P.failed + s.P.shed))
 
 let test_server_solve_bit_identical () =
   Dls.Lp_model.reset_cache ();
@@ -657,142 +793,120 @@ let test_server_solve_bit_identical () =
         Alcotest.failf "expected ok solve, got %s" (P.response_to_string other))
 
 let test_server_single_flight_collapse () =
-  Dls.Lp_model.reset_cache ();
-  with_server
-    (fun c ->
-      {
-        c with
-        Service.Server.jobs = 2;
-        queue_capacity = 32;
-        worker_delay = 0.02;
-      })
-    (fun server ->
-      let address = Service.Server.address server in
-      let p = p2 () in
-      let clients = 10 in
-      let replies = Array.make clients "" in
-      let worker i () =
-        match
-          Service.Client.with_client address (fun cl ->
-              P.response_to_string (request_ok cl (solve_req p)))
-        with
-        | Ok s -> replies.(i) <- s
-        | Error e -> Alcotest.failf "client %d: %s" i (Dls.Errors.to_string e)
-      in
-      let ts = Array.init clients (fun i -> Thread.create (worker i) ()) in
-      Array.iter Thread.join ts;
-      Array.iter
-        (fun s ->
-          check_str "all duplicates share the canonical reply" replies.(0) s)
-        replies;
-      check "reply is ok" true (String.length replies.(0) > 2 && String.sub replies.(0) 0 2 = "ok");
-      let s = Service.Server.stats server in
-      check_int "all served" clients s.P.served;
-      check "batching collapsed duplicates" true (s.P.collapsed >= 1);
-      drain_invariant "collapse" s)
+  let c, m = core ~jobs:2 () in
+  let req = solve_req (p2 ()) in
+  let job = queued (admit c ~now:0. req) in
+  for i = 1 to 9 do
+    match admit c ~now:(float_of_int i) req with
+    | A.Joined j -> check "joins the job in flight" true (j == job)
+    | _ -> Alcotest.fail "duplicate not joined"
+  done;
+  check_int "duplicates take no slot" 1 (A.depth c);
+  check "its evaluation starts" true (next_exn c == job);
+  (match admit c ~now:10. req with
+  | A.Joined j -> check "joins while running" true (j == job)
+  | _ -> Alcotest.fail "duplicate of a running job not joined");
+  let resp, times = A.finish c job ~now:11. ~elapsed:1. (Ok ok_reply) in
+  check_str "one verdict" (reply_str ok_reply) (reply_str resp);
+  check "every admission answered once" true
+    (List.sort compare times = List.init 11 float_of_int);
+  (* Answered keys leave single flight: the next copy is a new job. *)
+  let again = queued (admit c ~now:12. req) in
+  check "a new job" true (again != job);
+  drain_core c;
+  let s = core_stats (c, m) in
+  check_int "collapsed" 10 s.P.collapsed;
+  check_int "served" 12 s.P.served;
+  check_int "two evaluations" 2 s.P.batches;
+  check_int "the largest answered eleven" 11 s.P.max_batch;
+  drain_invariant "collapse" s
 
 let test_server_overload () =
-  Dls.Lp_model.reset_cache ();
-  with_server
-    (fun c ->
-      {
-        c with
-        Service.Server.jobs = 1;
-        queue_capacity = 2;
-        worker_delay = 0.05;
-      })
-    (fun server ->
-      let address = Service.Server.address server in
-      let clients = 12 in
-      let outcomes = Array.make clients `Pending in
-      let worker i () =
-        (* distinct platforms: a duplicate would join the job in flight
-           instead of taking a queue slot *)
-        let p =
-          platform
-            [ ("1", "1", "1/2"); (Printf.sprintf "%d/11" (i + 1), "2", "1/2") ]
-        in
-        match
-          Service.Client.with_client address (fun cl -> request_ok cl (solve_req p))
-        with
-        | Ok (P.Overloaded _) -> outcomes.(i) <- `Overloaded
-        | Ok r when P.is_ok r -> outcomes.(i) <- `Ok
-        | Ok other ->
-          Alcotest.failf "client %d: unexpected %s" i (P.response_to_string other)
-        | Error e -> Alcotest.failf "client %d: %s" i (Dls.Errors.to_string e)
-      in
-      let ts = Array.init clients (fun i -> Thread.create (worker i) ()) in
-      Array.iter Thread.join ts;
-      let count tag = Array.fold_left (fun n o -> if o = tag then n + 1 else n) 0 outcomes in
-      let ok = count `Ok and overloaded = count `Overloaded in
-      check_int "every client answered" clients (ok + overloaded);
-      check "backpressure rejected some" true (overloaded >= 1);
-      check "some were served" true (ok >= 1);
-      let s = Service.Server.stats server in
-      check_int "rejected = overloaded responses" overloaded s.P.rejected;
-      check_int "served = ok responses" ok s.P.served;
-      drain_invariant "overload" s)
+  let c, m = core ~jobs:1 ~capacity:2 () in
+  let reqs = Array.init 12 (fun i -> solve_req (distinct_p i)) in
+  let running = queued (admit c ~now:0. reqs.(0)) in
+  ignore (next_exn c);
+  ignore (queued (admit c ~now:1. reqs.(1)));
+  ignore (queued (admit c ~now:2. reqs.(2)));
+  for i = 3 to 11 do
+    check_str
+      (Printf.sprintf "request %d overloaded" i)
+      (reply_str (P.Overloaded { depth = 2; capacity = 2 }))
+      (answered (admit c ~now:(float_of_int i) reqs.(i)))
+  done;
+  ignore (A.finish c running ~now:12. ~elapsed:1. (Ok ok_reply));
+  drain_core c;
+  let s = core_stats (c, m) in
+  check_int "rejected = overloaded replies" 9 s.P.rejected;
+  check_int "served = the running job and the two queued" 3 s.P.served;
+  drain_invariant "overload" s
+
+(* One request evaluated in a fresh core with [timeout], taking
+   [elapsed] and ending in [outcome]; returns the reply and the core. *)
+let one_verdict ?timeout ~elapsed outcome =
+  let c, m = core ?timeout () in
+  let job = queued (admit c ~now:0. (solve_req (p2 ()))) in
+  ignore (next_exn c);
+  let resp, _ = A.finish c job ~now:elapsed ~elapsed outcome in
+  (reply_str resp, (c, m))
 
 let test_server_timeout () =
-  Dls.Lp_model.reset_cache ();
-  with_server
-    (fun c ->
-      {
-        c with
-        Service.Server.jobs = 1;
-        worker_delay = 0.03;
-        timeout = Some 0.005;
-      })
-    (fun server ->
-      let address = Service.Server.address server in
-      let outcome =
-        Service.Client.with_client address (fun cl ->
-            let first = request_ok cl (solve_req (p2 ())) in
-            (* the first timeout seeds the admission predictor, so the
-               second doomed request is shed instead of queued to die *)
-            let second = request_ok cl (solve_req (p3 ())) in
-            (first, second))
-      in
-      (match outcome with
-      | Ok (P.Timed_out { budget }, P.Shed { budget = b2; _ }) ->
-        check "budget echoed" true (budget = 0.005 && b2 = 0.005)
-      | Ok (r1, r2) ->
-        Alcotest.failf "expected timeout then shed, got %s / %s"
-          (P.response_to_string r1) (P.response_to_string r2)
-      | Error e -> Alcotest.failf "client: %s" (Dls.Errors.to_string e));
-      let s = Service.Server.stats server in
-      check_int "first timed out" 1 s.P.timed_out;
-      check_int "second shed" 1 s.P.shed;
-      drain_invariant "timeout" s)
+  let reply, (c, m) = one_verdict ~timeout:0.005 ~elapsed:0.03 (Ok ok_reply) in
+  check_str "an overrun answers timeout"
+    (reply_str (P.Timed_out { budget = 0.005 })) reply;
+  (* the overrun seeded the predictor, so a second request is shed
+     instead of queued to die *)
+  check_str "the next one is shed"
+    (reply_str (P.Shed { wait = 0.03; budget = 0.005 }))
+    (answered (admit c ~now:1. (solve_req (p3 ()))));
+  let s = core_stats (c, m) in
+  check_int "first timed out" 1 s.P.timed_out;
+  check_int "second shed" 1 s.P.shed;
+  drain_invariant "timeout" s;
+  let failed = P.Failed (Dls.Errors.Invalid_scenario "raised") in
+  let reply, (c, m) = one_verdict ~timeout:0.01 ~elapsed:0.05 (Error failed) in
+  check_str "a raised evaluation stays failed past its budget" (reply_str failed) reply;
+  check_int "counted failed" 1 (core_stats (c, m)).P.failed;
+  check_str "within budget" (reply_str ok_reply)
+    (fst (one_verdict ~timeout:60. ~elapsed:0.05 (Ok ok_reply)));
+  check_str "no budget" (reply_str ok_reply)
+    (fst (one_verdict ~elapsed:1e6 (Ok ok_reply)))
 
+(* The shell drains under load at either [jobs]: clients keep sending
+   distinct exact solves until the stop refuses them; everything
+   admitted is answered. *)
 let test_server_drain_under_load ~jobs () =
   Dls.Lp_model.reset_cache ();
   with_server
-    (fun c ->
-      {
-        c with
-        Service.Server.jobs;
-        queue_capacity = 32;
-        worker_delay = 0.02;
-      })
+    (fun c -> { c with Service.Server.jobs; queue_capacity = 32 })
     (fun server ->
       let address = Service.Server.address server in
       let clients = 8 in
       let answered = Atomic.make 0 in
       let worker i () =
-        (* distinct platforms defeat collapse, keeping the queue busy *)
-        let p =
-          platform
-            [ ("1", "1", "1/2"); (Printf.sprintf "%d/7" (i + 1), "2", "1/2") ]
-        in
-        match
-          Service.Client.with_client address (fun cl -> request_ok cl (solve_req p))
-        with
-        | Ok _ -> Atomic.incr answered
-        | Error _ ->
-          (* admitted-after-drain connections may be refused: that is a
-             clean refusal, not a lost in-flight request *)
-          ()
+        ignore
+          (Service.Client.with_client address (fun cl ->
+               let rec loop k =
+                 let p = distinct_p ((100 * i) + k) in
+                 match
+                   Service.Client.request cl
+                     (P.Solve
+                        {
+                          s_platform = p;
+                          s_order = P.Fifo;
+                          s_model = Dls.Lp_model.Two_port;
+                          s_fast = false;
+                          s_load = None;
+                        })
+                 with
+                 | Ok r when P.is_ok r ->
+                   Atomic.incr answered;
+                   if k < 99 then loop (k + 1)
+                 (* a refusal while draining, or the shut connection:
+                    a clean refusal, not a lost in-flight request *)
+                 | Ok _ | Error _ -> ()
+               in
+               loop 0))
       in
       let ts = Array.init clients (fun i -> Thread.create (worker i) ()) in
       (* let some requests get in flight, then drain concurrently *)
@@ -941,44 +1055,40 @@ let test_server_multi_dispatcher () =
         check_int "no failures" 0 o.Service.Loadgen.failed;
         drain_invariant "multi-evaluator" (Service.Server.stats server))
 
+(* Drive a core in virtual time: [n] distinct requests arrive at 0,
+   each evaluation takes [d] seconds, and a slot is refilled the moment
+   it frees.  Returns when the last reply is written and the most
+   evaluations that ran at once. *)
+let virtual_stream ~jobs ~d n =
+  let c, m = core ~jobs ~capacity:n () in
+  for i = 0 to n - 1 do
+    ignore (queued (admit c ~now:0. (solve_req (distinct_p i))))
+  done;
+  let rec go clock running peak =
+    let rec fill running =
+      match A.next c with
+      | Some job -> fill (running @ [ (clock +. d, job) ])
+      | None -> running
+    in
+    match fill running with
+    | [] -> (clock, peak, (c, m))
+    | ((until, job) :: _ as running) ->
+      ignore (A.finish c job ~now:until ~elapsed:d (Ok ok_reply));
+      go until (List.tl running) (max peak (List.length running))
+  in
+  go 0. [] 0
+
 let test_server_evaluators_overlap () =
-  (* A sleep-bound stream of distinct keys: one evaluator runs the jobs
-     one after another, four keep four in flight, so the stream drains
-     about four times faster. *)
-  let requests = 40 and seed = 2026 and distinct = 100_000 in
-  let keys =
-    List.init requests (fun i ->
-        P.request_key (Service.Loadgen.request ~seed ~distinct i))
-  in
-  check_int "stream keys pairwise distinct" requests
-    (List.length (List.sort_uniq compare keys));
-  let arm jobs =
-    Dls.Lp_model.reset_cache ();
-    with_server
-      (fun c -> { c with Service.Server.jobs; worker_delay = 0.02 })
-      (fun server ->
-        match
-          Service.Loadgen.run (Service.Server.address server) ~connections:8
-            ~requests ~seed ~distinct ()
-        with
-        | Error e -> Alcotest.failf "loadgen: %s" (Dls.Errors.to_string e)
-        | Ok o ->
-          check_int
-            (Printf.sprintf "every request ok, %d evaluators" jobs)
-            requests o.Service.Loadgen.ok;
-          o.Service.Loadgen.wall_s)
-  in
-  let single = arm 1 in
-  let four = arm 4 in
-  Printf.printf "1 evaluator %.3fs, 4 evaluators %.3fs\n" single four;
-  (* Half the single arm, not just below it: one evaluator costs at
-     least 40 x 20 ms of sleep, so a server that ran one evaluator
-     whatever the config would otherwise pass on timing noise.  The
-     four arm needs ~0.2 s (10 waves of 20 ms) against a bound of
-     ~0.4 s, so it fails only if scheduling doubles its wall time. *)
-  if not (2. *. four < single) then
-    Alcotest.failf "4 evaluators %.3fs, not under half of 1 evaluator's %.3fs"
-      four single
+  (* 1/64 s sums exactly in binary floating point. *)
+  let d = 1. /. 64. and n = 40 in
+  let single, peak1, c1 = virtual_stream ~jobs:1 ~d n in
+  let four, peak4, c4 = virtual_stream ~jobs:4 ~d n in
+  check_int "one evaluator runs one at a time" 1 peak1;
+  check_int "four keep four in flight" 4 peak4;
+  check "one evaluator: back to back" true (single = float_of_int n *. d);
+  check "four: ten waves" true (four = 10. *. d);
+  drain_invariant "one" (core_stats c1);
+  drain_invariant "four" (core_stats c4)
 
 (* A slow request for the head-of-line tests: an exact ([fast=false])
    two-port FIFO solve of a fixed 80-worker platform, 0.7-0.8 s on a
@@ -1300,111 +1410,100 @@ let test_journal_crc32_vector () =
 (* ------------------------------------------------------------------ *)
 
 let test_server_shed () =
-  Dls.Lp_model.reset_cache ();
-  with_server
-    (fun c ->
-      {
-        c with
-        Service.Server.jobs = 1;
-        worker_delay = 0.05;
-        timeout = Some 0.04;
-      })
-    (fun server ->
-      let address = Service.Server.address server in
-      let outcome =
-        Service.Client.with_client address (fun cl ->
-            (* The first request seeds the service-time EWMA (and times
-               out: 50ms of work against a 40ms budget)... *)
-            let first = request_ok cl (solve_req (p2 ())) in
-            (* ...so the second is refused at admission: even at queue
-               depth 0 the predicted service time alone blows the
-               budget, and shedding beats queueing doomed work. *)
-            let second = request_ok cl (solve_req (p3 ())) in
-            (first, second))
-      in
-      (match outcome with
-      | Ok (P.Timed_out _, P.Shed { wait; budget }) ->
-        check "echoed budget" true (budget = 0.04);
-        check "predicted wait exceeds the budget" true (wait > budget)
-      | Ok (r1, r2) ->
-        Alcotest.failf "expected timeout then shed, got %s / %s"
-          (P.response_to_string r1) (P.response_to_string r2)
-      | Error e -> Alcotest.failf "client: %s" (Dls.Errors.to_string e));
-      let s = Service.Server.stats server in
-      check_int "one timed out" 1 s.P.timed_out;
-      check_int "one shed" 1 s.P.shed;
-      check_int "shed counts as accepted" 2 s.P.accepted;
-      drain_invariant "shed" s)
+  let reply, (c, m) = one_verdict ~timeout:0.04 ~elapsed:0.05 (Ok ok_reply) in
+  check_str "50 ms of work against a 40 ms budget times out"
+    (reply_str (P.Timed_out { budget = 0.04 })) reply;
+  (* even at depth 0 the predicted service time alone blows the
+     budget *)
+  check_str "the next one is shed at admission"
+    (reply_str (P.Shed { wait = 0.05; budget = 0.04 }))
+    (answered (admit c ~now:1. (solve_req (p3 ()))));
+  let s = core_stats (c, m) in
+  check_int "one timed out" 1 s.P.timed_out;
+  check_int "one shed" 1 s.P.shed;
+  check_int "shed counts as accepted" 2 s.P.accepted;
+  drain_invariant "shed" s;
+  (* The prediction grows with the queue: service EWMA x (queued + 1) /
+     jobs.  At 30 ms and two evaluators, six fit a 100 ms budget. *)
+  let c, m = core ~jobs:2 ~timeout:0.1 () in
+  let seed = queued (admit c ~now:0. (solve_req (p2 ()))) in
+  ignore (next_exn c);
+  ignore (A.finish c seed ~now:0.03 ~elapsed:0.03 (Ok ok_reply));
+  for i = 0 to 5 do
+    ignore (queued (admit c ~now:1. (solve_req (distinct_p i))))
+  done;
+  check_str "the seventh is shed"
+    (reply_str (P.Shed { wait = 0.03 *. 7. /. 2.; budget = 0.1 }))
+    (answered (admit c ~now:1. (solve_req (distinct_p 6))));
+  drain_core c;
+  drain_invariant "queue-aware shed" (core_stats (c, m))
+
+(* An exact ([fast=false]) solve, which brownout moves onto the
+   certified fast pipeline. *)
+let exact_solve_req p =
+  P.Solve
+    {
+      s_platform = p;
+      s_order = P.Fifo;
+      s_model = Dls.Lp_model.One_port;
+      s_fast = false;
+      s_load = None;
+    }
 
 let test_server_brownout () =
-  (* Sustained pressure must trip the brownout downgrade at least once,
-     and every response served under it must still be bit-identical to
-     the exact solver (the fast pipeline is certified: it falls back to
-     exact whenever its own audit fails). *)
   Dls.Lp_model.reset_cache ();
-  with_server
-    (fun c ->
-      {
-        c with
-        Service.Server.jobs = 1;
-        queue_capacity = 8;
-        worker_delay = 0.01;
-        brownout = true;
-      })
-    (fun server ->
-      let address = Service.Server.address server in
-      let clients = 12 in
-      let per_client = 2 in
-      let answers = Array.make (clients * per_client) None in
-      let worker i () =
-        match
-          Service.Client.with_client address (fun cl ->
-              for k = 0 to per_client - 1 do
-                let slot = (i * per_client) + k in
-                let p =
-                  platform
-                    [
-                      ("1", "1", "1/2");
-                      (Printf.sprintf "%d/13" (slot + 1), "2", "1/2");
-                    ]
-                in
-                (* keep the queue saturated: retry overload rejections *)
-                let rec send () =
-                  match request_ok cl (solve_req p) with
-                  | P.Overloaded _ ->
-                    Thread.delay 0.002;
-                    send ()
-                  | P.Ok_solve r -> answers.(slot) <- Some (p, r)
-                  | other ->
-                    Alcotest.failf "client %d: unexpected %s" i
-                      (P.response_to_string other)
-                in
-                send ()
-              done)
-        with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "client %d: %s" i (Dls.Errors.to_string e)
+  let c, m = core ~capacity:8 ~brownout:true () in
+  let admitted = ref 0 in
+  let admit_one () =
+    ignore (queued (admit c ~now:0. (exact_solve_req (distinct_p !admitted))));
+    incr admitted
+  in
+  let downgraded = ref 0 in
+  (* Evaluate the head through the daemon's own evaluation, under the
+     core's brownout flag: every answer is bit-identical to the exact
+     solver's. *)
+  let evaluate_head () =
+    let job = next_exn c in
+    let brownout = A.browned_out c in
+    if brownout then incr downgraded;
+    let resp = Service.Server.evaluate ~brownout job.A.request in
+    (match (job.A.request, resp) with
+    | P.Solve r, P.Ok_solve s ->
+      let p = r.P.s_platform in
+      let direct =
+        Dls.Solve.solve_exn ~mode:`Exact (Dls.Scenario.fifo_exn p (Dls.Fifo.order p))
       in
-      let ts = Array.init clients (fun i -> Thread.create (worker i) ()) in
-      Array.iter Thread.join ts;
-      let s = Service.Server.stats server in
-      check "sustained overload tripped the brownout" true (s.P.brownouts >= 1);
-      check_int "every request eventually served" (clients * per_client)
-        s.P.served;
-      drain_invariant "brownout" s;
-      Array.iter
-        (fun a ->
-          match a with
-          | None -> Alcotest.fail "missing answer"
-          | Some (p, r) ->
-            let direct =
-              Dls.Solve.solve_exn ~mode:`Exact
-                (Dls.Scenario.fifo_exn p (Dls.Fifo.order p))
-            in
-            check_str "brownout answers bit-identical"
-              (Q.to_string direct.Dls.Lp_model.rho)
-              (Q.to_string r.P.rho))
-        answers)
+      check_str "brownout answers bit-identical"
+        (Q.to_string direct.Dls.Lp_model.rho) (Q.to_string s.P.rho);
+      Array.iteri
+        (fun i a ->
+          check_str "alpha bit-identical" (Q.to_string direct.Dls.Lp_model.alpha.(i))
+            (Q.to_string a))
+        s.P.alpha
+    | _, other -> Alcotest.failf "expected ok solve, got %s" (reply_str other));
+    ignore (A.finish c job ~now:1. ~elapsed:0.001 (Ok resp))
+  in
+  for _ = 1 to 8 do admit_one () done;
+  (* Three evaluations ending above 3/4 of capacity switch it on. *)
+  for k = 1 to 3 do
+    check (Printf.sprintf "off before evaluation %d" k) false (A.browned_out c);
+    evaluate_head ();
+    admit_one ()
+  done;
+  check "on after three under pressure" true (A.browned_out c);
+  check_int "one activation" 1 (core_stats (c, m)).P.brownouts;
+  (* Draining: between 1/4 and 3/4 both streaks reset; three
+     evaluations ending at or below 1/4 (depth 2, 1, 0) switch it off. *)
+  while A.depth c > 0 do
+    check "still on while the queue drains" true (A.browned_out c);
+    evaluate_head ()
+  done;
+  check "off after three at or below 1/4" false (A.browned_out c);
+  check "some evaluations ran browned out" true (!downgraded >= 1);
+  let s = core_stats (c, m) in
+  check_int "still one activation" 1 s.P.brownouts;
+  check_int "every request served" !admitted s.P.served;
+  drain_invariant "brownout" s
 
 (* A faulted [simulate] reports the exact re-planner's completed load.
    The LP schedule meets its deadline exactly, so a float trace checked
@@ -2480,6 +2579,19 @@ let test_endpoint_stale_path_reclaimed () =
   Service.Server.stop server;
   check "socket unlinked" false (Sys.file_exists path)
 
+(* [stop] shuts the listening socket down, so it does not wait out the
+   listener's accept poll: 20 start/stop cycles took about 1 s when each
+   stop waited for the 50 ms poll. *)
+let test_endpoint_quick_stop () =
+  let t0 = Parallel.Clock.now () in
+  for _ = 1 to 20 do
+    Service.Server.stop (start_exn "daemon" (Service.Server.start (one_job tcp_any)))
+  done;
+  let elapsed = Parallel.Clock.elapsed_s ~since:t0 in
+  Printf.printf "20 start/stop cycles in %.3fs\n" elapsed;
+  if elapsed >= 0.5 then
+    Alcotest.failf "20 start/stop cycles took %.3fs, not under 0.5s" elapsed
+
 let () =
   if Array.length Sys.argv > 2 && Sys.argv.(1) = "--print-pinned" then
     Out_channel.with_open_text Sys.argv.(2) (fun oc ->
@@ -2541,6 +2653,7 @@ let () =
             test_queue_close_wakes_blocked_pop;
           Alcotest.test_case "concurrent" `Quick test_queue_concurrent;
         ] );
+      ("admission", [ core_ops_property ]);
       ( "server",
         [
           Alcotest.test_case "solve bit-identical" `Quick
@@ -2611,5 +2724,7 @@ let () =
             test_endpoint_live_path_refused;
           Alcotest.test_case "stale socket path reclaimed" `Quick
             test_endpoint_stale_path_reclaimed;
+          Alcotest.test_case "20 start/stop cycles under 0.5 s" `Quick
+            test_endpoint_quick_stop;
         ] );
     ]
